@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import InputError, PrecisionTooLow
+from .linalg import _rank_profile_mod
 from .ore import DiffOp
 from .polys import Poly
 from .rationals import QQ, is_integer
@@ -250,7 +251,7 @@ def _poly_matrix_rank(mat: List[List[List[int]]], p: int) -> int:
             [[_eval_fp(mat[i][j], t, p) for j in range(r)] for i in range(r)],
             dtype=np.int64,
         )
-        rank = _rank_mod(m, p)
+        rank = len(_rank_profile_mod(m, p))
         best = max(best, rank)
         if best == r:
             break
@@ -268,13 +269,6 @@ def _eval_fp(a: List[int], t: int, p: int) -> int:
     for c in reversed(a):
         acc = (acc * t + c) % p
     return acc
-
-
-def _rank_mod(m, p: int) -> int:
-    from .linalg import _rref_mod
-
-    _, piv, _ = _rref_mod(m, p)
-    return len(piv)
 
 
 def p_curvature_is_zero_oracle(op: DiffOp, p: int) -> Optional[List[List[Tuple[List[int], List[int]]]]]:

@@ -14,7 +14,8 @@ Small dense eliminations over Q or Q(z) are done directly.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+import math
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -36,16 +37,26 @@ _PRIMES_31 = [
 
 
 def _reduce_matrix_mod(rows: Sequence[Sequence], p: int) -> np.ndarray:
-    """Reduce a matrix of rationals mod p; raises ValueError on bad prime."""
-    out = np.empty((len(rows), len(rows[0]) if rows else 0), dtype=np.int64)
-    for i, row in enumerate(rows):
-        for j, c in enumerate(row):
-            num = int(c.numerator) % p
-            den = int(c.denominator) % p
-            if den == 0:
-                raise ValueError("prime divides a denominator")
-            out[i, j] = num * pow(den, p - 2, p) % p
-    return out
+    """Reduce a matrix of rationals mod p; raises ValueError on bad prime.
+
+    Guessing systems repeat the same coefficient objects across many
+    cells, so each distinct object (by identity; ``rows`` keeps it alive
+    for the whole call) is reduced once.
+    """
+    memo: Dict[int, int] = {}
+    out = []
+    for row in rows:
+        line = []
+        for c in row:
+            v = memo.get(id(c))
+            if v is None:
+                den = int(c.denominator) % p
+                if den == 0:
+                    raise ValueError("prime divides a denominator")
+                v = memo[id(c)] = int(c.numerator) * pow(den, -1, p) % p
+            line.append(v)
+        out.append(line)
+    return np.array(out, dtype=np.int64).reshape(len(rows), len(rows[0]) if rows else 0)
 
 
 def _rref_mod(a: np.ndarray, p: int) -> Tuple[np.ndarray, List[int], List[int]]:
@@ -77,13 +88,47 @@ def _rref_mod(a: np.ndarray, p: int) -> Tuple[np.ndarray, List[int], List[int]]:
     return a, piv_cols, piv_rows
 
 
+def _rank_profile_mod(a: np.ndarray, p: int) -> List[int]:
+    """Pivot columns of a row echelon form of ``a`` mod p, ascending.
+
+    Forward elimination only: each pivot clears the trailing block below
+    it (up to the pivot row's last nonzero) and nothing above, which is
+    all a rank needs.  Pivot columns do not depend on the choice of pivot
+    rows, and the number of them below k is the rank mod p of the first k
+    columns.
+    """
+    m, n = a.shape
+    a = a % p
+    piv_cols: List[int] = []
+    r = 0
+    for c in range(n):
+        if r >= m:
+            break
+        nz = np.flatnonzero(a[r:, c])
+        if nz.size == 0:
+            continue
+        k = r + int(nz[0])
+        if k != r:
+            a[[r, k], c:] = a[[k, r], c:]
+        end = c + 1 + int(np.flatnonzero(a[r, c:])[-1])  # pivot row is 0 past end
+        below = a[r + 1:, c:end]
+        if below.size:
+            factors = below[:, 0] * pow(int(a[r, c]), -1, p) % p
+            below -= np.outer(factors, a[r, c:end])
+            below %= p
+        piv_cols.append(c)
+        r += 1
+    return piv_cols
+
+
 def kernel_rank_mod_p(rows: Sequence[Sequence], p: Optional[int] = None) -> Tuple[int, List[int]]:
-    """(rank mod p, pivot columns).  rank mod p <= rank over Q, so a full
-    column rank mod p proves the exact kernel is trivial."""
+    """(rank mod p, pivot columns ascending).  rank mod p <= rank over Q,
+    so a full column rank mod p proves the exact kernel is trivial; the
+    same holds for every column prefix, whose rank mod p is the number of
+    pivot columns inside it."""
     if p is None:
         p = _PRIMES_31[0]
-    a = _reduce_matrix_mod(rows, p)
-    _, piv_cols, _ = _rref_mod(a, p)
+    piv_cols = _rank_profile_mod(_reduce_matrix_mod(rows, p), p)
     return len(piv_cols), piv_cols
 
 
@@ -109,7 +154,7 @@ def _kernel_vector_mod(a: np.ndarray, p: int, free_choice: int = 0):
 
 def _rational_reconstruct(a: int, m: int):
     """Wang reconstruction of a mod m into p/q with |p|, q <= sqrt(m/2)."""
-    bound = int((m // 2) ** 0.5)
+    bound = math.isqrt(m // 2)
     r0, r1 = m, a % m
     s0, s1 = 0, 1
     while r1 > bound:
@@ -184,27 +229,15 @@ def _try_reconstruct(combined: List[int], modulus: int) -> Optional[List]:
 
 
 def _clear_denominators(vec: List) -> List:
-    den = 1
-    for x in vec:
-        d = int(x.denominator)
-        den = den // _gcd(den, d) * d
+    den = math.lcm(*(int(x.denominator) for x in vec))
     ints = [x * den for x in vec]
-    g = 0
-    for x in ints:
-        g = _gcd(g, int(x.numerator))
+    g = math.gcd(*(int(x.numerator) for x in ints))
     if g == 0:
         return [Q0] * len(vec)
     lead = next(x for x in reversed(ints) if x != 0)
     if lead < 0:
         g = -g
     return [x / g for x in ints]
-
-
-def _gcd(a: int, b: int) -> int:
-    a, b = abs(a), abs(b)
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _kernel_vector_exact_slow(rows: Sequence[Sequence]) -> Optional[List]:

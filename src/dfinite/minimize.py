@@ -9,10 +9,17 @@ bound of ``zero_test`` decides g = 0 exactly.
 
 Minimality of the returned operator is heuristic (the search simply finds
 no smaller certified annihilator); the annihilation itself is certified.
+
+The search eliminates once per order: one rank profile mod p of the
+system at the degree cap gives the rank of every smaller degree cell as
+a count of pivot columns, so "no operator of this order and degree <= d"
+is proved for every d at once, and exact kernel vectors are computed
+only at degrees where a kernel survives mod p.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
@@ -108,46 +115,36 @@ def guess_operator(f: TruncSeries, max_order: int, max_degree: int) -> Optional[
     return op
 
 
-def _probe_degree(rows: List[List], order: int, lo: int, d_cap: int, guard: int) -> Optional[int]:
-    """Smallest degree in [lo, d_cap] whose cell has a nontrivial kernel
-    mod p, or None.  Uses column-prefix slices of the full system; a
-    trivial kernel mod p rules a cell out rigorously."""
+def _probe_degree(rows: List[List], order: int, d_cap: int) -> List[int]:
+    """Degrees d <= d_cap, ascending, whose cell has a nontrivial kernel
+    mod p.
 
-    def cell_has_kernel(d: int) -> bool:
+    One elimination of the full degree-capped system answers every cell:
+    the columns are degree-major, so the degree-d cell is the prefix of
+    (order+1)(d+1) columns with all rows, and its rank mod p is the number
+    of pivot columns inside that prefix.  Every degree left out has full
+    column rank mod p, hence a trivial kernel over Q.
+    """
+    _, piv_cols = kernel_rank_mod_p(rows)
+    out = []
+    for d in range(d_cap + 1):
         ncols = (order + 1) * (d + 1)
-        take = min(len(rows), ncols + guard)
-        sub = [row[:ncols] for row in rows[:take]]
-        rank, _ = kernel_rank_mod_p(sub)
-        return rank < ncols
-
-    if not cell_has_kernel(d_cap):
-        return None
-    hi = d_cap
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if cell_has_kernel(mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
+        if bisect_left(piv_cols, ncols) < ncols:
+            out.append(d)
+    return out
 
 
-def _search_order(f: TruncSeries, order: int, d_cap: int, guard: int) -> Optional[Tuple[DiffOp, int]]:
+def _search_order(f: TruncSeries, order: int, d_cap: int) -> Optional[Tuple[DiffOp, int]]:
     """Minimal-degree verified operator of the given order, or None."""
     rows = _build_rows(f, order, d_cap)
-    lo = 0
-    while lo <= d_cap:
-        d_min = _probe_degree(rows, order, lo, d_cap, guard)
-        if d_min is None:
-            return None
-        ncols = (order + 1) * (d_min + 1)
-        sub = [row[:ncols] for row in rows]
-        vec = kernel_vector_exact(sub)
+    for d in _probe_degree(rows, order, d_cap):
+        ncols = (order + 1) * (d + 1)
+        vec = kernel_vector_exact([row[:ncols] for row in rows])
         if vec is not None:
-            op = _vector_to_op(vec, order, d_min)
+            op = _vector_to_op(vec, order, d)
             if not op.is_zero() and op.order > 0 and is_zero_series(apply_op(op, f)):
-                return op, d_min
-        lo = d_min + 1  # spurious mod-p kernel; rule this degree out and retry
+                return op, d
+        # spurious mod-p kernel: go on to the next candidate degree
     return None
 
 
@@ -169,7 +166,7 @@ def guess_annihilator(
             d_cap = min(d_cap, max_degree)
         if d_cap < 0:
             continue
-        got = _search_order(f, order, d_cap, guard)
+        got = _search_order(f, order, d_cap)
         if got is not None:
             return got[0]
     return None
@@ -242,7 +239,7 @@ def minimal_annihilator(
             log.append((order, -1, "precision budget exhausted"))
             continue
         f = terms((order + 1) * (d_cap + 1) + order + opts.guard)
-        found = _search_order(f, order, d_cap, opts.guard)
+        found = _search_order(f, order, d_cap)
         if found is None:
             log.append((order, d_cap, "empty kernel"))
             continue

@@ -1,0 +1,82 @@
+"""Modular linear algebra: rank profiles, memoized reduction, rational
+reconstruction past float range, and the guesser's one-elimination proof
+on the Apery operator."""
+
+from bisect import bisect_left
+from fractions import Fraction
+from math import prod
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dfinite.fileio import load_problem
+from dfinite.linalg import (
+    _PRIMES_31,
+    _rational_reconstruct,
+    _reduce_matrix_mod,
+    _rref_mod,
+    kernel_rank_mod_p,
+)
+from dfinite.minimize import INPUT_RETURNED, minimal_annihilator
+from dfinite.rationals import Q0, QQ
+
+APERY = Path(__file__).resolve().parents[1] / "bench" / "data" / "apery.json"
+
+
+@st.composite
+def shared_matrices(draw):
+    """Small rational matrices whose cells reuse a few entry objects, with
+    some columns forced to zero."""
+    pool = draw(st.lists(
+        st.builds(Fraction, st.integers(-4, 4), st.sampled_from([1, 2, 3, 4])),
+        min_size=1, max_size=4,
+    ))
+    m = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 7))
+    zero_cols = draw(st.sets(st.integers(0, n - 1), max_size=n))
+    picks = draw(st.lists(st.lists(st.integers(0, len(pool) - 1), min_size=n, max_size=n),
+                          min_size=m, max_size=m))
+    return [[Q0 if j in zero_cols else pool[k] for j, k in enumerate(line)] for line in picks]
+
+
+@settings(max_examples=200, deadline=None)
+@given(shared_matrices(), st.sampled_from([5, 7, _PRIMES_31[0]]))
+def test_pivot_prefix_counts_are_prefix_ranks(rows, p):
+    rank, piv = kernel_rank_mod_p(rows, p)
+    assert rank == len(piv) and piv == sorted(set(piv))
+    a = _reduce_matrix_mod(rows, p)
+    for k in range(len(rows[0]) + 1):
+        _, ref_piv, _ = _rref_mod(a[:, :k], p)
+        assert bisect_left(piv, k) == len(ref_piv), k
+
+
+def test_memoized_reduction_matches_per_entry():
+    p = 11
+    shared = QQ(-3, 4)
+    rows = [[shared, QQ(5, 2), Q0], [QQ(-3, 4), shared, QQ(7)], [shared] * 3]
+    expected = [[int(c.numerator) * pow(int(c.denominator), -1, p) % p for c in row]
+                for row in rows]
+    assert _reduce_matrix_mod(rows, p).tolist() == expected
+
+
+def test_memoized_reduction_rejects_bad_prime():
+    bad = QQ(1, 7)
+    with pytest.raises(ValueError):
+        _reduce_matrix_mod([[QQ(2), bad], [bad, QQ(2)]], 7)
+
+
+def test_rational_reconstruct_beyond_float_range():
+    m = prod(_PRIMES_31[:34])
+    assert m.bit_length() > 1024
+    for value in (QQ(3, 7), QQ(-123456789, 987654321)):
+        a = int(value.numerator) * pow(int(value.denominator), -1, m) % m
+        assert _rational_reconstruct(a, m) == value
+
+
+def test_apery_minimization_proves_no_smaller_operator():
+    op, init, _ = load_problem(str(APERY))
+    res = minimal_annihilator(op, init)
+    assert res.status == INPUT_RETURNED
+    assert res.search_log == [(1, 144, "empty kernel"), (2, 144, "empty kernel")]
