@@ -2,8 +2,7 @@
 
 Every subcommand prints a single JSON object on stdout.  Exit codes:
 0 for any computed verdict or result, 2 for input errors, 3 when a
-precision or resource limit is hit even after one doubled-precision
-retry.
+precision or resource limit is hit.
 """
 
 from __future__ import annotations
@@ -375,20 +374,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        try:
-            return args.func(args)
-        except PrecisionTooLow:
-            # one retry with a doubled precision budget
-            if getattr(args, "precision", None) is None:
-                if hasattr(args, "precision"):
-                    args.precision = 2 * MinimizeOptions().max_precision
-            else:
-                args.precision *= 2
-            try:
-                return args.func(args)
-            except PrecisionTooLow as e:
-                _emit({"error": "precision", "message": str(e)})
-                return EXIT_PRECISION
+        return args.func(args)
+    except PrecisionTooLow as e:
+        _emit({"error": "precision", "message": str(e)})
+        return EXIT_PRECISION
     except InputError as e:
         _emit({"error": "input", "message": str(e)})
         return EXIT_INPUT

@@ -29,7 +29,15 @@ from .ore import DiffOp, _d_compose, _rem_reduce, _to_ratfuncs
 from .polys import Poly, RatFunc
 from .rationals import Q0
 from .linalg import ratfunc_dependence
-from .series import TruncSeries, apply_op, is_zero_series, unroll, validate_init, zero_test
+from .series import (
+    TruncSeries,
+    apply_op,
+    indicial_bound,
+    is_zero_series,
+    unroll,
+    validate_init,
+    zero_test,
+)
 
 GUARD_TERMS = 10
 
@@ -43,7 +51,6 @@ NOT_SEARCHED = "not-searched"
 class MinimizeOptions:
     max_degree: Optional[int] = None
     max_precision: int = 700
-    guard: int = GUARD_TERMS
 
 
 @dataclass
@@ -152,7 +159,6 @@ def guess_annihilator(
     f: TruncSeries,
     max_order: int,
     max_degree: Optional[int] = None,
-    guard: int = GUARD_TERMS,
 ) -> Optional[DiffOp]:
     """First verified annihilator by increasing order, then minimal degree.
 
@@ -161,7 +167,7 @@ def guess_annihilator(
     boxes", never a statement about larger shapes.
     """
     for order in range(1, max_order + 1):
-        d_cap = (f.trunc_order - order - guard) // (order + 1) - 1
+        d_cap = (f.trunc_order - order - GUARD_TERMS) // (order + 1) - 1
         if max_degree is not None:
             d_cap = min(d_cap, max_degree)
         if d_cap < 0:
@@ -178,7 +184,8 @@ def certify_annihilates(big: DiffOp, cand: DiffOp, f: TruncSeries) -> bool:
     Reduces d^j o cand modulo big for j = 0..order(big); the forced
     Q(z)-linear dependence yields a cofactor A with A o cand = C o big,
     so g = cand(f) solves A and the valuation-bound zero test applies.
-    Raises PrecisionTooLow when f is too short for that test.
+    f is a prefix of big's solution (at least its initial terms); it is
+    unrolled as far as that test needs, indicial_bound(A) + 1 terms of g.
     """
     if big.is_zero() or cand.is_zero():
         raise InputError("zero operator")
@@ -200,8 +207,10 @@ def certify_annihilates(big: DiffOp, cand: DiffOp, f: TruncSeries) -> bool:
     if dep is None:
         raise AssertionError("dependence must appear at order <= order(big)")
     cofactor = DiffOp.from_ratfuncs(dep)
-    g = apply_op(cand, f)
-    return zero_test(cofactor, g)
+    need = max(indicial_bound(cofactor) + 1 + max(cand.max_shift(), 0), cand.order)
+    if f.trunc_order < need:
+        f = unroll(big, f, need)
+    return zero_test(cofactor, apply_op(cand, f))
 
 
 def minimal_annihilator(
@@ -212,9 +221,9 @@ def minimal_annihilator(
     """Certified annihilator of minimal discovered order for the solution
     pinned down by (big, init); falls back to big itself.
 
-    Searches orders below order(big) with degrees staged by doubling up
-    to the ceiling (default 4 * deg(big) * order(big)^2, capped by the
-    precision budget).  Any candidate must pass ``certify_annihilates``.
+    Searches orders below order(big) with degrees up to the ceiling
+    (default 4 * deg(big) * order(big)^2, capped by the precision
+    budget).  Any candidate must pass ``certify_annihilates``.
     """
     opts = opts or MinimizeOptions()
     ok, reason = validate_init(big, init)
@@ -225,37 +234,27 @@ def minimal_annihilator(
     if degree_ceiling is None:
         degree_ceiling = 4 * max(big.degree(), 1) * r * r
     log: List[Tuple[int, int, str]] = []
-    cache = {"f": init}
-
-    def terms(n: int) -> TruncSeries:
-        if cache["f"].trunc_order < n:
-            cache["f"] = unroll(big, cache["f"], n)
-        return cache["f"]
-
+    # each order searches the longest prefix that any order up to it
+    # needs; one unroll reaches the deepest of them
+    plan = []
+    n_terms = init.trunc_order
     for order in range(1, r):
-        cap_by_precision = (opts.max_precision - order - opts.guard) // (order + 1) - 1
+        cap_by_precision = (opts.max_precision - order - GUARD_TERMS) // (order + 1) - 1
         d_cap = min(degree_ceiling, cap_by_precision)
+        if d_cap >= 0:
+            n_terms = max(n_terms, (order + 1) * (d_cap + 1) + order + GUARD_TERMS)
+        plan.append((order, d_cap, n_terms))
+    f = unroll(big, init, n_terms) if n_terms > init.trunc_order else init
+    for order, d_cap, prefix in plan:
         if d_cap < 0:
             log.append((order, -1, "precision budget exhausted"))
             continue
-        f = terms((order + 1) * (d_cap + 1) + order + opts.guard)
-        found = _search_order(f, order, d_cap)
+        found = _search_order(f.prefix(prefix), order, d_cap)
         if found is None:
             log.append((order, d_cap, "empty kernel"))
             continue
         cand, d_min = found
-        certified = None
-        for _ in range(3):
-            try:
-                certified = certify_annihilates(big, cand, cache["f"])
-                break
-            except PrecisionTooLow as e:
-                need = (e.needed or cache["f"].trunc_order) + cand.order + opts.guard
-                terms(max(need, cache["f"].trunc_order * 2))
-        if certified is None:
-            log.append((order, d_min, "certification ran out of precision"))
-            continue
-        if certified:
+        if certify_annihilates(big, cand, f):
             log.append((order, d_min, "certified"))
             return MinimizationResult(cand, CERTIFIED_ANNIHILATOR, log)
         log.append((order, d_min, "candidate does not annihilate"))

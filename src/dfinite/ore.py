@@ -14,6 +14,7 @@ shift m = i - j.
 
 from __future__ import annotations
 
+from math import gcd, lcm
 from typing import List, Sequence, Tuple
 
 from .errors import InputError
@@ -28,12 +29,6 @@ def falling_factorial_poly(shift, length: int) -> Poly:
     for t in range(length):
         acc = acc * (n + Poly.const(QQ(shift) - t))
     return acc
-
-
-def _lcm_int(a: int, b: int) -> int:
-    from math import gcd
-
-    return a // gcd(a, b) * b
 
 
 class DiffOp:
@@ -123,7 +118,7 @@ def _normalize_content(cs: List[Poly]) -> List[Poly]:
     den = 1
     for p in cs:
         for c in p.coeffs:
-            den = _lcm_int(den, int(c.denominator))
+            den = lcm(den, int(c.denominator))
     cs = [p.scale(QQ(den)) for p in cs]
     g = poly_gcd_many([p for p in cs if not p.is_zero()]).primitive()
     if g.degree > 0:
@@ -131,7 +126,7 @@ def _normalize_content(cs: List[Poly]) -> List[Poly]:
     num = 0
     for p in cs:
         for c in p.coeffs:
-            num = _gcd_int(num, int(c.numerator))
+            num = gcd(num, int(c.numerator))
     if num:
         lead = cs[-1]
         if lead.coeffs[-1] < 0:
@@ -140,23 +135,16 @@ def _normalize_content(cs: List[Poly]) -> List[Poly]:
     return cs
 
 
-def _gcd_int(a: int, b: int) -> int:
-    a, b = abs(a), abs(b)
-    while b:
-        a, b = b, a % b
-    return a
-
-
 def _normalize_int_content(cs: List[Poly]) -> List[Poly]:
     den = 1
     for p in cs:
         for c in p.coeffs:
-            den = _lcm_int(den, int(c.denominator))
+            den = lcm(den, int(c.denominator))
     cs = [p.scale(QQ(den)) for p in cs]
     num = 0
     for p in cs:
         for c in p.coeffs:
-            num = _gcd_int(num, int(c.numerator))
+            num = gcd(num, int(c.numerator))
     if num:
         if cs[-1].coeffs[-1] < 0:
             num = -num

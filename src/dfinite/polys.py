@@ -8,6 +8,7 @@ avoids factoring large integer constant terms.
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, List, Sequence, Tuple
 
 from .rationals import QQ, Q0, Q1
@@ -216,8 +217,7 @@ class Poly:
             return self, Q1
         den = 1
         for c in self.coeffs:
-            d = c.denominator
-            den = den * d // _gcd_int(den, d)
+            den = math.lcm(den, int(c.denominator))
         return self.scale(QQ(den)), QQ(den)
 
     def primitive(self) -> "Poly":
@@ -227,7 +227,7 @@ class Poly:
         p, _ = self.int_clear()
         g = 0
         for c in p.coeffs:
-            g = _gcd_int(g, int(c.numerator))
+            g = math.gcd(g, int(c.numerator))
         if p.lc < 0:
             g = -g
         return p.scale(QQ(1, g))
@@ -298,13 +298,6 @@ class Poly:
 
     def __repr__(self) -> str:
         return "Poly(%s)" % (format_poly(self, "z"),)
-
-
-def _gcd_int(a: int, b: int) -> int:
-    a, b = abs(a), abs(b)
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def poly_gcd_many(polys: Sequence[Poly]) -> Poly:

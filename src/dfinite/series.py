@@ -146,6 +146,27 @@ def _check_rows(rec: RecOp, coeffs: List, upto: int) -> Optional[int]:
     return None
 
 
+def _checked_recurrence(op: DiffOp, init: TruncSeries) -> RecOp:
+    """Recurrence of op, after the checks of ``validate_init``; raises
+    InsufficientInitialConditions or InconsistentInitialConditions."""
+    if op.is_zero():
+        raise InconsistentInitialConditions("zero operator")
+    if init.trunc_order < op.order:
+        raise InsufficientInitialConditions("fewer initial terms than the operator order")
+    rec = ode_to_rec(op)
+    sing = rec_leading_roots(rec)
+    if sing and sing[-1] >= init.trunc_order:
+        raise InsufficientInitialConditions(
+            "degenerate recurrence index %d not covered" % sing[-1]
+        )
+    bad = _check_rows(rec, list(init.coeffs), init.trunc_order + rec.backshift)
+    if bad is not None:
+        raise InconsistentInitialConditions(
+            "initial terms violate the recurrence at row %d" % bad
+        )
+    return rec
+
+
 def validate_init(op: DiffOp, init: TruncSeries) -> Tuple[bool, str]:
     """Check that init pins down a unique solution of op.
 
@@ -153,17 +174,10 @@ def validate_init(op: DiffOp, init: TruncSeries) -> Tuple[bool, str]:
     index, and consistency with the recurrence at all determined rows.
     Returns (verdict, reason).
     """
-    if op.is_zero():
-        return False, "zero operator"
-    if init.trunc_order < op.order:
-        return False, "fewer initial terms than the operator order"
-    rec = ode_to_rec(op)
-    sing = rec_leading_roots(rec)
-    if sing and sing[-1] >= init.trunc_order:
-        return False, "degenerate recurrence index %d not covered" % sing[-1]
-    bad = _check_rows(rec, list(init.coeffs), init.trunc_order + rec.backshift)
-    if bad is not None:
-        return False, "initial terms violate the recurrence at row %d" % bad
+    try:
+        _checked_recurrence(op, init)
+    except (InsufficientInitialConditions, InconsistentInitialConditions) as e:
+        return False, str(e)
     return True, "ok"
 
 
@@ -171,26 +185,16 @@ def unroll(op: DiffOp, init: TruncSeries, n_terms: int) -> TruncSeries:
     """Extend init to n_terms coefficients of the unique solution of op.
 
     Unrolls the associated recurrence; degenerate indices must be covered
-    by init and determined rows inside init are verified.
+    by init and determined rows inside init are verified, so every index
+    past init has a nonzero leading coefficient.
     """
-    ok, reason = validate_init(op, init)
-    if not ok:
-        if "degenerate" in reason or "fewer" in reason:
-            raise InsufficientInitialConditions(reason)
-        raise InconsistentInitialConditions(reason)
+    rec = _checked_recurrence(op, init)
     if n_terms < init.trunc_order:
         raise InputError("cannot unroll to fewer terms than supplied")
-    rec = ode_to_rec(op)
     m = rec.max_shift
-    lead = rec.leading
-    lead_at = lead.compose_shift(QQ(-m))  # evaluated at the target index
+    lead_at = rec.leading.compose_shift(QQ(-m))  # evaluated at the target index
     coeffs = list(init.coeffs)
-    sing = set(rec_leading_roots(rec))
     for idx in range(len(coeffs), n_terms):
-        if idx in sing:
-            raise InsufficientInitialConditions(
-                "degenerate recurrence index %d not covered by initial terms" % idx
-            )
         n = idx - m
         total = Q0
         for jdx, v in rec.row(n):

@@ -21,7 +21,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .errors import InputError, InvalidFactorization, PrecisionTooLow
+from .errors import InputError, InvalidFactorization
 from .local import (
     IndicialData,
     SingularPoint,
@@ -208,31 +208,28 @@ def _scan_points(
     return None
 
 
-def _prepare(op: DiffOp, init: TruncSeries, opts: TranscendOptions, timings):
+def _verdict(
+    op: DiffOp,
+    init: TruncSeries,
+    opts: TranscendOptions,
+    frobenius_at_origin_only: bool,
+    clean_verdict: str,
+    clean_confidence: str,
+) -> VerdictReport:
+    """Minimize, then scan the minimal operator's singular points: a
+    deciding step certifies T, a clean pass gives the clean verdict."""
     if op.is_zero() or op.order == 0:
         raise InputError("operator must have positive order")
     ok, reason = validate_init(op, init)
     if not ok:
         raise InputError("initial terms do not pin down a solution: %s" % reason)
+    timings: Dict[str, float] = {}
     t0 = time.perf_counter()
     if opts.skip_minimization:
         res = MinimizationResult(op, "input-returned", [], "not-searched")
     else:
         res = minimal_annihilator(op, init, opts.minimize)
     timings["minimization"] = time.perf_counter() - t0
-    return res
-
-
-def transcendence_test(
-    op: DiffOp,
-    init: TruncSeries,
-    opts: Optional[TranscendOptions] = None,
-) -> VerdictReport:
-    """Transcendence test: T is proved (modulo heuristic minimality),
-    FAIL is no conclusion."""
-    opts = opts or TranscendOptions()
-    timings: Dict[str, float] = {}
-    res = _prepare(op, init, opts, timings)
     mop = res.operator
     steps = [CertificateStep(STEP_MINIMAL, {
         "order": mop.order,
@@ -242,12 +239,22 @@ def transcendence_test(
         "minimality": res.minimality,
     })]
     t0 = time.perf_counter()
-    deciding = _scan_points(mop, steps, frobenius_at_origin_only=False)
+    deciding = _scan_points(mop, steps, frobenius_at_origin_only)
     timings["local_analysis"] = time.perf_counter() - t0
     if deciding is not None:
         steps.append(deciding)
         return VerdictReport(VERDICT_T, CONF_CERTIFIED, steps, timings, mop)
-    return VerdictReport(VERDICT_FAIL, CONF_HEURISTIC, steps, timings, mop)
+    return VerdictReport(clean_verdict, clean_confidence, steps, timings, mop)
+
+
+def transcendence_test(
+    op: DiffOp,
+    init: TruncSeries,
+    opts: Optional[TranscendOptions] = None,
+) -> VerdictReport:
+    """Transcendence test: T is proved (modulo heuristic minimality),
+    FAIL is no conclusion."""
+    return _verdict(op, init, opts or TranscendOptions(), False, VERDICT_FAIL, CONF_HEURISTIC)
 
 
 def globally_bounded_test(
@@ -259,7 +266,6 @@ def globally_bounded_test(
     logarithm check runs only at the origin and a clean pass means
     algebraic, conditional on the semisimple-monodromy conjecture."""
     opts = opts or TranscendOptions()
-    timings: Dict[str, float] = {}
     if opts.crosscheck_globally_bounded:
         from .heuristics import eisenstein_scan
 
@@ -270,22 +276,7 @@ def globally_bounded_test(
                 "globally-bounded assertion vetoed: coefficient denominators "
                 "keep acquiring new primes (e.g. %d)" % scan.primes[-1]
             )
-    res = _prepare(op, init, opts, timings)
-    mop = res.operator
-    steps = [CertificateStep(STEP_MINIMAL, {
-        "order": mop.order,
-        "status": res.status,
-        "operator": _op_json(mop),
-        "search_log": [list(t) for t in res.search_log],
-        "minimality": res.minimality,
-    })]
-    t0 = time.perf_counter()
-    deciding = _scan_points(mop, steps, frobenius_at_origin_only=True)
-    timings["local_analysis"] = time.perf_counter() - t0
-    if deciding is not None:
-        steps.append(deciding)
-        return VerdictReport(VERDICT_T, CONF_CERTIFIED, steps, timings, mop)
-    return VerdictReport(VERDICT_A, CONF_CONJECTURAL, steps, timings, mop)
+    return _verdict(op, init, opts, True, VERDICT_A, CONF_CONJECTURAL)
 
 
 def diagonal_grade_bound(mop: DiffOp) -> int:
@@ -339,15 +330,10 @@ def iterated_factor_strategy(
             tail.order + head.order + 4,
             init.trunc_order,
         )
+        # tail(f) keeps at least need + 8 - tail.order > indicial_bound(head)
+        # terms, enough for the valuation-bound zero test
         f = unroll(op, init, need + 8)
-        g = apply_op(tail, f)
-        try:
-            g_is_zero = zero_test(head, g)
-        except PrecisionTooLow as e:
-            f = unroll(op, init, (e.needed or need) + tail.order + 8)
-            g = apply_op(tail, f)
-            g_is_zero = zero_test(head, g)
-        if not g_is_zero:
+        if not zero_test(head, apply_op(tail, f)):
             timings["factor_scan"] = time.perf_counter() - t0
             if flags[current[0]]:
                 steps.append(CertificateStep(STEP_FACTOR_WITNESS, {
@@ -381,7 +367,11 @@ def verify_report(
 
     Local steps are recomputed with the local-analysis machinery on the
     reported minimal operator; the minimal-operator step is re-certified
-    against the input operator by the annihilation certificate.
+    against the input operator by the annihilation certificate.  The
+    stated verdict must follow from the last step: T (certified) from a
+    replayed local obstruction, FAIL or A from a pass over every point.
+    Factor witnesses are refused, as reports carry no factorization to
+    re-check.
     """
     from .rationals import rat_from_str
 
@@ -394,20 +384,18 @@ def verify_report(
     if mop.order > op.order:
         return False, "minimal operator exceeds input order"
     if mop.order < op.order or mop != op:
-        f = unroll(op, init, (op.order + 1) * (mop.degree() + op.degree() + 12))
-        try:
-            if not certify_annihilates(op, mop, f):
-                return False, "reported operator does not annihilate the solution"
-        except PrecisionTooLow as e:
-            f = unroll(op, init, (e.needed or f.trunc_order) + mop.order + 8)
-            if not certify_annihilates(op, mop, f):
-                return False, "reported operator does not annihilate the solution"
+        # the certificate is sound only for a solution of op
+        ok, reason = validate_init(op, init)
+        if not ok:
+            raise InputError("initial terms do not pin down a solution: %s" % reason)
+        if not certify_annihilates(op, mop, init):
+            return False, "reported operator does not annihilate the solution"
     for step in steps[1:]:
         kind = step.get("kind")
         if kind == STEP_ALL_PASSED:
             continue
         if kind == STEP_FACTOR_WITNESS:
-            return True, "factor witness accepted (caller-flagged)"
+            return False, "factor witness carries no factorization to re-check"
         point = _point_from_json(step["point"])
         branches = indicial_branches(mop, point)
         if kind == STEP_NOT_FUCHSIAN:
@@ -430,4 +418,14 @@ def verify_report(
                 return False, "logarithm step does not replay"
         else:
             return False, "unknown step kind %r" % kind
+    claim = (report_json.get("verdict"), report_json.get("confidence"))
+    last = steps[-1].get("kind")
+    if claim == (VERDICT_T, CONF_CERTIFIED):
+        follows = last in (STEP_NOT_FUCHSIAN, STEP_NONSPLITTING, STEP_LOGARITHM)
+    elif claim in ((VERDICT_FAIL, CONF_HEURISTIC), (VERDICT_A, CONF_CONJECTURAL)):
+        follows = last == STEP_ALL_PASSED
+    else:
+        follows = False
+    if not follows:
+        return False, "verdict %s (%s) does not follow from the replayed steps" % claim
     return True, "certificate replays"

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from dfinite import cli
 from dfinite.cli import main
+from dfinite.errors import PrecisionTooLow
 
 
 def _run(capsys, argv):
@@ -192,3 +194,18 @@ def test_cli_deterministic_output(capsys, apery_file):
     first.pop("timings")
     second.pop("timings")
     assert first == second
+
+
+def test_cli_precision_exit_code(capsys, monkeypatch, apery_file):
+    calls = []
+
+    def short_of_terms(args):
+        calls.append(args)
+        raise PrecisionTooLow("series too short", needed=99)
+
+    monkeypatch.setattr(cli, "_cmd_minimize", short_of_terms)
+    code = main(["minimize", apery_file])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 3
+    assert len(lines) == 1 and json.loads(lines[0])["error"] == "precision"
+    assert len(calls) == 1

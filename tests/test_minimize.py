@@ -64,12 +64,37 @@ def test_certify_constructed_true():
     assert certify_annihilates(big, lexp, f) is False
 
 
+def test_certify_unrolls_initial_terms_itself(apery_op, apery_init):
+    # given only the initial terms, the certificate unrolls as far as its
+    # zero test needs and agrees with a long unrolled prefix
+    d = DiffOp([Poly(), Poly([1])])
+    apery_d = lclm(apery_op, d)
+    lexp = DiffOp([Poly([-1]), Poly([1])])
+    lgeo = DiffOp([Poly([-2]), Poly([1, -2])])
+    exp_geo = lclm(lexp, lgeo)
+    # D - 1 - z^5 sends exp(z) to -z^5 exp(z): the first five terms vanish
+    near_exp = DiffOp([Poly([-1, 0, 0, 0, 0, -1]), Poly([1])])
+    cases = [
+        (apery_d, unroll(apery_op, apery_init, apery_d.order), apery_op, True),
+        (apery_d, unroll(apery_op, apery_init, apery_d.order), d, False),
+        (exp_geo, TruncSeries([1, 2]), lgeo, True),
+        (exp_geo, TruncSeries([1, 2]), lexp, False),
+        (exp_geo, TruncSeries([1, 1]), lexp, True),
+        (exp_geo, TruncSeries([1, 1]), near_exp, False),
+    ]
+    for big, init, cand, expected in cases:
+        assert certify_annihilates(big, cand, init) is expected
+        assert certify_annihilates(big, cand, unroll(big, init, 160)) is expected
+
+
 def test_minimal_annihilator_redundant_input(apery_op, apery_init):
     big = lclm(apery_op, DiffOp([Poly(), Poly([1])]))
     init = unroll(apery_op, apery_init, big.order + 4)
     res = minimal_annihilator(big, init, MinimizeOptions(max_degree=10))
     assert res.status == CERTIFIED_ANNIHILATOR
     assert res.operator == apery_op
+    assert res.search_log == [
+        (1, 10, "empty kernel"), (2, 10, "empty kernel"), (3, 4, "certified")]
 
 
 def test_minimal_annihilator_input_returned(apery_op, apery_init):

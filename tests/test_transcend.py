@@ -190,6 +190,25 @@ def test_verify_report_roundtrip(apery_op, apery_init, sqrt_op):
     assert ok, why
 
 
+def test_verify_rejects_verdict_not_following_from_steps(sqrt_op):
+    init = TruncSeries([1, -1])
+    rep = transcendence_test(sqrt_op, init, FAST).to_json()
+    assert rep["verdict"] == VERDICT_FAIL
+    forged = dict(rep, verdict=VERDICT_T, confidence=CONF_CERTIFIED)
+    ok, why = verify_report(sqrt_op, init, forged)
+    assert not ok and "does not follow" in why
+    rep_gb = globally_bounded_test(sqrt_op, init, FAST).to_json()
+    assert verify_report(sqrt_op, init, dict(rep_gb, verdict=VERDICT_FAIL))[0] is False
+
+
+def test_verify_refuses_factor_witness(sqrt_op):
+    init = TruncSeries([1, -1])
+    rep = transcendence_test(sqrt_op, init, FAST).to_json()
+    rep["certificate"].insert(1, {"kind": "factor-witness", "stage": 0})
+    ok, why = verify_report(sqrt_op, init, rep)
+    assert not ok and "factor" in why
+
+
 def test_verify_rejects_tampered_report(apery_op, apery_init):
     rep = transcendence_test(apery_op, apery_init).to_json()
     rep["certificate"][1]["point"] = {"kind": "rational", "value": "2"}
