@@ -15,10 +15,10 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import InputError, NotSquarefree, PrecisionTooLow, RootNotSeparable
-from .linalg import kernel_vector_exact, ratfunc_dependence
+from .linalg import _first_dependence, kernel_vector_exact
 from .minimize import GUARD_TERMS
 from .ore import DiffOp, lclm
-from .polys import Poly, RatFunc
+from .polys import Poly, RatFunc, _zclear
 from .rationals import QQ, Q0, Q1
 from .series import TruncSeries, indicial_bound, is_zero_series, unroll, zero_test
 
@@ -118,7 +118,7 @@ def squarefree_in_y(p: BivarPoly) -> BivarPoly:
     q, r = _ratfunc_poly_divmod(a, g)
     if any(not x.is_zero() for x in r):
         raise AssertionError("gcd does not divide")
-    return _primitive(BivarPoly(_clear_ratfunc_poly(q)))
+    return _primitive(BivarPoly(_clear_ratfunc_poly(q)[0]))
 
 
 def _ratfunc_poly_divmod(a: List[RatFunc], b: List[RatFunc]):
@@ -150,12 +150,12 @@ def _ratfunc_poly_gcd(a: List[RatFunc], b: List[RatFunc]) -> List[RatFunc]:
     return a
 
 
-def _clear_ratfunc_poly(cs: List[RatFunc]) -> List[Poly]:
+def _clear_ratfunc_poly(cs: List[RatFunc]) -> Tuple[List[Poly], Poly]:
+    """(polys, den) with cs[i] = polys[i] / den, den the lcm of the denominators."""
     den = Poly([Q1])
     for c in cs:
-        g = den.gcd(c.den)
-        den = den * c.den.exact_div(g)
-    return [(c * den).num for c in cs]
+        den = den * c.den.exact_div(den.gcd(c.den))
+    return [c.num * den.exact_div(c.den) for c in cs], den
 
 
 def guess_algebraic(f: TruncSeries, max_dy: int, max_dz: int) -> Optional[BivarPoly]:
@@ -226,19 +226,24 @@ def annihilator_of_roots(p: BivarPoly) -> DiffOp:
             for i in range(m)
         ]
 
-    gen = [RatFunc.const(0), RatFunc.const(1)]  # the generic root y
-    _, gen = _ratfunc_poly_divmod(gen, mod)
-    vectors = []
-    cur = gen
-    for k in range(n + 1):
-        if k > 0:
+    def rows():
+        _, cur = _ratfunc_poly_divmod([RatFunc.const(0), RatFunc.const(1)], mod)  # y
+        for _ in range(n + 1):
+            yield _cleared(cur + [RatFunc.const(0)] * (n - len(cur)))
             cur = derive(cur)
-        vec = [cur[i] if i < len(cur) else RatFunc.const(0) for i in range(n)]
-        vectors.append(vec)
-        dep = ratfunc_dependence(vectors)
-        if dep is not None:
-            return DiffOp.from_ratfuncs(dep)
-    raise AssertionError("dependence must appear at order <= deg_y")
+
+    dep = _first_dependence(rows())
+    if dep is None:
+        raise AssertionError("dependence must appear at order <= deg_y")
+    return DiffOp._from_int_rows(dep)
+
+
+def _cleared(vec: List[RatFunc]) -> Tuple[List[List[int]], List[int]]:
+    """(w, s) over Z[z] with vec = w / s: s is the denominators' lcm
+    times the integer that clears every coefficient."""
+    polys, den = _clear_ratfunc_poly(vec)
+    *w, s = _zclear(polys + [den])
+    return w, s
 
 
 def _mul_mod(a: List[RatFunc], b: List[RatFunc], mod: List[RatFunc]) -> List[RatFunc]:

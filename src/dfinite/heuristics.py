@@ -149,31 +149,6 @@ class _FpPoly:
     def deriv(a: List[int], p: int) -> List[int]:
         return _FpPoly.trim([a[i] * i % p for i in range(1, len(a))])
 
-    @staticmethod
-    def divmod(a: List[int], b: List[int], p: int) -> Tuple[List[int], List[int]]:
-        if not b:
-            raise ZeroDivisionError
-        r = list(a)
-        inv = pow(b[-1], p - 2, p)
-        q = [0] * max(0, len(r) - len(b) + 1)
-        for i in range(len(r) - 1, len(b) - 2, -1):
-            c = r[i] * inv % p
-            if c:
-                q[i - len(b) + 1] = c
-                for j, y in enumerate(b):
-                    r[i - len(b) + 1 + j] = (r[i - len(b) + 1 + j] - c * y) % p
-        return _FpPoly.trim(q), _FpPoly.trim(r[: len(b) - 1])
-
-    @staticmethod
-    def gcd(a: List[int], b: List[int], p: int) -> List[int]:
-        a, b = list(a), list(b)
-        while b:
-            a, b = b, _FpPoly.divmod(a, b, p)[1]
-        if a:
-            inv = pow(a[-1], p - 2, p)
-            a = [x * inv % p for x in a]
-        return a
-
 
 def _op_mod_p(op: DiffOp, p: int) -> Optional[List[List[int]]]:
     out = []
@@ -269,65 +244,6 @@ def _eval_fp(a: List[int], t: int, p: int) -> int:
     for c in reversed(a):
         acc = (acc * t + c) % p
     return acc
-
-
-def p_curvature_is_zero_oracle(op: DiffOp, p: int) -> Optional[List[List[Tuple[List[int], List[int]]]]]:
-    """Independent brute-force iteration with explicit fraction entries
-    (numerator, denominator polynomial pairs over F_p); used to cross-check
-    the production recursion entry by entry.  Returns the final matrix."""
-    if p <= op.order:
-        return None
-    coeffs = _op_mod_p(op, p)
-    if coeffs is None or not coeffs[op.order]:
-        return None
-    r = op.order
-    lead = coeffs[r]
-
-    def f_reduce(a):
-        num, den = a
-        if not num:
-            return ([], [1])
-        g = _FpPoly.gcd(num, den, p)
-        if len(g) > 1:
-            num = _FpPoly.divmod(num, g, p)[0]
-            den = _FpPoly.divmod(den, g, p)[0]
-        return (num, den)
-
-    def f_add(a, b):
-        na, da = a
-        nb, db = b
-        return f_reduce((
-            _FpPoly.add(_FpPoly.mul(na, db, p), _FpPoly.mul(nb, da, p), p),
-            _FpPoly.mul(da, db, p)))
-
-    def f_mul(a, b):
-        return f_reduce((_FpPoly.mul(a[0], b[0], p), _FpPoly.mul(a[1], b[1], p)))
-
-    def f_deriv(a):
-        num, den = a
-        dn = _FpPoly.add(
-            _FpPoly.mul(_FpPoly.deriv(num, p), den, p),
-            _FpPoly.scale(_FpPoly.mul(num, _FpPoly.deriv(den, p), p), p - 1, p),
-            p,
-        )
-        return f_reduce((dn, _FpPoly.mul(den, den, p)))
-
-    a_mat = [[([], [1]) for _ in range(r)] for _ in range(r)]
-    for i in range(r - 1):
-        a_mat[i][i + 1] = ([1], [1])
-    for j in range(r):
-        a_mat[r - 1][j] = (_FpPoly.scale(coeffs[j], p - 1, p), list(lead))
-    cur = [row[:] for row in a_mat]
-    for _ in range(1, p):
-        nxt = [[None] * r for _ in range(r)]
-        for i in range(r):
-            for j in range(r):
-                acc = f_deriv(cur[i][j])
-                for t in range(r):
-                    acc = f_add(acc, f_mul(cur[i][t], a_mat[t][j]))
-                nxt[i][j] = acc
-        cur = nxt
-    return cur
 
 
 # ---------------------------------------------------------------------------

@@ -9,17 +9,17 @@ primes with rational reconstruction and then verified exactly against
 the full system; only verified vectors are ever returned, so candidate
 generation never affects soundness.
 
-Small dense eliminations over Q or Q(z) are done directly.
+Small eliminations over Q(z) run fraction-free over Z[z].
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .polys import RatFunc
+from .polys import _zexquo, _zmul, _zsub
 from .rationals import QQ, Q0, Q1
 
 _PRIMES_31 = [
@@ -276,35 +276,40 @@ def _kernel_vector_exact_slow(rows: Sequence[Sequence]) -> Optional[List]:
 
 
 # ---------------------------------------------------------------------------
-# Small eliminations over Q(z)
+# First dependence over Q(z), fraction-free
 # ---------------------------------------------------------------------------
 
 
-def ratfunc_dependence(vectors: List[List[RatFunc]]) -> Optional[List[RatFunc]]:
-    """First linear dependence among successive vectors over Q(z).
+def _first_dependence(rows: Iterable[Tuple[List[List[int]], List[int]]]) -> Optional[List[List[int]]]:
+    """First Q(z)-linear dependence among vectors v_0, v_1, ... given as
+    pairs (w_k, s_k) with v_k = w_k / s_k, both over Z[z], s_k nonzero.
 
-    Returns coefficients c with sum(c[i] * vectors[i]) = 0, c[last] = 1,
-    using the shortest dependent prefix; None if independent.
+    Incremental Bareiss elimination: row k is w_k next to the k-th unit
+    vector, and pivot t (column c_t, value P_t, with P_0 = 1) turns it
+    into (P_t * row - row[c_t] * pivot row t) / P_(t-1), an exact
+    division by Sylvester's identity, so no gcd is ever taken.  When the
+    w-part of row k reduces to zero its unit part holds d with
+    sum d_i w_i = 0 and d_k = P_t != 0; the answer is c_i = d_i * s_i,
+    so sum c_i v_i = 0.  Rows are drawn only until then; None when they
+    run out first.
     """
-    if not vectors:
-        return None
-    dim = len(vectors[0])
-    basis: List[Tuple[int, List[RatFunc], List[RatFunc]]] = []
-    for k, vec in enumerate(vectors):
-        row = list(vec)
-        expr = [RatFunc.const(0)] * len(vectors)
-        expr[k] = RatFunc.const(1)
-        for pivot, brow, bexpr in basis:
-            c = row[pivot]
-            if c.is_zero():
-                continue
-            for i in range(dim):
-                row[i] = row[i] - c * brow[i]
-            for i in range(len(vectors)):
-                expr[i] = expr[i] - c * bexpr[i]
-        pivot = next((i for i in range(dim) if not row[i].is_zero()), None)
-        if pivot is None:
-            return expr[: k + 1]
-        inv = row[pivot]
-        basis.append((pivot, [x / inv for x in row], [x / inv for x in expr]))
+    pivots: List[Tuple[int, List[int], List[List[int]]]] = []  # (column, value, row)
+    scales: List[List[int]] = []
+    for k, (w, s) in enumerate(rows):
+        scales.append(s)
+        row = list(w) + [[] for _ in range(k)] + [[1]]
+        prev = [1]
+        for col, val, prow in pivots:
+            f = row[col]
+            for i, x in enumerate(row):
+                x = _zmul(val, x)
+                if f and i < len(prow):
+                    x = _zsub(x, _zmul(f, prow[i]))
+                row[i] = x if prev == [1] else _zexquo(x, prev)
+            prev = val
+        dim = len(w)
+        col = next((i for i in range(dim) if row[i]), None)
+        if col is None:
+            return [_zmul(d, s) for d, s in zip(row[dim:], scales)]
+        pivots.append((col, row[col], row))
     return None

@@ -3,9 +3,12 @@
 ``guess_operator`` finds a candidate operator annihilating a truncated
 series by exact kernel computation on the Hermite-Pade style system.
 ``certify_annihilates`` upgrades a candidate to a proof: it builds a
-cofactor A with A o M = C o L by reducing d^j o M modulo L and taking a
-Q(z)-linear dependence, so g = M(f) is a solution of A and the valuation
-bound of ``zero_test`` decides g = 0 exactly.
+cofactor A with A o M = C o L from the first Q(z)-linear dependence
+among the remainders of d^j o M modulo L, so g = M(f) is a solution of A
+and the valuation bound of ``zero_test`` decides g = 0 exactly.  The
+remainders are kept as numerators over Z[z] above powers of the leading
+coefficient of L and the dependence comes from fraction-free Bareiss
+elimination, so no rational-function gcd is taken on the way.
 
 Minimality of the returned operator is heuristic (the search simply finds
 no smaller certified annihilator); the annihilation itself is certified.
@@ -24,11 +27,10 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import InputError, PrecisionTooLow
-from .linalg import kernel_rank_mod_p, kernel_vector_exact
-from .ore import DiffOp, _d_compose, _rem_reduce, _to_ratfuncs
-from .polys import Poly, RatFunc
+from .linalg import _first_dependence, kernel_rank_mod_p, kernel_vector_exact
+from .ore import DiffOp, _remainders
+from .polys import Poly, _zclear, _zmul, _zsub
 from .rationals import Q0
-from .linalg import ratfunc_dependence
 from .series import (
     TruncSeries,
     apply_op,
@@ -191,26 +193,42 @@ def certify_annihilates(big: DiffOp, cand: DiffOp, f: TruncSeries) -> bool:
         raise InputError("zero operator")
     if cand.order >= big.order + 1:
         raise InputError("candidate order exceeds input order")
-    r = big.order
-    base = _to_ratfuncs(big)
-    rem = _rem_reduce(_to_ratfuncs(cand), base)
-    vectors: List[List[RatFunc]] = []
-    dep = None
-    for j in range(r + 1):
-        if j > 0:
-            rem = _rem_reduce(_d_compose(rem), base)
-        vec = [rem[i] if i < len(rem) else RatFunc.const(0) for i in range(r)]
-        vectors.append(vec)
-        dep = ratfunc_dependence(vectors)
-        if dep is not None:
-            break
-    if dep is None:
-        raise AssertionError("dependence must appear at order <= order(big)")
-    cofactor = DiffOp.from_ratfuncs(dep)
+    cofactor = _cofactor(big, cand)
     need = max(indicial_bound(cofactor) + 1 + max(cand.max_shift(), 0), cand.order)
     if f.trunc_order < need:
         f = unroll(big, f, need)
     return zero_test(cofactor, apply_op(cand, f))
+
+
+def _cofactor(big: DiffOp, cand: DiffOp) -> DiffOp:
+    """The A of A o cand = C o big, fraction-free over Z[z].
+
+    With l the leading coefficient of big (order r), cand modulo big is
+    cand itself over l^0 when its order is below r, and otherwise has the
+    numerators l cand_i - cand_r big_i over l^1; ``_remainders`` carries
+    on to d^j o cand over l^(j+e).  Row j is scaled by l^j only: the
+    common factor l^e changes no Q(z)-line, hence not the normal form.
+    """
+    r = big.order
+    ops = _zclear(big.coeffs)
+    lead = ops[-1]
+    cs = _zclear(cand.coeffs)
+    if cand.order == r:
+        start = [_zsub(_zmul(lead, cs[i]), _zmul(cs[r], ops[i])) for i in range(r)]
+    else:
+        start = cs + [[] for _ in range(r - len(cs))]
+    rems = _remainders(ops, start, int(cand.order == r))
+
+    def rows():
+        scale = [1]
+        for _ in range(r + 1):
+            yield next(rems), scale
+            scale = _zmul(scale, lead)
+
+    dep = _first_dependence(rows())
+    if dep is None:
+        raise AssertionError("dependence must appear at order <= order(big)")
+    return DiffOp._from_int_rows(dep)
 
 
 def minimal_annihilator(
@@ -225,10 +243,16 @@ def minimal_annihilator(
     (default 4 * deg(big) * order(big)^2, capped by the precision
     budget).  Any candidate must pass ``certify_annihilates``.
     """
-    opts = opts or MinimizeOptions()
     ok, reason = validate_init(big, init)
     if not ok:
         raise InputError("invalid initial terms: %s" % reason)
+    return _minimize(big, init, opts or MinimizeOptions())
+
+
+def _minimize(big: DiffOp, init: TruncSeries, opts: MinimizeOptions) -> MinimizationResult:
+    """``minimal_annihilator`` without the up-front check: its one unroll
+    of init, made even when no term is added, checks init and raises
+    InsufficientInitialConditions or InconsistentInitialConditions."""
     r = big.order
     degree_ceiling = opts.max_degree
     if degree_ceiling is None:
@@ -244,7 +268,7 @@ def minimal_annihilator(
         if d_cap >= 0:
             n_terms = max(n_terms, (order + 1) * (d_cap + 1) + order + GUARD_TERMS)
         plan.append((order, d_cap, n_terms))
-    f = unroll(big, init, n_terms) if n_terms > init.trunc_order else init
+    f = unroll(big, init, n_terms)
     for order, d_cap, prefix in plan:
         if d_cap < 0:
             log.append((order, -1, "precision budget exhausted"))

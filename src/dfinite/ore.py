@@ -1,10 +1,20 @@
 """Linear differential and recurrence operators with polynomial coefficients.
 
 Differential operators live in Q[z]<d/dz> with the commutation rule
-d*a = a*d + a'.  The stored normal form clears denominators and divides
-out the content (gcd of the coefficient polynomials together with the
-integer content), so equality of normal forms is equality up to a
-nonzero rational scalar.
+d*a = a*d + a'.  The stored normal form is the primitive representative
+over Z[z]: integer coefficients with no common polynomial or integer
+factor, leading coefficient positive.  It is unique on each Q(z)-line,
+so equal normal forms mean equal operators up to a factor in Q(z).
+
+Arithmetic over Q(z) runs fraction-free.  Modulo an operator L with
+leading coefficient l, the remainder of d^k is N_k / l^k with N_k over
+Z[z], and the next numerator needs only products and one derivative
+(``_remainders``).  ``lclm`` and the cofactor of
+``minimize.certify_annihilates`` take the first Q(z)-linear dependence
+among such numerators by Bareiss elimination over Z[z]
+(``linalg._first_dependence``), whose divisions are exact; the only gcds
+are the ones of the final normal form.  ``op_right_divrem`` still
+returns its quotient over ``RatFunc``.
 
 Recurrence operators act on coefficient sequences; the two sides are
 linked by ``ode_to_rec`` and ``rec_to_ode`` with the convention that a
@@ -14,11 +24,25 @@ shift m = i - j.
 
 from __future__ import annotations
 
+import itertools
 from math import gcd, lcm
 from typing import List, Sequence, Tuple
 
 from .errors import InputError
-from .polys import Poly, RatFunc, poly_gcd_many, format_poly
+from .linalg import _first_dependence
+from .polys import (
+    Poly,
+    RatFunc,
+    _zadd,
+    _zclear,
+    _zderiv,
+    _zexquo,
+    _zgcd,
+    _zmul,
+    _zprimitive,
+    _zsub,
+    format_poly,
+)
 from .rationals import QQ, Q0, Q1
 
 
@@ -51,6 +75,11 @@ class DiffOp:
             g = den.gcd(c.den)
             den = den * c.den.exact_div(g)
         return DiffOp([(c * den).num for c in coeffs])
+
+    @staticmethod
+    def _from_int_rows(rows: List[List[int]]) -> "DiffOp":
+        """Normal form of the operator with integer coefficient lists rows."""
+        return DiffOp([Poly(p) for p in _primitive_rows(rows)], normalize=False)
 
     @property
     def order(self) -> int:
@@ -115,24 +144,25 @@ class DiffOp:
 
 
 def _normalize_content(cs: List[Poly]) -> List[Poly]:
-    den = 1
-    for p in cs:
-        for c in p.coeffs:
-            den = lcm(den, int(c.denominator))
-    cs = [p.scale(QQ(den)) for p in cs]
-    g = poly_gcd_many([p for p in cs if not p.is_zero()]).primitive()
-    if g.degree > 0:
-        cs = [p.exact_div(g) if not p.is_zero() else p for p in cs]
-    num = 0
-    for p in cs:
-        for c in p.coeffs:
-            num = gcd(num, int(c.numerator))
-    if num:
-        lead = cs[-1]
-        if lead.coeffs[-1] < 0:
-            num = -num
-        cs = [p.scale(QQ(1, num)) for p in cs]
-    return cs
+    return [Poly(p) for p in _primitive_rows(_zclear(cs))]
+
+
+def _primitive_rows(rows: List[List[int]]) -> List[List[int]]:
+    """Integer coefficient lists divided by their polynomial gcd and their
+    integer content, the leading coefficient of the last one positive:
+    the one normal form of the Q(z)-line through them."""
+    g = None
+    for p in rows:
+        if p:
+            g = _zprimitive(p) if g is None else _zgcd(g, p)
+            if len(g) == 1:
+                break
+    if len(g) > 1:
+        rows = [_zexquo(p, g) for p in rows]
+    num = gcd(*(c for p in rows for c in p))
+    if rows[-1][-1] < 0:
+        num = -num
+    return [[c // num for c in p] for p in rows]
 
 
 def _normalize_int_content(cs: List[Poly]) -> List[Poly]:
@@ -244,71 +274,64 @@ def ratfuncs_to_op(coeffs: Sequence[RatFunc]) -> DiffOp:
     return DiffOp.from_ratfuncs(list(coeffs))
 
 
-def _rem_reduce(vec: List[RatFunc], b: List[RatFunc]) -> List[RatFunc]:
-    """Reduce an operator given by coefficients modulo b on the right."""
-    r = list(vec)
-    while r and r[-1].is_zero():
-        r.pop()
-    nb = len(b) - 1
-    while len(r) - 1 >= nb:
-        k = len(r) - 1 - nb
-        c = r[-1] / b[-1]
-        t = b
-        for _ in range(k):
-            t = _d_compose(t)
-        for i in range(len(t)):
-            r[i] = r[i] - c * t[i]
-        while r and r[-1].is_zero():
-            r.pop()
-    return r
+def _remainders(ops: List[List[int]], start: List[List[int]], e: int):
+    """Numerators N_0, N_1, ... of the remainders of d^k o R modulo L.
+
+    L = sum ops[i] d^i over Z[z] with leading coefficient l and order n;
+    R mod L = start / l^e.  If d^k o R = N_k / l^(e+k) modulo L, then
+    d^(k+1) o R has numerator
+    N'_i l - (e+k) l' N_i + l N_(i-1) - N_(n-1) ops[i],
+    since d^n = -sum_(i<n) (ops[i] / l) d^i modulo L: no division at all.
+    """
+    n = len(ops) - 1
+    lead = ops[-1]
+    dlead = _zderiv(lead)
+    num = start
+    for k in itertools.count(e):
+        yield num
+        if not n:
+            continue
+        top = num[-1]
+        num = [
+            _zsub(
+                _zmul(lead, _zadd(_zderiv(num[i]), num[i - 1] if i else [])),
+                _zadd(_zmul(dlead, [k * c for c in num[i]]), _zmul(top, ops[i])),
+            )
+            for i in range(n)
+        ]
+
+
+def _unit_rows(ops: List[List[int]]) -> List[List[int]]:
+    """Numerator of d^0 = 1 modulo an operator of order n (denominator l^0)."""
+    return [[1]] + [[] for _ in range(len(ops) - 2)] if len(ops) > 1 else []
 
 
 def lclm(a: DiffOp, b: DiffOp) -> DiffOp:
-    """Least common left multiple via kernel of the stacked remainder map.
+    """Least common left multiple: the first Q(z)-linear dependence among
+    the stacked remainders of d^k modulo a and modulo b, k = 0, 1, ...
 
-    Builds remainders of d^k modulo a and modulo b for k = 0, 1, ... and
-    stops at the first Q(z)-linear dependence; the dependence coefficients
-    are the LCLM's coefficients.
+    The remainders modulo a carry denominators l_a^k (``_remainders``);
+    row k is their numerators times l_b^k next to those modulo b times
+    l_a^k, over the common denominator (l_a l_b)^k, and the fraction-free
+    dependence gives the lclm's coefficients directly.
     """
     if a.is_zero() or b.is_zero():
         raise InputError("lclm of the zero operator")
-    na, nb = a.order, b.order
-    dim = na + nb
-    ra = _to_ratfuncs(a)
-    rb = _to_ratfuncs(b)
+    ops_a, ops_b = _zclear(a.coeffs), _zclear(b.coeffs)
+    rem_a = _remainders(ops_a, _unit_rows(ops_a), 0)
+    rem_b = _remainders(ops_b, _unit_rows(ops_b), 0)
 
-    def stacked(rem_a: List[RatFunc], rem_b: List[RatFunc]) -> List[RatFunc]:
-        va = [rem_a[i] if i < len(rem_a) else RatFunc.const(0) for i in range(na)]
-        vb = [rem_b[i] if i < len(rem_b) else RatFunc.const(0) for i in range(nb)]
-        return va + vb
+    def rows():
+        pow_a, pow_b = [1], [1]
+        for _ in range(a.order + b.order + 1):
+            yield ([_zmul(pow_b, x) for x in next(rem_a)]
+                   + [_zmul(pow_a, x) for x in next(rem_b)], _zmul(pow_a, pow_b))
+            pow_a, pow_b = _zmul(pow_a, ops_a[-1]), _zmul(pow_b, ops_b[-1])
 
-    # Row-reduced basis rows with their expression in terms of d^k.
-    basis: List[Tuple[int, List[RatFunc], List[RatFunc]]] = []  # (pivot, row, expr)
-    rem_a: List[RatFunc] = [RatFunc.const(1)]
-    rem_b: List[RatFunc] = [RatFunc.const(1)]
-    for k in range(dim + 1):
-        if k > 0:
-            rem_a = _rem_reduce(_d_compose(rem_a), ra)
-            rem_b = _rem_reduce(_d_compose(rem_b), rb)
-        row = stacked(rem_a, rem_b)
-        expr = [RatFunc.const(0)] * (dim + 1)
-        expr[k] = RatFunc.const(1)
-        for pivot, brow, bexpr in basis:
-            c = row[pivot]
-            if c.is_zero():
-                continue
-            for i in range(dim):
-                row[i] = row[i] - c * brow[i]
-            for i in range(dim + 1):
-                expr[i] = expr[i] - c * bexpr[i]
-        pivot = next((i for i in range(dim) if not row[i].is_zero()), None)
-        if pivot is None:
-            return DiffOp.from_ratfuncs(expr[: k + 1])
-        inv = row[pivot]
-        row = [x / inv for x in row]
-        expr = [x / inv for x in expr]
-        basis.append((pivot, row, expr))
-    raise AssertionError("lclm must exist at order <= order(a) + order(b)")
+    dep = _first_dependence(rows())
+    if dep is None:
+        raise AssertionError("lclm must exist at order <= order(a) + order(b)")
+    return DiffOp._from_int_rows(dep)
 
 
 # ---------------------------------------------------------------------------

@@ -220,33 +220,16 @@ class Poly:
             den = math.lcm(den, int(c.denominator))
         return self.scale(QQ(den)), QQ(den)
 
-    def primitive(self) -> "Poly":
-        """Integer-primitive form with positive leading coefficient."""
-        if self.is_zero():
-            return self
-        p, _ = self.int_clear()
-        g = 0
-        for c in p.coeffs:
-            g = math.gcd(g, int(c.numerator))
-        if p.lc < 0:
-            g = -g
-        return p.scale(QQ(1, g))
-
     # -- gcd, squarefree, roots -----------------------------------------
 
     def gcd(self, other: "Poly") -> "Poly":
-        """Monic gcd via the Euclidean algorithm with content control."""
-        a, b = self, other
-        if a.is_zero():
-            return b.monic()
-        if b.is_zero():
-            return a.monic()
-        a = a.primitive()
-        b = b.primitive()
-        while not b.is_zero():
-            _, r = a.divmod(b)
-            a, b = b, (r.primitive() if not r.is_zero() else r)
-        return a.monic()
+        """Monic gcd: primitive Euclid on the integer coefficient lists."""
+        if self.is_zero():
+            return other.monic()
+        if other.is_zero():
+            return self.monic()
+        a, b = _zclear([self, other])
+        return Poly(_zgcd(a, b)).monic()
 
     def squarefree_part(self) -> "Poly":
         if self.degree <= 0:
@@ -300,15 +283,6 @@ class Poly:
         return "Poly(%s)" % (format_poly(self, "z"),)
 
 
-def poly_gcd_many(polys: Sequence[Poly]) -> Poly:
-    g = Poly()
-    for p in polys:
-        g = g.gcd(p)
-        if g.degree == 0:
-            break
-    return g
-
-
 def format_rat(c) -> str:
     if c.denominator == 1:
         return str(c.numerator)
@@ -338,6 +312,114 @@ def format_poly(p: Poly, var: str = "z") -> str:
     for t in parts[1:]:
         out += " - " + t[1:] if t.startswith("-") else " + " + t
     return out
+
+
+# ---------------------------------------------------------------------------
+# Z[z] kernels: integer coefficient lists, lowest degree first, [] for zero.
+# Fraction-free code runs on these without a gcd per operation; they are
+# private so that per-call tracing of the public API leaves them alone.
+# ---------------------------------------------------------------------------
+
+
+def _zclear(polys: Sequence[Poly]) -> List[List[int]]:
+    """Integer coefficient lists of c * p for each p, with one common c > 0."""
+    den = math.lcm(*(c.denominator for p in polys for c in p.coeffs))
+    return [[c.numerator * (den // c.denominator) for c in p.coeffs] for p in polys]
+
+
+def _ztrim(a: List[int]) -> List[int]:
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _zadd(a: List[int], b: List[int]) -> List[int]:
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, y in enumerate(b):
+        out[i] += y
+    return _ztrim(out)
+
+
+def _zsub(a: List[int], b: List[int]) -> List[int]:
+    out = list(a) + [0] * (len(b) - len(a))
+    for i, y in enumerate(b):
+        out[i] -= y
+    return _ztrim(out)
+
+
+def _zmul(a: List[int], b: List[int]) -> List[int]:
+    if not a or not b:
+        return []
+    if len(a) < len(b):
+        a, b = b, a
+    out = [0] * (len(a) + len(b) - 1)
+    for j, y in enumerate(b):
+        if y:
+            for i, x in enumerate(a, j):
+                out[i] += x * y
+    return out
+
+
+def _zderiv(a: List[int]) -> List[int]:
+    return [i * a[i] for i in range(1, len(a))]
+
+
+def _zexquo(a: List[int], b: List[int]) -> List[int]:
+    """The quotient a / b in Z[z]; ArithmeticError unless b divides a."""
+    db, lb = len(b) - 1, b[-1]
+    if len(a) <= db:
+        if a:
+            raise ArithmeticError("inexact division in Z[z]")
+        return []
+    r = list(a)
+    q = [0] * (len(r) - db)
+    for i in range(len(r) - 1, db - 1, -1):
+        c, rem = divmod(r[i], lb)
+        if rem:
+            raise ArithmeticError("inexact division in Z[z]")
+        if c:
+            q[i - db] = c
+            for j in range(db):
+                r[i - db + j] -= c * b[j]
+    if any(r[:db]):
+        raise ArithmeticError("inexact division in Z[z]")
+    return q
+
+
+def _zprimitive(a: List[int]) -> List[int]:
+    """a divided by its integer content, leading coefficient positive."""
+    g = math.gcd(*a)
+    if a[-1] < 0:
+        g = -g
+    return a if g == 1 else [x // g for x in a]
+
+
+def _zgcd(a: List[int], b: List[int]) -> List[int]:
+    """Primitive gcd of nonzero a, b with positive leading coefficient:
+    Euclid on primitive parts of pseudo-remainders."""
+    a, b = _zprimitive(a), _zprimitive(b)
+    if len(a) < len(b):
+        a, b = b, a
+    while len(b) > 1:
+        r = list(a)
+        db, lb = len(b) - 1, b[-1]
+        while len(r) > db:
+            c = r[-1]
+            g = math.gcd(c, lb)
+            m, c = lb // g, c // g
+            k = len(r) - 1 - db
+            if m != 1:
+                r = [m * x for x in r]
+            for j in range(db):
+                r[k + j] -= c * b[j]
+            r.pop()
+            _ztrim(r)
+        if not r:
+            return b
+        a, b = b, _zprimitive(r)
+    return [1]
 
 
 class RatFunc:

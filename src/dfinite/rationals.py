@@ -1,35 +1,18 @@
 """Exact rational scalars.
 
-All coefficient arithmetic in the package runs over Q.  ``gmpy2.mpq``
-is used when available (same API surface as ``fractions.Fraction`` for
-what we need, considerably faster on large operands); the stdlib
-``Fraction`` is the fallback.
+All coefficient arithmetic in the package runs over Q with the stdlib
+``Fraction``; the fraction-free kernels in ``polys`` read its integer
+``numerator`` and ``denominator`` directly.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-try:
-    from gmpy2 import mpq as _mpq, mpz as _mpz
 
-    def QQ(num=0, den=1):
-        return _mpq(num, den)
+def QQ(num=0, den=1):
+    return Fraction(num, den)
 
-    def is_rat(x) -> bool:
-        return isinstance(x, (type(_mpq(0)), Fraction, int))
-
-    HAVE_GMPY2 = True
-except ImportError:  # pragma: no cover
-    _mpz = int
-
-    def QQ(num=0, den=1):
-        return Fraction(num, den)
-
-    def is_rat(x) -> bool:
-        return isinstance(x, (Fraction, int))
-
-    HAVE_GMPY2 = False
 
 Q0 = QQ(0)
 Q1 = QQ(1)

@@ -21,7 +21,12 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .errors import InputError, InvalidFactorization
+from .errors import (
+    InconsistentInitialConditions,
+    InputError,
+    InsufficientInitialConditions,
+    InvalidFactorization,
+)
 from .local import (
     IndicialData,
     SingularPoint,
@@ -29,12 +34,7 @@ from .local import (
     indicial_branches,
     singularities,
 )
-from .minimize import (
-    MinimizationResult,
-    MinimizeOptions,
-    certify_annihilates,
-    minimal_annihilator,
-)
+from .minimize import MinimizationResult, MinimizeOptions, _minimize, certify_annihilates
 from .ore import DiffOp, op_mul
 from .polys import Poly, format_poly
 from .rationals import QQ, is_integer, rat_to_str
@@ -54,6 +54,8 @@ STEP_NONSPLITTING = "nonsplitting-indicial"
 STEP_LOGARITHM = "logarithm-detected"
 STEP_ALL_PASSED = "all-points-passed"
 STEP_FACTOR_WITNESS = "factor-witness"
+
+_NOT_PINNED = "initial terms do not pin down a solution: %s"
 
 
 def _op_json(op: DiffOp) -> List[List[str]]:
@@ -220,15 +222,18 @@ def _verdict(
     deciding step certifies T, a clean pass gives the clean verdict."""
     if op.is_zero() or op.order == 0:
         raise InputError("operator must have positive order")
-    ok, reason = validate_init(op, init)
-    if not ok:
-        raise InputError("initial terms do not pin down a solution: %s" % reason)
     timings: Dict[str, float] = {}
     t0 = time.perf_counter()
     if opts.skip_minimization:
+        ok, reason = validate_init(op, init)
+        if not ok:
+            raise InputError(_NOT_PINNED % reason)
         res = MinimizationResult(op, "input-returned", [], "not-searched")
     else:
-        res = minimal_annihilator(op, init, opts.minimize)
+        try:  # the minimizer's unroll is the one check of init
+            res = _minimize(op, init, opts.minimize)
+        except (InsufficientInitialConditions, InconsistentInitialConditions) as e:
+            raise InputError(_NOT_PINNED % e) from None
     timings["minimization"] = time.perf_counter() - t0
     mop = res.operator
     steps = [CertificateStep(STEP_MINIMAL, {
@@ -387,7 +392,7 @@ def verify_report(
         # the certificate is sound only for a solution of op
         ok, reason = validate_init(op, init)
         if not ok:
-            raise InputError("initial terms do not pin down a solution: %s" % reason)
+            raise InputError(_NOT_PINNED % reason)
         if not certify_annihilates(op, mop, init):
             return False, "reported operator does not annihilate the solution"
     for step in steps[1:]:

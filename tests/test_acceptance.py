@@ -36,7 +36,7 @@ from dfinite import (
     transcendence_test,
     unroll,
 )
-from dfinite.heuristics import _FpPoly, _op_mod_p, p_curvature_is_zero_oracle
+from dfinite.heuristics import _FpPoly, _op_mod_p
 from dfinite.hypergeom import ALGEBRAIC, INAPPLICABLE, TRANSCENDENTAL
 from dfinite.local import SingularPoint
 from dfinite.minimize import INPUT_RETURNED, MinimizeOptions
@@ -50,6 +50,7 @@ from dfinite.transcend import (
     VERDICT_FAIL,
     VERDICT_T,
 )
+from oracles import p_curvature_is_zero_oracle
 
 
 def _report(criterion: str, started: float, limit: float, detail: str = "") -> None:

@@ -17,6 +17,7 @@ from dfinite import (
 )
 from dfinite.errors import NotSquarefree, PrecisionTooLow, RootNotSeparable
 from dfinite.rationals import QQ
+from oracles import annihilator_of_roots_oracle
 
 
 def test_guess_algebraic_sqrt(sqrt_op):
@@ -164,3 +165,15 @@ def _div_series(a, b, n):
                 acc += b[k] * inv[m - k]
         inv[m] = -acc / b[0]
     return _mul(a, inv, n)
+
+
+def test_annihilator_of_roots_matches_oracle():
+    cases = [
+        BivarPoly([Poly([-1, 4]), Poly(), Poly([1])]),
+        BivarPoly([Poly([-1]), Poly([1, -1])]),
+        BivarPoly([Poly([-1, 4, 1]), Poly([0, -2]), Poly([1])]),
+        BivarPoly([Poly([-1]), Poly(), Poly([1, -6, 1])]),
+        BivarPoly([Poly([QQ(1, 2), 1]), Poly([0, QQ(-1, 3)]), Poly([2]), Poly([1, 1])]),
+    ]
+    for p in cases:
+        assert annihilator_of_roots(p) == annihilator_of_roots_oracle(p), p

@@ -15,8 +15,9 @@ from dfinite import (
     p_curvature,
 )
 from dfinite.errors import PrecisionTooLow
-from dfinite.heuristics import _FpPoly, p_curvature_is_zero_oracle
+from dfinite.heuristics import _FpPoly
 from dfinite.rationals import QQ
+from oracles import p_curvature_is_zero_oracle
 
 PRIMES = (3, 5, 7, 11, 13)
 

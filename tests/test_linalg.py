@@ -1,6 +1,6 @@
 """Modular linear algebra: rank profiles, memoized reduction, rational
-reconstruction past float range, and the guesser's one-elimination proof
-on the Apery operator."""
+reconstruction past float range, the guesser's one-elimination proof
+on the Apery operator, and the fraction-free Q(z) dependence."""
 
 from bisect import bisect_left
 from fractions import Fraction
@@ -14,13 +14,16 @@ from hypothesis import strategies as st
 from dfinite.fileio import load_problem
 from dfinite.linalg import (
     _PRIMES_31,
+    _first_dependence,
     _rational_reconstruct,
     _reduce_matrix_mod,
     _rref_mod,
     kernel_rank_mod_p,
 )
 from dfinite.minimize import INPUT_RETURNED, minimal_annihilator
+from dfinite.polys import Poly, RatFunc
 from dfinite.rationals import Q0, QQ
+from oracles import ratfunc_dependence
 
 APERY = Path(__file__).resolve().parents[1] / "bench" / "data" / "apery.json"
 
@@ -80,3 +83,34 @@ def test_apery_minimization_proves_no_smaller_operator():
     res = minimal_annihilator(op, init)
     assert res.status == INPUT_RETURNED
     assert res.search_log == [(1, 144, "empty kernel"), (2, 144, "empty kernel")]
+
+
+def _zlist(p):
+    return [int(c) for c in p.coeffs]
+
+
+_zpolys = st.lists(st.integers(-3, 3), max_size=3).map(lambda c: _zlist(Poly(c)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 4), st.data())
+def test_first_dependence_matches_ratfunc_oracle(dim, data):
+    # sparse integer vectors over row scales, often with a planted
+    # dependence, so pivots meet zero entries in their own column
+    n = data.draw(st.integers(1, dim + 1))
+    vecs = [[data.draw(_zpolys) for _ in range(dim)] for _ in range(n)]
+    if data.draw(st.booleans()):
+        mix = [Poly(data.draw(_zpolys)) for _ in range(n)]
+        vecs.append([_zlist(sum((m * Poly(v[i]) for m, v in zip(mix, vecs)), Poly()))
+                     for i in range(dim)])
+    scales = [data.draw(_zpolys.filter(bool)) for _ in vecs]
+    got = _first_dependence(zip(vecs, scales))
+    want = ratfunc_dependence(
+        [[RatFunc(Poly(x), Poly(s)) for x in w] for w, s in zip(vecs, scales)])
+    if want is None:
+        assert got is None
+        return
+    assert got is not None and len(got) == len(want)
+    last = RatFunc(Poly(got[-1]))
+    for c, d in zip(got, want):
+        assert RatFunc(Poly(c)) == d * last

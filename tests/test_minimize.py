@@ -13,11 +13,13 @@ from dfinite import (
     guess_operator,
     lclm,
     minimal_annihilator,
+    op_mul,
     unroll,
 )
-from dfinite.errors import PrecisionTooLow
-from dfinite.minimize import CERTIFIED_ANNIHILATOR, INPUT_RETURNED, MinimizeOptions
+from dfinite.errors import InputError, PrecisionTooLow
+from dfinite.minimize import CERTIFIED_ANNIHILATOR, INPUT_RETURNED, MinimizeOptions, _cofactor
 from dfinite.rationals import QQ
+from oracles import cofactor_oracle
 
 
 def test_guess_geometric():
@@ -131,3 +133,40 @@ def test_minimize_soundness_longer_unroll(apery_op, apery_init):
     assert certify_annihilates(big, res.operator, f) is True
     out = apply_op(res.operator, f)
     assert all(c == 0 for c in out.coeffs)
+
+
+def test_cofactor_matches_oracle(apery_op, sqrt_op):
+    # the (input, candidate) pairs certified above, plus a candidate that
+    # is not content-normalized
+    d = DiffOp([Poly(), Poly([1])])
+    lexp = DiffOp([Poly([-1]), Poly([1])])
+    lgeo = DiffOp([Poly([-2]), Poly([1, -2])])
+    exp_geo = lclm(lexp, lgeo)
+    raw = DiffOp([Poly([QQ(-1, 2)]), Poly([QQ(1, 3), QQ(-2, 3)])], normalize=False)
+    # same order as the input: reduced once before the remainders start
+    same_order = DiffOp([Poly([1, 2]), Poly([QQ(1, 2)]), Poly([0, 3, -1])], normalize=False)
+    cases = [
+        (apery_op, apery_op),
+        (sqrt_op, DiffOp([Poly([-1]), Poly([0, 1])])),
+        (sqrt_op, sqrt_op),
+        (lclm(apery_op, d), apery_op),
+        (lclm(apery_op, d), d),
+        (exp_geo, lgeo),
+        (exp_geo, lexp),
+        (exp_geo, DiffOp([Poly([-1, 0, 0, 0, 0, -1]), Poly([1])])),
+        (exp_geo, raw),
+        (exp_geo, same_order),
+        (exp_geo, op_mul(DiffOp([Poly([1]), Poly([0, 1])]), lgeo)),
+        (lclm(apery_op, d), lclm(apery_op, lexp)),
+    ]
+    for big, cand in cases:
+        assert _cofactor(big, cand) == cofactor_oracle(big, cand), (big, cand)
+
+
+def test_minimal_annihilator_rejects_bad_init():
+    # (1-2z) f' = 2f forces a_1 = 2
+    op = DiffOp([Poly([-2]), Poly([1, -2])])
+    with pytest.raises(InputError, match="^invalid initial terms: .*row"):
+        minimal_annihilator(op, TruncSeries([1, 3]))
+    with pytest.raises(InputError, match="^invalid initial terms: fewer"):
+        minimal_annihilator(DiffOp([Poly(), Poly(), Poly([1])]), TruncSeries([1]))

@@ -4,6 +4,7 @@ from dfinite import DiffOp, Poly, RecOp, lclm, ode_to_rec, op_mul, op_right_divr
 from dfinite.ore import ratfuncs_to_op, right_divides
 from dfinite.polys import RatFunc
 from dfinite.rationals import QQ
+from oracles import lclm_oracle
 
 
 def _rand_poly(rng, deg, zero_ok=True):
@@ -175,3 +176,22 @@ def test_round_trips_random():
         f = unroll(op, init, op.order + 16)
         out = apply_op(back, f)
         assert all(c == 0 for c in out.coeffs)
+
+
+def test_lclm_edge_cases_match_oracle():
+    a = DiffOp([Poly([-1, 2]), Poly([0, 1]), Poly([3, 0, 1])])
+    b = DiffOp([Poly([2]), Poly([1, -1])])
+    order_zero = DiffOp([Poly([1, 2])])
+    multiple = op_mul(DiffOp([Poly([0, 1]), Poly([5])]), b)  # b right-divides it
+    # not content-normalized: rational coefficients with denominators to clear
+    raw = DiffOp([Poly([QQ(1, 3), QQ(-2, 7)]), Poly([QQ(5, 2)])], normalize=False)
+    cases = [(order_zero, a), (a, order_zero), (a, a), (b, multiple), (multiple, b),
+             (raw, a), (b, raw), (raw, raw)]
+    for x, y in cases:
+        m = lclm(x, y)
+        assert m == lclm_oracle(x, y), (x, y)
+        assert right_divides(x, m) and right_divides(y, m)
+    assert lclm(order_zero, a) == a
+    assert lclm(a, a) == a
+    assert lclm(b, multiple) == multiple
+    assert lclm(raw, a) == lclm(DiffOp(raw.coeffs), a)

@@ -1,5 +1,12 @@
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from dfinite.polys import Poly, RatFunc
 from dfinite.rationals import QQ, rat_from_str, rat_to_str
+from oracles import fraction_gcd
+
+_polys = st.lists(st.fractions(min_value=-30, max_value=30, max_denominator=12),
+                  max_size=6).map(Poly)
 
 
 def test_construction_trims_leading_zeros():
@@ -76,3 +83,12 @@ def test_ratfunc_arithmetic():
 def test_rat_str_roundtrip():
     for s in ["3", "-5/7", "0", "12345678901234567890/7"]:
         assert rat_to_str(rat_from_str(s)) == s
+
+
+@settings(max_examples=200, deadline=None)
+@given(_polys, _polys, _polys)
+def test_gcd_matches_fraction_euclid(a, b, c):
+    # c is a planted common factor; zero, constant and equal inputs ride along
+    for x, y in ((a * c, b * c), (a, b), (a * c, c), (a, Poly()), (Poly(), b),
+                 (Poly(), Poly()), (Poly([QQ(-7, 3)]), b * c), (a * c, a * c)):
+        assert x.gcd(y) == fraction_gcd(x, y), (x, y)

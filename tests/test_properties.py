@@ -22,6 +22,7 @@ from dfinite.polys import RatFunc
 from dfinite.quotient import QQ_DOMAIN
 from dfinite.rationals import QQ
 from dfinite.transcend import TranscendOptions
+from oracles import lclm_oracle
 
 N_CASES = 200
 
@@ -70,6 +71,7 @@ def test_lclm_divisibility_suite():
         a = _rand_op(rng, 2, 2, min_order=1)
         b = _rand_op(rng, 2, 2, min_order=1)
         m = lclm(a, b)
+        assert m == lclm_oracle(a, b), case
         assert m.order <= a.order + b.order, case
         assert right_divides(a, m), case
         assert right_divides(b, m), case

@@ -239,3 +239,16 @@ def test_iterated_factor_strategy(log_op):
 def test_rejects_order_zero():
     with pytest.raises(InputError):
         transcendence_test(DiffOp([Poly([1, 1])]), TruncSeries([1]))
+
+
+def test_bad_init_message_names_the_entry_point():
+    # (1-2z) f' = 2f forces a_1 = 2; z D - 1 leaves a_1 free
+    cases = [(DiffOp([Poly([-2]), Poly([1, -2])]), TruncSeries([1, 3]), "row"),
+             (DiffOp([Poly([-1]), Poly([0, 1])]), TruncSeries([0]), "degenerate"),
+             (DiffOp([Poly(), Poly(), Poly([1])]), TruncSeries([1]), "fewer")]
+    skip = TranscendOptions(skip_minimization=True)
+    for op, init, why in cases:
+        for opts in (None, skip):
+            for test in (transcendence_test, globally_bounded_test):
+                with pytest.raises(InputError, match="^initial terms do not pin down a solution: .*" + why):
+                    test(op, init, opts)
