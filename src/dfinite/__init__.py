@@ -58,7 +58,6 @@ from .minimize import (
     MinimizeOptions,
     certify_annihilates,
     guess_annihilator,
-    guess_operator,
     minimal_annihilator,
 )
 from .transcend import (

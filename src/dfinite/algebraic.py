@@ -18,7 +18,7 @@ from .errors import InputError, NotSquarefree, PrecisionTooLow, RootNotSeparable
 from .linalg import _first_dependence, kernel_vector_exact
 from .minimize import GUARD_TERMS
 from .ore import DiffOp, lclm
-from .polys import Poly, RatFunc, _zclear
+from .polys import Poly, RatFunc, _clear_ratfuncs, _zclear
 from .rationals import QQ, Q0, Q1
 from .series import TruncSeries, indicial_bound, is_zero_series, unroll, zero_test
 
@@ -118,7 +118,7 @@ def squarefree_in_y(p: BivarPoly) -> BivarPoly:
     q, r = _ratfunc_poly_divmod(a, g)
     if any(not x.is_zero() for x in r):
         raise AssertionError("gcd does not divide")
-    return _primitive(BivarPoly(_clear_ratfunc_poly(q)[0]))
+    return _primitive(BivarPoly(_clear_ratfuncs(q)[0]))
 
 
 def _ratfunc_poly_divmod(a: List[RatFunc], b: List[RatFunc]):
@@ -148,14 +148,6 @@ def _ratfunc_poly_gcd(a: List[RatFunc], b: List[RatFunc]) -> List[RatFunc]:
         lead = a[-1]
         a = [x / lead for x in a]
     return a
-
-
-def _clear_ratfunc_poly(cs: List[RatFunc]) -> Tuple[List[Poly], Poly]:
-    """(polys, den) with cs[i] = polys[i] / den, den the lcm of the denominators."""
-    den = Poly([Q1])
-    for c in cs:
-        den = den * c.den.exact_div(den.gcd(c.den))
-    return [c.num * den.exact_div(c.den) for c in cs], den
 
 
 def guess_algebraic(f: TruncSeries, max_dy: int, max_dz: int) -> Optional[BivarPoly]:
@@ -241,7 +233,7 @@ def annihilator_of_roots(p: BivarPoly) -> DiffOp:
 def _cleared(vec: List[RatFunc]) -> Tuple[List[List[int]], List[int]]:
     """(w, s) over Z[z] with vec = w / s: s is the denominators' lcm
     times the integer that clears every coefficient."""
-    polys, den = _clear_ratfunc_poly(vec)
+    polys, den = _clear_ratfuncs(vec)
     *w, s = _zclear(polys + [den])
     return w, s
 

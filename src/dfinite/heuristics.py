@@ -13,9 +13,9 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import InputError, PrecisionTooLow
-from .linalg import _rank_profile_mod
-from .ore import DiffOp
-from .polys import Poly
+from .linalg import _poly_matrix_rank
+from .ore import DiffOp, _rem_step, _unit_rows
+from .polys import _zclear, _zderiv, _ztrim
 from .rationals import QQ, is_integer
 from .series import TruncSeries
 
@@ -111,139 +111,42 @@ class PCurvatureReport:
     reason: str = ""
 
 
-class _FpPoly:
-    """Thin helpers for dense polynomials over F_p (int lists)."""
-
-    @staticmethod
-    def trim(a: List[int]) -> List[int]:
-        while a and a[-1] == 0:
-            a.pop()
-        return a
-
-    @staticmethod
-    def add(a: List[int], b: List[int], p: int) -> List[int]:
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = (out[i] + c) % p
-        return _FpPoly.trim(out)
-
-    @staticmethod
-    def mul(a: List[int], b: List[int], p: int) -> List[int]:
-        if not a or not b:
-            return []
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    if y:
-                        out[i + j] = (out[i + j] + x * y) % p
-        return _FpPoly.trim(out)
-
-    @staticmethod
-    def scale(a: List[int], c: int, p: int) -> List[int]:
-        return _FpPoly.trim([x * c % p for x in a])
-
-    @staticmethod
-    def deriv(a: List[int], p: int) -> List[int]:
-        return _FpPoly.trim([a[i] * i % p for i in range(1, len(a))])
-
-
-def _op_mod_p(op: DiffOp, p: int) -> Optional[List[List[int]]]:
-    out = []
-    for c in op.coeffs:
-        row = []
-        for q in c.coeffs:
-            if int(q.denominator) % p == 0:
-                return None
-            row.append(int(q.numerator) * pow(int(q.denominator) % p, p - 2, p) % p)
-        out.append(_FpPoly.trim(row))
-    return out
-
-
 def p_curvature(op: DiffOp, p: int) -> PCurvatureReport:
     """p-curvature nullity of the operator modulo p.
 
-    Forms the companion matrix A of the monic reduction over F_p(z) and
-    iterates A_{k+1} = A_k' + A_k A up to k = p; the common denominator
-    lead^k is tracked symbolically so all arithmetic stays polynomial.
+    Row i of the p-curvature matrix of L (order r, leading coefficient l)
+    holds the remainder of d^(p+i) modulo L over F_p(z).  The remainders
+    come from the recurrence of ``ore._remainders`` run on L reduced mod
+    p, as numerators over powers of l reduced mod p after every step.
+    The p-curvature is zero iff the remainder of d^p is 0; otherwise the
+    reported rank is that of the rows for d^p ... d^(p+r-1) over F_p(z).
     Primes at most the order, or dividing a denominator or the leading
-    content, are flagged bad and skipped.
+    coefficient, are flagged bad and skipped.
     """
     if op.is_zero():
         raise InputError("zero operator")
     r = op.order
     if p <= r:
         return PCurvatureReport(p, False, -1, True, "prime <= order degenerates the iteration")
-    coeffs = _op_mod_p(op, p)
-    if coeffs is None:
+    if any(c.denominator % p == 0 for q in op.coeffs for c in q.coeffs):
         return PCurvatureReport(p, False, -1, True, "prime divides a coefficient denominator")
-    lead = coeffs[r]
-    if not lead:
+    ops = [_mod_p(q, p) for q in _zclear(op.coeffs)]
+    if not ops[-1]:
         return PCurvatureReport(p, False, -1, True, "leading coefficient vanishes mod p")
-    # companion matrix over F_p(z) with denominator `lead`:
-    # A = N / lead, N[i][j] polynomial
-    n_mat = [[[] for _ in range(r)] for _ in range(r)]
-    for i in range(r - 1):
-        n_mat[i][i + 1] = list(lead)
-    for j in range(r):
-        n_mat[r - 1][j] = _FpPoly.scale(coeffs[j], p - 1, p)
-    # B_1 = N; B_{k+1} = B_k' * lead - k * lead' * B_k + B_k * N, A_k = B_k / lead^k
-    lead_d = _FpPoly.deriv(lead, p)
-    b = [row[:] for row in n_mat]
-    for k in range(1, p):
-        nxt = [[[] for _ in range(r)] for _ in range(r)]
-        for i in range(r):
-            for j in range(r):
-                term = _FpPoly.mul(_FpPoly.deriv(b[i][j], p), lead, p)
-                term = _FpPoly.add(
-                    term, _FpPoly.scale(_FpPoly.mul(lead_d, b[i][j], p), (-k) % p, p), p
-                )
-                acc = term
-                for t in range(r):
-                    if b[i][t] and n_mat[t][j]:
-                        acc = _FpPoly.add(acc, _FpPoly.mul(b[i][t], n_mat[t][j], p), p)
-                nxt[i][j] = acc
-        b = nxt
-    zero = all(not b[i][j] for i in range(r) for j in range(r))
-    rank = 0 if zero else _poly_matrix_rank(b, p)
-    return PCurvatureReport(p, zero, rank, False)
+    dlead = _zderiv(ops[-1])
+    num = _unit_rows(ops)  # d^0 over l^0
+    rows = []
+    for k in range(p + r - 1):
+        num = [_mod_p(x, p) for x in _rem_step(ops, dlead, num, k)]  # d^(k+1)
+        if k + 1 >= p:
+            rows.append(num)
+    if not any(map(any, rows)):  # all rows vanish iff the one for d^p does
+        return PCurvatureReport(p, True, 0, False)
+    return PCurvatureReport(p, False, _poly_matrix_rank(rows, p), False)
 
 
-def _poly_matrix_rank(mat: List[List[List[int]]], p: int) -> int:
-    """Rank over F_p(z) via evaluation at several points (exact for at
-    least one point as long as p exceeds the degrees involved; we take
-    the max over a spread of sample points)."""
-    import numpy as np
-
-    r = len(mat)
-    best = 0
-    nonzero = any(mat[i][j] for i in range(r) for j in range(r))
-    samples = range(1, min(p, 2 * _max_deg(mat) + 4))
-    for t in samples:
-        m = np.array(
-            [[_eval_fp(mat[i][j], t, p) for j in range(r)] for i in range(r)],
-            dtype=np.int64,
-        )
-        rank = len(_rank_profile_mod(m, p))
-        best = max(best, rank)
-        if best == r:
-            break
-    if nonzero and best == 0:
-        best = 1  # all samples hit roots; the matrix is still nonzero
-    return best
-
-
-def _max_deg(mat) -> int:
-    return max((len(c) - 1 for row in mat for c in row if c), default=0)
-
-
-def _eval_fp(a: List[int], t: int, p: int) -> int:
-    acc = 0
-    for c in reversed(a):
-        acc = (acc * t + c) % p
-    return acc
+def _mod_p(a: List[int], p: int) -> List[int]:
+    return _ztrim([c % p for c in a])
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,19 @@
 """Exact kernel computation for large structured systems over Q.
 
-Strategy: row-reduce the system modulo word-size primes with numpy
-(int64 arithmetic, entries < 2^31 so products fit).  A trivial kernel
-modulo any prime proves a trivial kernel over Q, which makes "no
-operator of this shape exists" conclusions rigorous.  When a kernel
-exists, a canonical kernel vector is assembled by CRT over several
-primes with rational reconstruction and then verified exactly against
-the full system; only verified vectors are ever returned, so candidate
-generation never affects soundness.
+Strategy: one forward elimination modulo a word-size prime with numpy
+(int64 arithmetic, entries < 2^31 so products fit) gives the rank
+profile and an echelon form.  A trivial kernel modulo any prime proves a
+trivial kernel over Q, which makes "no operator of this shape exists"
+conclusions rigorous.  When a kernel exists, each prime's canonical
+kernel vector (first free column set to 1) comes from back-substitution
+through the echelon form's leading triangle; the vectors are combined by
+CRT over several primes with rational reconstruction and then verified
+exactly against the full system.  Only verified vectors are ever
+returned, so candidate generation never affects soundness.
 
-Small eliminations over Q(z) run fraction-free over Z[z].
+The rank of a polynomial matrix over F_p(z) (the p-curvature) uses the
+same elimination at sample points, and small eliminations over Q(z) run
+fraction-free over Z[z].
 """
 
 from __future__ import annotations
@@ -59,43 +63,14 @@ def _reduce_matrix_mod(rows: Sequence[Sequence], p: int) -> np.ndarray:
     return np.array(out, dtype=np.int64).reshape(len(rows), len(rows[0]) if rows else 0)
 
 
-def _rref_mod(a: np.ndarray, p: int) -> Tuple[np.ndarray, List[int], List[int]]:
-    """Row echelon form mod p. Returns (matrix, pivot columns, pivot rows)."""
-    m, n = a.shape
-    a = a % p
-    piv_cols: List[int] = []
-    piv_rows: List[int] = []
-    r = 0
-    for c in range(n):
-        if r >= m:
-            break
-        col = a[r:, c]
-        nz = np.nonzero(col)[0]
-        if nz.size == 0:
-            continue
-        k = r + int(nz[0])
-        if k != r:
-            a[[r, k]] = a[[k, r]]
-        inv = pow(int(a[r, c]), p - 2, p)
-        a[r] = a[r] * inv % p
-        rows = np.nonzero(a[:, c])[0]
-        rows = rows[rows != r]
-        if rows.size:
-            a[rows] = (a[rows] - np.outer(a[rows, c], a[r])) % p
-        piv_cols.append(c)
-        piv_rows.append(r)
-        r += 1
-    return a, piv_cols, piv_rows
-
-
-def _rank_profile_mod(a: np.ndarray, p: int) -> List[int]:
-    """Pivot columns of a row echelon form of ``a`` mod p, ascending.
+def _rank_profile_mod(a: np.ndarray, p: int) -> Tuple[np.ndarray, List[int]]:
+    """(row echelon form of ``a`` mod p, its pivot columns ascending).
 
     Forward elimination only: each pivot clears the trailing block below
     it (up to the pivot row's last nonzero) and nothing above, which is
-    all a rank needs.  Pivot columns do not depend on the choice of pivot
-    rows, and the number of them below k is the rank mod p of the first k
-    columns.
+    all a rank needs; pivot t sits in row t.  Pivot columns do not depend
+    on the choice of pivot rows, and the number of them below k is the
+    rank mod p of the first k columns.
     """
     m, n = a.shape
     a = a % p
@@ -118,7 +93,7 @@ def _rank_profile_mod(a: np.ndarray, p: int) -> List[int]:
             below %= p
         piv_cols.append(c)
         r += 1
-    return piv_cols
+    return a, piv_cols
 
 
 def kernel_rank_mod_p(rows: Sequence[Sequence], p: Optional[int] = None) -> Tuple[int, List[int]]:
@@ -128,28 +103,53 @@ def kernel_rank_mod_p(rows: Sequence[Sequence], p: Optional[int] = None) -> Tupl
     pivot columns inside it."""
     if p is None:
         p = _PRIMES_31[0]
-    piv_cols = _rank_profile_mod(_reduce_matrix_mod(rows, p), p)
+    _, piv_cols = _rank_profile_mod(_reduce_matrix_mod(rows, p), p)
     return len(piv_cols), piv_cols
 
 
-def _kernel_vector_mod(a: np.ndarray, p: int, free_choice: int = 0):
-    """Canonical kernel vector mod p: first admissible free column set to 1.
+def _kernel_mod(a: np.ndarray, p: int) -> Tuple[List[int], Optional[List[int]]]:
+    """(pivot columns of ``a`` mod p, canonical kernel vector or None).
 
-    Returns (pivot_cols, free_col, dense vector) or None if injective.
+    The vector sets the first free column f to 1 and every other free
+    column to 0.  Columns 0..f-1 are pivots in rows 0..f-1 of the echelon
+    form, so back-substitution through that triangle gives them; pivot
+    columns past f are 0.  None when the columns are independent mod p.
     """
-    red, piv_cols, _ = _rref_mod(a, p)
-    n = a.shape[1]
-    piv_set = set(piv_cols)
-    free = [c for c in range(n) if c not in piv_set]
-    if not free:
-        return None
-    f = free[min(free_choice, len(free) - 1)]
-    vec = [0] * n
+    ech, piv_cols = _rank_profile_mod(a, p)
+    f = next((t for t, c in enumerate(piv_cols) if t != c), len(piv_cols))
+    if f == a.shape[1]:
+        return piv_cols, None
+    vec = np.zeros(a.shape[1], dtype=np.int64)
     vec[f] = 1
-    for r, c in enumerate(piv_cols):
-        if c < f:
-            vec[c] = (-int(red[r, f])) % p
-    return piv_cols, f, vec
+    rhs = -ech[:f, f] % p
+    for t in range(f - 1, -1, -1):
+        x = int(rhs[t]) * pow(int(ech[t, t]), -1, p) % p
+        if x:
+            vec[t] = x
+            rhs[:t] = (rhs[:t] - ech[:t, t] * x) % p
+    return piv_cols, vec.tolist()
+
+
+def _poly_matrix_rank(mat: List[List[List[int]]], p: int) -> int:
+    """Rank over F_p(z) of a nonzero square matrix of polynomials over
+    F_p (int lists) via evaluation at several points (exact for at least
+    one point as long as p exceeds the degrees involved; we take the max
+    over a spread of sample points)."""
+    best = 0
+    deg = max((len(c) - 1 for row in mat for c in row if c), default=0)
+    for t in range(1, min(p, 2 * deg + 4)):
+        m = np.array([[_eval_mod(c, t, p) for c in row] for row in mat], dtype=np.int64)
+        best = max(best, len(_rank_profile_mod(m, p)[1]))
+        if best == len(mat):
+            break
+    return max(best, 1)  # all samples may hit roots; the matrix is still nonzero
+
+
+def _eval_mod(a: List[int], t: int, p: int) -> int:
+    acc = 0
+    for c in reversed(a):
+        acc = (acc * t + c) % p
+    return acc
 
 
 def _rational_reconstruct(a: int, m: int):
@@ -187,7 +187,6 @@ def kernel_vector_exact(rows: Sequence[Sequence]) -> Optional[List]:
     if not rows or not rows[0]:
         return None
     piv_ref: Optional[List[int]] = None
-    free_ref = -1
     combined: List[int] = []
     modulus = 1
     for p in _PRIMES_31:
@@ -195,26 +194,24 @@ def kernel_vector_exact(rows: Sequence[Sequence]) -> Optional[List]:
             a = _reduce_matrix_mod(rows, p)
         except ValueError:
             continue  # p divides some denominator
-        got = _kernel_vector_mod(a, p)
-        if got is None:
+        piv, vec = _kernel_mod(a, p)
+        if vec is None:
             return None
-        piv, free, vec = got
         if piv_ref is None or len(piv) > len(piv_ref):
             # unlucky earlier primes drop rank; restart on the best structure
-            piv_ref, free_ref, combined, modulus = piv, free, list(vec), p
-        elif len(piv) < len(piv_ref) or piv != piv_ref or free != free_ref:
+            piv_ref, combined, modulus = piv, vec, p
+        elif piv != piv_ref:
             continue  # this prime is the unlucky one
-        elif modulus != p:
+        else:
             inv = pow(modulus % p, p - 2, p)
             combined = [
                 x + modulus * ((y - x) % p * inv % p)
                 for x, y in zip(combined, vec)
             ]
             modulus *= p
-        if modulus > 1:
-            cand = _try_reconstruct(combined, modulus)
-            if cand is not None and _verify_kernel(rows, cand):
-                return _clear_denominators(cand)
+        cand = _try_reconstruct(combined, modulus)
+        if cand is not None and _verify_kernel(rows, cand):
+            return _clear_denominators(cand)
     return _kernel_vector_exact_slow(rows)
 
 

@@ -1,11 +1,12 @@
 """Annihilator minimization: guessing plus a sound annihilation certificate.
 
-``guess_operator`` finds a candidate operator annihilating a truncated
-series by exact kernel computation on the Hermite-Pade style system.
-``certify_annihilates`` upgrades a candidate to a proof: it builds a
-cofactor A with A o M = C o L from the first Q(z)-linear dependence
-among the remainders of d^j o M modulo L, so g = M(f) is a solution of A
-and the valuation bound of ``zero_test`` decides g = 0 exactly.  The
+``guess_annihilator`` finds a candidate operator annihilating a truncated
+series, by increasing order and then minimal degree, from exact kernel
+vectors of the Hermite-Pade style system.  ``certify_annihilates``
+upgrades a candidate to a proof: it builds a cofactor A with
+A o M = C o L from the first Q(z)-linear dependence among the
+remainders of d^j o M modulo L, so g = M(f) is a solution of A and the
+valuation bound of ``zero_test`` decides g = 0 exactly.  The
 remainders are kept as numerators over Z[z] above powers of the leading
 coefficient of L and the dependence comes from fraction-free Bareiss
 elimination, so no rational-function gcd is taken on the way.
@@ -26,7 +27,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
-from .errors import InputError, PrecisionTooLow
+from .errors import InputError
 from .linalg import _first_dependence, kernel_rank_mod_p, kernel_vector_exact
 from .ore import DiffOp, _remainders
 from .polys import Poly, _zclear, _zmul, _zsub
@@ -95,33 +96,6 @@ def _vector_to_op(vec: Sequence, order: int, degree: int) -> DiffOp:
     for (i, j), c in zip(cols, vec):
         coeffs[i][j] = c
     return DiffOp([Poly(cs) for cs in coeffs])
-
-
-def guess_operator(f: TruncSeries, max_order: int, max_degree: int) -> Optional[DiffOp]:
-    """Nonzero operator of order/degree within the bounds annihilating f
-    to its full truncation order, or None if the kernel is trivial.
-
-    The returned operator is verified exactly; None answers are rigorous
-    because the rank modulo a prime lower-bounds the rank over Q.
-    """
-    needed = (max_order + 1) * (max_degree + 1) + max_order + GUARD_TERMS
-    if f.trunc_order < needed:
-        raise PrecisionTooLow(
-            "guessing at order %d degree %d needs %d terms, have %d"
-            % (max_order, max_degree, needed, f.trunc_order),
-            needed=needed,
-        )
-    rows = _build_rows(f, max_order, max_degree)
-    vec = kernel_vector_exact(rows)
-    if vec is None:
-        return None
-    op = _vector_to_op(vec, max_order, max_degree)
-    if op.is_zero():
-        return None
-    residue = apply_op(op, f)
-    if not is_zero_series(residue):
-        raise AssertionError("kernel vector fails exact verification")
-    return op
 
 
 def _probe_degree(rows: List[List], order: int, d_cap: int) -> List[int]:

@@ -33,6 +33,7 @@ from .linalg import _first_dependence
 from .polys import (
     Poly,
     RatFunc,
+    _clear_ratfuncs,
     _zadd,
     _zclear,
     _zderiv,
@@ -70,11 +71,7 @@ class DiffOp:
 
     @staticmethod
     def from_ratfuncs(coeffs: Sequence[RatFunc]) -> "DiffOp":
-        den = Poly([Q1])
-        for c in coeffs:
-            g = den.gcd(c.den)
-            den = den * c.den.exact_div(g)
-        return DiffOp([(c * den).num for c in coeffs])
+        return DiffOp(_clear_ratfuncs(coeffs)[0])
 
     @staticmethod
     def _from_int_rows(rows: List[List[int]]) -> "DiffOp":
@@ -270,35 +267,41 @@ def right_divides(b: DiffOp, a: DiffOp) -> bool:
     return not r
 
 
-def ratfuncs_to_op(coeffs: Sequence[RatFunc]) -> DiffOp:
-    return DiffOp.from_ratfuncs(list(coeffs))
-
-
 def _remainders(ops: List[List[int]], start: List[List[int]], e: int):
     """Numerators N_0, N_1, ... of the remainders of d^k o R modulo L.
 
-    L = sum ops[i] d^i over Z[z] with leading coefficient l and order n;
-    R mod L = start / l^e.  If d^k o R = N_k / l^(e+k) modulo L, then
-    d^(k+1) o R has numerator
-    N'_i l - (e+k) l' N_i + l N_(i-1) - N_(n-1) ops[i],
-    since d^n = -sum_(i<n) (ops[i] / l) d^i modulo L: no division at all.
+    L = sum ops[i] d^i over Z[z] with leading coefficient l; R mod L =
+    start / l^e, and ``_rem_step`` carries each numerator to the next.
+    ``lclm``, the cofactor of ``minimize.certify_annihilates`` and (on L
+    reduced mod p) ``heuristics.p_curvature`` read their rows from here.
     """
-    n = len(ops) - 1
-    lead = ops[-1]
-    dlead = _zderiv(lead)
+    dlead = _zderiv(ops[-1])
     num = start
     for k in itertools.count(e):
         yield num
-        if not n:
-            continue
-        top = num[-1]
-        num = [
-            _zsub(
-                _zmul(lead, _zadd(_zderiv(num[i]), num[i - 1] if i else [])),
-                _zadd(_zmul(dlead, [k * c for c in num[i]]), _zmul(top, ops[i])),
-            )
-            for i in range(n)
-        ]
+        num = _rem_step(ops, dlead, num, k)
+
+
+def _rem_step(ops: List[List[int]], dlead: List[int], num: List[List[int]], k: int) -> List[List[int]]:
+    """Numerator of d o (num / l^k) modulo L, over l^(k+1).
+
+    With n the order of L and dlead = l', it is
+    N'_i l - k l' N_i + l N_(i-1) - N_(n-1) ops[i],
+    since d^n = -sum_(i<n) (ops[i] / l) d^i modulo L: no division at all.
+    An operator of order 0 leaves nothing to reduce.
+    """
+    n = len(ops) - 1
+    if not n:
+        return num
+    lead = ops[-1]
+    top = num[-1]
+    return [
+        _zsub(
+            _zmul(lead, _zadd(_zderiv(num[i]), num[i - 1] if i else [])),
+            _zadd(_zmul(dlead, [k * c for c in num[i]]), _zmul(top, ops[i])),
+        )
+        for i in range(n)
+    ]
 
 
 def _unit_rows(ops: List[List[int]]) -> List[List[int]]:

@@ -70,6 +70,10 @@ class Poly:
     def __getitem__(self, i: int):
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else Q0
 
+    def __iter__(self):
+        # without it, iteration would fall back on __getitem__ and never stop
+        return iter(self.coeffs)
+
     def valuation(self) -> int:
         """Order of vanishing at 0; -1 for the zero polynomial."""
         if not self.coeffs:
@@ -512,6 +516,14 @@ class RatFunc:
         if self.is_poly():
             return "RatFunc(%s)" % format_poly(self.num)
         return "RatFunc((%s)/(%s))" % (format_poly(self.num), format_poly(self.den))
+
+
+def _clear_ratfuncs(cs: Sequence[RatFunc]) -> Tuple[List[Poly], Poly]:
+    """(polys, den) with cs[i] = polys[i] / den, den the lcm of the denominators."""
+    den = Poly([Q1])
+    for c in cs:
+        den = den * c.den.exact_div(den.gcd(c.den))
+    return [c.num * den.exact_div(c.den) for c in cs], den
 
 
 def _coerce(x) -> RatFunc:

@@ -2,17 +2,20 @@
 
 These are the straightforward versions: Euclid over ``Fraction`` for the
 polynomial gcd, elimination over Q(z) with a gcd after every ``RatFunc``
-operation for lclm and cofactors, and a brute-force fraction iteration
-for the p-curvature.  They are slow and deliberately independent of the
-fraction-free Z[z] kernels in ``dfinite``.
+operation for lclm and cofactors, the full reduced row echelon form mod p
+for kernel vectors, and a brute-force fraction iteration over F_p(z) for
+the p-curvature and its rank.  They are slow and deliberately independent
+of the fraction-free Z[z] kernels and the forward-only mod-p elimination
+in ``dfinite``.
 """
 
 import math
 from typing import List, Optional, Tuple
 
+import numpy as np
+
 from dfinite import DiffOp, Poly
 from dfinite.algebraic import _invert_mod, _mul_mod, _ratfunc_poly_divmod
-from dfinite.heuristics import _FpPoly, _op_mod_p
 from dfinite.ore import _d_compose, _to_ratfuncs
 from dfinite.polys import RatFunc
 from dfinite.rationals import QQ
@@ -163,8 +166,113 @@ def annihilator_of_roots_oracle(p) -> DiffOp:
 
 
 # ---------------------------------------------------------------------------
+# Linear algebra mod p
+# ---------------------------------------------------------------------------
+
+
+def _rref_mod(a: np.ndarray, p: int) -> Tuple[np.ndarray, List[int], List[int]]:
+    """Reduced row echelon form mod p. Returns (matrix, pivot columns, pivot rows)."""
+    m, n = a.shape
+    a = a % p
+    piv_cols: List[int] = []
+    piv_rows: List[int] = []
+    r = 0
+    for c in range(n):
+        if r >= m:
+            break
+        col = a[r:, c]
+        nz = np.nonzero(col)[0]
+        if nz.size == 0:
+            continue
+        k = r + int(nz[0])
+        if k != r:
+            a[[r, k]] = a[[k, r]]
+        inv = pow(int(a[r, c]), p - 2, p)
+        a[r] = a[r] * inv % p
+        rows = np.nonzero(a[:, c])[0]
+        rows = rows[rows != r]
+        if rows.size:
+            a[rows] = (a[rows] - np.outer(a[rows, c], a[r])) % p
+        piv_cols.append(c)
+        piv_rows.append(r)
+        r += 1
+    return a, piv_cols, piv_rows
+
+
+def _kernel_vector_mod(a: np.ndarray, p: int):
+    """Kernel vector mod p read off the full RREF: the first free column
+    set to 1, every other free column 0.  Returns (pivot_cols, free_col,
+    dense vector) or None if injective."""
+    red, piv_cols, _ = _rref_mod(a, p)
+    n = a.shape[1]
+    piv_set = set(piv_cols)
+    free = [c for c in range(n) if c not in piv_set]
+    if not free:
+        return None
+    f = free[0]
+    vec = [0] * n
+    vec[f] = 1
+    for r, c in enumerate(piv_cols):
+        if c < f:
+            vec[c] = (-int(red[r, f])) % p
+    return piv_cols, f, vec
+
+
+# ---------------------------------------------------------------------------
 # p-curvature
 # ---------------------------------------------------------------------------
+
+
+class _FpPoly:
+    """Thin helpers for dense polynomials over F_p (int lists)."""
+
+    @staticmethod
+    def trim(a: List[int]) -> List[int]:
+        while a and a[-1] == 0:
+            a.pop()
+        return a
+
+    @staticmethod
+    def add(a: List[int], b: List[int], p: int) -> List[int]:
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, c in enumerate(b):
+            out[i] = (out[i] + c) % p
+        return _FpPoly.trim(out)
+
+    @staticmethod
+    def mul(a: List[int], b: List[int], p: int) -> List[int]:
+        if not a or not b:
+            return []
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    if y:
+                        out[i + j] = (out[i + j] + x * y) % p
+        return _FpPoly.trim(out)
+
+    @staticmethod
+    def scale(a: List[int], c: int, p: int) -> List[int]:
+        return _FpPoly.trim([x * c % p for x in a])
+
+    @staticmethod
+    def deriv(a: List[int], p: int) -> List[int]:
+        return _FpPoly.trim([a[i] * i % p for i in range(1, len(a))])
+
+
+def _op_mod_p(op: DiffOp, p: int) -> Optional[List[List[int]]]:
+    """Coefficients of op reduced mod p, or None if p divides a denominator."""
+    out = []
+    for c in op.coeffs:
+        row = []
+        for q in c.coeffs:
+            if int(q.denominator) % p == 0:
+                return None
+            row.append(int(q.numerator) * pow(int(q.denominator) % p, p - 2, p) % p)
+        out.append(_FpPoly.trim(row))
+    return out
 
 
 def _fp_divmod(a: List[int], b: List[int], p: int) -> Tuple[List[int], List[int]]:
@@ -190,10 +298,46 @@ def _fp_gcd(a: List[int], b: List[int], p: int) -> List[int]:
     return a
 
 
-def p_curvature_is_zero_oracle(op: DiffOp, p: int) -> Optional[List[List[Tuple[List[int], List[int]]]]]:
-    """Independent brute-force iteration with explicit fraction entries
-    (numerator, denominator polynomial pairs over F_p); used to cross-check
-    the production recursion entry by entry.  Returns the final matrix."""
+# Elements of F_p(z) are (numerator, denominator) pairs of int lists,
+# reduced by their gcd after every operation.
+
+
+def _f_reduce(a, p):
+    num, den = a
+    if not num:
+        return ([], [1])
+    g = _fp_gcd(num, den, p)
+    if len(g) > 1:
+        num = _fp_divmod(num, g, p)[0]
+        den = _fp_divmod(den, g, p)[0]
+    return (num, den)
+
+
+def _f_add(a, b, p):
+    (na, da), (nb, db) = a, b
+    return _f_reduce((
+        _FpPoly.add(_FpPoly.mul(na, db, p), _FpPoly.mul(nb, da, p), p),
+        _FpPoly.mul(da, db, p)), p)
+
+
+def _f_mul(a, b, p):
+    return _f_reduce((_FpPoly.mul(a[0], b[0], p), _FpPoly.mul(a[1], b[1], p)), p)
+
+
+def _f_deriv(a, p):
+    num, den = a
+    dn = _FpPoly.add(
+        _FpPoly.mul(_FpPoly.deriv(num, p), den, p),
+        _FpPoly.scale(_FpPoly.mul(num, _FpPoly.deriv(den, p), p), p - 1, p),
+        p,
+    )
+    return _f_reduce((dn, _FpPoly.mul(den, den, p)), p)
+
+
+def p_curvature_matrix_oracle(op: DiffOp, p: int) -> Optional[List[List[Tuple[List[int], List[int]]]]]:
+    """Independent brute-force iteration A_(k+1) = A_k' + A_k A of the
+    companion matrix A of op over F_p(z), with explicit fraction entries;
+    returns A_p, or None for a prime the production code calls bad."""
     if p <= op.order:
         return None
     coeffs = _op_mod_p(op, p)
@@ -201,49 +345,48 @@ def p_curvature_is_zero_oracle(op: DiffOp, p: int) -> Optional[List[List[Tuple[L
         return None
     r = op.order
     lead = coeffs[r]
-
-    def f_reduce(a):
-        num, den = a
-        if not num:
-            return ([], [1])
-        g = _fp_gcd(num, den, p)
-        if len(g) > 1:
-            num = _fp_divmod(num, g, p)[0]
-            den = _fp_divmod(den, g, p)[0]
-        return (num, den)
-
-    def f_add(a, b):
-        na, da = a
-        nb, db = b
-        return f_reduce((
-            _FpPoly.add(_FpPoly.mul(na, db, p), _FpPoly.mul(nb, da, p), p),
-            _FpPoly.mul(da, db, p)))
-
-    def f_mul(a, b):
-        return f_reduce((_FpPoly.mul(a[0], b[0], p), _FpPoly.mul(a[1], b[1], p)))
-
-    def f_deriv(a):
-        num, den = a
-        dn = _FpPoly.add(
-            _FpPoly.mul(_FpPoly.deriv(num, p), den, p),
-            _FpPoly.scale(_FpPoly.mul(num, _FpPoly.deriv(den, p), p), p - 1, p),
-            p,
-        )
-        return f_reduce((dn, _FpPoly.mul(den, den, p)))
-
     a_mat = [[([], [1]) for _ in range(r)] for _ in range(r)]
     for i in range(r - 1):
         a_mat[i][i + 1] = ([1], [1])
     for j in range(r):
-        a_mat[r - 1][j] = (_FpPoly.scale(coeffs[j], p - 1, p), list(lead))
+        a_mat[r - 1][j] = _f_reduce((_FpPoly.scale(coeffs[j], p - 1, p), list(lead)), p)
     cur = [row[:] for row in a_mat]
     for _ in range(1, p):
         nxt = [[None] * r for _ in range(r)]
         for i in range(r):
             for j in range(r):
-                acc = f_deriv(cur[i][j])
+                acc = _f_deriv(cur[i][j], p)
                 for t in range(r):
-                    acc = f_add(acc, f_mul(cur[i][t], a_mat[t][j]))
+                    acc = _f_add(acc, _f_mul(cur[i][t], a_mat[t][j], p), p)
                 nxt[i][j] = acc
         cur = nxt
     return cur
+
+
+def fp_ratfunc_rank(mat: List[List[Tuple[List[int], List[int]]]], p: int) -> int:
+    """Rank over F_p(z) of a matrix of (numerator, denominator) entries,
+    by Gaussian elimination in the same fraction arithmetic."""
+    rows = [list(row) for row in mat]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][c][0]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        num, den = rows[rank][c]
+        inv = _f_reduce((den, num), p)
+        for i in range(rank + 1, len(rows)):
+            if rows[i][c][0]:
+                f = _f_mul(rows[i][c], inv, p)
+                neg = (_FpPoly.scale(f[0], p - 1, p), f[1])
+                rows[i] = [_f_add(x, _f_mul(neg, y, p), p) for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def p_curvature_oracle(op: DiffOp, p: int) -> Optional[Tuple[bool, int]]:
+    """(is zero, rank over F_p(z)) of the p-curvature, or None for a bad prime."""
+    mat = p_curvature_matrix_oracle(op, p)
+    if mat is None:
+        return None
+    return all(not x[0] for row in mat for x in row), fp_ratfunc_rank(mat, p)

@@ -91,6 +91,28 @@ def test_cli_pcurv(capsys, sqrt_file):
         assert rep["bad_prime"] or rep["is_zero"]
 
 
+def test_cli_pcurv_output_pinned(capsys, apery_file, tmp_path):
+    # the full JSON, byte for byte: Apery is nonzero of rank 2 at each of
+    # these primes, and an order-0 operator is zero of rank 0
+    assert main(["pcurv", apery_file, "--primes", "5,7,11,13"]) == 0
+    assert capsys.readouterr().out == (
+        '{"reports":['
+        '{"bad_prime":false,"is_zero":false,"matrix_rank":2,"prime":5,"reason":""},'
+        '{"bad_prime":false,"is_zero":false,"matrix_rank":2,"prime":7,"reason":""},'
+        '{"bad_prime":false,"is_zero":false,"matrix_rank":2,"prime":11,"reason":""},'
+        '{"bad_prime":false,"is_zero":false,"matrix_rank":2,"prime":13,"reason":""}]}\n'
+    )
+    order0 = tmp_path / "order0.json"
+    order0.write_text(json.dumps({"variable": "z", "operator": [[1, 2, 3]], "initial_terms": []}))
+    assert main(["pcurv", str(order0), "--primes", "2,3,5"]) == 0
+    assert capsys.readouterr().out == (
+        '{"reports":['
+        '{"bad_prime":false,"is_zero":true,"matrix_rank":0,"prime":2,"reason":""},'
+        '{"bad_prime":false,"is_zero":true,"matrix_rank":0,"prime":3,"reason":""},'
+        '{"bad_prime":false,"is_zero":true,"matrix_rank":0,"prime":5,"reason":""}]}\n'
+    )
+
+
 def test_cli_hypergeom(capsys):
     code, out = _run(capsys, ["hypergeom", "--a", "1/2,1/2", "--b", "1"])
     assert code == 0

@@ -1,6 +1,7 @@
-"""Modular linear algebra: rank profiles, memoized reduction, rational
-reconstruction past float range, the guesser's one-elimination proof
-on the Apery operator, and the fraction-free Q(z) dependence."""
+"""Modular linear algebra: rank profiles, kernel vectors by
+back-substitution, memoized reduction, rational reconstruction past
+float range, the guesser's one-elimination proof on the Apery operator,
+and the fraction-free Q(z) dependence."""
 
 from bisect import bisect_left
 from fractions import Fraction
@@ -8,22 +9,22 @@ from math import prod
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dfinite.fileio import load_problem
 from dfinite.linalg import (
     _PRIMES_31,
     _first_dependence,
+    _kernel_mod,
     _rational_reconstruct,
     _reduce_matrix_mod,
-    _rref_mod,
     kernel_rank_mod_p,
 )
 from dfinite.minimize import INPUT_RETURNED, minimal_annihilator
 from dfinite.polys import Poly, RatFunc
 from dfinite.rationals import Q0, QQ
-from oracles import ratfunc_dependence
+from oracles import _kernel_vector_mod, _rref_mod, ratfunc_dependence
 
 APERY = Path(__file__).resolve().parents[1] / "bench" / "data" / "apery.json"
 
@@ -53,6 +54,20 @@ def test_pivot_prefix_counts_are_prefix_ranks(rows, p):
     for k in range(len(rows[0]) + 1):
         _, ref_piv, _ = _rref_mod(a[:, :k], p)
         assert bisect_left(piv, k) == len(ref_piv), k
+
+
+@settings(max_examples=200, deadline=None)
+@given(shared_matrices(), st.sampled_from([5, 7, _PRIMES_31[0]]))
+# the first free column comes before later pivots
+@example([[QQ(1), QQ(2), Q0], [QQ(2), QQ(4), QQ(1)]], 7)
+@example([[Q0, QQ(1), QQ(3)], [Q0, QQ(2), QQ(1, 2)]], 5)
+def test_back_substituted_kernel_matches_rref(rows, p):
+    a = _reduce_matrix_mod(rows, p)
+    piv, vec = _kernel_mod(a, p)
+    want = _kernel_vector_mod(a, p)
+    assert (vec is None) == (want is None) == (len(piv) == len(rows[0]))
+    if want is not None:
+        assert (piv, vec) == (want[0], want[2])
 
 
 def test_memoized_reduction_matches_per_entry():

@@ -10,13 +10,12 @@ from dfinite import (
     certify_annihilates,
     gen_binomial_sum,
     guess_annihilator,
-    guess_operator,
     lclm,
     minimal_annihilator,
     op_mul,
     unroll,
 )
-from dfinite.errors import InputError, PrecisionTooLow
+from dfinite.errors import InputError
 from dfinite.minimize import CERTIFIED_ANNIHILATOR, INPUT_RETURNED, MinimizeOptions, _cofactor
 from dfinite.rationals import QQ
 from oracles import cofactor_oracle
@@ -24,25 +23,20 @@ from oracles import cofactor_oracle
 
 def test_guess_geometric():
     f = TruncSeries([QQ(2) ** n for n in range(40)])
-    op = guess_operator(f, 1, 1)
+    op = guess_annihilator(f, 1, 1)
     assert op == DiffOp([Poly([-2]), Poly([1, -2])])
 
 
 def test_guess_apery(apery_op):
     f = gen_binomial_sum([2, 2], 120)
-    assert guess_operator(f, 3, 4) == apery_op
+    assert guess_annihilator(f, 3, 4) == apery_op
 
 
 def test_guess_random_series_has_no_operator():
     rng = random.Random(31)
     for _ in range(3):
         f = TruncSeries([QQ(rng.randint(-50, 50), rng.randint(1, 9)) for _ in range(60)])
-        assert guess_operator(f, 2, 2) is None
-
-
-def test_guess_precision_guard():
-    with pytest.raises(PrecisionTooLow):
-        guess_operator(TruncSeries([1, 2, 4]), 2, 2)
+        assert guess_annihilator(f, 2, 2) is None
 
 
 def test_certify_true_for_self(apery_op, apery_init):

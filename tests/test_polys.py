@@ -1,3 +1,5 @@
+import itertools
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,6 +15,14 @@ def test_construction_trims_leading_zeros():
     assert Poly([1, 2, 0, 0]).degree == 1
     assert Poly([]).is_zero()
     assert Poly([0, 0]).is_zero()
+
+
+def test_poly_of_poly_is_a_copy():
+    # iteration stops after the coefficients instead of running on
+    # through the zeros __getitem__ returns past the end
+    assert list(itertools.islice(iter(Poly([1, 2])), 3)) == [1, 2]
+    p = Poly([QQ(1, 2), 0, 3])
+    assert Poly(p) == p
 
 
 def test_arithmetic():
