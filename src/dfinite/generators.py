@@ -4,11 +4,23 @@ and diagonals of multivariate rational functions.
 All generators return exact :class:`~dfinite.series.TruncSeries` data and
 are independent of the operator machinery, so they double as oracles in
 the test suite.
+
+The binomial-sum and diagonal generators spend their time in big-integer
+arithmetic, so they compute as few big integers as they can:
+
+- :func:`gen_binomial_sum` steps every binomial in the summation index
+  by an exact integer ratio instead of recomputing it.
+- :func:`gen_diagonal` first compresses the exponent lattice (when every
+  exponent of a variable is a multiple of g, x^g becomes x), then expands
+  num/den over the smaller box one whole row at a time, in C loops
+  (``map``, ``itertools.accumulate``) rather than cell by cell in Python.
 """
 
 from __future__ import annotations
 
-from math import comb
+from itertools import accumulate, chain, product
+from math import comb, gcd, lcm, prod
+from operator import add, neg, sub
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .errors import InputError
@@ -25,6 +37,11 @@ def gen_binomial_sum(powers: Sequence[int], n_terms: int) -> TruncSeries:
 
     ``powers[j]`` is the exponent of C(n + j*k, k) in the summand, with the
     j = 0 factor being C(n, k); powers[0] must be >= 1.
+
+    For each n the binomials are stepped from k to k + 1 by exact integer
+    ratios, multiplying before the (exact) division: C(n, k) by
+    (n-k)/(k+1), and C(N, k) with N = n + j*k by
+    (N+1)...(N+j) / ((k+1) (N-k+1)...(N-k+j-1)), which is C(N+j, k+1).
     """
     p = list(powers)
     if not p or p[0] < 1:
@@ -33,15 +50,21 @@ def gen_binomial_sum(powers: Sequence[int], n_terms: int) -> TruncSeries:
         raise InputError("negative exponents not supported")
     if n_terms < 1:
         raise InputError("need at least one term")
+    used = [j for j in range(1, len(p)) if p[j]]
     out = []
     for n in range(n_terms):
         total = 0
+        b = [1] * len(p)  # b[0] = C(n, k), b[j] = C(n + j*k, k)
         for k in range(n + 1):
-            term = comb(n, k) ** p[0]
-            for j in range(1, len(p)):
-                if p[j]:
-                    term *= comb(n + j * k, k) ** p[j]
+            term = b[0] ** p[0]
+            for j in used:
+                term *= b[j] ** p[j]
             total += term
+            b[0] = b[0] * (n - k) // (k + 1)
+            for j in used:
+                top = n + j * k
+                b[j] = (b[j] * prod(range(top + 1, top + j + 1))
+                        // ((k + 1) * prod(range(top - k + 1, top - k + j))))
         out.append(QQ(total))
     return TruncSeries(out)
 
@@ -72,23 +95,19 @@ TRIDENT_STEPS = StepSet([(1, 1), (0, 1), (-1, 1), (0, -1)])
 def gen_walk(steps: StepSet, n_terms: int) -> TruncSeries:
     """Counts of quarter-plane walks from the origin, by length.
 
-    Dynamic programming over positions; coordinates are capped by the
-    number of remaining steps, which keeps the state space quadratic.
+    Dynamic programming over the end positions of the walks of each
+    length.  Every walk is counted, so no reachable position is pruned.
     """
     if n_terms < 1:
         raise InputError("need at least one term")
-    cap = n_terms - 1
     state: Dict[Tuple[int, int], int] = {(0, 0): 1}
     counts = [1]
-    for length in range(1, n_terms):
+    for _ in range(1, n_terms):
         nxt: Dict[Tuple[int, int], int] = {}
-        remaining = cap - length
         for (x, y), ways in state.items():
             for dx, dy in steps.steps:
                 nx, ny = x + dx, y + dy
                 if nx < 0 or ny < 0:
-                    continue
-                if nx > remaining + cap or ny > remaining + cap:
                     continue
                 key = (nx, ny)
                 nxt[key] = nxt.get(key, 0) + ways
@@ -122,12 +141,6 @@ class MPoly:
     def constant_term(self):
         return self.terms.get((0,) * self.nvars, Q0)
 
-    def is_integer(self) -> bool:
-        return all(c.denominator == 1 for c in self.terms.values())
-
-    def max_degree(self, var: int) -> int:
-        return max((e[var] for e in self.terms), default=0)
-
     def __repr__(self) -> str:
         return "MPoly(%d vars, %d terms)" % (self.nvars, len(self.terms))
 
@@ -140,6 +153,8 @@ class DiagonalSpec:
     def __init__(self, num: MPoly, den: MPoly, vars: Sequence[str]):
         if len(vars) != num.nvars or len(vars) != den.nvars:
             raise InputError("variable list does not match polynomial arity")
+        if not vars:
+            raise InputError("a diagonal needs at least one variable")
         if den.constant_term() == 0:
             raise InputError("denominator must be a unit at the origin")
         self.num = num
@@ -150,115 +165,140 @@ class DiagonalSpec:
 def gen_diagonal(spec: DiagonalSpec, n_terms: int) -> TruncSeries:
     """Diagonal coefficients [x1^n ... xk^n] (num/den) for n < n_terms.
 
-    Expands 1/den by the convolution recurrence inside the box
-    [0, n_terms-1]^k.  The first variable is processed layer by layer and
-    only a sliding window of layers stays in memory; the remaining axes
-    are flattened with padding wide enough that out-of-range reads land
-    on cells that are provably zero.
+    Expands F = num/den by the convolution recurrence
+    F[e] = (num[e] - sum_t den[t] F[e - t]) / den[0] inside a box, in
+    three steps:
+
+    - Compress the lattice.  g_i is the gcd of the exponents of variable i
+      over the terms of num and den; substituting x_i^(g_i) -> x_i shrinks
+      the box g_i-fold along that axis.  A term with lcm(g) not dividing n
+      is 0 and costs nothing; a variable in no term (g_i = 0) leaves only
+      n = 0.
+    - Order the axes.  The diagonal is symmetric in the variables, so the
+      last axis is the one fewest den terms lie on alone (ties go to the
+      longer axis); the first axis is swept layer by layer, keeping only a
+      window of layers, and the axes between are rows.
+    - Sweep whole rows.  Every axis but the first is flattened, padded so
+      that reads before the start of an axis land on cells that stay zero,
+      so a den term is a constant offset and, unless it lies on the last
+      axis alone, contributes a whole row as one ``map`` over a slice of
+      an earlier layer or row; terms whose coefficients have the same size
+      share one multiplication.  Only the terms on the last axis alone run
+      along the row in order (``accumulate`` when there is one of them).
+
+    The cells are Python integers when den[0] divides every coefficient of
+    num and den, and ``Fraction`` otherwise; both go through this sweep.
     """
     if n_terms < 1:
         raise InputError("need at least one term")
     k = spec.den.nvars
-    if k == 1:
-        return _diagonal_univariate(spec, n_terms)
-    n = n_terms - 1
     c0 = spec.den.constant_term()
-    den_rest = [(e[0], e[1:], c) for e, c in spec.den.terms.items() if any(e)]
-    num_terms = [(e[0], e[1:], c) for e, c in spec.num.terms.items()]
-    window = max(
-        max((a for a, _, _ in den_rest), default=0),
-        max((a for a, _, _ in num_terms), default=0),
-    ) + 1
-
-    integral = (c0 == 1 or c0 == -1) and spec.den.is_integer() and spec.num.is_integer()
-    inv_c0 = None if integral else 1 / c0
-
-    def coef(c):
-        return int(c.numerator) if integral else c
-
-    # per-axis padding >= max exponent of that axis over all terms
-    pad = [0] * (k - 1)
-    for _, rest, _ in den_rest + num_terms:
-        for i, t in enumerate(rest):
-            pad[i] = max(pad[i], t)
-    sizes = [n + 1 + p for p in pad]
-    strides = [1] * (k - 1)
-    for i in range(k - 3, -1, -1):
-        strides[i] = strides[i + 1] * sizes[i + 1]
-    margin = sum(p * s for p, s in zip(pad, strides)) + 1
-    flat_size = margin + sizes[0] * strides[0]
-
-    def offset(rest: Tuple[int, ...]) -> int:
-        return sum(t * s for t, s in zip(rest, strides))
-
-    den_ops = [(a, offset(rest), coef(c)) for a, rest, c in den_rest]
-    num_ops = [(a, offset(rest), coef(c)) for a, rest, c in num_terms]
-
-    # positions of the true box cells in graded order (same-layer reads
-    # only ever look at strictly smaller grades)
-    by_grade: List[List[int]] = [[] for _ in range(n * (k - 1) + 1)]
-
-    def gen_boxes(pos, total, depth):
-        if depth == k - 1:
-            by_grade[total].append(margin + pos)
-            return
-        for v in range(n + 1):
-            gen_boxes(pos + v * strides[depth], total + v, depth + 1)
-
-    gen_boxes(0, 0, 0)
-    graded = [p for grade in by_grade for p in grade]
-
+    den = {e: -c / c0 for e, c in spec.den.terms.items() if any(e)}
+    num = {e: c / c0 for e, c in spec.num.terms.items()}
+    integral = all(c.denominator == 1 for c in chain(den.values(), num.values()))
+    if integral:
+        den = {e: c.numerator for e, c in den.items()}
+        num = {e: c.numerator for e, c in num.items()}
     zero = 0 if integral else Q0
-    negate = integral and c0 == -1
-    layers: List[List] = []
-    diag = []
-    diag_stride = sum(strides)
-    for a in range(n + 1):
-        cur = [zero] * flat_size
+
+    g = [gcd(*(e[i] for e in chain(den, num))) for i in range(k)]
+    period = lcm(*g)
+    top = (n_terms - 1) // period if period else 0
+    # diagonal cell t (the coefficient of n = t*period) sits at t*walk[i] on axis i
+    walk = [period // gi if gi else 0 for gi in g]
+    alone = [sum(1 for e in den if not any(e[:i] + e[i + 1:])) for i in range(k)]
+    last = min(range(k), key=lambda i: (alone[i], -walk[i]))
+    axes = [i for i in range(k) if i != last] + [last]
+    if k == 1:
+        axes = [None] + axes  # a one-layer first axis
+
+    def squeeze(e: Tuple[int, ...]) -> Tuple[int, ...]:
+        return tuple(e[i] // g[i] if i is not None and g[i] else 0 for i in axes)
+
+    walk = [0 if i is None else walk[i] for i in axes]
+    ext = [top * w for w in walk]
+    den_sq = [(squeeze(e), c) for e, c in den.items()]
+
+    # flat layout of one layer: axes 1.., each padded past its end
+    dims = len(axes)
+    pad = [max((e[i] for e, _ in den_sq), default=0) for i in range(dims)]
+    strides = [0] * dims
+    size = 1
+    for i in range(dims - 1, 0, -1):
+        strides[i] = size
+        size *= ext[i] + 1 + pad[i]
+    margin = sum(p * s for p, s in zip(pad, strides))
+    run = ext[-1] + 1
+
+    def offset(e: Tuple[int, ...]) -> int:
+        return sum(t * s for t, s in zip(e, strides))
+
+    rows = [margin + offset((0,) + v + (0,))
+            for v in product(*(range(x + 1) for x in ext[1:-1]))]
+    # terms off the last axis, grouped by the size of their coefficient so
+    # that each group costs one multiplication per cell: m * (r1 +- r2 ...),
+    # its first term taken with a plus sign (m is negated if none has one)
+    cross: Dict[object, List[Tuple[int, int, bool]]] = {}
+    for e, c in den_sq:
+        if any(e[:-1]):
+            cross.setdefault(abs(c), []).append((e[0], offset(e), c > 0))
+    groups = []
+    for m, ts in cross.items():
+        ts.sort(key=lambda t: not t[2])
+        if not ts[0][2]:
+            m, ts = -m, [(t0, off, not pos) for t0, off, pos in ts]
+        groups.append((m, ts))
+    along = [(e[-1], c) for e, c in den_sq if not any(e[:-1])]
+    sources: Dict[Tuple[int, int], List] = {}
+    for e, c in num.items():
+        e = squeeze(e)
+        if all(a <= x for a, x in zip(e, ext)):
+            row = margin + offset(e[:-1] + (0,))
+            sources.setdefault((e[0], row), []).append((e[-1], c))
+    reads: Dict[int, List[Tuple[int, int]]] = {}
+    for t in range(top + 1):
+        cell = [t * w for w in walk]
+        reads.setdefault(cell[0], []).append((t * period, margin + offset(cell)))
+
+    window = max((t[0] for ts in cross.values() for t in ts), default=0) + 1
+    layers = [[zero] * (margin + size) for _ in range(window)]  # zero layers before layer 0
+    out = [zero] * n_terms
+    for a in range(ext[0] + 1):
+        cur = [zero] * (margin + size)
         layers.append(cur)
-        if len(layers) > window:
-            layers.pop(0)
-        top = len(layers) - 1
-        active = [(layers[top - at], off, c) for at, off, c in den_ops if at <= a and at <= top]
-        for pos in graded:
-            total = zero
-            for lay, off, c in active:
-                v = lay[pos - off]
-                if v:
-                    total += c * v
-            if a == 0 and pos == margin:
-                total = 1 - total  # delta at the origin
-            else:
-                total = -total
-            if negate:
-                total = -total
-            elif not integral:
-                total = total * inv_c0
-            cur[pos] = total
-        pos_want = margin + a * diag_stride
-        acc = zero
-        for at, off, c in num_ops:
-            if at > a or at > top:
-                continue
-            v = layers[top - at][pos_want - off]
-            if v:
-                acc += c * v
-        diag.append(acc)
-    return TruncSeries([QQ(c) if isinstance(c, int) else c for c in diag])
-
-
-def _diagonal_univariate(spec: DiagonalSpec, n_terms: int) -> TruncSeries:
-    """Degenerate one-variable case: plain Taylor expansion of num/den."""
-    c0 = spec.den.constant_term()
-    den = {e[0]: c for e, c in spec.den.terms.items()}
-    num = {e[0]: c for e, c in spec.num.terms.items()}
-    out: List = []
-    for m in range(n_terms):
-        acc = num.get(m, Q0)
-        for t, c in den.items():
-            if t and t <= m:
-                acc -= c * out[m - t]
-        out.append(acc / c0)
+        del layers[0]
+        active = [(m, [(layers[-1 - t0], off, pos) for t0, off, pos in ts]) for m, ts in groups]
+        for base in rows:
+            acc = None
+            for m, ts in active:
+                part = None
+                for lay, off, pos in ts:
+                    cells = lay[base - off:base - off + run]
+                    part = cells if part is None else map(add if pos else sub, part, cells)
+                if acc is None:
+                    acc = part if m == 1 else map(m.__mul__, part)
+                elif m == 1:
+                    acc = map(add, acc, part)
+                elif m == -1:
+                    acc = map(sub, acc, part)
+                else:
+                    acc = map(add, acc, map(m.__mul__, part))
+            acc = [zero] * run if acc is None else list(acc)
+            for v, c in sources.get((a, base), ()):
+                acc[v] += c
+            if len(along) == 1:
+                d, c = along[0]
+                step = add if c == 1 else (lambda prev, x: x + c * prev)
+                for r in range(d):
+                    acc[r::d] = accumulate(acc[r::d], step)
+            elif along:
+                for v in range(run):
+                    for d, c in along:
+                        if d <= v:
+                            acc[v] += c * acc[v - d]
+            cur[base:base + run] = acc
+        for n, pos in reads.get(a, ()):
+            out[n] = cur[pos]
     return TruncSeries(out)
 
 

@@ -6,9 +6,11 @@ operation for lclm and cofactors, the full reduced row echelon form mod p
 for kernel vectors, and a brute-force fraction iteration over F_p(z) for
 the p-curvature and its rank.  They are slow and deliberately independent
 of the fraction-free Z[z] kernels and the forward-only mod-p elimination
-in ``dfinite``.
+in ``dfinite``.  Diagonals are checked against a cell-by-cell expansion
+of 1/den over the full box, with no lattice compression.
 """
 
+import itertools
 import math
 from typing import List, Optional, Tuple
 
@@ -390,3 +392,35 @@ def p_curvature_oracle(op: DiffOp, p: int) -> Optional[Tuple[bool, int]]:
     if mat is None:
         return None
     return all(not x[0] for row in mat for x in row), fp_ratfunc_rank(mat, p)
+
+
+# ---------------------------------------------------------------------------
+# diagonals of rational functions
+# ---------------------------------------------------------------------------
+
+
+def diagonal_bruteforce(spec, n_terms: int) -> List:
+    """[x1^n ... xk^n] num/den for n < n_terms: 1/den expanded cell by cell
+    over the box [0, n_terms)^k in graded order, then convolved with num
+    at the diagonal cells."""
+    num, den = spec.num.terms, spec.den.terms
+    k = spec.den.nvars
+    c0 = spec.den.constant_term()
+    box = sorted(itertools.product(range(n_terms), repeat=k), key=lambda e: (sum(e), e))
+    inv = {}
+    for e in box:
+        acc = QQ(1) if not any(e) else QQ(0)
+        for t, c in den.items():
+            src = tuple(a - b for a, b in zip(e, t))
+            if any(t) and min(src) >= 0:
+                acc -= c * inv[src]
+        inv[e] = acc / c0
+    out = []
+    for n in range(n_terms):
+        acc = QQ(0)
+        for t, c in num.items():
+            src = tuple(n - b for b in t)
+            if min(src) >= 0:
+                acc += c * inv[src]
+        out.append(acc)
+    return out

@@ -1,6 +1,10 @@
+import hashlib
+import math
 from math import comb
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dfinite import (
     DiagonalSpec,
@@ -15,6 +19,12 @@ from dfinite import (
 )
 from dfinite.errors import InputError
 from dfinite.rationals import QQ
+
+from oracles import diagonal_bruteforce
+
+
+def _sha(f):
+    return hashlib.sha256(",".join(map(str, f.coeffs)).encode()).hexdigest()
 
 
 def test_binomial_sum_apery():
@@ -68,6 +78,34 @@ def test_walk_up_down_matches_bruteforce():
     assert [int(c) for c in f.coeffs[:5]] == [1, 1, 2, 3, 6]
 
 
+def _walks_bruteforce(steps, n):
+    paths = [(0, 0)]
+    for _ in range(n):
+        paths = [(x + dx, y + dy) for x, y in paths for dx, dy in steps.steps
+                 if x + dx >= 0 and y + dy >= 0]
+    return len(paths)
+
+
+@pytest.mark.parametrize("steps", [
+    [(2, 0)],
+    [(2, 0), (0, 1)],
+    [(3, -1), (-2, 2), (0, -1)],
+    [(-3, 2), (1, -2), (1, 1)],
+])
+def test_walk_long_steps(steps):
+    # long steps once lost walks to a position cap that assumed unit
+    # steps, so the counts depended on how many terms were asked for
+    s = StepSet(steps)
+    f = gen_walk(s, 20)
+    assert gen_walk(s, 8).coeffs == f.coeffs[:8]
+    assert [int(c) for c in f.coeffs[:9]] == [_walks_bruteforce(s, n) for n in range(9)]
+
+
+def test_walk_long_steps_counts():
+    assert [int(c) for c in gen_walk(StepSet([(2, 0)]), 10).coeffs] == [1] * 10
+    assert [int(c) for c in gen_walk(StepSet([(2, 0), (0, 1)]), 10).coeffs] == [2 ** n for n in range(10)]
+
+
 def test_diagonal_central_binomial():
     spec = DiagonalSpec(
         MPoly(2, {(0, 0): 1}),
@@ -83,36 +121,94 @@ def test_diagonal_bruteforce_oracle():
     num = MPoly(2, {(0, 0): 1, (1, 0): 2})
     den = MPoly(2, {(0, 0): 1, (1, 0): -1, (0, 1): -2, (1, 1): 3})
     spec = DiagonalSpec(num, den, ["x", "y"])
-    n_terms = 7
+    assert list(gen_diagonal(spec, 7).coeffs) == diagonal_bruteforce(spec, 7)
 
-    def oracle():
-        big = 2 * n_terms
-        inv = {(0, 0): QQ(1)}
-        box = [(i, j) for i in range(big) for j in range(big)]
-        box.sort(key=lambda e: (e[0] + e[1], e))
-        for e in box:
-            if e == (0, 0):
-                continue
-            acc = QQ(0)
-            for t, c in den.terms.items():
-                if t == (0, 0):
-                    continue
-                src = (e[0] - t[0], e[1] - t[1])
-                if src[0] >= 0 and src[1] >= 0:
-                    acc += c * inv.get(src, QQ(0))
-            inv[e] = -acc
-        out = []
-        for n in range(n_terms):
-            acc = QQ(0)
-            for t, c in num.terms.items():
-                src = (n - t[0], n - t[1])
-                if src[0] >= 0 and src[1] >= 0:
-                    acc += c * inv.get(src, QQ(0))
-            out.append(acc)
+
+@st.composite
+def diagonal_specs(draw):
+    """num/den in 1 to 4 variables.  Each variable's den exponents are
+    scaled by 0 (the variable is absent), 1, 2 or 3, so per-axis gcds above
+    1 are common; num exponents are scaled too, or drawn freely so that
+    they can leave the den lattice."""
+    k = draw(st.integers(1, 4))
+    scale = draw(st.lists(st.sampled_from([0, 1, 2, 3]), min_size=k, max_size=k))
+    coef = st.one_of(st.integers(-3, 3), st.fractions(-2, 2, max_denominator=3))
+
+    def monos(on_lattice, max_size):
+        expo = st.lists(st.integers(0, 2), min_size=k, max_size=k)
+        out = {}
+        for e in draw(st.lists(expo, max_size=max_size)):
+            if on_lattice:
+                e = [a * g for a, g in zip(e, scale)]
+            out[tuple(e)] = draw(coef)
         return out
 
-    f = gen_diagonal(spec, n_terms)
-    assert list(f.coeffs) == oracle()
+    den = {e: c for e, c in monos(True, 4).items() if any(e)}
+    den[(0,) * k] = draw(st.sampled_from([QQ(1), QQ(-1), QQ(2), QQ(-3, 2)]))
+    num = monos(draw(st.booleans()), 3)
+    names = ["x%d" % i for i in range(k)]
+    return DiagonalSpec(MPoly(k, num), MPoly(k, den), names), draw(st.integers(1, 7 - k))
+
+
+def _spec(k, num, den):
+    return DiagonalSpec(MPoly(k, num), MPoly(k, den), ["x%d" % i for i in range(k)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(diagonal_specs())
+# per-axis gcd 2 and 3, with the num term (1, 0, 3) breaking the lattice
+@example((_spec(3, {(0, 0, 0): 1, (1, 0, 3): 2}, {(0, 0, 0): 1, (2, 0, 3): -1, (0, 1, 6): 1, (2, 1, 0): -2}), 7))
+# x1 absent from every term; c0 = -1
+@example((_spec(3, {(0, 0, 0): 2}, {(0, 0, 0): -1, (1, 0, 0): 1, (0, 0, 1): 3}), 5))
+# rational c0; x1 has one term alone, of step 2, and x0 has two
+@example((_spec(2, {(0, 0): 1, (1, 1): 1},
+                {(0, 0): QQ(-3, 2), (0, 2): 1, (1, 0): QQ(1, 3), (2, 0): 1, (1, 1): 2}), 7))
+# one variable, several terms
+@example((_spec(1, {(0,): 1, (2,): -1}, {(0,): 1, (1,): -1, (3,): 2}), 8))
+def test_diagonal_matches_bruteforce(case):
+    spec, n_terms = case
+    assert list(gen_diagonal(spec, n_terms).coeffs) == diagonal_bruteforce(spec, n_terms)
+
+
+def _criterion_6_den(first_factor):
+    out = {}
+    for e1, c1 in first_factor.items():
+        for e2, c2 in {(0, 0, 0): 1, (1, 0, 0): -1, (1, 1, 0): -1}.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return out
+
+
+def test_diagonal_criterion_6_pinned():
+    # the terms criterion 6 (i) and (ii) guess from, as a cell-by-cell
+    # expansion of the full box gives them; (ii) is a series in z^2
+    f = gen_diagonal(_spec(3, {(0, 0, 0): 1}, _criterion_6_den(
+        {(0, 0, 0): 1, (1, 0, 0): -5, (0, 1, 1): -7, (0, 0, 2): -13})), 120)
+    assert _sha(f) == "ed7c948ff1e62e0ffb6de438454a0b8a0e535f7553e3b25e1a63c51ed9ef8d06"
+    g = gen_diagonal(_spec(3, {(0, 0, 0): 1}, _criterion_6_den(
+        {(0, 0, 0): 1, (1, 0, 0): -1, (0, 1, 0): -1, (0, 0, 2): -1})), 190)
+    assert _sha(g) == "ffe09c176e1bceda8322da7b156ca1f35d75e81c2c04d8b73b7fd724682e97eb"
+    assert all(c == 0 for c in g.coeffs[1::2])
+
+
+@pytest.mark.parametrize("powers,digest", [
+    ([1, 1], "1bcef8f6f162b916fc6d83098dffc6bb147cf265dc07d9495d5fdbc98966dea8"),
+    ([2, 2], "0191cbe7975388dcafe8de1d0fb39ddfb2e5800bcaf6a0750474a87a01e66c09"),
+    ([4, 1], "0a89978f2e39cb6df475d3d83a3e6333e8282f047b4487cdffaf3bba0da3974f"),
+    ([1, 0, 1], "d8fb8576c356c3c45f8e10ef095b44c62a7db74fcc87fb4def6e547a09c36d9e"),
+])
+def test_binomial_sum_pinned(powers, digest):
+    # the terms criterion 5 guesses from, as math.comb for every term gives them
+    assert _sha(gen_binomial_sum(powers, 300)) == digest
+
+
+def test_binomial_sum_matches_comb():
+    for powers in ([1, 2, 0, 1], [3, 0, 0, 2], [1, 1, 1, 1]):
+        f = gen_binomial_sum(powers, 15)
+        want = [sum(comb(n, k) ** powers[0]
+                    * math.prod(comb(n + j * k, k) ** e for j, e in enumerate(powers) if j)
+                    for k in range(n + 1)) for n in range(15)]
+        assert [int(c) for c in f.coeffs] == want
 
 
 def test_diagonal_binomial_double_product():
@@ -146,6 +242,8 @@ def test_delannoy_recurrence():
 def test_diagonal_rejects_nonunit():
     with pytest.raises(InputError):
         DiagonalSpec(MPoly(1, {(0,): 1}), MPoly(1, {(1,): 1}), ["x"])
+    with pytest.raises(InputError):
+        DiagonalSpec(MPoly(0, {(): 1}), MPoly(0, {(): 1}), [])
 
 
 def test_diagonal_rational_coefficients():
