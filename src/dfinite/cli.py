@@ -239,6 +239,14 @@ def _cmd_grade_bound(args) -> int:
     return EXIT_OK
 
 
+def _mpoly(nvars: int, pairs) -> MPoly:
+    """MPoly from JSON [coefficient, exponent] pairs; a repeated monomial sums."""
+    terms = {}
+    for c, e in pairs:
+        terms[tuple(e)] = terms.get(tuple(e), 0) + QQ(c)
+    return MPoly(nvars, terms)
+
+
 def _cmd_gen(args) -> int:
     n = args.n
     if args.what == "apery":
@@ -259,8 +267,7 @@ def _cmd_gen(args) -> int:
             with open(args.spec) as fh:
                 data = json.load(fh)
             nvars = len(data["vars"])
-            num = MPoly(nvars, {tuple(e): QQ(c) for c, e in data["num"]})
-            den = MPoly(nvars, {tuple(e): QQ(c) for c, e in data["den"]})
+            num, den = (_mpoly(nvars, data[key]) for key in ("num", "den"))
             spec = DiagonalSpec(num, den, data["vars"])
         else:
             p, q = (int(t) for t in args.powers.split(","))

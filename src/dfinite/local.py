@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .errors import InputError, IrregularPoint, ZeroDivisorSplit
 from .ore import DiffOp, op_mul_raw
-from .polys import Poly, format_poly
+from .polys import Poly, _zclear, _zresultant, format_poly
 from .quotient import DomainQQ, ModRing, QQ_DOMAIN, gcd_with_modulus, split_cases
 from .rationals import QQ, Q0, Q1, is_integer
 
@@ -328,36 +328,21 @@ def rational_roots_nf(ind: List, dom) -> List[Tuple[object, int]]:
     if isinstance(dom, DomainQQ):
         return _rational_roots_lam_q(ind)
     ring: ModRing = dom
-    # candidates: rational roots of Res_alpha(m, P); a root valid on any
-    # branch must divide the resultant
-    import sympy
-
-    x, lam = sympy.symbols("x lam")
-    m_expr = sum(
-        sympy.Rational(int(c.numerator), int(c.denominator)) * x ** i
-        for i, c in enumerate(ring.modulus.coeffs)
-    )
-    p_expr = 0
-    all_zero = True
+    # candidates: rational roots of Res_a(P(a, lam), m(a)); a root valid on
+    # any branch divides it.  P and m are cleared to integers (P with one
+    # common factor), which scales the resultant by a nonzero constant.
+    p_polys = [Poly(e.coeffs) for e in ind]
     content = None
-    for j, e in enumerate(ind):
-        e_poly = Poly(e.coeffs)
+    for e_poly in p_polys:
         if not e_poly.is_zero():
-            all_zero = False
             content = e_poly.monic() if content is None else content.gcd(e_poly)
-        for d, c in enumerate(e.coeffs):
-            if c != 0:
-                p_expr += sympy.Rational(int(c.numerator), int(c.denominator)) * x ** d * lam ** j
-    if all_zero:
+    if content is None:
         raise InputError("zero polynomial")
     g = content.gcd(ring.modulus)
     if g.degree > 0:
         # the whole polynomial vanishes on a sub-branch
         raise ZeroDivisorSplit(g, ring.modulus.exact_div(g))
-    res = sympy.resultant(sympy.Poly(p_expr, x), sympy.Poly(m_expr, x), x)
-    res_poly = sympy.Poly(sympy.expand(res), lam)
-    cand = Poly([QQ(int(sympy.Rational(c).p), int(sympy.Rational(c).q))
-                 for c in reversed(res_poly.all_coeffs())])
+    cand = Poly(_zresultant(_zclear(p_polys), _zclear([ring.modulus])[0]))
     if cand.is_zero():
         raise AssertionError("resultant vanished despite trivial content")
     out = []

@@ -3,7 +3,10 @@
 Coefficients are stored lowest degree first; the zero polynomial is the
 empty coefficient tuple.  Rational-root extraction is delegated to
 sympy's factorization (linear factors of the squarefree part), which
-avoids factoring large integer constant terms.
+avoids factoring large integer constant terms.  Every resultant goes
+through one integer boundary, ``_zresultant``: inputs are cleared to
+Z once and sympy's subresultant runs over Z[x, lam].  sympy is imported
+inside the functions that use it, never at module import.
 """
 
 from __future__ import annotations
@@ -13,16 +16,17 @@ from typing import Iterable, List, Sequence, Tuple
 
 from .rationals import QQ, Q0, Q1
 
-_SYMPY_X = None
+_SYMPY_GENS = None
 
 
-def _sympy_x():
-    global _SYMPY_X
-    if _SYMPY_X is None:
+def _sympy_gens():
+    """The sympy symbols (x, lam), made on first use."""
+    global _SYMPY_GENS
+    if _SYMPY_GENS is None:
         import sympy
 
-        _SYMPY_X = sympy.Symbol("x")
-    return _SYMPY_X
+        _SYMPY_GENS = (sympy.Symbol("x"), sympy.Symbol("lam"))
+    return _SYMPY_GENS
 
 
 class Poly:
@@ -253,7 +257,7 @@ class Poly:
             return []
         import sympy
 
-        x = _sympy_x()
+        x = _sympy_gens()[0]
         p, _ = self.int_clear()
         expr = sympy.Poly([int(c.numerator) for c in reversed(p.coeffs)], x)
         roots = []
@@ -265,21 +269,16 @@ class Poly:
         return roots
 
     def resultant(self, other: "Poly") -> object:
-        """Resultant over Q (sympy-backed)."""
-        import sympy
+        """Resultant over Q, 0 if either operand is zero.
 
-        x = _sympy_x()
-
-        def to_sympy(p: "Poly"):
-            return sympy.Poly(
-                [sympy.Rational(int(c.numerator), int(c.denominator))
-                 for c in reversed(p.coeffs)] or [0],
-                x,
-            )
-
-        r = sympy.resultant(to_sympy(self), to_sympy(other), x)
-        r = sympy.Rational(r)
-        return QQ(int(r.p), int(r.q))
+        Both operands are cleared to integer polynomials c_a * a and
+        c_b * b, whose resultant is c_a^deg(b) * c_b^deg(a) times this one.
+        """
+        (a, ca), (b, cb) = self.int_clear(), other.int_clear()
+        r = _zresultant([[c.numerator for c in a.coeffs]], [c.numerator for c in b.coeffs])
+        if not r:
+            return Q0
+        return QQ(r[0]) / (ca ** other.degree * cb ** self.degree)
 
     # -- display ---------------------------------------------------------
 
@@ -398,6 +397,25 @@ def _zprimitive(a: List[int]) -> List[int]:
     if a[-1] < 0:
         g = -g
     return a if g == 1 else [x // g for x in a]
+
+
+def _zresultant(p: Sequence[Sequence[int]], m: Sequence[int]) -> List[int]:
+    """Res_x(P, m) in Z[lam], lowest degree first ([] for zero), where
+    P = sum_j p[j](x) lam^j and p[j], m are integer lists in x.
+
+    sympy's subresultant PRS runs on ``sympy.Poly`` objects over ZZ in
+    the generators (x, lam), built from the integers directly.
+    ``sympy.resultant`` is looked up at call time, so a wrapper installed
+    on the sympy module sees every call.
+    """
+    import sympy
+
+    x, lam = _sympy_gens()
+    pd = {(i, j): c for j, pj in enumerate(p) for i, c in enumerate(pj) if c}
+    md = {(i, 0): c for i, c in enumerate(m) if c}
+    r = sympy.resultant(sympy.Poly.from_dict(pd, x, lam, domain=sympy.ZZ),
+                        sympy.Poly.from_dict(md, x, lam, domain=sympy.ZZ))
+    return _ztrim([int(c) for c in reversed(r.all_coeffs())])
 
 
 def _zgcd(a: List[int], b: List[int]) -> List[int]:

@@ -7,7 +7,9 @@ for kernel vectors, and a brute-force fraction iteration over F_p(z) for
 the p-curvature and its rank.  They are slow and deliberately independent
 of the fraction-free Z[z] kernels and the forward-only mod-p elimination
 in ``dfinite``.  Diagonals are checked against a cell-by-cell expansion
-of 1/den over the full box, with no lattice compression.
+of 1/den over the full box, with no lattice compression.  Resultants are
+taken by sympy over Q[lam] from symbolic expressions, with no clearing
+to integers.
 """
 
 import itertools
@@ -18,8 +20,11 @@ import numpy as np
 
 from dfinite import DiffOp, Poly
 from dfinite.algebraic import _invert_mod, _mul_mod, _ratfunc_poly_divmod
+from dfinite.errors import InputError, ZeroDivisorSplit
+from dfinite.local import _lam_eval, _lam_trim
 from dfinite.ore import _d_compose, _to_ratfuncs
 from dfinite.polys import RatFunc
+from dfinite.quotient import DomainQQ, ModRing, gcd_with_modulus
 from dfinite.rationals import QQ
 
 
@@ -423,4 +428,96 @@ def diagonal_bruteforce(spec, n_terms: int) -> List:
             if min(src) >= 0:
                 acc += c * inv[src]
         out.append(acc)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# resultants over Q[lam]
+# ---------------------------------------------------------------------------
+
+
+def resultant_oracle(a: Poly, b: Poly):
+    """Res(a, b) by sympy over Q, from ``sympy.Rational`` coefficients."""
+    import sympy
+
+    x = sympy.Symbol("x")
+
+    def to_sympy(p: Poly):
+        return sympy.Poly(
+            [sympy.Rational(int(c.numerator), int(c.denominator))
+             for c in reversed(p.coeffs)] or [0],
+            x,
+        )
+
+    r = sympy.resultant(to_sympy(a), to_sympy(b), x)
+    r = sympy.Rational(r)
+    return QQ(int(r.p), int(r.q))
+
+
+def resultant_candidates_oracle(ind: List, ring: ModRing) -> Poly:
+    """Res_x(P(x, lam), m(x)) over Q[lam], built from symbolic sums."""
+    import sympy
+
+    x, lam = sympy.symbols("x lam")
+    m_expr = sum(
+        sympy.Rational(int(c.numerator), int(c.denominator)) * x ** i
+        for i, c in enumerate(ring.modulus.coeffs)
+    )
+    p_expr = 0
+    for j, e in enumerate(ind):
+        for d, c in enumerate(e.coeffs):
+            if c != 0:
+                p_expr += sympy.Rational(int(c.numerator), int(c.denominator)) * x ** d * lam ** j
+    res = sympy.resultant(sympy.Poly(p_expr, x), sympy.Poly(m_expr, x), x)
+    res_poly = sympy.Poly(sympy.expand(res), lam)
+    return Poly([QQ(int(sympy.Rational(c).p), int(sympy.Rational(c).q))
+                 for c in reversed(res_poly.all_coeffs())])
+
+
+def rational_roots_nf_oracle(ind: List, dom) -> List[Tuple[object, int]]:
+    """``local.rational_roots_nf`` with its candidates taken over Q[lam]."""
+    if isinstance(dom, DomainQQ):
+        return Poly(ind).rational_roots()
+    ring: ModRing = dom
+    all_zero = True
+    content = None
+    for e in ind:
+        e_poly = Poly(e.coeffs)
+        if not e_poly.is_zero():
+            all_zero = False
+            content = e_poly.monic() if content is None else content.gcd(e_poly)
+    if all_zero:
+        raise InputError("zero polynomial")
+    g = content.gcd(ring.modulus)
+    if g.degree > 0:
+        # the whole polynomial vanishes on a sub-branch
+        raise ZeroDivisorSplit(g, ring.modulus.exact_div(g))
+    cand = resultant_candidates_oracle(ind, ring)
+    if cand.is_zero():
+        raise AssertionError("resultant vanished despite trivial content")
+    out = []
+    for r, _ in cand.rational_roots():
+        mult = 0
+        rem = list(ind)
+        while rem:
+            value = _lam_eval(rem, dom.from_rat(r), dom)
+            if dom.is_zero(value):
+                pass
+            else:
+                gg = gcd_with_modulus(value, ring.modulus)
+                if gg.degree == 0:
+                    break
+                raise ZeroDivisorSplit(gg, ring.modulus.exact_div(gg))
+            mult += 1
+            # synthetic division by (lam - r)
+            new = []
+            carry = dom.zero()
+            for c in reversed(rem):
+                carry = c + carry * dom.from_rat(r)
+                new.append(carry)
+            new.reverse()
+            rem = _lam_trim(new[1:], dom)
+        if mult:
+            out.append((r, mult))
+    out.sort(key=lambda t: t[0])
     return out

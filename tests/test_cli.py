@@ -1,10 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from dfinite import cli
 from dfinite.cli import main
 from dfinite.errors import PrecisionTooLow
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _run(capsys, argv):
@@ -166,6 +172,28 @@ def test_cli_gen_diagonal_spec(capsys, tmp_path):
     code, out = _run(capsys, ["gen", "diagonal", "--spec", str(spec), "-n", "5"])
     assert code == 0
     assert out["coefficients"] == ["1", "2", "6", "20", "70"]
+
+
+def test_cli_gen_diagonal_spec_repeated_monomial(capsys, tmp_path):
+    # -x listed twice is -2x: the diagonal of 1/(1-2x-y)
+    spec = tmp_path / "diag.json"
+    spec.write_text(json.dumps({
+        "vars": ["x", "y"],
+        "num": [[1, [0, 0]]],
+        "den": [[1, [0, 0]], [-1, [1, 0]], [-1, [1, 0]], [-1, [0, 1]]],
+    }))
+    code, out = _run(capsys, ["gen", "diagonal", "--spec", str(spec), "-n", "4"])
+    assert code == 0
+    assert out["coefficients"] == ["1", "4", "24", "160"]
+
+
+def test_import_leaves_sympy_unloaded():
+    # sympy is imported lazily, inside the polys functions that need it
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    code = "import sys, dfinite; sys.exit('sympy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr or "import dfinite loaded sympy"
 
 
 def test_cli_verify_roundtrip(capsys, apery_file, tmp_path):

@@ -1,6 +1,12 @@
+import hashlib
+import json
 import random
+from functools import reduce
+from pathlib import Path
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from dfinite import (
     DiffOp,
@@ -15,11 +21,17 @@ from dfinite import (
     singularities,
     transform_infinity,
 )
-from dfinite.errors import IrregularPoint
+from dfinite.errors import InputError, IrregularPoint, ZeroDivisorSplit
+from dfinite.fileio import op_from_json
 from dfinite.hypergeom import HypParams, hypergeometric_operator
-from dfinite.local import _local_coeffs, apply_local, rational_roots_nf
+import dfinite.local as local_mod
+from dfinite.local import _lam_mul, _lam_trim, _local_coeffs, apply_local, rational_roots_nf
+from dfinite.polys import _zclear, _zresultant
 from dfinite.quotient import QQ_DOMAIN
 from dfinite.rationals import QQ
+from oracles import rational_roots_nf_oracle, resultant_candidates_oracle
+
+BENCH_DATA = Path(__file__).resolve().parents[1] / "bench" / "data"
 
 
 def _pt(v):
@@ -107,6 +119,93 @@ def test_rational_roots_nf_partial_vanishing_splits():
 
     with pytest.raises(ZeroDivisorSplit):
         rational_roots_nf(lam_poly, ring)
+
+
+_rats = st.fractions(min_value=-4, max_value=4, max_denominator=4)
+
+
+@st.composite
+def nf_cases(draw):
+    """(lambda-polynomial, ring) over Q[a]/(m), deg m in 1..4, m a product
+    of distinct random factors.  Planted: rational roots, a root that holds
+    only where the first factor f0 vanishes, and content f0."""
+    factors = []
+    room = 4
+    while room and (not factors or draw(st.booleans())):
+        f = draw(st.lists(_rats, min_size=2, max_size=room + 1).map(Poly))
+        assume(f.degree >= 1)
+        factors.append(f)
+        room -= f.degree
+    m = reduce(lambda a, b: a * b, factors)
+    assume(m.gcd(m.derivative()).degree == 0)
+    ring = ModRing(m)
+    f0 = ring.el(factors[0].coeffs)
+    ind = draw(st.lists(st.lists(_rats, min_size=1, max_size=4).map(ring.el), min_size=1, max_size=3))
+    for r in draw(st.lists(_rats, max_size=2)):
+        ind = _lam_mul(ind, [ring.from_rat(-r), ring.one()], ring)
+    if draw(st.booleans()):
+        ind = _lam_mul(ind, [ring.from_rat(-draw(_rats)) - f0, ring.one()], ring)
+    if len(factors) > 1 and draw(st.booleans()):
+        ind = [c * f0 for c in ind]
+    return _lam_trim(ind, ring), ring
+
+
+def _nf_outcome(fn, ind, ring):
+    try:
+        return fn(ind, ring)
+    except ZeroDivisorSplit as e:
+        return ("split", e.factor, e.cofactor)
+    except InputError as e:
+        return ("error", str(e))
+
+
+_QUARTIC = ModRing(Poly([-2, 0, 1]) * Poly([-3, 0, 1]))
+_CUBIC = ModRing(Poly([-2, 0, 0, 1]))
+
+
+@settings(max_examples=120, deadline=None)
+@given(nf_cases())
+@example(([_CUBIC.el([QQ(3, 2), 1])], _CUBIC))  # no lambda
+@example(([_CUBIC.gen() * (-1), _CUBIC.zero(), _CUBIC.zero(), _CUBIC.one()], _CUBIC))
+@example(([_QUARTIC.el([2, 0, -1]), _QUARTIC.one()], _QUARTIC))  # root on a^2 = 2 only
+@example(([_QUARTIC.el([-2, 0, 1]), _QUARTIC.el([0, 0, -2, 0])], _QUARTIC))  # content a^2 - 2
+def test_rational_roots_nf_matches_q_lambda_oracle(case):
+    ind, ring = case
+    got = _nf_outcome(rational_roots_nf, ind, ring)
+    assert got == _nf_outcome(rational_roots_nf_oracle, ind, ring)
+    if isinstance(got, list):
+        # the integer candidates are the Q[lambda] ones up to a constant
+        cand = Poly(_zresultant(_zclear([Poly(e.coeffs) for e in ind]), _zclear([ring.modulus])[0]))
+        assert cand.monic() == resultant_candidates_oracle(ind, ring).monic()
+
+
+# sha256 prefixes of the monic candidates Res_a(P(a, lam), m(a)) of every
+# cluster the local-scan operators meet, in scan order, from the Q[lambda]
+# oracle
+_LOCAL_SCAN_CANDIDATES = {
+    "family_1_3": ["e0d06cbb608866fe", "3d9b56fa984a5ab2", "8179eba4c312447e"],
+    "family_3_1": ["e0d06cbb608866fe", "3d9b56fa984a5ab2", "8179eba4c312447e"],
+    "family_2_3": ["ec4606bdda35adbf", "020c8519fe5465cc", "e07b120a7e0f01ca"],
+    "diagonal_6i": ["9a4d61175e0754ed", "df7c0e8aa0b44742", "36d30ae7fb42b3cf"],
+}
+
+
+def test_local_scan_candidates_pinned(monkeypatch):
+    seen = []
+
+    def recording(p, m):
+        r = _zresultant(p, m)
+        monic = Poly(r).monic()
+        seen.append(hashlib.sha256(",".join(map(str, monic.coeffs)).encode()).hexdigest()[:16])
+        return r
+
+    monkeypatch.setattr(local_mod, "_zresultant", recording)
+    for name, pins in _LOCAL_SCAN_CANDIDATES.items():
+        op = op_from_json(json.loads((BENCH_DATA / (name + ".json")).read_text())["operator"])
+        seen.clear()
+        for pt in singularities(op):
+            indicial_branches(op, pt)
+        assert seen == pins, name
 
 
 def test_formal_solutions_log_relaxed(log_op):

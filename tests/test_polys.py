@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from dfinite.polys import Poly, RatFunc
 from dfinite.rationals import QQ, rat_from_str, rat_to_str
-from oracles import fraction_gcd
+from oracles import fraction_gcd, resultant_oracle
 
 _polys = st.lists(st.fractions(min_value=-30, max_value=30, max_denominator=12),
                   max_size=6).map(Poly)
@@ -102,3 +102,13 @@ def test_gcd_matches_fraction_euclid(a, b, c):
     for x, y in ((a * c, b * c), (a, b), (a * c, c), (a, Poly()), (Poly(), b),
                  (Poly(), Poly()), (Poly([QQ(-7, 3)]), b * c), (a * c, a * c)):
         assert x.gcd(y) == fraction_gcd(x, y), (x, y)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_polys, _polys, _polys)
+def test_resultant_matches_sympy_over_q(a, b, c):
+    # a common factor c makes the resultant 0; zero and constants ride along
+    for x, y in ((a, b), (b, a), (a * c, b * c), (a, Poly()), (Poly(), b),
+                 (Poly(), Poly()), (Poly([QQ(-7, 3)]), b), (a, Poly([QQ(5, 4)])),
+                 (Poly([QQ(2, 9)]), Poly([QQ(-3)]))):
+        assert x.resultant(y) == resultant_oracle(x, y), (x, y)
