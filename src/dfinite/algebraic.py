@@ -39,10 +39,6 @@ class BivarPoly:
     def deg_y(self) -> int:
         return len(self.y_coeffs) - 1
 
-    @property
-    def deg_z(self) -> int:
-        return max((c.degree for c in self.y_coeffs), default=-1)
-
     def is_zero(self) -> bool:
         return not self.y_coeffs
 

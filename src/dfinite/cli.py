@@ -26,7 +26,7 @@ from .generators import (
 )
 from .minimize import MinimizeOptions, minimal_annihilator
 from .polys import Poly
-from .rationals import QQ, rat_from_str, rat_to_str
+from .rationals import rat_from_str, rat_to_str
 from .series import unroll
 from .transcend import (
     TranscendOptions,
@@ -163,35 +163,21 @@ def _cmd_formal_solutions(args) -> int:
     return EXIT_OK
 
 
-def _pcurv_one(task):
+def _cmd_pcurv(args) -> int:
     from .heuristics import p_curvature
 
-    op, p = task
-    rep = p_curvature(op, p)
-    return {
-        "prime": rep.prime,
-        "is_zero": rep.is_zero,
-        "matrix_rank": rep.matrix_rank,
-        "bad_prime": rep.bad_prime,
-        "reason": rep.reason,
-    }
-
-
-def _cmd_pcurv(args) -> int:
     op, _, _ = load_problem(args.file)
     primes = [int(p) for p in args.primes.split(",") if p.strip()]
-    tasks = [(op, p) for p in primes]
-    if len(tasks) > 1:
-        # independent primes; output order stays canonical regardless of scheduling
-        import concurrent.futures as cf
-
-        try:
-            with cf.ProcessPoolExecutor(max_workers=min(4, len(tasks))) as ex:
-                reports = list(ex.map(_pcurv_one, tasks))
-        except (OSError, RuntimeError):
-            reports = [_pcurv_one(t) for t in tasks]
-    else:
-        reports = [_pcurv_one(t) for t in tasks]
+    reports = []
+    for p in primes:
+        rep = p_curvature(op, p)
+        reports.append({
+            "prime": rep.prime,
+            "is_zero": rep.is_zero,
+            "matrix_rank": rep.matrix_rank,
+            "bad_prime": rep.bad_prime,
+            "reason": rep.reason,
+        })
     _emit({"reports": reports})
     return EXIT_OK
 
@@ -240,10 +226,18 @@ def _cmd_grade_bound(args) -> int:
 
 
 def _mpoly(nvars: int, pairs) -> MPoly:
-    """MPoly from JSON [coefficient, exponent] pairs; a repeated monomial sums."""
+    """MPoly from JSON [coefficient, exponent] pairs; a repeated monomial
+    sums.  A coefficient is an integer or a "p/q" string."""
     terms = {}
     for c, e in pairs:
-        terms[tuple(e)] = terms.get(tuple(e), 0) + QQ(c)
+        if isinstance(c, str):
+            try:
+                c = rat_from_str(c)
+            except (ValueError, ZeroDivisionError):
+                raise InputError("bad spec coefficient %r" % c) from None
+        elif not isinstance(c, int):
+            raise InputError("spec coefficients must be integers or 'p/q' strings")
+        terms[tuple(e)] = terms.get(tuple(e), 0) + c
     return MPoly(nvars, terms)
 
 

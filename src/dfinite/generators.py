@@ -311,12 +311,6 @@ def apery_diagonal_spec(p: int, q: int) -> DiagonalSpec:
         raise InputError("p and q must be positive")
     k = p + q
 
-    def mono(expos: Dict[int, int], c) -> Tuple[Tuple[int, ...], object]:
-        e = [0] * k
-        for v, d in expos.items():
-            e[v] = d
-        return tuple(e), QQ(c)
-
     # variables 0..p-1 are x_1..x_p, variables p..p+q-1 are y_1..y_q
     def poly_mul(a: Dict, b: Dict) -> Dict:
         out: Dict[Tuple[int, ...], object] = {}

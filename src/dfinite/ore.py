@@ -13,8 +13,11 @@ Z[z], and the next numerator needs only products and one derivative
 ``minimize.certify_annihilates`` take the first Q(z)-linear dependence
 among such numerators by Bareiss elimination over Z[z]
 (``linalg._first_dependence``), whose divisions are exact; the only gcds
-are the ones of the final normal form.  ``op_right_divrem`` still
-returns its quotient over ``RatFunc``.
+are the ones of the final normal form.  ``op_right_divrem`` is a
+pseudo-division over Z[z]: it keeps den * a = Q o B + R with B the
+integer-cleared divisor, multiplies on the left by lc(B) instead of
+dividing by it, and turns Q / den and R / den into ``RatFunc`` only at
+the end.
 
 Recurrence operators act on coefficient sequences; the two sides are
 linked by ``ode_to_rec`` and ``rec_to_ode`` with the convention that a
@@ -218,47 +221,48 @@ def op_mul(a: DiffOp, b: DiffOp) -> DiffOp:
 # ---------------------------------------------------------------------------
 
 
-def _to_ratfuncs(a: DiffOp) -> List[RatFunc]:
-    return [RatFunc.from_poly(c) for c in a.coeffs]
-
-
-def _d_compose(t: List[RatFunc]) -> List[RatFunc]:
-    """Coefficients of d o T for T given by rational-function coefficients."""
-    out = [RatFunc.const(0)] * (len(t) + 1)
-    for i, c in enumerate(t):
-        out[i] = out[i] + c.derivative()
-        out[i + 1] = out[i + 1] + c
-    return out
-
-
 def op_right_divrem(a: DiffOp, b: DiffOp) -> Tuple[List[RatFunc], List[RatFunc]]:
     """Right division a = q o b + r over Q(z); returns coefficient lists.
 
-    The remainder has order < order(b).
+    The remainder has order < order(b).  Pseudo-division over Z[z]: with
+    A = s_a a and B = s_b b cleared to integers and l = lc(B), it keeps
+    den * a = Q o B + R, from den = s_a, Q = 0, R = A, and cancels the
+    top coefficient c of R by R <- l R - c d^k o B, Q <- l Q + c d^k,
+    den <- l den.  This is exact because a function multiplied on the
+    left commutes with o B.  Only the final q = s_b Q / den and
+    r = R / den are reduced.
     """
     if b.is_zero():
         raise InputError("right division by the zero operator")
-    r = _to_ratfuncs(a)
-    nb = b.order
-    if a.is_zero() or a.order < nb:
-        return [], r
-    towers = [_to_ratfuncs(b)]
+    *rem, den = _zclear([*a.coeffs, Poly([Q1])])
+    *rows_b, s_b = _zclear([*b.coeffs, Poly([Q1])])
+    nb, lead = b.order, rows_b[-1]
+    towers = [rows_b]  # d^k o B
     for _ in range(a.order - nb):
-        towers.append(_d_compose(towers[-1]))
-    q = [RatFunc.const(0)] * (a.order - nb + 1)
+        t = towers[-1]
+        towers.append([_zadd(_zderiv(x), t[i - 1] if i else []) for i, x in enumerate(t)] + [t[-1]])
+    quo: List[List[int]] = [[] for _ in range(a.order - nb + 1)]
     for k in range(a.order - nb, -1, -1):
-        if len(r) < nb + k + 1:
+        c = rem[nb + k]
+        if not c:
             continue
-        c = r[nb + k] / towers[k][nb + k]
-        if c.is_zero():
-            continue
-        q[k] = c
-        t = towers[k]
-        for i in range(len(t)):
-            r[i] = r[i] - c * t[i]
-    while r and r[-1].is_zero():
-        r.pop()
-    return q, r
+        rem = [_zsub(_zmul(lead, x), _zmul(c, t))
+               for x, t in itertools.zip_longest(rem, towers[k], fillvalue=[])]
+        quo = [_zmul(lead, x) for x in quo]
+        quo[k] = c
+        den = _zmul(lead, den)
+    while rem and not rem[-1]:
+        rem.pop()
+    return [_ratfunc(_zmul(s_b, x), den) for x in quo], [_ratfunc(x, den) for x in rem]
+
+
+def _ratfunc(num: List[int], den: List[int]) -> RatFunc:
+    """num / den in lowest terms, reduced by an integer gcd over Z[z]."""
+    if num:
+        g = _zgcd(num, den)
+        if len(g) > 1:
+            num, den = _zexquo(num, g), _zexquo(den, g)
+    return RatFunc(Poly(num), Poly(den), reduce=False)
 
 
 def right_divides(b: DiffOp, a: DiffOp) -> bool:

@@ -60,12 +60,6 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def is_one(self) -> bool:
-        return len(self.coeffs) == 1 and self.coeffs[0] == 1
-
-    def is_constant(self) -> bool:
-        return len(self.coeffs) <= 1
-
     @property
     def lc(self):
         """Leading coefficient (0 for the zero polynomial)."""

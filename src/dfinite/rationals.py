@@ -36,7 +36,3 @@ def rat_to_str(x) -> str:
 
 def is_integer(x) -> bool:
     return x.denominator == 1
-
-
-def floor_rat(x) -> int:
-    return x.numerator // x.denominator

@@ -16,6 +16,7 @@ from .errors import (
     PrecisionTooLow,
 )
 from .ore import DiffOp, RecOp, ode_to_rec
+from .polys import _zclear
 from .rationals import QQ, Q0, is_integer
 
 
@@ -186,23 +187,29 @@ def unroll(op: DiffOp, init: TruncSeries, n_terms: int) -> TruncSeries:
 
     Unrolls the associated recurrence; degenerate indices must be covered
     by init and determined rows inside init are verified, so every index
-    past init has a nonzero leading coefficient.
+    past init has a nonzero leading coefficient.  The recurrence rows are
+    cleared to integers once (one common factor leaves -total / denom
+    unchanged) and evaluated at each integer index by Horner.
     """
     rec = _checked_recurrence(op, init)
     if n_terms < init.trunc_order:
         raise InputError("cannot unroll to fewer terms than supplied")
-    m = rec.max_shift
-    lead_at = rec.leading.compose_shift(QQ(-m))  # evaluated at the target index
+    rows = _zclear(rec.coeffs)
+    low = -rec.max_shift - rec.backshift  # a_(idx + low + j) carries rows[j]
     coeffs = list(init.coeffs)
     for idx in range(len(coeffs), n_terms):
-        n = idx - m
+        n = idx - rec.max_shift
         total = Q0
-        for jdx, v in rec.row(n):
-            if jdx < 0:
+        for jdx, p in enumerate(rows, idx + low):
+            if jdx < 0 or not p:
                 continue
-            if jdx < idx:
+            v = 0
+            for c in reversed(p):
+                v = v * n + c
+            if jdx == idx:
+                denom = v
+            elif v:
                 total += v * coeffs[jdx]
-        denom = lead_at(QQ(idx))
         coeffs.append(-total / denom)
     return TruncSeries(coeffs)
 

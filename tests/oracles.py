@@ -2,7 +2,8 @@
 
 These are the straightforward versions: Euclid over ``Fraction`` for the
 polynomial gcd, elimination over Q(z) with a gcd after every ``RatFunc``
-operation for lclm and cofactors, the full reduced row echelon form mod p
+operation for right division, lclm and cofactors, recurrence unrolling
+with rows evaluated over ``Fraction``, the full reduced row echelon form mod p
 for kernel vectors, and a brute-force fraction iteration over F_p(z) for
 the p-curvature and its rank.  They are slow and deliberately independent
 of the fraction-free Z[z] kernels and the forward-only mod-p elimination
@@ -18,14 +19,14 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from dfinite import DiffOp, Poly
+from dfinite import DiffOp, Poly, TruncSeries
 from dfinite.algebraic import _invert_mod, _mul_mod, _ratfunc_poly_divmod
 from dfinite.errors import InputError, ZeroDivisorSplit
 from dfinite.local import _lam_eval, _lam_trim
-from dfinite.ore import _d_compose, _to_ratfuncs
 from dfinite.polys import RatFunc
 from dfinite.quotient import DomainQQ, ModRing, gcd_with_modulus
-from dfinite.rationals import QQ
+from dfinite.rationals import QQ, Q0
+from dfinite.series import _checked_recurrence
 
 
 # ---------------------------------------------------------------------------
@@ -58,6 +59,48 @@ def fraction_gcd(a: Poly, b: Poly) -> Poly:
 # ---------------------------------------------------------------------------
 # Elimination over Q(z)
 # ---------------------------------------------------------------------------
+
+
+def _to_ratfuncs(a: DiffOp) -> List[RatFunc]:
+    return [RatFunc.from_poly(c) for c in a.coeffs]
+
+
+def _d_compose(t: List[RatFunc]) -> List[RatFunc]:
+    """Coefficients of d o T for T given by rational-function coefficients."""
+    out = [RatFunc.const(0)] * (len(t) + 1)
+    for i, c in enumerate(t):
+        out[i] = out[i] + c.derivative()
+        out[i + 1] = out[i + 1] + c
+    return out
+
+
+def op_right_divrem_oracle(a: DiffOp, b: DiffOp) -> Tuple[List[RatFunc], List[RatFunc]]:
+    """Right division a = q o b + r over Q(z), eliminating with RatFunc
+    arithmetic: the remainder has order < order(b)."""
+    if b.is_zero():
+        raise InputError("right division by the zero operator")
+    r = _to_ratfuncs(a)
+    nb = b.order
+    if a.is_zero() or a.order < nb:
+        return [], r
+    towers = [_to_ratfuncs(b)]
+    for _ in range(a.order - nb):
+        towers.append(_d_compose(towers[-1]))
+    q = [RatFunc.const(0)] * (a.order - nb + 1)
+    for k in range(a.order - nb, -1, -1):
+        if len(r) < nb + k + 1:
+            continue
+        c = r[nb + k] / towers[k][nb + k]
+        if c.is_zero():
+            continue
+        q[k] = c
+        t = towers[k]
+        for i in range(len(t)):
+            r[i] = r[i] - c * t[i]
+    while r and r[-1].is_zero():
+        r.pop()
+    return q, r
+
 
 
 def ratfunc_dependence(vectors: List[List[RatFunc]]) -> Optional[List[RatFunc]]:
@@ -521,3 +564,31 @@ def rational_roots_nf_oracle(ind: List, dom) -> List[Tuple[object, int]]:
             out.append((r, mult))
     out.sort(key=lambda t: t[0])
     return out
+
+
+# ---------------------------------------------------------------------------
+# Recurrence unrolling over Fraction
+# ---------------------------------------------------------------------------
+
+
+def unroll_oracle(op: DiffOp, init: TruncSeries, n_terms: int) -> TruncSeries:
+    """``series.unroll`` with every row evaluated by ``RecOp.row`` at a
+    ``Fraction`` index and the leading coefficient by its own shifted
+    polynomial."""
+    rec = _checked_recurrence(op, init)
+    if n_terms < init.trunc_order:
+        raise InputError("cannot unroll to fewer terms than supplied")
+    m = rec.max_shift
+    lead_at = rec.leading.compose_shift(QQ(-m))  # evaluated at the target index
+    coeffs = list(init.coeffs)
+    for idx in range(len(coeffs), n_terms):
+        n = idx - m
+        total = Q0
+        for jdx, v in rec.row(n):
+            if jdx < 0:
+                continue
+            if jdx < idx:
+                total += v * coeffs[jdx]
+        denom = lead_at(QQ(idx))
+        coeffs.append(-total / denom)
+    return TruncSeries(coeffs)

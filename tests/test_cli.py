@@ -187,6 +187,20 @@ def test_cli_gen_diagonal_spec_repeated_monomial(capsys, tmp_path):
     assert out["coefficients"] == ["1", "4", "24", "160"]
 
 
+def test_cli_gen_diagonal_spec_rational_coefficient(capsys, tmp_path):
+    # num 1/2 halves the central binomials; a float is not an exact coefficient
+    spec = tmp_path / "diag.json"
+    den = [[1, [0, 0]], [-1, [1, 0]], [-1, [0, 1]]]
+    spec.write_text(json.dumps({"vars": ["x", "y"], "num": [["1/2", [0, 0]]], "den": den}))
+    code, out = _run(capsys, ["gen", "diagonal", "--spec", str(spec), "-n", "4"])
+    assert code == 0
+    assert out["coefficients"] == ["1/2", "1", "3", "10"]
+    spec.write_text(json.dumps({"vars": ["x", "y"], "num": [[0.5, [0, 0]]], "den": den}))
+    code, out = _run(capsys, ["gen", "diagonal", "--spec", str(spec), "-n", "4"])
+    assert code == 2
+    assert out["error"] == "input"
+
+
 def test_import_leaves_sympy_unloaded():
     # sympy is imported lazily, inside the polys functions that need it
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))

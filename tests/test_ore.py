@@ -1,10 +1,13 @@
 import random
 
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
 from dfinite import DiffOp, Poly, RecOp, lclm, ode_to_rec, op_mul, op_right_divrem, rec_to_ode
 from dfinite.ore import right_divides
 from dfinite.polys import RatFunc
 from dfinite.rationals import QQ
-from oracles import lclm_oracle
+from oracles import lclm_oracle, op_right_divrem_oracle
 
 
 def _rand_poly(rng, deg, zero_ok=True):
@@ -77,6 +80,53 @@ def test_divrem_nonzero_remainder():
     q, r = op_right_divrem(a, b)
     assert [x for x in q] == [RatFunc.const(1), RatFunc.const(1)]
     assert [x for x in r] == [RatFunc.const(1)]
+
+
+_coef = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+
+
+def _ops(max_order, max_deg, min_order=0):
+    """Nonzero operators with rational coefficients, content-normalized or not."""
+    polys = st.lists(_coef, max_size=max_deg + 1).map(Poly)
+    return st.builds(DiffOp, st.lists(polys, min_size=min_order + 1, max_size=max_order + 1),
+                     st.booleans()).filter(lambda op: op.order >= min_order)
+
+
+_Z = Poly([0, 1])
+_ORDER2 = DiffOp([Poly([1, -1]), Poly([2]), Poly([0, 3, 1])])
+
+
+@settings(max_examples=150, deadline=None)
+@given(a=_ops(4, 3), b=_ops(3, 3))
+@example(a=DiffOp([Poly([1, 2])]), b=_ORDER2)  # order(a) < order(b)
+@example(a=_ORDER2, b=DiffOp([Poly([1, -2, 1])]))  # b of order 0
+@example(a=_ORDER2, b=DiffOp([Poly([0, 1]), Poly([3])]))  # constant leading coefficient
+@example(a=_ORDER2, b=DiffOp([Poly([1]), _Z * _Z * Poly([1, -1])]))  # lc(b) = z^2 (1 - z)
+@example(a=DiffOp([]), b=_ORDER2)  # a = 0
+def test_divrem_matches_oracle(a, b):
+    q, r = op_right_divrem(a, b)
+    assert (q, r) == op_right_divrem_oracle(a, b)
+    assert len(r) - 1 < b.order
+
+
+@settings(max_examples=100, deadline=None)
+@given(c=_ops(2, 2), b=_ops(2, 3))
+@example(c=DiffOp([Poly([QQ(1, 2), 1]), Poly([0, 0, 1])]), b=DiffOp([Poly([1]), _Z * _Z]))
+def test_divrem_exact_multiple_matches_oracle(c, b):
+    a = op_mul(c, b)
+    q, r = op_right_divrem(a, b)
+    assert r == []
+    assert (q, r) == op_right_divrem_oracle(a, b)
+    assert DiffOp.from_ratfuncs(q) == DiffOp(c.coeffs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(a=_ops(2, 2, min_order=1), b=_ops(2, 2, min_order=1))
+def test_right_divides_lclm_matches_oracle(a, b):
+    m = lclm(a, b)
+    for x in (a, b):
+        assert op_right_divrem(m, x) == op_right_divrem_oracle(m, x)
+        assert right_divides(x, m)
 
 
 def test_lclm_idempotent():

@@ -17,12 +17,12 @@ from dfinite import (
 )
 from dfinite.local import SingularPoint, _local_coeffs, apply_local
 from dfinite.minimize import MinimizeOptions
-from dfinite.ore import _d_compose, _to_ratfuncs, right_divides
+from dfinite.ore import right_divides
 from dfinite.polys import RatFunc
 from dfinite.quotient import QQ_DOMAIN
 from dfinite.rationals import QQ
 from dfinite.transcend import TranscendOptions
-from oracles import lclm_oracle
+from oracles import _d_compose, _to_ratfuncs, lclm_oracle
 
 N_CASES = 200
 

@@ -1,6 +1,8 @@
 from math import factorial
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dfinite import (
     DiffOp,
@@ -22,6 +24,7 @@ from dfinite.errors import (
     PrecisionTooLow,
 )
 from dfinite.rationals import QQ
+from oracles import unroll_oracle
 
 
 def test_unroll_apery(apery_op, apery_init):
@@ -44,6 +47,44 @@ def test_unroll_geometric():
     op = DiffOp([Poly([-2]), Poly([1, -2])])
     f = unroll(op, TruncSeries([1]), 8)
     assert [int(c) for c in f.coeffs] == [2 ** n for n in range(8)]
+
+
+_coef = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+_polys = st.lists(_coef, max_size=3).map(Poly)
+
+
+@st.composite
+def _ordinary_problems(draw):
+    """An operator with lc(0) != 0 and any order(op) rational initial
+    terms: its degenerate indices 0..order-1 are all covered."""
+    cs = draw(st.lists(_polys, min_size=1, max_size=3))
+    lead = Poly([draw(_coef.filter(bool))] + draw(st.lists(_coef, max_size=2)))
+    op = DiffOp(cs + [lead], normalize=draw(st.booleans()))
+    return op, TruncSeries(draw(st.lists(_coef, min_size=op.order, max_size=op.order)))
+
+
+@st.composite
+def _degenerate_problems(draw):
+    """z D - k plus terms of negative shift: the recurrence leads with
+    n - k, so index k is degenerate, and k zeros then any term are
+    consistent initial terms, at least order(op) <= 2 of them."""
+    k = draw(st.integers(1, 4))
+    c0 = Poly([QQ(-k)]) + Poly.x() * draw(_polys)
+    c1 = Poly.x() + Poly.x(2) * draw(_polys)
+    c2 = Poly.x(3) * draw(_polys)
+    op = DiffOp([c0, c1, c2], normalize=draw(st.booleans()))
+    return op, TruncSeries([QQ(0)] * k + [draw(_coef)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(problem=st.one_of(_ordinary_problems(), _degenerate_problems()), extra=st.integers(0, 12))
+# index 2 degenerate: z D - 2 + z^2 D with rational coefficients
+@example(problem=(DiffOp([Poly([-2]), Poly([0, 1, QQ(1, 3)])], normalize=False),
+                  TruncSeries([0, 0, QQ(5, 7)])), extra=6)
+def test_unroll_matches_oracle(problem, extra):
+    op, init = problem
+    n = len(init) + extra
+    assert unroll(op, init, n) == unroll_oracle(op, init, n)
 
 
 def test_validate_init(apery_op, apery_init):
