@@ -231,10 +231,7 @@ def _mpoly(nvars: int, pairs) -> MPoly:
     terms = {}
     for c, e in pairs:
         if isinstance(c, str):
-            try:
-                c = rat_from_str(c)
-            except (ValueError, ZeroDivisionError):
-                raise InputError("bad spec coefficient %r" % c) from None
+            c = rat_from_str(c)
         elif not isinstance(c, int):
             raise InputError("spec coefficients must be integers or 'p/q' strings")
         terms[tuple(e)] = terms.get(tuple(e), 0) + c

@@ -7,6 +7,14 @@ are handled as one cluster through arithmetic in Q[a]/(m(a)); any zero
 divisor encountered on the way splits the modulus and the analysis is
 rerun per branch (see :mod:`dfinite.quotient`).
 
+At an algebraic point a the coefficients are re-expanded by Taylor's
+formula: the t^u coefficient of p(t + a) is
+(p^(u)/u!)(a) = sum_k C(k, u) c_k a^(k-u), so each is one polynomial
+remainder by m and no product in the quotient ring.  Rationals -- the
+falling factorials of the theta form, exponents, the points where
+lambda-polynomials are evaluated -- scale ring elements coordinatewise;
+they are never lifted into the ring and multiplied as elements.
+
 The series construction follows the classical method of Frobenius.  For
 the exponents in one congruence class mod 1, processed downwards, the
 solution attached to an exponent mu is extracted from the deformation
@@ -19,7 +27,7 @@ right-hand side is exactly where a logarithm enters.
 
 from __future__ import annotations
 
-from math import factorial
+from math import comb, factorial
 from typing import Dict, List, Optional, Tuple
 
 from .errors import InputError, IrregularPoint, ZeroDivisorSplit
@@ -150,22 +158,9 @@ def _lam_add(a: List, b: List, dom) -> List:
     return _lam_trim(out, dom)
 
 
-def _lam_scale(a: List, c) -> List:
-    return [x * c for x in a]
-
-
-def _lam_mul(a: List, b: List, dom) -> List:
-    if not a or not b:
-        return []
-    out = [dom.zero()] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] = out[i + j] + x * y
-    return _lam_trim(out, dom)
-
-
 def _lam_eval(a: List, x, dom):
-    """Horner evaluation at a domain element or jet."""
+    """Horner evaluation at a rational (which scales domain elements) or
+    at a jet."""
     if isinstance(x, Jet):
         acc = Jet(dom, [dom.zero()] * x.prec)
         for c in reversed(a):
@@ -176,14 +171,6 @@ def _lam_eval(a: List, x, dom):
     acc = None
     for c in reversed(a):
         acc = c if acc is None else acc * x + c
-    return acc
-
-
-def _falling_lam(shift, length: int, dom) -> List:
-    """(lam + shift)(lam + shift - 1)...(lam + shift - length + 1)."""
-    acc = [dom.one()]
-    for t in range(length):
-        acc = _lam_mul(acc, [dom.from_rat(QQ(shift) - t), dom.one()], dom)
     return acc
 
 
@@ -200,30 +187,13 @@ def _local_coeffs(op: DiffOp, point: SingularPoint, dom):
     if point.kind == SingularPoint.RATIONAL:
         s = point.value
         return [[dom.from_rat(c) for c in p.compose_shift(s).coeffs] for p in op.coeffs]
-    # algebraic: shift by the residue class of z modulo the modulus
-    alpha = dom.gen()
+    # algebraic: the t^u coefficient of p(t + a) is (p^(u)/u!)(a), read off
+    # as the remainder of sum_k C(k, u) c_k z^(k-u) by the modulus
     out = []
     for p in op.coeffs:
-        # Horner for p(t + alpha) as a polynomial in t over the quotient ring
-        acc: List = []
-        for c in reversed(p.coeffs):
-            acc = _shifted_mul_t_plus(acc, alpha, dom)
-            if not acc:
-                acc = [dom.from_rat(c)]
-            else:
-                acc[0] = acc[0] + dom.from_rat(c)
-        out.append(acc)
-    return out
-
-
-def _shifted_mul_t_plus(p: List, alpha, dom) -> List:
-    """p(t) * (t + alpha) over the domain."""
-    if not p:
-        return []
-    out = [dom.zero()] * (len(p) + 1)
-    for i, c in enumerate(p):
-        out[i + 1] = out[i + 1] + c
-        out[i] = out[i] + c * alpha
+        cs = p.coeffs
+        out.append([dom.el([comb(k, u) * cs[k] for k in range(u, len(cs))])
+                    for u in range(len(cs))])
     return out
 
 
@@ -248,13 +218,14 @@ def theta_form(coeffs: List[List], dom) -> Tuple[int, List[List]]:
     if v is None:
         raise InputError("zero operator")
     qs: Dict[int, List] = {}
+    falling = [1]  # lam (lam - 1) ... (lam - i + 1) over Z
     for i, a in enumerate(coeffs):
         for u, c in enumerate(a):
             if dom.is_zero(c):
                 continue
             k = u - i - v
-            term = _lam_scale(_falling_lam(0, i, dom), c)
-            qs[k] = _lam_add(qs.get(k, []), term, dom)
+            qs[k] = _lam_add(qs.get(k, []), [c * f for f in falling], dom)
+        falling = [lo - i * hi for lo, hi in zip([0] + falling, falling + [0])]
     kmax = max(qs) if qs else 0
     return v, [qs.get(k, []) for k in range(kmax + 1)]
 
@@ -350,7 +321,7 @@ def rational_roots_nf(ind: List, dom) -> List[Tuple[object, int]]:
         mult = 0
         rem = list(ind)
         while rem:
-            value = _lam_eval(rem, dom.from_rat(r), dom)
+            value = _lam_eval(rem, r, dom)
             if dom.is_zero(value):
                 pass
             else:
@@ -363,7 +334,7 @@ def rational_roots_nf(ind: List, dom) -> List[Tuple[object, int]]:
             new = []
             carry = dom.zero()
             for c in reversed(rem):
-                carry = c + carry * dom.from_rat(r)
+                carry = c + carry * r
                 new.append(carry)
             new.reverse()
             rem = _lam_trim(new[1:], dom)
@@ -543,9 +514,9 @@ class LogSeries:
                 if dom.is_zero(c):
                     continue
                 e = self.exponent + i
-                out[j][i] = out[j][i] + c * dom.from_rat(e)
+                out[j][i] = out[j][i] + c * e
                 if j > 0:
-                    out[j - 1][i] = out[j - 1][i] + c * dom.from_rat(QQ(j))
+                    out[j - 1][i] = out[j - 1][i] + c * j
         while len(out) > 1 and all(dom.is_zero(c) for c in out[-1]):
             out.pop()
         return LogSeries(dom, self.exponent - 1, out)
@@ -663,7 +634,7 @@ def _class_flag_mode(qs: List[List], dom, cls: List[Tuple[object, int]], order: 
                 c = coeffs[m - k]
                 if dom.is_zero(c):
                     continue
-                rhs = rhs + _lam_eval(qs[k], dom.from_rat(mu + m - k), dom) * c
+                rhs = rhs + _lam_eval(qs[k], mu + m - k, dom) * c
             rhs = -rhs
             if (mu + m) in roots:
                 if dom.is_zero(rhs):
@@ -674,7 +645,7 @@ def _class_flag_mode(qs: List[List], dom, cls: List[Tuple[object, int]], order: 
                     ok = False
                     break
             else:
-                den = _lam_eval(qs[0], dom.from_rat(mu + m), dom)
+                den = _lam_eval(qs[0], mu + m, dom)
                 coeffs.append(_dom_div(rhs, den, dom))
         if ok:
             sols.append(LogSeries(dom, mu, [coeffs]))
@@ -719,7 +690,7 @@ def _class_full_mode(qs: List[List], dom, cls: List[Tuple[object, int]], order: 
             layers: List[List] = []
             for b in range(l + 1):
                 inv_fact = QQ(1, factorial(b))
-                layer = [cm.coeffs[l - b] * dom.from_rat(inv_fact) for cm in c]
+                layer = [cm.coeffs[l - b] * inv_fact for cm in c]
                 layers.append(layer)
             while len(layers) > 1 and all(dom.is_zero(x) for x in layers[-1]):
                 layers.pop()

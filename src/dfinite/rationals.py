@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .errors import InputError
+
 
 def QQ(num=0, den=1):
     return Fraction(num, den)
@@ -19,12 +21,15 @@ Q1 = QQ(1)
 
 
 def rat_from_str(s: str):
-    """Parse "p/q" or "p" into an exact rational."""
-    s = s.strip()
-    if "/" in s:
-        p, q = s.split("/")
-        return QQ(int(p), int(q))
-    return QQ(int(s))
+    """Parse "p/q" or "p" into an exact rational; anything else, a zero
+    denominator included, is an :class:`~dfinite.errors.InputError`."""
+    if isinstance(s, str):
+        num, slash, den = s.partition("/")
+        try:
+            return QQ(int(num), int(den) if slash else 1)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise InputError("malformed rational %r" % (s,))
 
 
 def rat_to_str(x) -> str:

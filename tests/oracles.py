@@ -10,19 +10,22 @@ of the fraction-free Z[z] kernels and the forward-only mod-p elimination
 in ``dfinite``.  Diagonals are checked against a cell-by-cell expansion
 of 1/den over the full box, with no lattice compression.  Resultants are
 taken by sympy over Q[lam] from symbolic expressions, with no clearing
-to integers.
+to integers.  Local coefficients at an algebraic point come from a
+Horner Taylor shift over Q[a]/(m), and the theta form from falling
+factorials built over the coefficient domain, both with products of
+quotient-ring elements.
 """
 
 import itertools
 import math
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from dfinite import DiffOp, Poly, TruncSeries
 from dfinite.algebraic import _invert_mod, _mul_mod, _ratfunc_poly_divmod
 from dfinite.errors import InputError, ZeroDivisorSplit
-from dfinite.local import _lam_eval, _lam_trim
+from dfinite.local import _lam_add, _lam_eval, _lam_trim, _series_valuation
 from dfinite.polys import RatFunc
 from dfinite.quotient import DomainQQ, ModRing, gcd_with_modulus
 from dfinite.rationals import QQ, Q0
@@ -592,3 +595,79 @@ def unroll_oracle(op: DiffOp, init: TruncSeries, n_terms: int) -> TruncSeries:
         denom = lead_at(QQ(idx))
         coeffs.append(-total / denom)
     return TruncSeries(coeffs)
+
+
+# ---------------------------------------------------------------------------
+# Local expansion with quotient-ring products
+# ---------------------------------------------------------------------------
+
+
+def _lam_mul(a: List, b: List, dom) -> List:
+    if not a or not b:
+        return []
+    out = [dom.zero()] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = out[i + j] + x * y
+    return _lam_trim(out, dom)
+
+
+def _falling_lam(shift, length: int, dom) -> List:
+    """(lam + shift)(lam + shift - 1)...(lam + shift - length + 1)."""
+    acc = [dom.one()]
+    for t in range(length):
+        acc = _lam_mul(acc, [dom.from_rat(QQ(shift) - t), dom.one()], dom)
+    return acc
+
+
+def _shifted_mul_t_plus(p: List, alpha, dom) -> List:
+    """p(t) * (t + alpha) over the domain."""
+    if not p:
+        return []
+    out = [dom.zero()] * (len(p) + 1)
+    for i, c in enumerate(p):
+        out[i + 1] = out[i + 1] + c
+        out[i] = out[i] + c * alpha
+    return out
+
+
+def local_coeffs_horner_oracle(op: DiffOp, dom: ModRing) -> List[List]:
+    """``local._local_coeffs`` at the algebraic point of ``dom``: each
+    coefficient shifted by the residue class of z, by Horner over Q[a]/(m)."""
+    alpha = dom.gen()
+    out = []
+    for p in op.coeffs:
+        # Horner for p(t + alpha) as a polynomial in t over the quotient ring
+        acc: List = []
+        for c in reversed(p.coeffs):
+            acc = _shifted_mul_t_plus(acc, alpha, dom)
+            if not acc:
+                acc = [dom.from_rat(c)]
+            else:
+                acc[0] = acc[0] + dom.from_rat(c)
+        out.append(acc)
+    return out
+
+
+def theta_form_oracle(coeffs: List[List], dom) -> Tuple[int, List[List]]:
+    """``local.theta_form`` with the falling factorial of every coefficient
+    rebuilt over the domain and multiplied into it as domain elements."""
+    v = None
+    for i, a in enumerate(coeffs):
+        val = _series_valuation(a, dom)
+        if val < 0:
+            continue
+        s = val - i
+        v = s if v is None else min(v, s)
+    if v is None:
+        raise InputError("zero operator")
+    qs: Dict[int, List] = {}
+    for i, a in enumerate(coeffs):
+        for u, c in enumerate(a):
+            if dom.is_zero(c):
+                continue
+            k = u - i - v
+            term = [x * c for x in _falling_lam(0, i, dom)]
+            qs[k] = _lam_add(qs.get(k, []), term, dom)
+    kmax = max(qs) if qs else 0
+    return v, [qs.get(k, []) for k in range(kmax + 1)]

@@ -8,7 +8,8 @@ import pytest
 
 from dfinite import cli
 from dfinite.cli import main
-from dfinite.errors import PrecisionTooLow
+from dfinite.errors import InputError, PrecisionTooLow
+from dfinite.rationals import rat_from_str
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -239,6 +240,49 @@ def test_cli_malformed_file(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     code, out = _run(capsys, ["test", str(bad)])
+    assert code == 2
+    assert out["error"] == "input"
+
+
+_MALFORMED = ["1/0", "x", "1/2/3", ""]
+
+
+@pytest.mark.parametrize("text", _MALFORMED)
+def test_rat_from_str_rejects_malformed(text):
+    with pytest.raises(InputError):
+        rat_from_str(text)
+
+
+@pytest.mark.parametrize("text", _MALFORMED)
+@pytest.mark.parametrize("field", ["operator", "initial_terms"])
+def test_cli_test_malformed_rational(capsys, tmp_path, field, text):
+    problem = {"operator": [["1"], [0, 1]], "initial_terms": ["1"]}
+    if field == "operator":
+        problem["operator"][0] = [text]
+    else:
+        problem["initial_terms"] = [text]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(problem))
+    code, out = _run(capsys, ["test", str(bad)])
+    assert code == 2
+    assert out["error"] == "input"
+
+
+@pytest.mark.parametrize("point", ["1/0", "x", "1/2/3", "poly:1,1/0"])
+def test_cli_indicial_malformed_point(capsys, apery_file, point):
+    code, out = _run(capsys, ["indicial", apery_file, "--point", point])
+    assert code == 2
+    assert out["error"] == "input"
+
+
+@pytest.mark.parametrize("text", _MALFORMED + [5])
+def test_cli_verify_malformed_rational(capsys, apery_file, tmp_path, text):
+    main(["test", apery_file])
+    report = json.loads(capsys.readouterr().out)
+    report["certificate"][0]["operator"][0][0] = text
+    report_path = tmp_path / "bad.json"
+    report_path.write_text(json.dumps(report))
+    code, out = _run(capsys, ["verify", apery_file, str(report_path)])
     assert code == 2
     assert out["error"] == "input"
 

@@ -25,11 +25,17 @@ from dfinite.errors import InputError, IrregularPoint, ZeroDivisorSplit
 from dfinite.fileio import op_from_json
 from dfinite.hypergeom import HypParams, hypergeometric_operator
 import dfinite.local as local_mod
-from dfinite.local import _lam_mul, _lam_trim, _local_coeffs, apply_local, rational_roots_nf
+from dfinite.local import _lam_trim, _local_coeffs, apply_local, rational_roots_nf, theta_form
 from dfinite.polys import _zclear, _zresultant
-from dfinite.quotient import QQ_DOMAIN
+from dfinite.quotient import QQ_DOMAIN, ModElt
 from dfinite.rationals import QQ
-from oracles import rational_roots_nf_oracle, resultant_candidates_oracle
+from oracles import (
+    _lam_mul,
+    local_coeffs_horner_oracle,
+    rational_roots_nf_oracle,
+    resultant_candidates_oracle,
+    theta_form_oracle,
+)
 
 BENCH_DATA = Path(__file__).resolve().parents[1] / "bench" / "data"
 
@@ -206,6 +212,76 @@ def test_local_scan_candidates_pinned(monkeypatch):
         for pt in singularities(op):
             indicial_branches(op, pt)
         assert seen == pins, name
+
+
+@st.composite
+def moduli(draw):
+    """Modulus of degree 1..5: irreducible (a z + b)^d - p by Eisenstein,
+    or a product of at least two random factors."""
+    if draw(st.booleans()):
+        d = draw(st.integers(1, 5))
+        a = draw(_rats.filter(lambda x: x != 0))
+        m = reduce(lambda x, y: x * y, [Poly([draw(_rats), a])] * d)
+        return m - draw(st.sampled_from([2, 3, 5]))
+    factors = []
+    room = 5
+    while room and (len(factors) < 2 or draw(st.booleans())):
+        deg = draw(st.integers(1, min(room, 3)))
+        f = Poly(draw(st.lists(_rats, min_size=deg, max_size=deg)) + [draw(_rats.filter(lambda x: x != 0))])
+        factors.append(f)
+        room -= deg
+    return reduce(lambda x, y: x * y, factors)
+
+
+# zero, constant and high-degree coefficients
+_coeff_polys = st.one_of(
+    st.just(Poly()),
+    _rats.map(lambda c: Poly([c])),
+    st.lists(_rats, min_size=2, max_size=13).map(Poly),
+)
+
+
+def _ops(max_order):
+    return st.lists(_coeff_polys, min_size=1, max_size=max_order + 1).map(DiffOp)
+
+
+def _typed(x):
+    """Value together with the types of its rationals, for exact comparison."""
+    if isinstance(x, (list, tuple)):
+        return [_typed(y) for y in x]
+    if isinstance(x, ModElt):
+        return ("ModElt", x.ring, [(type(c), c) for c in x.coeffs])
+    return (type(x), x)
+
+
+_Q5 = Poly([-2, 0, 0, 0, 0, 1])
+
+
+@settings(max_examples=80, deadline=None)
+@given(moduli(), _ops(4))
+@example(_Q5, DiffOp([Poly(), Poly(list(range(1, 14))), Poly([3])]))
+@example(Poly([1, 1]) * Poly([-2, 0, 1]) * Poly([3, 0, 1]), DiffOp([Poly([QQ(1, 2)]), Poly(), Poly([1, 0, 0, 0, 0, 0, 7])]))
+def test_local_coeffs_algebraic_matches_horner_oracle(m, op):
+    pt = SingularPoint.algebraic(m)
+    ring = ModRing(m)
+    assert _typed(_local_coeffs(op, pt, ring)) == _typed(local_coeffs_horner_oracle(op, ring))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(_rats, st.just("infinity"), moduli()), _ops(4))
+@example(_Q5, DiffOp([Poly([0, 0, 1]), Poly(list(range(1, 14))), Poly([1, -3, 0, 0, 0, 2])]))
+@example("infinity", DiffOp([Poly([1]), Poly([0, 1]), Poly([0, 0, 1]), Poly([0, 0, 0, 1])]))
+@example(QQ(0), DiffOp([Poly(), Poly(), Poly(), Poly([0, 0, 0, 1])]))
+def test_theta_form_matches_falling_factorial_oracle(where, op):
+    assume(not op.is_zero())
+    if isinstance(where, Poly):
+        pt, dom = SingularPoint.algebraic(where), ModRing(where)
+    elif where == "infinity":
+        pt, dom = SingularPoint.infinity(), QQ_DOMAIN
+    else:
+        pt, dom = SingularPoint.rational(where), QQ_DOMAIN
+    coeffs = _local_coeffs(op, pt, dom)
+    assert _typed(theta_form(coeffs, dom)) == _typed(theta_form_oracle(coeffs, dom))
 
 
 def test_formal_solutions_log_relaxed(log_op):
