@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import InputError, NotSquarefree, PrecisionTooLow, RootNotSeparable
-from .linalg import _first_dependence, kernel_vector_exact
+from .linalg import ShiftSystem, _first_dependence, kernel_vector_exact
 from .minimize import GUARD_TERMS
 from .ore import DiffOp, lclm
 from .polys import Poly, RatFunc, _clear_ratfuncs, _zclear
@@ -146,6 +146,16 @@ def _ratfunc_poly_gcd(a: List[RatFunc], b: List[RatFunc]) -> List[RatFunc]:
     return a
 
 
+def _algebraic_system(f: TruncSeries, max_dy: int, max_dz: int) -> ShiftSystem:
+    """Row m is the z^m coefficient of sum c_ij z^i f^j: column (i, j),
+    j outer, is the power f^j shifted by i."""
+    n = f.trunc_order
+    powers = [[Q1] + [Q0] * (n - 1)]
+    for _ in range(max_dy):
+        powers.append(_series_mul(powers[-1], list(f.coeffs), n))
+    return ShiftSystem(powers, [(j, i) for j in range(max_dy + 1) for i in range(max_dz + 1)], n)
+
+
 def guess_algebraic(f: TruncSeries, max_dy: int, max_dz: int) -> Optional[BivarPoly]:
     """Primitive squarefree-in-y candidate P with P(z, f) = O(z^full), or
     None when the kernel is trivial (rigorous, via a mod-p rank bound)."""
@@ -155,22 +165,12 @@ def guess_algebraic(f: TruncSeries, max_dy: int, max_dz: int) -> Optional[BivarP
             "need %d terms for degrees (%d, %d)" % (needed, max_dy, max_dz),
             needed=needed,
         )
-    n = f.trunc_order
-    powers = [[Q1] + [Q0] * (n - 1)]
-    for _ in range(max_dy):
-        powers.append(_series_mul(powers[-1], list(f.coeffs), n))
-    cols = [(i, j) for j in range(max_dy + 1) for i in range(max_dz + 1)]
-    rows = []
-    for m in range(n):
-        row = []
-        for i, j in cols:
-            row.append(powers[j][m - i] if 0 <= m - i < n else Q0)
-        rows.append(row)
-    vec = kernel_vector_exact(rows)
+    system = _algebraic_system(f, max_dy, max_dz)
+    vec = kernel_vector_exact(system, system.times)
     if vec is None:
         return None
     y_coeffs = [[Q0] * (max_dz + 1) for _ in range(max_dy + 1)]
-    for (i, j), c in zip(cols, vec):
+    for (j, i), c in zip(system.cols, vec):
         y_coeffs[j][i] = c
     cand = BivarPoly([Poly(cs) for cs in y_coeffs])
     if cand.is_zero() or cand.deg_y < 1:

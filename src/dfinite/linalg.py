@@ -1,5 +1,11 @@
 """Exact kernel computation for large structured systems over Q.
 
+Guessing systems come as a ``ShiftSystem``: the sequences they are made
+of and, per column, which sequence it reads at which shift.  Modulo a
+prime each sequence is reduced once and the matrix is gathered from the
+residues with numpy index arrays; no matrix is ever reduced cell by
+cell.
+
 Strategy: one forward elimination modulo a word-size prime with numpy
 (int64 arithmetic, entries < 2^31 so products fit) gives the rank
 profile and an echelon form.  A trivial kernel modulo any prime proves a
@@ -7,9 +13,11 @@ trivial kernel over Q, which makes "no operator of this shape exists"
 conclusions rigorous.  When a kernel exists, each prime's canonical
 kernel vector (first free column set to 1) comes from back-substitution
 through the echelon form's leading triangle; the vectors are combined by
-CRT over several primes with rational reconstruction and then verified
-exactly against the full system.  Only verified vectors are ever
-returned, so candidate generation never affects soundness.
+CRT over several primes with rational reconstruction.  Each
+reconstructed candidate gets one exact check inside the CRT loop, the
+caller's residual, which covers every row of the system; a candidate
+that fails it brings in one more prime, and only vectors that pass it
+are ever returned, so candidate generation never affects soundness.
 
 The rank of a polynomial matrix over F_p(z) (the p-curvature) uses the
 same elimination at sample points, and small eliminations over Q(z) run
@@ -19,7 +27,7 @@ fraction-free over Z[z].
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -40,27 +48,99 @@ _PRIMES_31 = [
 ]
 
 
-def _reduce_matrix_mod(rows: Sequence[Sequence], p: int) -> np.ndarray:
-    """Reduce a matrix of rationals mod p; raises ValueError on bad prime.
+class ShiftSystem:
+    """A matrix given by its sequences: column c is the pair (s_c, k_c),
+    and its entry at row r is seqs[s_c][r - k_c], zero outside the
+    sequence (shifts k_c >= 0).
 
-    Guessing systems repeat the same coefficient objects across many
-    cells, so each distinct object (by identity; ``rows`` keeps it alive
-    for the whole call) is reduced once.
+    Guessing systems have this block-Toeplitz shape: row n of the
+    Hermite-Pade system of an operator is the z^n coefficient of
+    sum c_ij z^j f^(i), so column (i, j) is f^(i) shifted by j.  Reduced
+    mod p, each sequence is reduced once (``_residues``) and the matrix
+    is gathered from the residues by index arithmetic.  The system is a
+    sequence of its rows (``len``, indexing, iteration) for the exact
+    code, which reads rows of rationals (iteration stops at the
+    IndexError past the last row).
     """
-    memo: Dict[int, int] = {}
-    out = []
-    for row in rows:
-        line = []
-        for c in row:
-            v = memo.get(id(c))
-            if v is None:
-                den = int(c.denominator) % p
-                if den == 0:
-                    raise ValueError("prime divides a denominator")
-                v = memo[id(c)] = int(c.numerator) * pow(den, -1, p) % p
-            line.append(v)
-        out.append(line)
-    return np.array(out, dtype=np.int64).reshape(len(rows), len(rows[0]) if rows else 0)
+
+    __slots__ = ("seqs", "cols", "nrows", "_residues")
+
+    def __init__(self, seqs: Sequence[Sequence], cols: Sequence[Tuple[int, int]], nrows: int):
+        self.seqs = seqs
+        self.cols = list(cols)
+        self.nrows = nrows
+        # p -> (residue table, its zero padding, first bad index per
+        # sequence); shared with every prefix of the system
+        self._residues: Dict[int, Tuple[np.ndarray, int, np.ndarray]] = {}
+
+    def __len__(self) -> int:
+        return self.nrows
+
+    def __getitem__(self, r: int) -> List:
+        if not 0 <= r < self.nrows:
+            raise IndexError(r)
+        row = []
+        for s, k in self.cols:
+            seq = self.seqs[s]
+            row.append(seq[r - k] if 0 <= r - k < len(seq) else Q0)
+        return row
+
+    def prefix(self, ncols: int) -> "ShiftSystem":
+        """The first ncols columns, sharing the residues."""
+        sub = ShiftSystem(self.seqs, self.cols[:ncols], self.nrows)
+        sub._residues = self._residues
+        return sub
+
+    def times(self, vec: Sequence) -> List:
+        """The exact product with a vector: one value per row."""
+        out = [Q0] * self.nrows
+        for (s, k), v in zip(self.cols, vec):
+            if v:
+                seq = self.seqs[s]
+                for t in range(min(len(seq), self.nrows - k)):
+                    if seq[t]:
+                        out[t + k] += v * seq[t]
+        return out
+
+    def mod(self, p: int) -> np.ndarray:
+        """The matrix mod p; raises ValueError when p divides the
+        denominator of an entry."""
+        got = self._residues.get(p)
+        if got is None:
+            got = self._residues[p] = self._reduce(p)
+        table, pad, bad = got
+        s_idx = np.array([s for s, _ in self.cols], dtype=np.int64)
+        k_idx = np.array([k for _, k in self.cols], dtype=np.int64)
+        if len(s_idx) and (bad[s_idx] + k_idx < self.nrows).any():
+            raise ValueError("prime divides a denominator")
+        start = s_idx * table.shape[1] + pad - k_idx
+        return table.ravel()[start[None, :] + np.arange(self.nrows)[:, None]]
+
+    def _reduce(self, p: int) -> Tuple[np.ndarray, int, np.ndarray]:
+        """Row s holds seqs[s] mod p after ``pad`` zeros, as far as the
+        columns read it (indices below nrows - smallest shift) and up to
+        its first entry whose denominator p divides; that index, or
+        nrows when there is none, is recorded for ``mod`` to check."""
+        pad = max((k for _, k in self.cols), default=0)
+        low: Dict[int, int] = {}
+        for s, k in self.cols:
+            low[s] = min(k, low.get(s, k))
+        table = np.zeros((len(self.seqs), pad + self.nrows), dtype=np.int64)
+        bad = np.full(len(self.seqs), self.nrows, dtype=np.int64)
+        for s, k in low.items():
+            vals = []
+            for c in self.seqs[s][:max(self.nrows - k, 0)]:
+                den = c.denominator
+                if den == 1:
+                    vals.append(c.numerator % p)
+                    continue
+                den %= p
+                if not den:
+                    bad[s] = len(vals)
+                    break
+                vals.append(c.numerator * pow(den, -1, p) % p)
+            table[s, pad:pad + len(vals)] = vals
+        return table, pad, bad
 
 
 def _rank_profile_mod(a: np.ndarray, p: int) -> Tuple[np.ndarray, List[int]]:
@@ -96,14 +176,14 @@ def _rank_profile_mod(a: np.ndarray, p: int) -> Tuple[np.ndarray, List[int]]:
     return a, piv_cols
 
 
-def kernel_rank_mod_p(rows: Sequence[Sequence], p: Optional[int] = None) -> Tuple[int, List[int]]:
+def kernel_rank_mod_p(system: ShiftSystem, p: Optional[int] = None) -> Tuple[int, List[int]]:
     """(rank mod p, pivot columns ascending).  rank mod p <= rank over Q,
     so a full column rank mod p proves the exact kernel is trivial; the
     same holds for every column prefix, whose rank mod p is the number of
     pivot columns inside it."""
     if p is None:
         p = _PRIMES_31[0]
-    _, piv_cols = _rank_profile_mod(_reduce_matrix_mod(rows, p), p)
+    _, piv_cols = _rank_profile_mod(system.mod(p), p)
     return len(piv_cols), piv_cols
 
 
@@ -166,32 +246,31 @@ def _rational_reconstruct(a: int, m: int):
     return QQ(r1, s1) if s1 > 0 else QQ(-r1, -s1)
 
 
-def _verify_kernel(rows: Sequence[Sequence], vec: Sequence) -> bool:
-    for row in rows:
-        acc = Q0
-        for c, v in zip(row, vec):
-            if v != 0 and c != 0:
-                acc += c * v
-        if acc != 0:
-            return False
-    return True
+def kernel_vector_exact(system: ShiftSystem, residual: Callable[[List], Sequence]) -> Optional[List]:
+    """One exact kernel vector of the system that passes the caller's
+    exact check, or None.
 
-
-def kernel_vector_exact(rows: Sequence[Sequence]) -> Optional[List]:
-    """One exact kernel vector of the rational matrix, or None.
-
-    ``None`` is rigorous (a prime with full column rank certifies it,
-    since the rank can only drop under reduction).  A returned vector is
-    verified exactly against every row before being handed back.
+    ``residual(vec)`` gives exact values whose first len(system) entries
+    are the rows of the system times vec; the caller may append values
+    of further conditions.  Each candidate that CRT and rational
+    reconstruction produce is checked once, by this residual:
+      - all zero: the vector is returned;
+      - a nonzero among the system's rows: the candidate is wrong and
+        one more prime joins the CRT;
+      - zero on the system's rows, nonzero further on: the candidate is
+        a kernel vector that the caller rejects, and the answer is None.
+    So no vector that fails the check is ever returned.  ``None`` from a
+    prime with full column rank is rigorous, since the rank can only
+    drop under reduction.
     """
-    if not rows or not rows[0]:
+    if not system.nrows or not system.cols:
         return None
     piv_ref: Optional[List[int]] = None
     combined: List[int] = []
     modulus = 1
     for p in _PRIMES_31:
         try:
-            a = _reduce_matrix_mod(rows, p)
+            a = system.mod(p)
         except ValueError:
             continue  # p divides some denominator
         piv, vec = _kernel_mod(a, p)
@@ -210,9 +289,18 @@ def kernel_vector_exact(rows: Sequence[Sequence]) -> Optional[List]:
             ]
             modulus *= p
         cand = _try_reconstruct(combined, modulus)
-        if cand is not None and _verify_kernel(rows, cand):
-            return _clear_denominators(cand)
-    return _kernel_vector_exact_slow(rows)
+        if cand is None:
+            continue
+        cand = _clear_denominators(cand)
+        bad = next((n for n, x in enumerate(residual(cand)) if x), None)
+        if bad is None:
+            return cand
+        if bad >= len(system):
+            return None
+    cand = _kernel_vector_exact_slow(system)
+    if cand is None or any(residual(cand)):
+        return None
+    return cand
 
 
 def _try_reconstruct(combined: List[int], modulus: int) -> Optional[List]:

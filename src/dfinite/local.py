@@ -234,14 +234,15 @@ class IndicialData:
     """Indicial polynomial at a point plus its rational-root profile."""
 
     __slots__ = (
-        "point", "branch", "poly", "degree", "rational_roots",
+        "point", "branch", "poly", "theta", "degree", "rational_roots",
         "splits_distinct_rational", "dom",
     )
 
-    def __init__(self, point, branch, poly, degree, rational_roots, dom):
+    def __init__(self, point, branch, theta, degree, rational_roots, dom):
         self.point = point
         self.branch = branch  # modulus of the branch for algebraic clusters
-        self.poly = poly      # lambda-coefficients over dom
+        self.theta = theta    # [q_0, q_1, ...] of theta_form, kept for Frobenius
+        self.poly = theta[0]  # lambda-coefficients over dom
         self.degree = degree
         self.rational_roots = rational_roots  # [(root, multiplicity)]
         distinct = len(rational_roots)
@@ -271,9 +272,10 @@ class IndicialData:
             self.point.label(), self.degree, self.rational_roots)
 
 
-def _indicial_over(op: DiffOp, point: SingularPoint, dom) -> Tuple[List, int]:
-    coeffs = _local_coeffs(op, point, dom)
-    _, qs = theta_form(coeffs, dom)
+def _indicial_over(op: DiffOp, point: SingularPoint, dom) -> Tuple[List[List], int]:
+    """(theta rows [q_0, q_1, ...] at the point, indicial degree); the
+    indicial polynomial is q_0."""
+    _, qs = theta_form(_local_coeffs(op, point, dom), dom)
     ind = qs[0]
     # a zero-divisor leading coefficient means the degree differs between
     # branches; force a split before reporting a degree
@@ -285,7 +287,7 @@ def _indicial_over(op: DiffOp, point: SingularPoint, dom) -> Tuple[List, int]:
             if 0 < g.degree < dom.modulus.degree:
                 raise ZeroDivisorSplit(g, dom.modulus.exact_div(g))
             break
-    return ind, len(ind) - 1
+    return qs, len(ind) - 1
 
 
 def _rational_roots_lam_q(ind: List) -> List[Tuple[object, int]]:
@@ -350,20 +352,20 @@ def indicial_branches(op: DiffOp, point: SingularPoint) -> List[IndicialData]:
     if op.is_zero():
         raise InputError("zero operator")
     if point.kind != SingularPoint.ALGEBRAIC:
-        ind, deg = _indicial_over(op, point, QQ_DOMAIN)
-        roots = _rational_roots_lam_q(ind)
-        return [IndicialData(point, None, ind, deg, roots, QQ_DOMAIN)]
+        qs, deg = _indicial_over(op, point, QQ_DOMAIN)
+        roots = _rational_roots_lam_q(qs[0])
+        return [IndicialData(point, None, qs, deg, roots, QQ_DOMAIN)]
 
     def branch_fn(m: Poly):
         ring = ModRing(m)
-        ind, deg = _indicial_over(op, SingularPoint.algebraic(m), ring)
-        roots = rational_roots_nf(ind, ring)
-        return ind, deg, roots, ring
+        qs, deg = _indicial_over(op, SingularPoint.algebraic(m), ring)
+        roots = rational_roots_nf(qs[0], ring)
+        return qs, deg, roots, ring
 
     out = []
-    for m, (ind, deg, roots, ring) in split_cases(point.modulus, branch_fn):
+    for m, (qs, deg, roots, ring) in split_cases(point.modulus, branch_fn):
         sub = SingularPoint.algebraic(m)
-        out.append(IndicialData(sub, m, ind, deg, roots, ring))
+        out.append(IndicialData(sub, m, qs, deg, roots, ring))
     return out
 
 
@@ -731,8 +733,8 @@ def formal_solutions(
         if point.kind == SingularPoint.ALGEBRAIC:
             dom = ModRing(branch)
             point = SingularPoint.algebraic(branch)
-            ind, deg = _indicial_over(op, point, dom)
-            data = IndicialData(point, branch, ind, deg, rational_roots_nf(ind, dom), dom)
+            qs, deg = _indicial_over(op, point, dom)
+            data = IndicialData(point, branch, qs, deg, rational_roots_nf(qs[0], dom), dom)
         else:
             dom = QQ_DOMAIN
             data = indicial(op, point)
@@ -747,8 +749,7 @@ def formal_solutions(
             "indicial polynomial at %s has irrational or complex roots; "
             "only rational exponents are supported" % point.label()
         )
-    coeffs = _local_coeffs(op, point, dom)
-    _, qs = theta_form(coeffs, dom)
+    qs = data.theta
     solutions: List[LogSeries] = []
     has_logs = False
     obstructions: List[Tuple[object, int]] = []

@@ -2,7 +2,10 @@
 
 ``guess_annihilator`` finds a candidate operator annihilating a truncated
 series, by increasing order and then minimal degree, from exact kernel
-vectors of the Hermite-Pade style system.  ``certify_annihilates``
+vectors of the Hermite-Pade style system.  The system is never written
+out as a matrix of rationals: it is a ``linalg.ShiftSystem`` over the
+derivatives f, f', ..., f^(order), column (i, j) being f^(i) shifted by
+j, so each derivative is reduced once per prime.  ``certify_annihilates``
 upgrades a candidate to a proof: it builds a cofactor A with
 A o M = C o L from the first Q(z)-linear dependence among the
 remainders of d^j o M modulo L, so g = M(f) is a solution of A and the
@@ -18,7 +21,10 @@ The search eliminates once per order: one rank profile mod p of the
 system at the degree cap gives the rank of every smaller degree cell as
 a count of pivot columns, so "no operator of this order and degree <= d"
 is proved for every d at once, and exact kernel vectors are computed
-only at degrees where a kernel survives mod p.
+only at degrees where a kernel survives mod p.  Each CRT candidate is
+checked exactly once, inside ``kernel_vector_exact``'s prime loop, by
+applying its operator to f (``apply_op``), which covers every row of
+the system; a candidate that fails brings in one more prime.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import InputError
-from .linalg import _first_dependence, kernel_rank_mod_p, kernel_vector_exact
+from .linalg import ShiftSystem, _first_dependence, kernel_rank_mod_p, kernel_vector_exact
 from .ore import DiffOp, _remainders
 from .polys import Poly, _zclear, _zmul, _zsub
 from .rationals import Q0
@@ -36,7 +42,6 @@ from .series import (
     TruncSeries,
     apply_op,
     indicial_bound,
-    is_zero_series,
     unroll,
     validate_init,
     zero_test,
@@ -69,25 +74,14 @@ def _guess_columns(order: int, degree: int) -> List[Tuple[int, int]]:
     return [(i, j) for j in range(degree + 1) for i in range(order + 1)]
 
 
-def _build_rows(f: TruncSeries, order: int, degree: int) -> List[List]:
-    """System rows: row n states that the z^n coefficient of M(f) vanishes."""
-    n_av = f.trunc_order
+def _guess_system(f: TruncSeries, order: int, degree: int) -> ShiftSystem:
+    """Row n states that the z^n coefficient of M(f) vanishes: column
+    (i, j) is the i-th derivative of f shifted by j."""
     derivs = [list(f.coeffs)]
     for _ in range(order):
         prev = derivs[-1]
         derivs.append([prev[k] * k for k in range(1, len(prev))])
-    n_rows = n_av - order
-    cols = _guess_columns(order, degree)
-    rows = []
-    for n in range(n_rows):
-        row = []
-        for i, j in cols:
-            if n - j >= 0 and n - j < len(derivs[i]):
-                row.append(derivs[i][n - j])
-            else:
-                row.append(Q0)
-        rows.append(row)
-    return rows
+    return ShiftSystem(derivs, _guess_columns(order, degree), f.trunc_order - order)
 
 
 def _vector_to_op(vec: Sequence, order: int, degree: int) -> DiffOp:
@@ -98,7 +92,7 @@ def _vector_to_op(vec: Sequence, order: int, degree: int) -> DiffOp:
     return DiffOp([Poly(cs) for cs in coeffs])
 
 
-def _probe_degree(rows: List[List], order: int, d_cap: int) -> List[int]:
+def _probe_degree(system: ShiftSystem, order: int, d_cap: int) -> List[int]:
     """Degrees d <= d_cap, ascending, whose cell has a nontrivial kernel
     mod p.
 
@@ -108,7 +102,7 @@ def _probe_degree(rows: List[List], order: int, d_cap: int) -> List[int]:
     of pivot columns inside that prefix.  Every degree left out has full
     column rank mod p, hence a trivial kernel over Q.
     """
-    _, piv_cols = kernel_rank_mod_p(rows)
+    _, piv_cols = kernel_rank_mod_p(system)
     out = []
     for d in range(d_cap + 1):
         ncols = (order + 1) * (d + 1)
@@ -118,14 +112,23 @@ def _probe_degree(rows: List[List], order: int, d_cap: int) -> List[int]:
 
 
 def _search_order(f: TruncSeries, order: int, d_cap: int) -> Optional[Tuple[DiffOp, int]]:
-    """Minimal-degree verified operator of the given order, or None."""
-    rows = _build_rows(f, order, d_cap)
-    for d in _probe_degree(rows, order, d_cap):
-        ncols = (order + 1) * (d + 1)
-        vec = kernel_vector_exact([row[:ncols] for row in rows])
+    """Minimal-degree verified operator of the given order, or None.
+
+    The one exact check of a candidate is M(f) = 0 up to the precision
+    ``apply_op`` keeps, N - max_shift >= N - order terms, which covers
+    every row of the system; ``kernel_vector_exact`` runs it inside its
+    CRT loop.
+    """
+    system = _guess_system(f, order, d_cap)
+    for d in _probe_degree(system, order, d_cap):
+
+        def residual(vec: List) -> Sequence:
+            return apply_op(_vector_to_op(vec, order, d), f).coeffs
+
+        vec = kernel_vector_exact(system.prefix((order + 1) * (d + 1)), residual)
         if vec is not None:
             op = _vector_to_op(vec, order, d)
-            if not op.is_zero() and op.order > 0 and is_zero_series(apply_op(op, f)):
+            if op.order > 0:
                 return op, d
         # spurious mod-p kernel: go on to the next candidate degree
     return None

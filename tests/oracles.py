@@ -4,7 +4,8 @@ These are the straightforward versions: Euclid over ``Fraction`` for the
 polynomial gcd, elimination over Q(z) with a gcd after every ``RatFunc``
 operation for right division, lclm and cofactors, recurrence unrolling
 with rows evaluated over ``Fraction``, the full reduced row echelon form mod p
-for kernel vectors, and a brute-force fraction iteration over F_p(z) for
+for kernel vectors, guessing systems written out and reduced mod p cell
+by cell, and a brute-force fraction iteration over F_p(z) for
 the p-curvature and its rank.  They are slow and deliberately independent
 of the fraction-free Z[z] kernels and the forward-only mod-p elimination
 in ``dfinite``.  Diagonals are checked against a cell-by-cell expansion
@@ -23,8 +24,9 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from dfinite import DiffOp, Poly, TruncSeries
-from dfinite.algebraic import _invert_mod, _mul_mod, _ratfunc_poly_divmod
+from dfinite.algebraic import _invert_mod, _mul_mod, _ratfunc_poly_divmod, _series_mul
 from dfinite.errors import InputError, ZeroDivisorSplit
+from dfinite.linalg import ShiftSystem
 from dfinite.local import _lam_add, _lam_eval, _lam_trim, _series_valuation
 from dfinite.polys import RatFunc
 from dfinite.quotient import DomainQQ, ModRing, gcd_with_modulus
@@ -221,6 +223,68 @@ def annihilator_of_roots_oracle(p) -> DiffOp:
 # ---------------------------------------------------------------------------
 # Linear algebra mod p
 # ---------------------------------------------------------------------------
+
+
+def _build_rows(f: TruncSeries, order: int, degree: int) -> List[List]:
+    """The guesser's system cell by cell: row n states that the z^n
+    coefficient of sum c_ij z^j f^(i) vanishes, columns (i, j)
+    degree-major."""
+    n_av = f.trunc_order
+    derivs = [list(f.coeffs)]
+    for _ in range(order):
+        prev = derivs[-1]
+        derivs.append([prev[k] * k for k in range(1, len(prev))])
+    cols = [(i, j) for j in range(degree + 1) for i in range(order + 1)]
+    rows = []
+    for n in range(n_av - order):
+        row = []
+        for i, j in cols:
+            if n - j >= 0 and n - j < len(derivs[i]):
+                row.append(derivs[i][n - j])
+            else:
+                row.append(Q0)
+        rows.append(row)
+    return rows
+
+
+def _build_algebraic_rows(f: TruncSeries, max_dy: int, max_dz: int) -> List[List]:
+    """The algebraic guesser's system cell by cell: row m is the z^m
+    coefficient of sum c_ij z^i f^j, columns (i, j) with j outer."""
+    n = f.trunc_order
+    powers = [[QQ(1)] + [Q0] * (n - 1)]
+    for _ in range(max_dy):
+        powers.append(_series_mul(powers[-1], list(f.coeffs), n))
+    cols = [(i, j) for j in range(max_dy + 1) for i in range(max_dz + 1)]
+    return [[powers[j][m - i] if 0 <= m - i < n else Q0 for i, j in cols] for m in range(n)]
+
+
+def _reduce_matrix_mod(rows: List[List], p: int) -> np.ndarray:
+    """Reduce a matrix of rationals mod p cell by cell; raises ValueError
+    when p divides a denominator.  Each distinct entry object (by
+    identity; ``rows`` keeps it alive for the whole call) is reduced once.
+    """
+    memo: Dict[int, int] = {}
+    out = []
+    for row in rows:
+        line = []
+        for c in row:
+            v = memo.get(id(c))
+            if v is None:
+                den = int(c.denominator) % p
+                if den == 0:
+                    raise ValueError("prime divides a denominator")
+                v = memo[id(c)] = int(c.numerator) * pow(den, -1, p) % p
+            line.append(v)
+        out.append(line)
+    return np.array(out, dtype=np.int64).reshape(len(rows), len(rows[0]) if rows else 0)
+
+
+def dense_system(rows: List[List]) -> ShiftSystem:
+    """Any matrix as a ``ShiftSystem``: column c is its own sequence,
+    unshifted."""
+    ncols = len(rows[0]) if rows else 0
+    return ShiftSystem([[row[c] for row in rows] for c in range(ncols)],
+                       [(c, 0) for c in range(ncols)], len(rows))
 
 
 def _rref_mod(a: np.ndarray, p: int) -> Tuple[np.ndarray, List[int], List[int]]:

@@ -1,7 +1,8 @@
 """Modular linear algebra: rank profiles, kernel vectors by
-back-substitution, memoized reduction, rational reconstruction past
-float range, the guesser's one-elimination proof on the Apery operator,
-and the fraction-free Q(z) dependence."""
+back-substitution, structured systems reduced mod p against the
+cell-by-cell oracle, the one exact check inside the CRT loop, rational
+reconstruction past float range, the guesser's one-elimination proof on
+the Apery operator, and the fraction-free Q(z) dependence."""
 
 from bisect import bisect_left
 from fractions import Fraction
@@ -12,19 +13,30 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import dfinite.linalg as linalg
+from dfinite.algebraic import _algebraic_system
 from dfinite.fileio import load_problem
 from dfinite.linalg import (
     _PRIMES_31,
     _first_dependence,
     _kernel_mod,
     _rational_reconstruct,
-    _reduce_matrix_mod,
     kernel_rank_mod_p,
+    kernel_vector_exact,
 )
-from dfinite.minimize import INPUT_RETURNED, minimal_annihilator
+from dfinite.minimize import INPUT_RETURNED, _guess_system, minimal_annihilator
 from dfinite.polys import Poly, RatFunc
 from dfinite.rationals import Q0, QQ
-from oracles import _kernel_vector_mod, _rref_mod, ratfunc_dependence
+from dfinite.series import TruncSeries
+from oracles import (
+    _build_algebraic_rows,
+    _build_rows,
+    _kernel_vector_mod,
+    _reduce_matrix_mod,
+    _rref_mod,
+    dense_system,
+    ratfunc_dependence,
+)
 
 APERY = Path(__file__).resolve().parents[1] / "bench" / "data" / "apery.json"
 
@@ -48,7 +60,7 @@ def shared_matrices(draw):
 @settings(max_examples=200, deadline=None)
 @given(shared_matrices(), st.sampled_from([5, 7, _PRIMES_31[0]]))
 def test_pivot_prefix_counts_are_prefix_ranks(rows, p):
-    rank, piv = kernel_rank_mod_p(rows, p)
+    rank, piv = kernel_rank_mod_p(dense_system(rows), p)
     assert rank == len(piv) and piv == sorted(set(piv))
     a = _reduce_matrix_mod(rows, p)
     for k in range(len(rows[0]) + 1):
@@ -83,6 +95,118 @@ def test_memoized_reduction_rejects_bad_prime():
     bad = QQ(1, 7)
     with pytest.raises(ValueError):
         _reduce_matrix_mod([[QQ(2), bad], [bad, QQ(2)]], 7)
+
+
+_P31 = _PRIMES_31[0]
+
+
+def _reduced_or_error(make):
+    try:
+        return make().tolist()
+    except ValueError:
+        return "ValueError"
+
+
+@st.composite
+def layouts(draw):
+    """A series with rational coefficients, some of whose denominators
+    the prime divides, and one of the two guessing layouts: (system,
+    oracle rows)."""
+    p = draw(st.sampled_from([5, 7, _P31]))
+    coeffs = draw(st.lists(
+        st.builds(Fraction, st.integers(-30, 30),
+                  st.sampled_from([1, 1, 1, 2, 3, 5, 7, 10, 14, 25, _P31])),
+        min_size=4, max_size=14,
+    ))
+    f = TruncSeries(coeffs)
+    if draw(st.booleans()):
+        order = draw(st.integers(0, 3))
+        degree = draw(st.integers(0, 3))
+        system, rows = _guess_system(f, order, degree), _build_rows(f, order, degree)
+    else:
+        dy, dz = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+        system, rows = _algebraic_system(f, dy, dz), _build_algebraic_rows(f, dy, dz)
+    return p, system, rows, draw(st.integers(0, len(system.cols)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(layouts())
+def test_gathered_matrix_matches_cell_by_cell_reduction(case):
+    p, system, rows, ncols = case
+    assert len(system) == len(rows) and [list(r) for r in system] == rows
+    want = _reduced_or_error(lambda: _reduce_matrix_mod(rows, p))
+    assert _reduced_or_error(lambda: system.mod(p)) == want
+    # a prefix reads the residues its parent left, but fails only on
+    # entries of its own columns
+    head = [row[:ncols] for row in rows]
+    assert (_reduced_or_error(lambda: system.prefix(ncols).mod(p))
+            == _reduced_or_error(lambda: _reduce_matrix_mod(head, p)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(layouts(), st.data())
+def test_exact_product_matches_rows(case, data):
+    _, system, rows, _ = case
+    vec = [data.draw(st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3)))
+           for _ in system.cols]
+    assert system.times(vec) == [sum((c * v for c, v in zip(row, vec)), Q0) for row in rows]
+
+
+def _kernel_case():
+    """A 4x5 system with a one-dimensional kernel over Q."""
+    rows = [[QQ(1), QQ(2), Q0, QQ(3), QQ(1)],
+            [Q0, QQ(1), QQ(1, 2), QQ(-1), QQ(2)],
+            [QQ(2), Q0, QQ(1), QQ(1), QQ(1)],
+            [QQ(1), QQ(1), QQ(1), QQ(1), QQ(5, 3)]]
+    return dense_system(rows)
+
+
+def _wrong_first(monkeypatch, times):
+    """Make the first ``times`` reconstructions return a vector that is
+    not in the kernel; count the calls."""
+    real = linalg._try_reconstruct
+    calls = []
+
+    def patched(combined, modulus):
+        calls.append(modulus)
+        got = real(combined, modulus)
+        if len(calls) <= times and got is not None:
+            return [x + 1 for x in got]
+        return got
+
+    monkeypatch.setattr(linalg, "_try_reconstruct", patched)
+    return calls
+
+
+def test_failed_candidate_adds_a_prime(monkeypatch):
+    system = _kernel_case()
+    want = kernel_vector_exact(system, system.times)
+    assert want is not None and not any(system.times(want))
+    calls = _wrong_first(monkeypatch, 1)
+    assert kernel_vector_exact(system, system.times) == want
+    assert len(calls) == 2 and calls[1] > calls[0]  # a second prime joined
+
+
+def test_failing_vector_never_returned(monkeypatch):
+    system = _kernel_case()
+    want = kernel_vector_exact(system, system.times)
+    seen = []
+
+    def residual(vec):
+        out = system.times(vec)
+        seen.append(not any(out))
+        return out
+
+    # every reconstruction is wrong: the exact fallback answers, checked
+    calls = _wrong_first(monkeypatch, len(_PRIMES_31))
+    assert kernel_vector_exact(system, residual) == want
+    assert len(calls) == len(_PRIMES_31) and seen == [False] * len(calls) + [True]
+    # a kernel vector that fails the caller's further condition is not
+    # returned, and no prime is added for it
+    monkeypatch.undo()
+    calls = _wrong_first(monkeypatch, 0)
+    assert kernel_vector_exact(system, lambda vec: system.times(vec) + [QQ(1)]) is None
+    assert len(calls) == 1
 
 
 def test_rational_reconstruct_beyond_float_range():

@@ -334,6 +334,20 @@ def test_formal_solutions_cluster_log(cluster_log_op):
         assert apply_local(loc, ring, sol).is_zero()
 
 
+def test_formal_solutions_builds_theta_form_once(monkeypatch, cluster_log_op):
+    # the Frobenius step reuses the theta rows of the indicial step
+    calls = []
+    real = local_mod.theta_form
+    monkeypatch.setattr(local_mod, "theta_form", lambda *a: calls.append(1) or real(*a))
+    m = Poly([-2, 0, 1]).monic()
+    for point, branch in ((SingularPoint.algebraic(m), None), (SingularPoint.algebraic(m), m),
+                          (_pt(0), None)):
+        calls.clear()
+        formal_solutions(cluster_log_op, point, 4, mode="full", branch=branch,
+                         allow_irregular=True)
+        assert len(calls) == 1
+
+
 def test_formal_solutions_irregular_rejected():
     # D^2 + z has an irregular point at infinity
     op = DiffOp([Poly([0, 1]), Poly(), Poly([1])])

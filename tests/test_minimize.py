@@ -164,3 +164,28 @@ def test_minimal_annihilator_rejects_bad_init():
         minimal_annihilator(op, TruncSeries([1, 3]))
     with pytest.raises(InputError, match="^invalid initial terms: fewer"):
         minimal_annihilator(DiffOp([Poly(), Poly(), Poly([1])]), TruncSeries([1]))
+
+
+def test_wrong_reconstruction_costs_a_prime_not_the_answer(monkeypatch, apery_op, apery_init):
+    # the first reconstruction of every CRT loop is wrong: each is caught
+    # by the one exact check (M(f) = 0), which brings in another prime
+    import dfinite.linalg as linalg
+
+    real = linalg._try_reconstruct
+    seen = []
+
+    def wrong_first(combined, modulus):
+        got = real(combined, modulus)
+        first = not seen or modulus < seen[-1]  # a new loop restarts the modulus
+        seen.append(modulus)
+        return [x + 1 for x in got] if first and got is not None else got
+
+    monkeypatch.setattr(linalg, "_try_reconstruct", wrong_first)
+    assert guess_annihilator(gen_binomial_sum([2, 2], 120), 3, 4) == apery_op
+    assert len(seen) >= 2
+    big = lclm(apery_op, DiffOp([Poly(), Poly([1])]))
+    init = unroll(apery_op, apery_init, big.order + 4)
+    res = minimal_annihilator(big, init, MinimizeOptions(max_degree=10))
+    assert res.operator == apery_op
+    assert res.search_log == [
+        (1, 10, "empty kernel"), (2, 10, "empty kernel"), (3, 4, "certified")]
