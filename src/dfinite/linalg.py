@@ -63,15 +63,18 @@ class ShiftSystem:
     IndexError past the last row).
     """
 
-    __slots__ = ("seqs", "cols", "nrows", "_residues")
+    __slots__ = ("seqs", "cols", "nrows", "_pad", "_residues")
 
     def __init__(self, seqs: Sequence[Sequence], cols: Sequence[Tuple[int, int]], nrows: int):
         self.seqs = seqs
         self.cols = list(cols)
         self.nrows = nrows
-        # p -> (residue table, its zero padding, first bad index per
-        # sequence); shared with every prefix of the system
-        self._residues: Dict[int, Tuple[np.ndarray, int, np.ndarray]] = {}
+        # zeros before each sequence in the residue table: the largest
+        # shift of the whole system, so every prefix reads the same table
+        self._pad = max((k for _, k in self.cols), default=0)
+        # p -> (residue table, first bad index per sequence); shared with
+        # every prefix of the system
+        self._residues: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
 
     def __len__(self) -> int:
         return self.nrows
@@ -88,6 +91,7 @@ class ShiftSystem:
     def prefix(self, ncols: int) -> "ShiftSystem":
         """The first ncols columns, sharing the residues."""
         sub = ShiftSystem(self.seqs, self.cols[:ncols], self.nrows)
+        sub._pad = self._pad
         sub._residues = self._residues
         return sub
 
@@ -108,28 +112,24 @@ class ShiftSystem:
         got = self._residues.get(p)
         if got is None:
             got = self._residues[p] = self._reduce(p)
-        table, pad, bad = got
+        table, bad = got
         s_idx = np.array([s for s, _ in self.cols], dtype=np.int64)
         k_idx = np.array([k for _, k in self.cols], dtype=np.int64)
         if len(s_idx) and (bad[s_idx] + k_idx < self.nrows).any():
             raise ValueError("prime divides a denominator")
-        start = s_idx * table.shape[1] + pad - k_idx
+        start = s_idx * table.shape[1] + self._pad - k_idx
         return table.ravel()[start[None, :] + np.arange(self.nrows)[:, None]]
 
-    def _reduce(self, p: int) -> Tuple[np.ndarray, int, np.ndarray]:
-        """Row s holds seqs[s] mod p after ``pad`` zeros, as far as the
-        columns read it (indices below nrows - smallest shift) and up to
+    def _reduce(self, p: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Row s holds seqs[s][:nrows] mod p after ``_pad`` zeros, up to
         its first entry whose denominator p divides; that index, or
         nrows when there is none, is recorded for ``mod`` to check."""
-        pad = max((k for _, k in self.cols), default=0)
-        low: Dict[int, int] = {}
-        for s, k in self.cols:
-            low[s] = min(k, low.get(s, k))
+        pad = self._pad
         table = np.zeros((len(self.seqs), pad + self.nrows), dtype=np.int64)
         bad = np.full(len(self.seqs), self.nrows, dtype=np.int64)
-        for s, k in low.items():
+        for s, seq in enumerate(self.seqs):
             vals = []
-            for c in self.seqs[s][:max(self.nrows - k, 0)]:
+            for c in seq[:self.nrows]:
                 den = c.denominator
                 if den == 1:
                     vals.append(c.numerator % p)
@@ -140,7 +140,7 @@ class ShiftSystem:
                     break
                 vals.append(c.numerator * pow(den, -1, p) % p)
             table[s, pad:pad + len(vals)] = vals
-        return table, pad, bad
+        return table, bad
 
 
 def _rank_profile_mod(a: np.ndarray, p: int) -> Tuple[np.ndarray, List[int]]:

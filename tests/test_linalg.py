@@ -126,27 +126,30 @@ def layouts(draw):
     else:
         dy, dz = draw(st.integers(0, 3)), draw(st.integers(0, 3))
         system, rows = _algebraic_system(f, dy, dz), _build_algebraic_rows(f, dy, dz)
-    return p, system, rows, draw(st.integers(0, len(system.cols)))
+    return p, system, rows
 
 
 @settings(max_examples=300, deadline=None)
-@given(layouts())
-def test_gathered_matrix_matches_cell_by_cell_reduction(case):
-    p, system, rows, ncols = case
-    assert len(system) == len(rows) and [list(r) for r in system] == rows
-    want = _reduced_or_error(lambda: _reduce_matrix_mod(rows, p))
-    assert _reduced_or_error(lambda: system.mod(p)) == want
-    # a prefix reads the residues its parent left, but fails only on
+@given(layouts(), st.data())
+def test_gathered_matrix_matches_cell_by_cell_reduction(case, data):
+    # the system and its prefixes share one residue table per prime,
+    # whichever of them reduces the prime first; a prefix fails only on
     # entries of its own columns
-    head = [row[:ncols] for row in rows]
-    assert (_reduced_or_error(lambda: system.prefix(ncols).mod(p))
-            == _reduced_or_error(lambda: _reduce_matrix_mod(head, p)))
+    p, system, rows = case
+    assert len(system) == len(rows) and [list(r) for r in system] == rows
+    widths = data.draw(st.permutations(
+        data.draw(st.lists(st.integers(0, len(system.cols)), max_size=3)) + [None]))
+    for ncols in widths:
+        part = system if ncols is None else system.prefix(ncols)
+        head = rows if ncols is None else [row[:ncols] for row in rows]
+        assert (_reduced_or_error(lambda: part.mod(p))
+                == _reduced_or_error(lambda: _reduce_matrix_mod(head, p)))
 
 
 @settings(max_examples=100, deadline=None)
 @given(layouts(), st.data())
 def test_exact_product_matches_rows(case, data):
-    _, system, rows, _ = case
+    _, system, rows = case
     vec = [data.draw(st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3)))
            for _ in system.cols]
     assert system.times(vec) == [sum((c * v for c, v in zip(row, vec)), Q0) for row in rows]
