@@ -298,7 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--max-degree", type=int, default=None)
-        p.add_argument("--max-order", type=int, default=None)
         p.add_argument("--precision", type=int, default=None)
 
     p = sub.add_parser("test", help="transcendence test")

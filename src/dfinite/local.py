@@ -34,7 +34,7 @@ from .errors import InputError, IrregularPoint, ZeroDivisorSplit
 from .ore import DiffOp, op_mul_raw
 from .polys import Poly, _zclear, _zresultant, format_poly
 from .quotient import DomainQQ, ModRing, QQ_DOMAIN, gcd_with_modulus, split_cases
-from .rationals import QQ, Q0, Q1, is_integer
+from .rationals import QQ, Q0, Q1
 
 
 # ---------------------------------------------------------------------------
@@ -346,6 +346,14 @@ def rational_roots_nf(ind: List, dom) -> List[Tuple[object, int]]:
     return out
 
 
+def _algebraic_branch(op: DiffOp, m: Poly) -> IndicialData:
+    """Indicial data on the branch of an algebraic cluster with modulus m."""
+    ring = ModRing(m)
+    point = SingularPoint.algebraic(m)
+    qs, deg = _indicial_over(op, point, ring)
+    return IndicialData(point, m, qs, deg, rational_roots_nf(qs[0], ring), ring)
+
+
 def indicial_branches(op: DiffOp, point: SingularPoint) -> List[IndicialData]:
     """Indicial data at a point; algebraic clusters may yield several
     branches after zero-divisor splits."""
@@ -355,18 +363,7 @@ def indicial_branches(op: DiffOp, point: SingularPoint) -> List[IndicialData]:
         qs, deg = _indicial_over(op, point, QQ_DOMAIN)
         roots = _rational_roots_lam_q(qs[0])
         return [IndicialData(point, None, qs, deg, roots, QQ_DOMAIN)]
-
-    def branch_fn(m: Poly):
-        ring = ModRing(m)
-        qs, deg = _indicial_over(op, SingularPoint.algebraic(m), ring)
-        roots = rational_roots_nf(qs[0], ring)
-        return qs, deg, roots, ring
-
-    out = []
-    for m, (qs, deg, roots, ring) in split_cases(point.modulus, branch_fn):
-        sub = SingularPoint.algebraic(m)
-        out.append(IndicialData(sub, m, qs, deg, roots, ring))
-    return out
+    return [data for _, data in split_cases(point.modulus, lambda m: _algebraic_branch(op, m))]
 
 
 def indicial(op: DiffOp, point: SingularPoint) -> IndicialData:
@@ -505,72 +502,6 @@ class LogSeries:
         if best is None:
             raise InputError("zero series has no leading term")
         return self.exponent + best[0], best[1]
-
-    def derivative(self) -> "LogSeries":
-        dom = self.dom
-        nlay = len(self.layers)
-        n = self.trunc
-        out = [[dom.zero()] * n for _ in range(nlay)]
-        for j, layer in enumerate(self.layers):
-            for i, c in enumerate(layer):
-                if dom.is_zero(c):
-                    continue
-                e = self.exponent + i
-                out[j][i] = out[j][i] + c * e
-                if j > 0:
-                    out[j - 1][i] = out[j - 1][i] + c * j
-        while len(out) > 1 and all(dom.is_zero(c) for c in out[-1]):
-            out.pop()
-        return LogSeries(dom, self.exponent - 1, out)
-
-    def mul_monomial(self, coeff, power: int) -> "LogSeries":
-        """Multiply by coeff * t^power (truncation length is preserved)."""
-        dom = self.dom
-        n = self.trunc
-        out = [[dom.zero()] * n for _ in self.layers]
-        for j, layer in enumerate(self.layers):
-            for i, c in enumerate(layer):
-                if not dom.is_zero(c):
-                    out[j][i] = c * coeff
-        return LogSeries(dom, self.exponent + power, out)
-
-    @staticmethod
-    def add_all(terms: List["LogSeries"]) -> "LogSeries":
-        terms = [t for t in terms if t.layers]
-        if not terms:
-            raise InputError("empty sum")
-        dom = terms[0].dom
-        base = min(t.exponent for t in terms)
-        for t in terms:
-            if not is_integer(t.exponent - base):
-                raise InputError("cannot align exponents differing by non-integers")
-        # valid length: every term must cover the coefficient slot
-        length = min(int(t.exponent - base) + t.trunc for t in terms)
-        nlay = max(len(t.layers) for t in terms)
-        out = [[dom.zero()] * length for _ in range(nlay)]
-        for t in terms:
-            off = int(t.exponent - base)
-            for j, layer in enumerate(t.layers):
-                for i, c in enumerate(layer):
-                    if i + off < length and not dom.is_zero(c):
-                        out[j][i + off] = out[j][i + off] + c
-        while len(out) > 1 and all(dom.is_zero(c) for c in out[-1]):
-            out.pop()
-        return LogSeries(dom, base, out)
-
-
-def apply_local(coeffs: List[List], dom, series: LogSeries) -> LogSeries:
-    """Apply an operator (local coefficient lists over dom) to a LogSeries."""
-    terms = []
-    current = series
-    for i, a in enumerate(coeffs):
-        if i > 0:
-            current = current.derivative()
-        for u, c in enumerate(a):
-            if dom.is_zero(c):
-                continue
-            terms.append(current.mul_monomial(c, u))
-    return LogSeries.add_all(terms)
 
 
 # ---------------------------------------------------------------------------
@@ -718,49 +649,48 @@ def formal_solutions(
     ``mode="flag"`` runs the cheap pure-series attempts that only decide
     whether logarithms occur (the transcendence test needs nothing more);
     ``mode="full"`` builds every solution including logarithmic tails.
-    All indicial roots must be rational; with ``allow_irregular`` the
-    degree may drop below the order (the extra "solutions" of an
-    irregular point are simply not constructed).
+    This sets up the indicial data at the point (or at the given branch
+    of an algebraic cluster) and hands it to :func:`_frobenius`, which the
+    transcendence scan calls directly on the data it already holds.  All
+    indicial roots must be rational; with ``allow_irregular`` the degree
+    may drop below the order (the extra "solutions" of an irregular point
+    are simply not constructed).
     """
-    if point.kind == SingularPoint.ALGEBRAIC and branch is None:
+    if point.kind != SingularPoint.ALGEBRAIC:
+        data = indicial(op, point)
+    elif branch is not None:
+        data = _algebraic_branch(op, branch)
+    else:
         branches = indicial_branches(op, point)
         if len(branches) != 1:
             raise InputError("modulus split; call per branch")
         data = branches[0]
-        dom = data.dom
-        point = data.point
-    else:
-        if point.kind == SingularPoint.ALGEBRAIC:
-            dom = ModRing(branch)
-            point = SingularPoint.algebraic(branch)
-            qs, deg = _indicial_over(op, point, dom)
-            data = IndicialData(point, branch, qs, deg, rational_roots_nf(qs[0], dom), dom)
-        else:
-            dom = QQ_DOMAIN
-            data = indicial(op, point)
     if data.degree < op.order and not allow_irregular:
         raise IrregularPoint(
             "indicial degree %d below order %d at %s"
-            % (data.degree, op.order, point.label())
+            % (data.degree, op.order, data.point.label())
         )
-    total_mult = sum(m for _, m in data.rational_roots)
-    if total_mult < data.degree:
+    sols, has_logs, obstructions = _frobenius(data, order, mode)
+    return FormalSolutionBasis(data.point, branch, sols, has_logs, obstructions, data.dom)
+
+
+def _frobenius(data: IndicialData, order: int, mode: str) -> Tuple[List[LogSeries], bool, List]:
+    """(solutions, has_logarithms, obstructions) from the theta rows and
+    rational exponents of one branch; ``mode`` as in :func:`formal_solutions`."""
+    if sum(m for _, m in data.rational_roots) < data.degree:
         raise InputError(
             "indicial polynomial at %s has irrational or complex roots; "
-            "only rational exponents are supported" % point.label()
+            "only rational exponents are supported" % data.point.label()
         )
-    qs = data.theta
+    class_mode = _class_flag_mode if mode == "flag" else _class_full_mode
     solutions: List[LogSeries] = []
     has_logs = False
     obstructions: List[Tuple[object, int]] = []
     for cls in _exponent_classes(data.rational_roots):
-        if mode == "flag":
-            sols, logs, obs = _class_flag_mode(qs, dom, cls, order)
-        else:
-            sols, logs, obs = _class_full_mode(qs, dom, cls, order)
+        sols, logs, obs = class_mode(data.theta, data.dom, cls, order)
         solutions.extend(sols)
         has_logs = has_logs or logs
         obstructions.extend(obs)
         if mode == "flag" and has_logs:
             break
-    return FormalSolutionBasis(point, branch, solutions, has_logs, obstructions, dom)
+    return solutions, has_logs, obstructions

@@ -28,7 +28,7 @@ shift m = i - j.
 from __future__ import annotations
 
 import itertools
-from math import gcd, lcm
+from math import gcd
 from typing import List, Sequence, Tuple
 
 from .errors import InputError
@@ -36,7 +36,6 @@ from .linalg import _first_dependence
 from .polys import (
     Poly,
     RatFunc,
-    _clear_ratfuncs,
     _zadd,
     _zclear,
     _zderiv,
@@ -71,10 +70,6 @@ class DiffOp:
         if normalize and cs:
             cs = _normalize_content(cs)
         self.coeffs = tuple(cs)
-
-    @staticmethod
-    def from_ratfuncs(coeffs: Sequence[RatFunc]) -> "DiffOp":
-        return DiffOp(_clear_ratfuncs(coeffs)[0])
 
     @staticmethod
     def _from_int_rows(rows: List[List[int]]) -> "DiffOp":
@@ -166,20 +161,12 @@ def _primitive_rows(rows: List[List[int]]) -> List[List[int]]:
 
 
 def _normalize_int_content(cs: List[Poly]) -> List[Poly]:
-    den = 1
-    for p in cs:
-        for c in p.coeffs:
-            den = lcm(den, int(c.denominator))
-    cs = [p.scale(QQ(den)) for p in cs]
-    num = 0
-    for p in cs:
-        for c in p.coeffs:
-            num = gcd(num, int(c.numerator))
-    if num:
-        if cs[-1].coeffs[-1] < 0:
-            num = -num
-        cs = [p.scale(QQ(1, num)) for p in cs]
-    return cs
+    """Integer coefficients of content 1, the last coefficient positive."""
+    rows = _zclear(cs)
+    num = gcd(*(c for p in rows for c in p))
+    if rows[-1][-1] < 0:
+        num = -num
+    return [Poly([c // num for c in p]) for p in rows]
 
 
 def op_mul_raw(a_coeffs: Sequence[Poly], b_coeffs: Sequence[Poly]) -> List[Poly]:

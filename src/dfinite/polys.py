@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from typing import Iterable, List, Sequence, Tuple
 
-from .rationals import QQ, Q0, Q1
+from .rationals import QQ, Q0, Q1, rat_to_str
 
 _SYMPY_GENS = None
 
@@ -213,15 +213,6 @@ class Poly:
             return self
         return self.scale(1 / self.lc)
 
-    def int_clear(self) -> Tuple["Poly", object]:
-        """Scale to integer coefficients; returns (integer poly, multiplier)."""
-        if self.is_zero():
-            return self, Q1
-        den = 1
-        for c in self.coeffs:
-            den = math.lcm(den, int(c.denominator))
-        return self.scale(QQ(den)), QQ(den)
-
     # -- gcd, squarefree, roots -----------------------------------------
 
     def gcd(self, other: "Poly") -> "Poly":
@@ -252,8 +243,7 @@ class Poly:
         import sympy
 
         x = _sympy_gens()[0]
-        p, _ = self.int_clear()
-        expr = sympy.Poly([int(c.numerator) for c in reversed(p.coeffs)], x)
+        expr = sympy.Poly(_zclear([self])[0][::-1], x)
         roots = []
         for fac, mult in expr.factor_list()[1]:
             if fac.degree() == 1:
@@ -268,22 +258,16 @@ class Poly:
         Both operands are cleared to integer polynomials c_a * a and
         c_b * b, whose resultant is c_a^deg(b) * c_b^deg(a) times this one.
         """
-        (a, ca), (b, cb) = self.int_clear(), other.int_clear()
-        r = _zresultant([[c.numerator for c in a.coeffs]], [c.numerator for c in b.coeffs])
+        ca, cb = (math.lcm(*(c.denominator for c in p.coeffs)) for p in (self, other))
+        r = _zresultant(_zclear([self]), _zclear([other])[0])
         if not r:
             return Q0
-        return QQ(r[0]) / (ca ** other.degree * cb ** self.degree)
+        return QQ(r[0], ca ** other.degree * cb ** self.degree)
 
     # -- display ---------------------------------------------------------
 
     def __repr__(self) -> str:
         return "Poly(%s)" % (format_poly(self, "z"),)
-
-
-def format_rat(c) -> str:
-    if c.denominator == 1:
-        return str(c.numerator)
-    return "%d/%d" % (c.numerator, c.denominator)
 
 
 def format_poly(p: Poly, var: str = "z") -> str:
@@ -295,7 +279,7 @@ def format_poly(p: Poly, var: str = "z") -> str:
         if c == 0:
             continue
         if i == 0:
-            term = format_rat(c)
+            term = rat_to_str(c)
         else:
             xi = var if i == 1 else "%s^%d" % (var, i)
             if c == 1:
@@ -303,7 +287,7 @@ def format_poly(p: Poly, var: str = "z") -> str:
             elif c == -1:
                 term = "-" + xi
             else:
-                term = "%s*%s" % (format_rat(c), xi)
+                term = "%s*%s" % (rat_to_str(c), xi)
         parts.append(term)
     out = parts[0]
     for t in parts[1:]:

@@ -38,9 +38,6 @@ class DomainQQ:
             raise ZeroDivisionError("inverting zero")
         return 1 / x
 
-    def to_poly(self, x) -> Poly:
-        return Poly.const(x)
-
     def __repr__(self):
         return "QQ"
 
@@ -81,9 +78,6 @@ class ModRing:
 
     def is_zero(self, x: "ModElt") -> bool:
         return all(c == 0 for c in x.coeffs)
-
-    def to_poly(self, x: "ModElt") -> Poly:
-        return Poly(x.coeffs)
 
     def inv(self, x: "ModElt") -> "ModElt":
         """Inverse mod m; raises ZeroDivisorSplit on a proper gcd."""

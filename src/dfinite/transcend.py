@@ -11,8 +11,10 @@ globally bounded; the logarithm check runs only at the origin, and a
 clean pass is reported as algebraic, a verdict conditional on the
 semisimple-local-monodromy conjecture for such series.
 
-Verdicts carry machine-checkable certificates; ``verify_report`` replays
-them step by step against the local analysis alone.
+Verdicts carry machine-checkable certificates.  ``verify_report``
+recomputes each deciding step with the scan's own check,
+``_branch_step``, on the branches of the reported point, and accepts it
+only if one branch yields the reported step field for field.
 """
 
 from __future__ import annotations
@@ -27,13 +29,8 @@ from .errors import (
     InsufficientInitialConditions,
     InvalidFactorization,
 )
-from .local import (
-    IndicialData,
-    SingularPoint,
-    formal_solutions,
-    indicial_branches,
-    singularities,
-)
+from .fileio import op_to_json
+from .local import IndicialData, SingularPoint, _frobenius, indicial_branches, singularities
 from .minimize import MinimizationResult, MinimizeOptions, _minimize, certify_annihilates
 from .ore import DiffOp, op_mul
 from .polys import Poly, format_poly
@@ -55,11 +52,14 @@ STEP_LOGARITHM = "logarithm-detected"
 STEP_ALL_PASSED = "all-points-passed"
 STEP_FACTOR_WITNESS = "factor-witness"
 
+# deciding step kinds, by the name their replay failure reports
+_DECIDING_NAMES = {
+    STEP_NOT_FUCHSIAN: "not-fuchsian",
+    STEP_NONSPLITTING: "nonsplitting",
+    STEP_LOGARITHM: "logarithm",
+}
+
 _NOT_PINNED = "initial terms do not pin down a solution: %s"
-
-
-def _op_json(op: DiffOp) -> List[List[str]]:
-    return [[rat_to_str(c) for c in p.coeffs] for p in op.coeffs]
 
 
 def _point_json(point: SingularPoint):
@@ -124,7 +124,7 @@ class VerdictReport:
             "certificate_display": [s.display() for s in self.certificate],
         }
         if self.operator is not None:
-            out["minimal_operator"] = _op_json(self.operator)
+            out["minimal_operator"] = op_to_json(self.operator)
         out["timings"] = {k: round(v, 6) for k, v in self.timings.items()}
         return out
 
@@ -157,6 +157,32 @@ def _integer_differences(roots: List[Tuple[object, int]]) -> List[int]:
     return sorted(out)
 
 
+def _branch_step(op: DiffOp, data: IndicialData, frobenius: bool) -> Optional[CertificateStep]:
+    """The step one branch certifies, or None if it passes: a degree drop
+    (not Fuchsian), an indicial polynomial without distinct rational
+    roots, or, when ``frobenius`` and two roots differ by an integer, a
+    logarithm in the local basis."""
+    where = {"point": _point_json(data.point), "point_label": data.point.label()}
+    if data.degree < op.order:
+        return CertificateStep(STEP_NOT_FUCHSIAN, dict(
+            where, indicial_degree=data.degree, order=op.order,
+            indicial=_indicial_display(data)))
+    if len(data.rational_roots) < data.degree:
+        return CertificateStep(STEP_NONSPLITTING, dict(
+            where, indicial=_indicial_display(data),
+            distinct_rational_roots=[[rat_to_str(r), m] for r, m in data.rational_roots],
+            degree=data.degree))
+    diffs = _integer_differences(data.rational_roots)
+    if frobenius and diffs:
+        _, has_logs, obstructions = _frobenius(data, max(diffs), "flag")
+        if has_logs:
+            exponent, resonance = obstructions[0]
+            return CertificateStep(STEP_LOGARITHM, dict(
+                where, exponent=rat_to_str(exponent), resonance=resonance,
+                order_checked=max(diffs)))
+    return None
+
+
 def _scan_points(
     op: DiffOp,
     steps: List[CertificateStep],
@@ -165,47 +191,12 @@ def _scan_points(
     """Run the local checks; returns the deciding step or None if all pass."""
     passed = []
     for point in singularities(op):
+        frobenius = not frobenius_at_origin_only or point == SingularPoint.rational(QQ(0))
         for data in indicial_branches(op, point):
-            label = data.point.label()
-            if data.degree < op.order:
-                return CertificateStep(STEP_NOT_FUCHSIAN, {
-                    "point": _point_json(data.point),
-                    "point_label": label,
-                    "indicial_degree": data.degree,
-                    "order": op.order,
-                    "indicial": _indicial_display(data),
-                })
-            distinct = len(data.rational_roots)
-            if distinct < data.degree:
-                return CertificateStep(STEP_NONSPLITTING, {
-                    "point": _point_json(data.point),
-                    "point_label": label,
-                    "indicial": _indicial_display(data),
-                    "distinct_rational_roots": [
-                        [rat_to_str(r), m] for r, m in data.rational_roots
-                    ],
-                    "degree": data.degree,
-                })
-            diffs = _integer_differences(data.rational_roots)
-            run_frobenius = bool(diffs)
-            if frobenius_at_origin_only:
-                run_frobenius = run_frobenius and (
-                    data.point.kind == SingularPoint.RATIONAL and data.point.value == 0
-                )
-            if run_frobenius:
-                basis = formal_solutions(
-                    op, data.point, max(diffs), mode="flag", branch=data.branch,
-                )
-                if basis.has_logarithms:
-                    exponent, resonance = basis.obstructions[0]
-                    return CertificateStep(STEP_LOGARITHM, {
-                        "point": _point_json(data.point),
-                        "point_label": label,
-                        "exponent": rat_to_str(exponent),
-                        "resonance": resonance,
-                        "order_checked": max(diffs),
-                    })
-            passed.append(label)
+            step = _branch_step(op, data, frobenius)
+            if step is not None:
+                return step
+            passed.append(data.point.label())
     steps.append(CertificateStep(STEP_ALL_PASSED, {"points": passed}))
     return None
 
@@ -239,7 +230,7 @@ def _verdict(
     steps = [CertificateStep(STEP_MINIMAL, {
         "order": mop.order,
         "status": res.status,
-        "operator": _op_json(mop),
+        "operator": op_to_json(mop),
         "search_log": [list(t) for t in res.search_log],
         "minimality": res.minimality,
     })]
@@ -370,9 +361,11 @@ def verify_report(
 ) -> Tuple[bool, str]:
     """Replay a report's certificate; (ok, reason).
 
-    Local steps are recomputed with the local-analysis machinery on the
-    reported minimal operator; the minimal-operator step is re-certified
-    against the input operator by the annihilation certificate.  The
+    Each deciding step is recomputed on the reported minimal operator by
+    the scan's own check, ``_branch_step``, at every branch of the
+    reported point, and must equal one branch's step field for field; the
+    minimal-operator step is re-certified against the input operator by
+    the annihilation certificate.  The
     stated verdict must follow from the last step: T (certified) from a
     replayed local obstruction, FAIL or A from a pass over every point.
     Factor witnesses are refused, as reports carry no factorization to
@@ -401,28 +394,15 @@ def verify_report(
             continue
         if kind == STEP_FACTOR_WITNESS:
             return False, "factor witness carries no factorization to re-check"
-        point = _point_from_json(step["point"])
-        branches = indicial_branches(mop, point)
-        if kind == STEP_NOT_FUCHSIAN:
-            if not any(b.degree < mop.order for b in branches):
-                return False, "not-fuchsian step does not replay"
-        elif kind == STEP_NONSPLITTING:
-            if not any(len(b.rational_roots) < b.degree for b in branches):
-                return False, "nonsplitting step does not replay"
-        elif kind == STEP_LOGARITHM:
-            replayed = False
-            for b in branches:
-                diffs = _integer_differences(b.rational_roots)
-                if not diffs:
-                    continue
-                basis = formal_solutions(mop, b.point, max(diffs), mode="flag", branch=b.branch)
-                if basis.has_logarithms:
-                    replayed = True
-                    break
-            if not replayed:
-                return False, "logarithm step does not replay"
-        else:
+        if kind not in _DECIDING_NAMES:
             return False, "unknown step kind %r" % kind
+        try:
+            branches = indicial_branches(mop, _point_from_json(step["point"]))
+        except (KeyError, TypeError, InputError):
+            branches = []
+        replayed = (_branch_step(mop, b, True) for b in branches)
+        if not any(s is not None and s.to_json() == step for s in replayed):
+            return False, "%s step does not replay" % _DECIDING_NAMES[kind]
     claim = (report_json.get("verdict"), report_json.get("confidence"))
     last = steps[-1].get("kind")
     if claim == (VERDICT_T, CONF_CERTIFIED):

@@ -14,7 +14,8 @@ taken by sympy over Q[lam] from symbolic expressions, with no clearing
 to integers.  Local coefficients at an algebraic point come from a
 Horner Taylor shift over Q[a]/(m), and the theta form from falling
 factorials built over the coefficient domain, both with products of
-quotient-ring elements.
+quotient-ring elements.  ``apply_local`` applies a local operator to a
+logarithmic series term by term, to check Frobenius solutions.
 """
 
 import itertools
@@ -27,10 +28,10 @@ from dfinite import DiffOp, Poly, TruncSeries
 from dfinite.algebraic import _invert_mod, _mul_mod, _ratfunc_poly_divmod, _series_mul
 from dfinite.errors import InputError, ZeroDivisorSplit
 from dfinite.linalg import ShiftSystem
-from dfinite.local import _lam_add, _lam_eval, _lam_trim, _series_valuation
-from dfinite.polys import RatFunc
+from dfinite.local import LogSeries, _lam_add, _lam_eval, _lam_trim, _series_valuation
+from dfinite.polys import RatFunc, _clear_ratfuncs
 from dfinite.quotient import DomainQQ, ModRing, gcd_with_modulus
-from dfinite.rationals import QQ, Q0
+from dfinite.rationals import QQ, Q0, is_integer
 from dfinite.series import _checked_recurrence
 
 
@@ -64,6 +65,12 @@ def fraction_gcd(a: Poly, b: Poly) -> Poly:
 # ---------------------------------------------------------------------------
 # Elimination over Q(z)
 # ---------------------------------------------------------------------------
+
+
+def diffop_from_ratfuncs(coeffs: List[RatFunc]) -> DiffOp:
+    """The operator with these rational-function coefficients, cleared of
+    denominators and content-normalized."""
+    return DiffOp(_clear_ratfuncs(coeffs)[0])
 
 
 def _to_ratfuncs(a: DiffOp) -> List[RatFunc]:
@@ -160,7 +167,7 @@ def _padded(rem: List[RatFunc], n: int) -> List[RatFunc]:
 
 def _dependence_op(vectors: List[List[RatFunc]]) -> Optional[DiffOp]:
     dep = ratfunc_dependence(vectors)
-    return None if dep is None else DiffOp.from_ratfuncs(dep)
+    return None if dep is None else diffop_from_ratfuncs(dep)
 
 
 def lclm_oracle(a: DiffOp, b: DiffOp) -> DiffOp:
@@ -735,3 +742,75 @@ def theta_form_oracle(coeffs: List[List], dom) -> Tuple[int, List[List]]:
             qs[k] = _lam_add(qs.get(k, []), term, dom)
     kmax = max(qs) if qs else 0
     return v, [qs.get(k, []) for k in range(kmax + 1)]
+
+
+# ---------------------------------------------------------------------------
+# Operators applied to logarithmic series
+# ---------------------------------------------------------------------------
+
+
+def _log_derivative(s: LogSeries) -> LogSeries:
+    dom = s.dom
+    n = s.trunc
+    out = [[dom.zero()] * n for _ in s.layers]
+    for j, layer in enumerate(s.layers):
+        for i, c in enumerate(layer):
+            if dom.is_zero(c):
+                continue
+            e = s.exponent + i
+            out[j][i] = out[j][i] + c * e
+            if j > 0:
+                out[j - 1][i] = out[j - 1][i] + c * j
+    while len(out) > 1 and all(dom.is_zero(c) for c in out[-1]):
+        out.pop()
+    return LogSeries(dom, s.exponent - 1, out)
+
+
+def _log_mul_monomial(s: LogSeries, coeff, power: int) -> LogSeries:
+    """Multiply by coeff * t^power (truncation length is preserved)."""
+    dom = s.dom
+    n = s.trunc
+    out = [[dom.zero()] * n for _ in s.layers]
+    for j, layer in enumerate(s.layers):
+        for i, c in enumerate(layer):
+            if not dom.is_zero(c):
+                out[j][i] = c * coeff
+    return LogSeries(dom, s.exponent + power, out)
+
+
+def _log_add_all(terms: List[LogSeries]) -> LogSeries:
+    terms = [t for t in terms if t.layers]
+    if not terms:
+        raise InputError("empty sum")
+    dom = terms[0].dom
+    base = min(t.exponent for t in terms)
+    for t in terms:
+        if not is_integer(t.exponent - base):
+            raise InputError("cannot align exponents differing by non-integers")
+    # valid length: every term must cover the coefficient slot
+    length = min(int(t.exponent - base) + t.trunc for t in terms)
+    nlay = max(len(t.layers) for t in terms)
+    out = [[dom.zero()] * length for _ in range(nlay)]
+    for t in terms:
+        off = int(t.exponent - base)
+        for j, layer in enumerate(t.layers):
+            for i, c in enumerate(layer):
+                if i + off < length and not dom.is_zero(c):
+                    out[j][i + off] = out[j][i + off] + c
+    while len(out) > 1 and all(dom.is_zero(c) for c in out[-1]):
+        out.pop()
+    return LogSeries(dom, base, out)
+
+
+def apply_local(coeffs: List[List], dom, series: LogSeries) -> LogSeries:
+    """Apply an operator (local coefficient lists over dom) to a LogSeries."""
+    terms = []
+    current = series
+    for i, a in enumerate(coeffs):
+        if i > 0:
+            current = _log_derivative(current)
+        for u, c in enumerate(a):
+            if dom.is_zero(c):
+                continue
+            terms.append(_log_mul_monomial(current, c, u))
+    return _log_add_all(terms)

@@ -236,6 +236,12 @@ def test_cli_verify_rejects_tampered(capsys, apery_file, sqrt_file, tmp_path):
     assert out["verified"] is False
 
 
+def test_cli_has_no_max_order_option(apery_file):
+    # the flag used to be accepted and ignored, so it capped nothing
+    with pytest.raises(SystemExit):
+        cli.build_parser().parse_args(["test", apery_file, "--max-order", "3"])
+
+
 def test_cli_malformed_file(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

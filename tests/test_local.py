@@ -25,12 +25,13 @@ from dfinite.errors import InputError, IrregularPoint, ZeroDivisorSplit
 from dfinite.fileio import op_from_json
 from dfinite.hypergeom import HypParams, hypergeometric_operator
 import dfinite.local as local_mod
-from dfinite.local import _lam_trim, _local_coeffs, apply_local, rational_roots_nf, theta_form
+from dfinite.local import _lam_trim, _local_coeffs, rational_roots_nf, theta_form
 from dfinite.polys import _zclear, _zresultant
 from dfinite.quotient import QQ_DOMAIN, ModElt
 from dfinite.rationals import QQ
 from oracles import (
     _lam_mul,
+    apply_local,
     local_coeffs_horner_oracle,
     rational_roots_nf_oracle,
     resultant_candidates_oracle,
@@ -346,6 +347,21 @@ def test_formal_solutions_builds_theta_form_once(monkeypatch, cluster_log_op):
         formal_solutions(cluster_log_op, point, 4, mode="full", branch=branch,
                          allow_irregular=True)
         assert len(calls) == 1
+
+
+def test_formal_solutions_per_branch_is_frobenius_on_branch_data(cluster_log_op):
+    # the cluster z^4 - 5z^2 + 6 splits into z^2 - 3 and z^2 - 2 (the log)
+    cluster = SingularPoint.algebraic(Poly([6, 0, -5, 0, 1]))
+    branches = indicial_branches(cluster_log_op, cluster)
+    assert [b.branch for b in branches] == [Poly([-3, 0, 1]), Poly([-2, 0, 1])]
+    for data in branches:
+        for mode in ("flag", "full"):
+            basis = formal_solutions(cluster_log_op, cluster, 3, mode, branch=data.branch)
+            sols, has_logs, obstructions = local_mod._frobenius(data, 3, mode)
+            assert [(s.exponent, s.layers) for s in basis.solutions] == [
+                (s.exponent, s.layers) for s in sols]
+            assert (basis.has_logarithms, basis.obstructions) == (has_logs, obstructions)
+            assert has_logs == (data.branch == Poly([-2, 0, 1]))
 
 
 def test_formal_solutions_irregular_rejected():

@@ -15,14 +15,14 @@ from dfinite import (
     transcendence_test,
     zero_test,
 )
-from dfinite.local import SingularPoint, _local_coeffs, apply_local
+from dfinite.local import SingularPoint, _local_coeffs
 from dfinite.minimize import MinimizeOptions
 from dfinite.ore import right_divides
 from dfinite.polys import RatFunc
 from dfinite.quotient import QQ_DOMAIN
 from dfinite.rationals import QQ
 from dfinite.transcend import TranscendOptions
-from oracles import _d_compose, _to_ratfuncs, lclm_oracle
+from oracles import _d_compose, _to_ratfuncs, apply_local, lclm_oracle
 
 N_CASES = 200
 

@@ -1,4 +1,8 @@
+import copy
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dfinite import (
     DiffOp,
@@ -19,7 +23,11 @@ from dfinite.rationals import QQ
 from dfinite.transcend import (
     CONF_CERTIFIED,
     CONF_CONJECTURAL,
+    CONF_HEURISTIC,
+    STEP_ALL_PASSED,
+    STEP_FACTOR_WITNESS,
     STEP_LOGARITHM,
+    STEP_MINIMAL,
     STEP_NONSPLITTING,
     STEP_NOT_FUCHSIAN,
     TranscendOptions,
@@ -214,6 +222,118 @@ def test_verify_rejects_tampered_report(apery_op, apery_init):
     rep["certificate"][1]["point"] = {"kind": "rational", "value": "2"}
     ok, why = verify_report(apery_op, apery_init, rep)
     assert not ok
+
+
+@pytest.fixture(scope="module")
+def valid_reports(apery_op, apery_init, cluster_log_op, sqrt_op):
+    """(op, init, report) for an Apery T (nonsplitting at 0), a T from a
+    logarithm at the branch z^2 = 2 of a split cluster, a sqrt FAIL and a
+    sqrt globally-bounded A."""
+    u2 = TruncSeries([4, 0, -4, 0, 1])  # (z^2 - 2)^2, scanned without minimizing
+    sqrt_init = TruncSeries([1, -1])
+    out = [
+        (apery_op, apery_init, transcendence_test(apery_op, apery_init)),
+        (cluster_log_op, u2, transcendence_test(
+            cluster_log_op, u2, TranscendOptions(skip_minimization=True))),
+        (sqrt_op, sqrt_init, transcendence_test(sqrt_op, sqrt_init, FAST)),
+        (sqrt_op, sqrt_init, globally_bounded_test(sqrt_op, sqrt_init, FAST)),
+    ]
+    kinds = [rep.certificate[-1].kind for _, _, rep in out]
+    assert kinds == [STEP_NONSPLITTING, STEP_LOGARITHM, STEP_ALL_PASSED, STEP_ALL_PASSED]
+    return [(op, init, rep.to_json()) for op, init, rep in out]
+
+
+@pytest.mark.parametrize("field, value", [
+    ("point_label", "root of z^2 - 34*z + 1"),
+    ("indicial", "x^2 - 1"),
+    ("distinct_rational_roots", [["1", 1], ["-1", 1]]),
+    ("degree", 2),
+    ("replayed", True),  # a field the check does not produce
+])
+def test_verify_rejects_tampered_deciding_step(valid_reports, field, value):
+    # every field of a deciding step is recomputed, not just its kind and point
+    op, init, rep = copy.deepcopy(valid_reports[0])
+    assert verify_report(op, init, rep) == (True, "certificate replays")
+    rep["certificate"][-1][field] = value
+    assert verify_report(op, init, rep) == (False, "nonsplitting step does not replay")
+
+
+def test_verify_rejects_logarithm_step_at_other_branch(valid_reports):
+    op, init, rep = copy.deepcopy(valid_reports[1])
+    step = rep["certificate"][-1]
+    assert step["point"] == {"kind": "algebraic", "modulus": ["-2", "0", "1"]}
+    step["point"]["modulus"] = ["-3", "0", "1"]  # the cluster's other branch
+    assert verify_report(op, init, rep) == (False, "logarithm step does not replay")
+
+
+_KINDS = [STEP_MINIMAL, STEP_NOT_FUCHSIAN, STEP_NONSPLITTING, STEP_LOGARITHM,
+          STEP_ALL_PASSED, STEP_FACTOR_WITNESS, "bogus"]
+_WORDS = ["", "0", "1", "-1", "2", "1/2", "x^3", "x^2 - 1", "infinity", "rational", "algebraic"]
+
+
+@st.composite
+def _mutated(draw, value):
+    """A JSON value of the same shape as ``value`` that differs from it."""
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, int):
+        return value + draw(st.sampled_from([-2, -1, 1, 2]))
+    if isinstance(value, str):
+        words = st.sampled_from(_WORDS) | st.text(max_size=3) | st.just(value + "0")
+        return draw(words.filter(lambda v: v != value))
+    if isinstance(value, list):
+        if not value:
+            return [draw(st.sampled_from(_WORDS))]
+        i = draw(st.integers(0, len(value) - 1))
+        how = draw(st.sampled_from(["append", "drop", "inner"]))
+        if how == "append":
+            return value + [copy.deepcopy(value[i])]
+        if how == "drop":
+            return value[:i] + value[i + 1:]
+        return value[:i] + [draw(_mutated(value[i]))] + value[i + 1:]
+    assert isinstance(value, dict)
+    out = dict(value)
+    key = draw(st.sampled_from(sorted(out) + ["extra"]))
+    out[key] = draw(_mutated(out[key])) if key in out else "1"
+    return out
+
+
+@st.composite
+def _report_mutants(draw, reports):
+    op, init, original = draw(st.sampled_from(reports))
+    rep = copy.deepcopy(original)
+    steps = rep["certificate"]
+    what = draw(st.sampled_from(["verdict", "confidence", "kind", "payload", "order"]))
+    if what == "verdict":
+        rep["verdict"] = draw(st.sampled_from([VERDICT_T, VERDICT_A, VERDICT_FAIL, "X"])
+                              .filter(lambda v: v != rep["verdict"]))
+    elif what == "confidence":
+        rep["confidence"] = draw(st.sampled_from([CONF_CERTIFIED, CONF_CONJECTURAL,
+                                                  CONF_HEURISTIC, "X"])
+                                 .filter(lambda v: v != rep["confidence"]))
+    elif what == "kind":
+        step = draw(st.sampled_from(steps))
+        step["kind"] = draw(st.sampled_from(_KINDS).filter(lambda k: k != step["kind"]))
+    elif what == "payload":
+        step = draw(st.sampled_from(steps))
+        key = draw(st.sampled_from(sorted(k for k in step if k != "kind")))
+        step[key] = draw(_mutated(step[key]))
+    else:
+        perm = draw(st.permutations(range(len(steps))).filter(lambda p: p != sorted(p)))
+        rep["certificate"] = [steps[i] for i in perm]
+    return op, init, original, rep
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_verify_mutated_reports_rejected_or_same_verdict(valid_reports, data):
+    op, init, original, mutant = data.draw(_report_mutants(valid_reports))
+    try:
+        ok, _ = verify_report(op, init, mutant)
+    except InputError:  # a malformed operator coefficient
+        ok = False
+    verdict = (original["verdict"], original["confidence"])
+    assert not ok or (mutant["verdict"], mutant["confidence"]) == verdict
 
 
 def test_iterated_factor_strategy(log_op):
