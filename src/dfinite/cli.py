@@ -167,7 +167,10 @@ def _cmd_pcurv(args) -> int:
     from .heuristics import p_curvature
 
     op, _, _ = load_problem(args.file)
-    primes = [int(p) for p in args.primes.split(",") if p.strip()]
+    try:
+        primes = [int(p) for p in args.primes.split(",") if p.strip()]
+    except ValueError:
+        raise InputError("--primes takes comma-separated integers, not %r" % args.primes) from None
     reports = []
     for p in primes:
         rep = p_curvature(op, p)

@@ -9,6 +9,7 @@ criterion).  Nothing in this module upgrades a verdict's confidence.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -121,10 +122,13 @@ def p_curvature(op: DiffOp, p: int) -> PCurvatureReport:
     The p-curvature is zero iff the remainder of d^p is 0; otherwise the
     reported rank is that of the rows for d^p ... d^(p+r-1) over F_p(z).
     Primes at most the order, or dividing a denominator or the leading
-    coefficient, are flagged bad and skipped.
+    coefficient, are flagged bad and skipped; a p that is not prime is an
+    InputError, since the iteration inverts numbers mod p.
     """
     if op.is_zero():
         raise InputError("zero operator")
+    if p < 2 or any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
+        raise InputError("p-curvature modulus %d is not prime" % p)
     r = op.order
     if p <= r:
         return PCurvatureReport(p, False, -1, True, "prime <= order degenerates the iteration")

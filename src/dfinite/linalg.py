@@ -6,13 +6,18 @@ prime each sequence is reduced once and the matrix is gathered from the
 residues with numpy index arrays; no matrix is ever reduced cell by
 cell.
 
-Strategy: one forward elimination modulo a word-size prime with numpy
-(int64 arithmetic, entries < 2^31 so products fit) gives the rank
-profile and an echelon form.  A trivial kernel modulo any prime proves a
+Strategy: one forward elimination modulo a prime below 2^26 with numpy
+gives the rank profile and an echelon form.  It works in int64 with
+delayed reduction (Dumas, Giorgi and Pernet, FFLAS-FFPACK, ACM TOMS
+2008): the pivot column and row are reduced before use, and the trailing
+block only once every 2^11 or more pivots, since each update subtracts
+less than p^2 < 2^52.  A trivial kernel modulo any prime proves a
 trivial kernel over Q, which makes "no operator of this shape exists"
 conclusions rigorous.  When a kernel exists, each prime's canonical
 kernel vector (first free column set to 1) comes from back-substitution
-through the echelon form's leading triangle; the vectors are combined by
+through the echelon form's leading triangle, read from the leading
+columns of a wider system's echelon form when one was kept at that
+prime (``kernel_rank_mod_p`` keeps it); the vectors are combined by
 CRT over several primes with rational reconstruction.  Each
 reconstructed candidate gets one exact check inside the CRT loop, the
 caller's residual, which covers every row of the system; a candidate
@@ -27,6 +32,7 @@ fraction-free over Z[z].
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -34,17 +40,22 @@ import numpy as np
 from .polys import _zexquo, _zmul, _zsub
 from .rationals import QQ, Q0, Q1
 
-_PRIMES_31 = [
-    2147483629, 2147483587, 2147483579, 2147483563, 2147483549,
-    2147483543, 2147483497, 2147483489, 2147483477, 2147483423,
-    2147483399, 2147483353, 2147483323, 2147483269, 2147483249,
-    2147483237, 2147483179, 2147483171, 2147483137, 2147483123,
-    2147483077, 2147483069, 2147483059, 2147483053, 2147483033,
-    2147483029, 2147482951, 2147482949, 2147482943, 2147482937,
-    2147482921, 2147482877, 2147482873, 2147482867, 2147482859,
-    2147482819, 2147482817, 2147482811, 2147482801, 2147482763,
-    2147482739, 2147482697, 2147482693, 2147482681, 2147482663,
-    2147482661, 2147482621, 2147482591, 2147482583, 2147482577,
+# the 60 largest primes below 2^26: a product of two residues is below
+# 2^52, so int64 holds at least 2^11 of them before a reduction (see
+# ``_reduction_period``); their product has 1560 bits
+_PRIMES = [
+    67108859, 67108837, 67108819, 67108777, 67108763,
+    67108757, 67108753, 67108747, 67108739, 67108729,
+    67108721, 67108709, 67108693, 67108669, 67108667,
+    67108661, 67108649, 67108633, 67108597, 67108579,
+    67108529, 67108511, 67108507, 67108493, 67108471,
+    67108463, 67108453, 67108439, 67108387, 67108373,
+    67108369, 67108351, 67108331, 67108313, 67108303,
+    67108289, 67108271, 67108219, 67108207, 67108201,
+    67108199, 67108187, 67108183, 67108177, 67108127,
+    67108109, 67108081, 67108049, 67108039, 67108037,
+    67108033, 67108009, 67108007, 67108003, 67107983,
+    67107977, 67107967, 67107941, 67107919, 67107913,
 ]
 
 
@@ -63,7 +74,7 @@ class ShiftSystem:
     IndexError past the last row).
     """
 
-    __slots__ = ("seqs", "cols", "nrows", "_pad", "_residues")
+    __slots__ = ("seqs", "cols", "nrows", "_pad", "_residues", "_echelons")
 
     def __init__(self, seqs: Sequence[Sequence], cols: Sequence[Tuple[int, int]], nrows: int):
         self.seqs = seqs
@@ -75,6 +86,10 @@ class ShiftSystem:
         # p -> (residue table, first bad index per sequence); shared with
         # every prefix of the system
         self._residues: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
+        # p -> (columns, echelon form, pivot columns) of the system or
+        # prefix that kernel_rank_mod_p last eliminated mod p; its own
+        # prefixes read their kernel vectors from its leading columns
+        self._echelons: Dict[int, Tuple[List[Tuple[int, int]], np.ndarray, List[int]]] = {}
 
     def __len__(self) -> int:
         return self.nrows
@@ -93,6 +108,7 @@ class ShiftSystem:
         sub = ShiftSystem(self.seqs, self.cols[:ncols], self.nrows)
         sub._pad = self._pad
         sub._residues = self._residues
+        sub._echelons = self._echelons
         return sub
 
     def times(self, vec: Sequence) -> List:
@@ -143,6 +159,16 @@ class ShiftSystem:
         return table, bad
 
 
+def _reduction_period(p: int) -> int:
+    """The most row updates an int64 entry takes between reductions mod
+    p: the largest k with k (p-1)^2 + (p-1) < 2^63.  At least 2^11 for
+    p < 2^26, 2 or 1 for primes near 2^31."""
+    k = (2 ** 63 - p) // (p - 1) ** 2
+    if k < 1:
+        raise ValueError("prime %d too large for int64 elimination" % p)
+    return k
+
+
 def _rank_profile_mod(a: np.ndarray, p: int) -> Tuple[np.ndarray, List[int]]:
     """(row echelon form of ``a`` mod p, its pivot columns ascending).
 
@@ -151,28 +177,41 @@ def _rank_profile_mod(a: np.ndarray, p: int) -> Tuple[np.ndarray, List[int]]:
     all a rank needs; pivot t sits in row t.  Pivot columns do not depend
     on the choice of pivot rows, and the number of them below k is the
     rank mod p of the first k columns.
+
+    Reduction is delayed: the pivot column is reduced before it is
+    searched and the pivot row before it is used, so each update
+    subtracts a product of two residues, less than (p-1)^2.  An entry
+    reduced into [0, p) then stays above -k (p-1)^2 after k updates, and
+    the trailing block is reduced every ``_reduction_period(p)`` pivots,
+    which keeps it inside int64.  The whole matrix is reduced once at the
+    end, so the echelon form returned has entries in [0, p).
     """
     m, n = a.shape
     a = a % p
+    period = _reduction_period(p)
     piv_cols: List[int] = []
     r = 0
     for c in range(n):
         if r >= m:
             break
-        nz = np.flatnonzero(a[r:, c])
+        col = a[r:, c] % p
+        nz = np.flatnonzero(col)
         if nz.size == 0:
             continue
         k = r + int(nz[0])
         if k != r:
             a[[r, k], c:] = a[[k, r], c:]
+            col[[0, k - r]] = col[[k - r, 0]]
+        a[r, c:] %= p
         end = c + 1 + int(np.flatnonzero(a[r, c:])[-1])  # pivot row is 0 past end
-        below = a[r + 1:, c:end]
-        if below.size:
-            factors = below[:, 0] * pow(int(a[r, c]), -1, p) % p
-            below -= np.outer(factors, a[r, c:end])
-            below %= p
+        if r + 1 < m:
+            factors = col[1:] * pow(int(col[0]), -1, p) % p
+            a[r + 1:, c:end] -= np.outer(factors, a[r, c:end])
         piv_cols.append(c)
         r += 1
+        if r % period == 0:
+            a[r:, c + 1:] %= p
+    a %= p
     return a, piv_cols
 
 
@@ -180,26 +219,49 @@ def kernel_rank_mod_p(system: ShiftSystem, p: Optional[int] = None) -> Tuple[int
     """(rank mod p, pivot columns ascending).  rank mod p <= rank over Q,
     so a full column rank mod p proves the exact kernel is trivial; the
     same holds for every column prefix, whose rank mod p is the number of
-    pivot columns inside it."""
+    pivot columns inside it.  The echelon form is kept for the prefixes'
+    kernel vectors at p (``kernel_vector_exact``)."""
     if p is None:
-        p = _PRIMES_31[0]
-    _, piv_cols = _rank_profile_mod(system.mod(p), p)
+        p = _PRIMES[0]
+    ech, piv_cols = _rank_profile_mod(system.mod(p), p)
+    system._echelons[p] = (system.cols, ech, piv_cols)
     return len(piv_cols), piv_cols
 
 
 def _kernel_mod(a: np.ndarray, p: int) -> Tuple[List[int], Optional[List[int]]]:
-    """(pivot columns of ``a`` mod p, canonical kernel vector or None).
+    """(pivot columns of ``a`` mod p, canonical kernel vector or None)."""
+    ech, piv_cols = _rank_profile_mod(a, p)
+    return piv_cols, _back_substitute(ech, piv_cols, a.shape[1], p)
+
+
+def _kernel_mod_system(system: ShiftSystem, p: int) -> Tuple[List[int], Optional[List[int]]]:
+    """``_kernel_mod`` of the system mod p, read from the leading columns
+    of a wider system's echelon form when one was kept at p: forward
+    elimination treats columns left to right, so the echelon form of a
+    column prefix is the prefix of the echelon form.  Raises ValueError
+    when p divides the denominator of an entry."""
+    n = len(system.cols)
+    got = system._echelons.get(p)
+    if got is not None and got[0][:n] == system.cols:
+        _, ech, piv_full = got
+        piv_cols = piv_full[:bisect_left(piv_full, n)]
+        return piv_cols, _back_substitute(ech, piv_cols, n, p)
+    return _kernel_mod(system.mod(p), p)
+
+
+def _back_substitute(ech: np.ndarray, piv_cols: List[int], n: int, p: int) -> Optional[List[int]]:
+    """The canonical kernel vector of the first n columns of an echelon
+    form with those pivot columns, or None when they are independent.
 
     The vector sets the first free column f to 1 and every other free
     column to 0.  Columns 0..f-1 are pivots in rows 0..f-1 of the echelon
     form, so back-substitution through that triangle gives them; pivot
-    columns past f are 0.  None when the columns are independent mod p.
+    columns past f are 0.
     """
-    ech, piv_cols = _rank_profile_mod(a, p)
     f = next((t for t, c in enumerate(piv_cols) if t != c), len(piv_cols))
-    if f == a.shape[1]:
-        return piv_cols, None
-    vec = np.zeros(a.shape[1], dtype=np.int64)
+    if f == n:
+        return None
+    vec = np.zeros(n, dtype=np.int64)
     vec[f] = 1
     rhs = -ech[:f, f] % p
     for t in range(f - 1, -1, -1):
@@ -207,7 +269,7 @@ def _kernel_mod(a: np.ndarray, p: int) -> Tuple[List[int], Optional[List[int]]]:
         if x:
             vec[t] = x
             rhs[:t] = (rhs[:t] - ech[:t, t] * x) % p
-    return piv_cols, vec.tolist()
+    return vec.tolist()
 
 
 def _poly_matrix_rank(mat: List[List[List[int]]], p: int) -> int:
@@ -268,12 +330,11 @@ def kernel_vector_exact(system: ShiftSystem, residual: Callable[[List], Sequence
     piv_ref: Optional[List[int]] = None
     combined: List[int] = []
     modulus = 1
-    for p in _PRIMES_31:
+    for p in _PRIMES:
         try:
-            a = system.mod(p)
+            piv, vec = _kernel_mod_system(system, p)
         except ValueError:
             continue  # p divides some denominator
-        piv, vec = _kernel_mod(a, p)
         if vec is None:
             return None
         if piv_ref is None or len(piv) > len(piv_ref):

@@ -21,14 +21,16 @@ The search eliminates once per order: one rank profile mod p of the
 system at the degree cap gives the rank of every smaller degree cell as
 a count of pivot columns, so "no operator of this order and degree <= d"
 is proved for every d at once, and exact kernel vectors are computed
-only at degrees where a kernel survives mod p.  Each CRT candidate is
-checked exactly once, inside ``kernel_vector_exact``'s prime loop, by
-applying its operator to f (``apply_op``), which covers every row of
-the system; a candidate that fails brings in one more prime.
+only at degrees where a kernel survives mod p; at the probe's prime they
+come from the probe's own echelon form.  Each CRT candidate is checked
+exactly once, inside ``kernel_vector_exact``'s prime loop, by applying
+its operator to f over Z (``_residual``), which covers every row of the
+system; a candidate that fails brings in one more prime.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
@@ -84,6 +86,35 @@ def _guess_system(f: TruncSeries, order: int, degree: int) -> ShiftSystem:
     return ShiftSystem(derivs, _guess_columns(order, degree), f.trunc_order - order)
 
 
+def _int_derivatives(f: TruncSeries, order: int) -> List[List[int]]:
+    """F, F', ..., F^(order) over Z for F = D f, D the least common
+    denominator of f's coefficients."""
+    den = math.lcm(*(c.denominator for c in f.coeffs))
+    derivs = [[c.numerator * (den // c.denominator) for c in f.coeffs]]
+    for _ in range(order):
+        prev = derivs[-1]
+        derivs.append([prev[k] * k for k in range(1, len(prev))])
+    return derivs
+
+
+def _residual(derivs: List[List[int]], vec: Sequence, order: int, degree: int) -> List[int]:
+    """M(F) for the operator M of an integral vector, row n being the z^n
+    coefficient, on the N - s rows that F's N terms determine (s the
+    largest i - j over M's terms z^j d^i).  M(F) is D times M(f), so its
+    rows are the system's rows times the vector, and then further rows.
+
+    ``apply_op`` on M's normal form M' gives the same verdicts: M = g M'
+    for the content g = z^v u, u(0) != 0, so M(f) = g M'(f) has its first
+    nonzero row v rows after M'(f)'s, and is determined on v more rows.
+    """
+    terms = [(i, j, v.numerator) for (i, j), v in zip(_guess_columns(order, degree), vec) if v]
+    n_out = len(derivs[0]) - max((i - j for i, j, _ in terms), default=0)
+    out = [0] * n_out
+    for i, j, v in terms:
+        out[j:n_out] = [o + v * x for o, x in zip(out[j:n_out], derivs[i])]
+    return out
+
+
 def _vector_to_op(vec: Sequence, order: int, degree: int) -> DiffOp:
     cols = _guess_columns(order, degree)
     coeffs = [[Q0] * (degree + 1) for _ in range(order + 1)]
@@ -116,14 +147,15 @@ def _search_order(f: TruncSeries, order: int, d_cap: int) -> Optional[Tuple[Diff
 
     The one exact check of a candidate is M(f) = 0 up to the precision
     ``apply_op`` keeps, N - max_shift >= N - order terms, which covers
-    every row of the system; ``kernel_vector_exact`` runs it inside its
-    CRT loop.
+    every row of the system; ``kernel_vector_exact`` runs it over Z
+    (``_residual``) inside its CRT loop.
     """
     system = _guess_system(f, order, d_cap)
+    derivs = _int_derivatives(f, order)
     for d in _probe_degree(system, order, d_cap):
 
         def residual(vec: List) -> Sequence:
-            return apply_op(_vector_to_op(vec, order, d), f).coeffs
+            return _residual(derivs, vec, order, d)
 
         vec = kernel_vector_exact(system.prefix((order + 1) * (d + 1)), residual)
         if vec is not None:

@@ -31,7 +31,16 @@ from .errors import (
 )
 from .fileio import op_to_json
 from .local import IndicialData, SingularPoint, _frobenius, indicial_branches, singularities
-from .minimize import MinimizationResult, MinimizeOptions, _minimize, certify_annihilates
+from .minimize import (
+    CERTIFIED_ANNIHILATOR,
+    HEURISTIC_MINIMAL,
+    INPUT_RETURNED,
+    NOT_SEARCHED,
+    MinimizationResult,
+    MinimizeOptions,
+    _minimize,
+    certify_annihilates,
+)
 from .ore import DiffOp, op_mul
 from .polys import Poly, format_poly
 from .rationals import QQ, is_integer, rat_to_str
@@ -60,6 +69,15 @@ _DECIDING_NAMES = {
 }
 
 _NOT_PINNED = "initial terms do not pin down a solution: %s"
+
+# (status, minimality) pairs of a minimal-operator step: a certified
+# annihilator comes from a search, the input operator from a search that
+# found none or from no search
+_MINIMAL_KINDS = {
+    (CERTIFIED_ANNIHILATOR, HEURISTIC_MINIMAL),
+    (INPUT_RETURNED, HEURISTIC_MINIMAL),
+    (INPUT_RETURNED, NOT_SEARCHED),
+}
 
 
 def _point_json(point: SingularPoint):
@@ -219,7 +237,7 @@ def _verdict(
         ok, reason = validate_init(op, init)
         if not ok:
             raise InputError(_NOT_PINNED % reason)
-        res = MinimizationResult(op, "input-returned", [], "not-searched")
+        res = MinimizationResult(op, INPUT_RETURNED, [], NOT_SEARCHED)
     else:
         try:  # the minimizer's unroll is the one check of init
             res = _minimize(op, init, opts.minimize)
@@ -354,6 +372,31 @@ def iterated_factor_strategy(
 # ---------------------------------------------------------------------------
 
 
+def _certificate_steps(report_json) -> List[Dict]:
+    """The report's certificate, after checking the shape ``to_json``
+    writes: an object whose certificate is a list of objects with string
+    kinds.  A minimal-operator step first in it has its operator as lists
+    (of strings, which the replay parses), its order as an integer, its
+    status and minimality as strings and its search log as a list.
+    Raises InputError on anything else."""
+    if not isinstance(report_json, dict):
+        raise InputError("report is not a JSON object")
+    steps = report_json.get("certificate", [])
+    if not isinstance(steps, list) or not all(
+            isinstance(s, dict) and isinstance(s.get("kind"), str) for s in steps):
+        raise InputError("report certificate is not a list of steps")
+    if steps and steps[0].get("kind") == STEP_MINIMAL:
+        first = steps[0]
+        fields = {"operator": list, "order": int, "status": str,
+                  "minimality": str, "search_log": list}
+        for key, kind in fields.items():
+            if not isinstance(first.get(key), kind) or isinstance(first[key], bool):
+                raise InputError("minimal-operator step has no valid %r" % key)
+        if not all(isinstance(c, list) for c in first["operator"]):
+            raise InputError("minimal-operator step has no valid 'operator'")
+    return steps
+
+
 def verify_report(
     op: DiffOp,
     init: TruncSeries,
@@ -363,25 +406,37 @@ def verify_report(
 
     Each deciding step is recomputed on the reported minimal operator by
     the scan's own check, ``_branch_step``, at every branch of the
-    reported point, and must equal one branch's step field for field; the
-    minimal-operator step is re-certified against the input operator by
-    the annihilation certificate.  The
-    stated verdict must follow from the last step: T (certified) from a
-    replayed local obstruction, FAIL or A from a pass over every point.
-    Factor witnesses are refused, as reports carry no factorization to
-    re-check.
+    reported point, and must equal one branch's step field for field.
+    The minimal-operator step must state its operator's order and a
+    (status, minimality) pair the minimizer writes: the input operator
+    itself, or a certified annihilator of lower order, which is
+    re-certified against the input operator by the annihilation
+    certificate.  Its search log is not re-checked, and a pass step is
+    taken as written.  The stated verdict must follow from the last step:
+    T (certified) from a replayed local obstruction, FAIL or A from a
+    pass over every point.  Factor witnesses are refused, as reports
+    carry no factorization to re-check.  A report not shaped as
+    ``VerdictReport.to_json`` writes it raises InputError.
     """
     from .rationals import rat_from_str
 
-    steps = report_json.get("certificate", [])
+    steps = _certificate_steps(report_json)
     if not steps or steps[0].get("kind") != STEP_MINIMAL:
         return False, "missing minimal-operator step"
-    mop = DiffOp([Poly([rat_from_str(c) for c in p]) for p in steps[0]["operator"]])
+    first = steps[0]
+    mop = DiffOp([Poly([rat_from_str(c) for c in p]) for p in first["operator"]])
     if mop.is_zero():
         return False, "empty minimal operator"
-    if mop.order > op.order:
-        return False, "minimal operator exceeds input order"
-    if mop.order < op.order or mop != op:
+    if first["order"] != mop.order:
+        return False, "minimal-operator order does not match its operator"
+    status = (first["status"], first["minimality"])
+    if status not in _MINIMAL_KINDS:
+        return False, "minimal-operator status %s (%s) is not one the minimizer writes" % status
+    if status[0] == INPUT_RETURNED and mop != op:
+        return False, "minimal operator reported as the input is not the input"
+    if status[0] == CERTIFIED_ANNIHILATOR:
+        if mop.order >= op.order:
+            return False, "certified annihilator is not of lower order"
         # the certificate is sound only for a solution of op
         ok, reason = validate_init(op, init)
         if not ok:

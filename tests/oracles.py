@@ -4,7 +4,7 @@ These are the straightforward versions: Euclid over ``Fraction`` for the
 polynomial gcd, elimination over Q(z) with a gcd after every ``RatFunc``
 operation for right division, lclm and cofactors, recurrence unrolling
 with rows evaluated over ``Fraction``, the full reduced row echelon form mod p
-for kernel vectors, guessing systems written out and reduced mod p cell
+for kernel vectors, forward elimination mod p reduced after every pivot, guessing systems written out and reduced mod p cell
 by cell, and a brute-force fraction iteration over F_p(z) for
 the p-curvature and its rank.  They are slow and deliberately independent
 of the fraction-free Z[z] kernels and the forward-only mod-p elimination
@@ -321,6 +321,34 @@ def _rref_mod(a: np.ndarray, p: int) -> Tuple[np.ndarray, List[int], List[int]]:
         piv_rows.append(r)
         r += 1
     return a, piv_cols, piv_rows
+
+
+def rank_profile_mod_oracle(a: np.ndarray, p: int) -> Tuple[np.ndarray, List[int]]:
+    """Forward elimination mod p that reduces the updated block after
+    every pivot: (row echelon form, pivot columns).  Needs (p-1)^2 + p
+    below 2^63."""
+    m, n = a.shape
+    a = a % p
+    piv_cols: List[int] = []
+    r = 0
+    for c in range(n):
+        if r >= m:
+            break
+        nz = np.flatnonzero(a[r:, c])
+        if nz.size == 0:
+            continue
+        k = r + int(nz[0])
+        if k != r:
+            a[[r, k], c:] = a[[k, r], c:]
+        end = c + 1 + int(np.flatnonzero(a[r, c:])[-1])
+        below = a[r + 1:, c:end]
+        if below.size:
+            factors = below[:, 0] * pow(int(a[r, c]), -1, p) % p
+            below -= np.outer(factors, a[r, c:end])
+            below %= p
+        piv_cols.append(c)
+        r += 1
+    return a, piv_cols
 
 
 def _kernel_vector_mod(a: np.ndarray, p: int):

@@ -293,6 +293,44 @@ def test_cli_verify_malformed_rational(capsys, apery_file, tmp_path, text):
     assert out["error"] == "input"
 
 
+def _minimal_without_operator(report):
+    del report["certificate"][0]["operator"]
+    return report
+
+
+@pytest.mark.parametrize("malform", [
+    lambda report: {"certificate": "xx"},
+    lambda report: {"certificate": [1, 2]},
+    lambda report: report["certificate"],  # a bare list
+    lambda report: dict(report, certificate=report["certificate"] + ["x"]),
+    _minimal_without_operator,
+])
+def test_cli_verify_malformed_report(capsys, apery_file, tmp_path, malform):
+    main(["test", apery_file])
+    report = malform(json.loads(capsys.readouterr().out))
+    report_path = tmp_path / "bad.json"
+    report_path.write_text(json.dumps(report))
+    code, out = _run(capsys, ["verify", apery_file, str(report_path)])
+    assert code == 2
+    assert out["error"] == "input"
+
+
+@pytest.mark.parametrize("primes", ["9", "4", "1", "5,15", "abc", "5,x"])
+def test_cli_pcurv_rejects_non_primes(capsys, apery_file, primes):
+    # the elimination inverts numbers mod p: 9 used to report a zero
+    # p-curvature, false evidence of algebraicity
+    code, out = _run(capsys, ["pcurv", apery_file, "--primes", primes])
+    assert code == 2
+    assert out["error"] == "input"
+
+
+def test_cli_pcurv_small_primes_stay_bad_primes(capsys, apery_file):
+    code, out = _run(capsys, ["pcurv", apery_file, "--primes", "2,3"])
+    assert code == 0
+    assert [(r["prime"], r["bad_prime"], r["matrix_rank"]) for r in out["reports"]] == [
+        (2, True, -1), (3, True, -1)]
+
+
 def test_cli_zero_operator_rejected(capsys, tmp_path):
     bad = tmp_path / "zero.json"
     bad.write_text(json.dumps({"operator": [[0]], "initial_terms": ["1"]}))

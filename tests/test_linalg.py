@@ -1,5 +1,6 @@
-"""Modular linear algebra: rank profiles, kernel vectors by
-back-substitution, structured systems reduced mod p against the
+"""Modular linear algebra: rank profiles with delayed reduction against
+the per-pivot one, kernel vectors by back-substitution and from the
+probe's leading columns, structured systems reduced mod p against the
 cell-by-cell oracle, the one exact check inside the CRT loop, rational
 reconstruction past float range, the guesser's one-elimination proof on
 the Apery operator, and the fraction-free Q(z) dependence."""
@@ -8,8 +9,12 @@ from bisect import bisect_left
 from fractions import Fraction
 from math import prod
 from pathlib import Path
+from unittest import mock
+
+import numpy as np
 
 import pytest
+import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -17,10 +22,13 @@ import dfinite.linalg as linalg
 from dfinite.algebraic import _algebraic_system
 from dfinite.fileio import load_problem
 from dfinite.linalg import (
-    _PRIMES_31,
+    _PRIMES,
     _first_dependence,
     _kernel_mod,
+    _kernel_mod_system,
+    _rank_profile_mod,
     _rational_reconstruct,
+    _reduction_period,
     kernel_rank_mod_p,
     kernel_vector_exact,
 )
@@ -35,6 +43,7 @@ from oracles import (
     _reduce_matrix_mod,
     _rref_mod,
     dense_system,
+    rank_profile_mod_oracle,
     ratfunc_dependence,
 )
 
@@ -58,7 +67,7 @@ def shared_matrices(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(shared_matrices(), st.sampled_from([5, 7, _PRIMES_31[0]]))
+@given(shared_matrices(), st.sampled_from([5, 7, _PRIMES[0]]))
 def test_pivot_prefix_counts_are_prefix_ranks(rows, p):
     rank, piv = kernel_rank_mod_p(dense_system(rows), p)
     assert rank == len(piv) and piv == sorted(set(piv))
@@ -69,7 +78,7 @@ def test_pivot_prefix_counts_are_prefix_ranks(rows, p):
 
 
 @settings(max_examples=200, deadline=None)
-@given(shared_matrices(), st.sampled_from([5, 7, _PRIMES_31[0]]))
+@given(shared_matrices(), st.sampled_from([5, 7, _PRIMES[0]]))
 # the first free column comes before later pivots
 @example([[QQ(1), QQ(2), Q0], [QQ(2), QQ(4), QQ(1)]], 7)
 @example([[Q0, QQ(1), QQ(3)], [Q0, QQ(2), QQ(1, 2)]], 5)
@@ -80,6 +89,100 @@ def test_back_substituted_kernel_matches_rref(rows, p):
     assert (vec is None) == (want is None) == (len(piv) == len(rows[0]))
     if want is not None:
         assert (piv, vec) == (want[0], want[2])
+
+
+# a 31-bit prime takes two updates between reductions, a 32-bit one one
+_P_WIDE = {2147483629: 2, 2147483659: 1}
+
+
+def test_reduction_period_from_the_prime():
+    assert _reduction_period(_PRIMES[-1]) >= _reduction_period(_PRIMES[0]) == 2 ** 11
+    for p, period in _P_WIDE.items():
+        assert _reduction_period(p) == period
+    with pytest.raises(ValueError):
+        _reduction_period(2 ** 32 - 5)
+
+
+@st.composite
+def residue_matrices(draw):
+    """(matrix mod p, p): entries anywhere in [0, p), often of low rank
+    (a product of two thin factors) and with leading zero rows in a
+    column, so that pivots need row swaps."""
+    p = draw(st.one_of(
+        st.integers(3, 2 ** 26).map(lambda n: int(sympy.prevprime(n))),
+        st.sampled_from([5, 7] + list(_P_WIDE)),
+    ))
+    m, n = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    entries = st.integers(0, p - 1)
+    if draw(st.booleans()):
+        k = draw(st.integers(0, min(m, n)))
+        left = np.array(draw(st.lists(st.lists(entries, min_size=k, max_size=k),
+                                      min_size=m, max_size=m)), dtype=object).reshape(m, k)
+        right = np.array(draw(st.lists(st.lists(entries, min_size=n, max_size=n),
+                                       min_size=k, max_size=k)), dtype=object).reshape(k, n)
+        a = (left.dot(right) % p).astype(np.int64) if k else np.zeros((m, n), dtype=np.int64)
+    else:
+        a = np.array(draw(st.lists(st.lists(entries, min_size=n, max_size=n),
+                                   min_size=m, max_size=m)), dtype=np.int64)
+    for c in draw(st.sets(st.integers(0, n - 1), max_size=n)):
+        a[:draw(st.integers(0, m)), c] = 0
+    return a, p
+
+
+@settings(max_examples=300, deadline=None)
+@given(residue_matrices(), st.sampled_from([None, 1, 2, 3]))
+def test_delayed_reduction_matches_per_pivot_reduction(case, period):
+    # same pivots and echelon rows, reduced into [0, p); a short forced
+    # period runs the trailing-block reduction at 26-bit primes too
+    a, p = case
+    want_ech, want_piv = rank_profile_mod_oracle(a.copy(), p)
+    if period is None or period > _reduction_period(p):
+        ech, piv = _rank_profile_mod(a.copy(), p)
+    else:
+        with mock.patch.object(linalg, "_reduction_period", lambda q: period):
+            ech, piv = _rank_profile_mod(a.copy(), p)
+    assert piv == want_piv
+    assert ech.tolist() == want_ech.tolist()
+
+
+def test_delayed_reduction_on_a_large_rank_deficient_matrix():
+    # 120 x 100 of rank 70 at a 26-bit and at the two wide primes: every
+    # entry of the trailing block takes dozens of updates between reductions
+    rng = np.random.default_rng(1)
+    for p in [_PRIMES[0]] + list(_P_WIDE):
+        left = rng.integers(0, p, size=(120, 70)).astype(object)
+        right = rng.integers(0, p, size=(70, 100)).astype(object)
+        a = (left.dot(right) % p).astype(np.int64)
+        a[:5] = 0  # the first pivot needs a row swap
+        want_ech, want_piv = rank_profile_mod_oracle(a.copy(), p)
+        ech, piv = _rank_profile_mod(a, p)
+        assert len(piv) == 70 and piv == want_piv
+        assert (ech == want_ech).all()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.builds(Fraction, st.integers(-3, 3), st.sampled_from([1, 1, 2, 3])),
+                min_size=6, max_size=16),
+       st.integers(1, 3), st.integers(0, 3), st.sampled_from([5, 7, _PRIMES[0]]))
+def test_prefix_kernel_from_the_probe_echelon_form(coeffs, order, degree, p):
+    # after the probe on the full system, each prefix's kernel vector at
+    # p is read from its leading columns and equals a fresh elimination
+    system = _guess_system(TruncSeries(coeffs), order, degree)
+    try:
+        kernel_rank_mod_p(system, p)
+    except ValueError:
+        return  # p divides a denominator
+    fresh = {}
+    for n in range(len(system.cols) + 1):
+        fresh[n] = _kernel_mod(system.prefix(n).mod(p), p)
+    with mock.patch.object(linalg, "_kernel_mod", side_effect=AssertionError("eliminated again")):
+        for n in range(len(system.cols) + 1):
+            assert _kernel_mod_system(system.prefix(n), p) == fresh[n]
+    # a narrower probe's echelon form answers only its own prefixes
+    narrow = len(system.cols) // 2
+    kernel_rank_mod_p(system.prefix(narrow), p)
+    for n in range(len(system.cols) + 1):
+        assert _kernel_mod_system(system.prefix(n), p) == fresh[n]
 
 
 def test_memoized_reduction_matches_per_entry():
@@ -97,7 +200,7 @@ def test_memoized_reduction_rejects_bad_prime():
         _reduce_matrix_mod([[QQ(2), bad], [bad, QQ(2)]], 7)
 
 
-_P31 = _PRIMES_31[0]
+_P = _PRIMES[0]
 
 
 def _reduced_or_error(make):
@@ -112,10 +215,10 @@ def layouts(draw):
     """A series with rational coefficients, some of whose denominators
     the prime divides, and one of the two guessing layouts: (system,
     oracle rows)."""
-    p = draw(st.sampled_from([5, 7, _P31]))
+    p = draw(st.sampled_from([5, 7, _P]))
     coeffs = draw(st.lists(
         st.builds(Fraction, st.integers(-30, 30),
-                  st.sampled_from([1, 1, 1, 2, 3, 5, 7, 10, 14, 25, _P31])),
+                  st.sampled_from([1, 1, 1, 2, 3, 5, 7, 10, 14, 25, _P])),
         min_size=4, max_size=14,
     ))
     f = TruncSeries(coeffs)
@@ -201,9 +304,9 @@ def test_failing_vector_never_returned(monkeypatch):
         return out
 
     # every reconstruction is wrong: the exact fallback answers, checked
-    calls = _wrong_first(monkeypatch, len(_PRIMES_31))
+    calls = _wrong_first(monkeypatch, len(_PRIMES))
     assert kernel_vector_exact(system, residual) == want
-    assert len(calls) == len(_PRIMES_31) and seen == [False] * len(calls) + [True]
+    assert len(calls) == len(_PRIMES) and seen == [False] * len(calls) + [True]
     # a kernel vector that fails the caller's further condition is not
     # returned, and no prime is added for it
     monkeypatch.undo()
@@ -213,7 +316,7 @@ def test_failing_vector_never_returned(monkeypatch):
 
 
 def test_rational_reconstruct_beyond_float_range():
-    m = prod(_PRIMES_31[:34])
+    m = prod(_PRIMES[:40])
     assert m.bit_length() > 1024
     for value in (QQ(3, 7), QQ(-123456789, 987654321)):
         a = int(value.numerator) * pow(int(value.denominator), -1, m) % m

@@ -1,6 +1,9 @@
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dfinite import (
     DiffOp,
@@ -16,7 +19,18 @@ from dfinite import (
     unroll,
 )
 from dfinite.errors import InputError
-from dfinite.minimize import CERTIFIED_ANNIHILATOR, INPUT_RETURNED, MinimizeOptions, _cofactor
+from dfinite.linalg import kernel_vector_exact
+from dfinite.minimize import (
+    CERTIFIED_ANNIHILATOR,
+    INPUT_RETURNED,
+    MinimizeOptions,
+    _cofactor,
+    _guess_columns,
+    _guess_system,
+    _int_derivatives,
+    _residual,
+    _vector_to_op,
+)
 from dfinite.rationals import QQ
 from oracles import cofactor_oracle
 
@@ -189,3 +203,50 @@ def test_wrong_reconstruction_costs_a_prime_not_the_answer(monkeypatch, apery_op
     assert res.operator == apery_op
     assert res.search_log == [
         (1, 10, "empty kernel"), (2, 10, "empty kernel"), (3, 4, "certified")]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.builds(Fraction, st.integers(-4, 4), st.sampled_from([1, 1, 2, 3, 6])),
+                min_size=4, max_size=14),
+       st.integers(1, 3), st.integers(0, 3), st.data())
+def test_integer_residual_has_the_zero_pattern_of_apply_op(coeffs, order, degree, data):
+    # the guesser's check over Z, M(F) with F = D f, against apply_op on
+    # M's normal form M' = M / g, g = z^v u with u(0) != 0: M(f) = g M'(f)
+    # has its first nonzero row v rows later and v more rows
+    f = TruncSeries(coeffs)
+    ncols = (order + 1) * (degree + 1)
+    vec = data.draw(st.lists(st.integers(-3, 3).map(QQ), min_size=ncols, max_size=ncols))
+    got = _residual(_int_derivatives(f, order), vec, order, degree)
+    want = apply_op(_vector_to_op(vec, order, degree), f).coeffs
+    v = min((j for (_, j), c in zip(_guess_columns(order, degree), vec) if c), default=0)
+    assert len(got) == len(want) + v
+    first = next((n for n, x in enumerate(want) if x), None)
+    assert next((n for n, x in enumerate(got) if x), None) == (None if first is None else v + first)
+
+
+def test_candidate_zero_on_the_system_but_not_further_is_refused(monkeypatch):
+    # f = z^(N-1) at order 1, degree 1: the system's rows 0..N-2 see the
+    # columns f, z f and z f' as zero, and the canonical kernel vector is
+    # M = 1, but M(f) = f has a nonzero on the row N-1 further on
+    import dfinite.linalg as linalg
+
+    n = 12
+    f = TruncSeries([0] * (n - 1) + [1])
+    system = _guess_system(f, 1, 1)
+    assert len(system) == n - 1
+    vec = [QQ(1), QQ(0), QQ(0), QQ(0)]
+    assert kernel_vector_exact(system, system.times) == vec
+    derivs = _int_derivatives(f, 1)
+    assert [i for i, x in enumerate(_residual(derivs, vec, 1, 1)) if x] == [n - 1]
+    assert [i for i, x in enumerate(apply_op(_vector_to_op(vec, 1, 1), f).coeffs) if x] == [n - 1]
+    # refused after one candidate, with no prime added; the same holds
+    # for the candidate z d, whose normal form d shifts apply_op's rows
+    calls = []
+    real = linalg._try_reconstruct
+    monkeypatch.setattr(linalg, "_try_reconstruct", lambda *a: calls.append(1) or real(*a))
+    assert kernel_vector_exact(system, lambda v: _residual(derivs, v, 1, 1)) is None
+    g = TruncSeries([1] + [0] * (n - 2) + [1])
+    g_system, g_derivs = _guess_system(g, 1, 1), _int_derivatives(g, 1)
+    assert kernel_vector_exact(g_system, g_system.times) == [QQ(0), QQ(0), QQ(0), QQ(1)]
+    assert kernel_vector_exact(g_system, lambda v: _residual(g_derivs, v, 1, 1)) is None
+    assert len(calls) == 3

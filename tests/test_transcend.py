@@ -224,6 +224,57 @@ def test_verify_rejects_tampered_report(apery_op, apery_init):
     assert not ok
 
 
+def _sqrt_report(sqrt_op, **opts):
+    init = TruncSeries([1, -1])
+    return init, transcendence_test(sqrt_op, init, TranscendOptions(**opts) if opts else FAST).to_json()
+
+
+@pytest.mark.parametrize("field, value, why", [
+    ("order", 7, "order does not match"),
+    ("status", "made-up", "status"),
+    ("minimality", "proved", "status"),
+    ("status", "certified-annihilator", "not of lower order"),
+])
+def test_verify_checks_the_minimal_operator_step(sqrt_op, field, value, why):
+    init, rep = _sqrt_report(sqrt_op)
+    step = rep["certificate"][0]
+    assert (step["status"], step["minimality"]) == ("input-returned", "heuristic-minimal")
+    assert verify_report(sqrt_op, init, rep) == (True, "certificate replays")
+    step[field] = value
+    ok, reason = verify_report(sqrt_op, init, rep)
+    assert not ok and why in reason
+
+
+def test_verify_input_returned_must_be_the_input(sqrt_op, apery_op, apery_init):
+    init, rep = _sqrt_report(sqrt_op, skip_minimization=True)
+    assert rep["certificate"][0]["minimality"] == "not-searched"
+    assert verify_report(sqrt_op, init, rep)[0]
+    # the same report against another input operator of higher order
+    big = op_mul(DiffOp([Poly(), Poly([1])]), sqrt_op)
+    assert verify_report(big, init, rep) == (
+        False, "minimal operator reported as the input is not the input")
+    rep = transcendence_test(apery_op, apery_init).to_json()
+    assert rep["certificate"][0]["status"] == "input-returned"
+
+
+@pytest.mark.parametrize("report", [
+    [],
+    "xx",
+    {"certificate": "xx"},
+    {"certificate": [1, 2]},
+    {"certificate": [{"kind": "minimal-operator", "order": 1}]},
+    {"certificate": [{"kind": "minimal-operator", "operator": [["1"]], "order": True,
+                      "status": "input-returned", "minimality": "not-searched",
+                      "search_log": []}]},
+    {"certificate": [{"kind": "minimal-operator", "operator": ["1"], "order": 0,
+                      "status": "input-returned", "minimality": "not-searched",
+                      "search_log": []}]},
+])
+def test_verify_malformed_report_is_an_input_error(sqrt_op, report):
+    with pytest.raises(InputError):
+        verify_report(sqrt_op, TruncSeries([1, -1]), report)
+
+
 @pytest.fixture(scope="module")
 def valid_reports(apery_op, apery_init, cluster_log_op, sqrt_op):
     """(op, init, report) for an Apery T (nonsplitting at 0), a T from a
@@ -303,7 +354,8 @@ def _report_mutants(draw, reports):
     op, init, original = draw(st.sampled_from(reports))
     rep = copy.deepcopy(original)
     steps = rep["certificate"]
-    what = draw(st.sampled_from(["verdict", "confidence", "kind", "payload", "order"]))
+    what = draw(st.sampled_from(["verdict", "confidence", "kind", "payload", "order",
+                                 "delete", "retype", "certificate"]))
     if what == "verdict":
         rep["verdict"] = draw(st.sampled_from([VERDICT_T, VERDICT_A, VERDICT_FAIL, "X"])
                               .filter(lambda v: v != rep["verdict"]))
@@ -318,6 +370,16 @@ def _report_mutants(draw, reports):
         step = draw(st.sampled_from(steps))
         key = draw(st.sampled_from(sorted(k for k in step if k != "kind")))
         step[key] = draw(_mutated(step[key]))
+    elif what == "delete":
+        where = draw(st.sampled_from([rep] + steps))
+        del where[draw(st.sampled_from(sorted(where)))]
+    elif what == "retype":
+        step = draw(st.sampled_from(steps))
+        key = draw(st.sampled_from(sorted(step)))
+        step[key] = draw(st.sampled_from([None, True, 5, "x", [], ["x"], {}])
+                         .filter(lambda v: type(v) is not type(step[key])))
+    elif what == "certificate":
+        rep["certificate"] = draw(st.sampled_from(["xx", 5, None, {}, [5], steps[0]]))
     else:
         perm = draw(st.permutations(range(len(steps))).filter(lambda p: p != sorted(p)))
         rep["certificate"] = [steps[i] for i in perm]
