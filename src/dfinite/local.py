@@ -9,11 +9,13 @@ rerun per branch (see :mod:`dfinite.quotient`).
 
 At an algebraic point a the coefficients are re-expanded by Taylor's
 formula: the t^u coefficient of p(t + a) is
-(p^(u)/u!)(a) = sum_k C(k, u) c_k a^(k-u), so each is one polynomial
-remainder by m and no product in the quotient ring.  Rationals -- the
-falling factorials of the theta form, exponents, the points where
-lambda-polynomials are evaluated -- scale ring elements coordinatewise;
-they are never lifted into the ring and multiplied as elements.
+(p^(u)/u!)(a) = sum_k C(k, u) c_k a^(k-u), so each is one integer
+pseudo-remainder by the cleared modulus and no product in the quotient
+ring.  Ring elements are integer numerators over one denominator, and
+rationals -- the falling factorials of the theta form, exponents, the
+points where lambda-polynomials are evaluated -- scale the numerators
+and the denominator; they are never lifted into the ring and multiplied
+as elements.
 
 The series construction follows the classical method of Frobenius.  For
 the exponents in one congruence class mod 1, processed downwards, the
@@ -27,14 +29,15 @@ right-hand side is exactly where a logarithm enters.
 
 from __future__ import annotations
 
-from math import comb, factorial
+from functools import reduce
+from math import comb, factorial, lcm
 from typing import Dict, List, Optional, Tuple
 
 from .errors import InputError, IrregularPoint, ZeroDivisorSplit
-from .ore import DiffOp, op_mul_raw
-from .polys import Poly, _zclear, _zresultant, format_poly
+from .ore import DiffOp
+from .polys import Poly, _zadd, _zclear, _zderiv, _zgcd, _zmul, _zresultant, _ztrim, format_poly
 from .quotient import DomainQQ, ModRing, QQ_DOMAIN, gcd_with_modulus, split_cases
-from .rationals import QQ, Q0, Q1
+from .rationals import QQ, Q1
 
 
 # ---------------------------------------------------------------------------
@@ -119,25 +122,27 @@ def singularities(op: DiffOp) -> List[SingularPoint]:
 
 
 def transform_infinity(op: DiffOp) -> DiffOp:
-    """Operator in w for the substitution z = 1/w, d/dz = -w^2 d/dw."""
+    """Operator in w for the substitution z = 1/w, d/dz = -w^2 d/dw.
+
+    Runs over Z on the coefficients cleared by one common factor, which
+    the operator's content normalisation removes again."""
     if op.is_zero():
         raise InputError("zero operator")
     big_d = max(c.degree for c in op.coeffs if not c.is_zero())
-    e_i = [Poly([Q1])]  # coefficients of (-w^2 d/dw)^i, built iteratively
-    neg_w2_d = [Poly(), Poly([Q0, Q0, QQ(-1)])]
-    total: List[Poly] = []
-    for i, a in enumerate(op.coeffs):
+    e_i: List[List[int]] = [[1]]  # coefficients of (-w^2 d/dw)^i, by power of d/dw
+    total: List[List[int]] = []
+    for i, a in enumerate(_zclear(op.coeffs)):
         if i > 0:
-            e_i = op_mul_raw(neg_w2_d, e_i)
-        if a.is_zero():
+            # -w^2 d/dw o sum_j e_j d^j = -w^2 sum_j (e_j' + e_(j-1)) d^j
+            e_i = [[-c for c in _zadd([0, 0] + _zderiv(e), [0, 0] + prev)]
+                   for e, prev in zip(e_i + [[]], [[]] + e_i)]
+        if not a:
             continue
-        weight = a.reversed().shift_up(big_d - a.degree)
-        term = op_mul_raw([weight], e_i)
-        for j, p in enumerate(term):
-            while len(total) <= j:
-                total.append(Poly())
-            total[j] = total[j] + p
-    return DiffOp(total)
+        weight = [0] * (big_d + 1 - len(a)) + a[::-1]  # w^big_d a(1/w)
+        total += [[] for _ in range(len(e_i) - len(total))]
+        for j, e in enumerate(e_i):
+            total[j] = _zadd(total[j], _zmul(weight, e))
+    return DiffOp._from_int_rows(total)
 
 
 # ---------------------------------------------------------------------------
@@ -188,11 +193,13 @@ def _local_coeffs(op: DiffOp, point: SingularPoint, dom):
         s = point.value
         return [[dom.from_rat(c) for c in p.compose_shift(s).coeffs] for p in op.coeffs]
     # algebraic: the t^u coefficient of p(t + a) is (p^(u)/u!)(a), read off
-    # as the remainder of sum_k C(k, u) c_k z^(k-u) by the modulus
+    # as the remainder of sum_k C(k, u) c_k z^(k-u) by the modulus, with
+    # the c_k cleared to integers over their common denominator
     out = []
     for p in op.coeffs:
-        cs = p.coeffs
-        out.append([dom.el([comb(k, u) * cs[k] for k in range(u, len(cs))])
+        den = lcm(*(c.denominator for c in p.coeffs))
+        cs = [c.numerator * (den // c.denominator) for c in p.coeffs]
+        out.append([dom.from_ints([comb(k, u) * cs[k] for k in range(u, len(cs))], den)
                     for u in range(len(cs))])
     return out
 
@@ -304,18 +311,17 @@ def rational_roots_nf(ind: List, dom) -> List[Tuple[object, int]]:
     # candidates: rational roots of Res_a(P(a, lam), m(a)); a root valid on
     # any branch divides it.  P and m are cleared to integers (P with one
     # common factor), which scales the resultant by a nonzero constant.
-    p_polys = [Poly(e.coeffs) for e in ind]
-    content = None
-    for e_poly in p_polys:
-        if not e_poly.is_zero():
-            content = e_poly.monic() if content is None else content.gcd(e_poly)
-    if content is None:
+    den = lcm(*(e.den for e in ind))
+    p_ints = [_ztrim([x * (den // e.den) for x in e.nums]) for e in ind]
+    nonzero = [p for p in p_ints if p]
+    if not nonzero:
         raise InputError("zero polynomial")
-    g = content.gcd(ring.modulus)
-    if g.degree > 0:
+    g = _zgcd(reduce(_zgcd, nonzero), list(ring.int_modulus))
+    if len(g) > 1:
         # the whole polynomial vanishes on a sub-branch
+        g = Poly(g).monic()
         raise ZeroDivisorSplit(g, ring.modulus.exact_div(g))
-    cand = Poly(_zresultant(_zclear(p_polys), _zclear([ring.modulus])[0]))
+    cand = Poly(_zresultant(p_ints, ring.int_modulus))
     if cand.is_zero():
         raise AssertionError("resultant vanished despite trivial content")
     out = []
@@ -650,16 +656,22 @@ def formal_solutions(
     whether logarithms occur (the transcendence test needs nothing more);
     ``mode="full"`` builds every solution including logarithmic tails.
     This sets up the indicial data at the point (or at the given branch
-    of an algebraic cluster) and hands it to :func:`_frobenius`, which the
+    of an algebraic cluster, which must be a nonconstant factor of the
+    point's modulus) and hands it to :func:`_frobenius`, which the
     transcendence scan calls directly on the data it already holds.  All
     indicial roots must be rational; with ``allow_irregular`` the degree
     may drop below the order (the extra "solutions" of an irregular point
     are simply not constructed).
     """
-    if point.kind != SingularPoint.ALGEBRAIC:
-        data = indicial(op, point)
-    elif branch is not None:
+    if branch is not None:
+        branch = branch.monic()
+        if (point.kind != SingularPoint.ALGEBRAIC or branch.degree < 1
+                or not (point.modulus % branch).is_zero()):
+            raise InputError("branch %s is not a factor of the modulus at %s"
+                             % (format_poly(branch), point.label()))
         data = _algebraic_branch(op, branch)
+    elif point.kind != SingularPoint.ALGEBRAIC:
+        data = indicial(op, point)
     else:
         branches = indicial_branches(op, point)
         if len(branches) != 1:

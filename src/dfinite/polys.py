@@ -193,18 +193,25 @@ class Poly:
         return acc
 
     def compose_shift(self, a) -> "Poly":
-        """Taylor shift: p(x + a)."""
-        return self(Poly([a, Q1]))
+        """Taylor shift p(x + a) for rational a = n/b, over Z.
 
-    def reversed(self, at_degree: int | None = None) -> "Poly":
-        """Coefficient reversal x**d * p(1/x), with d defaulting to deg(p)."""
-        d = self.degree if at_degree is None else at_degree
-        if d < self.degree:
-            raise ValueError("reversal degree below polynomial degree")
-        out = [Q0] * (d + 1)
-        for i, c in enumerate(self.coeffs):
-            out[d - i] = c
-        return Poly(out)
+        With D p = sum P_k x^k integral and d = deg p,
+        p(x + n/b) = Q(b x + n) / (D b^d) for Q(X) = sum P_k b^(d-k) X^k,
+        so the integer Horner shift of Q by n gives the coefficient of x^j
+        up to the factor b^j / (D b^d).
+        """
+        d = self.degree
+        if d < 1 or a == 0:
+            return self
+        n, b = a.numerator, a.denominator
+        big_d = math.lcm(*(c.denominator for c in self.coeffs))
+        q = [c.numerator * (big_d // c.denominator) * b ** (d - k)
+             for k, c in enumerate(self.coeffs)]
+        for i in range(d):
+            for j in range(d - 1, i - 1, -1):
+                q[j] += n * q[j + 1]
+        den = big_d * b ** d
+        return Poly([QQ(c * b ** j, den) for j, c in enumerate(q)])
 
     # -- normal forms ----------------------------------------------------
 

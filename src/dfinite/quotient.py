@@ -1,18 +1,30 @@
 """Arithmetic in Q[a]/(m(a)) for squarefree moduli, with lazy splitting.
 
-Full factorization of the modulus is never computed.  Inversion either
-succeeds or discovers a zero divisor, in which case a
-:class:`~dfinite.errors.ZeroDivisorSplit` carrying a proper factorization
-of the modulus is raised; drivers rerun the computation on each factor
-(dynamic evaluation).
+Elements are fraction-free: a tuple of integer numerators over one
+positive integer denominator with no factor common to all of them, so
+equal elements have equal representations.  The ring keeps the modulus
+cleared to a primitive integer polynomial M with leading coefficient
+L > 0.  A product is an integer convolution followed by a
+pseudo-remainder by M, which multiplies the denominator by the part of
+L each reduction step cannot divide out; a sum brings both elements to a
+common denominator; a rational scalar multiplies the numerators and the
+denominator.
+
+Full factorization of the modulus is never computed.  Inversion runs an
+extended Euclid over Z[a] and either succeeds or discovers a zero
+divisor, in which case a :class:`~dfinite.errors.ZeroDivisorSplit`
+carrying a proper factorization of the modulus is raised; callers rerun
+the computation on each factor (dynamic evaluation).
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+from math import gcd, lcm
 from typing import Callable, List, Sequence, Tuple
 
 from .errors import InputError, ZeroDivisorSplit
-from .polys import Poly
+from .polys import Poly, _zclear, _zmul, _zprimitive, _zsub, _ztrim, format_poly
 from .rationals import QQ, Q0, Q1
 
 
@@ -56,41 +68,115 @@ class ModRing:
             raise InputError("modulus must be nonconstant")
         self.modulus = modulus
         self.deg = modulus.degree
+        # the cleared modulus of a monic m is primitive: for each prime of
+        # the common denominator, some coefficient keeps its full power
+        self.int_modulus = tuple(_zclear([modulus])[0])
+        self._zeros = (0,) * (self.deg - 1)
+
+    def from_ints(self, nums: Sequence[int], den: int) -> "ModElt":
+        """The element (sum nums[i] a^i) / den, for integer nums of any
+        length and a nonzero integer den."""
+        d = self.deg
+        if len(nums) > d:
+            nums, den = self._reduce(list(nums), den)
+        elif len(nums) < d:
+            nums = list(nums) + [0] * (d - len(nums))
+        if den < 0:
+            den, nums = -den, [-x for x in nums]
+        g = gcd(den, *nums)
+        if g != 1:
+            return ModElt(self, tuple(x // g for x in nums), den // g)
+        return ModElt(self, tuple(nums), den)
+
+    def _reduce(self, r: List[int], den: int) -> Tuple[List[int], int]:
+        """(r', den') with r'/den' = r/den mod M and len(r') = deg, by
+        pseudo-division: where L does not divide the leading coefficient c,
+        the step first multiplies r and den by L / gcd(c, L)."""
+        m = self.int_modulus
+        d = self.deg
+        lead = m[-1]
+        while len(r) > d:
+            c = r.pop()
+            if not c:
+                continue
+            if lead != 1:
+                g = gcd(c, lead)
+                if g != lead:
+                    s = lead // g
+                    r = [x * s for x in r]
+                    den *= s
+                c //= g
+            k = len(r) - d
+            for j in range(d):
+                r[k + j] -= c * m[j]
+        return r, den
 
     def el(self, coeffs: Sequence) -> "ModElt":
-        cs = [QQ(c) if isinstance(c, int) else c for c in coeffs]
-        if len(cs) > self.deg:
-            cs = list(Poly(cs).__mod__(self.modulus).coeffs)
-        cs = cs + [Q0] * (self.deg - len(cs))
-        return ModElt(self, tuple(cs[: self.deg]))
+        den = lcm(*(c.denominator for c in coeffs))
+        return self.from_ints([c.numerator * (den // c.denominator) for c in coeffs], den)
 
     def zero(self) -> "ModElt":
-        return self.el([])
+        return ModElt(self, (0,) + self._zeros, 1)
 
     def one(self) -> "ModElt":
-        return self.el([Q1])
+        return ModElt(self, (1,) + self._zeros, 1)
 
     def gen(self) -> "ModElt":
-        return self.el([Q0, Q1])
+        return self.el([0, 1])
 
     def from_rat(self, q) -> "ModElt":
-        return self.el([q])
+        return ModElt(self, (q.numerator,) + self._zeros, q.denominator)
 
     def is_zero(self, x: "ModElt") -> bool:
-        return all(c == 0 for c in x.coeffs)
+        return not any(x.nums)
 
     def inv(self, x: "ModElt") -> "ModElt":
-        """Inverse mod m; raises ZeroDivisorSplit on a proper gcd."""
-        p = Poly(x.coeffs)
-        if p.is_zero():
+        """Inverse mod m; raises ZeroDivisorSplit on a proper gcd.
+
+        Extended Euclid over Z[a] on primitive pseudo-remainders r_i of
+        (M, A), A the numerators of x, carrying integer cofactors s_i and
+        scalars k_i with k_i r_i = s_i A mod M.  (s_i, k_i) is kept free of
+        common factors, so it grows no faster than the rational cofactor.
+        """
+        a = _ztrim(list(x.nums))
+        if not a:
             raise ZeroDivisionError("inverting zero in quotient ring")
-        g, u = _half_xgcd(p, self.modulus)
-        if g.degree == 0:
-            return self.el((u.scale(1 / g.coeffs[0])).coeffs)
-        if g.degree >= self.deg:
-            raise ZeroDivisionError("inverting zero in quotient ring")
-        g = g.monic()
-        raise ZeroDivisorSplit(g, self.modulus.exact_div(g))
+        r0, s0, k0 = list(self.int_modulus), [], 1
+        r1 = _zprimitive(a)
+        s1, k1 = [1], a[-1] // r1[-1]
+        while len(r1) > 1:
+            # rem = alpha r0 - q r1, the pseudo-remainder scaled step by step
+            rem, alpha = list(r0), 1
+            db, lb = len(r1) - 1, r1[-1]
+            q = [0] * (len(rem) - db)
+            while len(rem) > db:
+                c = rem[-1]
+                if c:
+                    g = gcd(c, lb)
+                    s, c = lb // g, c // g
+                    if s != 1:
+                        rem = [s * y for y in rem]
+                        q = [s * y for y in q]
+                        alpha *= s
+                    k = len(rem) - 1 - db
+                    q[k] += c
+                    for j in range(db):
+                        rem[k + j] -= c * r1[j]
+                rem.pop()
+            if not _ztrim(rem):
+                break
+            # k0 k1 rem = (alpha k1 s0 - q k0 s1) A
+            s2 = _zsub([alpha * k1 * y for y in s0], [k0 * y for y in _zmul(q, s1)])
+            pp = _zprimitive(rem)
+            k2 = k0 * k1 * (rem[-1] // pp[-1])
+            g = gcd(k2, *s2)
+            r0, s0, k0 = r1, s1, k1
+            r1, s1, k1 = pp, [y // g for y in s2], k2 // g
+        if len(r1) > 1:
+            g = Poly(r1).monic()
+            raise ZeroDivisorSplit(g, self.modulus.exact_div(g))
+        # r1 = [1]: x^-1 = den / A = den s1 / k1
+        return self.from_ints([x.den * y for y in s1], k1)
 
     def __repr__(self):
         return "ModRing(%r)" % (self.modulus,)
@@ -103,27 +189,37 @@ class ModRing:
 
 
 class ModElt:
-    """Element of a ModRing; supports mixed arithmetic with rationals."""
+    """Element of a ModRing: integer numerators over one positive
+    denominator, in lowest terms; supports mixed arithmetic with rationals."""
 
-    __slots__ = ("ring", "coeffs")
+    __slots__ = ("ring", "nums", "den")
 
-    def __init__(self, ring: ModRing, coeffs: Tuple):
+    def __init__(self, ring: ModRing, nums: Tuple[int, ...], den: int):
         self.ring = ring
-        self.coeffs = coeffs
+        self.nums = nums
+        self.den = den
+
+    @property
+    def coeffs(self) -> Tuple[Fraction, ...]:
+        """The coordinates in 1, a, ..., a^(deg - 1) as rationals."""
+        return tuple(QQ(x, self.den) for x in self.nums)
 
     def _lift(self, other) -> "ModElt":
         if isinstance(other, ModElt):
             return other
-        return self.ring.from_rat(QQ(other) if isinstance(other, int) else other)
+        return self.ring.from_rat(other)
 
     def __add__(self, other):
         o = self._lift(other)
-        return ModElt(self.ring, tuple(a + b for a, b in zip(self.coeffs, o.coeffs)))
+        da, db = self.den, o.den
+        g = gcd(da, db)
+        sa, sb = db // g, da // g
+        return self.ring.from_ints([x * sa + y * sb for x, y in zip(self.nums, o.nums)], da * sa)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ModElt(self.ring, tuple(-a for a in self.coeffs))
+        return ModElt(self.ring, tuple(-x for x in self.nums), self.den)
 
     def __sub__(self, other):
         return self + (-self._lift(other))
@@ -132,13 +228,15 @@ class ModElt:
         return (-self) + self._lift(other)
 
     def __mul__(self, other):
-        if not isinstance(other, ModElt):
-            c = QQ(other) if isinstance(other, int) else other
-            return ModElt(self.ring, tuple(a * c for a in self.coeffs))
-        prod = Poly(self.coeffs) * Poly(other.coeffs)
-        rem = prod % self.ring.modulus
-        cs = list(rem.coeffs) + [Q0] * (self.ring.deg - len(rem.coeffs))
-        return ModElt(self.ring, tuple(cs[: self.ring.deg]))
+        if isinstance(other, ModElt):
+            return self.ring.from_ints(_zmul(self.nums, other.nums), self.den * other.den)
+        if isinstance(other, int):
+            # the result is in lowest terms without a gcd over the numerators
+            g = gcd(other, self.den)
+            k = other // g
+            return ModElt(self.ring, tuple(x * k for x in self.nums), self.den // g)
+        return self.ring.from_ints([x * other.numerator for x in self.nums],
+                                   self.den * other.denominator)
 
     __rmul__ = __mul__
 
@@ -148,32 +246,19 @@ class ModElt:
 
     def __eq__(self, other):
         if isinstance(other, ModElt):
-            return self.ring == other.ring and self.coeffs == other.coeffs
-        if isinstance(other, int) or other.__class__.__name__ in ("Fraction", "mpq"):
+            return self.ring == other.ring and self.nums == other.nums and self.den == other.den
+        if isinstance(other, (int, Fraction)):
             return self == self._lift(other)
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.ring, self.coeffs))
+        return hash((self.ring, self.nums, self.den))
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.nums)
 
     def __repr__(self):
-        from .polys import format_poly
-
         return "ModElt(%s)" % format_poly(Poly(self.coeffs), "a")
-
-
-def _half_xgcd(a: Poly, b: Poly) -> Tuple[Poly, Poly]:
-    """(g, u) with u*a = g mod b, g = gcd(a, b) up to a scalar."""
-    r0, r1 = a, b
-    u0, u1 = Poly([Q1]), Poly()
-    while not r1.is_zero():
-        q, r = r0.divmod(r1)
-        r0, r1 = r1, r
-        u0, u1 = u1, u0 - q * u1
-    return r0, u0
 
 
 def gcd_with_modulus(x: ModElt, m: Poly) -> Poly:

@@ -1,8 +1,11 @@
 """Exact rational scalars.
 
-All coefficient arithmetic in the package runs over Q with the stdlib
-``Fraction``; the fraction-free kernels in ``polys`` read its integer
-``numerator`` and ``denominator`` directly.
+Coefficients enter and leave the package as stdlib ``Fraction``s.  The
+hot paths do not compute with them: the Z[z] kernels in ``polys`` (the
+gcd, the Taylor shift, right division, unrolling) and the quotient ring
+of ``quotient`` (integer numerators over one denominator) read their
+integer ``numerator`` and ``denominator`` directly and build a
+``Fraction`` only for the result.
 """
 
 from __future__ import annotations

@@ -14,13 +14,18 @@ taken by sympy over Q[lam] from symbolic expressions, with no clearing
 to integers.  Local coefficients at an algebraic point come from a
 Horner Taylor shift over Q[a]/(m), and the theta form from falling
 factorials built over the coefficient domain, both with products of
-quotient-ring elements.  ``apply_local`` applies a local operator to a
+quotient-ring elements; the operator at infinity from products of
+operators over ``Fraction``.  ``FractionModRing`` is Q[a]/(m) with elements
+as tuples of ``Fraction`` reduced by polynomial division over Q and
+inverses by Euclid over Q, the reference for the fraction-free
+``quotient.ModRing``.  ``apply_local`` applies a local operator to a
 logarithmic series term by term, to check Frobenius solutions.
 """
 
 import itertools
 import math
-from typing import Dict, List, Optional, Tuple
+from fractions import Fraction
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -29,9 +34,10 @@ from dfinite.algebraic import _invert_mod, _mul_mod, _ratfunc_poly_divmod, _seri
 from dfinite.errors import InputError, ZeroDivisorSplit
 from dfinite.linalg import ShiftSystem
 from dfinite.local import LogSeries, _lam_add, _lam_eval, _lam_trim, _series_valuation
+from dfinite.ore import op_mul_raw
 from dfinite.polys import RatFunc, _clear_ratfuncs
 from dfinite.quotient import DomainQQ, ModRing, gcd_with_modulus
-from dfinite.rationals import QQ, Q0, is_integer
+from dfinite.rationals import QQ, Q0, Q1, is_integer
 from dfinite.series import _checked_recurrence
 
 
@@ -697,6 +703,127 @@ def unroll_oracle(op: DiffOp, init: TruncSeries, n_terms: int) -> TruncSeries:
 
 
 # ---------------------------------------------------------------------------
+# Q[a]/(m) over Fraction
+# ---------------------------------------------------------------------------
+
+
+class FractionModRing:
+    """Quotient ring Q[a]/(m) with monic squarefree modulus m, over Fraction."""
+
+    is_quotient = True
+
+    def __init__(self, modulus: Poly):
+        modulus = modulus.monic()
+        if modulus.degree < 1:
+            raise InputError("modulus must be nonconstant")
+        self.modulus = modulus
+        self.deg = modulus.degree
+
+    def el(self, coeffs: Sequence) -> "FractionModElt":
+        cs = [QQ(c) if isinstance(c, int) else c for c in coeffs]
+        if len(cs) > self.deg:
+            cs = list(Poly(cs).__mod__(self.modulus).coeffs)
+        cs = cs + [Q0] * (self.deg - len(cs))
+        return FractionModElt(self, tuple(cs[: self.deg]))
+
+    def zero(self) -> "FractionModElt":
+        return self.el([])
+
+    def one(self) -> "FractionModElt":
+        return self.el([Q1])
+
+    def gen(self) -> "FractionModElt":
+        return self.el([Q0, Q1])
+
+    def from_rat(self, q) -> "FractionModElt":
+        return self.el([q])
+
+    def is_zero(self, x: "FractionModElt") -> bool:
+        return all(c == 0 for c in x.coeffs)
+
+    def inv(self, x: "FractionModElt") -> "FractionModElt":
+        """Inverse mod m; raises ZeroDivisorSplit on a proper gcd."""
+        p = Poly(x.coeffs)
+        if p.is_zero():
+            raise ZeroDivisionError("inverting zero in quotient ring")
+        g, u = _half_xgcd(p, self.modulus)
+        if g.degree == 0:
+            return self.el((u.scale(1 / g.coeffs[0])).coeffs)
+        if g.degree >= self.deg:
+            raise ZeroDivisionError("inverting zero in quotient ring")
+        g = g.monic()
+        raise ZeroDivisorSplit(g, self.modulus.exact_div(g))
+
+    def __eq__(self, other):
+        return isinstance(other, FractionModRing) and self.modulus == other.modulus
+
+    def __hash__(self):
+        return hash(("FractionModRing", self.modulus))
+
+
+class FractionModElt:
+    """Element of a FractionModRing: its coordinates as Fractions."""
+
+    __slots__ = ("ring", "coeffs")
+
+    def __init__(self, ring: FractionModRing, coeffs: Tuple):
+        self.ring = ring
+        self.coeffs = coeffs
+
+    def _lift(self, other) -> "FractionModElt":
+        if isinstance(other, FractionModElt):
+            return other
+        return self.ring.from_rat(QQ(other) if isinstance(other, int) else other)
+
+    def __add__(self, other):
+        o = self._lift(other)
+        return FractionModElt(self.ring, tuple(a + b for a, b in zip(self.coeffs, o.coeffs)))
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return FractionModElt(self.ring, tuple(-a for a in self.coeffs))
+
+    def __sub__(self, other):
+        return self + (-self._lift(other))
+
+    def __rsub__(self, other):
+        return (-self) + self._lift(other)
+
+    def __mul__(self, other):
+        if not isinstance(other, FractionModElt):
+            c = QQ(other) if isinstance(other, int) else other
+            return FractionModElt(self.ring, tuple(a * c for a in self.coeffs))
+        prod = Poly(self.coeffs) * Poly(other.coeffs)
+        rem = prod % self.ring.modulus
+        cs = list(rem.coeffs) + [Q0] * (self.ring.deg - len(rem.coeffs))
+        return FractionModElt(self.ring, tuple(cs[: self.ring.deg]))
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other):
+        if isinstance(other, FractionModElt):
+            return self.ring == other.ring and self.coeffs == other.coeffs
+        if isinstance(other, (int, Fraction)):
+            return self == self._lift(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.ring, self.coeffs))
+
+
+def _half_xgcd(a: Poly, b: Poly) -> Tuple[Poly, Poly]:
+    """(g, u) with u*a = g mod b, g = gcd(a, b) up to a scalar."""
+    r0, r1 = a, b
+    u0, u1 = Poly([Q1]), Poly()
+    while not r1.is_zero():
+        q, r = r0.divmod(r1)
+        r0, r1 = r1, r
+        u0, u1 = u1, u0 - q * u1
+    return r0, u0
+
+
+# ---------------------------------------------------------------------------
 # Local expansion with quotient-ring products
 # ---------------------------------------------------------------------------
 
@@ -730,7 +857,28 @@ def _shifted_mul_t_plus(p: List, alpha, dom) -> List:
     return out
 
 
-def local_coeffs_horner_oracle(op: DiffOp, dom: ModRing) -> List[List]:
+def transform_infinity_oracle(op: DiffOp) -> DiffOp:
+    """``local.transform_infinity`` over ``Fraction``: the operator products
+    (-w^2 d/dw)^i and their weights multiplied out with ``op_mul_raw``."""
+    big_d = max(c.degree for c in op.coeffs if not c.is_zero())
+    e_i = [Poly([Q1])]  # coefficients of (-w^2 d/dw)^i, built iteratively
+    neg_w2_d = [Poly(), Poly([Q0, Q0, QQ(-1)])]
+    total: List[Poly] = []
+    for i, a in enumerate(op.coeffs):
+        if i > 0:
+            e_i = op_mul_raw(neg_w2_d, e_i)
+        if a.is_zero():
+            continue
+        weight = Poly([Q0] * (big_d - a.degree) + list(reversed(a.coeffs)))  # w^big_d a(1/w)
+        term = op_mul_raw([weight], e_i)
+        for j, p in enumerate(term):
+            while len(total) <= j:
+                total.append(Poly())
+            total[j] = total[j] + p
+    return DiffOp(total)
+
+
+def local_coeffs_horner_oracle(op: DiffOp, dom: FractionModRing) -> List[List]:
     """``local._local_coeffs`` at the algebraic point of ``dom``: each
     coefficient shifted by the residue class of z, by Horner over Q[a]/(m)."""
     alpha = dom.gen()

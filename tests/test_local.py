@@ -30,12 +30,15 @@ from dfinite.polys import _zclear, _zresultant
 from dfinite.quotient import QQ_DOMAIN, ModElt
 from dfinite.rationals import QQ
 from oracles import (
+    FractionModElt,
+    FractionModRing,
     _lam_mul,
     apply_local,
     local_coeffs_horner_oracle,
     rational_roots_nf_oracle,
     resultant_candidates_oracle,
     theta_form_oracle,
+    transform_infinity_oracle,
 )
 
 BENCH_DATA = Path(__file__).resolve().parents[1] / "bench" / "data"
@@ -250,8 +253,8 @@ def _typed(x):
     """Value together with the types of its rationals, for exact comparison."""
     if isinstance(x, (list, tuple)):
         return [_typed(y) for y in x]
-    if isinstance(x, ModElt):
-        return ("ModElt", x.ring, [(type(c), c) for c in x.coeffs])
+    if isinstance(x, (ModElt, FractionModElt)):
+        return ("ModElt", x.ring.modulus, [(type(c), c) for c in x.coeffs])
     return (type(x), x)
 
 
@@ -264,8 +267,8 @@ _Q5 = Poly([-2, 0, 0, 0, 0, 1])
 @example(Poly([1, 1]) * Poly([-2, 0, 1]) * Poly([3, 0, 1]), DiffOp([Poly([QQ(1, 2)]), Poly(), Poly([1, 0, 0, 0, 0, 0, 7])]))
 def test_local_coeffs_algebraic_matches_horner_oracle(m, op):
     pt = SingularPoint.algebraic(m)
-    ring = ModRing(m)
-    assert _typed(_local_coeffs(op, pt, ring)) == _typed(local_coeffs_horner_oracle(op, ring))
+    got = _local_coeffs(op, pt, ModRing(m))
+    assert _typed(got) == _typed(local_coeffs_horner_oracle(op, FractionModRing(m)))
 
 
 @settings(max_examples=80, deadline=None)
@@ -364,6 +367,22 @@ def test_formal_solutions_per_branch_is_frobenius_on_branch_data(cluster_log_op)
             assert has_logs == (data.branch == Poly([-2, 0, 1]))
 
 
+def test_formal_solutions_branch_must_divide_the_modulus():
+    op = op_from_json(json.loads((BENCH_DATA / "family_1_3.json").read_text())["operator"])
+    cluster = next(pt for pt in singularities(op) if pt.kind == SingularPoint.ALGEBRAIC)
+    assert cluster.modulus.degree == 8
+    not_a_factor = Poly([-7, 0, 1])
+    for point, branch in ((cluster, not_a_factor), (cluster, Poly([3])), (cluster, Poly()),
+                          (_pt(0), not_a_factor), (SingularPoint.infinity(), not_a_factor)):
+        with pytest.raises(InputError):
+            formal_solutions(op, point, 2, mode="flag", branch=branch)
+    # a factor, given up to a constant, is its monic self
+    factor = Poly([100, QQ(-223, 8), QQ(-1439, 8), QQ(-1255, 16), 1])
+    basis = formal_solutions(op, cluster, 2, mode="flag", branch=factor.scale(QQ(-3)))
+    assert basis.branch == factor
+    assert basis.point == SingularPoint.algebraic(factor)
+
+
 def test_formal_solutions_irregular_rejected():
     # D^2 + z has an irregular point at infinity
     op = DiffOp([Poly([0, 1]), Poly(), Poly([1])])
@@ -371,6 +390,14 @@ def test_formal_solutions_irregular_rejected():
     assert data.degree < op.order
     with pytest.raises(IrregularPoint):
         formal_solutions(op, SingularPoint.infinity(), 3)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_ops(4))
+@example(DiffOp([Poly([0, 0, 1]), Poly(), Poly([0, QQ(1, 3)]), Poly([QQ(-5, 2), 0, 0, 1])]))
+def test_transform_infinity_matches_operator_product_oracle(op):
+    assume(not op.is_zero())
+    assert transform_infinity(op) == transform_infinity_oracle(op)
 
 
 def test_transform_infinity_exponents():

@@ -1,6 +1,7 @@
 import itertools
+from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dfinite.polys import Poly, RatFunc
@@ -68,10 +69,21 @@ def test_rational_roots_large_constant_term():
     assert roots == [(QQ(big), 1)]
 
 
-def test_compose_shift_and_reversed():
-    p = Poly([1, 2, 1])  # (1+z)^2
-    assert p.compose_shift(QQ(-1)) == Poly([0, 0, 1])
-    assert Poly([1, 2, 3]).reversed() == Poly([3, 2, 1])
+@settings(max_examples=200, deadline=None)
+@given(_polys, st.one_of(st.just(QQ(0)), st.integers(-9, 9).map(QQ),
+                         st.fractions(min_value=-9, max_value=9, max_denominator=20)))
+@example(Poly([1, 2, 1]), QQ(-1))  # (1 + z)^2 -> z^2
+@example(Poly(), QQ(3, 2))
+@example(Poly([QQ(-7, 3)]), QQ(5, 6))
+@example(Poly([QQ(1, 2), QQ(-3, 4), QQ(5, 6)]), QQ(0))
+@example(Poly([1, 0, 0, 0, 0, QQ(1, 12)]), QQ(-11, 7))
+def test_compose_shift_matches_horner_substitution(p, a):
+    got = p.compose_shift(a)
+    assert got == p(Poly([a, 1]))
+    assert all(type(c) is Fraction for c in got.coeffs)
+    # a plain int is accepted as the point too
+    if a.denominator == 1:
+        assert p.compose_shift(int(a)) == got
 
 
 def test_resultant():
