@@ -62,6 +62,17 @@ def _parse_rat_list(text: str) -> List:
     return [rat_from_str(t) for t in text.split(",") if t.strip()]
 
 
+def _parse_ints(text: str, option: str, count: Optional[int] = None) -> List[int]:
+    """Comma-separated integers, count of them when count is given."""
+    try:
+        out = [int(t) for t in text.split(",")]
+    except ValueError:
+        raise InputError("%s takes comma-separated integers, not %r" % (option, text)) from None
+    if count is not None and len(out) != count:
+        raise InputError("%s takes %d comma-separated integers, not %r" % (option, count, text))
+    return out
+
+
 def _minimize_opts(args) -> MinimizeOptions:
     opts = MinimizeOptions()
     if getattr(args, "max_degree", None) is not None:
@@ -244,17 +255,13 @@ def _mpoly(nvars: int, pairs) -> MPoly:
 def _cmd_gen(args) -> int:
     n = args.n
     if args.what == "apery":
-        powers = [int(t) for t in args.powers.split(",")]
-        f = gen_binomial_sum(powers, n)
+        f = gen_binomial_sum(_parse_ints(args.powers, "--powers"), n)
     elif args.what == "walk":
         if args.steps == "trident":
             steps = TRIDENT_STEPS
         else:
-            pairs = []
-            for chunk in args.steps.split(";"):
-                a, b = chunk.strip().lstrip("(").rstrip(")").split(",")
-                pairs.append((int(a), int(b)))
-            steps = StepSet(pairs)
+            steps = StepSet(_parse_ints(chunk.strip().lstrip("(").rstrip(")"), "--steps", 2)
+                            for chunk in args.steps.split(";"))
         f = gen_walk(steps, n)
     elif args.what == "diagonal":
         if args.spec:
@@ -264,7 +271,7 @@ def _cmd_gen(args) -> int:
             num, den = (_mpoly(nvars, data[key]) for key in ("num", "den"))
             spec = DiagonalSpec(num, den, data["vars"])
         else:
-            p, q = (int(t) for t in args.powers.split(","))
+            p, q = _parse_ints(args.powers, "--powers", 2)
             spec = apery_diagonal_spec(p, q)
         f = gen_diagonal(spec, n)
     elif args.what == "series":

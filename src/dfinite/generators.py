@@ -8,8 +8,9 @@ the test suite.
 The binomial-sum and diagonal generators spend their time in big-integer
 arithmetic, so they compute as few big integers as they can:
 
-- :func:`gen_binomial_sum` steps every binomial in the summation index
-  by an exact integer ratio instead of recomputing it.
+- :func:`gen_binomial_sum` carries each binomial factor as a whole row
+  in the summation index from one term to the next, by an exact integer
+  ratio in C loops (``map``), instead of recomputing it.
 - :func:`gen_diagonal` first compresses the exponent lattice (when every
   exponent of a variable is a multiple of g, x^g becomes x), then expands
   num/den over the smaller box one whole row at a time, in C loops
@@ -18,9 +19,9 @@ arithmetic, so they compute as few big integers as they can:
 
 from __future__ import annotations
 
-from itertools import accumulate, chain, product
-from math import comb, gcd, lcm, prod
-from operator import add, neg, sub
+from itertools import accumulate, chain, product, repeat
+from math import comb, gcd, lcm
+from operator import add, floordiv, mul, sub
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .errors import InputError
@@ -32,16 +33,25 @@ from .series import TruncSeries
 # ---------------------------------------------------------------------------
 
 
+def _progression(start: int, step: int, count: int) -> Iterable[int]:
+    """start, start + step, ..., count terms, with no arithmetic per term."""
+    return range(start, start + step * count, step) if step else repeat(start, count)
+
+
 def gen_binomial_sum(powers: Sequence[int], n_terms: int) -> TruncSeries:
     """First n_terms coefficients of the binomial-sum series for ``powers``.
 
     ``powers[j]`` is the exponent of C(n + j*k, k) in the summand, with the
     j = 0 factor being C(n, k); powers[0] must be >= 1.
 
-    For each n the binomials are stepped from k to k + 1 by exact integer
-    ratios, multiplying before the (exact) division: C(n, k) by
-    (n-k)/(k+1), and C(N, k) with N = n + j*k by
-    (N+1)...(N+j) / ((k+1) (N-k+1)...(N-k+j-1)), which is C(N+j, k+1).
+    Each factor is kept as a whole row k = 0..n and carried from row
+    n - 1 to row n by two ``map`` calls: C(n + jk, k) is C(n - 1 + jk, k)
+    times (n + jk), divided exactly by (n + (j - 1)k), for k < n, and
+    both sequences of small factors are arithmetic progressions in k
+    (``_progression``); the new entry C(n + jn, n) comes from
+    ``math.comb``.  The same two calls serve every j.  The factors that
+    share an exponent are multiplied before one ``map(pow, ...)``, and
+    the row of summands is added up by ``sum``.
     """
     p = list(powers)
     if not p or p[0] < 1:
@@ -50,22 +60,26 @@ def gen_binomial_sum(powers: Sequence[int], n_terms: int) -> TruncSeries:
         raise InputError("negative exponents not supported")
     if n_terms < 1:
         raise InputError("need at least one term")
-    used = [j for j in range(1, len(p)) if p[j]]
+    rows = {j: [] for j, e in enumerate(p) if e}  # rows[j][k] = C(n + j*k, k)
+    by_exp: Dict[int, List[int]] = {}
+    for j in rows:
+        by_exp.setdefault(p[j], []).append(j)
     out = []
     for n in range(n_terms):
-        total = 0
-        b = [1] * len(p)  # b[0] = C(n, k), b[j] = C(n + j*k, k)
-        for k in range(n + 1):
-            term = b[0] ** p[0]
-            for j in used:
-                term *= b[j] ** p[j]
-            total += term
-            b[0] = b[0] * (n - k) // (k + 1)
-            for j in used:
-                top = n + j * k
-                b[j] = (b[j] * prod(range(top + 1, top + j + 1))
-                        // ((k + 1) * prod(range(top - k + 1, top - k + j))))
-        out.append(QQ(total))
+        for j, row in rows.items():
+            row = list(map(floordiv, map(mul, row, _progression(n, j, n)),
+                           _progression(n, j - 1, n)))
+            row.append(comb(n + j * n, n))
+            rows[j] = row
+        terms = None
+        for e, js in by_exp.items():
+            part = rows[js[0]]
+            for j in js[1:]:
+                part = map(mul, part, rows[j])
+            if e > 1:
+                part = map(pow, part, repeat(e))
+            terms = part if terms is None else map(mul, terms, part)
+        out.append(QQ(sum(terms)))
     return TruncSeries(out)
 
 

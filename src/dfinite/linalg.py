@@ -70,8 +70,8 @@ class ShiftSystem:
     mod p, each sequence is reduced once (``_residues``) and the matrix
     is gathered from the residues by index arithmetic.  The system is a
     sequence of its rows (``len``, indexing, iteration) for the exact
-    code, which reads rows of rationals (iteration stops at the
-    IndexError past the last row).
+    code, which reads rows of integers or rationals (iteration stops at
+    the IndexError past the last row).
     """
 
     __slots__ = ("seqs", "cols", "nrows", "_pad", "_residues", "_echelons")

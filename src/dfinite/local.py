@@ -290,7 +290,7 @@ def _indicial_over(op: DiffOp, point: SingularPoint, dom) -> Tuple[List[List], i
         for c in reversed(ind):
             if dom.is_zero(c):
                 continue
-            g = gcd_with_modulus(c, dom.modulus)
+            g = gcd_with_modulus(c)
             if 0 < g.degree < dom.modulus.degree:
                 raise ZeroDivisorSplit(g, dom.modulus.exact_div(g))
             break
@@ -333,7 +333,7 @@ def rational_roots_nf(ind: List, dom) -> List[Tuple[object, int]]:
             if dom.is_zero(value):
                 pass
             else:
-                gg = gcd_with_modulus(value, ring.modulus)
+                gg = gcd_with_modulus(value)
                 if gg.degree == 0:
                     break
                 raise ZeroDivisorSplit(gg, ring.modulus.exact_div(gg))

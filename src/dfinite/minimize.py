@@ -3,9 +3,10 @@
 ``guess_annihilator`` finds a candidate operator annihilating a truncated
 series, by increasing order and then minimal degree, from exact kernel
 vectors of the Hermite-Pade style system.  The system is never written
-out as a matrix of rationals: it is a ``linalg.ShiftSystem`` over the
-derivatives f, f', ..., f^(order), column (i, j) being f^(i) shifted by
-j, so each derivative is reduced once per prime.  ``certify_annihilates``
+out as a matrix: it is a ``linalg.ShiftSystem`` over the integer
+derivatives F, F', ..., F^(order) of F = D f, D the least common
+denominator of f's terms, column (i, j) being F^(i) shifted by j, so
+each derivative is reduced once per prime.  ``certify_annihilates``
 upgrades a candidate to a proof: it builds a cofactor A with
 A o M = C o L from the first Q(z)-linear dependence among the
 remainders of d^j o M modulo L, so g = M(f) is a solution of A and the
@@ -30,7 +31,6 @@ system; a candidate that fails brings in one more prime.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
@@ -42,6 +42,7 @@ from .polys import Poly, _zclear, _zmul, _zsub
 from .rationals import Q0
 from .series import (
     TruncSeries,
+    _cleared,
     apply_op,
     indicial_bound,
     unroll,
@@ -77,20 +78,18 @@ def _guess_columns(order: int, degree: int) -> List[Tuple[int, int]]:
 
 
 def _guess_system(f: TruncSeries, order: int, degree: int) -> ShiftSystem:
-    """Row n states that the z^n coefficient of M(f) vanishes: column
-    (i, j) is the i-th derivative of f shifted by j."""
-    derivs = [list(f.coeffs)]
-    for _ in range(order):
-        prev = derivs[-1]
-        derivs.append([prev[k] * k for k in range(1, len(prev))])
+    """Row n states that the z^n coefficient of M(F) vanishes, for the
+    integer series F = D f of ``_int_derivatives``: column (i, j) is
+    F^(i) shifted by j.  F has f's annihilators, so the system has the
+    same kernel as the one over f, and its entries are integers."""
+    derivs = _int_derivatives(f, order)
     return ShiftSystem(derivs, _guess_columns(order, degree), f.trunc_order - order)
 
 
 def _int_derivatives(f: TruncSeries, order: int) -> List[List[int]]:
     """F, F', ..., F^(order) over Z for F = D f, D the least common
     denominator of f's coefficients."""
-    den = math.lcm(*(c.denominator for c in f.coeffs))
-    derivs = [[c.numerator * (den // c.denominator) for c in f.coeffs]]
+    derivs = [_cleared(f.coeffs)]
     for _ in range(order):
         prev = derivs[-1]
         derivs.append([prev[k] * k for k in range(1, len(prev))])
@@ -151,7 +150,7 @@ def _search_order(f: TruncSeries, order: int, d_cap: int) -> Optional[Tuple[Diff
     (``_residual``) inside its CRT loop.
     """
     system = _guess_system(f, order, d_cap)
-    derivs = _int_derivatives(f, order)
+    derivs = system.seqs
     for d in _probe_degree(system, order, d_cap):
 
         def residual(vec: List) -> Sequence:

@@ -22,7 +22,11 @@ the end.
 Recurrence operators act on coefficient sequences; the two sides are
 linked by ``ode_to_rec`` and ``rec_to_ode`` with the convention that a
 term c * z^j * d^i contributes c * (n+m)(n+m-1)...(n+m-i+1) to the
-shift m = i - j.
+shift m = i - j.  ``ode_to_rec`` runs over Z: the operator is cleared
+to integers once and the falling factorials are integer lists, so the
+recurrence's normal form (integer coefficients of content 1) comes with
+no ``Fraction`` arithmetic, and ``series`` evaluates its rows at integer
+indices.
 """
 
 from __future__ import annotations
@@ -47,15 +51,6 @@ from .polys import (
     format_poly,
 )
 from .rationals import QQ, Q0, Q1
-
-
-def falling_factorial_poly(shift, length: int) -> Poly:
-    """(n+shift)(n+shift-1)...(n+shift-length+1) as a polynomial in n."""
-    acc = Poly([Q1])
-    n = Poly.x()
-    for t in range(length):
-        acc = acc * (n + Poly.const(QQ(shift) - t))
-    return acc
 
 
 class DiffOp:
@@ -160,9 +155,9 @@ def _primitive_rows(rows: List[List[int]]) -> List[List[int]]:
     return [[c // num for c in p] for p in rows]
 
 
-def _normalize_int_content(cs: List[Poly]) -> List[Poly]:
-    """Integer coefficients of content 1, the last coefficient positive."""
-    rows = _zclear(cs)
+def _normalize_int_content(rows: List[List[int]]) -> List[Poly]:
+    """Integer coefficient lists divided by their integer content, the
+    last coefficient positive."""
     num = gcd(*(c for p in rows for c in p))
     if rows[-1][-1] < 0:
         num = -num
@@ -352,7 +347,7 @@ class RecOp:
             cs.pop(0)
             backshift -= 1
         if normalize and cs:
-            cs = _normalize_int_content(cs)
+            cs = _normalize_int_content(_zclear(cs))
         self.coeffs = tuple(cs)
         self.backshift = backshift if cs else 0
 
@@ -394,35 +389,33 @@ class RecOp:
             parts.append("(%s)*a(%s)" % (format_poly(p, "n"), idx))
         return "RecOp(%s)" % " + ".join(parts) if parts else "RecOp(0)"
 
-    def row(self, n: int) -> List[Tuple[int, object]]:
-        """Evaluated row at index n: [(target index, coefficient value)]."""
-        out = []
-        for m in self.shifts():
-            p = self.coeff_of_shift(m)
-            if p.is_zero():
-                continue
-            v = p(QQ(n))
-            if v != 0:
-                out.append((n + m, v))
-        return out
-
 
 def ode_to_rec(op: DiffOp) -> RecOp:
-    """Recurrence satisfied by coefficient sequences of solutions of op."""
+    """Recurrence satisfied by coefficient sequences of solutions of op.
+
+    Runs over Z: the operator's coefficients are cleared to integers
+    once (a common factor leaves the normal form unchanged).  The row of
+    shift m collects c times the falling factorial
+    (n+m)(n+m-1)...(n+m-i+1) over the terms c z^j d^i with i - j = m;
+    along one m each falling factorial is the previous one times a
+    linear factor.
+    """
     if op.is_zero():
         raise InputError("zero operator")
+    ops = _zclear(op.coeffs)
     table = {}
-    for i, ci in enumerate(op.coeffs):
-        for j, c in enumerate(ci.coeffs):
-            if c == 0:
-                continue
-            m = i - j
-            term = falling_factorial_poly(m, i).scale(c)
-            table[m] = table.get(m, Poly()) + term
+    for m in range(1 - max(map(len, ops)), len(ops)):
+        ff, row = [1], []
+        for i, ci in enumerate(ops):
+            j = i - m
+            if 0 <= j < len(ci) and ci[j]:
+                row = _zadd(row, [ci[j] * x for x in ff])
+            ff = _zmul(ff, [m - i, 1])
+        if row:
+            table[m] = row
     m_min = min(table)
-    m_max = max(table)
-    coeffs = [table.get(m, Poly()) for m in range(m_min, m_max + 1)]
-    return RecOp(coeffs, backshift=-m_min)
+    rows = [table.get(m, []) for m in range(m_min, max(table) + 1)]
+    return RecOp(_normalize_int_content(rows), -m_min, normalize=False)
 
 
 _STIRLING2 = [[1]]

@@ -24,7 +24,7 @@ from math import gcd, lcm
 from typing import Callable, List, Sequence, Tuple
 
 from .errors import InputError, ZeroDivisorSplit
-from .polys import Poly, _zclear, _zmul, _zprimitive, _zsub, _ztrim, format_poly
+from .polys import Poly, _zclear, _zgcd, _zmul, _zprimitive, _zsub, _ztrim, format_poly
 from .rationals import QQ, Q0, Q1
 
 
@@ -261,12 +261,13 @@ class ModElt:
         return "ModElt(%s)" % format_poly(Poly(self.coeffs), "a")
 
 
-def gcd_with_modulus(x: ModElt, m: Poly) -> Poly:
-    """Monic gcd of a lifted element with the modulus (1 if x is a unit)."""
-    p = Poly(x.coeffs)
-    if p.is_zero():
-        return m.monic()
-    return p.gcd(m)
+def gcd_with_modulus(x: ModElt) -> Poly:
+    """Monic gcd of a lifted element with its ring's modulus (1 if x is
+    a unit), from the integer numerators and the cleared modulus."""
+    nums = _ztrim(list(x.nums))
+    if not nums:
+        return x.ring.modulus
+    return Poly(_zgcd(nums, list(x.ring.int_modulus))).monic()
 
 
 def split_cases(modulus: Poly, fn: Callable[[Poly], object]) -> List[Tuple[Poly, object]]:

@@ -3,10 +3,19 @@
 A ``TruncSeries`` is a prefix of a power series: ``coeffs[n]`` is the
 coefficient of z^n and the series is known modulo z^trunc_order with
 ``trunc_order == len(coeffs)``.
+
+A solution of a differential operator is checked and extended through
+the recurrence of ``ore.ode_to_rec``, whose rows are integer coefficient
+lists.  One evaluator (``_row_values``, Horner at an integer index)
+serves both the row check of the initial terms, which runs on the terms
+times the least common denominator (the rows are homogeneous, so the
+scaling changes no verdict), and ``unroll``.
 """
 
 from __future__ import annotations
 
+from math import lcm
+from operator import mul
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import (
@@ -130,26 +139,49 @@ def indicial_bound(op: DiffOp) -> int:
     return roots[-1] if roots else -1
 
 
-def _check_rows(rec: RecOp, coeffs: List, upto: int) -> Optional[int]:
-    """First index n in [0, upto) where a fully determined row fails, else None."""
+def _cleared(coeffs: Sequence) -> List[int]:
+    """D * c for each rational c, D the least common denominator."""
+    den = lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (den // c.denominator) for c in coeffs]
+
+
+def _row_values(rows: List[List[int]], n: int) -> List[int]:
+    """Each integer coefficient list of rows evaluated at n by Horner."""
+    out = []
+    for p in rows:
+        v = 0
+        for c in reversed(p):
+            v = v * n + c
+        out.append(v)
+    return out
+
+
+def _check_rows(rows: List[List[int]], backshift: int, terms: List[int], upto: int) -> Optional[int]:
+    """First index n in [0, upto) where a fully determined row fails, else None.
+
+    Row n is sum_j rows[j](n) a_(n + j - backshift), with a_k = 0 for
+    k < 0; it is determined when every coefficient that does not vanish
+    at n reads a listed term.  The rows are homogeneous, so integer terms
+    D a_k decide them as the a_k do.
+    """
     for n in range(upto):
-        total = Q0
-        ok = True
-        for idx, v in rec.row(n):
-            if idx < 0:
-                continue  # a_k = 0 for k < 0
-            if idx >= len(coeffs):
-                ok = False
+        total = 0
+        for idx, v in enumerate(_row_values(rows, n), n - backshift):
+            if idx < 0 or not v:
+                continue
+            if idx >= len(terms):
                 break
-            total += v * coeffs[idx]
-        if ok and total != 0:
-            return n
+            total += v * terms[idx]
+        else:
+            if total:
+                return n
     return None
 
 
-def _checked_recurrence(op: DiffOp, init: TruncSeries) -> RecOp:
-    """Recurrence of op, after the checks of ``validate_init``; raises
-    InsufficientInitialConditions or InconsistentInitialConditions."""
+def _checked_recurrence(op: DiffOp, init: TruncSeries) -> Tuple[RecOp, List[List[int]]]:
+    """Recurrence of op and its coefficient lists over Z, after the checks
+    of ``validate_init``; raises InsufficientInitialConditions or
+    InconsistentInitialConditions."""
     if op.is_zero():
         raise InconsistentInitialConditions("zero operator")
     if init.trunc_order < op.order:
@@ -160,12 +192,13 @@ def _checked_recurrence(op: DiffOp, init: TruncSeries) -> RecOp:
         raise InsufficientInitialConditions(
             "degenerate recurrence index %d not covered" % sing[-1]
         )
-    bad = _check_rows(rec, list(init.coeffs), init.trunc_order + rec.backshift)
+    rows = _zclear(rec.coeffs)
+    bad = _check_rows(rows, rec.backshift, _cleared(init.coeffs), init.trunc_order + rec.backshift)
     if bad is not None:
         raise InconsistentInitialConditions(
             "initial terms violate the recurrence at row %d" % bad
         )
-    return rec
+    return rec, rows
 
 
 def validate_init(op: DiffOp, init: TruncSeries) -> Tuple[bool, str]:
@@ -188,29 +221,31 @@ def unroll(op: DiffOp, init: TruncSeries, n_terms: int) -> TruncSeries:
     Unrolls the associated recurrence; degenerate indices must be covered
     by init and determined rows inside init are verified, so every index
     past init has a nonzero leading coefficient.  The recurrence rows are
-    cleared to integers once (one common factor leaves -total / denom
-    unchanged) and evaluated at each integer index by Horner.
+    integer coefficient lists (its normal form has content 1), evaluated
+    at each integer index by Horner, as the row check evaluates them.
+    Each new term is one ``Fraction``: the numerators of the terms it
+    reads, brought to their least common denominator, are combined with
+    the row values over Z in C loops (``map``, ``sum``).
     """
-    rec = _checked_recurrence(op, init)
+    rec, rows = _checked_recurrence(op, init)
     if n_terms < init.trunc_order:
         raise InputError("cannot unroll to fewer terms than supplied")
-    rows = _zclear(rec.coeffs)
     low = -rec.max_shift - rec.backshift  # a_(idx + low + j) carries rows[j]
     coeffs = list(init.coeffs)
+    nums = [c.numerator for c in coeffs]
+    dens = [c.denominator for c in coeffs]
     for idx in range(len(coeffs), n_terms):
-        n = idx - rec.max_shift
-        total = Q0
-        for jdx, p in enumerate(rows, idx + low):
-            if jdx < 0 or not p:
-                continue
-            v = 0
-            for c in reversed(p):
-                v = v * n + c
-            if jdx == idx:
-                denom = v
-            elif v:
-                total += v * coeffs[jdx]
-        coeffs.append(-total / denom)
+        *vals, lead = _row_values(rows, idx - rec.max_shift)
+        start = idx + low
+        if start < 0:  # a_k = 0 for k < 0
+            vals, start = vals[-start:], 0
+        ds = dens[start:idx]
+        den = lcm(*ds)
+        total = sum(map(mul, vals, map(mul, nums[start:idx], map(den.__floordiv__, ds))))
+        c = QQ(-total, den * lead)
+        coeffs.append(c)
+        nums.append(c.numerator)
+        dens.append(c.denominator)
     return TruncSeries(coeffs)
 
 

@@ -2,12 +2,14 @@
 
 These are the straightforward versions: Euclid over ``Fraction`` for the
 polynomial gcd, elimination over Q(z) with a gcd after every ``RatFunc``
-operation for right division, lclm and cofactors, recurrence unrolling
-with rows evaluated over ``Fraction``, the full reduced row echelon form mod p
-for kernel vectors, forward elimination mod p reduced after every pivot, guessing systems written out and reduced mod p cell
-by cell, and a brute-force fraction iteration over F_p(z) for
-the p-curvature and its rank.  They are slow and deliberately independent
-of the fraction-free Z[z] kernels and the forward-only mod-p elimination
+operation for right division, lclm and cofactors, the recurrence of an
+operator from ``Fraction`` falling factorials, with its row check and
+unrolling evaluated over ``Fraction``, the full reduced row echelon form
+mod p for kernel vectors, forward elimination mod p reduced after every
+pivot, guessing systems written out and reduced mod p cell by cell, and
+a brute-force fraction iteration over F_p(z) for the p-curvature and its
+rank.  They are slow and deliberately independent of the fraction-free
+Z[z] kernels and the forward-only mod-p elimination
 in ``dfinite``.  Diagonals are checked against a cell-by-cell expansion
 of 1/den over the full box, with no lattice compression.  Resultants are
 taken by sympy over Q[lam] from symbolic expressions, with no clearing
@@ -29,16 +31,21 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from dfinite import DiffOp, Poly, TruncSeries
+from dfinite import DiffOp, Poly, RecOp, TruncSeries
 from dfinite.algebraic import _invert_mod, _mul_mod, _ratfunc_poly_divmod, _series_mul
-from dfinite.errors import InputError, ZeroDivisorSplit
+from dfinite.errors import (
+    InconsistentInitialConditions,
+    InputError,
+    InsufficientInitialConditions,
+    ZeroDivisorSplit,
+)
 from dfinite.linalg import ShiftSystem
 from dfinite.local import LogSeries, _lam_add, _lam_eval, _lam_trim, _series_valuation
 from dfinite.ore import op_mul_raw
 from dfinite.polys import RatFunc, _clear_ratfuncs
-from dfinite.quotient import DomainQQ, ModRing, gcd_with_modulus
+from dfinite.quotient import DomainQQ, ModRing
 from dfinite.rationals import QQ, Q0, Q1, is_integer
-from dfinite.series import _checked_recurrence
+from dfinite.series import rec_leading_roots
 
 
 # ---------------------------------------------------------------------------
@@ -655,7 +662,7 @@ def rational_roots_nf_oracle(ind: List, dom) -> List[Tuple[object, int]]:
             if dom.is_zero(value):
                 pass
             else:
-                gg = gcd_with_modulus(value, ring.modulus)
+                gg = Poly(value.coeffs).gcd(ring.modulus)
                 if gg.degree == 0:
                     break
                 raise ZeroDivisorSplit(gg, ring.modulus.exact_div(gg))
@@ -675,15 +682,102 @@ def rational_roots_nf_oracle(ind: List, dom) -> List[Tuple[object, int]]:
 
 
 # ---------------------------------------------------------------------------
-# Recurrence unrolling over Fraction
+# Recurrences over Fraction
 # ---------------------------------------------------------------------------
 
 
+def falling_factorial_poly(shift, length: int) -> Poly:
+    """(n+shift)(n+shift-1)...(n+shift-length+1) as a polynomial in n."""
+    acc = Poly([Q1])
+    n = Poly.x()
+    for t in range(length):
+        acc = acc * (n + Poly.const(QQ(shift) - t))
+    return acc
+
+
+def ode_to_rec_oracle(op: DiffOp) -> RecOp:
+    """``ore.ode_to_rec`` with each term's falling factorial built as a
+    ``Poly`` over ``Fraction`` and the rows normalized by ``RecOp``."""
+    if op.is_zero():
+        raise InputError("zero operator")
+    table = {}
+    for i, ci in enumerate(op.coeffs):
+        for j, c in enumerate(ci.coeffs):
+            if c == 0:
+                continue
+            m = i - j
+            term = falling_factorial_poly(m, i).scale(c)
+            table[m] = table.get(m, Poly()) + term
+    m_min = min(table)
+    m_max = max(table)
+    coeffs = [table.get(m, Poly()) for m in range(m_min, m_max + 1)]
+    return RecOp(coeffs, backshift=-m_min)
+
+
+def rec_row(rec: RecOp, n: int) -> List[Tuple[int, object]]:
+    """Row n of rec evaluated at a ``Fraction`` index: [(target index,
+    coefficient value)] over the coefficients that do not vanish at n."""
+    out = []
+    for m in rec.shifts():
+        p = rec.coeff_of_shift(m)
+        if p.is_zero():
+            continue
+        v = p(QQ(n))
+        if v != 0:
+            out.append((n + m, v))
+    return out
+
+
+def check_rows_oracle(rec: RecOp, coeffs: List, upto: int) -> Optional[int]:
+    """``series._check_rows`` over ``Fraction`` terms and ``rec_row``."""
+    for n in range(upto):
+        total = Q0
+        ok = True
+        for idx, v in rec_row(rec, n):
+            if idx < 0:
+                continue  # a_k = 0 for k < 0
+            if idx >= len(coeffs):
+                ok = False
+                break
+            total += v * coeffs[idx]
+        if ok and total != 0:
+            return n
+    return None
+
+
+def checked_recurrence_oracle(op: DiffOp, init: TruncSeries) -> RecOp:
+    """``series._checked_recurrence`` on the oracles above."""
+    if op.is_zero():
+        raise InconsistentInitialConditions("zero operator")
+    if init.trunc_order < op.order:
+        raise InsufficientInitialConditions("fewer initial terms than the operator order")
+    rec = ode_to_rec_oracle(op)
+    sing = rec_leading_roots(rec)
+    if sing and sing[-1] >= init.trunc_order:
+        raise InsufficientInitialConditions(
+            "degenerate recurrence index %d not covered" % sing[-1]
+        )
+    bad = check_rows_oracle(rec, list(init.coeffs), init.trunc_order + rec.backshift)
+    if bad is not None:
+        raise InconsistentInitialConditions(
+            "initial terms violate the recurrence at row %d" % bad
+        )
+    return rec
+
+
+def validate_init_oracle(op: DiffOp, init: TruncSeries) -> Tuple[bool, str]:
+    try:
+        checked_recurrence_oracle(op, init)
+    except (InsufficientInitialConditions, InconsistentInitialConditions) as e:
+        return False, str(e)
+    return True, "ok"
+
+
 def unroll_oracle(op: DiffOp, init: TruncSeries, n_terms: int) -> TruncSeries:
-    """``series.unroll`` with every row evaluated by ``RecOp.row`` at a
+    """``series.unroll`` with every row evaluated by ``rec_row`` at a
     ``Fraction`` index and the leading coefficient by its own shifted
     polynomial."""
-    rec = _checked_recurrence(op, init)
+    rec = checked_recurrence_oracle(op, init)
     if n_terms < init.trunc_order:
         raise InputError("cannot unroll to fewer terms than supplied")
     m = rec.max_shift
@@ -692,7 +786,7 @@ def unroll_oracle(op: DiffOp, init: TruncSeries, n_terms: int) -> TruncSeries:
     for idx in range(len(coeffs), n_terms):
         n = idx - m
         total = Q0
-        for jdx, v in rec.row(n):
+        for jdx, v in rec_row(rec, n):
             if jdx < 0:
                 continue
             if jdx < idx:

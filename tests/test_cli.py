@@ -157,6 +157,20 @@ def test_cli_gen_apery(capsys):
     assert out["coefficients"] == ["1", "5", "73", "1445"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["apery", "--powers", "1,x", "-n", "5"],
+    ["apery", "--powers", ",", "-n", "3"],
+    ["diagonal", "--powers", "1", "-n", "3"],
+    ["diagonal", "--powers", "1,1,1", "-n", "3"],
+    ["walk", "--steps", "(1,x)", "-n", "3"],
+    ["walk", "--steps", "1;2", "-n", "3"],
+])
+def test_cli_gen_malformed_powers_or_steps(capsys, argv):
+    code, out = _run(capsys, ["gen"] + argv)
+    assert code == 2
+    assert out["error"] == "input"
+
+
 def test_cli_gen_series(capsys, apery_file):
     code, out = _run(capsys, ["gen", "series", "--file", apery_file, "-n", "5"])
     assert code == 0

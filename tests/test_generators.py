@@ -202,13 +202,26 @@ def test_binomial_sum_pinned(powers, digest):
     assert _sha(gen_binomial_sum(powers, 300)) == digest
 
 
+def _comb_sum(powers, n_terms):
+    return [sum(comb(n, k) ** powers[0]
+                * math.prod(comb(n + j * k, k) ** e for j, e in enumerate(powers) if j)
+                for k in range(n + 1)) for n in range(n_terms)]
+
+
 def test_binomial_sum_matches_comb():
     for powers in ([1, 2, 0, 1], [3, 0, 0, 2], [1, 1, 1, 1]):
         f = gen_binomial_sum(powers, 15)
-        want = [sum(comb(n, k) ** powers[0]
-                    * math.prod(comb(n + j * k, k) ** e for j, e in enumerate(powers) if j)
-                    for k in range(n + 1)) for n in range(15)]
-        assert [int(c) for c in f.coeffs] == want
+        assert [int(c) for c in f.coeffs] == _comb_sum(powers, 15)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 4), st.lists(st.integers(0, 4), max_size=3), st.integers(1, 40))
+# factors with equal exponents share one power; j = 3 divides by n + 2k
+@example(2, [2, 0, 2], 40)
+def test_binomial_sum_matches_comb_sum(first, rest, n_terms):
+    powers = [first] + rest
+    f = gen_binomial_sum(powers, n_terms)
+    assert f.coeffs == tuple(QQ(c) for c in _comb_sum(powers, n_terms))
 
 
 def test_diagonal_binomial_double_product():

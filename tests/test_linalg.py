@@ -7,6 +7,7 @@ the Apery operator, and the fraction-free Q(z) dependence."""
 
 from bisect import bisect_left
 from fractions import Fraction
+import math
 from math import prod
 from pathlib import Path
 from unittest import mock
@@ -214,7 +215,8 @@ def _reduced_or_error(make):
 def layouts(draw):
     """A series with rational coefficients, some of whose denominators
     the prime divides, and one of the two guessing layouts: (system,
-    oracle rows)."""
+    oracle rows).  The guesser's system is over D f, D the least common
+    denominator of f's terms, so its oracle rows are scaled by D."""
     p = draw(st.sampled_from([5, 7, _P]))
     coeffs = draw(st.lists(
         st.builds(Fraction, st.integers(-30, 30),
@@ -225,7 +227,9 @@ def layouts(draw):
     if draw(st.booleans()):
         order = draw(st.integers(0, 3))
         degree = draw(st.integers(0, 3))
-        system, rows = _guess_system(f, order, degree), _build_rows(f, order, degree)
+        den = math.lcm(*(c.denominator for c in coeffs))
+        system = _guess_system(f, order, degree)
+        rows = [[c * den for c in row] for row in _build_rows(f, order, degree)]
     else:
         dy, dz = draw(st.integers(0, 3)), draw(st.integers(0, 3))
         system, rows = _algebraic_system(f, dy, dz), _build_algebraic_rows(f, dy, dz)

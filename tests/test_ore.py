@@ -7,7 +7,7 @@ from dfinite import DiffOp, Poly, RecOp, lclm, ode_to_rec, op_mul, op_right_divr
 from dfinite.ore import right_divides
 from dfinite.polys import RatFunc
 from dfinite.rationals import QQ
-from oracles import diffop_from_ratfuncs, lclm_oracle, op_right_divrem_oracle
+from oracles import diffop_from_ratfuncs, lclm_oracle, ode_to_rec_oracle, op_right_divrem_oracle
 
 
 def _rand_poly(rng, deg, zero_ok=True):
@@ -181,6 +181,24 @@ def test_ode_to_rec_exponential():
 def test_ode_to_rec_geometric():
     rec = ode_to_rec(DiffOp([Poly([-2]), Poly([1, -2])]))
     assert rec == RecOp([Poly([-2, -2]), Poly([1, 1])], backshift=0)
+
+
+_rec_coef = st.fractions(min_value=-6, max_value=6, max_denominator=5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(_rec_coef, max_size=5), min_size=1, max_size=6), st.booleans())
+# zero coefficients between nonzero ones, a Fraction leading term kept as given
+@example([[QQ(1, 2)], [], [0, 0, QQ(-3, 4)], [QQ(5, 3), 0, 1]], False)
+# every coefficient vanishes but one of high degree: backshift 4
+@example([[0, 0, 0, 0, QQ(7, 2)]], True)
+def test_ode_to_rec_matches_fraction_oracle(coeffs, normalize):
+    op = DiffOp([Poly(c) for c in coeffs], normalize=normalize)
+    if op.is_zero():
+        return
+    rec = ode_to_rec(op)
+    assert rec == ode_to_rec_oracle(op)
+    assert all(c.denominator == 1 for p in rec.coeffs for c in p.coeffs)
 
 
 def test_rec_to_ode_apery(apery_op):

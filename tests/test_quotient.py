@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 
 from dfinite import ModRing, Poly, split_cases
 from dfinite.errors import ZeroDivisorSplit
+from dfinite.quotient import gcd_with_modulus
 from dfinite.rationals import QQ
-from oracles import FractionModRing
+from oracles import FractionModRing, fraction_gcd
 
 
 def test_inverse_roundtrip():
@@ -140,6 +141,7 @@ def test_ring_matches_fraction_oracle(modulus, xs, ys, k, q, plant):
         assert got.den > 0 and math.gcd(got.den, *got.nums) == 1
     for z, oz in ((x, ox), (y, oy)):
         assert _inv_outcome(z.ring, z) == _inv_outcome(oz.ring, oz)
+        assert gcd_with_modulus(z) == fraction_gcd(Poly(oz.coeffs), m)
     # equality and hashing see the residue class, not the representative
     assert (x == y) == (ox == oy)
     same = ModRing(m).el(list((Poly(xs) + m * Poly(ys)).coeffs))

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from dfinite import (
     DiffOp,
     Poly,
+    RecOp,
     TruncSeries,
     apply_op,
     indicial_bound,
@@ -23,8 +24,10 @@ from dfinite.errors import (
     InsufficientInitialConditions,
     PrecisionTooLow,
 )
+from dfinite.polys import _zclear
 from dfinite.rationals import QQ
-from oracles import unroll_oracle
+from dfinite.series import _check_rows, _cleared
+from oracles import check_rows_oracle, unroll_oracle, validate_init_oracle
 
 
 def test_unroll_apery(apery_op, apery_init):
@@ -85,6 +88,57 @@ def test_unroll_matches_oracle(problem, extra):
     op, init = problem
     n = len(init) + extra
     assert unroll(op, init, n) == unroll_oracle(op, init, n)
+
+
+@st.composite
+def _prefix_problems(draw):
+    """An operator of the strategies above with initial terms taken from
+    its solution: rational, of different denominators, any number of
+    them (too few included), and one term changed or not."""
+    op, init = draw(st.one_of(_ordinary_problems(), _degenerate_problems()))
+    terms = list(unroll_oracle(op, init, len(init) + draw(st.integers(0, 6))).coeffs)
+    terms = terms[:draw(st.integers(0, len(terms)))]
+    if terms and draw(st.booleans()):
+        terms[draw(st.integers(0, len(terms) - 1))] += draw(_coef.filter(bool))
+    return op, TruncSeries(terms)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (InsufficientInitialConditions, InconsistentInitialConditions) as e:
+        return type(e), str(e)
+
+
+@settings(max_examples=150, deadline=None)
+@given(problem=_prefix_problems(), extra=st.integers(0, 8))
+# backshift 2: terms of denominators 3, 6, 12 and 4, the last of which
+# breaks row 2 (the solution has a_3 = -7/72)
+@example(problem=(DiffOp([Poly([1, 0, 1]), Poly([2, 1])]),
+                  TruncSeries([QQ(1, 3), QQ(-1, 6), QQ(1, 12), QQ(1, 4)])), extra=3)
+def test_validate_init_and_unroll_match_fraction_row_check(problem, extra):
+    op, init = problem
+    want = validate_init_oracle(op, init)
+    assert validate_init(op, init) == want
+    n = len(init) + extra
+    got = _outcome(unroll, op, init, n)
+    assert got == _outcome(unroll_oracle, op, init, n)
+    assert want[0] == isinstance(got, TruncSeries)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_polys, min_size=1, max_size=4), st.integers(0, 3),
+       st.lists(_coef, max_size=7), st.integers(0, 9))
+# row 3 of -a_n + (n - 3) a_(n+1) reads a_4 with coefficient 0: it is
+# determined by the four terms and fails, rows 0-2 hold
+@example([Poly([-1]), Poly([-3, 1])], 0,
+         [QQ(-5), QQ(5, 3), QQ(-5, 6), QQ(5, 6)], 5)
+def test_check_rows_matches_fraction_oracle(coeffs, backshift, terms, upto):
+    rec = RecOp(coeffs, backshift)
+    if rec.is_zero():
+        return
+    got = _check_rows(_zclear(rec.coeffs), rec.backshift, _cleared(terms), upto)
+    assert got == check_rows_oracle(rec, terms, upto)
 
 
 def test_validate_init(apery_op, apery_init):
