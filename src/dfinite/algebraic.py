@@ -12,14 +12,15 @@ P(z, f) = 0; exhaustion of the search proves nothing.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import InputError, NotSquarefree, PrecisionTooLow, RootNotSeparable
 from .linalg import ShiftSystem, _first_dependence, kernel_vector_exact
 from .minimize import GUARD_TERMS
 from .ore import DiffOp, lclm
-from .polys import Poly, RatFunc, _clear_ratfuncs, _zclear
-from .rationals import QQ, Q0, Q1
+from .polys import Poly, RatFunc, _clear_ratfuncs, _zclear, _zmul
+from .rationals import QQ, Q0
 from .series import TruncSeries, indicial_bound, is_zero_series, unroll, zero_test
 
 
@@ -147,13 +148,18 @@ def _ratfunc_poly_gcd(a: List[RatFunc], b: List[RatFunc]) -> List[RatFunc]:
 
 
 def _algebraic_system(f: TruncSeries, max_dy: int, max_dz: int) -> ShiftSystem:
-    """Row m is the z^m coefficient of sum c_ij z^i f^j: column (i, j),
-    j outer, is the power f^j shifted by i."""
+    """Row m is the z^m coefficient of sum c_ij z^i f^j times D^max_dy,
+    D the least common denominator of f's terms: column (i, j), j outer,
+    is D^(max_dy - j) F^j shifted by i for the integer series F = D f.
+    The scale is one nonzero integer, so the kernel is that over f."""
     n = f.trunc_order
-    powers = [[Q1] + [Q0] * (n - 1)]
+    den = lcm(*(c.denominator for c in f.coeffs))
+    big = [c.numerator * (den // c.denominator) for c in f.coeffs]
+    powers = [[1] + [0] * (n - 1)]
     for _ in range(max_dy):
-        powers.append(_series_mul(powers[-1], list(f.coeffs), n))
-    return ShiftSystem(powers, [(j, i) for j in range(max_dy + 1) for i in range(max_dz + 1)], n)
+        powers.append(_zmul(powers[-1], big)[:n])
+    seqs = [[den ** (max_dy - j) * x for x in pw] for j, pw in enumerate(powers)]
+    return ShiftSystem(seqs, [(j, i) for j in range(max_dy + 1) for i in range(max_dz + 1)], n)
 
 
 def guess_algebraic(f: TruncSeries, max_dy: int, max_dz: int) -> Optional[BivarPoly]:

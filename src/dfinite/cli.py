@@ -13,10 +13,15 @@ import sys
 from typing import Dict, List, Optional
 
 from .errors import DFiniteError, InputError, PrecisionTooLow
-from .fileio import bivar_to_json, load_problem, op_to_json, series_to_json
+from .fileio import (
+    bivar_to_json,
+    load_diagonal_spec,
+    load_problem,
+    op_to_json,
+    read_json,
+    series_to_json,
+)
 from .generators import (
-    DiagonalSpec,
-    MPoly,
     StepSet,
     TRIDENT_STEPS,
     apery_diagonal_spec,
@@ -239,19 +244,6 @@ def _cmd_grade_bound(args) -> int:
     return EXIT_OK
 
 
-def _mpoly(nvars: int, pairs) -> MPoly:
-    """MPoly from JSON [coefficient, exponent] pairs; a repeated monomial
-    sums.  A coefficient is an integer or a "p/q" string."""
-    terms = {}
-    for c, e in pairs:
-        if isinstance(c, str):
-            c = rat_from_str(c)
-        elif not isinstance(c, int):
-            raise InputError("spec coefficients must be integers or 'p/q' strings")
-        terms[tuple(e)] = terms.get(tuple(e), 0) + c
-    return MPoly(nvars, terms)
-
-
 def _cmd_gen(args) -> int:
     n = args.n
     if args.what == "apery":
@@ -265,11 +257,7 @@ def _cmd_gen(args) -> int:
         f = gen_walk(steps, n)
     elif args.what == "diagonal":
         if args.spec:
-            with open(args.spec) as fh:
-                data = json.load(fh)
-            nvars = len(data["vars"])
-            num, den = (_mpoly(nvars, data[key]) for key in ("num", "den"))
-            spec = DiagonalSpec(num, den, data["vars"])
+            spec = load_diagonal_spec(args.spec)
         else:
             p, q = _parse_ints(args.powers, "--powers", 2)
             spec = apery_diagonal_spec(p, q)
@@ -287,11 +275,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_verify(args) -> int:
     op, init, _ = load_problem(args.file)
-    try:
-        with open(args.report) as fh:
-            report = json.load(fh)
-    except (OSError, json.JSONDecodeError) as e:
-        raise InputError("cannot read report: %s" % e)
+    report = read_json(args.report)
     ok, reason = verify_report(op, init, report)
     _emit({"verified": ok, "reason": reason, "verdict": report.get("verdict")})
     return EXIT_OK if ok else EXIT_INPUT

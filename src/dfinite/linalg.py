@@ -1,10 +1,11 @@
-"""Exact kernel computation for large structured systems over Q.
+"""Exact kernel computation for large structured integer systems.
 
-Guessing systems come as a ``ShiftSystem``: the sequences they are made
-of and, per column, which sequence it reads at which shift.  Modulo a
-prime each sequence is reduced once and the matrix is gathered from the
-residues with numpy index arrays; no matrix is ever reduced cell by
-cell.
+Guessing systems come as a ``ShiftSystem``: the integer sequences they
+are made of and, per column, which sequence it reads at which shift.
+Modulo a prime each sequence is reduced once and the matrix is gathered
+from the residues with numpy index arrays; no matrix is ever reduced
+cell by cell.  Every entry is an integer, so every prime reduces the
+system; a prime that divides many entries is just an unlucky prime.
 
 Strategy: one forward elimination modulo a prime below 2^26 with numpy
 gives the rank profile and an echelon form.  It works in int64 with
@@ -23,6 +24,9 @@ reconstructed candidate gets one exact check inside the CRT loop, the
 caller's residual, which covers every row of the system; a candidate
 that fails it brings in one more prime, and only vectors that pass it
 are ever returned, so candidate generation never affects soundness.
+When the primes run out, the exact answer is the first dependence
+among the columns by fraction-free Bareiss elimination over Z
+(``_first_dependence``, which the operator code shares).
 
 The rank of a polynomial matrix over F_p(z) (the p-curvature) uses the
 same elimination at sample points, and small eliminations over Q(z) run
@@ -31,6 +35,7 @@ fraction-free over Z[z].
 
 from __future__ import annotations
 
+import copy
 import math
 from bisect import bisect_left
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
@@ -38,7 +43,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .polys import _zexquo, _zmul, _zsub
-from .rationals import QQ, Q0, Q1
+from .rationals import QQ
 
 # the 60 largest primes below 2^26: a product of two residues is below
 # 2^52, so int64 holds at least 2^11 of them before a reduction (see
@@ -60,32 +65,35 @@ _PRIMES = [
 
 
 class ShiftSystem:
-    """A matrix given by its sequences: column c is the pair (s_c, k_c),
-    and its entry at row r is seqs[s_c][r - k_c], zero outside the
-    sequence (shifts k_c >= 0).
+    """A matrix given by its integer sequences: column c is the pair
+    (s_c, k_c), and its entry at row r is seqs[s_c][r - k_c], zero
+    outside the sequence (shifts k_c >= 0).
 
     Guessing systems have this block-Toeplitz shape: row n of the
     Hermite-Pade system of an operator is the z^n coefficient of
-    sum c_ij z^j f^(i), so column (i, j) is f^(i) shifted by j.  Reduced
-    mod p, each sequence is reduced once (``_residues``) and the matrix
-    is gathered from the residues by index arithmetic.  The system is a
-    sequence of its rows (``len``, indexing, iteration) for the exact
-    code, which reads rows of integers or rationals (iteration stops at
-    the IndexError past the last row).
+    sum c_ij z^j f^(i), so column (i, j) is f^(i) shifted by j; the
+    guessers build it over a multiple of f with integer terms, which has
+    the same kernel.  Reduced mod p, each sequence is reduced once
+    (``_residues``) and the matrix is gathered from the residues by index
+    arithmetic.  Entries must be integers (TypeError otherwise): numpy
+    would silently truncate a rational residue.  The system is also a
+    sequence of its integer rows (``len``, indexing, iteration, which
+    stops at the IndexError past the last row).
     """
 
     __slots__ = ("seqs", "cols", "nrows", "_pad", "_residues", "_echelons")
 
-    def __init__(self, seqs: Sequence[Sequence], cols: Sequence[Tuple[int, int]], nrows: int):
+    def __init__(self, seqs: Sequence[Sequence[int]], cols: Sequence[Tuple[int, int]], nrows: int):
+        if not all(isinstance(c, int) for seq in seqs for c in seq):
+            raise TypeError("ShiftSystem entries must be integers")
         self.seqs = seqs
         self.cols = list(cols)
         self.nrows = nrows
         # zeros before each sequence in the residue table: the largest
         # shift of the whole system, so every prefix reads the same table
         self._pad = max((k for _, k in self.cols), default=0)
-        # p -> (residue table, first bad index per sequence); shared with
-        # every prefix of the system
-        self._residues: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
+        # p -> residue table; shared with every prefix of the system
+        self._residues: Dict[int, np.ndarray] = {}
         # p -> (columns, echelon form, pivot columns) of the system or
         # prefix that kernel_rank_mod_p last eliminated mod p; its own
         # prefixes read their kernel vectors from its leading columns
@@ -94,26 +102,24 @@ class ShiftSystem:
     def __len__(self) -> int:
         return self.nrows
 
-    def __getitem__(self, r: int) -> List:
+    def __getitem__(self, r: int) -> List[int]:
         if not 0 <= r < self.nrows:
             raise IndexError(r)
         row = []
         for s, k in self.cols:
             seq = self.seqs[s]
-            row.append(seq[r - k] if 0 <= r - k < len(seq) else Q0)
+            row.append(seq[r - k] if 0 <= r - k < len(seq) else 0)
         return row
 
     def prefix(self, ncols: int) -> "ShiftSystem":
         """The first ncols columns, sharing the residues."""
-        sub = ShiftSystem(self.seqs, self.cols[:ncols], self.nrows)
-        sub._pad = self._pad
-        sub._residues = self._residues
-        sub._echelons = self._echelons
+        sub = copy.copy(self)
+        sub.cols = self.cols[:ncols]
         return sub
 
     def times(self, vec: Sequence) -> List:
         """The exact product with a vector: one value per row."""
-        out = [Q0] * self.nrows
+        out = [0] * self.nrows
         for (s, k), v in zip(self.cols, vec):
             if v:
                 seq = self.seqs[s]
@@ -123,40 +129,23 @@ class ShiftSystem:
         return out
 
     def mod(self, p: int) -> np.ndarray:
-        """The matrix mod p; raises ValueError when p divides the
-        denominator of an entry."""
-        got = self._residues.get(p)
-        if got is None:
-            got = self._residues[p] = self._reduce(p)
-        table, bad = got
+        """The matrix mod p."""
+        table = self._residues.get(p)
+        if table is None:
+            table = self._residues[p] = self._reduce(p)
         s_idx = np.array([s for s, _ in self.cols], dtype=np.int64)
         k_idx = np.array([k for _, k in self.cols], dtype=np.int64)
-        if len(s_idx) and (bad[s_idx] + k_idx < self.nrows).any():
-            raise ValueError("prime divides a denominator")
         start = s_idx * table.shape[1] + self._pad - k_idx
         return table.ravel()[start[None, :] + np.arange(self.nrows)[:, None]]
 
-    def _reduce(self, p: int) -> Tuple[np.ndarray, np.ndarray]:
-        """Row s holds seqs[s][:nrows] mod p after ``_pad`` zeros, up to
-        its first entry whose denominator p divides; that index, or
-        nrows when there is none, is recorded for ``mod`` to check."""
+    def _reduce(self, p: int) -> np.ndarray:
+        """Row s holds seqs[s][:nrows] mod p after ``_pad`` zeros."""
         pad = self._pad
         table = np.zeros((len(self.seqs), pad + self.nrows), dtype=np.int64)
-        bad = np.full(len(self.seqs), self.nrows, dtype=np.int64)
         for s, seq in enumerate(self.seqs):
-            vals = []
-            for c in seq[:self.nrows]:
-                den = c.denominator
-                if den == 1:
-                    vals.append(c.numerator % p)
-                    continue
-                den %= p
-                if not den:
-                    bad[s] = len(vals)
-                    break
-                vals.append(c.numerator * pow(den, -1, p) % p)
-            table[s, pad:pad + len(vals)] = vals
-        return table, bad
+            head = seq[:self.nrows]
+            table[s, pad:pad + len(head)] = list(map(p.__rmod__, head))
+        return table
 
 
 def _reduction_period(p: int) -> int:
@@ -238,8 +227,7 @@ def _kernel_mod_system(system: ShiftSystem, p: int) -> Tuple[List[int], Optional
     """``_kernel_mod`` of the system mod p, read from the leading columns
     of a wider system's echelon form when one was kept at p: forward
     elimination treats columns left to right, so the echelon form of a
-    column prefix is the prefix of the echelon form.  Raises ValueError
-    when p divides the denominator of an entry."""
+    column prefix is the prefix of the echelon form."""
     n = len(system.cols)
     got = system._echelons.get(p)
     if got is not None and got[0][:n] == system.cols:
@@ -331,10 +319,7 @@ def kernel_vector_exact(system: ShiftSystem, residual: Callable[[List], Sequence
     combined: List[int] = []
     modulus = 1
     for p in _PRIMES:
-        try:
-            piv, vec = _kernel_mod_system(system, p)
-        except ValueError:
-            continue  # p divides some denominator
+        piv, vec = _kernel_mod_system(system, p)
         if vec is None:
             return None
         if piv_ref is None or len(piv) > len(piv_ref):
@@ -358,8 +343,15 @@ def kernel_vector_exact(system: ShiftSystem, residual: Callable[[List], Sequence
             return cand
         if bad >= len(system):
             return None
-    cand = _kernel_vector_exact_slow(system)
-    if cand is None or any(residual(cand)):
+    # every prime unlucky or every candidate wrong: the first dependence
+    # among the columns over Z, whose earlier columns are independent, is
+    # the canonical kernel vector
+    dep = _first_dependence(([[x] if x else [] for x in col], [1]) for col in zip(*system))
+    if dep is None:
+        return None
+    dep += [[]] * (len(system.cols) - len(dep))
+    cand = _clear_denominators([d[0] if d else 0 for d in dep])
+    if any(residual(cand)):
         return None
     return cand
 
@@ -374,51 +366,16 @@ def _try_reconstruct(combined: List[int], modulus: int) -> Optional[List]:
     return out
 
 
-def _clear_denominators(vec: List) -> List:
-    den = math.lcm(*(int(x.denominator) for x in vec))
-    ints = [x * den for x in vec]
-    g = math.gcd(*(int(x.numerator) for x in ints))
-    if g == 0:
-        return [Q0] * len(vec)
-    lead = next(x for x in reversed(ints) if x != 0)
-    if lead < 0:
+def _clear_denominators(vec: Sequence) -> List:
+    """The primitive integral multiple of a nonzero rational (or integer)
+    vector whose last nonzero entry is positive."""
+    pairs = [x.as_integer_ratio() for x in vec]
+    den = math.lcm(*(d for _, d in pairs))
+    ints = [n * (den // d) for n, d in pairs]
+    g = math.gcd(*ints)
+    if next(x for x in reversed(ints) if x) < 0:
         g = -g
-    return [x / g for x in ints]
-
-
-def _kernel_vector_exact_slow(rows: Sequence[Sequence]) -> Optional[List]:
-    """Dense fraction elimination fallback; always correct, may be slow."""
-    m = [list(r) for r in rows]
-    ncols = len(m[0])
-    piv_of_col = {}
-    reduced = []
-    for row in m:
-        row = list(row)
-        for c, prow in piv_of_col.items():
-            if row[c] != 0:
-                f = row[c]
-                for j in range(ncols):
-                    row[j] -= f * prow[j]
-        lead = next((j for j in range(ncols) if row[j] != 0), None)
-        if lead is None:
-            continue
-        inv = row[lead]
-        row = [x / inv for x in row]
-        for c, prow in list(piv_of_col.items()):
-            if prow[lead] != 0:
-                f = prow[lead]
-                for j in range(ncols):
-                    prow[j] -= f * row[j]
-        piv_of_col[lead] = row
-    free = [c for c in range(ncols) if c not in piv_of_col]
-    if not free:
-        return None
-    f = free[0]
-    vec = [Q0] * ncols
-    vec[f] = Q1
-    for c, prow in piv_of_col.items():
-        vec[c] = -prow[f]
-    return _clear_denominators(vec)
+    return [QQ(x // g) for x in ints]
 
 
 # ---------------------------------------------------------------------------

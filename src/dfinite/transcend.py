@@ -151,7 +151,6 @@ class VerdictReport:
 class TranscendOptions:
     minimize: MinimizeOptions = field(default_factory=MinimizeOptions)
     skip_minimization: bool = False
-    crosscheck_globally_bounded: bool = False
 
 
 def _indicial_display(data: IndicialData) -> str:
@@ -279,18 +278,7 @@ def globally_bounded_test(
     """Variant for globally bounded series (caller's assertion): the
     logarithm check runs only at the origin and a clean pass means
     algebraic, conditional on the semisimple-monodromy conjecture."""
-    opts = opts or TranscendOptions()
-    if opts.crosscheck_globally_bounded:
-        from .heuristics import eisenstein_scan
-
-        f = unroll(op, init, max(60, init.trunc_order))
-        scan = eisenstein_scan(f)
-        if scan.transcendence_evidence:
-            raise InputError(
-                "globally-bounded assertion vetoed: coefficient denominators "
-                "keep acquiring new primes (e.g. %d)" % scan.primes[-1]
-            )
-    return _verdict(op, init, opts, True, VERDICT_A, CONF_CONJECTURAL)
+    return _verdict(op, init, opts or TranscendOptions(), True, VERDICT_A, CONF_CONJECTURAL)
 
 
 def diagonal_grade_bound(mop: DiffOp) -> int:

@@ -5,7 +5,8 @@ polynomial gcd, elimination over Q(z) with a gcd after every ``RatFunc``
 operation for right division, lclm and cofactors, the recurrence of an
 operator from ``Fraction`` falling factorials, with its row check and
 unrolling evaluated over ``Fraction``, the full reduced row echelon form
-mod p for kernel vectors, forward elimination mod p reduced after every
+mod p for kernel vectors, dense Gauss-Jordan over ``Fraction`` for the
+exact kernel vector, forward elimination mod p reduced after every
 pivot, guessing systems written out and reduced mod p cell by cell, and
 a brute-force fraction iteration over F_p(z) for the p-curvature and its
 rank.  They are slow and deliberately independent of the fraction-free
@@ -299,12 +300,50 @@ def _reduce_matrix_mod(rows: List[List], p: int) -> np.ndarray:
     return np.array(out, dtype=np.int64).reshape(len(rows), len(rows[0]) if rows else 0)
 
 
-def dense_system(rows: List[List]) -> ShiftSystem:
-    """Any matrix as a ``ShiftSystem``: column c is its own sequence,
-    unshifted."""
+def dense_system(rows: List[List[int]]) -> ShiftSystem:
+    """Any integer matrix as a ``ShiftSystem``: column c is its own
+    sequence, unshifted."""
     ncols = len(rows[0]) if rows else 0
     return ShiftSystem([[row[c] for row in rows] for c in range(ncols)],
                        [(c, 0) for c in range(ncols)], len(rows))
+
+
+def kernel_vector_oracle(rows: List[List]) -> Optional[List]:
+    """The canonical kernel vector of a rational matrix by dense
+    Gauss-Jordan elimination over ``Fraction``: the first free column set
+    to 1, every other free column to 0, then scaled to the primitive
+    integral vector whose last nonzero entry is positive; None when the
+    columns are independent."""
+    ncols = len(rows[0])
+    piv_of_col = {}
+    for row in rows:
+        row = [QQ(x) for x in row]
+        for c, prow in piv_of_col.items():
+            if row[c] != 0:
+                f = row[c]
+                row = [x - f * y for x, y in zip(row, prow)]
+        lead = next((j for j in range(ncols) if row[j] != 0), None)
+        if lead is None:
+            continue
+        row = [x / row[lead] for x in row]
+        for c, prow in piv_of_col.items():
+            if prow[lead] != 0:
+                f = prow[lead]
+                piv_of_col[c] = [x - f * y for x, y in zip(prow, row)]
+        piv_of_col[lead] = row
+    free = [c for c in range(ncols) if c not in piv_of_col]
+    if not free:
+        return None
+    vec = [Q0] * ncols
+    vec[free[0]] = Q1
+    for c, prow in piv_of_col.items():
+        vec[c] = -prow[free[0]]
+    den = math.lcm(*(x.denominator for x in vec))
+    ints = [int(x * den) for x in vec]
+    g = math.gcd(*ints)
+    if next(x for x in reversed(ints) if x) < 0:
+        g = -g
+    return [QQ(x, g) for x in ints]
 
 
 def _rref_mod(a: np.ndarray, p: int) -> Tuple[np.ndarray, List[int], List[int]]:

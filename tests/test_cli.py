@@ -264,6 +264,69 @@ def test_cli_malformed_file(capsys, tmp_path):
     assert out["error"] == "input"
 
 
+# (1 - z) f' - f = 0, f = 1/(1 - z): a problem that runs when well shaped
+_OPERATOR = [[-1], [1, -1]]
+
+
+@pytest.mark.parametrize("problem", [
+    "operator initial_terms",
+    [_OPERATOR, ["1"]],
+    {"operator": 5, "initial_terms": ["1"]},
+    {"operator": [5], "initial_terms": ["1"]},
+    {"operator": [[-1], 5], "initial_terms": ["1"]},
+    {"operator": _OPERATOR, "initial_terms": 5},
+    {"operator": _OPERATOR, "initial_terms": "1"},
+    {"operator": [[-1], [1, True]], "initial_terms": ["1"]},
+    {"operator": _OPERATOR, "initial_terms": [True]},
+    {"operator": _OPERATOR, "initial_terms": ["1"], "denominator": True},
+])
+def test_cli_misshapen_problem_file(capsys, tmp_path, problem):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(problem))
+    code, out = _run(capsys, ["test", str(bad)])
+    assert code == 2
+    assert out["error"] == "input"
+
+
+_DEN = [[1, [0, 0]], [-1, [1, 0]], [-1, [0, 1]]]
+
+
+@pytest.mark.parametrize("spec", [
+    None,  # no such file
+    "{not json",
+    [],
+    {"num": [[1, [0, 0]]], "den": _DEN},
+    {"vars": ["x", "y"], "den": _DEN},
+    {"vars": ["x", "y"], "num": [[1, [0, 0]]]},
+    {"vars": "xy", "num": [[1, [0, 0]]], "den": _DEN},
+    {"vars": ["x", "y"], "num": 5, "den": _DEN},
+    {"vars": ["x", "y"], "num": [1], "den": _DEN},
+    {"vars": ["x", "y"], "num": [[1]], "den": _DEN},
+    {"vars": ["x", "y"], "num": [[1, [0, 0], 2]], "den": _DEN},
+    {"vars": ["x", "y"], "num": [[1, 0]], "den": _DEN},
+    {"vars": ["x", "y"], "num": [[1, "00"]], "den": _DEN},
+    {"vars": ["x", "y"], "num": [[1, [0, True]]], "den": _DEN},
+    {"vars": ["x", "y"], "num": [[True, [0, 0]]], "den": _DEN},
+])
+def test_cli_gen_diagonal_misshapen_spec(capsys, tmp_path, spec):
+    path = tmp_path / "diag.json"
+    if spec is not None:
+        path.write_text(spec if isinstance(spec, str) else json.dumps(spec))
+    code, out = _run(capsys, ["gen", "diagonal", "--spec", str(path), "-n", "3"])
+    assert code == 2
+    assert out["error"] == "input"
+
+
+@pytest.mark.parametrize("text", [None, "{not json"])
+def test_cli_verify_unreadable_report(capsys, apery_file, tmp_path, text):
+    path = tmp_path / "report.json"
+    if text is not None:
+        path.write_text(text)
+    code, out = _run(capsys, ["verify", apery_file, str(path)])
+    assert code == 2
+    assert out["error"] == "input"
+
+
 _MALFORMED = ["1/0", "x", "1/2/3", ""]
 
 

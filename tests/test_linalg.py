@@ -1,9 +1,11 @@
 """Modular linear algebra: rank profiles with delayed reduction against
 the per-pivot one, kernel vectors by back-substitution and from the
 probe's leading columns, structured systems reduced mod p against the
-cell-by-cell oracle, the one exact check inside the CRT loop, rational
-reconstruction past float range, the guesser's one-elimination proof on
-the Apery operator, and the fraction-free Q(z) dependence."""
+cell-by-cell oracle, integer-only entries, the one exact check inside
+the CRT loop, the fraction-free exact fallback against dense
+Gauss-Jordan over Fraction, a prime dividing the series' denominator,
+rational reconstruction past float range, the guesser's one-elimination
+proof on the Apery operator, and the fraction-free Q(z) dependence."""
 
 from bisect import bisect_left
 from fractions import Fraction
@@ -20,9 +22,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dfinite.linalg as linalg
-from dfinite.algebraic import _algebraic_system
+from dfinite.algebraic import BivarPoly, _algebraic_system, guess_algebraic
 from dfinite.fileio import load_problem
 from dfinite.linalg import (
+    ShiftSystem,
     _PRIMES,
     _first_dependence,
     _kernel_mod,
@@ -44,6 +47,7 @@ from oracles import (
     _reduce_matrix_mod,
     _rref_mod,
     dense_system,
+    kernel_vector_oracle,
     rank_profile_mod_oracle,
     ratfunc_dependence,
 )
@@ -70,7 +74,8 @@ def shared_matrices(draw):
 @settings(max_examples=200, deadline=None)
 @given(shared_matrices(), st.sampled_from([5, 7, _PRIMES[0]]))
 def test_pivot_prefix_counts_are_prefix_ranks(rows, p):
-    rank, piv = kernel_rank_mod_p(dense_system(rows), p)
+    # 12 times each row clears every denominator; 12 is a unit mod each prime
+    rank, piv = kernel_rank_mod_p(dense_system([[int(12 * c) for c in row] for row in rows]), p)
     assert rank == len(piv) and piv == sorted(set(piv))
     a = _reduce_matrix_mod(rows, p)
     for k in range(len(rows[0]) + 1):
@@ -169,10 +174,7 @@ def test_prefix_kernel_from_the_probe_echelon_form(coeffs, order, degree, p):
     # after the probe on the full system, each prefix's kernel vector at
     # p is read from its leading columns and equals a fresh elimination
     system = _guess_system(TruncSeries(coeffs), order, degree)
-    try:
-        kernel_rank_mod_p(system, p)
-    except ValueError:
-        return  # p divides a denominator
+    kernel_rank_mod_p(system, p)
     fresh = {}
     for n in range(len(system.cols) + 1):
         fresh[n] = _kernel_mod(system.prefix(n).mod(p), p)
@@ -204,19 +206,13 @@ def test_memoized_reduction_rejects_bad_prime():
 _P = _PRIMES[0]
 
 
-def _reduced_or_error(make):
-    try:
-        return make().tolist()
-    except ValueError:
-        return "ValueError"
-
-
 @st.composite
 def layouts(draw):
     """A series with rational coefficients, some of whose denominators
     the prime divides, and one of the two guessing layouts: (system,
-    oracle rows).  The guesser's system is over D f, D the least common
-    denominator of f's terms, so its oracle rows are scaled by D."""
+    oracle rows).  Both systems are over D f, D the least common
+    denominator of f's terms, so the oracle rows are scaled by D (the
+    operator guesser) or by D^max_dy (the algebraic one)."""
     p = draw(st.sampled_from([5, 7, _P]))
     coeffs = draw(st.lists(
         st.builds(Fraction, st.integers(-30, 30),
@@ -224,24 +220,25 @@ def layouts(draw):
         min_size=4, max_size=14,
     ))
     f = TruncSeries(coeffs)
+    den = math.lcm(*(c.denominator for c in coeffs))
     if draw(st.booleans()):
         order = draw(st.integers(0, 3))
         degree = draw(st.integers(0, 3))
-        den = math.lcm(*(c.denominator for c in coeffs))
         system = _guess_system(f, order, degree)
         rows = [[c * den for c in row] for row in _build_rows(f, order, degree)]
     else:
         dy, dz = draw(st.integers(0, 3)), draw(st.integers(0, 3))
-        system, rows = _algebraic_system(f, dy, dz), _build_algebraic_rows(f, dy, dz)
+        system = _algebraic_system(f, dy, dz)
+        rows = [[c * den ** dy for c in row] for row in _build_algebraic_rows(f, dy, dz)]
     return p, system, rows
 
 
 @settings(max_examples=300, deadline=None)
 @given(layouts(), st.data())
 def test_gathered_matrix_matches_cell_by_cell_reduction(case, data):
-    # the system and its prefixes share one residue table per prime,
-    # whichever of them reduces the prime first; a prefix fails only on
-    # entries of its own columns
+    # the system is integral and equals the oracle rows; it and its
+    # prefixes share one residue table per prime, whichever of them
+    # reduces the prime first
     p, system, rows = case
     assert len(system) == len(rows) and [list(r) for r in system] == rows
     widths = data.draw(st.permutations(
@@ -249,8 +246,7 @@ def test_gathered_matrix_matches_cell_by_cell_reduction(case, data):
     for ncols in widths:
         part = system if ncols is None else system.prefix(ncols)
         head = rows if ncols is None else [row[:ncols] for row in rows]
-        assert (_reduced_or_error(lambda: part.mod(p))
-                == _reduced_or_error(lambda: _reduce_matrix_mod(head, p)))
+        assert part.mod(p).tolist() == _reduce_matrix_mod(head, p).tolist()
 
 
 @settings(max_examples=100, deadline=None)
@@ -263,11 +259,11 @@ def test_exact_product_matches_rows(case, data):
 
 
 def _kernel_case():
-    """A 4x5 system with a one-dimensional kernel over Q."""
-    rows = [[QQ(1), QQ(2), Q0, QQ(3), QQ(1)],
-            [Q0, QQ(1), QQ(1, 2), QQ(-1), QQ(2)],
-            [QQ(2), Q0, QQ(1), QQ(1), QQ(1)],
-            [QQ(1), QQ(1), QQ(1), QQ(1), QQ(5, 3)]]
+    """A 4x5 integer system with a one-dimensional kernel over Q."""
+    rows = [[6, 12, 0, 18, 6],
+            [0, 6, 3, -6, 12],
+            [12, 0, 6, 6, 6],
+            [6, 6, 6, 6, 10]]
     return dense_system(rows)
 
 
@@ -317,6 +313,67 @@ def test_failing_vector_never_returned(monkeypatch):
     calls = _wrong_first(monkeypatch, 0)
     assert kernel_vector_exact(system, lambda vec: system.times(vec) + [QQ(1)]) is None
     assert len(calls) == 1
+
+
+def test_shift_system_takes_only_integers():
+    # numpy would store Fraction(7, 2) % 5 as 3; an integral Fraction is
+    # refused too
+    for bad in (Fraction(7, 2), QQ(3)):
+        with pytest.raises(TypeError):
+            ShiftSystem([[1, bad]], [(0, 0)], 2)
+    big = 2 ** 70 + 3
+    system = ShiftSystem([[-1, big]], [(0, 0), (0, 1)], 3)
+    assert [row[1] for row in system] == [0, -1, big]
+    assert system.mod(5).tolist() == [[4, 0], [big % 5, 4], [0, big % 5]]
+
+
+@st.composite
+def integer_matrices(draw):
+    """Integer matrices, some entries beyond int64: either random (often
+    of full column rank) or with one column a combination of earlier
+    ones (a planted dependence)."""
+    m, n = draw(st.integers(1, 7)), draw(st.integers(1, 6))
+    entries = st.one_of(st.integers(-5, 5), st.integers(-2 ** 70, 2 ** 70))
+    cols = [draw(st.lists(entries, min_size=m, max_size=m)) for _ in range(n)]
+    if draw(st.booleans()):
+        k = draw(st.integers(0, n - 1))
+        mix = draw(st.lists(st.integers(-5, 5), min_size=k, max_size=k))
+        cols[k] = [sum(a * col[r] for a, col in zip(mix, cols)) for r in range(m)]
+    return [list(row) for row in zip(*cols)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(integer_matrices())
+@example([[1, 0], [0, 1], [1, 1]])  # full column rank
+@example([[1, 2, 0], [3, 6, 1]])  # column 1 is twice column 0
+@example([[0, 1], [0, 2]])  # a zero column
+def test_exact_fallback_matches_dense_gauss_jordan(rows):
+    # with no primes at all, kernel_vector_exact answers from the
+    # fraction-free dependence alone: the oracle's normalized canonical
+    # kernel vector, or None for independent columns
+    system = dense_system(rows)
+    with mock.patch.object(linalg, "_PRIMES", []):
+        got = kernel_vector_exact(system, system.times)
+    assert got == kernel_vector_oracle(rows)
+
+
+def test_prime_dividing_the_denominator_is_an_unlucky_prime():
+    # f = sqrt(1 - 4z/7), D a power of 7: the first prime, 7, divides D,
+    # drops the rank of the integer system and is passed over
+    terms = [Fraction(1)]
+    for k in range(1, 30):
+        terms.append(terms[-1] * Fraction(2 * k - 3, 2 * k) * Fraction(4, 7))
+    f = TruncSeries(terms)
+    want = guess_algebraic(f, 2, 1)
+    assert want == BivarPoly([Poly([-7, 4]), Poly(), Poly([7])])
+    seen = []
+    real = linalg._kernel_mod_system
+    with mock.patch.object(linalg, "_PRIMES", [7] + _PRIMES), \
+            mock.patch.object(linalg, "_kernel_mod_system",
+                              lambda system, p: seen.append(p) or real(system, p)):
+        got = guess_algebraic(f, 2, 1)
+    assert seen[0] == 7 and len(seen) > 1
+    assert got.y_coeffs == want.y_coeffs
 
 
 def test_rational_reconstruct_beyond_float_range():
