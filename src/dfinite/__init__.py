@@ -18,7 +18,7 @@ from .errors import (
     RootNotSeparable,
     ZeroDivisorSplit,
 )
-from .polys import Poly, RatFunc
+from .polys import Poly
 from .quotient import ModElt, ModRing, split_cases
 from .ore import DiffOp, RecOp, lclm, ode_to_rec, op_mul, op_right_divrem, rec_to_ode
 from .series import (

@@ -7,20 +7,25 @@ the input annihilator, and applying the valuation-bound zero test to
 f - g where g is the power-series root of P singled out by Newton
 iteration from the initial terms.  A True answer is a proof that
 P(z, f) = 0; exhaustion of the search proves nothing.
+
+Computations over Q(z)[y] run fraction-free on y-coefficient lists over
+Z[z]: one pseudo-division, ``_ydivrem``, serves the primitive remainder
+sequence of ``squarefree_in_y`` and the reductions modulo P of
+``annihilator_of_roots``, whose dependences come from the Bareiss
+elimination ``linalg._first_dependence`` that ``ore`` uses too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import InputError, NotSquarefree, PrecisionTooLow, RootNotSeparable
 from .linalg import ShiftSystem, _first_dependence, kernel_vector_exact
 from .minimize import GUARD_TERMS
-from .ore import DiffOp, lclm
-from .polys import Poly, RatFunc, _clear_ratfuncs, _zclear, _zmul
-from .rationals import QQ, Q0
+from .ore import DiffOp, _primitive_rows, lclm
+from .polys import Poly, _zadd, _zclear, _zderiv, _zmul, _zsub
+from .rationals import QQ, Q0, cleared
 from .series import TruncSeries, indicial_bound, is_zero_series, unroll, zero_test
 
 
@@ -104,47 +109,59 @@ def _primitive(p: BivarPoly) -> BivarPoly:
 
 
 def squarefree_in_y(p: BivarPoly) -> BivarPoly:
-    """Squarefree part with respect to y (gcd over Q(z) with dP/dy)."""
+    """Squarefree part with respect to y: P divided by its gcd over Q(z)
+    with dP/dy, which the primitive remainder sequence over Z[z] gives
+    (Collins, JACM 1967): each pseudo-remainder is made primitive over
+    Z[z] before the next division."""
     if p.deg_y <= 0:
         return _primitive(p)
-    a = [RatFunc.from_poly(c) for c in p.y_coeffs]
-    b = [RatFunc.from_poly(c) for c in p.y_derivative().y_coeffs]
-    g = _ratfunc_poly_gcd(a, b)
-    if len(g) <= 1:
+    a = rows = _zclear(p.y_coeffs)
+    b = [[j * c for c in a[j]] for j in range(1, len(a))]
+    while len(b) > 1:
+        r = _ydivrem(a, b)[1]
+        if not r:
+            break
+        a, b = b, _primitive_rows(r)
+    else:
         return _primitive(p)
-    q, r = _ratfunc_poly_divmod(a, g)
-    if any(not x.is_zero() for x in r):
+    q, r, _ = _ydivrem(rows, b)
+    if r:
         raise AssertionError("gcd does not divide")
-    return _primitive(BivarPoly(_clear_ratfuncs(q)[0]))
+    return BivarPoly([Poly(c) for c in _primitive_rows(q)])
 
 
-def _ratfunc_poly_divmod(a: List[RatFunc], b: List[RatFunc]):
+def _ymul(a: List[List[int]], b: List[List[int]]) -> List[List[int]]:
+    """The product in Z[z][y] of y-coefficient lists over Z[z]."""
+    if not a or not b:
+        return []
+    out: List[List[int]] = [[] for _ in range(len(a) + len(b) - 1)]
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] = _zadd(out[i + j], _zmul(x, y))
+    return out
+
+
+def _ydivrem(a: List[List[int]], m: List[List[int]]) -> Tuple[List[List[int]], List[List[int]], int]:
+    """Pseudo-division in Z[z][y]: (q, r, e) with lc(m)^e a = q m + r and
+    deg_y r < deg_y m, for y-coefficient lists over Z[z] (m's last one
+    nonzero).  Each step cancels r's top coefficient c by
+    r <- lc(m) r - c y^k m, so no division happens at all."""
     r = list(a)
-    while r and r[-1].is_zero():
+    while r and not r[-1]:
         r.pop()
-    nb = len(b) - 1
-    q = [RatFunc.const(0)] * max(0, len(r) - nb)
-    while len(r) - 1 >= nb and r:
-        c = r[-1] / b[-1]
-        k = len(r) - 1 - nb
+    nm, lead = len(m) - 1, m[-1]
+    q: List[List[int]] = [[] for _ in range(len(r) - nm)]
+    e = 0
+    while len(r) > nm:
+        c, k = r[-1], len(r) - 1 - nm
+        r = [_zsub(_zmul(lead, x), _zmul(c, m[i - k]) if i >= k else []) for i, x in enumerate(r)]
+        q = [_zmul(lead, x) for x in q]
         q[k] = c
-        for j in range(nb + 1):
-            r[k + j] = r[k + j] - c * b[j]
-        while r and r[-1].is_zero():
+        e += 1
+        while r and not r[-1]:
             r.pop()
-    return q, r
-
-
-def _ratfunc_poly_gcd(a: List[RatFunc], b: List[RatFunc]) -> List[RatFunc]:
-    a = [x for x in a]
-    b = [x for x in b]
-    while b and any(not x.is_zero() for x in b):
-        _, r = _ratfunc_poly_divmod(a, b)
-        a, b = b, r
-    if a:
-        lead = a[-1]
-        a = [x / lead for x in a]
-    return a
+    return q, r, e
 
 
 def _algebraic_system(f: TruncSeries, max_dy: int, max_dz: int) -> ShiftSystem:
@@ -153,8 +170,7 @@ def _algebraic_system(f: TruncSeries, max_dy: int, max_dz: int) -> ShiftSystem:
     is D^(max_dy - j) F^j shifted by i for the integer series F = D f.
     The scale is one nonzero integer, so the kernel is that over f."""
     n = f.trunc_order
-    den = lcm(*(c.denominator for c in f.coeffs))
-    big = [c.numerator * (den // c.denominator) for c in f.coeffs]
+    big, den = cleared(f.coeffs)
     powers = [[1] + [0] * (n - 1)]
     for _ in range(max_dy):
         powers.append(_zmul(powers[-1], big)[:n])
@@ -191,99 +207,60 @@ def guess_algebraic(f: TruncSeries, max_dy: int, max_dz: int) -> Optional[BivarP
 def annihilator_of_roots(p: BivarPoly) -> DiffOp:
     """Operator whose solution space is spanned by the roots of P.
 
-    Differentiates the generic root (y' = -P_z/P_y in Q(z)[y]/(P)) and
-    returns the first linear dependence among the derivatives.
+    Differentiates the generic root y in Q(z)[y]/(P), with
+    y' = -P_z / P_y, and returns the first linear dependence among the
+    derivatives of y.  An element is a pair (w, s): n numerators over
+    Z[z] (n = deg_y P) and one Z[z] denominator, brought to their
+    primitive form after each step; products are reduced modulo P by
+    pseudo-division, so the arithmetic stays over Z[z].  1/P_y is the
+    first dependence among P_y y^i mod P (i < n) and 1; one among the
+    P_y y^i alone means P_y is a zero divisor, i.e. P has a repeated
+    root in y (NotSquarefree).
     """
     if p.deg_y < 1:
         raise InputError("need positive y-degree")
-    sf = squarefree_in_y(p)
-    if sf.deg_y != p.deg_y:
-        raise NotSquarefree("polynomial has repeated roots in y")
     n = p.deg_y
-    mod = [RatFunc.from_poly(c) for c in p.y_coeffs]
-    p_y = [RatFunc.from_poly(c) for c in p.y_derivative().y_coeffs]
-    p_z = [RatFunc.from_poly(c) for c in p.z_derivative().y_coeffs]
-    inv_py = _invert_mod(p_y, mod)
-    if inv_py is None:
+    mod = _zclear(p.y_coeffs)
+    p_y = [[j * c for c in mod[j]] for j in range(1, n + 1)]
+    p_z = [_zderiv(c) for c in mod]
+
+    def reduced(a: List[List[int]], s: List[int]) -> Tuple[List[List[int]], List[int]]:
+        # a / s modulo P, as n numerators over one denominator
+        _, r, e = _ydivrem(a, mod)
+        for _ in range(e):
+            s = _zmul(mod[-1], s)
+        return r + [[] for _ in range(n - len(r))], s
+
+    rows = [reduced([[]] * i + p_y, [1]) for i in range(n)]
+    inv = _first_dependence(rows + [([[1]] + [[] for _ in range(n - 1)], [1])])
+    if len(inv) <= n:
         raise NotSquarefree("P and dP/dy share a factor")
-    y_prime = _mul_mod([RatFunc.const(-1) * c for c in p_z], inv_py, mod)
+    # sum_(i<n) inv_i P_y y^i = -inv_n, so y' = P_z sum inv_i y^i / inv_n
+    w_yp, s_yp = _normalized(*reduced(_ymul(p_z, inv[:n]), inv[n]))
 
-    def derive(elt: List[RatFunc]) -> List[RatFunc]:
-        # d/dz on Q(z)[y]/(P) with y' = y_prime
-        out = [c.derivative() for c in elt]
-        dy = [RatFunc.const(QQ(j)) * elt[j] for j in range(1, len(elt))]
-        out_dy = _mul_mod(dy, y_prime, mod)
-        m = max(len(out), len(out_dy))
-        return [
-            (out[i] if i < len(out) else RatFunc.const(0))
-            + (out_dy[i] if i < len(out_dy) else RatFunc.const(0))
-            for i in range(m)
-        ]
+    def derive(w: List[List[int]], s: List[int]) -> Tuple[List[List[int]], List[int]]:
+        # (w / s)' = ((s w_j' - s' w_j) y^j + s (sum j w_j y^(j-1)) y') / s^2
+        chain, t = reduced(_ymul([[j * c for c in w[j]] for j in range(1, n)], w_yp), s_yp)
+        ds = _zderiv(s)
+        own = [_zmul(t, _zsub(_zmul(s, _zderiv(x)), _zmul(ds, x))) for x in w]
+        return _normalized([_zadd(x, _zmul(s, y)) for x, y in zip(own, chain)], _zmul(_zmul(s, s), t))
 
-    def rows():
-        _, cur = _ratfunc_poly_divmod([RatFunc.const(0), RatFunc.const(1)], mod)  # y
+    def derivatives():
+        cur = _normalized(*reduced([[], [1]], [1]))  # y
         for _ in range(n + 1):
-            yield _cleared(cur + [RatFunc.const(0)] * (n - len(cur)))
-            cur = derive(cur)
+            yield cur
+            cur = derive(*cur)
 
-    dep = _first_dependence(rows())
+    dep = _first_dependence(derivatives())
     if dep is None:
         raise AssertionError("dependence must appear at order <= deg_y")
     return DiffOp._from_int_rows(dep)
 
 
-def _cleared(vec: List[RatFunc]) -> Tuple[List[List[int]], List[int]]:
-    """(w, s) over Z[z] with vec = w / s: s is the denominators' lcm
-    times the integer that clears every coefficient."""
-    polys, den = _clear_ratfuncs(vec)
-    *w, s = _zclear(polys + [den])
+def _normalized(w: List[List[int]], s: List[int]) -> Tuple[List[List[int]], List[int]]:
+    """w / s with the common factor of w and s over Z[z] divided out."""
+    *w, s = _primitive_rows(w + [s])
     return w, s
-
-
-def _mul_mod(a: List[RatFunc], b: List[RatFunc], mod: List[RatFunc]) -> List[RatFunc]:
-    if not a or not b:
-        return []
-    out = [RatFunc.const(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x.is_zero():
-            continue
-        for j, y in enumerate(b):
-            out[i + j] = out[i + j] + x * y
-    _, r = _ratfunc_poly_divmod(out, mod)
-    return r
-
-
-def _invert_mod(a: List[RatFunc], mod: List[RatFunc]) -> Optional[List[RatFunc]]:
-    r0, r1 = list(mod), list(a)
-    s0, s1 = [], [RatFunc.const(1)]
-    while r1 and any(not x.is_zero() for x in r1):
-        q, r = _ratfunc_poly_divmod(r0, r1)
-        r0, r1 = r1, r
-        qs = _poly_mul_ratfunc(q, s1)
-        new_s = [
-            (s0[i] if i < len(s0) else RatFunc.const(0))
-            - (qs[i] if i < len(qs) else RatFunc.const(0))
-            for i in range(max(len(s0), len(qs)))
-        ]
-        s0, s1 = s1, new_s
-    while r0 and r0[-1].is_zero():
-        r0.pop()
-    if len(r0) != 1:
-        return None
-    inv_lead = RatFunc.const(1) / r0[0]
-    return [x * inv_lead for x in s0]
-
-
-def _poly_mul_ratfunc(a: List[RatFunc], b: List[RatFunc]) -> List[RatFunc]:
-    if not a or not b:
-        return []
-    out = [RatFunc.const(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x.is_zero():
-            continue
-        for j, y in enumerate(b):
-            out[i + j] = out[i + j] + x * y
-    return out
 
 
 def newton_root(p: BivarPoly, init: TruncSeries, n_terms: int) -> Optional[TruncSeries]:

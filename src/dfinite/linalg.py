@@ -43,7 +43,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .polys import _zexquo, _zmul, _zsub
-from .rationals import QQ
+from .rationals import QQ, cleared
 
 # the 60 largest primes below 2^26: a product of two residues is below
 # 2^52, so int64 holds at least 2^11 of them before a reduction (see
@@ -322,8 +322,10 @@ def kernel_vector_exact(system: ShiftSystem, residual: Callable[[List], Sequence
         piv, vec = _kernel_mod_system(system, p)
         if vec is None:
             return None
-        if piv_ref is None or len(piv) > len(piv_ref):
-            # unlucky earlier primes drop rank; restart on the best structure
+        if piv_ref is None or (-len(piv), piv) < (-len(piv_ref), piv_ref):
+            # mod p every column prefix has rank <= its rank over Q, so the
+            # true rank profile is the longest and, among equally long ones,
+            # the lexicographically smallest: restart on a better one
             piv_ref, combined, modulus = piv, vec, p
         elif piv != piv_ref:
             continue  # this prime is the unlucky one
@@ -369,9 +371,7 @@ def _try_reconstruct(combined: List[int], modulus: int) -> Optional[List]:
 def _clear_denominators(vec: Sequence) -> List:
     """The primitive integral multiple of a nonzero rational (or integer)
     vector whose last nonzero entry is positive."""
-    pairs = [x.as_integer_ratio() for x in vec]
-    den = math.lcm(*(d for _, d in pairs))
-    ints = [n * (den // d) for n, d in pairs]
+    ints, _ = cleared(vec)
     g = math.gcd(*ints)
     if next(x for x in reversed(ints) if x) < 0:
         g = -g

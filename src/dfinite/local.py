@@ -37,7 +37,7 @@ from .errors import InputError, IrregularPoint, ZeroDivisorSplit
 from .ore import DiffOp
 from .polys import Poly, _zadd, _zclear, _zderiv, _zgcd, _zmul, _zresultant, _ztrim, format_poly
 from .quotient import DomainQQ, ModRing, QQ_DOMAIN, gcd_with_modulus, split_cases
-from .rationals import QQ, Q1
+from .rationals import QQ, Q1, cleared
 
 
 # ---------------------------------------------------------------------------
@@ -197,8 +197,7 @@ def _local_coeffs(op: DiffOp, point: SingularPoint, dom):
     # the c_k cleared to integers over their common denominator
     out = []
     for p in op.coeffs:
-        den = lcm(*(c.denominator for c in p.coeffs))
-        cs = [c.numerator * (den // c.denominator) for c in p.coeffs]
+        cs, den = cleared(p.coeffs)
         out.append([dom.from_ints([comb(k, u) * cs[k] for k in range(u, len(cs))], den)
                     for u in range(len(cs))])
     return out
@@ -297,16 +296,12 @@ def _indicial_over(op: DiffOp, point: SingularPoint, dom) -> Tuple[List[List], i
     return qs, len(ind) - 1
 
 
-def _rational_roots_lam_q(ind: List) -> List[Tuple[object, int]]:
-    return Poly(ind).rational_roots()
-
-
 def rational_roots_nf(ind: List, dom) -> List[Tuple[object, int]]:
     """Rational roots (with multiplicity) of a lambda-polynomial over the
     domain.  Over a quotient ring, roots that hold on only part of the
     modulus raise ZeroDivisorSplit so the caller can branch."""
     if isinstance(dom, DomainQQ):
-        return _rational_roots_lam_q(ind)
+        return Poly(ind).rational_roots()
     ring: ModRing = dom
     # candidates: rational roots of Res_a(P(a, lam), m(a)); a root valid on
     # any branch divides it.  P and m are cleared to integers (P with one
@@ -367,7 +362,7 @@ def indicial_branches(op: DiffOp, point: SingularPoint) -> List[IndicialData]:
         raise InputError("zero operator")
     if point.kind != SingularPoint.ALGEBRAIC:
         qs, deg = _indicial_over(op, point, QQ_DOMAIN)
-        roots = _rational_roots_lam_q(qs[0])
+        roots = Poly(qs[0]).rational_roots()
         return [IndicialData(point, None, qs, deg, roots, QQ_DOMAIN)]
     return [data for _, data in split_cases(point.modulus, lambda m: _algebraic_branch(op, m))]
 

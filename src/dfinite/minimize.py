@@ -39,10 +39,9 @@ from .errors import InputError
 from .linalg import ShiftSystem, _first_dependence, kernel_rank_mod_p, kernel_vector_exact
 from .ore import DiffOp, _remainders
 from .polys import Poly, _zclear, _zmul, _zsub
-from .rationals import Q0
+from .rationals import Q0, cleared
 from .series import (
     TruncSeries,
-    _cleared,
     apply_op,
     indicial_bound,
     unroll,
@@ -89,7 +88,7 @@ def _guess_system(f: TruncSeries, order: int, degree: int) -> ShiftSystem:
 def _int_derivatives(f: TruncSeries, order: int) -> List[List[int]]:
     """F, F', ..., F^(order) over Z for F = D f, D the least common
     denominator of f's coefficients."""
-    derivs = [_cleared(f.coeffs)]
+    derivs = [cleared(f.coeffs)[0]]
     for _ in range(order):
         prev = derivs[-1]
         derivs.append([prev[k] * k for k in range(1, len(prev))])

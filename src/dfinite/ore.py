@@ -16,8 +16,8 @@ among such numerators by Bareiss elimination over Z[z]
 are the ones of the final normal form.  ``op_right_divrem`` is a
 pseudo-division over Z[z]: it keeps den * a = Q o B + R with B the
 integer-cleared divisor, multiplies on the left by lc(B) instead of
-dividing by it, and turns Q / den and R / den into ``RatFunc`` only at
-the end.
+dividing by it, and returns the integer numerators and den unreduced;
+``right_divides`` reads only whether the remainder is empty.
 
 Recurrence operators act on coefficient sequences; the two sides are
 linked by ``ode_to_rec`` and ``rec_to_ode`` with the convention that a
@@ -39,7 +39,6 @@ from .errors import InputError
 from .linalg import _first_dependence
 from .polys import (
     Poly,
-    RatFunc,
     _zadd,
     _zclear,
     _zderiv,
@@ -203,16 +202,18 @@ def op_mul(a: DiffOp, b: DiffOp) -> DiffOp:
 # ---------------------------------------------------------------------------
 
 
-def op_right_divrem(a: DiffOp, b: DiffOp) -> Tuple[List[RatFunc], List[RatFunc]]:
-    """Right division a = q o b + r over Q(z); returns coefficient lists.
+def op_right_divrem(a: DiffOp, b: DiffOp) -> Tuple[List[List[int]], List[List[int]], List[int]]:
+    """Right division of a by b over Q(z), fraction-free: (quo, rem, den)
+    as integer coefficient lists over Z[z], with
+    den * a = (sum quo[k] d^k) o b + sum rem[i] d^i
+    and rem of order < order(b).  Nothing is reduced; the quotient
+    q = quo / den and the remainder r = rem / den over Q(z) are unique.
 
-    The remainder has order < order(b).  Pseudo-division over Z[z]: with
-    A = s_a a and B = s_b b cleared to integers and l = lc(B), it keeps
-    den * a = Q o B + R, from den = s_a, Q = 0, R = A, and cancels the
-    top coefficient c of R by R <- l R - c d^k o B, Q <- l Q + c d^k,
-    den <- l den.  This is exact because a function multiplied on the
-    left commutes with o B.  Only the final q = s_b Q / den and
-    r = R / den are reduced.
+    Pseudo-division: with A = s_a a and B = s_b b cleared to integers and
+    l = lc(B), it keeps den * a = Q o B + R, from den = s_a, Q = 0, R = A,
+    and cancels the top coefficient c of R by R <- l R - c d^k o B,
+    Q <- l Q + c d^k, den <- l den.  This is exact because a function
+    multiplied on the left commutes with o B; quo = s_b Q at the end.
     """
     if b.is_zero():
         raise InputError("right division by the zero operator")
@@ -235,22 +236,12 @@ def op_right_divrem(a: DiffOp, b: DiffOp) -> Tuple[List[RatFunc], List[RatFunc]]
         den = _zmul(lead, den)
     while rem and not rem[-1]:
         rem.pop()
-    return [_ratfunc(_zmul(s_b, x), den) for x in quo], [_ratfunc(x, den) for x in rem]
-
-
-def _ratfunc(num: List[int], den: List[int]) -> RatFunc:
-    """num / den in lowest terms, reduced by an integer gcd over Z[z]."""
-    if num:
-        g = _zgcd(num, den)
-        if len(g) > 1:
-            num, den = _zexquo(num, g), _zexquo(den, g)
-    return RatFunc(Poly(num), Poly(den), reduce=False)
+    return [_zmul(s_b, x) for x in quo], rem, den
 
 
 def right_divides(b: DiffOp, a: DiffOp) -> bool:
     """True iff b divides a on the right over Q(z)."""
-    _, r = op_right_divrem(a, b)
-    return not r
+    return not op_right_divrem(a, b)[1]
 
 
 def _remainders(ops: List[List[int]], start: List[List[int]], e: int):

@@ -1,20 +1,23 @@
-"""Dense univariate polynomials and rational functions over Q.
+"""Dense univariate polynomials over Q and their Z[z] kernels.
 
 Coefficients are stored lowest degree first; the zero polynomial is the
-empty coefficient tuple.  Rational-root extraction is delegated to
-sympy's factorization (linear factors of the squarefree part), which
-avoids factoring large integer constant terms.  Every resultant goes
-through one integer boundary, ``_zresultant``: inputs are cleared to
-Z once and sympy's subresultant runs over Z[x, lam].  sympy is imported
-inside the functions that use it, never at module import.
+empty coefficient tuple.  Rational functions have no type of their own:
+code over Q(z) keeps integer numerators over a Z[z] denominator and
+computes with the ``_z*`` kernels below.  Rational-root extraction is
+delegated to sympy's factorization (linear factors of the squarefree
+part), which avoids factoring large integer constant terms.  The one
+resultant, ``_zresultant``, takes integer inputs and runs sympy's
+subresultant over Z[x, lam].  sympy is imported inside the functions
+that use it, never at module import.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Iterable, List, Sequence, Tuple
 
-from .rationals import QQ, Q0, Q1, rat_to_str
+from .rationals import QQ, Q0, Q1, cleared, rat_to_str
 
 _SYMPY_GENS = None
 
@@ -204,9 +207,8 @@ class Poly:
         if d < 1 or a == 0:
             return self
         n, b = a.numerator, a.denominator
-        big_d = math.lcm(*(c.denominator for c in self.coeffs))
-        q = [c.numerator * (big_d // c.denominator) * b ** (d - k)
-             for k, c in enumerate(self.coeffs)]
+        q, big_d = cleared(self.coeffs)
+        q = [c * b ** (d - k) for k, c in enumerate(q)]
         for i in range(d):
             for j in range(d - 1, i - 1, -1):
                 q[j] += n * q[j + 1]
@@ -259,18 +261,6 @@ class Poly:
         roots.sort(key=lambda t: t[0])
         return roots
 
-    def resultant(self, other: "Poly") -> object:
-        """Resultant over Q, 0 if either operand is zero.
-
-        Both operands are cleared to integer polynomials c_a * a and
-        c_b * b, whose resultant is c_a^deg(b) * c_b^deg(a) times this one.
-        """
-        ca, cb = (math.lcm(*(c.denominator for c in p.coeffs)) for p in (self, other))
-        r = _zresultant(_zclear([self]), _zclear([other])[0])
-        if not r:
-            return Q0
-        return QQ(r[0], ca ** other.degree * cb ** self.degree)
-
     # -- display ---------------------------------------------------------
 
     def __repr__(self) -> str:
@@ -311,8 +301,8 @@ def format_poly(p: Poly, var: str = "z") -> str:
 
 def _zclear(polys: Sequence[Poly]) -> List[List[int]]:
     """Integer coefficient lists of c * p for each p, with one common c > 0."""
-    den = math.lcm(*(c.denominator for p in polys for c in p.coeffs))
-    return [[c.numerator * (den // c.denominator) for c in p.coeffs] for p in polys]
+    flat = iter(cleared([c for p in polys for c in p.coeffs])[0])
+    return [list(itertools.islice(flat, len(p.coeffs))) for p in polys]
 
 
 def _ztrim(a: List[int]) -> List[int]:
@@ -427,111 +417,3 @@ def _zgcd(a: List[int], b: List[int]) -> List[int]:
             return b
         a, b = b, _zprimitive(r)
     return [1]
-
-
-class RatFunc:
-    """Rational function num/den with monic reduced denominator."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: Poly, den: Poly = None, reduce: bool = True):
-        if den is None:
-            den = Poly([Q1])
-        if den.is_zero():
-            raise ZeroDivisionError("zero denominator")
-        if reduce and not num.is_zero() and den.degree > 0:
-            g = num.gcd(den)
-            if g.degree > 0:
-                num = num.exact_div(g)
-                den = den.exact_div(g)
-        if num.is_zero():
-            den = Poly([Q1])
-        c = den.lc
-        if c != 1:
-            num = num.scale(1 / c)
-            den = den.scale(1 / c)
-        self.num = num
-        self.den = den
-
-    @staticmethod
-    def const(c) -> "RatFunc":
-        return RatFunc(Poly.const(c), Poly([Q1]), reduce=False)
-
-    @staticmethod
-    def from_poly(p: Poly) -> "RatFunc":
-        return RatFunc(p, Poly([Q1]), reduce=False)
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def is_poly(self) -> bool:
-        return self.den.degree == 0
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, RatFunc):
-            return self.num == other.num and self.den == other.den
-        if isinstance(other, (Poly, int)):
-            return self == RatFunc.from_poly(other if isinstance(other, Poly) else Poly.const(other))
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.num, self.den))
-
-    def __add__(self, other) -> "RatFunc":
-        other = _coerce(other)
-        return RatFunc(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    def __radd__(self, other):
-        return self.__add__(other)
-
-    def __neg__(self) -> "RatFunc":
-        return RatFunc(-self.num, self.den, reduce=False)
-
-    def __sub__(self, other) -> "RatFunc":
-        return self + (-_coerce(other))
-
-    def __rsub__(self, other):
-        return (-self) + _coerce(other)
-
-    def __mul__(self, other) -> "RatFunc":
-        other = _coerce(other)
-        return RatFunc(self.num * other.num, self.den * other.den)
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def __truediv__(self, other) -> "RatFunc":
-        other = _coerce(other)
-        if other.is_zero():
-            raise ZeroDivisionError("division by zero rational function")
-        return RatFunc(self.num * other.den, self.den * other.num)
-
-    def __rtruediv__(self, other):
-        return _coerce(other) / self
-
-    def derivative(self) -> "RatFunc":
-        return RatFunc(
-            self.num.derivative() * self.den - self.num * self.den.derivative(),
-            self.den * self.den,
-        )
-
-    def __repr__(self) -> str:
-        if self.is_poly():
-            return "RatFunc(%s)" % format_poly(self.num)
-        return "RatFunc((%s)/(%s))" % (format_poly(self.num), format_poly(self.den))
-
-
-def _clear_ratfuncs(cs: Sequence[RatFunc]) -> Tuple[List[Poly], Poly]:
-    """(polys, den) with cs[i] = polys[i] / den, den the lcm of the denominators."""
-    den = Poly([Q1])
-    for c in cs:
-        den = den * c.den.exact_div(den.gcd(c.den))
-    return [c.num * den.exact_div(c.den) for c in cs], den
-
-
-def _coerce(x) -> RatFunc:
-    if isinstance(x, RatFunc):
-        return x
-    if isinstance(x, Poly):
-        return RatFunc.from_poly(x)
-    return RatFunc.const(x)

@@ -20,12 +20,12 @@ the computation on each factor (dynamic evaluation).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Callable, List, Sequence, Tuple
 
 from .errors import InputError, ZeroDivisorSplit
 from .polys import Poly, _zclear, _zgcd, _zmul, _zprimitive, _zsub, _ztrim, format_poly
-from .rationals import QQ, Q0, Q1
+from .rationals import QQ, Q0, Q1, cleared
 
 
 class DomainQQ:
@@ -112,8 +112,7 @@ class ModRing:
         return r, den
 
     def el(self, coeffs: Sequence) -> "ModElt":
-        den = lcm(*(c.denominator for c in coeffs))
-        return self.from_ints([c.numerator * (den // c.denominator) for c in coeffs], den)
+        return self.from_ints(*cleared(coeffs))
 
     def zero(self) -> "ModElt":
         return ModElt(self, (0,) + self._zeros, 1)

@@ -3,14 +3,16 @@
 Coefficients enter and leave the package as stdlib ``Fraction``s.  The
 hot paths do not compute with them: the Z[z] kernels in ``polys`` (the
 gcd, the Taylor shift, right division, unrolling) and the quotient ring
-of ``quotient`` (integer numerators over one denominator) read their
-integer ``numerator`` and ``denominator`` directly and build a
-``Fraction`` only for the result.
+of ``quotient`` (integer numerators over one denominator) take their
+integers from ``cleared``, which brings a rational sequence to its least
+common denominator, and build a ``Fraction`` only for the result.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
+from typing import List, Sequence, Tuple
 
 from .errors import InputError
 
@@ -44,3 +46,10 @@ def rat_to_str(x) -> str:
 
 def is_integer(x) -> bool:
     return x.denominator == 1
+
+
+def cleared(xs: Sequence) -> Tuple[List[int], int]:
+    """(D * x for each x, D): D is the least common denominator of the
+    rationals (or integers) xs, so the first part is integral."""
+    den = lcm(*(x.denominator for x in xs))
+    return [x.numerator * (den // x.denominator) for x in xs], den

@@ -26,7 +26,7 @@ from .errors import (
 )
 from .ore import DiffOp, RecOp, ode_to_rec
 from .polys import _zclear
-from .rationals import QQ, Q0, is_integer
+from .rationals import QQ, Q0, cleared, is_integer
 
 
 class TruncSeries:
@@ -139,12 +139,6 @@ def indicial_bound(op: DiffOp) -> int:
     return roots[-1] if roots else -1
 
 
-def _cleared(coeffs: Sequence) -> List[int]:
-    """D * c for each rational c, D the least common denominator."""
-    den = lcm(*(c.denominator for c in coeffs))
-    return [c.numerator * (den // c.denominator) for c in coeffs]
-
-
 def _row_values(rows: List[List[int]], n: int) -> List[int]:
     """Each integer coefficient list of rows evaluated at n by Horner."""
     out = []
@@ -193,7 +187,7 @@ def _checked_recurrence(op: DiffOp, init: TruncSeries) -> Tuple[RecOp, List[List
             "degenerate recurrence index %d not covered" % sing[-1]
         )
     rows = _zclear(rec.coeffs)
-    bad = _check_rows(rows, rec.backshift, _cleared(init.coeffs), init.trunc_order + rec.backshift)
+    bad = _check_rows(rows, rec.backshift, cleared(init.coeffs)[0], init.trunc_order + rec.backshift)
     if bad is not None:
         raise InconsistentInitialConditions(
             "initial terms violate the recurrence at row %d" % bad

@@ -1,8 +1,11 @@
 """Reference implementations the tests compare production code against.
 
 These are the straightforward versions: Euclid over ``Fraction`` for the
-polynomial gcd, elimination over Q(z) with a gcd after every ``RatFunc``
-operation for right division, lclm and cofactors, the recurrence of an
+polynomial gcd; ``RatFunc``, a rational function over Q reduced by a gcd
+after every operation, which the package itself no longer has, and over
+it elimination over Q(z) for right division, lclm and cofactors, Euclid
+over Q(z)[y] for the squarefree part in y, and the generic root's
+derivatives in Q(z)[y]/(P) for the annihilator of P's roots; the recurrence of an
 operator from ``Fraction`` falling factorials, with its row check and
 unrolling evaluated over ``Fraction``, the full reduced row echelon form
 mod p for kernel vectors, dense Gauss-Jordan over ``Fraction`` for the
@@ -33,7 +36,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from dfinite import DiffOp, Poly, RecOp, TruncSeries
-from dfinite.algebraic import _invert_mod, _mul_mod, _ratfunc_poly_divmod, _series_mul
+from dfinite.algebraic import BivarPoly, _series_mul
+from dfinite.algebraic import _primitive as _bivar_primitive
 from dfinite.errors import (
     InconsistentInitialConditions,
     InputError,
@@ -43,7 +47,7 @@ from dfinite.errors import (
 from dfinite.linalg import ShiftSystem
 from dfinite.local import LogSeries, _lam_add, _lam_eval, _lam_trim, _series_valuation
 from dfinite.ore import op_mul_raw
-from dfinite.polys import RatFunc, _clear_ratfuncs
+from dfinite.polys import format_poly
 from dfinite.quotient import DomainQQ, ModRing
 from dfinite.rationals import QQ, Q0, Q1, is_integer
 from dfinite.series import rec_leading_roots
@@ -74,6 +78,222 @@ def fraction_gcd(a: Poly, b: Poly) -> Poly:
         _, r = a.divmod(b)
         a, b = b, (_primitive(r) if not r.is_zero() else r)
     return a.monic()
+
+
+# ---------------------------------------------------------------------------
+# Rational functions over Q, reduced by a gcd after every operation
+# ---------------------------------------------------------------------------
+
+
+class RatFunc:
+    """Rational function num/den with monic reduced denominator."""
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num: Poly, den: Poly = None, reduce: bool = True):
+        if den is None:
+            den = Poly([Q1])
+        if den.is_zero():
+            raise ZeroDivisionError("zero denominator")
+        if reduce and not num.is_zero() and den.degree > 0:
+            g = num.gcd(den)
+            if g.degree > 0:
+                num = num.exact_div(g)
+                den = den.exact_div(g)
+        if num.is_zero():
+            den = Poly([Q1])
+        c = den.lc
+        if c != 1:
+            num = num.scale(1 / c)
+            den = den.scale(1 / c)
+        self.num = num
+        self.den = den
+
+    @staticmethod
+    def const(c) -> "RatFunc":
+        return RatFunc(Poly.const(c), Poly([Q1]), reduce=False)
+
+    @staticmethod
+    def from_poly(p: Poly) -> "RatFunc":
+        return RatFunc(p, Poly([Q1]), reduce=False)
+
+    def is_zero(self) -> bool:
+        return self.num.is_zero()
+
+    def is_poly(self) -> bool:
+        return self.den.degree == 0
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, RatFunc):
+            return self.num == other.num and self.den == other.den
+        if isinstance(other, (Poly, int)):
+            return self == RatFunc.from_poly(other if isinstance(other, Poly) else Poly.const(other))
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.num, self.den))
+
+    def __add__(self, other) -> "RatFunc":
+        other = _coerce(other)
+        return RatFunc(self.num * other.den + other.num * self.den, self.den * other.den)
+
+    def __radd__(self, other):
+        return self.__add__(other)
+
+    def __neg__(self) -> "RatFunc":
+        return RatFunc(-self.num, self.den, reduce=False)
+
+    def __sub__(self, other) -> "RatFunc":
+        return self + (-_coerce(other))
+
+    def __rsub__(self, other):
+        return (-self) + _coerce(other)
+
+    def __mul__(self, other) -> "RatFunc":
+        other = _coerce(other)
+        return RatFunc(self.num * other.num, self.den * other.den)
+
+    def __rmul__(self, other):
+        return self.__mul__(other)
+
+    def __truediv__(self, other) -> "RatFunc":
+        other = _coerce(other)
+        if other.is_zero():
+            raise ZeroDivisionError("division by zero rational function")
+        return RatFunc(self.num * other.den, self.den * other.num)
+
+    def __rtruediv__(self, other):
+        return _coerce(other) / self
+
+    def derivative(self) -> "RatFunc":
+        return RatFunc(
+            self.num.derivative() * self.den - self.num * self.den.derivative(),
+            self.den * self.den,
+        )
+
+    def __repr__(self) -> str:
+        if self.is_poly():
+            return "RatFunc(%s)" % format_poly(self.num)
+        return "RatFunc((%s)/(%s))" % (format_poly(self.num), format_poly(self.den))
+
+
+def _clear_ratfuncs(cs: Sequence[RatFunc]) -> Tuple[List[Poly], Poly]:
+    """(polys, den) with cs[i] = polys[i] / den, den the lcm of the denominators."""
+    den = Poly([Q1])
+    for c in cs:
+        den = den * c.den.exact_div(den.gcd(c.den))
+    return [c.num * den.exact_div(c.den) for c in cs], den
+
+
+def _coerce(x) -> RatFunc:
+    if isinstance(x, RatFunc):
+        return x
+    if isinstance(x, Poly):
+        return RatFunc.from_poly(x)
+    return RatFunc.const(x)
+
+
+def divrem_ratfuncs(quo: List[List[int]], rem: List[List[int]], den: List[int]):
+    """The quotient and remainder of ``op_right_divrem``'s integer
+    numerators over den, as reduced ``RatFunc`` lists."""
+    return ([RatFunc(Poly(x), Poly(den)) for x in quo],
+            [RatFunc(Poly(x), Poly(den)) for x in rem])
+
+
+# ---------------------------------------------------------------------------
+# Polynomials over Q(z) in y
+# ---------------------------------------------------------------------------
+
+
+def squarefree_in_y_oracle(p):
+    """Squarefree part of a BivarPoly with respect to y: Euclid over
+    ``RatFunc`` with dP/dy, then P divided by the monic gcd."""
+    if p.deg_y <= 0:
+        return _bivar_primitive(p)
+    a = [RatFunc.from_poly(c) for c in p.y_coeffs]
+    b = [RatFunc.from_poly(c) for c in p.y_derivative().y_coeffs]
+    g = _ratfunc_poly_gcd(a, b)
+    if len(g) <= 1:
+        return _bivar_primitive(p)
+    q, r = _ratfunc_poly_divmod(a, g)
+    if any(not x.is_zero() for x in r):
+        raise AssertionError("gcd does not divide")
+    return _bivar_primitive(BivarPoly(_clear_ratfuncs(q)[0]))
+
+
+def _ratfunc_poly_divmod(a: List[RatFunc], b: List[RatFunc]):
+    r = list(a)
+    while r and r[-1].is_zero():
+        r.pop()
+    nb = len(b) - 1
+    q = [RatFunc.const(0)] * max(0, len(r) - nb)
+    while len(r) - 1 >= nb and r:
+        c = r[-1] / b[-1]
+        k = len(r) - 1 - nb
+        q[k] = c
+        for j in range(nb + 1):
+            r[k + j] = r[k + j] - c * b[j]
+        while r and r[-1].is_zero():
+            r.pop()
+    return q, r
+
+
+def _ratfunc_poly_gcd(a: List[RatFunc], b: List[RatFunc]) -> List[RatFunc]:
+    a = [x for x in a]
+    b = [x for x in b]
+    while b and any(not x.is_zero() for x in b):
+        _, r = _ratfunc_poly_divmod(a, b)
+        a, b = b, r
+    if a:
+        lead = a[-1]
+        a = [x / lead for x in a]
+    return a
+
+
+def _mul_mod(a: List[RatFunc], b: List[RatFunc], mod: List[RatFunc]) -> List[RatFunc]:
+    if not a or not b:
+        return []
+    out = [RatFunc.const(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x.is_zero():
+            continue
+        for j, y in enumerate(b):
+            out[i + j] = out[i + j] + x * y
+    _, r = _ratfunc_poly_divmod(out, mod)
+    return r
+
+
+def _invert_mod(a: List[RatFunc], mod: List[RatFunc]) -> Optional[List[RatFunc]]:
+    r0, r1 = list(mod), list(a)
+    s0, s1 = [], [RatFunc.const(1)]
+    while r1 and any(not x.is_zero() for x in r1):
+        q, r = _ratfunc_poly_divmod(r0, r1)
+        r0, r1 = r1, r
+        qs = _poly_mul_ratfunc(q, s1)
+        new_s = [
+            (s0[i] if i < len(s0) else RatFunc.const(0))
+            - (qs[i] if i < len(qs) else RatFunc.const(0))
+            for i in range(max(len(s0), len(qs)))
+        ]
+        s0, s1 = s1, new_s
+    while r0 and r0[-1].is_zero():
+        r0.pop()
+    if len(r0) != 1:
+        return None
+    inv_lead = RatFunc.const(1) / r0[0]
+    return [x * inv_lead for x in s0]
+
+
+def _poly_mul_ratfunc(a: List[RatFunc], b: List[RatFunc]) -> List[RatFunc]:
+    if not a or not b:
+        return []
+    out = [RatFunc.const(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x.is_zero():
+            continue
+        for j, y in enumerate(b):
+            out[i + j] = out[i + j] + x * y
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -631,24 +851,6 @@ def diagonal_bruteforce(spec, n_terms: int) -> List:
 # ---------------------------------------------------------------------------
 # resultants over Q[lam]
 # ---------------------------------------------------------------------------
-
-
-def resultant_oracle(a: Poly, b: Poly):
-    """Res(a, b) by sympy over Q, from ``sympy.Rational`` coefficients."""
-    import sympy
-
-    x = sympy.Symbol("x")
-
-    def to_sympy(p: Poly):
-        return sympy.Poly(
-            [sympy.Rational(int(c.numerator), int(c.denominator))
-             for c in reversed(p.coeffs)] or [0],
-            x,
-        )
-
-    r = sympy.resultant(to_sympy(a), to_sympy(b), x)
-    r = sympy.Rational(r)
-    return QQ(int(r.p), int(r.q))
 
 
 def resultant_candidates_oracle(ind: List, ring: ModRing) -> Poly:

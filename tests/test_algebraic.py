@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dfinite import (
     BivarPoly,
@@ -15,9 +17,10 @@ from dfinite import (
     prove_algebraic,
     unroll,
 )
+from dfinite.algebraic import squarefree_in_y
 from dfinite.errors import NotSquarefree, PrecisionTooLow, RootNotSeparable
 from dfinite.rationals import QQ
-from oracles import annihilator_of_roots_oracle
+from oracles import annihilator_of_roots_oracle, squarefree_in_y_oracle
 
 
 def test_guess_algebraic_sqrt(sqrt_op):
@@ -177,3 +180,51 @@ def test_annihilator_of_roots_matches_oracle():
     ]
     for p in cases:
         assert annihilator_of_roots(p) == annihilator_of_roots_oracle(p), p
+
+
+_coef = st.fractions(min_value=-3, max_value=3, max_denominator=2)
+
+
+def _bivars(max_dy, max_dz, min_dy=1):
+    """Random P(z, y) of y-degree in [min_dy, max_dy], z-degree <= max_dz."""
+    ys = st.lists(st.lists(_coef, max_size=max_dz + 1).map(Poly),
+                  min_size=min_dy + 1, max_size=max_dy + 1)
+    return ys.map(BivarPoly).filter(lambda p: p.deg_y >= min_dy)
+
+
+def _bivar_mul(a, b):
+    out = [Poly() for _ in range(a.deg_y + b.deg_y + 1)]
+    for i, x in enumerate(a.y_coeffs):
+        for j, y in enumerate(b.y_coeffs):
+            out[i + j] = out[i + j] + x * y
+    return BivarPoly(out)
+
+
+_Y2 = BivarPoly([Poly(), Poly(), Poly([1])])
+
+
+@settings(max_examples=80, deadline=None)
+@given(p=_bivars(3, 2, min_dy=0), q=_bivars(2, 1))
+@example(p=_Y2, q=BivarPoly([Poly([0, 1]), Poly([1])]))  # y^2 (y + z)^2
+@example(p=BivarPoly([Poly([1, 1])]), q=BivarPoly([Poly([-1, 4]), Poly(), Poly([1])]))  # y-free P
+def test_squarefree_in_y_matches_ratfunc_euclid(p, q):
+    # the primitive PRS over Z[z] against Euclid over RatFunc, on P and on
+    # P Q^2, whose squarefree part drops Q's repeated factor
+    for x in (p, _bivar_mul(p, _bivar_mul(q, q))):
+        assert squarefree_in_y(x).y_coeffs == squarefree_in_y_oracle(x).y_coeffs, x
+
+
+@settings(max_examples=100, deadline=None)
+@given(p=_bivars(3, 1), q=_bivars(1, 1))
+@example(p=_Y2, q=BivarPoly([Poly([0, 1]), Poly([1])]))
+@example(p=BivarPoly([Poly([1]), Poly([0, 2])]), q=BivarPoly([Poly([1]), Poly([0, 1])]))
+def test_annihilator_of_roots_matches_ratfunc_oracle(p, q):
+    # a squarefree P gives the oracle's operator; a repeated root in y, in
+    # P itself or from the factor Q^2, raises NotSquarefree
+    if squarefree_in_y_oracle(p).deg_y == p.deg_y:
+        assert annihilator_of_roots(p) == annihilator_of_roots_oracle(p), p
+    else:
+        with pytest.raises(NotSquarefree):
+            annihilator_of_roots(p)
+    with pytest.raises(NotSquarefree):
+        annihilator_of_roots(_bivar_mul(p, _bivar_mul(q, q)))

@@ -37,10 +37,11 @@ from dfinite.linalg import (
     kernel_vector_exact,
 )
 from dfinite.minimize import INPUT_RETURNED, _guess_system, minimal_annihilator
-from dfinite.polys import Poly, RatFunc
+from dfinite.polys import Poly
 from dfinite.rationals import Q0, QQ
 from dfinite.series import TruncSeries
 from oracles import (
+    RatFunc,
     _build_algebraic_rows,
     _build_rows,
     _kernel_vector_mod,
@@ -374,6 +375,21 @@ def test_prime_dividing_the_denominator_is_an_unlucky_prime():
         got = guess_algebraic(f, 2, 1)
     assert seen[0] == 7 and len(seen) > 1
     assert got.y_coeffs == want.y_coeffs
+
+
+def test_unlucky_first_prime_with_as_many_pivots_is_passed_over():
+    # columns (p, 0), (1, 0), (0, 1): the first prime p gives pivots [1, 2]
+    # against [0, 2] over Q; the later primes' profile, as long and
+    # lexicographically smaller, replaces it, and no fallback is needed
+    p = _PRIMES[0]
+    system = dense_system([[p, 1, 0], [0, 0, 1]])
+    calls = []
+    real = linalg._first_dependence
+    with mock.patch.object(linalg, "_first_dependence",
+                           lambda rows: calls.append(1) or real(rows)):
+        got = kernel_vector_exact(system, system.times)
+    assert got == [-1, p, 0]
+    assert calls == []
 
 
 def test_rational_reconstruct_beyond_float_range():

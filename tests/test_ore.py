@@ -4,10 +4,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dfinite import DiffOp, Poly, RecOp, lclm, ode_to_rec, op_mul, op_right_divrem, rec_to_ode
-from dfinite.ore import right_divides
-from dfinite.polys import RatFunc
+from dfinite.ore import op_mul_raw, right_divides
 from dfinite.rationals import QQ
-from oracles import diffop_from_ratfuncs, lclm_oracle, ode_to_rec_oracle, op_right_divrem_oracle
+from oracles import (
+    RatFunc,
+    diffop_from_ratfuncs,
+    divrem_ratfuncs,
+    lclm_oracle,
+    ode_to_rec_oracle,
+    op_right_divrem_oracle,
+)
 
 
 def _rand_poly(rng, deg, zero_ok=True):
@@ -34,7 +40,7 @@ def test_sqrt_factorization_display(sqrt_op):
     # z D - 1 right-divides the operator (it kills the rational solution z);
     # the quotient reconstructs the factorization with denominators cleared
     b = DiffOp([Poly([-1]), Poly([0, 1])])
-    q, r = op_right_divrem(sqrt_op, b)
+    q, r = divrem_ratfuncs(*op_right_divrem(sqrt_op, b))
     assert not r
     z = Poly([0, 1])
     assert q[1] == RatFunc(Poly([1, -2]) * Poly([1, -4]), z)
@@ -62,14 +68,14 @@ def test_divrem_product_roundtrip():
         c = _rand_op(rng, rng.randint(0, 2), 2)
         b = _rand_op(rng, rng.randint(1, 2), 2)
         a = op_mul(c, b)
-        q, r = op_right_divrem(a, b)
+        q, r = divrem_ratfuncs(*op_right_divrem(a, b))
         assert not r
         assert diffop_from_ratfuncs(q) == c
 
 
 def test_divrem_sqrt_display(sqrt_op):
     b = DiffOp([Poly([-1]), Poly([0, 1])])
-    q, r = op_right_divrem(sqrt_op, b)
+    _, r, _ = op_right_divrem(sqrt_op, b)
     assert not r  # z D - 1 right-divides the operator
 
 
@@ -77,9 +83,7 @@ def test_divrem_nonzero_remainder():
     # D^2 = (D + 1)(D - 1) + 1
     a = DiffOp([Poly(), Poly(), Poly([1])])
     b = DiffOp([Poly([-1]), Poly([1])])
-    q, r = op_right_divrem(a, b)
-    assert [x for x in q] == [RatFunc.const(1), RatFunc.const(1)]
-    assert [x for x in r] == [RatFunc.const(1)]
+    assert op_right_divrem(a, b) == ([[1], [1]], [[1]], [1])
 
 
 _coef = st.fractions(min_value=-4, max_value=4, max_denominator=3)
@@ -104,9 +108,18 @@ _ORDER2 = DiffOp([Poly([1, -1]), Poly([2]), Poly([0, 3, 1])])
 @example(a=_ORDER2, b=DiffOp([Poly([1]), _Z * _Z * Poly([1, -1])]))  # lc(b) = z^2 (1 - z)
 @example(a=DiffOp([]), b=_ORDER2)  # a = 0
 def test_divrem_matches_oracle(a, b):
-    q, r = op_right_divrem(a, b)
-    assert (q, r) == op_right_divrem_oracle(a, b)
-    assert len(r) - 1 < b.order
+    quo, rem, den = op_right_divrem(a, b)
+    # den a = quo o b + rem over Z[z], with rem of order < order(b)
+    lhs = [Poly(den) * c for c in a.coeffs]
+    rhs = op_mul_raw([Poly(x) for x in quo], b.coeffs)
+    rhs += [Poly()] * (len(rem) - len(rhs))
+    for i, x in enumerate(rem):
+        rhs[i] = rhs[i] + Poly(x)
+    while rhs and rhs[-1].is_zero():
+        rhs.pop()
+    assert rhs == lhs
+    assert len(rem) - 1 < b.order
+    assert divrem_ratfuncs(quo, rem, den) == op_right_divrem_oracle(a, b)
 
 
 @settings(max_examples=100, deadline=None)
@@ -114,7 +127,7 @@ def test_divrem_matches_oracle(a, b):
 @example(c=DiffOp([Poly([QQ(1, 2), 1]), Poly([0, 0, 1])]), b=DiffOp([Poly([1]), _Z * _Z]))
 def test_divrem_exact_multiple_matches_oracle(c, b):
     a = op_mul(c, b)
-    q, r = op_right_divrem(a, b)
+    q, r = divrem_ratfuncs(*op_right_divrem(a, b))
     assert r == []
     assert (q, r) == op_right_divrem_oracle(a, b)
     assert diffop_from_ratfuncs(q) == DiffOp(c.coeffs)
@@ -125,7 +138,7 @@ def test_divrem_exact_multiple_matches_oracle(c, b):
 def test_right_divides_lclm_matches_oracle(a, b):
     m = lclm(a, b)
     for x in (a, b):
-        assert op_right_divrem(m, x) == op_right_divrem_oracle(m, x)
+        assert divrem_ratfuncs(*op_right_divrem(m, x)) == op_right_divrem_oracle(m, x)
         assert right_divides(x, m)
 
 

