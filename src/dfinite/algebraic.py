@@ -317,6 +317,12 @@ def certify_root(op: DiffOp, init: TruncSeries, p: BivarPoly) -> bool:
     Newton root g matching init, so the valuation-bound zero test on the
     truncation of f - g decides equality exactly.
     """
+    return _certified_annihilator(op, init, p) is not None
+
+
+def _certified_annihilator(op: DiffOp, init: TruncSeries, p: BivarPoly) -> Optional[DiffOp]:
+    """The annihilator of P's roots if ``certify_root`` proves P(z, f) = 0,
+    else None."""
     ann = annihilator_of_roots(p)
     m_op = lclm(op, ann)
     b0 = indicial_bound(m_op)
@@ -324,9 +330,9 @@ def certify_root(op: DiffOp, init: TruncSeries, p: BivarPoly) -> bool:
     f = unroll(op, init, need)
     g = newton_root(p, f.prefix(max(op.order, 1)), need)
     if g is None:
-        return False
+        return None
     h = TruncSeries([a - b for a, b in zip(f.coeffs, g.coeffs)])
-    return zero_test(m_op, h)
+    return ann if zero_test(m_op, h) else None
 
 
 def prove_algebraic(
@@ -349,8 +355,9 @@ def prove_algebraic(
         cand = guess_algebraic(f, dy_c, dz_c)
         if cand is not None:
             try:
-                if certify_root(op, init, cand):
-                    return cand, annihilator_of_roots(cand)
+                ann = _certified_annihilator(op, init, cand)
+                if ann is not None:
+                    return cand, ann
             except RootNotSeparable:
                 pass
         if dy_c == max_dy and dz_c == max_dz:

@@ -6,9 +6,11 @@ code over Q(z) keeps integer numerators over a Z[z] denominator and
 computes with the ``_z*`` kernels below.  Rational-root extraction is
 delegated to sympy's factorization (linear factors of the squarefree
 part), which avoids factoring large integer constant terms.  The one
-resultant, ``_zresultant``, takes integer inputs and runs sympy's
-subresultant over Z[x, lam].  sympy is imported inside the functions
-that use it, never at module import.
+resultant, ``_zresultant``, takes integer inputs and computes
+Res_x(P(x, lam), m(x)) by evaluation and interpolation over Z: sympy's
+univariate resultant at integer points lam, then exact Newton
+interpolation.  sympy is imported inside the functions that use it,
+never at module import.
 """
 
 from __future__ import annotations
@@ -19,17 +21,17 @@ from typing import Iterable, List, Sequence, Tuple
 
 from .rationals import QQ, Q0, Q1, cleared, rat_to_str
 
-_SYMPY_GENS = None
+_SYMPY_X = None
 
 
-def _sympy_gens():
-    """The sympy symbols (x, lam), made on first use."""
-    global _SYMPY_GENS
-    if _SYMPY_GENS is None:
+def _sympy_x():
+    """The sympy symbol x, made on first use."""
+    global _SYMPY_X
+    if _SYMPY_X is None:
         import sympy
 
-        _SYMPY_GENS = (sympy.Symbol("x"), sympy.Symbol("lam"))
-    return _SYMPY_GENS
+        _SYMPY_X = sympy.Symbol("x")
+    return _SYMPY_X
 
 
 class Poly:
@@ -251,7 +253,7 @@ class Poly:
             return []
         import sympy
 
-        x = _sympy_gens()[0]
+        x = _sympy_x()
         expr = sympy.Poly(_zclear([self])[0][::-1], x)
         roots = []
         for fac, mult in expr.factor_list()[1]:
@@ -375,22 +377,61 @@ def _zprimitive(a: List[int]) -> List[int]:
 
 
 def _zresultant(p: Sequence[Sequence[int]], m: Sequence[int]) -> List[int]:
-    """Res_x(P, m) in Z[lam], lowest degree first ([] for zero), where
+    """Res_x(P, m) in Z[lam] up to sign, with a positive leading
+    coefficient, lowest degree first ([] for zero), where
     P = sum_j p[j](x) lam^j and p[j], m are integer lists in x.
 
-    sympy's subresultant PRS runs on ``sympy.Poly`` objects over ZZ in
-    the generators (x, lam), built from the integers directly.
-    ``sympy.resultant`` is looked up at call time, so a wrapper installed
-    on the sympy module sees every call.
+    By evaluation and interpolation (Collins 1971): the Sylvester matrix
+    has deg(m) rows of lam-degree at most deg_lam(P) and constant rows
+    otherwise, so D + 1 values determine R for D = deg(m) * deg_lam(P).
+    R is evaluated at D + 2 integer points lam = 0, 1, 2, ... that skip
+    the roots of lc_x(P)(lam), so every univariate resultant has the same
+    degree pair and sympy gives it the same sign; the spare point checks
+    the interpolant.  ``sympy.resultant`` is looked up at call time, so a
+    wrapper installed on the sympy module sees every call.
     """
     import sympy
 
-    x, lam = _sympy_gens()
-    pd = {(i, j): c for j, pj in enumerate(p) for i, c in enumerate(pj) if c}
-    md = {(i, 0): c for i, c in enumerate(m) if c}
-    r = sympy.resultant(sympy.Poly.from_dict(pd, x, lam, domain=sympy.ZZ),
-                        sympy.Poly.from_dict(md, x, lam, domain=sympy.ZZ))
-    return _ztrim([int(c) for c in reversed(r.all_coeffs())])
+    p = _ztrim([_ztrim(list(pj)) for pj in p])
+    if not p:
+        return []
+    x = _sympy_x()
+    dx = max(len(pj) for pj in p) - 1
+    gm = sympy.Poly.from_list(list(reversed(m)), x, domain=sympy.ZZ)
+    need = (len(m) - 1) * (len(p) - 1) + 2
+    nodes, values = [], []
+    lam = 0
+    while len(nodes) < need:
+        # P(x, lam) by Horner in lam, one x-degree at a time
+        f = [0] * (dx + 1)
+        for pj in reversed(p):
+            f = [c * lam for c in f]
+            for i, c in enumerate(pj):
+                f[i] += c
+        if f[dx]:
+            r = sympy.resultant(sympy.Poly.from_list(f[::-1], x, domain=sympy.ZZ), gm)
+            nodes.append(lam)
+            values.append(int(r))
+        lam += 1
+    # Newton divided differences: integers for an integer polynomial at
+    # integer nodes, so each division is exact
+    for k in range(1, need):
+        for i in range(need - 1, k - 1, -1):
+            q, rem = divmod(values[i] - values[i - 1], nodes[i] - nodes[i - k])
+            if rem:
+                raise ArithmeticError("resultant values are not a polynomial in Z[lam]")
+            values[i] = q
+    if values[-1]:
+        raise ArithmeticError("resultant exceeds its degree bound")
+    out = [values[-2]]
+    for k in range(need - 3, -1, -1):
+        # out <- out * (lam - nodes[k]) + values[k]
+        out = [0] + out
+        for i in range(len(out) - 1):
+            out[i] -= nodes[k] * out[i + 1]
+        out[0] += values[k]
+    _ztrim(out)
+    return [-c for c in out] if out and out[-1] < 0 else out
 
 
 def _zgcd(a: List[int], b: List[int]) -> List[int]:

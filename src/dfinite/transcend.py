@@ -14,7 +14,8 @@ semisimple-local-monodromy conjecture for such series.
 Verdicts carry machine-checkable certificates.  ``verify_report``
 recomputes each deciding step with the scan's own check,
 ``_branch_step``, on the branches of the reported point, and accepts it
-only if one branch yields the reported step field for field.
+only if one branch yields the reported step field for field; a pass step
+is replayed by rescanning every singular point.
 """
 
 from __future__ import annotations
@@ -399,8 +400,11 @@ def verify_report(
     (status, minimality) pair the minimizer writes: the input operator
     itself, or a certified annihilator of lower order, which is
     re-certified against the input operator by the annihilation
-    certificate.  Its search log is not re-checked, and a pass step is
-    taken as written.  The stated verdict must follow from the last step:
+    certificate.  Its search log is not re-checked.  A pass step is
+    replayed by rescanning every singular point of the reported operator,
+    with the logarithm check at the origin only for an A claim: the rescan
+    must find no deciding step and write the same pass step.  The stated
+    verdict must follow from the last step:
     T (certified) from a replayed local obstruction, FAIL or A from a
     pass over every point.  Factor witnesses are refused, as reports
     carry no factorization to re-check.  A report not shaped as
@@ -434,6 +438,11 @@ def verify_report(
     for step in steps[1:]:
         kind = step.get("kind")
         if kind == STEP_ALL_PASSED:
+            # rescan with the Frobenius checks the claimed verdict's test ran
+            rescan: List[CertificateStep] = []
+            origin_only = report_json.get("verdict") == VERDICT_A
+            if _scan_points(mop, rescan, origin_only) is not None or rescan[-1].to_json() != step:
+                return False, "pass step does not replay"
             continue
         if kind == STEP_FACTOR_WITNESS:
             return False, "factor witness carries no factorization to re-check"

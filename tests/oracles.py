@@ -17,9 +17,10 @@ Z[z] kernels and the forward-only mod-p elimination
 in ``dfinite``.  Diagonals are checked against a cell-by-cell expansion
 of 1/den over the full box, with no lattice compression.  Resultants are
 taken by sympy over Q[lam] from symbolic expressions, with no clearing
-to integers.  Local coefficients at an algebraic point come from a
-Horner Taylor shift over Q[a]/(m), and the theta form from falling
-factorials built over the coefficient domain, both with products of
+to integers, by one bivariate sympy call over Z[x, lam], and as the
+determinant of the Sylvester matrix.  Local coefficients at an
+algebraic point come from a Horner Taylor shift over Q[a]/(m), and the
+theta form from falling factorials built over the coefficient domain, both with products of
 quotient-ring elements; the operator at infinity from products of
 operators over ``Fraction``.  ``FractionModRing`` is Q[a]/(m) with elements
 as tuples of ``Fraction`` reduced by polynomial division over Q and
@@ -851,6 +852,41 @@ def diagonal_bruteforce(spec, n_terms: int) -> List:
 # ---------------------------------------------------------------------------
 # resultants over Q[lam]
 # ---------------------------------------------------------------------------
+
+
+def _int_list(p) -> List[int]:
+    out = [int(c) for c in reversed(p.all_coeffs())]
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def bivariate_resultant_oracle(p: Sequence[Sequence[int]], m: Sequence[int]) -> List[int]:
+    """Res_x(P, m) for P = sum_j p[j](x) lam^j by sympy's subresultant
+    PRS over Z[x, lam] in one call, integer list in lam."""
+    import sympy
+
+    x, lam = sympy.symbols("x lam")
+    pd = {(i, j): c for j, pj in enumerate(p) for i, c in enumerate(pj) if c}
+    md = {(i, 0): c for i, c in enumerate(m) if c}
+    r = sympy.resultant(sympy.Poly.from_dict(pd, x, lam, domain=sympy.ZZ),
+                        sympy.Poly.from_dict(md, x, lam, domain=sympy.ZZ))
+    return _int_list(r)
+
+
+def sylvester_resultant_oracle(p: Sequence[Sequence[int]], m: Sequence[int]) -> List[int]:
+    """The determinant of the Sylvester matrix of P (in x, entries in
+    Z[lam]) and m, integer list in lam."""
+    import sympy
+
+    lam = sympy.Symbol("lam")
+    k = max(len(pj) for pj in p) - 1
+    n = len(m) - 1
+    f = [sum(pj[i] * lam ** j for j, pj in enumerate(p) if i < len(pj)) for i in range(k + 1)]
+    rows = [[0] * r + f[::-1] + [0] * (n - 1 - r) for r in range(n)]
+    rows += [[0] * r + list(m[::-1]) + [0] * (k - 1 - r) for r in range(k)]
+    det = sympy.Matrix(rows).det(method="berkowitz") if rows else sympy.Integer(1)
+    return _int_list(sympy.Poly(sympy.expand(det), lam))
 
 
 def resultant_candidates_oracle(ind: List, ring: ModRing) -> Poly:

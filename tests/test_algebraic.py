@@ -105,6 +105,30 @@ def test_prove_algebraic_f11():
     assert p == BivarPoly([Poly([-1]), Poly(), Poly([1, -6, 1])])
 
 
+def test_prove_algebraic_builds_root_annihilator_once(monkeypatch):
+    # the annihilator certify_root builds for the lclm is the one returned
+    import dfinite.algebraic as algebraic_mod
+    from dfinite.hypergeom import HypParams, hypergeometric_operator
+
+    op = hypergeometric_operator(HypParams([QQ(1, 6), QQ(5, 6)], [QQ(1, 2)]))
+    terms = [QQ(1)]
+    for n in range(40):
+        terms.append(terms[-1] * (QQ(n) + QQ(1, 6)) * (QQ(n) + QQ(5, 6))
+                     / ((QQ(n) + QQ(1, 2)) * (n + 1)))
+    calls = []
+
+    def counting(p):
+        calls.append(p)
+        return annihilator_of_roots(p)
+
+    monkeypatch.setattr(algebraic_mod, "annihilator_of_roots", counting)
+    got = prove_algebraic(op, TruncSeries(terms).prefix(op.order), max_dy=6, max_dz=6)
+    assert got is not None
+    p, ann = got
+    assert calls == [p]
+    assert ann == annihilator_of_roots(p)
+
+
 def test_prove_algebraic_apery_exhausts(apery_op, apery_init):
     assert prove_algebraic(apery_op, apery_init, max_dy=4, max_dz=4) is None
 

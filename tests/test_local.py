@@ -14,6 +14,8 @@ from dfinite import (
     Poly,
     SingularPoint,
     formal_solutions,
+    gen_binomial_sum,
+    guess_annihilator,
     indicial,
     indicial_branches,
     lclm,
@@ -216,6 +218,32 @@ def test_local_scan_candidates_pinned(monkeypatch):
         for pt in singularities(op):
             indicial_branches(op, pt)
         assert seen == pins, name
+
+
+# the degree-15 clusters of the family (1,4) and (3,2) minimal operators,
+# which the benchmark leaves out: the sha256 prefixes of their monic
+# candidates (whole cluster, then the two branches), taken with sympy's
+# subresultant over Z[x, lam]
+_HEAVY_CLUSTER_CANDIDATES = ["1bb29fc6328464b3", "2a6fae004ec0d54d", "42d8e54122b62394"]
+
+
+@pytest.mark.parametrize("powers", [[1, 4], [3, 2]])
+def test_heavy_cluster_branches_pinned(monkeypatch, powers):
+    seen = []
+
+    def recording(p, m):
+        r = _zresultant(p, m)
+        monic = Poly(r).monic()
+        seen.append(hashlib.sha256(",".join(map(str, monic.coeffs)).encode()).hexdigest()[:16])
+        return r
+
+    op = guess_annihilator(gen_binomial_sum(powers, 300), max_order=8)
+    (cluster,) = [pt for pt in singularities(op) if pt.modulus is not None and pt.modulus.degree == 15]
+    monkeypatch.setattr(local_mod, "_zresultant", recording)
+    branches = indicial_branches(op, cluster)
+    assert [(b.point.modulus.degree, b.degree, len(b.rational_roots)) for b in branches] == [
+        (5, 6, 5), (10, 6, 6)]
+    assert seen == _HEAVY_CLUSTER_CANDIDATES
 
 
 @st.composite

@@ -1,12 +1,13 @@
 import itertools
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dfinite.polys import Poly
+from dfinite.polys import Poly, _zresultant
 from dfinite.rationals import QQ, rat_from_str, rat_to_str
-from oracles import RatFunc, fraction_gcd
+from oracles import RatFunc, bivariate_resultant_oracle, fraction_gcd, sylvester_resultant_oracle
 
 _polys = st.lists(st.fractions(min_value=-30, max_value=30, max_denominator=12),
                   max_size=6).map(Poly)
@@ -107,3 +108,75 @@ def test_gcd_matches_fraction_euclid(a, b, c):
     for x, y in ((a * c, b * c), (a, b), (a * c, c), (a, Poly()), (Poly(), b),
                  (Poly(), Poly()), (Poly([QQ(-7, 3)]), b * c), (a * c, a * c)):
         assert x.gcd(y) == fraction_gcd(x, y), (x, y)
+
+
+_small = st.integers(-6, 6)
+
+
+@st.composite
+def resultant_cases(draw):
+    """(p, m) with P = sum_j p[j](x) lam^j: lam-free P, deg_x P = 0 and
+    linear m included, and lc_x(P)(lam) planted to vanish at some of the
+    first evaluation points 0, 1, 2."""
+    n = draw(st.integers(1, 4))
+    m = draw(st.lists(_small, min_size=n, max_size=n)) + [draw(_small.filter(bool))]
+    k = draw(st.integers(0, 3))
+    lead = [draw(_small.filter(bool))]
+    for r in draw(st.lists(st.sampled_from([0, 1, 2]), max_size=2, unique=True)):
+        lead = [0] + lead  # times (lam - r)
+        for i in range(len(lead) - 1):
+            lead[i] -= r * lead[i + 1]
+    dl = max(len(lead) - 1, draw(st.integers(0, 3)))
+    p = []
+    for j in range(dl + 1):
+        row = draw(st.lists(_small, min_size=k, max_size=k))
+        p.append(row + [lead[j] if j < len(lead) else 0])
+    return p, m
+
+
+def _signed(a):
+    return [a, [-c for c in a]]
+
+
+@settings(max_examples=150, deadline=None)
+@given(resultant_cases())
+@example(([[1, 2], [0, 1]], [3, 1]))  # linear m
+@example(([[5, 0, 1]], [2, 0, 1]))  # lam-free P
+@example(([[0], [-2], [1]], [1, 1, 1]))  # deg_x P = 0, P vanishing at 0 and 2
+@example(([[1, 0], [3, 2], [0, -3], [0, 1]], [1, 2, 0, 1]))  # lc lam(lam-1)(lam-2)
+@example(([[-1, 1], [0, 0]], [-1, 1]))  # Res = 0: P and m share x - 1
+def test_zresultant_matches_bivariate_sympy(case):
+    p, m = case
+    got = _zresultant(p, m)
+    want = bivariate_resultant_oracle(p, m)
+    assert Poly(got).monic() == Poly(want).monic()
+    assert got in _signed(want)
+    assert not got or got[-1] > 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(resultant_cases().filter(lambda c: len(c[1]) <= 3 and len(c[0]) <= 3))
+def test_zresultant_is_the_sylvester_determinant(case):
+    p, m = case
+    assert _zresultant(p, m) in _signed(sylvester_resultant_oracle(p, m))
+
+
+def test_zresultant_checks_the_spare_point(monkeypatch):
+    # Res_x(x + lam, x^2 + 1) = lam^2 + 1 from the values at lam = 0..3; a
+    # last value off by 3! keeps every divided difference integral, so
+    # only the spare point's check sees it
+    import sympy
+
+    calls = []
+    true_resultant = sympy.resultant
+
+    def off_at_the_spare_point(f, g):
+        calls.append(f)
+        r = true_resultant(f, g)
+        return r + 6 if len(calls) == 4 else r
+
+    assert _zresultant([[0, 1], [1]], [1, 0, 1]) == [1, 0, 1]
+    monkeypatch.setattr(sympy, "resultant", off_at_the_spare_point)
+    with pytest.raises(ArithmeticError):
+        _zresultant([[0, 1], [1]], [1, 0, 1])
+    assert len(calls) == 4

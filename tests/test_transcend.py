@@ -317,6 +317,57 @@ def test_verify_rejects_logarithm_step_at_other_branch(valid_reports):
     assert verify_report(op, init, rep) == (False, "logarithm step does not replay")
 
 
+def _forged_pass(rep, points, verdict, confidence):
+    """rep with its deciding step replaced by a pass step over points."""
+    rep = copy.deepcopy(rep)
+    rep["certificate"][-1] = {"kind": STEP_ALL_PASSED, "points": points}
+    return dict(rep, verdict=verdict, confidence=confidence)
+
+
+@pytest.mark.parametrize("which, points", [
+    # Apery's indicial polynomial at 0 does not split, whichever checks run
+    (0, ["0"]),
+    # the logarithm at z^2 = 2 decides the full scan, the double exponent
+    # at infinity the scan with the logarithm check at the origin only
+    (1, ["0", "root of z^2 - 3", "root of z^2 - 2", "infinity"]),
+])
+@pytest.mark.parametrize("verdict, confidence", [
+    (VERDICT_A, CONF_CONJECTURAL),
+    (VERDICT_FAIL, CONF_HEURISTIC),
+])
+def test_verify_replays_forged_pass_step(valid_reports, which, points, verdict, confidence):
+    op, init, rep = valid_reports[which]
+    forged = _forged_pass(rep, points, verdict, confidence)
+    assert verify_report(op, init, forged) == (False, "pass step does not replay")
+
+
+def test_verify_pass_step_runs_the_claimed_logarithm_checks():
+    # Wronskian operator of s^2 and s + s^2 log((1 - z)/(1 + z)), s = 1 - z^2:
+    # logarithms at z = 1 and z = -1 only, every point splits, so the scan
+    # with the logarithm check at the origin only passes and the full one
+    # does not
+    op = DiffOp([Poly([-4, 0, -8, 8, 12]), Poly([-1, -6, 6, 12, -5, -6]),
+                 Poly([-1, 1, 3, -2, -3, 1, 1])])
+    init = TruncSeries([1, 0, -2, 0, 1])  # s^2
+    opts = TranscendOptions(skip_minimization=True)
+    rep_t = transcendence_test(op, init, opts).to_json()
+    assert rep_t["certificate"][-1]["kind"] == STEP_LOGARITHM
+    rep_a = globally_bounded_test(op, init, opts).to_json()
+    assert rep_a["verdict"] == VERDICT_A
+    assert verify_report(op, init, rep_a) == (True, "certificate replays")
+    forged = dict(rep_a, verdict=VERDICT_FAIL, confidence=CONF_HEURISTIC)
+    assert verify_report(op, init, forged) == (False, "pass step does not replay")
+
+
+def test_verify_rejects_tampered_pass_step(valid_reports):
+    for op, init, rep in valid_reports[2:]:
+        assert verify_report(op, init, rep) == (True, "certificate replays")
+        step = rep["certificate"][-1]
+        assert step["kind"] == STEP_ALL_PASSED and len(step["points"]) > 1
+        forged = _forged_pass(rep, step["points"][:-1], rep["verdict"], rep["confidence"])
+        assert verify_report(op, init, forged) == (False, "pass step does not replay")
+
+
 _KINDS = [STEP_MINIMAL, STEP_NOT_FUCHSIAN, STEP_NONSPLITTING, STEP_LOGARITHM,
           STEP_ALL_PASSED, STEP_FACTOR_WITNESS, "bogus"]
 _WORDS = ["", "0", "1", "-1", "2", "1/2", "x^3", "x^2 - 1", "infinity", "rational", "algebraic"]
