@@ -11,7 +11,6 @@ from .errors import (
     InconsistentInitialConditions,
     InputError,
     InsufficientInitialConditions,
-    InvalidFactorization,
     IrregularPoint,
     NotSquarefree,
     PrecisionTooLow,
@@ -66,7 +65,6 @@ from .transcend import (
     VerdictReport,
     diagonal_grade_bound,
     globally_bounded_test,
-    iterated_factor_strategy,
     transcendence_test,
     verify_report,
 )

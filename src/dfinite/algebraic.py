@@ -23,8 +23,8 @@ from typing import List, Optional, Sequence, Tuple
 from .errors import InputError, NotSquarefree, PrecisionTooLow, RootNotSeparable
 from .linalg import ShiftSystem, _first_dependence, kernel_vector_exact
 from .minimize import GUARD_TERMS
-from .ore import DiffOp, _primitive_rows, lclm
-from .polys import Poly, _zadd, _zclear, _zderiv, _zmul, _zsub
+from .ore import DiffOp, lclm
+from .polys import Poly, _primitive_rows, _zadd, _zclear, _zderiv, _zmul, _zsub
 from .rationals import QQ, Q0, cleared
 from .series import TruncSeries, indicial_bound, is_zero_series, unroll, zero_test
 
@@ -101,11 +101,9 @@ def _series_mul(a: List, b: List, n: int) -> List:
 
 
 def _primitive(p: BivarPoly) -> BivarPoly:
-    from .ore import _normalize_content
-
     if p.is_zero():
         return p
-    return BivarPoly(_normalize_content(list(p.y_coeffs)))
+    return BivarPoly(_primitive_rows(_zclear(p.y_coeffs)))
 
 
 def squarefree_in_y(p: BivarPoly) -> BivarPoly:
@@ -127,7 +125,7 @@ def squarefree_in_y(p: BivarPoly) -> BivarPoly:
     q, r, _ = _ydivrem(rows, b)
     if r:
         raise AssertionError("gcd does not divide")
-    return BivarPoly([Poly(c) for c in _primitive_rows(q)])
+    return BivarPoly(_primitive_rows(q))
 
 
 def _ymul(a: List[List[int]], b: List[List[int]]) -> List[List[int]]:
@@ -254,7 +252,7 @@ def annihilator_of_roots(p: BivarPoly) -> DiffOp:
     dep = _first_dependence(derivatives())
     if dep is None:
         raise AssertionError("dependence must appear at order <= deg_y")
-    return DiffOp._from_int_rows(dep)
+    return DiffOp(dep)
 
 
 def _normalized(w: List[List[int]], s: List[int]) -> Tuple[List[List[int]], List[int]]:

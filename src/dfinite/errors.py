@@ -40,10 +40,6 @@ class RootNotSeparable(DFiniteError):
     """No isolated power-series root matches the given initial terms."""
 
 
-class InvalidFactorization(InputError):
-    """Supplied operator factors do not multiply back to the input."""
-
-
 class ZeroDivisorSplit(DFiniteError):
     """Inversion in a quotient ring hit a zero divisor.
 

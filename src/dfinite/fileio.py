@@ -18,13 +18,12 @@ from typing import Dict, List, Tuple
 from .errors import InputError
 from .generators import DiagonalSpec, MPoly
 from .ore import DiffOp
-from .polys import Poly
 from .rationals import QQ, rat_from_str, rat_to_str
 from .series import TruncSeries
 
 
 def op_to_json(op: DiffOp) -> List[List[str]]:
-    return [[rat_to_str(c) for c in p.coeffs] for p in op.coeffs]
+    return [[str(c) for c in p] for p in op.rows]
 
 
 def _is_int(x) -> bool:
@@ -45,7 +44,7 @@ def op_from_json(data, denominator: int = 1) -> DiffOp:
                 cs.append(QQ(c, denominator))
             else:
                 raise InputError("coefficients must be integers or 'p/q' strings")
-        coeffs.append(Poly(cs))
+        coeffs.append(cs)
     return DiffOp(coeffs)
 
 

@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .errors import InputError, PrecisionTooLow
 from .linalg import _poly_matrix_rank
 from .ore import DiffOp, _rem_step, _unit_rows
-from .polys import _zclear, _zderiv, _ztrim
+from .polys import _zderiv, _ztrim
 from .rationals import QQ, is_integer
 from .series import TruncSeries
 
@@ -117,13 +117,14 @@ def p_curvature(op: DiffOp, p: int) -> PCurvatureReport:
 
     Row i of the p-curvature matrix of L (order r, leading coefficient l)
     holds the remainder of d^(p+i) modulo L over F_p(z).  The remainders
-    come from the recurrence of ``ore._remainders`` run on L reduced mod
-    p, as numerators over powers of l reduced mod p after every step.
-    The p-curvature is zero iff the remainder of d^p is 0; otherwise the
-    reported rank is that of the rows for d^p ... d^(p+r-1) over F_p(z).
-    Primes at most the order, or dividing a denominator or the leading
-    coefficient, are flagged bad and skipped; a p that is not prime is an
-    InputError, since the iteration inverts numbers mod p.
+    come from the recurrence of ``ore._remainders`` run on the operator's
+    integer rows reduced mod p, as numerators over powers of l reduced
+    mod p after every step.  The p-curvature is zero iff the remainder of
+    d^p is 0; otherwise the reported rank is that of the rows for
+    d^p ... d^(p+r-1) over F_p(z).  Primes at most the order, or for which
+    the leading coefficient vanishes mod p, are flagged bad and skipped; a
+    p that is not prime is an InputError, since the iteration inverts
+    numbers mod p.
     """
     if op.is_zero():
         raise InputError("zero operator")
@@ -132,9 +133,7 @@ def p_curvature(op: DiffOp, p: int) -> PCurvatureReport:
     r = op.order
     if p <= r:
         return PCurvatureReport(p, False, -1, True, "prime <= order degenerates the iteration")
-    if any(c.denominator % p == 0 for q in op.coeffs for c in q.coeffs):
-        return PCurvatureReport(p, False, -1, True, "prime divides a coefficient denominator")
-    ops = [_mod_p(q, p) for q in _zclear(op.coeffs)]
+    ops = [_mod_p(q, p) for q in op.rows]
     if not ops[-1]:
         return PCurvatureReport(p, False, -1, True, "leading coefficient vanishes mod p")
     dlead = _zderiv(ops[-1])

@@ -10,12 +10,13 @@ of the criterion's reach and reported as inapplicable, never coerced.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from itertools import zip_longest
+from math import gcd, prod
 from typing import List, Sequence, Tuple
 
 from .errors import InputError
 from .ore import DiffOp, op_mul_raw
-from .polys import Poly
+from .polys import _zsub
 from .rationals import QQ, Q1, is_integer
 
 ALGEBRAIC = "algebraic"
@@ -100,24 +101,22 @@ def interlacing_criterion(params: HypParams) -> Tuple[str, str]:
 def hypergeometric_operator(params: HypParams) -> DiffOp:
     """Annihilator of the hypergeometric series with these parameters:
     prod_j (theta + b_j - 1) o theta ... minus z * prod_i (theta + a_i),
-    written with polynomial coefficients."""
-    theta = [Poly(), Poly([0, 1])]  # z * d/dz
+    written with polynomial coefficients.  Each factor theta + c is
+    multiplied by the denominator of c to have integer rows, and each side
+    by the other side's product of denominators before they are
+    subtracted, so both carry the same scale."""
 
-    def theta_plus(c) -> List[Poly]:
-        return [Poly([c]), Poly([0, 1])]
+    def theta_plus(c) -> List[List[int]]:
+        return [[c.numerator], [0, c.denominator]]
 
-    left = [Poly([1])]
+    left = [[], [0, 1]]  # theta = z * d/dz
     for bj in params.b:
         left = op_mul_raw(theta_plus(bj - 1), left)
-    left = op_mul_raw(theta, left)
-    right = [Poly([1])]
+    right = [[1]]
     for ai in params.a:
         right = op_mul_raw(theta_plus(ai), right)
-    right = [p.shift_up(1) for p in right]  # left-multiply by z
-    n = max(len(left), len(right))
-    coeffs = []
-    for i in range(n):
-        li = left[i] if i < len(left) else Poly()
-        ri = right[i] if i < len(right) else Poly()
-        coeffs.append(li - ri)
-    return DiffOp(coeffs)
+    right = [[0] + p if p else [] for p in right]  # left-multiply by z
+    scale_l = prod(bj.denominator for bj in params.b)
+    scale_r = prod(ai.denominator for ai in params.a)
+    return DiffOp([_zsub([scale_r * c for c in li], [scale_l * c for c in ri])
+                   for li, ri in zip_longest(left, right, fillvalue=[])])

@@ -35,9 +35,9 @@ from typing import Dict, List, Optional, Tuple
 
 from .errors import InputError, IrregularPoint, ZeroDivisorSplit
 from .ore import DiffOp
-from .polys import Poly, _zadd, _zclear, _zderiv, _zgcd, _zmul, _zresultant, _ztrim, format_poly
+from .polys import Poly, _zadd, _zderiv, _zgcd, _zmul, _zresultant, _zshift, _ztrim, format_poly
 from .quotient import DomainQQ, ModRing, QQ_DOMAIN, gcd_with_modulus, split_cases
-from .rationals import QQ, Q1, cleared
+from .rationals import QQ, Q1
 
 
 # ---------------------------------------------------------------------------
@@ -124,14 +124,13 @@ def singularities(op: DiffOp) -> List[SingularPoint]:
 def transform_infinity(op: DiffOp) -> DiffOp:
     """Operator in w for the substitution z = 1/w, d/dz = -w^2 d/dw.
 
-    Runs over Z on the coefficients cleared by one common factor, which
-    the operator's content normalisation removes again."""
+    Runs over Z on the operator's rows."""
     if op.is_zero():
         raise InputError("zero operator")
-    big_d = max(c.degree for c in op.coeffs if not c.is_zero())
+    big_d = op.degree()
     e_i: List[List[int]] = [[1]]  # coefficients of (-w^2 d/dw)^i, by power of d/dw
     total: List[List[int]] = []
-    for i, a in enumerate(_zclear(op.coeffs)):
+    for i, a in enumerate(op.rows):
         if i > 0:
             # -w^2 d/dw o sum_j e_j d^j = -w^2 sum_j (e_j' + e_(j-1)) d^j
             e_i = [[-c for c in _zadd([0, 0] + _zderiv(e), [0, 0] + prev)]
@@ -142,7 +141,7 @@ def transform_infinity(op: DiffOp) -> DiffOp:
         total += [[] for _ in range(len(e_i) - len(total))]
         for j, e in enumerate(e_i):
             total[j] = _zadd(total[j], _zmul(weight, e))
-    return DiffOp._from_int_rows(total)
+    return DiffOp(total)
 
 
 # ---------------------------------------------------------------------------
@@ -187,20 +186,17 @@ def _lam_eval(a: List, x, dom):
 def _local_coeffs(op: DiffOp, point: SingularPoint, dom):
     """Operator coefficients recentred at the point, over the domain."""
     if point.kind == SingularPoint.INFINITY:
-        shifted = transform_infinity(op).coeffs
-        return [[dom.from_rat(c) for c in p.coeffs] for p in shifted]
+        return [[dom.from_rat(QQ(c)) for c in p] for p in transform_infinity(op).rows]
     if point.kind == SingularPoint.RATIONAL:
-        s = point.value
-        return [[dom.from_rat(c) for c in p.compose_shift(s).coeffs] for p in op.coeffs]
+        out = []
+        for p in op.rows:
+            cs, den = _zshift(p, point.value)
+            out.append([dom.from_rat(QQ(c, den)) for c in cs])
+        return out
     # algebraic: the t^u coefficient of p(t + a) is (p^(u)/u!)(a), read off
-    # as the remainder of sum_k C(k, u) c_k z^(k-u) by the modulus, with
-    # the c_k cleared to integers over their common denominator
-    out = []
-    for p in op.coeffs:
-        cs, den = cleared(p.coeffs)
-        out.append([dom.from_ints([comb(k, u) * cs[k] for k in range(u, len(cs))], den)
-                    for u in range(len(cs))])
-    return out
+    # as the remainder of sum_k C(k, u) c_k z^(k-u) by the modulus
+    return [[dom.from_ints([comb(k, u) * p[k] for k in range(u, len(p))], 1) for u in range(len(p))]
+            for p in op.rows]
 
 
 def _series_valuation(p: List, dom) -> int:

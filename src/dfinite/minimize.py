@@ -38,8 +38,8 @@ from typing import List, Optional, Sequence, Tuple
 from .errors import InputError
 from .linalg import ShiftSystem, _first_dependence, kernel_rank_mod_p, kernel_vector_exact
 from .ore import DiffOp, _remainders
-from .polys import Poly, _zclear, _zmul, _zsub
-from .rationals import Q0, cleared
+from .polys import _zmul, _zsub
+from .rationals import cleared
 from .series import (
     TruncSeries,
     apply_op,
@@ -115,10 +115,10 @@ def _residual(derivs: List[List[int]], vec: Sequence, order: int, degree: int) -
 
 def _vector_to_op(vec: Sequence, order: int, degree: int) -> DiffOp:
     cols = _guess_columns(order, degree)
-    coeffs = [[Q0] * (degree + 1) for _ in range(order + 1)]
+    coeffs = [[0] * (degree + 1) for _ in range(order + 1)]
     for (i, j), c in zip(cols, vec):
         coeffs[i][j] = c
-    return DiffOp([Poly(cs) for cs in coeffs])
+    return DiffOp(coeffs)
 
 
 def _probe_degree(system: ShiftSystem, order: int, d_cap: int) -> List[int]:
@@ -217,13 +217,12 @@ def _cofactor(big: DiffOp, cand: DiffOp) -> DiffOp:
     common factor l^e changes no Q(z)-line, hence not the normal form.
     """
     r = big.order
-    ops = _zclear(big.coeffs)
+    ops, cs = big.rows, cand.rows
     lead = ops[-1]
-    cs = _zclear(cand.coeffs)
     if cand.order == r:
         start = [_zsub(_zmul(lead, cs[i]), _zmul(cs[r], ops[i])) for i in range(r)]
     else:
-        start = cs + [[] for _ in range(r - len(cs))]
+        start = list(cs) + [[] for _ in range(r - len(cs))]
     rems = _remainders(ops, start, int(cand.order == r))
 
     def rows():
@@ -235,7 +234,7 @@ def _cofactor(big: DiffOp, cand: DiffOp) -> DiffOp:
     dep = _first_dependence(rows())
     if dep is None:
         raise AssertionError("dependence must appear at order <= order(big)")
-    return DiffOp._from_int_rows(dep)
+    return DiffOp(dep)
 
 
 def minimal_annihilator(

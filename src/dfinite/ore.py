@@ -1,10 +1,15 @@
 """Linear differential and recurrence operators with polynomial coefficients.
 
 Differential operators live in Q[z]<d/dz> with the commutation rule
-d*a = a*d + a'.  The stored normal form is the primitive representative
-over Z[z]: integer coefficients with no common polynomial or integer
-factor, leading coefficient positive.  It is unique on each Q(z)-line,
-so equal normal forms mean equal operators up to a factor in Q(z).
+d*a = a*d + a'.  A ``DiffOp`` stores its normal form as integer rows:
+``rows[i]`` is the coefficient of d^i as an integer list, lowest degree
+first, and the rows have no common polynomial or integer factor, the
+leading coefficient positive.  The normal form is unique on each
+Q(z)-line, so equal rows mean equal operators up to a factor in Q(z).
+The constructor is the one way in: it clears rational input to integers
+once and takes the primitive part.  ``coeffs``, ``leading`` and
+indexing are read-only ``Poly`` views for display and for callers over
+Q[z]; the routines here and in the other modules read the rows.
 
 Arithmetic over Q(z) runs fraction-free.  Modulo an operator L with
 leading coefficient l, the remainder of d^k is N_k / l^k with N_k over
@@ -14,98 +19,90 @@ Z[z], and the next numerator needs only products and one derivative
 among such numerators by Bareiss elimination over Z[z]
 (``linalg._first_dependence``), whose divisions are exact; the only gcds
 are the ones of the final normal form.  ``op_right_divrem`` is a
-pseudo-division over Z[z]: it keeps den * a = Q o B + R with B the
-integer-cleared divisor, multiplies on the left by lc(B) instead of
-dividing by it, and returns the integer numerators and den unreduced;
-``right_divides`` reads only whether the remainder is empty.
+pseudo-division over Z[z]: it keeps den * a = Q o b + R, multiplies on
+the left by lc(b) instead of dividing by it, and returns the integer
+numerators and den unreduced; ``right_divides`` reads only whether the
+remainder is empty.
 
 Recurrence operators act on coefficient sequences; the two sides are
 linked by ``ode_to_rec`` and ``rec_to_ode`` with the convention that a
 term c * z^j * d^i contributes c * (n+m)(n+m-1)...(n+m-i+1) to the
-shift m = i - j.  ``ode_to_rec`` runs over Z: the operator is cleared
-to integers once and the falling factorials are integer lists, so the
-recurrence's normal form (integer coefficients of content 1) comes with
-no ``Fraction`` arithmetic, and ``series`` evaluates its rows at integer
-indices.
+shift m = i - j.  A ``RecOp`` stores integer rows of content 1, and
+``ode_to_rec`` builds them over Z from the operator's rows and integer
+falling factorials, so ``series`` evaluates them at integer indices.
 """
 
 from __future__ import annotations
 
 import itertools
-from math import gcd
+from math import comb
 from typing import List, Sequence, Tuple
 
 from .errors import InputError
 from .linalg import _first_dependence
 from .polys import (
     Poly,
+    _content_free,
+    _primitive_rows,
     _zadd,
     _zclear,
     _zderiv,
-    _zexquo,
-    _zgcd,
     _zmul,
-    _zprimitive,
+    _zshift,
     _zsub,
+    _ztrim,
     format_poly,
 )
-from .rationals import QQ, Q0, Q1
+
+
+def _int_rows(coeffs: Sequence) -> List[List[int]]:
+    """Coefficients (``Poly``s or rational lists) cleared to integer lists
+    by one common factor, trailing zeros and zero top rows dropped."""
+    rows = [_ztrim(p) for p in _zclear(coeffs)]
+    while rows and not rows[-1]:
+        rows.pop()
+    return rows
 
 
 class DiffOp:
-    """Differential operator sum(coeffs[i] * d^i), content-normalized."""
+    """Differential operator sum(rows[i] * d^i) in normal form."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("rows",)
 
-    def __init__(self, coeffs: Sequence, normalize: bool = True):
-        cs = [c if isinstance(c, Poly) else Poly(c) for c in coeffs]
-        while cs and cs[-1].is_zero():
-            cs.pop()
-        if normalize and cs:
-            cs = _normalize_content(cs)
-        self.coeffs = tuple(cs)
+    def __init__(self, coeffs: Sequence):
+        rows = _int_rows(coeffs)
+        self.rows = tuple(_primitive_rows(rows)) if rows else ()
 
-    @staticmethod
-    def _from_int_rows(rows: List[List[int]]) -> "DiffOp":
-        """Normal form of the operator with integer coefficient lists rows."""
-        return DiffOp([Poly(p) for p in _primitive_rows(rows)], normalize=False)
+    @property
+    def coeffs(self) -> Tuple[Poly, ...]:
+        return tuple(map(Poly, self.rows))
 
     @property
     def order(self) -> int:
         """Order; -1 for the zero operator."""
-        return len(self.coeffs) - 1
+        return len(self.rows) - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.rows
 
     @property
     def leading(self) -> Poly:
-        if not self.coeffs:
-            return Poly()
-        return self.coeffs[-1]
+        return self[self.order]
 
     def degree(self) -> int:
         """Max coefficient degree."""
-        return max((c.degree for c in self.coeffs), default=-1)
+        return max(map(len, self.rows), default=0) - 1
 
     def __getitem__(self, i: int) -> Poly:
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else Poly()
+        return Poly(self.rows[i]) if 0 <= i < len(self.rows) else Poly()
 
     def __eq__(self, other) -> bool:
         if isinstance(other, DiffOp):
-            return self.coeffs == other.coeffs
+            return self.rows == other.rows
         return NotImplemented
 
     def __hash__(self):
-        return hash(self.coeffs)
-
-    def __add__(self, other: "DiffOp") -> "DiffOp":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return DiffOp([self[i] + other[i] for i in range(n)])
-
-    def __sub__(self, other: "DiffOp") -> "DiffOp":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return DiffOp([self[i] - other[i] for i in range(n)])
+        return hash(tuple(map(tuple, self.rows)))
 
     def __repr__(self) -> str:
         if self.is_zero():
@@ -121,80 +118,35 @@ class DiffOp:
 
     def max_shift(self) -> int:
         """Largest i - j over monomials z^j d^i; controls apply_op truncation."""
-        m = None
-        for i, c in enumerate(self.coeffs):
-            if c.is_zero():
-                continue
-            v = i - c.valuation()
-            m = v if m is None else max(m, v)
-        if m is None:
+        shifts = [i - next(j for j, c in enumerate(p) if c) for i, p in enumerate(self.rows) if p]
+        if not shifts:
             raise InputError("zero operator has no shift profile")
-        return m
+        return max(shifts)
 
 
-def _normalize_content(cs: List[Poly]) -> List[Poly]:
-    return [Poly(p) for p in _primitive_rows(_zclear(cs))]
-
-
-def _primitive_rows(rows: List[List[int]]) -> List[List[int]]:
-    """Integer coefficient lists divided by their polynomial gcd and their
-    integer content, the leading coefficient of the last one positive:
-    the one normal form of the Q(z)-line through them."""
-    g = None
-    for p in rows:
-        if p:
-            g = _zprimitive(p) if g is None else _zgcd(g, p)
-            if len(g) == 1:
-                break
-    if len(g) > 1:
-        rows = [_zexquo(p, g) for p in rows]
-    num = gcd(*(c for p in rows for c in p))
-    if rows[-1][-1] < 0:
-        num = -num
-    return [[c // num for c in p] for p in rows]
-
-
-def _normalize_int_content(rows: List[List[int]]) -> List[Poly]:
-    """Integer coefficient lists divided by their integer content, the
-    last coefficient positive."""
-    num = gcd(*(c for p in rows for c in p))
-    if rows[-1][-1] < 0:
-        num = -num
-    return [Poly([c // num for c in p]) for p in rows]
-
-
-def op_mul_raw(a_coeffs: Sequence[Poly], b_coeffs: Sequence[Poly]) -> List[Poly]:
-    """Unnormalized coefficient list of the product (apply b first)."""
-    if not a_coeffs or not b_coeffs:
+def op_mul_raw(a: Sequence[List[int]], b: Sequence[List[int]]) -> List[List[int]]:
+    """Unnormalized integer rows of the product of the operators with
+    integer rows a and b (apply b first): d^i o b_j is
+    sum_k C(i, k) b_j^(k) d^(i+j-k)."""
+    if not a or not b:
         return []
-    na, nb = len(a_coeffs) - 1, len(b_coeffs) - 1
-    derivs: List[List[Poly]] = []
-    for bj in b_coeffs:
+    derivs = []
+    for bj in b:
         row = [bj]
-        for _ in range(na):
-            row.append(row[-1].derivative())
+        for _ in range(len(a) - 1):
+            row.append(_zderiv(row[-1]))
         derivs.append(row)
-    out = [Poly() for _ in range(na + nb + 1)]
-    binom = [[1]]
-    for i in range(1, na + 1):
-        prev = binom[-1]
-        binom.append([1] + [prev[k - 1] + prev[k] for k in range(1, i)] + [1])
-    for i, ai in enumerate(a_coeffs):
-        if ai.is_zero():
-            continue
-        for j, bj in enumerate(b_coeffs):
-            if bj.is_zero():
-                continue
+    out: List[List[int]] = [[] for _ in range(len(a) + len(b) - 1)]
+    for i, ai in enumerate(a):
+        for j, dj in enumerate(derivs):
             for k in range(i + 1):
-                out[i + j - k] = out[i + j - k] + ai * derivs[j][k].scale(QQ(binom[i][k]))
+                out[i + j - k] = _zadd(out[i + j - k], _zmul(ai, [comb(i, k) * c for c in dj[k]]))
     return out
 
 
 def op_mul(a: DiffOp, b: DiffOp) -> DiffOp:
-    """Noncommutative product a o b (apply b first), content-normalized."""
-    if a.is_zero() or b.is_zero():
-        return DiffOp([])
-    return DiffOp(op_mul_raw(a.coeffs, b.coeffs))
+    """Noncommutative product a o b (apply b first), in normal form."""
+    return DiffOp(op_mul_raw(a.rows, b.rows))
 
 
 # ---------------------------------------------------------------------------
@@ -209,18 +161,17 @@ def op_right_divrem(a: DiffOp, b: DiffOp) -> Tuple[List[List[int]], List[List[in
     and rem of order < order(b).  Nothing is reduced; the quotient
     q = quo / den and the remainder r = rem / den over Q(z) are unique.
 
-    Pseudo-division: with A = s_a a and B = s_b b cleared to integers and
-    l = lc(B), it keeps den * a = Q o B + R, from den = s_a, Q = 0, R = A,
-    and cancels the top coefficient c of R by R <- l R - c d^k o B,
-    Q <- l Q + c d^k, den <- l den.  This is exact because a function
-    multiplied on the left commutes with o B; quo = s_b Q at the end.
+    Pseudo-division on the integer rows, with l = lc(b): it keeps
+    den * a = Q o b + R, from den = 1, Q = 0, R = a, and cancels the top
+    coefficient c of R by R <- l R - c d^k o b, Q <- l Q + c d^k,
+    den <- l den.  This is exact because a function multiplied on the
+    left commutes with o b.
     """
     if b.is_zero():
         raise InputError("right division by the zero operator")
-    *rem, den = _zclear([*a.coeffs, Poly([Q1])])
-    *rows_b, s_b = _zclear([*b.coeffs, Poly([Q1])])
-    nb, lead = b.order, rows_b[-1]
-    towers = [rows_b]  # d^k o B
+    rem, den = [list(x) for x in a.rows], [1]
+    nb, lead = b.order, b.rows[-1]
+    towers = [b.rows]  # d^k o b
     for _ in range(a.order - nb):
         t = towers[-1]
         towers.append([_zadd(_zderiv(x), t[i - 1] if i else []) for i, x in enumerate(t)] + [t[-1]])
@@ -236,7 +187,7 @@ def op_right_divrem(a: DiffOp, b: DiffOp) -> Tuple[List[List[int]], List[List[in
         den = _zmul(lead, den)
     while rem and not rem[-1]:
         rem.pop()
-    return [_zmul(s_b, x) for x in quo], rem, den
+    return quo, rem, den
 
 
 def right_divides(b: DiffOp, a: DiffOp) -> bool:
@@ -297,7 +248,7 @@ def lclm(a: DiffOp, b: DiffOp) -> DiffOp:
     """
     if a.is_zero() or b.is_zero():
         raise InputError("lclm of the zero operator")
-    ops_a, ops_b = _zclear(a.coeffs), _zclear(b.coeffs)
+    ops_a, ops_b = a.rows, b.rows
     rem_a = _remainders(ops_a, _unit_rows(ops_a), 0)
     rem_b = _remainders(ops_b, _unit_rows(ops_b), 0)
 
@@ -311,7 +262,7 @@ def lclm(a: DiffOp, b: DiffOp) -> DiffOp:
     dep = _first_dependence(rows())
     if dep is None:
         raise AssertionError("lclm must exist at order <= order(a) + order(b)")
-    return DiffOp._from_int_rows(dep)
+    return DiffOp(dep)
 
 
 # ---------------------------------------------------------------------------
@@ -320,54 +271,56 @@ def lclm(a: DiffOp, b: DiffOp) -> DiffOp:
 
 
 class RecOp:
-    """Recurrence operator: rows sum(coeffs[j](n) * a_{n + j - backshift}).
+    """Recurrence operator: rows sum(rows[j](n) * a_{n + j - backshift}).
 
-    ``coeffs[j]`` is a polynomial in the index n; ``backshift`` is the
-    absolute value of the most negative shift.  Normal form divides out
-    the integer content only: dividing by a polynomial factor would
-    silently strengthen rows at its nonnegative integer roots.
+    ``rows[j]`` is an integer list in the index n; ``backshift`` is the
+    absolute value of the most negative shift.  The constructor clears
+    rational input to integers and divides out the integer content only:
+    dividing by a polynomial factor would silently strengthen rows at its
+    nonnegative integer roots.  ``coeffs``, ``leading`` and
+    ``coeff_of_shift`` are ``Poly`` views.
     """
 
-    __slots__ = ("coeffs", "backshift")
+    __slots__ = ("rows", "backshift")
 
-    def __init__(self, coeffs: Sequence, backshift: int = 0, normalize: bool = True):
-        cs = [c if isinstance(c, Poly) else Poly(c) for c in coeffs]
-        while cs and cs[-1].is_zero():
-            cs.pop()
-        while cs and cs[0].is_zero():
-            cs.pop(0)
+    def __init__(self, coeffs: Sequence, backshift: int = 0):
+        rows = _int_rows(coeffs)
+        while rows and not rows[0]:
+            rows.pop(0)
             backshift -= 1
-        if normalize and cs:
-            cs = _normalize_int_content(_zclear(cs))
-        self.coeffs = tuple(cs)
-        self.backshift = backshift if cs else 0
+        self.rows = tuple(_content_free(rows)) if rows else ()
+        self.backshift = backshift if rows else 0
+
+    @property
+    def coeffs(self) -> Tuple[Poly, ...]:
+        return tuple(map(Poly, self.rows))
 
     @property
     def order(self) -> int:
         """Span of shifts (max shift - min shift); -1 for zero."""
-        return len(self.coeffs) - 1
+        return len(self.rows) - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.rows
 
     @property
     def max_shift(self) -> int:
-        return len(self.coeffs) - 1 - self.backshift
+        return len(self.rows) - 1 - self.backshift
 
     @property
     def leading(self) -> Poly:
-        return self.coeffs[-1] if self.coeffs else Poly()
+        return self.coeff_of_shift(self.max_shift)
 
     def shifts(self) -> range:
-        return range(-self.backshift, len(self.coeffs) - self.backshift)
+        return range(-self.backshift, len(self.rows) - self.backshift)
 
     def coeff_of_shift(self, m: int) -> Poly:
         j = m + self.backshift
-        return self.coeffs[j] if 0 <= j < len(self.coeffs) else Poly()
+        return Poly(self.rows[j]) if 0 <= j < len(self.rows) else Poly()
 
     def __eq__(self, other) -> bool:
         if isinstance(other, RecOp):
-            return self.coeffs == other.coeffs and self.backshift == other.backshift
+            return self.rows == other.rows and self.backshift == other.backshift
         return NotImplemented
 
     def __repr__(self) -> str:
@@ -384,16 +337,14 @@ class RecOp:
 def ode_to_rec(op: DiffOp) -> RecOp:
     """Recurrence satisfied by coefficient sequences of solutions of op.
 
-    Runs over Z: the operator's coefficients are cleared to integers
-    once (a common factor leaves the normal form unchanged).  The row of
-    shift m collects c times the falling factorial
-    (n+m)(n+m-1)...(n+m-i+1) over the terms c z^j d^i with i - j = m;
-    along one m each falling factorial is the previous one times a
-    linear factor.
+    Runs over Z on the operator's rows.  The row of shift m collects c
+    times the falling factorial (n+m)(n+m-1)...(n+m-i+1) over the terms
+    c z^j d^i with i - j = m; along one m each falling factorial is the
+    previous one times a linear factor.
     """
     if op.is_zero():
         raise InputError("zero operator")
-    ops = _zclear(op.coeffs)
+    ops = op.rows
     table = {}
     for m in range(1 - max(map(len, ops)), len(ops)):
         ff, row = [1], []
@@ -405,8 +356,7 @@ def ode_to_rec(op: DiffOp) -> RecOp:
         if row:
             table[m] = row
     m_min = min(table)
-    rows = [table.get(m, []) for m in range(m_min, max(table) + 1)]
-    return RecOp(_normalize_int_content(rows), -m_min, normalize=False)
+    return RecOp([table.get(m, []) for m in range(m_min, max(table) + 1)], -m_min)
 
 
 _STIRLING2 = [[1]]
@@ -435,33 +385,21 @@ def rec_to_ode(rec: RecOp) -> DiffOp:
     if rec.is_zero():
         raise InputError("zero recurrence")
     m_max = rec.max_shift
-    damp = Poly([Q1])
+    by_shift = list(zip(rec.shifts(), rec.rows))
+    damp = [1]
     for t in range(1, m_max + 1):
-        if any(
-            m >= t and not rec.coeff_of_shift(m).is_zero()
-            and rec.coeff_of_shift(m)(QQ(-t)) != 0
-            for m in rec.shifts()
-        ):
-            damp = damp * Poly([QQ(t), Q1])  # (n + t)
+        if any(sum(c * (-t) ** k for k, c in enumerate(p)) for m, p in by_shift if m >= t):
+            damp = _zmul(damp, [t, 1])  # (n + t)
     table = {}
-    for m in rec.shifts():
-        p = rec.coeff_of_shift(m) * damp
-        if p.is_zero():
-            continue
-        q = p.compose_shift(QQ(-m))  # p(theta - m)
-        for t, c in enumerate(q.coeffs):
+    for m, p in by_shift:
+        q, _ = _zshift(_zmul(p, damp), -m)  # p(theta - m)
+        for t, c in enumerate(q):
             if c == 0:
                 continue
             for i in range(t + 1):
-                s = _stirling2(t, i)
-                if s == 0:
-                    continue
-                j = m_max - m + i
-                key = (i, j)
-                table[key] = table.get(key, Q0) + c * s
-    order = max(i for i, _ in table)
-    coeffs = [Poly() for _ in range(order + 1)]
+                key = (i, m_max - m + i)
+                table[key] = table.get(key, 0) + c * _stirling2(t, i)
+    rows = [[0] * (max(j for _, j in table) + 1) for _ in range(max(i for i, _ in table) + 1)]
     for (i, j), c in table.items():
-        if c != 0:
-            coeffs[i] = coeffs[i] + Poly.x(j).scale(c)
-    return DiffOp(coeffs)
+        rows[i][j] = c
+    return DiffOp(rows)

@@ -198,24 +198,12 @@ class Poly:
         return acc
 
     def compose_shift(self, a) -> "Poly":
-        """Taylor shift p(x + a) for rational a = n/b, over Z.
-
-        With D p = sum P_k x^k integral and d = deg p,
-        p(x + n/b) = Q(b x + n) / (D b^d) for Q(X) = sum P_k b^(d-k) X^k,
-        so the integer Horner shift of Q by n gives the coefficient of x^j
-        up to the factor b^j / (D b^d).
-        """
-        d = self.degree
-        if d < 1 or a == 0:
+        """Taylor shift p(x + a) for rational a, over Z (``_zshift``)."""
+        if self.degree < 1 or a == 0:
             return self
-        n, b = a.numerator, a.denominator
         q, big_d = cleared(self.coeffs)
-        q = [c * b ** (d - k) for k, c in enumerate(q)]
-        for i in range(d):
-            for j in range(d - 1, i - 1, -1):
-                q[j] += n * q[j + 1]
-        den = big_d * b ** d
-        return Poly([QQ(c * b ** j, den) for j, c in enumerate(q)])
+        r, den = _zshift(q, a)
+        return Poly([QQ(c, den * big_d) for c in r])
 
     # -- normal forms ----------------------------------------------------
 
@@ -301,10 +289,12 @@ def format_poly(p: Poly, var: str = "z") -> str:
 # ---------------------------------------------------------------------------
 
 
-def _zclear(polys: Sequence[Poly]) -> List[List[int]]:
-    """Integer coefficient lists of c * p for each p, with one common c > 0."""
-    flat = iter(cleared([c for p in polys for c in p.coeffs])[0])
-    return [list(itertools.islice(flat, len(p.coeffs))) for p in polys]
+def _zclear(polys: Sequence) -> List[List[int]]:
+    """Integer coefficient lists of c * p for each p (a ``Poly`` or a
+    sequence of rationals), with one common c > 0."""
+    lists = [list(p) for p in polys]
+    flat = iter(cleared([c for p in lists for c in p])[0])
+    return [list(itertools.islice(flat, len(p))) for p in lists]
 
 
 def _ztrim(a: List[int]) -> List[int]:
@@ -374,6 +364,47 @@ def _zprimitive(a: List[int]) -> List[int]:
     if a[-1] < 0:
         g = -g
     return a if g == 1 else [x // g for x in a]
+
+
+def _primitive_rows(rows: List[List[int]]) -> List[List[int]]:
+    """Integer coefficient lists divided by their polynomial gcd and their
+    integer content, the leading coefficient of the last one positive:
+    the one normal form of the Q(z)-line through them."""
+    g = None
+    for p in rows:
+        if p:
+            g = _zprimitive(p) if g is None else _zgcd(g, p)
+            if len(g) == 1:
+                break
+    if len(g) > 1:
+        rows = [_zexquo(p, g) for p in rows]
+    return _content_free(rows)
+
+
+def _content_free(rows: List[List[int]]) -> List[List[int]]:
+    """Integer coefficient lists divided by their integer content, the
+    leading coefficient of the last one positive."""
+    num = math.gcd(*(c for p in rows for c in p))
+    if rows[-1][-1] < 0:
+        num = -num
+    return [[c // num for c in p] for p in rows]
+
+
+def _zshift(q: List[int], a) -> Tuple[List[int], int]:
+    """(r, b^d) with q(x + a) = sum r_j x^j / b^d, for an integer list q
+    of degree d and a rational a = n/b.
+
+    Q(X) = b^d q(X / b) is integral and q(x + a) = Q(b x + n) / b^d, so
+    the integer Horner shift of Q by n gives r_j / b^j.
+    """
+    n, b = a.numerator, a.denominator
+    d = len(q) - 1
+    r = [c * b ** (d - k) for k, c in enumerate(q)]
+    if n:
+        for i in range(d):
+            for j in range(d - 1, i - 1, -1):
+                r[j] += n * r[j + 1]
+    return [c * b ** j for j, c in enumerate(r)], b ** max(d, 0)
 
 
 def _zresultant(p: Sequence[Sequence[int]], m: Sequence[int]) -> List[int]:

@@ -25,7 +25,7 @@ from .errors import (
     PrecisionTooLow,
 )
 from .ore import DiffOp, RecOp, ode_to_rec
-from .polys import _zclear
+from .polys import Poly, _zshift
 from .rationals import QQ, Q0, cleared, is_integer
 
 
@@ -100,12 +100,10 @@ def apply_op(op: DiffOp, f: TruncSeries) -> TruncSeries:
     n_out = max(f.trunc_order - shift, 0)
     out = [Q0] * n_out
     deriv = list(f.coeffs)
-    for i, ci in enumerate(op.coeffs):
+    for i, row in enumerate(op.rows):
         if i > 0:
             deriv = [deriv[k] * k for k in range(1, len(deriv))]
-        if ci.is_zero():
-            continue
-        for j, c in enumerate(ci.coeffs):
+        for j, c in enumerate(row):
             if c == 0:
                 continue
             # c * z^j * f^(i): contributes c * deriv[n-j] to out[n]
@@ -123,9 +121,7 @@ def rec_leading_roots(rec: RecOp) -> List[int]:
     vanishes; equivalently integer roots >= 0 of the leading recurrence
     polynomial shifted to the index variable.
     """
-    lead = rec.leading
-    m = rec.max_shift
-    shifted = lead.compose_shift(QQ(-m))  # polynomial in idx = n + m
+    shifted = Poly(_zshift(rec.rows[-1], -rec.max_shift)[0])  # in idx = n + max_shift
     out = []
     for r, _ in shifted.rational_roots():
         if is_integer(r) and r >= 0:
@@ -172,10 +168,9 @@ def _check_rows(rows: List[List[int]], backshift: int, terms: List[int], upto: i
     return None
 
 
-def _checked_recurrence(op: DiffOp, init: TruncSeries) -> Tuple[RecOp, List[List[int]]]:
-    """Recurrence of op and its coefficient lists over Z, after the checks
-    of ``validate_init``; raises InsufficientInitialConditions or
-    InconsistentInitialConditions."""
+def _checked_recurrence(op: DiffOp, init: TruncSeries) -> RecOp:
+    """Recurrence of op after the checks of ``validate_init``; raises
+    InsufficientInitialConditions or InconsistentInitialConditions."""
     if op.is_zero():
         raise InconsistentInitialConditions("zero operator")
     if init.trunc_order < op.order:
@@ -186,13 +181,12 @@ def _checked_recurrence(op: DiffOp, init: TruncSeries) -> Tuple[RecOp, List[List
         raise InsufficientInitialConditions(
             "degenerate recurrence index %d not covered" % sing[-1]
         )
-    rows = _zclear(rec.coeffs)
-    bad = _check_rows(rows, rec.backshift, cleared(init.coeffs)[0], init.trunc_order + rec.backshift)
+    bad = _check_rows(rec.rows, rec.backshift, cleared(init.coeffs)[0], init.trunc_order + rec.backshift)
     if bad is not None:
         raise InconsistentInitialConditions(
             "initial terms violate the recurrence at row %d" % bad
         )
-    return rec, rows
+    return rec
 
 
 def validate_init(op: DiffOp, init: TruncSeries) -> Tuple[bool, str]:
@@ -221,15 +215,15 @@ def unroll(op: DiffOp, init: TruncSeries, n_terms: int) -> TruncSeries:
     reads, brought to their least common denominator, are combined with
     the row values over Z in C loops (``map``, ``sum``).
     """
-    rec, rows = _checked_recurrence(op, init)
+    rec = _checked_recurrence(op, init)
     if n_terms < init.trunc_order:
         raise InputError("cannot unroll to fewer terms than supplied")
-    low = -rec.max_shift - rec.backshift  # a_(idx + low + j) carries rows[j]
+    low = -rec.max_shift - rec.backshift  # a_(idx + low + j) carries rec.rows[j]
     coeffs = list(init.coeffs)
     nums = [c.numerator for c in coeffs]
     dens = [c.denominator for c in coeffs]
     for idx in range(len(coeffs), n_terms):
-        *vals, lead = _row_values(rows, idx - rec.max_shift)
+        *vals, lead = _row_values(rec.rows, idx - rec.max_shift)
         start = idx + low
         if start < 0:  # a_k = 0 for k < 0
             vals, start = vals[-start:], 0

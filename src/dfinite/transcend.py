@@ -22,13 +22,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .errors import (
     InconsistentInitialConditions,
     InputError,
     InsufficientInitialConditions,
-    InvalidFactorization,
 )
 from .fileio import op_to_json
 from .local import IndicialData, SingularPoint, _frobenius, indicial_branches, singularities
@@ -42,10 +41,10 @@ from .minimize import (
     _minimize,
     certify_annihilates,
 )
-from .ore import DiffOp, op_mul
+from .ore import DiffOp
 from .polys import Poly, format_poly
 from .rationals import QQ, is_integer, rat_to_str
-from .series import TruncSeries, apply_op, indicial_bound, unroll, validate_init, zero_test
+from .series import TruncSeries, validate_init
 
 VERDICT_T = "T"
 VERDICT_A = "A"
@@ -60,7 +59,6 @@ STEP_NOT_FUCHSIAN = "not-fuchsian"
 STEP_NONSPLITTING = "nonsplitting-indicial"
 STEP_LOGARITHM = "logarithm-detected"
 STEP_ALL_PASSED = "all-points-passed"
-STEP_FACTOR_WITNESS = "factor-witness"
 
 # deciding step kinds, by the name their replay failure reports
 _DECIDING_NAMES = {
@@ -122,8 +120,6 @@ class CertificateStep:
                 p["point_label"], p.get("exponent", "?"))
         if self.kind == STEP_MINIMAL:
             return "MinimalOperator(order %s, %s)" % (p["order"], p["status"])
-        if self.kind == STEP_FACTOR_WITNESS:
-            return "FactorWitness(stage %s)" % p["stage"]
         return "AllPointsPassed"
 
 
@@ -295,67 +291,6 @@ def diagonal_grade_bound(mop: DiffOp) -> int:
     return 0
 
 
-def iterated_factor_strategy(
-    op: DiffOp,
-    factors: Sequence[DiffOp],
-    init: TruncSeries,
-    no_algebraic_solutions: Sequence[bool],
-) -> VerdictReport:
-    """Transcendence via a supplied factorization op = A1 o A2 o ... o Ak.
-
-    At each stage the tail product B is applied to f; a nonzero remainder
-    g = B(f) is a nontrivial solution of the head factor A, so if the
-    caller vouches that A has no nonzero algebraic solutions, f is
-    transcendental.  A zero remainder recurses on B.  The verdict leans
-    on the caller-supplied flags, hence the heuristic confidence.
-    """
-    factors = list(factors)
-    flags = list(no_algebraic_solutions)
-    if len(factors) != len(flags) or not factors:
-        raise InputError("factors and flags must align and be nonempty")
-    prod = factors[0]
-    for fac in factors[1:]:
-        prod = op_mul(prod, fac)
-    if prod != op:
-        raise InvalidFactorization("factor product does not reproduce the operator")
-    timings: Dict[str, float] = {}
-    steps: List[CertificateStep] = []
-    t0 = time.perf_counter()
-    current = list(range(len(factors)))
-    while len(current) > 1:
-        stage = len(factors) - len(current)
-        head = factors[current[0]]
-        tail = factors[current[1]]
-        for idx in current[2:]:
-            tail = op_mul(tail, factors[idx])
-        need = max(
-            indicial_bound(head) + tail.order + 4,
-            tail.order + head.order + 4,
-            init.trunc_order,
-        )
-        # tail(f) keeps at least need + 8 - tail.order > indicial_bound(head)
-        # terms, enough for the valuation-bound zero test
-        f = unroll(op, init, need + 8)
-        if not zero_test(head, apply_op(tail, f)):
-            timings["factor_scan"] = time.perf_counter() - t0
-            if flags[current[0]]:
-                steps.append(CertificateStep(STEP_FACTOR_WITNESS, {
-                    "stage": stage,
-                    "head_order": head.order,
-                    "remainder_nonzero": True,
-                    "head_flagged_no_algebraic_solutions": True,
-                }))
-                return VerdictReport(VERDICT_T, CONF_HEURISTIC, steps, timings, op)
-            steps.append(CertificateStep(STEP_ALL_PASSED, {
-                "points": [], "reason": "head factor not flagged"}))
-            return VerdictReport(VERDICT_FAIL, CONF_HEURISTIC, steps, timings, op)
-        current = current[1:]
-    timings["factor_scan"] = time.perf_counter() - t0
-    steps.append(CertificateStep(STEP_ALL_PASSED, {
-        "points": [], "reason": "solution exhausted the factorization"}))
-    return VerdictReport(VERDICT_FAIL, CONF_HEURISTIC, steps, timings, op)
-
-
 # ---------------------------------------------------------------------------
 # Certificate replay
 # ---------------------------------------------------------------------------
@@ -406,8 +341,7 @@ def verify_report(
     must find no deciding step and write the same pass step.  The stated
     verdict must follow from the last step:
     T (certified) from a replayed local obstruction, FAIL or A from a
-    pass over every point.  Factor witnesses are refused, as reports
-    carry no factorization to re-check.  A report not shaped as
+    pass over every point.  A report not shaped as
     ``VerdictReport.to_json`` writes it raises InputError.
     """
     from .rationals import rat_from_str
@@ -416,7 +350,7 @@ def verify_report(
     if not steps or steps[0].get("kind") != STEP_MINIMAL:
         return False, "missing minimal-operator step"
     first = steps[0]
-    mop = DiffOp([Poly([rat_from_str(c) for c in p]) for p in first["operator"]])
+    mop = DiffOp([[rat_from_str(c) for c in p] for p in first["operator"]])
     if mop.is_zero():
         return False, "empty minimal operator"
     if first["order"] != mop.order:
@@ -444,8 +378,6 @@ def verify_report(
             if _scan_points(mop, rescan, origin_only) is not None or rescan[-1].to_json() != step:
                 return False, "pass step does not replay"
             continue
-        if kind == STEP_FACTOR_WITNESS:
-            return False, "factor witness carries no factorization to re-check"
         if kind not in _DECIDING_NAMES:
             return False, "unknown step kind %r" % kind
         try:

@@ -22,7 +22,9 @@ determinant of the Sylvester matrix.  Local coefficients at an
 algebraic point come from a Horner Taylor shift over Q[a]/(m), and the
 theta form from falling factorials built over the coefficient domain, both with products of
 quotient-ring elements; the operator at infinity from products of
-operators over ``Fraction``.  ``FractionModRing`` is Q[a]/(m) with elements
+operators (``ore.op_mul_raw``).  ``apply_polys`` applies an operator
+given as a ``Poly`` list that is not brought to a normal form.
+``FractionModRing`` is Q[a]/(m) with elements
 as tuples of ``Fraction`` reduced by polynomial division over Q and
 inverses by Euclid over Q, the reference for the fraction-free
 ``quotient.ModRing``.  ``apply_local`` applies a local operator to a
@@ -959,6 +961,27 @@ def rational_roots_nf_oracle(ind: List, dom) -> List[Tuple[object, int]]:
 
 
 # ---------------------------------------------------------------------------
+# Operators as Poly lists, not brought to a normal form
+# ---------------------------------------------------------------------------
+
+
+def apply_polys(coeffs: Sequence[Poly], f: TruncSeries) -> TruncSeries:
+    """sum coeffs[i] f^(i) over ``Fraction`` on the rows that f's terms
+    determine, for a coefficient list that need not be a normal form."""
+    shift = max((i - c.valuation() for i, c in enumerate(coeffs) if not c.is_zero()), default=0)
+    n_out = max(f.trunc_order - max(shift, 0), 0)
+    out = [Q0] * n_out
+    deriv = list(f.coeffs)
+    for i, c in enumerate(coeffs):
+        if i > 0:
+            deriv = [deriv[k] * k for k in range(1, len(deriv))]
+        for j, cj in enumerate(c.coeffs):
+            for n in range(j, min(n_out, j + len(deriv))):
+                out[n] += cj * deriv[n - j]
+    return TruncSeries(out)
+
+
+# ---------------------------------------------------------------------------
 # Recurrences over Fraction
 # ---------------------------------------------------------------------------
 
@@ -1229,23 +1252,22 @@ def _shifted_mul_t_plus(p: List, alpha, dom) -> List:
 
 
 def transform_infinity_oracle(op: DiffOp) -> DiffOp:
-    """``local.transform_infinity`` over ``Fraction``: the operator products
-    (-w^2 d/dw)^i and their weights multiplied out with ``op_mul_raw``."""
-    big_d = max(c.degree for c in op.coeffs if not c.is_zero())
-    e_i = [Poly([Q1])]  # coefficients of (-w^2 d/dw)^i, built iteratively
-    neg_w2_d = [Poly(), Poly([Q0, Q0, QQ(-1)])]
+    """``local.transform_infinity`` by operator products: (-w^2 d/dw)^i
+    and their weights multiplied out with ``op_mul_raw``."""
+    big_d = op.degree()
+    e_i = [[1]]  # coefficients of (-w^2 d/dw)^i, built iteratively
+    neg_w2_d = [[], [0, 0, -1]]
     total: List[Poly] = []
-    for i, a in enumerate(op.coeffs):
+    for i, a in enumerate(op.rows):
         if i > 0:
             e_i = op_mul_raw(neg_w2_d, e_i)
-        if a.is_zero():
+        if not a:
             continue
-        weight = Poly([Q0] * (big_d - a.degree) + list(reversed(a.coeffs)))  # w^big_d a(1/w)
-        term = op_mul_raw([weight], e_i)
-        for j, p in enumerate(term):
+        weight = [0] * (big_d + 1 - len(a)) + a[::-1]  # w^big_d a(1/w)
+        for j, p in enumerate(op_mul_raw([weight], e_i)):
             while len(total) <= j:
                 total.append(Poly())
-            total[j] = total[j] + p
+            total[j] = total[j] + Poly(p)
     return DiffOp(total)
 
 

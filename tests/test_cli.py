@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -423,6 +424,35 @@ def test_cli_deterministic_output(capsys, apery_file):
     first.pop("timings")
     second.pop("timings")
     assert first == second
+
+
+# sha256 of each report with "timings" dropped, re-dumped as ``main`` prints
+# it: the bytes of the certificates and answers, pinned across changes
+_PINNED_REPORTS = [
+    (["test", "apery"], "efcf48e921cc5ea5"),
+    (["minimize", "apery"], "0959a9a4aeb70806"),
+    (["indicial", "apery", "--point", "0"], "e71c133800e993a8"),
+    (["formal-solutions", "apery", "--point", "0", "--order", "3", "--logs"], "953136019bb968bb"),
+    (["guess-alg", "apery"], "d94c9a110802e5b9"),
+    (["test", "sqrt"], "19cc2692e9899281"),
+    (["minimize", "sqrt"], "05e64b598c2e401a"),
+    (["indicial", "sqrt", "--point", "0"], "44d3e6b3c24aa0f7"),
+    (["formal-solutions", "sqrt", "--point", "1/4", "--order", "3", "--logs"], "90e23c316cbe95d4"),
+    (["guess-alg", "sqrt"], "49b741750815ca6e"),
+    (["test", "family"], "f202f32a166c5555"),
+    (["minimize", "family"], "278de0ed76cab09d"),
+]
+
+
+def test_cli_reports_pinned(capsys, apery_file, sqrt_file):
+    files = {"apery": apery_file, "sqrt": sqrt_file,
+             "family": str(ROOT / "bench" / "data" / "family_1_3.json")}
+    for argv, digest in _PINNED_REPORTS:
+        assert main([argv[0], files[argv[1]], *argv[2:]]) == 0
+        out = json.loads(capsys.readouterr().out)
+        out.pop("timings", None)
+        text = json.dumps(out, separators=(",", ":"), sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest, argv
 
 
 def test_cli_precision_exit_code(capsys, monkeypatch, apery_file):

@@ -144,15 +144,15 @@ def test_minimize_soundness_longer_unroll(apery_op, apery_init):
 
 
 def test_cofactor_matches_oracle(apery_op, sqrt_op):
-    # the (input, candidate) pairs certified above, plus a candidate that
-    # is not content-normalized
+    # the (input, candidate) pairs certified above, plus a candidate built
+    # from rational coefficients
     d = DiffOp([Poly(), Poly([1])])
     lexp = DiffOp([Poly([-1]), Poly([1])])
     lgeo = DiffOp([Poly([-2]), Poly([1, -2])])
     exp_geo = lclm(lexp, lgeo)
-    raw = DiffOp([Poly([QQ(-1, 2)]), Poly([QQ(1, 3), QQ(-2, 3)])], normalize=False)
+    raw = DiffOp([Poly([QQ(-1, 2)]), Poly([QQ(1, 3), QQ(-2, 3)])])
     # same order as the input: reduced once before the remainders start
-    same_order = DiffOp([Poly([1, 2]), Poly([QQ(1, 2)]), Poly([0, 3, -1])], normalize=False)
+    same_order = DiffOp([Poly([1, 2]), Poly([QQ(1, 2)]), Poly([0, 3, -1])])
     cases = [
         (apery_op, apery_op),
         (sqrt_op, DiffOp([Poly([-1]), Poly([0, 1])])),

@@ -1,10 +1,14 @@
 import random
+from functools import reduce
+from math import gcd
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dfinite import DiffOp, Poly, RecOp, lclm, ode_to_rec, op_mul, op_right_divrem, rec_to_ode
+from dfinite.fileio import op_from_json, op_to_json
 from dfinite.ore import op_mul_raw, right_divides
+from dfinite.polys import _zgcd
 from dfinite.rationals import QQ
 from oracles import (
     RatFunc,
@@ -90,10 +94,10 @@ _coef = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 
 
 def _ops(max_order, max_deg, min_order=0):
-    """Nonzero operators with rational coefficients, content-normalized or not."""
+    """Nonzero operators built from rational coefficients."""
     polys = st.lists(_coef, max_size=max_deg + 1).map(Poly)
-    return st.builds(DiffOp, st.lists(polys, min_size=min_order + 1, max_size=max_order + 1),
-                     st.booleans()).filter(lambda op: op.order >= min_order)
+    return st.builds(DiffOp, st.lists(polys, min_size=min_order + 1, max_size=max_order + 1)
+                     ).filter(lambda op: op.order >= min_order)
 
 
 _Z = Poly([0, 1])
@@ -111,7 +115,7 @@ def test_divrem_matches_oracle(a, b):
     quo, rem, den = op_right_divrem(a, b)
     # den a = quo o b + rem over Z[z], with rem of order < order(b)
     lhs = [Poly(den) * c for c in a.coeffs]
-    rhs = op_mul_raw([Poly(x) for x in quo], b.coeffs)
+    rhs = [Poly(x) for x in op_mul_raw(quo, b.rows)]
     rhs += [Poly()] * (len(rem) - len(rhs))
     for i, x in enumerate(rem):
         rhs[i] = rhs[i] + Poly(x)
@@ -200,13 +204,13 @@ _rec_coef = st.fractions(min_value=-6, max_value=6, max_denominator=5)
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(st.lists(_rec_coef, max_size=5), min_size=1, max_size=6), st.booleans())
-# zero coefficients between nonzero ones, a Fraction leading term kept as given
-@example([[QQ(1, 2)], [], [0, 0, QQ(-3, 4)], [QQ(5, 3), 0, 1]], False)
+@given(st.lists(st.lists(_rec_coef, max_size=5), min_size=1, max_size=6))
+# zero coefficients between nonzero ones, a Fraction leading term
+@example([[QQ(1, 2)], [], [0, 0, QQ(-3, 4)], [QQ(5, 3), 0, 1]])
 # every coefficient vanishes but one of high degree: backshift 4
-@example([[0, 0, 0, 0, QQ(7, 2)]], True)
-def test_ode_to_rec_matches_fraction_oracle(coeffs, normalize):
-    op = DiffOp([Poly(c) for c in coeffs], normalize=normalize)
+@example([[0, 0, 0, 0, QQ(7, 2)]])
+def test_ode_to_rec_matches_fraction_oracle(coeffs):
+    op = DiffOp([Poly(c) for c in coeffs])
     if op.is_zero():
         return
     rec = ode_to_rec(op)
@@ -264,8 +268,8 @@ def test_lclm_edge_cases_match_oracle():
     b = DiffOp([Poly([2]), Poly([1, -1])])
     order_zero = DiffOp([Poly([1, 2])])
     multiple = op_mul(DiffOp([Poly([0, 1]), Poly([5])]), b)  # b right-divides it
-    # not content-normalized: rational coefficients with denominators to clear
-    raw = DiffOp([Poly([QQ(1, 3), QQ(-2, 7)]), Poly([QQ(5, 2)])], normalize=False)
+    # rational coefficients with denominators to clear
+    raw = DiffOp([Poly([QQ(1, 3), QQ(-2, 7)]), Poly([QQ(5, 2)])])
     cases = [(order_zero, a), (a, order_zero), (a, a), (b, multiple), (multiple, b),
              (raw, a), (b, raw), (raw, raw)]
     for x, y in cases:
@@ -275,4 +279,24 @@ def test_lclm_edge_cases_match_oracle():
     assert lclm(order_zero, a) == a
     assert lclm(a, a) == a
     assert lclm(b, multiple) == multiple
-    assert lclm(raw, a) == lclm(DiffOp(raw.coeffs), a)
+
+
+_nonzero_coef = _coef.filter(bool)
+
+
+@settings(max_examples=150, deadline=None)
+@given(cs=st.lists(st.lists(_coef, max_size=4), min_size=1, max_size=4),
+       g=st.lists(_coef, min_size=1, max_size=3).filter(any), c=_nonzero_coef)
+def test_normal_form(cs, g, c):
+    # one normal form per Q(z)-line: primitive integer rows over Z[z]
+    op = DiffOp(cs)
+    scaled = DiffOp([Poly(g) * Poly([c]) * Poly(p) for p in cs])
+    assert scaled == op and hash(scaled) == hash(op)
+    assert op_from_json(op_to_json(op)) == op
+    if op.is_zero():
+        assert op.rows == ()
+        return
+    assert all(type(x) is int for p in op.rows for x in p)
+    assert all(p[-1] for p in op.rows if p) and op.rows[-1][-1] > 0
+    assert gcd(*(x for p in op.rows for x in p)) == 1
+    assert reduce(_zgcd, [p for p in op.rows if p]) == [1]

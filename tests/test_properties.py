@@ -17,11 +17,19 @@ from dfinite import (
 )
 from dfinite.local import SingularPoint, _local_coeffs
 from dfinite.minimize import MinimizeOptions
-from dfinite.ore import right_divides
+from dfinite.ore import op_mul_raw, right_divides
 from dfinite.quotient import QQ_DOMAIN
 from dfinite.rationals import QQ
 from dfinite.transcend import TranscendOptions
-from oracles import RatFunc, _d_compose, _to_ratfuncs, apply_local, divrem_ratfuncs, lclm_oracle
+from oracles import (
+    RatFunc,
+    _d_compose,
+    _to_ratfuncs,
+    apply_local,
+    apply_polys,
+    divrem_ratfuncs,
+    lclm_oracle,
+)
 
 N_CASES = 200
 
@@ -86,16 +94,10 @@ def test_mul_apply_compatibility_suite():
         rhs = apply_op(a, apply_op(b, f))
         n = min(lhs.trunc_order, rhs.trunc_order)
         # op_mul normalizes content; compare up to the discarded factor
-        raw_ab = _raw_product(a, b)
-        lhs_raw = apply_op(raw_ab, f)
+        raw_ab = [Poly(p) for p in op_mul_raw(a.rows, b.rows)]
+        lhs_raw = apply_polys(raw_ab, f)
         n = min(lhs_raw.trunc_order, rhs.trunc_order)
         assert list(lhs_raw.coeffs[:n]) == list(rhs.coeffs[:n]), case
-
-
-def _raw_product(a, b):
-    from dfinite.ore import op_mul_raw
-
-    return DiffOp(op_mul_raw(a.coeffs, b.coeffs), normalize=False)
 
 
 def test_frobenius_annihilation_suite():

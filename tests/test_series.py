@@ -24,7 +24,6 @@ from dfinite.errors import (
     InsufficientInitialConditions,
     PrecisionTooLow,
 )
-from dfinite.polys import _zclear
 from dfinite.rationals import QQ, cleared
 from dfinite.series import _check_rows
 from oracles import check_rows_oracle, unroll_oracle, validate_init_oracle
@@ -62,7 +61,7 @@ def _ordinary_problems(draw):
     terms: its degenerate indices 0..order-1 are all covered."""
     cs = draw(st.lists(_polys, min_size=1, max_size=3))
     lead = Poly([draw(_coef.filter(bool))] + draw(st.lists(_coef, max_size=2)))
-    op = DiffOp(cs + [lead], normalize=draw(st.booleans()))
+    op = DiffOp(cs + [lead])
     return op, TruncSeries(draw(st.lists(_coef, min_size=op.order, max_size=op.order)))
 
 
@@ -75,14 +74,14 @@ def _degenerate_problems(draw):
     c0 = Poly([QQ(-k)]) + Poly.x() * draw(_polys)
     c1 = Poly.x() + Poly.x(2) * draw(_polys)
     c2 = Poly.x(3) * draw(_polys)
-    op = DiffOp([c0, c1, c2], normalize=draw(st.booleans()))
+    op = DiffOp([c0, c1, c2])
     return op, TruncSeries([QQ(0)] * k + [draw(_coef)])
 
 
 @settings(max_examples=150, deadline=None)
 @given(problem=st.one_of(_ordinary_problems(), _degenerate_problems()), extra=st.integers(0, 12))
 # index 2 degenerate: z D - 2 + z^2 D with rational coefficients
-@example(problem=(DiffOp([Poly([-2]), Poly([0, 1, QQ(1, 3)])], normalize=False),
+@example(problem=(DiffOp([Poly([-2]), Poly([0, 1, QQ(1, 3)])]),
                   TruncSeries([0, 0, QQ(5, 7)])), extra=6)
 def test_unroll_matches_oracle(problem, extra):
     op, init = problem
@@ -137,7 +136,7 @@ def test_check_rows_matches_fraction_oracle(coeffs, backshift, terms, upto):
     rec = RecOp(coeffs, backshift)
     if rec.is_zero():
         return
-    got = _check_rows(_zclear(rec.coeffs), rec.backshift, cleared(terms)[0], upto)
+    got = _check_rows(rec.rows, rec.backshift, cleared(terms)[0], upto)
     assert got == check_rows_oracle(rec, terms, upto)
 
 

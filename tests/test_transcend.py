@@ -12,12 +12,11 @@ from dfinite import (
     gen_binomial_sum,
     globally_bounded_test,
     guess_annihilator,
-    iterated_factor_strategy,
     op_mul,
     transcendence_test,
     verify_report,
 )
-from dfinite.errors import InputError, InvalidFactorization
+from dfinite.errors import InputError
 from dfinite.minimize import MinimizeOptions
 from dfinite.rationals import QQ
 from dfinite.transcend import (
@@ -25,7 +24,6 @@ from dfinite.transcend import (
     CONF_CONJECTURAL,
     CONF_HEURISTIC,
     STEP_ALL_PASSED,
-    STEP_FACTOR_WITNESS,
     STEP_LOGARITHM,
     STEP_MINIMAL,
     STEP_NONSPLITTING,
@@ -369,7 +367,7 @@ def test_verify_rejects_tampered_pass_step(valid_reports):
 
 
 _KINDS = [STEP_MINIMAL, STEP_NOT_FUCHSIAN, STEP_NONSPLITTING, STEP_LOGARITHM,
-          STEP_ALL_PASSED, STEP_FACTOR_WITNESS, "bogus"]
+          STEP_ALL_PASSED, "factor-witness", "bogus"]
 _WORDS = ["", "0", "1", "-1", "2", "1/2", "x^3", "x^2 - 1", "infinity", "rational", "algebraic"]
 
 
@@ -447,26 +445,6 @@ def test_verify_mutated_reports_rejected_or_same_verdict(valid_reports, data):
         ok = False
     verdict = (original["verdict"], original["confidence"])
     assert not ok or (mutant["verdict"], mutant["confidence"]) == verdict
-
-
-def test_iterated_factor_strategy(log_op):
-    # log operator factors as ((1-z) D - 1) o D; the head factor has
-    # solutions c/(1-z), none of them algebraic and nonzero... the flag
-    # is supplied as a fixture
-    head = DiffOp([Poly([-1]), Poly([1, -1])])
-    tail = DiffOp([Poly(), Poly([1])])
-    assert op_mul(head, tail) == log_op
-    rep = iterated_factor_strategy(
-        log_op, [head, tail], TruncSeries([0, 1]), [True, False])
-    assert rep.verdict == "T"
-    # g = 0 at every stage: f solving the last factor
-    rep2 = iterated_factor_strategy(
-        log_op, [head, tail], TruncSeries([3, 0]), [True, False])
-    assert rep2.verdict == "FAIL"
-    # invalid factorization
-    with pytest.raises(InvalidFactorization):
-        iterated_factor_strategy(
-            log_op, [tail, tail], TruncSeries([0, 1]), [True, False])
 
 
 def test_rejects_order_zero():
