@@ -67,9 +67,6 @@ class BivarPoly:
     def y_derivative(self) -> "BivarPoly":
         return BivarPoly([self.y_coeffs[j].scale(QQ(j)) for j in range(1, len(self.y_coeffs))])
 
-    def z_derivative(self) -> "BivarPoly":
-        return BivarPoly([c.derivative() for c in self.y_coeffs])
-
     def eval_y_at_zero_poly(self) -> Poly:
         """P(0, y) as a univariate polynomial in y."""
         return Poly([c[0] for c in self.y_coeffs])

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import zip_longest
-from math import gcd, prod
+from math import gcd, lcm, prod
 from typing import List, Sequence, Tuple
 
 from .errors import InputError
@@ -84,18 +84,12 @@ def interlacing_criterion(params: HypParams) -> Tuple[str, str]:
                 return INAPPLICABLE, (
                     "parameters %s and %s differ by an integer" % (x, y)
                 )
-    den = 1
-    for x in list(a) + list(b):
-        d = int(x.denominator)
-        den = den // gcd(den, d) * d
-    for ell in range(1, den + 1):
-        if gcd(ell, den) != 1:
-            continue
+    den = lcm(*(x.denominator for x in a + b))
+    units = [ell for ell in range(1, den + 1) if gcd(ell, den) == 1]
+    for ell in units:
         if not interlaces([ell * x for x in a], [ell * x for x in b]):
             return TRANSCENDENTAL, "interlacing fails at unit %d mod %d" % (ell, den)
-    return ALGEBRAIC, "all %d unit multiples interlace" % sum(
-        1 for ell in range(1, den + 1) if gcd(ell, den) == 1
-    )
+    return ALGEBRAIC, "all %d unit multiples interlace" % len(units)
 
 
 def hypergeometric_operator(params: HypParams) -> DiffOp:

@@ -33,10 +33,10 @@ from functools import reduce
 from math import comb, factorial, lcm
 from typing import Dict, List, Optional, Tuple
 
-from .errors import InputError, IrregularPoint, ZeroDivisorSplit
+from .errors import InputError, IrregularPoint
 from .ore import DiffOp
 from .polys import Poly, _zadd, _zderiv, _zgcd, _zmul, _zresultant, _zshift, _ztrim, format_poly
-from .quotient import DomainQQ, ModRing, QQ_DOMAIN, gcd_with_modulus, split_cases
+from .quotient import DomainQQ, ModRing, QQ_DOMAIN, split_cases
 from .rationals import QQ, Q1
 
 
@@ -279,26 +279,18 @@ def _indicial_over(op: DiffOp, point: SingularPoint, dom) -> Tuple[List[List], i
     indicial polynomial is q_0."""
     _, qs = theta_form(_local_coeffs(op, point, dom), dom)
     ind = qs[0]
-    # a zero-divisor leading coefficient means the degree differs between
-    # branches; force a split before reporting a degree
-    if getattr(dom, "is_quotient", False):
-        for c in reversed(ind):
-            if dom.is_zero(c):
-                continue
-            g = gcd_with_modulus(c)
-            if 0 < g.degree < dom.modulus.degree:
-                raise ZeroDivisorSplit(g, dom.modulus.exact_div(g))
-            break
+    # a zero-divisor leading coefficient (ind is trimmed, so ind[-1] is
+    # nonzero) means the degree differs between branches; force a split
+    # before reporting a degree
+    if isinstance(dom, ModRing):
+        dom.split_on(ind[-1].nums)
     return qs, len(ind) - 1
 
 
-def rational_roots_nf(ind: List, dom) -> List[Tuple[object, int]]:
+def rational_roots_nf(ind: List, ring: ModRing) -> List[Tuple[object, int]]:
     """Rational roots (with multiplicity) of a lambda-polynomial over the
-    domain.  Over a quotient ring, roots that hold on only part of the
-    modulus raise ZeroDivisorSplit so the caller can branch."""
-    if isinstance(dom, DomainQQ):
-        return Poly(ind).rational_roots()
-    ring: ModRing = dom
+    quotient ring.  A root that holds on only part of the modulus splits
+    it (``ModRing.split_on``) so the caller can branch."""
     # candidates: rational roots of Res_a(P(a, lam), m(a)); a root valid on
     # any branch divides it.  P and m are cleared to integers (P with one
     # common factor), which scales the resultant by a nonzero constant.
@@ -307,11 +299,9 @@ def rational_roots_nf(ind: List, dom) -> List[Tuple[object, int]]:
     nonzero = [p for p in p_ints if p]
     if not nonzero:
         raise InputError("zero polynomial")
-    g = _zgcd(reduce(_zgcd, nonzero), list(ring.int_modulus))
-    if len(g) > 1:
-        # the whole polynomial vanishes on a sub-branch
-        g = Poly(g).monic()
-        raise ZeroDivisorSplit(g, ring.modulus.exact_div(g))
+    # a common factor of the coordinates is where the whole polynomial
+    # vanishes: a sub-branch
+    ring.split_on(reduce(_zgcd, nonzero))
     cand = Poly(_zresultant(p_ints, ring.int_modulus))
     if cand.is_zero():
         raise AssertionError("resultant vanished despite trivial content")
@@ -320,23 +310,20 @@ def rational_roots_nf(ind: List, dom) -> List[Tuple[object, int]]:
         mult = 0
         rem = list(ind)
         while rem:
-            value = _lam_eval(rem, r, dom)
-            if dom.is_zero(value):
-                pass
-            else:
-                gg = gcd_with_modulus(value)
-                if gg.degree == 0:
-                    break
-                raise ZeroDivisorSplit(gg, ring.modulus.exact_div(gg))
+            value = _lam_eval(rem, r, ring)
+            if not ring.is_zero(value):
+                # r is a root on part of the modulus only, or on none of it
+                ring.split_on(value.nums)
+                break
             mult += 1
             # synthetic division by (lam - r)
             new = []
-            carry = dom.zero()
+            carry = ring.zero()
             for c in reversed(rem):
                 carry = c + carry * r
                 new.append(carry)
             new.reverse()
-            rem = _lam_trim(new[1:], dom)
+            rem = _lam_trim(new[1:], ring)
         if mult:
             out.append((r, mult))
     out.sort(key=lambda t: t[0])
@@ -473,10 +460,6 @@ class LogSeries:
         self.dom = dom
         self.exponent = exponent
         self.layers = layers
-
-    @property
-    def trunc(self) -> int:
-        return len(self.layers[0]) if self.layers else 0
 
     def has_logs(self) -> bool:
         return any(

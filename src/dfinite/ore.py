@@ -277,8 +277,7 @@ class RecOp:
     absolute value of the most negative shift.  The constructor clears
     rational input to integers and divides out the integer content only:
     dividing by a polynomial factor would silently strengthen rows at its
-    nonnegative integer roots.  ``coeffs``, ``leading`` and
-    ``coeff_of_shift`` are ``Poly`` views.
+    nonnegative integer roots.
     """
 
     __slots__ = ("rows", "backshift")
@@ -292,10 +291,6 @@ class RecOp:
         self.backshift = backshift if rows else 0
 
     @property
-    def coeffs(self) -> Tuple[Poly, ...]:
-        return tuple(map(Poly, self.rows))
-
-    @property
     def order(self) -> int:
         """Span of shifts (max shift - min shift); -1 for zero."""
         return len(self.rows) - 1
@@ -307,16 +302,8 @@ class RecOp:
     def max_shift(self) -> int:
         return len(self.rows) - 1 - self.backshift
 
-    @property
-    def leading(self) -> Poly:
-        return self.coeff_of_shift(self.max_shift)
-
     def shifts(self) -> range:
         return range(-self.backshift, len(self.rows) - self.backshift)
-
-    def coeff_of_shift(self, m: int) -> Poly:
-        j = m + self.backshift
-        return Poly(self.rows[j]) if 0 <= j < len(self.rows) else Poly()
 
     def __eq__(self, other) -> bool:
         if isinstance(other, RecOp):
@@ -325,12 +312,11 @@ class RecOp:
 
     def __repr__(self) -> str:
         parts = []
-        for m in self.shifts():
-            p = self.coeff_of_shift(m)
-            if p.is_zero():
+        for m, row in zip(self.shifts(), self.rows):
+            if not row:
                 continue
             idx = "n" if m == 0 else ("n%+d" % m)
-            parts.append("(%s)*a(%s)" % (format_poly(p, "n"), idx))
+            parts.append("(%s)*a(%s)" % (format_poly(Poly(row), "n"), idx))
         return "RecOp(%s)" % " + ".join(parts) if parts else "RecOp(0)"
 
 

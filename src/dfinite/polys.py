@@ -3,7 +3,10 @@
 Coefficients are stored lowest degree first; the zero polynomial is the
 empty coefficient tuple.  Rational functions have no type of their own:
 code over Q(z) keeps integer numerators over a Z[z] denominator and
-computes with the ``_z*`` kernels below.  Rational-root extraction is
+computes with the ``_z*`` kernels below.  One of them, ``_zprem``, is
+the only gcd-scaled pseudo-division: ``_zgcd`` reads its remainder, and
+the quotient ring's products and inverses (``quotient``) read the
+remainder, the scale and the quotient.  Rational-root extraction is
 delegated to sympy's factorization (linear factors of the squarefree
 part), which avoids factoring large integer constant terms.  The one
 resultant, ``_zresultant``, takes integer inputs and computes
@@ -146,12 +149,6 @@ class Poly:
     def scale(self, c) -> "Poly":
         return Poly([a * c for a in self.coeffs])
 
-    def shift_up(self, k: int) -> "Poly":
-        """Multiply by x**k."""
-        if not self.coeffs:
-            return self
-        return Poly([Q0] * k + list(self.coeffs))
-
     def divmod(self, other: "Poly") -> Tuple["Poly", "Poly"]:
         """Exact Euclidean division over Q."""
         if other.is_zero():
@@ -196,14 +193,6 @@ class Poly:
         for c in reversed(self.coeffs[:-1]):
             acc = acc * point + c
         return acc
-
-    def compose_shift(self, a) -> "Poly":
-        """Taylor shift p(x + a) for rational a, over Z (``_zshift``)."""
-        if self.degree < 1 or a == 0:
-            return self
-        q, big_d = cleared(self.coeffs)
-        r, den = _zshift(q, a)
-        return Poly([QQ(c, den * big_d) for c in r])
 
     # -- normal forms ----------------------------------------------------
 
@@ -465,6 +454,40 @@ def _zresultant(p: Sequence[Sequence[int]], m: Sequence[int]) -> List[int]:
     return [-c for c in out] if out and out[-1] < 0 else out
 
 
+def _zprem(a: Sequence[int], b: Sequence[int]) -> Tuple[List[int], List[int], int]:
+    """(q, r, s) with s a = q b + r over Z and len(r) = len(b) - 1, for
+    b with a positive leading coefficient l (a shorter than that is
+    padded with zeros, q = [] and s = 1).
+
+    The one gcd-scaled pseudo-division: each step scales r by
+    l / gcd(c, l), c its top coefficient, then cancels that coefficient
+    against l.  So s divides l^(len(a) - len(b) + 1) and takes only what
+    the steps need.
+    """
+    db, lb = len(b) - 1, b[-1]
+    r = list(a) + [0] * (db - len(a))
+    n = len(r) - db
+    q, scale = [0] * n, [1] * n
+    for k in range(n - 1, -1, -1):
+        c = r.pop()
+        if not c:
+            continue
+        g = math.gcd(c, lb)
+        if g != lb:
+            scale[k] = lb // g
+            r = [scale[k] * x for x in r]
+        c //= g
+        q[k] = c
+        for j in range(db):
+            r[k + j] -= c * b[j]
+    # q[k] takes the scales of the steps after it, those of k' < k
+    s = 1
+    for k in range(n):
+        q[k] *= s
+        s *= scale[k]
+    return q, r, s
+
+
 def _zgcd(a: List[int], b: List[int]) -> List[int]:
     """Primitive gcd of nonzero a, b with positive leading coefficient:
     Euclid on primitive parts of pseudo-remainders."""
@@ -472,19 +495,7 @@ def _zgcd(a: List[int], b: List[int]) -> List[int]:
     if len(a) < len(b):
         a, b = b, a
     while len(b) > 1:
-        r = list(a)
-        db, lb = len(b) - 1, b[-1]
-        while len(r) > db:
-            c = r[-1]
-            g = math.gcd(c, lb)
-            m, c = lb // g, c // g
-            k = len(r) - 1 - db
-            if m != 1:
-                r = [m * x for x in r]
-            for j in range(db):
-                r[k + j] -= c * b[j]
-            r.pop()
-            _ztrim(r)
+        r = _ztrim(_zprem(a, b)[1])
         if not r:
             return b
         a, b = b, _zprimitive(r)

@@ -1,20 +1,25 @@
 """Arithmetic in Q[a]/(m(a)) for squarefree moduli, with lazy splitting.
 
-Elements are fraction-free: a tuple of integer numerators over one
-positive integer denominator with no factor common to all of them, so
-equal elements have equal representations.  The ring keeps the modulus
-cleared to a primitive integer polynomial M with leading coefficient
-L > 0.  A product is an integer convolution followed by a
-pseudo-remainder by M, which multiplies the denominator by the part of
-L each reduction step cannot divide out; a sum brings both elements to a
+The modulus must be squarefree, so the ring has no nilpotents;
+``ModRing`` rejects any other modulus with ``InputError``.  Elements are
+fraction-free: a tuple of integer numerators over one positive integer
+denominator with no factor common to all of them, so equal elements have
+equal representations.  The ring keeps the modulus cleared to a
+primitive integer polynomial M with leading coefficient L > 0.  A
+product is an integer convolution followed by a pseudo-remainder by M
+(``polys._zprem``), which multiplies the denominator by the part of L
+each reduction step cannot divide out; a sum brings both elements to a
 common denominator; a rational scalar multiplies the numerators and the
 denominator.
 
 Full factorization of the modulus is never computed.  Inversion runs an
-extended Euclid over Z[a] and either succeeds or discovers a zero
-divisor, in which case a :class:`~dfinite.errors.ZeroDivisorSplit`
-carrying a proper factorization of the modulus is raised; callers rerun
-the computation on each factor (dynamic evaluation).
+extended Euclid over Z[a] on the same ``_zprem`` steps and either
+succeeds or discovers a zero divisor.  Every zero divisor, whether from
+an inverse or from a caller's test in :mod:`dfinite.local`, goes through
+``ModRing.split_on``, which raises a
+:class:`~dfinite.errors.ZeroDivisorSplit` carrying a proper
+factorization of the modulus; callers rerun the computation on each
+factor (dynamic evaluation, ``split_cases``).
 """
 
 from __future__ import annotations
@@ -24,14 +29,13 @@ from math import gcd
 from typing import Callable, List, Sequence, Tuple
 
 from .errors import InputError, ZeroDivisorSplit
-from .polys import Poly, _zclear, _zgcd, _zmul, _zprimitive, _zsub, _ztrim, format_poly
+from .polys import (Poly, _zclear, _zderiv, _zexquo, _zgcd, _zmul, _zprem, _zprimitive, _zsub,
+                    _ztrim, format_poly)
 from .rationals import QQ, Q0, Q1, cleared
 
 
 class DomainQQ:
     """The rational field with the small domain protocol used by local analysis."""
-
-    is_quotient = False
 
     def zero(self):
         return Q0
@@ -60,8 +64,6 @@ QQ_DOMAIN = DomainQQ()
 class ModRing:
     """Quotient ring Q[a]/(m) with monic squarefree modulus m."""
 
-    is_quotient = True
-
     def __init__(self, modulus: Poly):
         modulus = modulus.monic()
         if modulus.degree < 1:
@@ -70,46 +72,26 @@ class ModRing:
         self.deg = modulus.degree
         # the cleared modulus of a monic m is primitive: for each prime of
         # the common denominator, some coefficient keeps its full power
-        self.int_modulus = tuple(_zclear([modulus])[0])
+        m = _zclear([modulus])[0]
+        if len(_zgcd(m, _zderiv(m))) > 1:
+            # Q[a]/(m) would hold nilpotents, and a split would repeat a factor
+            raise InputError("modulus must be squarefree")
+        self.int_modulus = tuple(m)
         self._zeros = (0,) * (self.deg - 1)
 
     def from_ints(self, nums: Sequence[int], den: int) -> "ModElt":
         """The element (sum nums[i] a^i) / den, for integer nums of any
         length and a nonzero integer den."""
-        d = self.deg
-        if len(nums) > d:
-            nums, den = self._reduce(list(nums), den)
-        elif len(nums) < d:
-            nums = list(nums) + [0] * (d - len(nums))
+        if len(nums) != self.deg:
+            # s nums = q M + r, so nums / den = r / (s den) mod M
+            _, nums, s = _zprem(nums, self.int_modulus)
+            den *= s
         if den < 0:
             den, nums = -den, [-x for x in nums]
         g = gcd(den, *nums)
         if g != 1:
             return ModElt(self, tuple(x // g for x in nums), den // g)
         return ModElt(self, tuple(nums), den)
-
-    def _reduce(self, r: List[int], den: int) -> Tuple[List[int], int]:
-        """(r', den') with r'/den' = r/den mod M and len(r') = deg, by
-        pseudo-division: where L does not divide the leading coefficient c,
-        the step first multiplies r and den by L / gcd(c, L)."""
-        m = self.int_modulus
-        d = self.deg
-        lead = m[-1]
-        while len(r) > d:
-            c = r.pop()
-            if not c:
-                continue
-            if lead != 1:
-                g = gcd(c, lead)
-                if g != lead:
-                    s = lead // g
-                    r = [x * s for x in r]
-                    den *= s
-                c //= g
-            k = len(r) - d
-            for j in range(d):
-                r[k + j] -= c * m[j]
-        return r, den
 
     def el(self, coeffs: Sequence) -> "ModElt":
         return self.from_ints(*cleared(coeffs))
@@ -140,28 +122,12 @@ class ModRing:
         a = _ztrim(list(x.nums))
         if not a:
             raise ZeroDivisionError("inverting zero in quotient ring")
-        r0, s0, k0 = list(self.int_modulus), [], 1
+        r0, s0, k0 = self.int_modulus, [], 1
         r1 = _zprimitive(a)
         s1, k1 = [1], a[-1] // r1[-1]
         while len(r1) > 1:
-            # rem = alpha r0 - q r1, the pseudo-remainder scaled step by step
-            rem, alpha = list(r0), 1
-            db, lb = len(r1) - 1, r1[-1]
-            q = [0] * (len(rem) - db)
-            while len(rem) > db:
-                c = rem[-1]
-                if c:
-                    g = gcd(c, lb)
-                    s, c = lb // g, c // g
-                    if s != 1:
-                        rem = [s * y for y in rem]
-                        q = [s * y for y in q]
-                        alpha *= s
-                    k = len(rem) - 1 - db
-                    q[k] += c
-                    for j in range(db):
-                        rem[k + j] -= c * r1[j]
-                rem.pop()
+            # alpha r0 = q r1 + rem
+            q, rem, alpha = _zprem(r0, r1)
             if not _ztrim(rem):
                 break
             # k0 k1 rem = (alpha k1 s0 - q k0 s1) A
@@ -172,10 +138,22 @@ class ModRing:
             r0, s0, k0 = r1, s1, k1
             r1, s1, k1 = pp, [y // g for y in s2], k2 // g
         if len(r1) > 1:
-            g = Poly(r1).monic()
-            raise ZeroDivisorSplit(g, self.modulus.exact_div(g))
+            # r1 is the primitive gcd of A and M, a proper factor of M
+            self.split_on(r1)
         # r1 = [1]: x^-1 = den / A = den s1 / k1
         return self.from_ints([x.den * y for y in s1], k1)
+
+    def split_on(self, nums: Sequence[int]) -> None:
+        """Raise ZeroDivisorSplit(g, m / g), both monic, when the integer
+        polynomial nums (nonzero, of degree below m's) shares a
+        nonconstant factor g with the modulus; return if they are coprime.
+
+        The one place a zero divisor splits the modulus.
+        """
+        m = list(self.int_modulus)
+        g = _zgcd(_ztrim(list(nums)), m)
+        if len(g) > 1:
+            raise ZeroDivisorSplit(Poly(g).monic(), Poly(_zexquo(m, g)).monic())
 
     def __repr__(self):
         return "ModRing(%r)" % (self.modulus,)
@@ -258,15 +236,6 @@ class ModElt:
 
     def __repr__(self):
         return "ModElt(%s)" % format_poly(Poly(self.coeffs), "a")
-
-
-def gcd_with_modulus(x: ModElt) -> Poly:
-    """Monic gcd of a lifted element with its ring's modulus (1 if x is
-    a unit), from the integer numerators and the cleared modulus."""
-    nums = _ztrim(list(x.nums))
-    if not nums:
-        return x.ring.modulus
-    return Poly(_zgcd(nums, list(x.ring.int_modulus))).monic()
 
 
 def split_cases(modulus: Poly, fn: Callable[[Poly], object]) -> List[Tuple[Poly, object]]:

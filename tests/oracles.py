@@ -51,7 +51,7 @@ from dfinite.linalg import ShiftSystem
 from dfinite.local import LogSeries, _lam_add, _lam_eval, _lam_trim, _series_valuation
 from dfinite.ore import op_mul_raw
 from dfinite.polys import format_poly
-from dfinite.quotient import DomainQQ, ModRing
+from dfinite.quotient import ModRing
 from dfinite.rationals import QQ, Q0, Q1, is_integer
 from dfinite.series import rec_leading_roots
 
@@ -445,7 +445,7 @@ def annihilator_of_roots_oracle(p) -> DiffOp:
     n = p.deg_y
     mod = [RatFunc.from_poly(c) for c in p.y_coeffs]
     p_y = [RatFunc.from_poly(c) for c in p.y_derivative().y_coeffs]
-    p_z = [RatFunc.from_poly(c) for c in p.z_derivative().y_coeffs]
+    p_z = [RatFunc.from_poly(c.derivative()) for c in p.y_coeffs]
     y_prime = _mul_mod([RatFunc.const(-1) * c for c in p_z], _invert_mod(p_y, mod), mod)
     _, cur = _ratfunc_poly_divmod([RatFunc.const(0), RatFunc.const(1)], mod)
     vectors = []
@@ -913,8 +913,6 @@ def resultant_candidates_oracle(ind: List, ring: ModRing) -> Poly:
 
 def rational_roots_nf_oracle(ind: List, dom) -> List[Tuple[object, int]]:
     """``local.rational_roots_nf`` with its candidates taken over Q[lam]."""
-    if isinstance(dom, DomainQQ):
-        return Poly(ind).rational_roots()
     ring: ModRing = dom
     all_zero = True
     content = None
@@ -1018,8 +1016,8 @@ def rec_row(rec: RecOp, n: int) -> List[Tuple[int, object]]:
     """Row n of rec evaluated at a ``Fraction`` index: [(target index,
     coefficient value)] over the coefficients that do not vanish at n."""
     out = []
-    for m in rec.shifts():
-        p = rec.coeff_of_shift(m)
+    for m, row in zip(rec.shifts(), rec.rows):
+        p = Poly(row)
         if p.is_zero():
             continue
         v = p(QQ(n))
@@ -1081,7 +1079,7 @@ def unroll_oracle(op: DiffOp, init: TruncSeries, n_terms: int) -> TruncSeries:
     if n_terms < init.trunc_order:
         raise InputError("cannot unroll to fewer terms than supplied")
     m = rec.max_shift
-    lead_at = rec.leading.compose_shift(QQ(-m))  # evaluated at the target index
+    lead_at = Poly(rec.rows[-1])(Poly([QQ(-m), 1]))  # evaluated at the target index
     coeffs = list(init.coeffs)
     for idx in range(len(coeffs), n_terms):
         n = idx - m
@@ -1103,8 +1101,6 @@ def unroll_oracle(op: DiffOp, init: TruncSeries, n_terms: int) -> TruncSeries:
 
 class FractionModRing:
     """Quotient ring Q[a]/(m) with monic squarefree modulus m, over Fraction."""
-
-    is_quotient = True
 
     def __init__(self, modulus: Poly):
         modulus = modulus.monic()
@@ -1320,8 +1316,7 @@ def theta_form_oracle(coeffs: List[List], dom) -> Tuple[int, List[List]]:
 
 def _log_derivative(s: LogSeries) -> LogSeries:
     dom = s.dom
-    n = s.trunc
-    out = [[dom.zero()] * n for _ in s.layers]
+    out = [[dom.zero()] * len(layer) for layer in s.layers]
     for j, layer in enumerate(s.layers):
         for i, c in enumerate(layer):
             if dom.is_zero(c):
@@ -1338,8 +1333,7 @@ def _log_derivative(s: LogSeries) -> LogSeries:
 def _log_mul_monomial(s: LogSeries, coeff, power: int) -> LogSeries:
     """Multiply by coeff * t^power (truncation length is preserved)."""
     dom = s.dom
-    n = s.trunc
-    out = [[dom.zero()] * n for _ in s.layers]
+    out = [[dom.zero()] * len(layer) for layer in s.layers]
     for j, layer in enumerate(s.layers):
         for i, c in enumerate(layer):
             if not dom.is_zero(c):
@@ -1357,7 +1351,7 @@ def _log_add_all(terms: List[LogSeries]) -> LogSeries:
         if not is_integer(t.exponent - base):
             raise InputError("cannot align exponents differing by non-integers")
     # valid length: every term must cover the coefficient slot
-    length = min(int(t.exponent - base) + t.trunc for t in terms)
+    length = min(int(t.exponent - base) + len(t.layers[0]) for t in terms)
     nlay = max(len(t.layers) for t in terms)
     out = [[dom.zero()] * length for _ in range(nlay)]
     for t in terms:

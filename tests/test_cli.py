@@ -352,7 +352,9 @@ def test_cli_test_malformed_rational(capsys, tmp_path, field, text):
     assert out["error"] == "input"
 
 
-@pytest.mark.parametrize("point", ["1/0", "x", "1/2/3", "poly:1,1/0"])
+# the last two moduli, (4z - 1)^2 and z^2, are not squarefree: the cluster
+# ring would hold nilpotents and a split would report one branch twice
+@pytest.mark.parametrize("point", ["1/0", "x", "1/2/3", "poly:1,1/0", "poly:1,-8,16", "poly:0,0,1"])
 def test_cli_indicial_malformed_point(capsys, apery_file, point):
     code, out = _run(capsys, ["indicial", apery_file, "--point", point])
     assert code == 2
@@ -441,6 +443,12 @@ _PINNED_REPORTS = [
     (["guess-alg", "sqrt"], "49b741750815ca6e"),
     (["test", "family"], "f202f32a166c5555"),
     (["minimize", "family"], "278de0ed76cab09d"),
+    # algebraic clusters: arithmetic in Q[a]/(m), ring inverses in
+    # Frobenius, and a split of the sqrt cluster into z - 1/4 and z^2 + 1
+    (["indicial", "apery", "--point", "poly:1,-34,1"], "a4b08b87a4b5ad4e"),
+    (["formal-solutions", "apery", "--point", "poly:1,-34,1", "--order", "3", "--logs"],
+     "5bf01ea84cdda731"),
+    (["indicial", "sqrt", "--point", "poly:1,-4,1,-4"], "57ce2288ba0ca025"),
 ]
 
 

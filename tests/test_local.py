@@ -109,11 +109,12 @@ def test_indicial_algebraic_cluster(apery_op):
 
 
 def test_rational_roots_nf_examples():
-    # lam^3 over Q
-    assert rational_roots_nf([QQ(0), QQ(0), QQ(0), QQ(1)], QQ_DOMAIN) == [(QQ(0), 3)]
+    # over Q, at rational points and infinity, Poly.rational_roots does the work
+    # lam^3
+    assert Poly([QQ(0), QQ(0), QQ(0), QQ(1)]).rational_roots() == [(QQ(0), 3)]
     # lam (lam-1) (2lam-1)
     p = Poly([0, 1]) * Poly([-1, 1]) * Poly([-1, 2])
-    assert rational_roots_nf(list(p.coeffs), QQ_DOMAIN) == [
+    assert p.rational_roots() == [
         (QQ(0), 1), (QQ(1, 2), 1), (QQ(1), 1)]
     # lam^2 - a over Q[a]/(a^2-2): no rational roots (roots are +-2^(1/4))
     ring = ModRing(Poly([-2, 0, 1]))
@@ -248,8 +249,8 @@ def test_heavy_cluster_branches_pinned(monkeypatch, powers):
 
 @st.composite
 def moduli(draw):
-    """Modulus of degree 1..5: irreducible (a z + b)^d - p by Eisenstein,
-    or a product of at least two random factors."""
+    """Squarefree modulus of degree 1..5: irreducible (a z + b)^d - p by
+    Eisenstein, or a product of at least two random factors."""
     if draw(st.booleans()):
         d = draw(st.integers(1, 5))
         a = draw(_rats.filter(lambda x: x != 0))
@@ -262,7 +263,10 @@ def moduli(draw):
         f = Poly(draw(st.lists(_rats, min_size=deg, max_size=deg)) + [draw(_rats.filter(lambda x: x != 0))])
         factors.append(f)
         room -= deg
-    return reduce(lambda x, y: x * y, factors)
+    m = reduce(lambda x, y: x * y, factors)
+    # ModRing rejects a repeated factor
+    assume(m.gcd(m.derivative()).degree == 0)
+    return m
 
 
 # zero, constant and high-degree coefficients

@@ -215,7 +215,7 @@ def test_ode_to_rec_matches_fraction_oracle(coeffs):
         return
     rec = ode_to_rec(op)
     assert rec == ode_to_rec_oracle(op)
-    assert all(c.denominator == 1 for p in rec.coeffs for c in p.coeffs)
+    assert all(type(c) is int for p in rec.rows for c in p)
 
 
 def test_rec_to_ode_apery(apery_op):

@@ -1,12 +1,11 @@
 import itertools
-from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dfinite.polys import Poly, _zresultant
-from dfinite.rationals import QQ, rat_from_str, rat_to_str
+from dfinite.polys import Poly, _zadd, _zmul, _zprem, _zresultant, _zshift, _ztrim
+from dfinite.rationals import QQ, cleared, rat_from_str, rat_to_str
 from oracles import RatFunc, bivariate_resultant_oracle, fraction_gcd, sylvester_resultant_oracle
 
 _polys = st.lists(st.fractions(min_value=-30, max_value=30, max_denominator=12),
@@ -78,13 +77,30 @@ def test_rational_roots_large_constant_term():
 @example(Poly([QQ(-7, 3)]), QQ(5, 6))
 @example(Poly([QQ(1, 2), QQ(-3, 4), QQ(5, 6)]), QQ(0))
 @example(Poly([1, 0, 0, 0, 0, QQ(1, 12)]), QQ(-11, 7))
-def test_compose_shift_matches_horner_substitution(p, a):
-    got = p.compose_shift(a)
-    assert got == p(Poly([a, 1]))
-    assert all(type(c) is Fraction for c in got.coeffs)
+def test_zshift_matches_horner_substitution(p, a):
+    q, big_d = cleared(p.coeffs)
+    r, den = _zshift(q, a)
+    assert all(type(c) is int for c in r)
+    assert Poly([QQ(c, den * big_d) for c in r]) == p(Poly([a, 1]))
     # a plain int is accepted as the point too
     if a.denominator == 1:
-        assert p.compose_shift(int(a)) == got
+        assert _zshift(q, int(a)) == (r, den)
+
+
+_ints = st.integers(-50, 50)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_ints, max_size=9), st.lists(_ints, max_size=5), st.integers(2, 12))
+@example([5, 7], [1, 2, 3], 4)  # a shorter than b: r is a padded, s = 1
+@example([0, 0, 0, 1], [1], 6)  # b constant
+def test_zprem_is_a_scaled_pseudo_division(a, b_low, lb):
+    b = b_low + [lb]
+    q, r, s = _zprem(a, b)
+    assert len(r) == len(b) - 1 and s > 0
+    # s takes no more than the classical lc(b)^(len(a) - len(b) + 1)
+    assert lb ** max(len(a) - len(b) + 1, 0) % s == 0
+    assert _zadd(_zmul(q, b), r) == _ztrim([s * x for x in a])
 
 
 def test_ratfunc_arithmetic():

@@ -8,8 +8,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dfinite import ModRing, Poly, split_cases
-from dfinite.errors import ZeroDivisorSplit
-from dfinite.quotient import gcd_with_modulus
+from dfinite.errors import InputError, ZeroDivisorSplit
 from dfinite.rationals import QQ
 from oracles import FractionModRing, fraction_gcd
 
@@ -59,6 +58,14 @@ def test_split_cases_driver():
     outcomes = {tuple(int(c) for c in mod.coeffs): res for mod, res in results}
     assert outcomes[(-2, 0, 1)] == "vanishes"
     assert outcomes[(-3, 0, 1)] == "unit"
+
+
+def test_modulus_must_be_squarefree():
+    # Q[a]/((a - 1)^2) holds the nilpotent a - 1
+    with pytest.raises(InputError, match="squarefree"):
+        ModRing(Poly([1, -2, 1]))
+    with pytest.raises(InputError, match="squarefree"):
+        ModRing(Poly([0, 0, 1]))
 
 
 def test_mixed_scalar_arithmetic():
@@ -141,7 +148,17 @@ def test_ring_matches_fraction_oracle(modulus, xs, ys, k, q, plant):
         assert got.den > 0 and math.gcd(got.den, *got.nums) == 1
     for z, oz in ((x, ox), (y, oy)):
         assert _inv_outcome(z.ring, z) == _inv_outcome(oz.ring, oz)
-        assert gcd_with_modulus(z) == fraction_gcd(Poly(oz.coeffs), m)
+        if z.is_zero():
+            continue
+        # the split point: nothing for a unit, (gcd, cofactor) for a zero divisor
+        g = fraction_gcd(Poly(oz.coeffs), m)
+        if g.degree == 0:
+            z.ring.split_on(z.nums)
+            continue
+        with pytest.raises(ZeroDivisorSplit) as exc:
+            z.ring.split_on(z.nums)
+        assert exc.value.factor == g
+        assert exc.value.factor * exc.value.cofactor == m.monic()
     # equality and hashing see the residue class, not the representative
     assert (x == y) == (ox == oy)
     same = ModRing(m).el(list((Poly(xs) + m * Poly(ys)).coeffs))
