@@ -42,7 +42,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .polys import _zexquo, _zmul, _zsub
+from .polys import _zeval_mod, _zexquo, _zmul, _zratrecon, _zsub
 from .rationals import QQ, cleared
 
 # the 60 largest primes below 2^26: a product of two residues is below
@@ -268,32 +268,18 @@ def _poly_matrix_rank(mat: List[List[List[int]]], p: int) -> int:
     best = 0
     deg = max((len(c) - 1 for row in mat for c in row if c), default=0)
     for t in range(1, min(p, 2 * deg + 4)):
-        m = np.array([[_eval_mod(c, t, p) for c in row] for row in mat], dtype=np.int64)
+        m = np.array([[_zeval_mod(c, t, p) for c in row] for row in mat], dtype=np.int64)
         best = max(best, len(_rank_profile_mod(m, p)[1]))
         if best == len(mat):
             break
     return max(best, 1)  # all samples may hit roots; the matrix is still nonzero
 
 
-def _eval_mod(a: List[int], t: int, p: int) -> int:
-    acc = 0
-    for c in reversed(a):
-        acc = (acc * t + c) % p
-    return acc
-
-
 def _rational_reconstruct(a: int, m: int):
     """Wang reconstruction of a mod m into p/q with |p|, q <= sqrt(m/2)."""
     bound = math.isqrt(m // 2)
-    r0, r1 = m, a % m
-    s0, s1 = 0, 1
-    while r1 > bound:
-        q = r0 // r1
-        r0, r1 = r1, r0 - q * r1
-        s0, s1 = s1, s0 - q * s1
-    if s1 == 0 or abs(s1) > bound:
-        return None
-    return QQ(r1, s1) if s1 > 0 else QQ(-r1, -s1)
+    r = _zratrecon(a, m, bound, bound)
+    return None if r is None else QQ(*r)
 
 
 def kernel_vector_exact(system: ShiftSystem, residual: Callable[[List], Sequence]) -> Optional[List]:

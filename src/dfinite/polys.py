@@ -6,21 +6,24 @@ code over Q(z) keeps integer numerators over a Z[z] denominator and
 computes with the ``_z*`` kernels below.  One of them, ``_zprem``, is
 the only gcd-scaled pseudo-division: ``_zgcd`` reads its remainder, and
 the quotient ring's products and inverses (``quotient``) read the
-remainder, the scale and the quotient.  Rational-root extraction is
-delegated to sympy's factorization (linear factors of the squarefree
-part), which avoids factoring large integer constant terms.  The one
+remainder, the scale and the quotient.  Rational roots come from
+``_zrational_roots`` by p-adic lifting (Loos 1983): roots of the
+squarefree part modulo a small prime, lifted past the rational-root
+bound, rebuilt by rational reconstruction and checked exactly.  The one
 resultant, ``_zresultant``, takes integer inputs and computes
 Res_x(P(x, lam), m(x)) by evaluation and interpolation over Z: sympy's
 univariate resultant at integer points lam, then exact Newton
-interpolation.  sympy is imported inside the functions that use it,
-never at module import.
+interpolation.  That univariate resultant is the one use of sympy; it
+is imported there, never at module import.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .rationals import QQ, Q0, Q1, cleared, rat_to_str
 
@@ -221,22 +224,15 @@ class Poly:
     def rational_roots(self) -> List[Tuple[object, int]]:
         """All rational roots with multiplicities, sorted.
 
-        Uses sympy factorization of the integer-primitive form (linear
-        factors only), so no integer constant-term factoring happens.
+        Complete: ``_zrational_roots`` lifts every root modulo p past the
+        rational-root bound and keeps each candidate only after an exact
+        check, so no rational root is missed and none is invented.
         """
         if self.is_zero():
             raise ValueError("zero polynomial has every root")
         if self.degree == 0:
             return []
-        import sympy
-
-        x = _sympy_x()
-        expr = sympy.Poly(_zclear([self])[0][::-1], x)
-        roots = []
-        for fac, mult in expr.factor_list()[1]:
-            if fac.degree() == 1:
-                c1, c0 = fac.all_coeffs()
-                roots.append((QQ(-int(c0), int(c1)), mult))
+        roots = [(QQ(a, b), k) for a, b, k in _zrational_roots(_zclear([self])[0])]
         roots.sort(key=lambda t: t[0])
         return roots
 
@@ -500,3 +496,105 @@ def _zgcd(a: List[int], b: List[int]) -> List[int]:
             return b
         a, b = b, _zprimitive(r)
     return [1]
+
+
+def _zeval_mod(a: Sequence[int], t: int, m: int) -> int:
+    """a(t) mod m by Horner."""
+    acc = 0
+    for c in reversed(a):
+        acc = (acc * t + c) % m
+    return acc
+
+
+def _zratrecon(x: int, m: int, amax: int, bmax: int) -> Optional[Tuple[int, int]]:
+    """(a, b) with a = b x mod m, |a| <= amax and 0 < b <= bmax, or None:
+    Wang's reconstruction, which stops Euclid on (m, x mod m) at the first
+    remainder at most amax.  When 2 amax bmax < m there is at most one
+    such a/b in lowest terms, and this returns it."""
+    r0, r1 = m, x % m
+    s0, s1 = 0, 1
+    while r1 > amax:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        s0, s1 = s1, s0 - q * s1
+    if s1 == 0 or abs(s1) > bmax:
+        return None
+    return (r1, s1) if s1 > 0 else (-r1, -s1)
+
+
+def _zrational_roots(f: List[int]) -> List[Tuple[int, int, int]]:
+    """(a, b, k) for each rational root a/b of a nonzero integer list f,
+    in lowest terms with b > 0, and its multiplicity k.
+
+    p-adic lifting (Loos 1983).  After the root 0 of multiplicity v is
+    split off as z^v, every rational root a/b of the squarefree part g has
+    a | g(0) and b | lc(g).  For the first prime p >= 1009 that does not
+    divide lc(g) and at which every root of g mod p is simple, a/b reduces
+    to a root of g mod p, and Newton's method lifts that root to the one
+    p-adic root above it, which is a/b.  Once the modulus p^(2^k) exceeds
+    2 |g(0)| lc(g), reconstruction with |a| <= |g(0)| and b <= lc(g)
+    returns a/b from the lift.  A candidate, at that precision or an
+    earlier one, is kept only if g(a/b) = 0 exactly.  A prime is passed
+    over only if it divides lc(g) disc(g), so the search ends.  The roots
+    mod p come from g at every residue at once with numpy; each product
+    there is below p^2 < 2^63.  Multiplicities are counted in f by exact
+    division.
+    """
+    v = next(i for i, c in enumerate(f) if c)
+    f = _zprimitive(f[v:])
+    out = [(0, 1, v)] if v else []
+    if len(f) == 1:
+        return out
+    g = _zprimitive(_zexquo(f, _zgcd(f, _zderiv(f))))
+    dg = _zderiv(g)
+    p = 1009
+    while True:
+        if g[-1] % p and all(p % d for d in range(3, math.isqrt(p) + 1, 2)):
+            roots = np.flatnonzero(_zresidue_values(g, p) == 0)
+            if _zresidue_values(dg, p)[roots].all():
+                break
+        p += 2
+    for r in roots.tolist():
+        ab = _zlift_root(g, dg, r, p)
+        if ab is None:
+            continue
+        k = 0
+        try:
+            while True:
+                f = _zexquo(f, [-ab[0], ab[1]])
+                k += 1
+        except ArithmeticError:
+            out.append(ab + (k,))
+    return out
+
+
+def _zresidue_values(a: Sequence[int], p: int) -> np.ndarray:
+    """a(t) mod p at t = 0, 1, ..., p - 1, for p^2 < 2^63."""
+    t = np.arange(p, dtype=np.int64)
+    acc = np.zeros(p, dtype=np.int64)
+    for c in reversed(a):
+        acc *= t
+        acc += c % p
+        acc %= p
+    return acc
+
+
+def _zlift_root(g: List[int], dg: List[int], x: int, p: int) -> Optional[Tuple[int, int]]:
+    """(a, b) for the rational root a/b of g above the simple root x of
+    g mod p, or None if that p-adic root is irrational."""
+    amax, bmax = abs(g[0]), g[-1]
+    m = p
+    while True:
+        ab = _zratrecon(x, m, amax, bmax)
+        if ab and math.gcd(*ab) == 1:
+            # sum g_i a^i b^(d - i) = 0
+            acc, pw = 0, 1
+            for c in reversed(g):
+                acc = acc * ab[0] + c * pw
+                pw *= ab[1]
+            if not acc:
+                return ab
+        if m > 2 * amax * bmax:
+            return None
+        m *= m
+        x = (x - _zeval_mod(g, x, m) * pow(_zeval_mod(dg, x, m), -1, m)) % m

@@ -18,7 +18,8 @@ in ``dfinite``.  Diagonals are checked against a cell-by-cell expansion
 of 1/den over the full box, with no lattice compression.  Resultants are
 taken by sympy over Q[lam] from symbolic expressions, with no clearing
 to integers, by one bivariate sympy call over Z[x, lam], and as the
-determinant of the Sylvester matrix.  Local coefficients at an
+determinant of the Sylvester matrix, and rational roots from the linear
+factors of sympy's factorization.  Local coefficients at an
 algebraic point come from a Horner Taylor shift over Q[a]/(m), and the
 theta form from falling factorials built over the coefficient domain, both with products of
 quotient-ring elements; the operator at infinity from products of
@@ -50,7 +51,7 @@ from dfinite.errors import (
 from dfinite.linalg import ShiftSystem
 from dfinite.local import LogSeries, _lam_add, _lam_eval, _lam_trim, _series_valuation
 from dfinite.ore import op_mul_raw
-from dfinite.polys import format_poly
+from dfinite.polys import _sympy_x, _zclear, format_poly
 from dfinite.quotient import ModRing
 from dfinite.rationals import QQ, Q0, Q1, is_integer
 from dfinite.series import rec_leading_roots
@@ -911,6 +912,26 @@ def resultant_candidates_oracle(ind: List, ring: ModRing) -> Poly:
                  for c in reversed(res_poly.all_coeffs())])
 
 
+def rational_roots_oracle(poly: Poly) -> List[Tuple[object, int]]:
+    """``Poly.rational_roots`` from the linear factors of sympy's
+    factorization of the integer-primitive form."""
+    if poly.is_zero():
+        raise ValueError("zero polynomial has every root")
+    if poly.degree == 0:
+        return []
+    import sympy
+
+    x = _sympy_x()
+    expr = sympy.Poly(_zclear([poly])[0][::-1], x)
+    roots = []
+    for fac, mult in expr.factor_list()[1]:
+        if fac.degree() == 1:
+            c1, c0 = fac.all_coeffs()
+            roots.append((QQ(-int(c0), int(c1)), mult))
+    roots.sort(key=lambda t: t[0])
+    return roots
+
+
 def rational_roots_nf_oracle(ind: List, dom) -> List[Tuple[object, int]]:
     """``local.rational_roots_nf`` with its candidates taken over Q[lam]."""
     ring: ModRing = dom
@@ -931,7 +952,7 @@ def rational_roots_nf_oracle(ind: List, dom) -> List[Tuple[object, int]]:
     if cand.is_zero():
         raise AssertionError("resultant vanished despite trivial content")
     out = []
-    for r, _ in cand.rational_roots():
+    for r, _ in rational_roots_oracle(cand):
         mult = 0
         rem = list(ind)
         while rem:

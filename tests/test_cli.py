@@ -226,6 +226,26 @@ def test_import_leaves_sympy_unloaded():
     assert proc.returncode == 0, proc.stderr or "import dfinite loaded sympy"
 
 
+def test_rational_points_leave_sympy_unloaded():
+    # 2F1(1/2, 1/2; 1) is singular at 0, 1 and infinity only: no cluster
+    # is scanned, so no resultant is taken and sympy is never needed
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    code = "\n".join([
+        "import sys",
+        "from dfinite import DiffOp, TruncSeries, transcendence_test, unroll",
+        "from dfinite.rationals import QQ",
+        "op = DiffOp([[-1], [4, -8], [0, 4, -4]])",
+        "init = TruncSeries([QQ(1), QQ(1, 4)])",
+        "assert op.leading.rational_roots() == [(QQ(0), 1), (QQ(1), 1)]",
+        "assert unroll(op, init, 4).coeffs[3] == QQ(25, 256)",
+        "assert transcendence_test(op, init).verdict == 'T'",
+        "sys.exit('sympy' in sys.modules)",
+    ])
+    proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr or "the scan loaded sympy"
+
+
 def test_cli_verify_roundtrip(capsys, apery_file, tmp_path):
     code, _ = _run(capsys, ["test", apery_file])
     assert code == 0

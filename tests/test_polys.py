@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 from hypothesis import example, given, settings
@@ -6,7 +7,13 @@ from hypothesis import strategies as st
 
 from dfinite.polys import Poly, _zadd, _zmul, _zprem, _zresultant, _zshift, _ztrim
 from dfinite.rationals import QQ, cleared, rat_from_str, rat_to_str
-from oracles import RatFunc, bivariate_resultant_oracle, fraction_gcd, sylvester_resultant_oracle
+from oracles import (
+    RatFunc,
+    bivariate_resultant_oracle,
+    fraction_gcd,
+    rational_roots_oracle,
+    sylvester_resultant_oracle,
+)
 
 _polys = st.lists(st.fractions(min_value=-30, max_value=30, max_denominator=12),
                   max_size=6).map(Poly)
@@ -67,6 +74,62 @@ def test_rational_roots_large_constant_term():
     p = Poly([-big, 1]) * Poly([big, 0, 1])
     roots = p.rational_roots()
     assert roots == [(QQ(big), 1)]
+
+
+def _planted(linear, others=(), content=1):
+    """content * prod (b z - a)^k * prod others, as a Poly."""
+    f = [content]
+    for a, b, k in linear:
+        for _ in range(k):
+            f = _zmul(f, [-a, b])
+    for h in others:
+        f = _zmul(f, h)
+    return Poly(f)
+
+
+_no_rational_root = st.one_of(
+    # z^2 - c, c not a square
+    st.integers(-99, 99).filter(lambda c: c < 0 or math.isqrt(c) ** 2 != c).map(lambda c: [-c, 0, 1]),
+    # z^4 + q, irreducible by Eisenstein at the prime q
+    st.sampled_from([2, 3, 5, 7, 1009, 1013, 2 ** 61 - 1]).map(lambda q: [q, 0, 0, 0, 1]),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.integers(-2 ** 80, 2 ** 80), st.integers(1, 2 ** 80), st.integers(1, 14)),
+                max_size=3),
+       st.lists(_no_rational_root, max_size=2),
+       st.integers(1, 10 ** 6), st.sampled_from([1, -1]))
+def test_rational_roots_match_factorization(linear, others, content, sign):
+    f = _planted(linear, others, sign * content)
+    assert f.rational_roots() == rational_roots_oracle(f)
+
+
+@pytest.mark.parametrize("f, roots", [
+    # 1 = 1010 mod 1009: a double root there, so 1009 is passed over
+    (_planted([(1, 1, 1), (1010, 1, 2)]), [(QQ(1), 1), (QQ(1010), 2)]),
+    # 1009 and 1013 divide the leading coefficient
+    (_planted([(7, 1009 * 1013, 1), (3, 1, 1)], [[-2, 0, 1]]), [(QQ(7, 1009 * 1013), 1), (QQ(3), 1)]),
+    # root 0 of multiplicity 3
+    (_planted([(0, 1, 3), (-2, 1, 2)], [[-2, 0, 1]]), [(QQ(-2), 2), (QQ(0), 3)]),
+    (_planted([(0, 1, 3)]), [(QQ(0), 3)]),
+    # a b > 1009^8 < 2 a b: only the lift to 1009^16 reconstructs a/b
+    (_planted([(1100000000003, 1000000000001, 1)]), [(QQ(1100000000003, 1000000000001), 1)]),
+    (_planted([(-1100000000003, 1000000000001, 2)], [[5, 0, 0, 0, 1]]),
+     [(QQ(-1100000000003, 1000000000001), 2)]),
+    # rational coefficients, a constant, no rational root
+    (Poly([QQ(-1, 3), QQ(1, 2)]), [(QQ(2, 3), 1)]),
+    (Poly([QQ(-7, 3)]), []),
+    (_planted([], [[-2, 0, 1], [3, 0, 0, 0, 1]]), []),
+])
+def test_rational_roots_planted(f, roots):
+    assert f.rational_roots() == roots
+    assert rational_roots_oracle(f) == roots
+
+
+def test_rational_roots_of_zero():
+    with pytest.raises(ValueError):
+        Poly().rational_roots()
 
 
 @settings(max_examples=200, deadline=None)
