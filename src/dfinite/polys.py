@@ -230,8 +230,6 @@ class Poly:
         """
         if self.is_zero():
             raise ValueError("zero polynomial has every root")
-        if self.degree == 0:
-            return []
         roots = [(QQ(a, b), k) for a, b, k in _zrational_roots(_zclear([self])[0])]
         roots.sort(key=lambda t: t[0])
         return roots
