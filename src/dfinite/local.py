@@ -35,9 +35,10 @@ from typing import Dict, List, Optional, Tuple
 
 from .errors import InputError, IrregularPoint
 from .ore import DiffOp
-from .polys import Poly, _zadd, _zderiv, _zgcd, _zmul, _zresultant, _zshift, _ztrim, format_poly
+from .polys import (Poly, _zadd, _zclear, _zderiv, _zexquo, _zgcd, _zmul, _zprem, _zresultant, _zshift,
+                    _ztrim, format_poly)
 from .quotient import DomainQQ, ModRing, QQ_DOMAIN, split_cases
-from .rationals import QQ, Q1
+from .rationals import QQ
 
 
 # ---------------------------------------------------------------------------
@@ -107,15 +108,15 @@ def singularities(op: DiffOp) -> List[SingularPoint]:
     infinity (always included; it is cheap to analyze)."""
     if op.is_zero():
         raise InputError("zero operator")
-    lead = op.leading
+    lead = op.rows[-1]
     points: List[SingularPoint] = []
-    if lead.degree > 0:
-        sf = lead.squarefree_part()
-        for root, _ in sf.rational_roots():
+    if len(lead) > 1:
+        sf = _zexquo(lead, _zgcd(lead, _zderiv(lead)))
+        for root, _ in Poly(sf).rational_roots():
             points.append(SingularPoint.rational(root))
-            sf = sf.exact_div(Poly([-root, Q1]))
-        if sf.degree > 0:
-            points.append(SingularPoint.algebraic(sf))
+            sf = _zexquo(sf, [-root.numerator, root.denominator])
+        if len(sf) > 1:
+            points.append(SingularPoint.algebraic(Poly(sf)))
     points.append(SingularPoint.infinity())
     points.sort(key=SingularPoint.sort_key)
     return points
@@ -640,7 +641,7 @@ def formal_solutions(
     if branch is not None:
         branch = branch.monic()
         if (point.kind != SingularPoint.ALGEBRAIC or branch.degree < 1
-                or not (point.modulus % branch).is_zero()):
+                or any(_zprem(*_zclear([point.modulus, branch]))[0])):
             raise InputError("branch %s is not a factor of the modulus at %s"
                              % (format_poly(branch), point.label()))
         data = _algebraic_branch(op, branch)

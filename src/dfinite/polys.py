@@ -1,12 +1,16 @@
 """Dense univariate polynomials over Q and their Z[z] kernels.
 
 Coefficients are stored lowest degree first; the zero polynomial is the
-empty coefficient tuple.  Rational functions have no type of their own:
-code over Q(z) keeps integer numerators over a Z[z] denominator and
-computes with the ``_z*`` kernels below.  One of them, ``_zprem``, is
-the only gcd-scaled pseudo-division: ``_zgcd`` reads its remainder, and
-the quotient ring's products and inverses (``quotient``) read the
-remainder, the scale and the quotient.  Rational roots come from
+empty coefficient tuple.  ``Poly`` is the Q[z] value type: ring
+operations, evaluation, derivative, scaling and rational roots, but no
+division.  Every polynomial division runs over Z on integer lists:
+rational functions have no type of their own, and code over Q(z) keeps
+integer numerators over a Z[z] denominator and computes with the
+``_z*`` kernels below.  ``_zexquo`` is the exact division, and
+``_zprem`` the only gcd-scaled pseudo-division: it returns the remainder
+and the scale, which ``_zgcd`` and the quotient ring's products and
+inverses (``quotient``) read; an inverse gets each Euclid quotient by
+one exact division.  Rational roots come from
 ``_zrational_roots`` by p-adic lifting (Loos 1983): roots of the
 squarefree part modulo a small prime, lifted past the rational-root
 bound, rebuilt by rational reconstruction and checked exactly.  The one
@@ -152,37 +156,6 @@ class Poly:
     def scale(self, c) -> "Poly":
         return Poly([a * c for a in self.coeffs])
 
-    def divmod(self, other: "Poly") -> Tuple["Poly", "Poly"]:
-        """Exact Euclidean division over Q."""
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        r = list(self.coeffs)
-        d = other.coeffs
-        dd = len(d) - 1
-        inv_lc = 1 / d[-1]
-        q = [Q0] * max(0, len(r) - dd)
-        for i in range(len(r) - 1, dd - 1, -1):
-            c = r[i]
-            if c == 0:
-                continue
-            c = c * inv_lc
-            q[i - dd] = c
-            for j in range(dd + 1):
-                r[i - dd + j] -= c * d[j]
-        return Poly(q), Poly(r[:dd] if dd > 0 else [])
-
-    def __floordiv__(self, other: "Poly") -> "Poly":
-        return self.divmod(other)[0]
-
-    def __mod__(self, other: "Poly") -> "Poly":
-        return self.divmod(other)[1]
-
-    def exact_div(self, other: "Poly") -> "Poly":
-        q, r = self.divmod(other)
-        if not r.is_zero():
-            raise ValueError("inexact polynomial division")
-        return q
-
     def derivative(self) -> "Poly":
         return Poly([self.coeffs[i] * i for i in range(1, len(self.coeffs))])
 
@@ -204,22 +177,7 @@ class Poly:
             return self
         return self.scale(1 / self.lc)
 
-    # -- gcd, squarefree, roots -----------------------------------------
-
-    def gcd(self, other: "Poly") -> "Poly":
-        """Monic gcd: primitive Euclid on the integer coefficient lists."""
-        if self.is_zero():
-            return other.monic()
-        if other.is_zero():
-            return self.monic()
-        a, b = _zclear([self, other])
-        return Poly(_zgcd(a, b)).monic()
-
-    def squarefree_part(self) -> "Poly":
-        if self.degree <= 0:
-            return self.monic()
-        g = self.gcd(self.derivative())
-        return self.exact_div(g).monic()
+    # -- roots ---------------------------------------------------------
 
     def rational_roots(self) -> List[Tuple[object, int]]:
         """All rational roots with multiplicities, sorted.
@@ -448,38 +406,33 @@ def _zresultant(p: Sequence[Sequence[int]], m: Sequence[int]) -> List[int]:
     return [-c for c in out] if out and out[-1] < 0 else out
 
 
-def _zprem(a: Sequence[int], b: Sequence[int]) -> Tuple[List[int], List[int], int]:
-    """(q, r, s) with s a = q b + r over Z and len(r) = len(b) - 1, for
-    b with a positive leading coefficient l (a shorter than that is
-    padded with zeros, q = [] and s = 1).
+def _zprem(a: Sequence[int], b: Sequence[int]) -> Tuple[List[int], int]:
+    """(r, s) with s a = q b + r over Z for some q in Z[z] and
+    len(r) = len(b) - 1, for b with a positive leading coefficient l (a
+    shorter than that is padded with zeros and s = 1).
 
     The one gcd-scaled pseudo-division: each step scales r by
     l / gcd(c, l), c its top coefficient, then cancels that coefficient
     against l.  So s divides l^(len(a) - len(b) + 1) and takes only what
-    the steps need.
+    the steps need.  The quotient is not built; a caller that needs it
+    divides s a - r by b exactly.
     """
     db, lb = len(b) - 1, b[-1]
     r = list(a) + [0] * (db - len(a))
-    n = len(r) - db
-    q, scale = [0] * n, [1] * n
-    for k in range(n - 1, -1, -1):
+    s = 1
+    for k in range(len(r) - db - 1, -1, -1):
         c = r.pop()
         if not c:
             continue
         g = math.gcd(c, lb)
         if g != lb:
-            scale[k] = lb // g
-            r = [scale[k] * x for x in r]
+            t = lb // g
+            s *= t
+            r = [t * x for x in r]
         c //= g
-        q[k] = c
         for j in range(db):
             r[k + j] -= c * b[j]
-    # q[k] takes the scales of the steps after it, those of k' < k
-    s = 1
-    for k in range(n):
-        q[k] *= s
-        s *= scale[k]
-    return q, r, s
+    return r, s
 
 
 def _zgcd(a: List[int], b: List[int]) -> List[int]:
@@ -489,7 +442,7 @@ def _zgcd(a: List[int], b: List[int]) -> List[int]:
     if len(a) < len(b):
         a, b = b, a
     while len(b) > 1:
-        r = _ztrim(_zprem(a, b)[1])
+        r = _ztrim(_zprem(a, b)[0])
         if not r:
             return b
         a, b = b, _zprimitive(r)

@@ -84,7 +84,7 @@ class ModRing:
         length and a nonzero integer den."""
         if len(nums) != self.deg:
             # s nums = q M + r, so nums / den = r / (s den) mod M
-            _, nums, s = _zprem(nums, self.int_modulus)
+            nums, s = _zprem(nums, self.int_modulus)
             den *= s
         if den < 0:
             den, nums = -den, [-x for x in nums]
@@ -127,9 +127,10 @@ class ModRing:
         s1, k1 = [1], a[-1] // r1[-1]
         while len(r1) > 1:
             # alpha r0 = q r1 + rem
-            q, rem, alpha = _zprem(r0, r1)
+            rem, alpha = _zprem(r0, r1)
             if not _ztrim(rem):
                 break
+            q = _zexquo(_zsub([alpha * y for y in r0], rem), r1)
             # k0 k1 rem = (alpha k1 s0 - q k0 s1) A
             s2 = _zsub([alpha * k1 * y for y in s0], [k0 * y for y in _zmul(q, s1)])
             pp = _zprimitive(rem)

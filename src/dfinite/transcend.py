@@ -335,7 +335,9 @@ def verify_report(
     (status, minimality) pair the minimizer writes: the input operator
     itself, or a certified annihilator of lower order, which is
     re-certified against the input operator by the annihilation
-    certificate.  Its search log is not re-checked.  A pass step is
+    certificate.  Its search log is not re-checked.  The top-level
+    ``minimal_operator`` and ``certificate_display``, where present, must
+    be the step's operator and the steps' displays.  A pass step is
     replayed by rescanning every singular point of the reported operator,
     with the logarithm check at the origin only for an A claim: the rescan
     must find no deciding step and write the same pass step.  The stated
@@ -355,6 +357,8 @@ def verify_report(
         return False, "empty minimal operator"
     if first["order"] != mop.order:
         return False, "minimal-operator order does not match its operator"
+    if "minimal_operator" in report_json and report_json["minimal_operator"] != op_to_json(mop):
+        return False, "minimal operator does not replay"
     status = (first["status"], first["minimality"])
     if status not in _MINIMAL_KINDS:
         return False, "minimal-operator status %s (%s) is not one the minimizer writes" % status
@@ -387,6 +391,9 @@ def verify_report(
         replayed = (_branch_step(mop, b, True) for b in branches)
         if not any(s is not None and s.to_json() == step for s in replayed):
             return False, "%s step does not replay" % _DECIDING_NAMES[kind]
+    if "certificate_display" in report_json and report_json["certificate_display"] != [
+            CertificateStep(t["kind"], t).display() for t in steps]:
+        return False, "certificate display does not replay"
     claim = (report_json.get("verdict"), report_json.get("confidence"))
     last = steps[-1].get("kind")
     if claim == (VERDICT_T, CONF_CERTIFIED):

@@ -1,6 +1,35 @@
+import faulthandler
+import os
+
 import pytest
 
 from dfinite import DiffOp, Poly, TruncSeries
+
+# the largest ceiling the acceptance suite declares (criterion 6(ii))
+TEST_TIME_LIMIT_S = 1800
+_STDERR_FD = pytest.StashKey[int]()
+
+
+def pytest_configure(config):
+    # a copy of the terminal's stderr, taken while output capture is off:
+    # a traceback written into a test's capture would be lost on exit
+    config.stash[_STDERR_FD] = os.dup(2)
+
+
+def pytest_unconfigure(config):
+    os.close(config.stash[_STDERR_FD])
+
+
+@pytest.fixture(autouse=True)
+def _time_limit(pytestconfig):
+    """End the run with every thread's traceback once a test has run past
+    the limit, so a kernel that stops terminating fails the suite instead
+    of hanging it.  faulthandler's watchdog is a thread, not a signal, so
+    it leaves the interval timers to the code under test."""
+    faulthandler.dump_traceback_later(TEST_TIME_LIMIT_S, exit=True,
+                                      file=pytestconfig.stash[_STDERR_FD])
+    yield
+    faulthandler.cancel_dump_traceback_later()
 
 
 @pytest.fixture(scope="session")

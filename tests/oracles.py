@@ -1,8 +1,10 @@
 """Reference implementations the tests compare production code against.
 
-These are the straightforward versions: Euclid over ``Fraction`` for the
-polynomial gcd; ``RatFunc``, a rational function over Q reduced by a gcd
-after every operation, which the package itself no longer has, and over
+These are the straightforward versions: Euclidean division over
+``Fraction`` (``poly_divmod``; ``Poly`` itself has no division) and
+Euclid on it for the polynomial gcd; ``RatFunc``, a rational function
+over Q reduced by a gcd after every operation, which the package itself
+no longer has, and over
 it elimination over Q(z) for right division, lclm and cofactors, Euclid
 over Q(z)[y] for the squarefree part in y, and the generic root's
 derivatives in Q(z)[y]/(P) for the annihilator of P's roots; the recurrence of an
@@ -58,8 +60,35 @@ from dfinite.series import rec_leading_roots
 
 
 # ---------------------------------------------------------------------------
-# gcd over Q
+# Euclidean division and gcd over Q
 # ---------------------------------------------------------------------------
+
+
+def poly_divmod(a: Poly, b: Poly) -> Tuple[Poly, Poly]:
+    """Exact Euclidean division over Q."""
+    if b.is_zero():
+        raise ZeroDivisionError("polynomial division by zero")
+    r = list(a.coeffs)
+    d = b.coeffs
+    dd = len(d) - 1
+    inv_lc = 1 / d[-1]
+    q = [Q0] * max(0, len(r) - dd)
+    for i in range(len(r) - 1, dd - 1, -1):
+        c = r[i]
+        if c == 0:
+            continue
+        c = c * inv_lc
+        q[i - dd] = c
+        for j in range(dd + 1):
+            r[i - dd + j] -= c * d[j]
+    return Poly(q), Poly(r[:dd] if dd > 0 else [])
+
+
+def poly_exact_div(a: Poly, b: Poly) -> Poly:
+    q, r = poly_divmod(a, b)
+    if not r.is_zero():
+        raise ValueError("inexact polynomial division")
+    return q
 
 
 def _primitive(p: Poly) -> Poly:
@@ -79,7 +108,7 @@ def fraction_gcd(a: Poly, b: Poly) -> Poly:
         return a.monic()
     a, b = _primitive(a), _primitive(b)
     while not b.is_zero():
-        _, r = a.divmod(b)
+        _, r = poly_divmod(a, b)
         a, b = b, (_primitive(r) if not r.is_zero() else r)
     return a.monic()
 
@@ -100,10 +129,10 @@ class RatFunc:
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
         if reduce and not num.is_zero() and den.degree > 0:
-            g = num.gcd(den)
+            g = fraction_gcd(num, den)
             if g.degree > 0:
-                num = num.exact_div(g)
-                den = den.exact_div(g)
+                num = poly_exact_div(num, g)
+                den = poly_exact_div(den, g)
         if num.is_zero():
             den = Poly([Q1])
         c = den.lc
@@ -185,8 +214,8 @@ def _clear_ratfuncs(cs: Sequence[RatFunc]) -> Tuple[List[Poly], Poly]:
     """(polys, den) with cs[i] = polys[i] / den, den the lcm of the denominators."""
     den = Poly([Q1])
     for c in cs:
-        den = den * c.den.exact_div(den.gcd(c.den))
-    return [c.num * den.exact_div(c.den) for c in cs], den
+        den = den * poly_exact_div(c.den, fraction_gcd(den, c.den))
+    return [c.num * poly_exact_div(den, c.den) for c in cs], den
 
 
 def _coerce(x) -> RatFunc:
@@ -941,13 +970,13 @@ def rational_roots_nf_oracle(ind: List, dom) -> List[Tuple[object, int]]:
         e_poly = Poly(e.coeffs)
         if not e_poly.is_zero():
             all_zero = False
-            content = e_poly.monic() if content is None else content.gcd(e_poly)
+            content = e_poly.monic() if content is None else fraction_gcd(content, e_poly)
     if all_zero:
         raise InputError("zero polynomial")
-    g = content.gcd(ring.modulus)
+    g = fraction_gcd(content, ring.modulus)
     if g.degree > 0:
         # the whole polynomial vanishes on a sub-branch
-        raise ZeroDivisorSplit(g, ring.modulus.exact_div(g))
+        raise ZeroDivisorSplit(g, poly_exact_div(ring.modulus, g))
     cand = resultant_candidates_oracle(ind, ring)
     if cand.is_zero():
         raise AssertionError("resultant vanished despite trivial content")
@@ -960,10 +989,10 @@ def rational_roots_nf_oracle(ind: List, dom) -> List[Tuple[object, int]]:
             if dom.is_zero(value):
                 pass
             else:
-                gg = Poly(value.coeffs).gcd(ring.modulus)
+                gg = fraction_gcd(Poly(value.coeffs), ring.modulus)
                 if gg.degree == 0:
                     break
-                raise ZeroDivisorSplit(gg, ring.modulus.exact_div(gg))
+                raise ZeroDivisorSplit(gg, poly_exact_div(ring.modulus, gg))
             mult += 1
             # synthetic division by (lam - r)
             new = []
@@ -1133,7 +1162,7 @@ class FractionModRing:
     def el(self, coeffs: Sequence) -> "FractionModElt":
         cs = [QQ(c) if isinstance(c, int) else c for c in coeffs]
         if len(cs) > self.deg:
-            cs = list(Poly(cs).__mod__(self.modulus).coeffs)
+            cs = list(poly_divmod(Poly(cs), self.modulus)[1].coeffs)
         cs = cs + [Q0] * (self.deg - len(cs))
         return FractionModElt(self, tuple(cs[: self.deg]))
 
@@ -1163,7 +1192,7 @@ class FractionModRing:
         if g.degree >= self.deg:
             raise ZeroDivisionError("inverting zero in quotient ring")
         g = g.monic()
-        raise ZeroDivisorSplit(g, self.modulus.exact_div(g))
+        raise ZeroDivisorSplit(g, poly_exact_div(self.modulus, g))
 
     def __eq__(self, other):
         return isinstance(other, FractionModRing) and self.modulus == other.modulus
@@ -1206,7 +1235,7 @@ class FractionModElt:
             c = QQ(other) if isinstance(other, int) else other
             return FractionModElt(self.ring, tuple(a * c for a in self.coeffs))
         prod = Poly(self.coeffs) * Poly(other.coeffs)
-        rem = prod % self.ring.modulus
+        rem = poly_divmod(prod, self.ring.modulus)[1]
         cs = list(rem.coeffs) + [Q0] * (self.ring.deg - len(rem.coeffs))
         return FractionModElt(self.ring, tuple(cs[: self.ring.deg]))
 
@@ -1228,7 +1257,7 @@ def _half_xgcd(a: Poly, b: Poly) -> Tuple[Poly, Poly]:
     r0, r1 = a, b
     u0, u1 = Poly([Q1]), Poly()
     while not r1.is_zero():
-        q, r = r0.divmod(r1)
+        q, r = poly_divmod(r0, r1)
         r0, r1 = r1, r
         u0, u1 = u1, u0 - q * u1
     return r0, u0

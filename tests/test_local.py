@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import random
 from functools import reduce
 from pathlib import Path
@@ -36,8 +37,12 @@ from oracles import (
     FractionModRing,
     _lam_mul,
     apply_local,
+    fraction_gcd,
     local_coeffs_horner_oracle,
+    poly_divmod,
+    poly_exact_div,
     rational_roots_nf_oracle,
+    rational_roots_oracle,
     resultant_candidates_oracle,
     theta_form_oracle,
     transform_infinity_oracle,
@@ -55,6 +60,55 @@ def test_singularities_apery(apery_op):
     assert pts[0] == _pt(0)
     assert pts[1] == SingularPoint.algebraic(Poly([1, -34, 1]).monic())
     assert pts[2] == SingularPoint.infinity()
+
+
+def _singularities_oracle(op):
+    """``singularities`` over Q: the squarefree part of the leading
+    coefficient by Euclid over Fraction, its rational roots from sympy's
+    factorization, each stripped by division over Q."""
+    lead = op.leading
+    points = [SingularPoint.infinity()]
+    if lead.degree > 0:
+        sf = poly_exact_div(lead, fraction_gcd(lead, lead.derivative()))
+        for root, _ in rational_roots_oracle(sf):
+            points.append(SingularPoint.rational(root))
+            sf = poly_exact_div(sf, Poly([-root, 1]))
+        if sf.degree > 0:
+            points.append(SingularPoint.algebraic(sf))
+    return sorted(points, key=SingularPoint.sort_key)
+
+
+@st.composite
+def _planted_leads(draw):
+    """A leading coefficient with planted rational roots of multiplicity up
+    to 4, irreducible z^2 - c and z^4 + q, either of them maybe squared,
+    an integer content and a sign; no factor at all gives degree 0."""
+    lead = Poly([draw(st.integers(1, 10 ** 6)) * draw(st.sampled_from([-1, 1]))])
+    for _ in range(draw(st.integers(0, 3))):
+        a, b = draw(st.integers(-60, 60)), draw(st.integers(1, 25))
+        for _ in range(draw(st.integers(1, 4))):
+            lead = lead * Poly([-a, b])
+    nonsquare = st.integers(-40, 40).filter(lambda c: c < 0 or math.isqrt(c) ** 2 != c)
+    quadratics = [Poly([-c, 0, 1]) for c in draw(st.lists(nonsquare, max_size=2))]
+    quartics = [Poly([q, 0, 0, 0, 1]) for q in draw(st.lists(st.sampled_from([2, 3, 5, 7, 11]),
+                                                             max_size=1))]
+    for f in quadratics + quartics:
+        lead = lead * f * (f if draw(st.booleans()) else 1)
+    return lead
+
+
+@settings(max_examples=120, deadline=None)
+@given(_planted_leads(), st.lists(st.integers(-9, 9), max_size=3))
+@example(Poly([-12]), [])
+@example(Poly([0, 0, 0, -6]) * Poly([-2, 0, 1]) * Poly([-2, 0, 1]) * Poly([1, -2]), [])
+def test_singularities_match_q_oracle(lead, low):
+    # a unit row 0 keeps the planted lead from being divided by a row gcd
+    op = DiffOp([Poly([1]), Poly(low), lead])
+    got = singularities(op)
+    want = _singularities_oracle(op)
+    assert [(p.kind, p.value, p.modulus) for p in got] == [
+        (p.kind, p.value, p.modulus) for p in want]
+    assert all(p.modulus is None or p.modulus.lc == 1 for p in got)
 
 
 def test_singularities_trivial():
@@ -150,7 +204,7 @@ def nf_cases(draw):
         factors.append(f)
         room -= f.degree
     m = reduce(lambda a, b: a * b, factors)
-    assume(m.gcd(m.derivative()).degree == 0)
+    assume(fraction_gcd(m, m.derivative()).degree == 0)
     ring = ModRing(m)
     f0 = ring.el(factors[0].coeffs)
     ind = draw(st.lists(st.lists(_rats, min_size=1, max_size=4).map(ring.el), min_size=1, max_size=3))
@@ -265,7 +319,7 @@ def moduli(draw):
         room -= deg
     m = reduce(lambda x, y: x * y, factors)
     # ModRing rejects a repeated factor
-    assume(m.gcd(m.derivative()).degree == 0)
+    assume(fraction_gcd(m, m.derivative()).degree == 0)
     return m
 
 
@@ -404,12 +458,16 @@ def test_formal_solutions_branch_must_divide_the_modulus():
     cluster = next(pt for pt in singularities(op) if pt.kind == SingularPoint.ALGEBRAIC)
     assert cluster.modulus.degree == 8
     not_a_factor = Poly([-7, 0, 1])
+    factor = Poly([100, QQ(-223, 8), QQ(-1439, 8), QQ(-1255, 16), 1])
+    # of the factor's degree, but its remainder from the modulus is nonzero
+    same_degree = factor + 1
+    assert not poly_divmod(cluster.modulus, same_degree)[1].is_zero()
     for point, branch in ((cluster, not_a_factor), (cluster, Poly([3])), (cluster, Poly()),
-                          (_pt(0), not_a_factor), (SingularPoint.infinity(), not_a_factor)):
+                          (cluster, same_degree), (_pt(0), not_a_factor),
+                          (SingularPoint.infinity(), not_a_factor)):
         with pytest.raises(InputError):
             formal_solutions(op, point, 2, mode="flag", branch=branch)
     # a factor, given up to a constant, is its monic self
-    factor = Poly([100, QQ(-223, 8), QQ(-1439, 8), QQ(-1255, 16), 1])
     basis = formal_solutions(op, cluster, 2, mode="flag", branch=factor.scale(QQ(-3)))
     assert basis.branch == factor
     assert basis.point == SingularPoint.algebraic(factor)

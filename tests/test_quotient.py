@@ -83,7 +83,7 @@ _FAMILY_BRANCH = Poly([100, QQ(-223, 8), QQ(-1439, 8), QQ(-1255, 16), 1])
 
 
 def _squarefree(m: Poly) -> bool:
-    return m.gcd(m.derivative()).degree == 0
+    return fraction_gcd(m, m.derivative()).degree == 0
 
 
 @st.composite

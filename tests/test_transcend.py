@@ -17,6 +17,7 @@ from dfinite import (
     verify_report,
 )
 from dfinite.errors import InputError
+from dfinite.fileio import op_to_json
 from dfinite.minimize import MinimizeOptions
 from dfinite.rationals import QQ
 from dfinite.transcend import (
@@ -364,6 +365,21 @@ def test_verify_rejects_tampered_pass_step(valid_reports):
         assert step["kind"] == STEP_ALL_PASSED and len(step["points"]) > 1
         forged = _forged_pass(rep, step["points"][:-1], rep["verdict"], rep["confidence"])
         assert verify_report(op, init, forged) == (False, "pass step does not replay")
+
+
+def test_verify_checks_minimal_operator_and_display(valid_reports):
+    other = op_to_json(DiffOp([Poly([1]), Poly([0, 1])]))
+    for op, init, rep in valid_reports:
+        assert verify_report(op, init, rep) == (True, "certificate replays")
+        assert rep["minimal_operator"] == rep["certificate"][0]["operator"] != other
+        assert verify_report(op, init, dict(rep, minimal_operator=other)) == (
+            False, "minimal operator does not replay")
+        lines = rep["certificate_display"]
+        for forged in (lines[:-1], lines[1:], [lines[0] + " "] + lines[1:],
+                       lines[:-1] + [lines[-1].upper()], lines + lines[-1:]):
+            assert forged != lines
+            assert verify_report(op, init, dict(rep, certificate_display=forged)) == (
+                False, "certificate display does not replay")
 
 
 _KINDS = [STEP_MINIMAL, STEP_NOT_FUCHSIAN, STEP_NONSPLITTING, STEP_LOGARITHM,
