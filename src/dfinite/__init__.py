@@ -84,7 +84,6 @@ from .algebraic import (
     annihilator_of_roots,
     certify_root,
     guess_algebraic,
-    newton_root,
     prove_algebraic,
 )
 

@@ -4,8 +4,10 @@ A candidate polynomial P(z, y) with P(z, f) = O(z^sigma) is guessed by
 exact kernel computation on products z^i f^j; it is then certified by
 building the operator annihilating all roots of P, forming the LCLM with
 the input annihilator, and applying the valuation-bound zero test to
-f - g where g is the power-series root of P singled out by Newton
-iteration from the initial terms.  A True answer is a proof that
+f - g where g is the power-series root of P with g(0) = f(0).  No g is
+computed: when f(0) is a simple root of P(0, y), P(z, f) = (f - g) u
+with u(0) != 0, so f - g = O(z^N) exactly when P(z, f) = O(z^N), which
+the guesser's own integer system checks.  A True answer is a proof that
 P(z, f) = 0; exhaustion of the search proves nothing.
 
 Computations over Q(z)[y] run fraction-free on y-coefficient lists over
@@ -25,8 +27,8 @@ from .linalg import ShiftSystem, _first_dependence, kernel_vector_exact
 from .minimize import GUARD_TERMS
 from .ore import DiffOp, lclm
 from .polys import Poly, _primitive_rows, _zadd, _zclear, _zderiv, _zmul, _zsub
-from .rationals import QQ, Q0, cleared
-from .series import TruncSeries, indicial_bound, is_zero_series, unroll, zero_test
+from .rationals import Q0, cleared
+from .series import TruncSeries, indicial_bound, unroll, zero_test
 
 
 @dataclass
@@ -53,24 +55,6 @@ class BivarPoly:
             return _primitive(self).y_coeffs == _primitive(other).y_coeffs
         return NotImplemented
 
-    def evaluate_series(self, f: TruncSeries) -> TruncSeries:
-        """P(z, f(z)) truncated at the precision of f."""
-        n = f.trunc_order
-        acc = [Q0] * n
-        for c in reversed(self.y_coeffs):
-            acc = _series_mul(acc, list(f.coeffs), n)
-            for i, q in enumerate(c.coeffs):
-                if i < n:
-                    acc[i] += q
-        return TruncSeries(acc)
-
-    def y_derivative(self) -> "BivarPoly":
-        return BivarPoly([self.y_coeffs[j].scale(QQ(j)) for j in range(1, len(self.y_coeffs))])
-
-    def eval_y_at_zero_poly(self) -> Poly:
-        """P(0, y) as a univariate polynomial in y."""
-        return Poly([c[0] for c in self.y_coeffs])
-
     def __repr__(self):
         from .polys import format_poly
 
@@ -82,19 +66,6 @@ class BivarPoly:
             yj = "" if j == 0 else ("*y" if j == 1 else "*y^%d" % j)
             parts.append("(%s)%s" % (format_poly(c), yj))
         return "BivarPoly(%s)" % " + ".join(parts)
-
-
-def _series_mul(a: List, b: List, n: int) -> List:
-    out = [Q0] * n
-    for i, x in enumerate(a):
-        if x == 0 or i >= n:
-            continue
-        for j, y in enumerate(b):
-            if i + j >= n:
-                break
-            if y != 0:
-                out[i + j] += x * y
-    return out
 
 
 def _primitive(p: BivarPoly) -> BivarPoly:
@@ -173,9 +144,21 @@ def _algebraic_system(f: TruncSeries, max_dy: int, max_dz: int) -> ShiftSystem:
     return ShiftSystem(seqs, [(j, i) for j in range(max_dy + 1) for i in range(max_dz + 1)], n)
 
 
+def _vanishes_on(p: BivarPoly, f: TruncSeries) -> bool:
+    """Whether P(z, f) = O(z^n), n the length of f, decided over Z: the
+    algebraic guesser's system times P's cleared coefficients, in its
+    (j, i) column order, is D^deg_y P(z, f) row by row."""
+    rows = _zclear(p.y_coeffs)
+    dz = max(map(len, rows)) - 1
+    vec = [r[i] if i < len(r) else 0 for r in rows for i in range(dz + 1)]
+    return not any(_algebraic_system(f, p.deg_y, dz).times(vec))
+
+
 def guess_algebraic(f: TruncSeries, max_dy: int, max_dz: int) -> Optional[BivarPoly]:
     """Primitive squarefree-in-y candidate P with P(z, f) = O(z^full), or
     None when the kernel is trivial (rigorous, via a mod-p rank bound)."""
+    if max_dy < 0 or max_dz < 0:
+        raise InputError("degree bounds must be nonnegative, not (%d, %d)" % (max_dy, max_dz))
     needed = (max_dy + 1) * (max_dz + 1) + GUARD_TERMS
     if f.trunc_order < needed:
         raise PrecisionTooLow(
@@ -193,7 +176,7 @@ def guess_algebraic(f: TruncSeries, max_dy: int, max_dz: int) -> Optional[BivarP
     if cand.is_zero() or cand.deg_y < 1:
         return None
     cand = squarefree_in_y(cand)
-    if not is_zero_series(cand.evaluate_series(f)):
+    if not _vanishes_on(cand, f):
         # squarefree reduction can drop the annihilating multiple factor
         return None
     return cand
@@ -258,59 +241,16 @@ def _normalized(w: List[List[int]], s: List[int]) -> Tuple[List[List[int]], List
     return w, s
 
 
-def newton_root(p: BivarPoly, init: TruncSeries, n_terms: int) -> Optional[TruncSeries]:
-    """Power-series root of P agreeing with the given initial terms.
-
-    Returns None when no root can match (a decisive refutation: the seed
-    is not a root of P(0, y), or the unique continuation from a simple
-    seed diverges from the supplied terms).  A multiple seed root is a
-    genuine ambiguity and raises RootNotSeparable.
-    """
-    if init.trunc_order < 1:
-        raise InputError("need at least one initial term")
-    y0 = init.coeffs[0]
-    p0 = p.eval_y_at_zero_poly()
-    if p0(y0) != 0:
-        return None
-    if p0.derivative()(y0) == 0:
-        raise RootNotSeparable("initial value is a multiple root of P(0, y)")
-    py = p.y_derivative()
-    cur = [y0]
-    prec = 1
-    while prec < n_terms:
-        prec = min(2 * prec, n_terms)
-        g = TruncSeries((cur + [Q0] * prec)[:prec])
-        num = p.evaluate_series(g)
-        den = py.evaluate_series(g)
-        inv_den = _series_inverse(list(den.coeffs), prec)
-        corr = _series_mul(list(num.coeffs), inv_den, prec)
-        cur = [g.coeffs[i] - corr[i] for i in range(prec)]
-    out = TruncSeries(cur[:n_terms])
-    for i in range(min(init.trunc_order, n_terms)):
-        if out.coeffs[i] != init.coeffs[i]:
-            return None  # the unique continuation disagrees, so P(z, f) != 0
-    return out
-
-
-def _series_inverse(a: List, n: int) -> List:
-    if not a or a[0] == 0:
-        raise ZeroDivisionError("series has no inverse")
-    inv0 = 1 / a[0]
-    out = [inv0] + [Q0] * (n - 1)
-    for m in range(1, n):
-        acc = Q0
-        for k in range(1, min(m, len(a) - 1) + 1):
-            acc += a[k] * out[m - k]
-        out[m] = -acc * inv0
-    return out
-
-
 def certify_root(op: DiffOp, init: TruncSeries, p: BivarPoly) -> bool:
     """Proof that P(z, f) = 0 for the solution f of op pinned by init.
 
-    Forms M = lclm(op, annihilator of P's roots); f - g solves M for the
-    Newton root g matching init, so the valuation-bound zero test on the
-    truncation of f - g decides equality exactly.
+    When f(0) is a simple root of P(0, y), P has exactly one power-series
+    root g with g(0) = f(0), and P(z, f) = (f - g) u with u(0) =
+    P_y(0, f(0)) != 0; so P(z, f) = O(z^N) exactly when f - g = O(z^N),
+    which the algebraic guesser's integer system decides.  f - g solves
+    M = lclm(op, annihilator of P's roots), so once N passes M's
+    valuation bound the zero test of M proves f = g.  A multiple root
+    f(0) raises RootNotSeparable.
     """
     return _certified_annihilator(op, init, p) is not None
 
@@ -323,11 +263,14 @@ def _certified_annihilator(op: DiffOp, init: TruncSeries, p: BivarPoly) -> Optio
     b0 = indicial_bound(m_op)
     need = max(b0 + 2, init.trunc_order, op.order + 2) + GUARD_TERMS
     f = unroll(op, init, need)
-    g = newton_root(p, f.prefix(max(op.order, 1)), need)
-    if g is None:
+    y0 = f.coeffs[0]
+    p0 = Poly([c[0] for c in p.y_coeffs])
+    if p0(y0) == 0 and p0.derivative()(y0) == 0:
+        raise RootNotSeparable("initial value is a multiple root of P(0, y)")
+    if not _vanishes_on(p, f):
         return None
-    h = TruncSeries([a - b for a, b in zip(f.coeffs, g.coeffs)])
-    return ann if zero_test(m_op, h) else None
+    # f - g = O(z^need) with need > b0, so the zero test of M decides
+    return ann if zero_test(m_op, TruncSeries([Q0] * need)) else None
 
 
 def prove_algebraic(

@@ -7,7 +7,10 @@ over Q reduced by a gcd after every operation, which the package itself
 no longer has, and over
 it elimination over Q(z) for right division, lclm and cofactors, Euclid
 over Q(z)[y] for the squarefree part in y, and the generic root's
-derivatives in Q(z)[y]/(P) for the annihilator of P's roots; the recurrence of an
+derivatives in Q(z)[y]/(P) for the annihilator of P's roots; the
+power-series root of P(z, y) by Newton iteration over ``Fraction``, with
+P(z, f) evaluated by Horner over Q, the reference for ``certify_root``'s
+integer check; the recurrence of an
 operator from ``Fraction`` falling factorials, with its row check and
 unrolling evaluated over ``Fraction``, the full reduced row echelon form
 mod p for kernel vectors, dense Gauss-Jordan over ``Fraction`` for the
@@ -42,12 +45,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from dfinite import DiffOp, Poly, RecOp, TruncSeries
-from dfinite.algebraic import BivarPoly, _series_mul
+from dfinite.algebraic import BivarPoly
 from dfinite.algebraic import _primitive as _bivar_primitive
 from dfinite.errors import (
     InconsistentInitialConditions,
     InputError,
     InsufficientInitialConditions,
+    RootNotSeparable,
     ZeroDivisorSplit,
 )
 from dfinite.linalg import ShiftSystem
@@ -234,6 +238,88 @@ def divrem_ratfuncs(quo: List[List[int]], rem: List[List[int]], den: List[int]):
 
 
 # ---------------------------------------------------------------------------
+# Power series over Q and the Newton root of P(z, y)
+# ---------------------------------------------------------------------------
+
+
+def _series_mul(a: List, b: List, n: int) -> List:
+    out = [Q0] * n
+    for i, x in enumerate(a):
+        if x == 0 or i >= n:
+            continue
+        for j, y in enumerate(b):
+            if i + j >= n:
+                break
+            if y != 0:
+                out[i + j] += x * y
+    return out
+
+
+def _series_inverse(a: List, n: int) -> List:
+    if not a or a[0] == 0:
+        raise ZeroDivisionError("series has no inverse")
+    inv0 = 1 / a[0]
+    out = [inv0] + [Q0] * (n - 1)
+    for m in range(1, n):
+        acc = Q0
+        for k in range(1, min(m, len(a) - 1) + 1):
+            acc += a[k] * out[m - k]
+        out[m] = -acc * inv0
+    return out
+
+
+def bivar_evaluate_series(p, f: TruncSeries) -> TruncSeries:
+    """P(z, f(z)) over Q by Horner in y, truncated at the precision of f."""
+    n = f.trunc_order
+    acc = [Q0] * n
+    for c in reversed(p.y_coeffs):
+        acc = _series_mul(acc, list(f.coeffs), n)
+        for i, q in enumerate(c.coeffs):
+            if i < n:
+                acc[i] += q
+    return TruncSeries(acc)
+
+
+def bivar_y_derivative(p):
+    """dP/dy of a BivarPoly."""
+    return BivarPoly([p.y_coeffs[j].scale(QQ(j)) for j in range(1, len(p.y_coeffs))])
+
+
+def newton_root_oracle(p, init: TruncSeries, n_terms: int) -> Optional[TruncSeries]:
+    """Power-series root of P agreeing with the given initial terms, by
+    Newton iteration over ``Fraction``.
+
+    Returns None when no root can match (the seed is not a root of
+    P(0, y), or the unique continuation from a simple seed diverges from
+    the supplied terms).  A multiple seed root raises RootNotSeparable.
+    """
+    if init.trunc_order < 1:
+        raise InputError("need at least one initial term")
+    y0 = init.coeffs[0]
+    p0 = Poly([c[0] for c in p.y_coeffs])
+    if p0(y0) != 0:
+        return None
+    if p0.derivative()(y0) == 0:
+        raise RootNotSeparable("initial value is a multiple root of P(0, y)")
+    py = bivar_y_derivative(p)
+    cur = [y0]
+    prec = 1
+    while prec < n_terms:
+        prec = min(2 * prec, n_terms)
+        g = TruncSeries((cur + [Q0] * prec)[:prec])
+        num = bivar_evaluate_series(p, g)
+        den = bivar_evaluate_series(py, g)
+        inv_den = _series_inverse(list(den.coeffs), prec)
+        corr = _series_mul(list(num.coeffs), inv_den, prec)
+        cur = [g.coeffs[i] - corr[i] for i in range(prec)]
+    out = TruncSeries(cur[:n_terms])
+    for i in range(min(init.trunc_order, n_terms)):
+        if out.coeffs[i] != init.coeffs[i]:
+            return None  # the unique continuation disagrees, so P(z, f) != 0
+    return out
+
+
+# ---------------------------------------------------------------------------
 # Polynomials over Q(z) in y
 # ---------------------------------------------------------------------------
 
@@ -244,7 +330,7 @@ def squarefree_in_y_oracle(p):
     if p.deg_y <= 0:
         return _bivar_primitive(p)
     a = [RatFunc.from_poly(c) for c in p.y_coeffs]
-    b = [RatFunc.from_poly(c) for c in p.y_derivative().y_coeffs]
+    b = [RatFunc.from_poly(c) for c in bivar_y_derivative(p).y_coeffs]
     g = _ratfunc_poly_gcd(a, b)
     if len(g) <= 1:
         return _bivar_primitive(p)
@@ -474,7 +560,7 @@ def annihilator_of_roots_oracle(p) -> DiffOp:
     derivatives of the generic root in Q(z)[y]/(P)."""
     n = p.deg_y
     mod = [RatFunc.from_poly(c) for c in p.y_coeffs]
-    p_y = [RatFunc.from_poly(c) for c in p.y_derivative().y_coeffs]
+    p_y = [RatFunc.from_poly(c) for c in bivar_y_derivative(p).y_coeffs]
     p_z = [RatFunc.from_poly(c.derivative()) for c in p.y_coeffs]
     y_prime = _mul_mod([RatFunc.const(-1) * c for c in p_z], _invert_mod(p_y, mod), mod)
     _, cur = _ratfunc_poly_divmod([RatFunc.const(0), RatFunc.const(1)], mod)

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dfinite import (
@@ -14,13 +14,21 @@ from dfinite import (
     gen_binomial_sum,
     guess_algebraic,
     guess_annihilator,
+    indicial_bound,
+    lclm,
     prove_algebraic,
     unroll,
 )
 from dfinite.algebraic import squarefree_in_y
-from dfinite.errors import NotSquarefree, PrecisionTooLow, RootNotSeparable
+from dfinite.errors import InputError, NotSquarefree, PrecisionTooLow, RootNotSeparable
+from dfinite.minimize import GUARD_TERMS
 from dfinite.rationals import QQ
-from oracles import annihilator_of_roots_oracle, squarefree_in_y_oracle
+from oracles import (
+    annihilator_of_roots_oracle,
+    bivar_evaluate_series,
+    newton_root_oracle,
+    squarefree_in_y_oracle,
+)
 
 
 def test_guess_algebraic_sqrt(sqrt_op):
@@ -45,6 +53,23 @@ def test_guess_algebraic_apery_empty(apery_op, apery_init):
 def test_guess_algebraic_precision():
     with pytest.raises(PrecisionTooLow):
         guess_algebraic(TruncSeries([1, 2, 3]), 3, 3)
+
+
+def test_guess_algebraic_squarefree_part_rechecked():
+    # f agrees with 1/(1-z) on 10 terms: B = (1-z) y - 1 has B(z, f) =
+    # O(z^10), so B^2 fills the 19-row kernel, but its squarefree part B
+    # does not vanish on all 19 terms
+    f = TruncSeries([1] * 10 + [2] + [n * n for n in range(11, 19)])
+    assert guess_algebraic(f, 2, 2) is None
+
+
+@pytest.mark.parametrize("dy, dz", [(-1, 2), (2, -1)])
+def test_guess_algebraic_negative_degree_is_input_error(sqrt_op, dy, dz):
+    f = unroll(sqrt_op, TruncSeries([1, -1]), 40)
+    with pytest.raises(InputError):
+        guess_algebraic(f, dy, dz)
+    with pytest.raises(InputError):
+        prove_algebraic(sqrt_op, TruncSeries([1, -1]), max_dy=dy, max_dz=dz)
 
 
 def test_annihilator_of_roots_sqrt():
@@ -153,7 +178,7 @@ def test_round_trip_random_algebraic():
         got = prove_algebraic(op, f.prefix(max(op.order, 1)), max_dy=4, max_dz=6)
         assert got is not None
         p, _ = got
-        check = p.evaluate_series(f)
+        check = bivar_evaluate_series(p, f)
         assert all(x == 0 for x in check.coeffs)
 
 
@@ -252,3 +277,86 @@ def test_annihilator_of_roots_matches_ratfunc_oracle(p, q):
             annihilator_of_roots(p)
     with pytest.raises(NotSquarefree):
         annihilator_of_roots(_bivar_mul(p, _bivar_mul(q, q)))
+
+
+def _z_minus(k):
+    """z d/dz - k, which annihilates z^k."""
+    return DiffOp([Poly([-k]), Poly([0, 1])])
+
+
+def _pinning_prefix(op, f):
+    """The prefix of f, a solution of op, that pins it for ``unroll``."""
+    return TruncSeries(f[: max(op.order, indicial_bound(op) + 1)])
+
+
+@st.composite
+def _certify_cases(draw):
+    """(op, init, P, expected): P has y0 as a root of P(0, y), simple or
+    double, and init pins a solution f of op with f(0) = y0 or not.
+    expected is certify_root's answer where the construction fixes it."""
+    kind = draw(st.sampled_from(["root", "near", "off", "double", "late"]))
+    if kind == "late":
+        # f = (1 - a z)^(-b/a) against P = y - q(z), q a polynomial that
+        # agrees with f on k terms: the miss shows past init, at z^k
+        a, b = draw(st.integers(1, 3)), draw(st.sampled_from([-2, -1, 1, 2]))
+        op = DiffOp([Poly([-b]), Poly([1, -a])])
+        k = draw(st.integers(1, 6))
+        f = unroll(op, TruncSeries([1]), k + 1)
+        q = list(f.coeffs[:k]) + [f[k] + draw(_coef.filter(bool))]
+        return op, TruncSeries([1]), BivarPoly([Poly([-c for c in q]), Poly([1])]), False
+    dy = draw(st.integers(2 if kind == "double" else 1, 3))
+    small = st.integers(-2, 2).map(QQ)
+    rows = [draw(st.lists(small, min_size=1, max_size=5 - dy)) for _ in range(dy + 1)]
+    rows[-1][0] = draw(small.filter(bool))
+    y0 = draw(_coef)
+    if kind == "double":  # P_y(0, y0) = 0
+        rows[1][0] = -sum(j * r[0] * y0 ** (j - 1) for j, r in enumerate(rows) if j >= 2)
+    rows[0][0] = -sum(r[0] * y0 ** j for j, r in enumerate(rows) if j >= 1)  # P(0, y0) = 0
+    p = BivarPoly([Poly(r) for r in rows])
+    assume(p.deg_y == dy and squarefree_in_y(p).deg_y == dy)
+    ann = annihilator_of_roots(p)
+    c = draw(_coef.filter(bool))
+    k = draw(st.integers(1, 4))
+    if kind == "double":
+        op = lclm(_z_minus(0), _z_minus(k))
+        f = [y0] + [QQ(0)] * (k - 1) + [c]
+        return op, _pinning_prefix(op, f), p, None
+    assume(sum(j * r[0] * y0 ** (j - 1) for j, r in enumerate(rows) if j >= 1) != 0)
+    if kind == "off":
+        k = 0
+    op = ann if kind == "root" else lclm(ann, _z_minus(k))
+    n = max(op.order, indicial_bound(op) + 1, k + 1)
+    f = list(newton_root_oracle(p, TruncSeries([y0]), n).coeffs)
+    if kind != "root":
+        f[k] += c
+    return op, _pinning_prefix(op, f), p, {"root": True, "near": False}.get(kind)
+
+
+def _newton_certifies(op, init, p):
+    """certify_root's answer by the Newton root over Q: it matches f on
+    the number of terms certify_root reads."""
+    m_op = lclm(op, annihilator_of_roots(p))
+    need = max(indicial_bound(m_op) + 2, init.trunc_order, op.order + 2) + GUARD_TERMS
+    f = unroll(op, init, need)
+    g = newton_root_oracle(p, f.prefix(max(op.order, 1)), need)
+    return g is not None and g.coeffs == f.coeffs
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_certify_cases())
+@example(case=(_z_minus(0), TruncSeries([2]), BivarPoly([Poly([-1]), Poly(), Poly([1])]), None))
+@example(case=(DiffOp([Poly([-1]), Poly([1, -1])]), TruncSeries([1]),  # 1/(1-z) against a
+               BivarPoly([Poly([-1, -1, -1, -2]), Poly([1])]), False))  # root off at z^3
+def test_certify_root_matches_newton_oracle(case):
+    # the integer check of P(z, f) against the Newton root of P: the same
+    # answer, or RootNotSeparable on both sides
+    op, init, p, expected = case
+    try:
+        want = _newton_certifies(op, init, p)
+    except RootNotSeparable:
+        with pytest.raises(RootNotSeparable):
+            certify_root(op, init, p)
+        return
+    assert certify_root(op, init, p) is want
+    if expected is not None:
+        assert want is expected

@@ -140,6 +140,13 @@ def test_cli_guess_alg(capsys, sqrt_file):
     assert len(out["polynomial"]) == 3  # degree 2 in y
 
 
+@pytest.mark.parametrize("flag", ["--max-dy", "--max-dz"])
+def test_cli_guess_alg_negative_degree_is_input_error(capsys, flag):
+    code, out = _run(capsys, ["guess-alg", str(ROOT / "bench" / "data" / "apery.json"), flag, "-1"])
+    assert code == 2
+    assert out["error"] == "input"
+
+
 def test_cli_grade_bound(capsys, apery_file):
     code, out = _run(capsys, ["grade-bound", apery_file])
     assert code == 0

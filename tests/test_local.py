@@ -523,3 +523,46 @@ def test_frobenius_count_matches_order():
     basis = formal_solutions(op, _pt(0), 3, mode="full")
     assert len(basis.solutions) == op.order == 2
     assert not basis.has_logarithms
+
+
+def _fuchs_sum(op):
+    """sum_p w_p (e_p,1 + ... + e_p,r - r(r-1)/2) over the singular points
+    and infinity, with w_p = deg(branch) on a cluster branch and 1
+    elsewhere, exponents counted with multiplicity; None when a point is
+    irregular or has an exponent that is not rational."""
+    r = op.order
+    total = QQ(0)
+    for pt in singularities(op):
+        for data in indicial_branches(op, pt):
+            if data.degree != r or sum(m for _, m in data.rational_roots) != r:
+                return None
+            w = 1 if data.branch is None else data.branch.degree
+            total += w * (sum(e * m for e, m in data.rational_roots) - QQ(r * (r - 1), 2))
+    return total
+
+
+@pytest.mark.parametrize("name", ["apery", "family_1_3", "family_3_1", "family_2_3", "diagonal_6i"])
+def test_fuchs_relation_bench_operators(name):
+    # Fuchsian with rational exponents everywhere, so the Fuchs relation
+    # checks the exponents at every point, infinity and clusters included
+    op = op_from_json(json.loads((BENCH_DATA / (name + ".json")).read_text())["operator"])
+    r = op.order
+    assert _fuchs_sum(op) == -r * (r - 1)
+
+
+_hyp_param = st.fractions(min_value=-3, max_value=3, max_denominator=12)
+_hyp_lower = _hyp_param.filter(lambda b: b > 0 or b.denominator > 1)  # not in -N
+_hyp_2f1 = st.tuples(_hyp_param, _hyp_param, _hyp_lower).map(
+    lambda t: hypergeometric_operator(HypParams([t[0], t[1]], [t[2]])))
+
+
+@settings(max_examples=25, deadline=None)
+@given(a=_hyp_2f1, b=st.none() | _hyp_2f1)
+def test_fuchs_relation_hypergeometric(a, b):
+    # a 2F1 operator, or the lclm of two: where every point is regular
+    # with rational exponents, the weighted exponent sums obey Fuchs
+    op = a if b is None else lclm(a, b)
+    total = _fuchs_sum(op)
+    assume(total is not None)
+    r = op.order
+    assert total == -r * (r - 1)
