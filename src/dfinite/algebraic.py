@@ -10,68 +10,68 @@ with u(0) != 0, so f - g = O(z^N) exactly when P(z, f) = O(z^N), which
 the guesser's own integer system checks.  A True answer is a proof that
 P(z, f) = 0; exhaustion of the search proves nothing.
 
-Computations over Q(z)[y] run fraction-free on y-coefficient lists over
-Z[z]: one pseudo-division, ``_ydivrem``, serves the primitive remainder
-sequence of ``squarefree_in_y`` and the reductions modulo P of
-``annihilator_of_roots``, whose dependences come from the Bareiss
-elimination ``linalg._first_dependence`` that ``ore`` uses too.
+A ``BivarPoly`` stores its normal form, primitive integer y-rows over
+Z[z], as ``DiffOp`` stores its rows, and computations over Q(z)[y] run
+fraction-free on such rows: one pseudo-division, ``_ydivrem``, serves
+the primitive remainder sequence of ``squarefree_in_y`` and the
+reductions modulo P of ``annihilator_of_roots``, whose dependences come
+from the Bareiss elimination ``linalg._first_dependence`` that ``ore``
+uses too.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import InputError, NotSquarefree, PrecisionTooLow, RootNotSeparable
 from .linalg import ShiftSystem, _first_dependence, kernel_vector_exact
 from .minimize import GUARD_TERMS
-from .ore import DiffOp, lclm
-from .polys import Poly, _primitive_rows, _zadd, _zclear, _zderiv, _zmul, _zsub
+from .ore import DiffOp, _int_rows, lclm
+from .polys import Poly, _primitive_rows, _zadd, _zderiv, _zmul, _zsub, format_poly
 from .rationals import Q0, cleared
 from .series import TruncSeries, indicial_bound, unroll, zero_test
 
 
-@dataclass
 class BivarPoly:
-    """P(z, y) stored as y-coefficients, each a polynomial in z."""
+    """P(z, y) in normal form: ``rows`` holds its y-coefficients as
+    integer lists over Z[z], made primitive over Z[z] with the leading
+    coefficient of the last one positive, as ``DiffOp`` stores its rows;
+    so polynomials that differ by a factor in Q(z)* are equal."""
 
-    y_coeffs: Tuple[Poly, ...]
+    __slots__ = ("rows",)
 
-    def __init__(self, y_coeffs: Sequence[Poly]):
-        cs = [c if isinstance(c, Poly) else Poly(c) for c in y_coeffs]
-        while cs and cs[-1].is_zero():
-            cs.pop()
-        self.y_coeffs = tuple(cs)
+    def __init__(self, y_coeffs: Sequence):
+        rows = _int_rows(y_coeffs)
+        self.rows = tuple(_primitive_rows(rows)) if rows else ()
+
+    @property
+    def y_coeffs(self) -> Tuple[Poly, ...]:
+        return tuple(map(Poly, self.rows))
 
     @property
     def deg_y(self) -> int:
-        return len(self.y_coeffs) - 1
+        return len(self.rows) - 1
 
     def is_zero(self) -> bool:
-        return not self.y_coeffs
+        return not self.rows
 
     def __eq__(self, other):
         if isinstance(other, BivarPoly):
-            return _primitive(self).y_coeffs == _primitive(other).y_coeffs
+            return self.rows == other.rows
         return NotImplemented
 
-    def __repr__(self):
-        from .polys import format_poly
+    def __hash__(self):
+        return hash(tuple(map(tuple, self.rows)))
 
+    def __repr__(self):
         parts = []
         for j in range(self.deg_y, -1, -1):
-            c = self.y_coeffs[j]
+            c = Poly(self.rows[j])
             if c.is_zero():
                 continue
             yj = "" if j == 0 else ("*y" if j == 1 else "*y^%d" % j)
             parts.append("(%s)%s" % (format_poly(c), yj))
         return "BivarPoly(%s)" % " + ".join(parts)
-
-
-def _primitive(p: BivarPoly) -> BivarPoly:
-    if p.is_zero():
-        return p
-    return BivarPoly(_primitive_rows(_zclear(p.y_coeffs)))
 
 
 def squarefree_in_y(p: BivarPoly) -> BivarPoly:
@@ -80,8 +80,8 @@ def squarefree_in_y(p: BivarPoly) -> BivarPoly:
     (Collins, JACM 1967): each pseudo-remainder is made primitive over
     Z[z] before the next division."""
     if p.deg_y <= 0:
-        return _primitive(p)
-    a = rows = _zclear(p.y_coeffs)
+        return p
+    a = p.rows
     b = [[j * c for c in a[j]] for j in range(1, len(a))]
     while len(b) > 1:
         r = _ydivrem(a, b)[1]
@@ -89,11 +89,11 @@ def squarefree_in_y(p: BivarPoly) -> BivarPoly:
             break
         a, b = b, _primitive_rows(r)
     else:
-        return _primitive(p)
-    q, r, _ = _ydivrem(rows, b)
+        return p
+    q, r, _ = _ydivrem(p.rows, b)
     if r:
         raise AssertionError("gcd does not divide")
-    return BivarPoly(_primitive_rows(q))
+    return BivarPoly(q)
 
 
 def _ymul(a: List[List[int]], b: List[List[int]]) -> List[List[int]]:
@@ -146,11 +146,10 @@ def _algebraic_system(f: TruncSeries, max_dy: int, max_dz: int) -> ShiftSystem:
 
 def _vanishes_on(p: BivarPoly, f: TruncSeries) -> bool:
     """Whether P(z, f) = O(z^n), n the length of f, decided over Z: the
-    algebraic guesser's system times P's cleared coefficients, in its
-    (j, i) column order, is D^deg_y P(z, f) row by row."""
-    rows = _zclear(p.y_coeffs)
-    dz = max(map(len, rows)) - 1
-    vec = [r[i] if i < len(r) else 0 for r in rows for i in range(dz + 1)]
+    algebraic guesser's system times P's rows, in its (j, i) column
+    order, is D^deg_y P(z, f) row by row."""
+    dz = max(map(len, p.rows)) - 1
+    vec = [r[i] if i < len(r) else 0 for r in p.rows for i in range(dz + 1)]
     return not any(_algebraic_system(f, p.deg_y, dz).times(vec))
 
 
@@ -169,10 +168,7 @@ def guess_algebraic(f: TruncSeries, max_dy: int, max_dz: int) -> Optional[BivarP
     vec = kernel_vector_exact(system, system.times)
     if vec is None:
         return None
-    y_coeffs = [[Q0] * (max_dz + 1) for _ in range(max_dy + 1)]
-    for (j, i), c in zip(system.cols, vec):
-        y_coeffs[j][i] = c
-    cand = BivarPoly([Poly(cs) for cs in y_coeffs])
+    cand = BivarPoly([vec[j * (max_dz + 1):(j + 1) * (max_dz + 1)] for j in range(max_dy + 1)])
     if cand.is_zero() or cand.deg_y < 1:
         return None
     cand = squarefree_in_y(cand)
@@ -198,7 +194,7 @@ def annihilator_of_roots(p: BivarPoly) -> DiffOp:
     if p.deg_y < 1:
         raise InputError("need positive y-degree")
     n = p.deg_y
-    mod = _zclear(p.y_coeffs)
+    mod = p.rows
     p_y = [[j * c for c in mod[j]] for j in range(1, n + 1)]
     p_z = [_zderiv(c) for c in mod]
 
@@ -264,7 +260,7 @@ def _certified_annihilator(op: DiffOp, init: TruncSeries, p: BivarPoly) -> Optio
     need = max(b0 + 2, init.trunc_order, op.order + 2) + GUARD_TERMS
     f = unroll(op, init, need)
     y0 = f.coeffs[0]
-    p0 = Poly([c[0] for c in p.y_coeffs])
+    p0 = Poly([r[0] if r else 0 for r in p.rows])
     if p0(y0) == 0 and p0.derivative()(y0) == 0:
         raise RootNotSeparable("initial value is a multiple root of P(0, y)")
     if not _vanishes_on(p, f):
@@ -282,12 +278,10 @@ def prove_algebraic(
     """Doubling search for a certified minimal-degree-bounded annihilating
     polynomial; returns (P, annihilator-of-roots) or None on exhaustion
     (which proves nothing)."""
-    ok_pairs = []
     dy, dz = 1, max(op.degree(), 1)
     while True:
         dy_c = min(dy, max_dy)
         dz_c = min(dz, max_dz)
-        ok_pairs.append((dy_c, dz_c))
         needed = (dy_c + 1) * (dz_c + 1) + GUARD_TERMS
         f = unroll(op, init, max(needed, init.trunc_order))
         cand = guess_algebraic(f, dy_c, dz_c)

@@ -127,4 +127,4 @@ def load_diagonal_spec(path: str) -> DiagonalSpec:
 
 
 def bivar_to_json(p) -> List[List[str]]:
-    return [[rat_to_str(c) for c in yc.coeffs] for yc in p.y_coeffs]
+    return [[str(c) for c in row] for row in p.rows]

@@ -6,6 +6,9 @@ Modulo a prime each sequence is reduced once and the matrix is gathered
 from the residues with numpy index arrays; no matrix is ever reduced
 cell by cell.  Every entry is an integer, so every prime reduces the
 system; a prime that divides many entries is just an unlucky prime.
+``ShiftSystem.times`` is the one exact product of shifted sequences
+with a vector: the guessers' residuals, ``series.apply_op`` and the
+algebraic check P(z, f) = O(z^n) all run on it, over Z.
 
 Strategy: one forward elimination modulo a prime below 2^26 with numpy
 gives the rank profile and an echelon form.  It works in int64 with
@@ -118,14 +121,14 @@ class ShiftSystem:
         return sub
 
     def times(self, vec: Sequence) -> List:
-        """The exact product with a vector: one value per row."""
+        """The exact product with a vector: one value per row.  Each
+        column adds v times its sequence to rows k.. as one slice."""
         out = [0] * self.nrows
         for (s, k), v in zip(self.cols, vec):
             if v:
                 seq = self.seqs[s]
-                for t in range(min(len(seq), self.nrows - k)):
-                    if seq[t]:
-                        out[t + k] += v * seq[t]
+                end = min(self.nrows, k + len(seq))
+                out[k:end] = [o + v * x for o, x in zip(out[k:end], seq)]
         return out
 
     def mod(self, p: int) -> np.ndarray:
@@ -282,9 +285,10 @@ def _rational_reconstruct(a: int, m: int):
     return None if r is None else QQ(*r)
 
 
-def kernel_vector_exact(system: ShiftSystem, residual: Callable[[List], Sequence]) -> Optional[List]:
+def kernel_vector_exact(system: ShiftSystem, residual: Callable[[List[int]], Sequence]) -> Optional[List[int]]:
     """One exact kernel vector of the system that passes the caller's
-    exact check, or None.
+    exact check, or None; a primitive integer vector whose last nonzero
+    entry is positive.
 
     ``residual(vec)`` gives exact values whose first len(system) entries
     are the rows of the system times vec; the caller may append values
@@ -354,14 +358,14 @@ def _try_reconstruct(combined: List[int], modulus: int) -> Optional[List]:
     return out
 
 
-def _clear_denominators(vec: Sequence) -> List:
-    """The primitive integral multiple of a nonzero rational (or integer)
+def _clear_denominators(vec: Sequence) -> List[int]:
+    """The primitive integer multiple of a nonzero rational (or integer)
     vector whose last nonzero entry is positive."""
     ints, _ = cleared(vec)
     g = math.gcd(*ints)
     if next(x for x in reversed(ints) if x) < 0:
         g = -g
-    return [QQ(x // g) for x in ints]
+    return [x // g for x in ints]
 
 
 # ---------------------------------------------------------------------------

@@ -35,8 +35,8 @@ from typing import Dict, List, Optional, Tuple
 
 from .errors import InputError, IrregularPoint
 from .ore import DiffOp
-from .polys import (Poly, _zadd, _zclear, _zderiv, _zexquo, _zgcd, _zmul, _zprem, _zresultant, _zshift,
-                    _ztrim, format_poly)
+from .polys import (Poly, _zadd, _zclear, _zderiv, _zexquo, _zgcd, _zmul, _zprem, _zrational_roots,
+                    _zresultant, _zshift, _ztrim, format_poly)
 from .quotient import DomainQQ, ModRing, QQ_DOMAIN, split_cases
 from .rationals import QQ
 
@@ -112,9 +112,9 @@ def singularities(op: DiffOp) -> List[SingularPoint]:
     points: List[SingularPoint] = []
     if len(lead) > 1:
         sf = _zexquo(lead, _zgcd(lead, _zderiv(lead)))
-        for root, _ in Poly(sf).rational_roots():
-            points.append(SingularPoint.rational(root))
-            sf = _zexquo(sf, [-root.numerator, root.denominator])
+        for a, b, _ in _zrational_roots(sf):
+            points.append(SingularPoint.rational(QQ(a, b)))
+            sf = _zexquo(sf, [-a, b])
         if len(sf) > 1:
             points.append(SingularPoint.algebraic(Poly(sf)))
     points.append(SingularPoint.infinity())
@@ -303,11 +303,11 @@ def rational_roots_nf(ind: List, ring: ModRing) -> List[Tuple[object, int]]:
     # a common factor of the coordinates is where the whole polynomial
     # vanishes: a sub-branch
     ring.split_on(reduce(_zgcd, nonzero))
-    cand = Poly(_zresultant(p_ints, ring.int_modulus))
-    if cand.is_zero():
+    cand = _zresultant(p_ints, ring.int_modulus)
+    if not cand:
         raise AssertionError("resultant vanished despite trivial content")
     out = []
-    for r, _ in cand.rational_roots():
+    for r in sorted(QQ(a, b) for a, b, _ in _zrational_roots(cand)):
         mult = 0
         rem = list(ind)
         while rem:

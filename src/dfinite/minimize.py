@@ -25,8 +25,9 @@ is proved for every d at once, and exact kernel vectors are computed
 only at degrees where a kernel survives mod p; at the probe's prime they
 come from the probe's own echelon form.  Each CRT candidate is checked
 exactly once, inside ``kernel_vector_exact``'s prime loop, by applying
-its operator to f over Z (``_residual``), which covers every row of the
-system; a candidate that fails brings in one more prime.
+its operator to F over Z: the system's own sequences and columns, on
+every row that F's terms determine (``ShiftSystem.times``), which covers
+every row of the system; a candidate that fails brings in one more prime.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from .polys import _zmul, _zsub
 from .rationals import cleared
 from .series import (
     TruncSeries,
+    _int_derivatives,
     apply_op,
     indicial_bound,
     unroll,
@@ -78,39 +80,12 @@ def _guess_columns(order: int, degree: int) -> List[Tuple[int, int]]:
 
 def _guess_system(f: TruncSeries, order: int, degree: int) -> ShiftSystem:
     """Row n states that the z^n coefficient of M(F) vanishes, for the
-    integer series F = D f of ``_int_derivatives``: column (i, j) is
-    F^(i) shifted by j.  F has f's annihilators, so the system has the
-    same kernel as the one over f, and its entries are integers."""
-    derivs = _int_derivatives(f, order)
+    integer series F = D f, D the least common denominator of f's terms:
+    column (i, j) is F^(i) shifted by j.  F has f's annihilators, so the
+    system has the same kernel as the one over f, and its entries are
+    integers."""
+    derivs = _int_derivatives(cleared(f.coeffs)[0], order)
     return ShiftSystem(derivs, _guess_columns(order, degree), f.trunc_order - order)
-
-
-def _int_derivatives(f: TruncSeries, order: int) -> List[List[int]]:
-    """F, F', ..., F^(order) over Z for F = D f, D the least common
-    denominator of f's coefficients."""
-    derivs = [cleared(f.coeffs)[0]]
-    for _ in range(order):
-        prev = derivs[-1]
-        derivs.append([prev[k] * k for k in range(1, len(prev))])
-    return derivs
-
-
-def _residual(derivs: List[List[int]], vec: Sequence, order: int, degree: int) -> List[int]:
-    """M(F) for the operator M of an integral vector, row n being the z^n
-    coefficient, on the N - s rows that F's N terms determine (s the
-    largest i - j over M's terms z^j d^i).  M(F) is D times M(f), so its
-    rows are the system's rows times the vector, and then further rows.
-
-    ``apply_op`` on M's normal form M' gives the same verdicts: M = g M'
-    for the content g = z^v u, u(0) != 0, so M(f) = g M'(f) has its first
-    nonzero row v rows after M'(f)'s, and is determined on v more rows.
-    """
-    terms = [(i, j, v.numerator) for (i, j), v in zip(_guess_columns(order, degree), vec) if v]
-    n_out = len(derivs[0]) - max((i - j for i, j, _ in terms), default=0)
-    out = [0] * n_out
-    for i, j, v in terms:
-        out[j:n_out] = [o + v * x for o, x in zip(out[j:n_out], derivs[i])]
-    return out
 
 
 def _vector_to_op(vec: Sequence, order: int, degree: int) -> DiffOp:
@@ -146,16 +121,25 @@ def _search_order(f: TruncSeries, order: int, d_cap: int) -> Optional[Tuple[Diff
     The one exact check of a candidate is M(f) = 0 up to the precision
     ``apply_op`` keeps, N - max_shift >= N - order terms, which covers
     every row of the system; ``kernel_vector_exact`` runs it over Z
-    (``_residual``) inside its CRT loop.
+    inside its CRT loop.
     """
     system = _guess_system(f, order, d_cap)
-    derivs = system.seqs
+    n = f.trunc_order
     for d in _probe_degree(system, order, d_cap):
+        cell = system.prefix((order + 1) * (d + 1))
 
-        def residual(vec: List) -> Sequence:
-            return _residual(derivs, vec, order, d)
+        def residual(vec: List[int]) -> List[int]:
+            # M(F) = D M(f) on the N - s rows that F's N terms determine,
+            # s the largest i - j over M's terms z^j d^i: the system's
+            # rows, then further ones.  ``apply_op`` on M's normal form M'
+            # gives the same verdicts: M = g M' for the content
+            # g = z^v u, u(0) != 0, so M(f) = g M'(f) has its first
+            # nonzero row v rows after M'(f)'s, and is determined on v
+            # more rows.
+            s = max((i - j for (i, j), v in zip(cell.cols, vec) if v), default=0)
+            return ShiftSystem(cell.seqs, cell.cols, n - s).times(vec)
 
-        vec = kernel_vector_exact(system.prefix((order + 1) * (d + 1)), residual)
+        vec = kernel_vector_exact(cell, residual)
         if vec is not None:
             op = _vector_to_op(vec, order, d)
             if op.order > 0:

@@ -9,7 +9,8 @@ the recurrence of ``ore.ode_to_rec``, whose rows are integer coefficient
 lists.  One evaluator (``_row_values``, Horner at an integer index)
 serves both the row check of the initial terms, which runs on the terms
 times the least common denominator (the rows are homogeneous, so the
-scaling changes no verdict), and ``unroll``.
+scaling changes no verdict), and ``unroll``.  ``apply_op`` runs over
+the same integer terms, through ``linalg.ShiftSystem.times``.
 """
 
 from __future__ import annotations
@@ -24,9 +25,10 @@ from .errors import (
     InsufficientInitialConditions,
     PrecisionTooLow,
 )
+from .linalg import ShiftSystem
 from .ore import DiffOp, RecOp, ode_to_rec
-from .polys import Poly, _zshift
-from .rationals import QQ, Q0, cleared, is_integer
+from .polys import _zrational_roots, _zshift
+from .rationals import QQ, Q0, cleared
 
 
 class TruncSeries:
@@ -88,7 +90,11 @@ def apply_op(op: DiffOp, f: TruncSeries) -> TruncSeries:
     """Apply a differential operator to a truncated series.
 
     The result is exact to order trunc_order(f) - s where s is the largest
-    shift i - j over the operator's monomials z^j d^i (s <= order).
+    shift i - j over the operator's monomials z^j d^i (s <= order).  It
+    is computed over Z: op(F) for F = D f, D the least common denominator
+    of f's terms, is one ``ShiftSystem.times`` whose column (i, j) is
+    F^(i) shifted by j, over the operator's nonzero coefficients; then
+    op(f) = op(F) / D.
     """
     if op.is_zero():
         return TruncSeries([Q0] * f.trunc_order)
@@ -96,22 +102,20 @@ def apply_op(op: DiffOp, f: TruncSeries) -> TruncSeries:
         raise PrecisionTooLow(
             "series shorter than operator order", needed=op.order
         )
-    shift = max(op.max_shift(), 0)
-    n_out = max(f.trunc_order - shift, 0)
-    out = [Q0] * n_out
-    deriv = list(f.coeffs)
-    for i, row in enumerate(op.rows):
-        if i > 0:
-            deriv = [deriv[k] * k for k in range(1, len(deriv))]
-        for j, c in enumerate(row):
-            if c == 0:
-                continue
-            # c * z^j * f^(i): contributes c * deriv[n-j] to out[n]
-            for n in range(j, min(n_out, j + len(deriv))):
-                a = deriv[n - j]
-                if a != 0:
-                    out[n] += c * a
-    return TruncSeries(out)
+    n_out = max(f.trunc_order - max(op.max_shift(), 0), 0)
+    big, den = cleared(f.coeffs)
+    cols, vec = zip(*(((i, j), c) for i, row in enumerate(op.rows) for j, c in enumerate(row) if c))
+    out = ShiftSystem(_int_derivatives(big, op.order), cols, n_out).times(vec)
+    return TruncSeries([QQ(x, den) for x in out])
+
+
+def _int_derivatives(big: List[int], order: int) -> List[List[int]]:
+    """F, F', ..., F^(order) for the integer coefficient list F."""
+    derivs = [big]
+    for _ in range(order):
+        prev = derivs[-1]
+        derivs.append([prev[k] * k for k in range(1, len(prev))])
+    return derivs
 
 
 def rec_leading_roots(rec: RecOp) -> List[int]:
@@ -121,12 +125,8 @@ def rec_leading_roots(rec: RecOp) -> List[int]:
     vanishes; equivalently integer roots >= 0 of the leading recurrence
     polynomial shifted to the index variable.
     """
-    shifted = Poly(_zshift(rec.rows[-1], -rec.max_shift)[0])  # in idx = n + max_shift
-    out = []
-    for r, _ in shifted.rational_roots():
-        if is_integer(r) and r >= 0:
-            out.append(int(r.numerator))
-    return sorted(out)
+    shifted = _zshift(rec.rows[-1], -rec.max_shift)[0]  # in idx = n + max_shift
+    return sorted(a for a, b, _ in _zrational_roots(shifted) if b == 1 and a >= 0)
 
 
 def indicial_bound(op: DiffOp) -> int:

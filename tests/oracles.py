@@ -28,7 +28,9 @@ factors of sympy's factorization.  Local coefficients at an
 algebraic point come from a Horner Taylor shift over Q[a]/(m), and the
 theta form from falling factorials built over the coefficient domain, both with products of
 quotient-ring elements; the operator at infinity from products of
-operators (``ore.op_mul_raw``).  ``apply_polys`` applies an operator
+operators (``ore.op_mul_raw``).  ``apply_op_oracle`` applies an
+operator term by term over ``Fraction``, the reference for
+``apply_op``'s one integer product, and ``apply_polys`` applies one
 given as a ``Poly`` list that is not brought to a normal form.
 ``FractionModRing`` is Q[a]/(m) with elements
 as tuples of ``Fraction`` reduced by polynomial division over Q and
@@ -46,11 +48,11 @@ import numpy as np
 
 from dfinite import DiffOp, Poly, RecOp, TruncSeries
 from dfinite.algebraic import BivarPoly
-from dfinite.algebraic import _primitive as _bivar_primitive
 from dfinite.errors import (
     InconsistentInitialConditions,
     InputError,
     InsufficientInitialConditions,
+    PrecisionTooLow,
     RootNotSeparable,
     ZeroDivisorSplit,
 )
@@ -268,11 +270,12 @@ def _series_inverse(a: List, n: int) -> List:
     return out
 
 
-def bivar_evaluate_series(p, f: TruncSeries) -> TruncSeries:
-    """P(z, f(z)) over Q by Horner in y, truncated at the precision of f."""
+def bivar_evaluate_series(y_coeffs: Sequence[Poly], f: TruncSeries) -> TruncSeries:
+    """P(z, f(z)) over Q by Horner in y, truncated at the precision of f,
+    for P given by its y-coefficients (a ``Poly`` list, not normalized)."""
     n = f.trunc_order
     acc = [Q0] * n
-    for c in reversed(p.y_coeffs):
+    for c in reversed(y_coeffs):
         acc = _series_mul(acc, list(f.coeffs), n)
         for i, q in enumerate(c.coeffs):
             if i < n:
@@ -280,9 +283,11 @@ def bivar_evaluate_series(p, f: TruncSeries) -> TruncSeries:
     return TruncSeries(acc)
 
 
-def bivar_y_derivative(p):
-    """dP/dy of a BivarPoly."""
-    return BivarPoly([p.y_coeffs[j].scale(QQ(j)) for j in range(1, len(p.y_coeffs))])
+def bivar_y_derivative(p) -> List[Poly]:
+    """The y-coefficients of dP/dy for a BivarPoly P, as a ``Poly`` list:
+    a ``BivarPoly`` would drop their common scale."""
+    ys = p.y_coeffs
+    return [ys[j].scale(QQ(j)) for j in range(1, len(ys))]
 
 
 def newton_root_oracle(p, init: TruncSeries, n_terms: int) -> Optional[TruncSeries]:
@@ -307,7 +312,7 @@ def newton_root_oracle(p, init: TruncSeries, n_terms: int) -> Optional[TruncSeri
     while prec < n_terms:
         prec = min(2 * prec, n_terms)
         g = TruncSeries((cur + [Q0] * prec)[:prec])
-        num = bivar_evaluate_series(p, g)
+        num = bivar_evaluate_series(p.y_coeffs, g)
         den = bivar_evaluate_series(py, g)
         inv_den = _series_inverse(list(den.coeffs), prec)
         corr = _series_mul(list(num.coeffs), inv_den, prec)
@@ -328,16 +333,16 @@ def squarefree_in_y_oracle(p):
     """Squarefree part of a BivarPoly with respect to y: Euclid over
     ``RatFunc`` with dP/dy, then P divided by the monic gcd."""
     if p.deg_y <= 0:
-        return _bivar_primitive(p)
+        return p
     a = [RatFunc.from_poly(c) for c in p.y_coeffs]
-    b = [RatFunc.from_poly(c) for c in bivar_y_derivative(p).y_coeffs]
+    b = [RatFunc.from_poly(c) for c in bivar_y_derivative(p)]
     g = _ratfunc_poly_gcd(a, b)
     if len(g) <= 1:
-        return _bivar_primitive(p)
+        return p
     q, r = _ratfunc_poly_divmod(a, g)
     if any(not x.is_zero() for x in r):
         raise AssertionError("gcd does not divide")
-    return _bivar_primitive(BivarPoly(_clear_ratfuncs(q)[0]))
+    return BivarPoly(_clear_ratfuncs(q)[0])
 
 
 def _ratfunc_poly_divmod(a: List[RatFunc], b: List[RatFunc]):
@@ -560,7 +565,7 @@ def annihilator_of_roots_oracle(p) -> DiffOp:
     derivatives of the generic root in Q(z)[y]/(P)."""
     n = p.deg_y
     mod = [RatFunc.from_poly(c) for c in p.y_coeffs]
-    p_y = [RatFunc.from_poly(c) for c in bivar_y_derivative(p).y_coeffs]
+    p_y = [RatFunc.from_poly(c) for c in bivar_y_derivative(p)]
     p_z = [RatFunc.from_poly(c.derivative()) for c in p.y_coeffs]
     y_prime = _mul_mod([RatFunc.const(-1) * c for c in p_z], _invert_mod(p_y, mod), mod)
     _, cur = _ratfunc_poly_divmod([RatFunc.const(0), RatFunc.const(1)], mod)
@@ -1097,6 +1102,33 @@ def rational_roots_nf_oracle(ind: List, dom) -> List[Tuple[object, int]]:
 # ---------------------------------------------------------------------------
 # Operators as Poly lists, not brought to a normal form
 # ---------------------------------------------------------------------------
+
+
+def apply_op_oracle(op: DiffOp, f: TruncSeries) -> TruncSeries:
+    """``apply_op`` over ``Fraction``, term by term: the rows of
+    sum c z^j f^(i) that f's terms determine."""
+    if op.is_zero():
+        return TruncSeries([Q0] * f.trunc_order)
+    if f.trunc_order < op.order:
+        raise PrecisionTooLow(
+            "series shorter than operator order", needed=op.order
+        )
+    shift = max(op.max_shift(), 0)
+    n_out = max(f.trunc_order - shift, 0)
+    out = [Q0] * n_out
+    deriv = list(f.coeffs)
+    for i, row in enumerate(op.rows):
+        if i > 0:
+            deriv = [deriv[k] * k for k in range(1, len(deriv))]
+        for j, c in enumerate(row):
+            if c == 0:
+                continue
+            # c * z^j * f^(i): contributes c * deriv[n-j] to out[n]
+            for n in range(j, min(n_out, j + len(deriv))):
+                a = deriv[n - j]
+                if a != 0:
+                    out[n] += c * a
+    return TruncSeries(out)
 
 
 def apply_polys(coeffs: Sequence[Poly], f: TruncSeries) -> TruncSeries:

@@ -178,7 +178,7 @@ def test_round_trip_random_algebraic():
         got = prove_algebraic(op, f.prefix(max(op.order, 1)), max_dy=4, max_dz=6)
         assert got is not None
         p, _ = got
-        check = bivar_evaluate_series(p, f)
+        check = bivar_evaluate_series(p.y_coeffs, f)
         assert all(x == 0 for x in check.coeffs)
 
 
@@ -231,6 +231,23 @@ def test_annihilator_of_roots_matches_oracle():
         assert annihilator_of_roots(p) == annihilator_of_roots_oracle(p), p
 
 
+def test_bivar_poly_stores_primitive_rows():
+    p = BivarPoly([Poly([QQ(1, 2), 1]), Poly([0, QQ(-1, 3)]), Poly([2]), Poly([1, 1])])
+    assert p.rows == ([3, 6], [0, -2], [12], [6, 6])
+    # (1 + z) z (y^2 - 3) / (-3): the Z[z] content and the sign go
+    q = BivarPoly([Poly([0, 1, 1]), Poly(), Poly([0, QQ(-1, 3), QQ(-1, 3)])])
+    assert q.rows == ([-3], [], [1])
+    assert q == BivarPoly([Poly([-3]), Poly(), Poly([1])])
+
+
+def test_bivar_poly_y_coeffs_read_the_rows():
+    ys = (Poly([-1, 4, 1]), Poly([0, -2]), Poly([1]))
+    p = BivarPoly(list(ys))
+    assert p.y_coeffs == ys
+    assert p.y_coeffs == tuple(Poly(r) for r in p.rows)
+    assert BivarPoly([Poly([QQ(1, 2)]), Poly([0, 1])]).y_coeffs == (Poly([1]), Poly([0, 2]))
+
+
 _coef = st.fractions(min_value=-3, max_value=3, max_denominator=2)
 
 
@@ -250,6 +267,18 @@ def _bivar_mul(a, b):
 
 
 _Y2 = BivarPoly([Poly(), Poly(), Poly([1])])
+
+_nonzero_poly = st.lists(_coef, min_size=1, max_size=3).map(Poly).filter(lambda c: not c.is_zero())
+
+
+@settings(max_examples=100, deadline=None)
+@given(p=_bivars(3, 2, min_dy=0), a=_nonzero_poly, b=_nonzero_poly)
+def test_bivar_poly_equal_up_to_a_rational_function(p, a, b):
+    # P a and P b differ by the factor a / b of Q(z)*: the same rows
+    pa = BivarPoly([c * a for c in p.y_coeffs])
+    pb = BivarPoly([c * b for c in p.y_coeffs])
+    assert pa == pb == p and hash(pa) == hash(pb) == hash(p)
+    assert pa.rows == p.rows
 
 
 @settings(max_examples=80, deadline=None)

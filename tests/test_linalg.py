@@ -285,6 +285,17 @@ def _wrong_first(monkeypatch, times):
     return calls
 
 
+def test_kernel_vector_is_a_primitive_integer_vector(monkeypatch):
+    # from the CRT loop, and from the fraction-free fallback
+    system = _kernel_case()
+    for every_candidate_wrong in (False, True):
+        if every_candidate_wrong:
+            _wrong_first(monkeypatch, len(_PRIMES))
+        vec = kernel_vector_exact(system, system.times)
+        assert all(type(x) is int for x in vec)
+        assert math.gcd(*vec) == 1 and next(x for x in reversed(vec) if x) > 0
+
+
 def test_failed_candidate_adds_a_prime(monkeypatch):
     system = _kernel_case()
     want = kernel_vector_exact(system, system.times)

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +19,7 @@ from dfinite import (
     op_mul,
     unroll,
 )
+import dfinite.minimize as minimize
 from dfinite.errors import InputError
 from dfinite.linalg import kernel_vector_exact
 from dfinite.minimize import (
@@ -27,8 +29,6 @@ from dfinite.minimize import (
     _cofactor,
     _guess_columns,
     _guess_system,
-    _int_derivatives,
-    _residual,
     _vector_to_op,
 )
 from dfinite.rationals import QQ
@@ -205,6 +205,17 @@ def test_wrong_reconstruction_costs_a_prime_not_the_answer(monkeypatch, apery_op
         (1, 10, "empty kernel"), (2, 10, "empty kernel"), (3, 4, "certified")]
 
 
+def _search_residual(f, order, degree):
+    """The residual that ``_search_order`` hands ``kernel_vector_exact``
+    for the degree-``degree`` cell, caught from one search."""
+    caught = []
+    with mock.patch.object(minimize, "_probe_degree", lambda *a: [degree]), \
+            mock.patch.object(minimize, "kernel_vector_exact",
+                              lambda cell, residual: caught.append(residual)):
+        assert minimize._search_order(f, order, degree) is None
+    return caught[0]
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.builds(Fraction, st.integers(-4, 4), st.sampled_from([1, 1, 2, 3, 6])),
                 min_size=4, max_size=14),
@@ -215,8 +226,8 @@ def test_integer_residual_has_the_zero_pattern_of_apply_op(coeffs, order, degree
     # has its first nonzero row v rows later and v more rows
     f = TruncSeries(coeffs)
     ncols = (order + 1) * (degree + 1)
-    vec = data.draw(st.lists(st.integers(-3, 3).map(QQ), min_size=ncols, max_size=ncols))
-    got = _residual(_int_derivatives(f, order), vec, order, degree)
+    vec = data.draw(st.lists(st.integers(-3, 3), min_size=ncols, max_size=ncols))
+    got = _search_residual(f, order, degree)(vec)
     want = apply_op(_vector_to_op(vec, order, degree), f).coeffs
     v = min((j for (_, j), c in zip(_guess_columns(order, degree), vec) if c), default=0)
     assert len(got) == len(want) + v
@@ -234,19 +245,19 @@ def test_candidate_zero_on_the_system_but_not_further_is_refused(monkeypatch):
     f = TruncSeries([0] * (n - 1) + [1])
     system = _guess_system(f, 1, 1)
     assert len(system) == n - 1
-    vec = [QQ(1), QQ(0), QQ(0), QQ(0)]
+    vec = [1, 0, 0, 0]
     assert kernel_vector_exact(system, system.times) == vec
-    derivs = _int_derivatives(f, 1)
-    assert [i for i, x in enumerate(_residual(derivs, vec, 1, 1)) if x] == [n - 1]
+    residual = _search_residual(f, 1, 1)
+    assert [i for i, x in enumerate(residual(vec)) if x] == [n - 1]
     assert [i for i, x in enumerate(apply_op(_vector_to_op(vec, 1, 1), f).coeffs) if x] == [n - 1]
     # refused after one candidate, with no prime added; the same holds
     # for the candidate z d, whose normal form d shifts apply_op's rows
     calls = []
     real = linalg._try_reconstruct
     monkeypatch.setattr(linalg, "_try_reconstruct", lambda *a: calls.append(1) or real(*a))
-    assert kernel_vector_exact(system, lambda v: _residual(derivs, v, 1, 1)) is None
+    assert kernel_vector_exact(system, residual) is None
     g = TruncSeries([1] + [0] * (n - 2) + [1])
-    g_system, g_derivs = _guess_system(g, 1, 1), _int_derivatives(g, 1)
-    assert kernel_vector_exact(g_system, g_system.times) == [QQ(0), QQ(0), QQ(0), QQ(1)]
-    assert kernel_vector_exact(g_system, lambda v: _residual(g_derivs, v, 1, 1)) is None
+    g_system, g_residual = _guess_system(g, 1, 1), _search_residual(g, 1, 1)
+    assert kernel_vector_exact(g_system, g_system.times) == [0, 0, 0, 1]
+    assert kernel_vector_exact(g_system, g_residual) is None
     assert len(calls) == 3

@@ -1,3 +1,4 @@
+from fractions import Fraction
 from math import factorial
 
 import pytest
@@ -26,7 +27,7 @@ from dfinite.errors import (
 )
 from dfinite.rationals import QQ, cleared
 from dfinite.series import _check_rows
-from oracles import check_rows_oracle, unroll_oracle, validate_init_oracle
+from oracles import apply_op_oracle, check_rows_oracle, unroll_oracle, validate_init_oracle
 
 
 def test_unroll_apery(apery_op, apery_init):
@@ -185,6 +186,33 @@ def test_apply_op_exponential_identity():
     out = apply_op(op, f)
     assert out.trunc_order == 9
     assert all(c == 0 for c in out.coeffs)
+
+
+_frac = st.builds(Fraction, st.integers(-4, 4), st.sampled_from([1, 1, 2, 3, 6]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(st.lists(st.integers(-3, 3), max_size=7), max_size=4),
+       coeffs=st.lists(_frac, max_size=12))
+@example(rows=[], coeffs=[QQ(1, 2), 3, 0])  # the zero operator
+# z^5 d, whose monomial has shift -4; its normal form is d, since a
+# normal form has a row with a nonzero constant term and so max_shift >= 0
+@example(rows=[[], [0, 0, 0, 0, 0, 1]], coeffs=[QQ(1, 2), 3, QQ(-2, 3), 1])
+@example(rows=[[1], [], [1]], coeffs=[QQ(1, 3), 2])  # as long as the shift: no row determined
+@example(rows=[[1], [], [1]], coeffs=[QQ(1, 3)])  # shorter than the shift and the order
+def test_apply_op_matches_fraction_oracle(rows, coeffs):
+    # one integer ShiftSystem product over D f, divided by D, against the
+    # term-by-term Fraction loop
+    op, f = DiffOp(rows), TruncSeries(coeffs)
+    try:
+        want = apply_op_oracle(op, f)
+    except PrecisionTooLow:
+        with pytest.raises(PrecisionTooLow):
+            apply_op(op, f)
+        return
+    got = apply_op(op, f)
+    assert got == want
+    assert all(type(c) is Fraction for c in got.coeffs)
 
 
 def test_zero_test_exponential():
