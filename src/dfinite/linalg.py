@@ -10,23 +10,25 @@ system; a prime that divides many entries is just an unlucky prime.
 with a vector: the guessers' residuals, ``series.apply_op`` and the
 algebraic check P(z, f) = O(z^n) all run on it, over Z.
 
-Strategy: one forward elimination modulo a prime below 2^26 with numpy
-gives the rank profile and an echelon form.  It works in int64 with
-delayed reduction (Dumas, Giorgi and Pernet, FFLAS-FFPACK, ACM TOMS
-2008): the pivot column and row are reduced before use, and the trailing
-block only once every 2^11 or more pivots, since each update subtracts
-less than p^2 < 2^52.  A trivial kernel modulo any prime proves a
-trivial kernel over Q, which makes "no operator of this shape exists"
-conclusions rigorous.  When a kernel exists, each prime's canonical
-kernel vector (first free column set to 1) comes from back-substitution
-through the echelon form's leading triangle, read from the leading
-columns of a wider system's echelon form when one was kept at that
-prime (``kernel_rank_mod_p`` keeps it); the vectors are combined by
-CRT over several primes with rational reconstruction.  Each
-reconstructed candidate gets one exact check inside the CRT loop, the
-caller's residual, which covers every row of the system; a candidate
-that fails it brings in one more prime, and only vectors that pass it
-are ever returned, so candidate generation never affects soundness.
+Strategy: the guesser's probe reads the rank profile of its whole
+degree-capped system from one order basis of the Hermite-Pade problem
+mod a prime below 2^26 (``kernel_rank_mod_p``): m residual rows, one
+step per row of the system, no matrix.  Kernel vectors come from one
+forward elimination modulo each prime with numpy, which gives the rank
+profile and an echelon form.  Both work in int64 with delayed reduction
+(Dumas, Giorgi and Pernet, FFLAS-FFPACK, ACM TOMS 2008): the pivot
+column and row are reduced before use, and the rest only once every
+2^11 or more steps, since each update subtracts less than p^2 < 2^52.
+A trivial kernel modulo any prime proves a trivial kernel over Q, which
+makes "no operator of this shape exists" conclusions rigorous.  When a
+kernel exists, each prime's canonical kernel vector (first free column
+set to 1) comes from back-substitution through the echelon form's
+leading triangle; the vectors are combined by CRT over several primes
+with rational reconstruction.  Each reconstructed candidate gets one
+exact check inside the CRT loop, the caller's residual, which covers
+every row of the system; a candidate that fails it brings in one more
+prime, and only vectors that pass it are ever returned, so candidate
+generation never affects soundness.
 When the primes run out, the exact answer is the first dependence
 among the columns by fraction-free Bareiss elimination over Z
 (``_first_dependence``, which the operator code shares).
@@ -40,7 +42,6 @@ from __future__ import annotations
 
 import copy
 import math
-from bisect import bisect_left
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -84,7 +85,7 @@ class ShiftSystem:
     stops at the IndexError past the last row).
     """
 
-    __slots__ = ("seqs", "cols", "nrows", "_pad", "_residues", "_echelons")
+    __slots__ = ("seqs", "cols", "nrows", "_pad", "_residues")
 
     def __init__(self, seqs: Sequence[Sequence[int]], cols: Sequence[Tuple[int, int]], nrows: int):
         if not all(isinstance(c, int) for seq in seqs for c in seq):
@@ -97,10 +98,6 @@ class ShiftSystem:
         self._pad = max((k for _, k in self.cols), default=0)
         # p -> residue table; shared with every prefix of the system
         self._residues: Dict[int, np.ndarray] = {}
-        # p -> (columns, echelon form, pivot columns) of the system or
-        # prefix that kernel_rank_mod_p last eliminated mod p; its own
-        # prefixes read their kernel vectors from its leading columns
-        self._echelons: Dict[int, Tuple[List[Tuple[int, int]], np.ndarray, List[int]]] = {}
 
     def __len__(self) -> int:
         return self.nrows
@@ -133,13 +130,17 @@ class ShiftSystem:
 
     def mod(self, p: int) -> np.ndarray:
         """The matrix mod p."""
-        table = self._residues.get(p)
-        if table is None:
-            table = self._residues[p] = self._reduce(p)
+        table = self._table(p)
         s_idx = np.array([s for s, _ in self.cols], dtype=np.int64)
         k_idx = np.array([k for _, k in self.cols], dtype=np.int64)
         start = s_idx * table.shape[1] + self._pad - k_idx
         return table.ravel()[start[None, :] + np.arange(self.nrows)[:, None]]
+
+    def _table(self, p: int) -> np.ndarray:
+        table = self._residues.get(p)
+        if table is None:
+            table = self._residues[p] = self._reduce(p)
+        return table
 
     def _reduce(self, p: int) -> np.ndarray:
         """Row s holds seqs[s][:nrows] mod p after ``_pad`` zeros."""
@@ -208,15 +209,52 @@ def _rank_profile_mod(a: np.ndarray, p: int) -> Tuple[np.ndarray, List[int]]:
 
 
 def kernel_rank_mod_p(system: ShiftSystem, p: Optional[int] = None) -> Tuple[int, List[int]]:
-    """(rank mod p, pivot columns ascending).  rank mod p <= rank over Q,
-    so a full column rank mod p proves the exact kernel is trivial; the
-    same holds for every column prefix, whose rank mod p is the number of
-    pivot columns inside it.  The echelon form is kept for the prefixes'
-    kernel vectors at p (``kernel_vector_exact``)."""
+    """(rank mod p, pivot columns ascending) of a degree-major box, whose
+    column j m + i is (i, j) for m = len(system.seqs) (ValueError for
+    any other layout).  rank mod p <= rank over Q, so a full column rank
+    mod p proves the exact kernel is trivial; the same holds for every
+    column prefix, whose rank mod p is the number of pivot columns
+    inside it.
+
+    A kernel vector is a polynomial vector (P_0, ..., P_{m-1}) with
+    sum P_i S_i = O(z^nrows), S_i the i-th sequence, and its last nonzero
+    column j m + i is its leading index (degree j, position i).  One
+    order basis mod p (Beckermann and Labahn, SIAM J. Matrix Anal. Appl.
+    1994) keeps one basis row per position, by residual only: row a
+    starts as S_a with leading index a.  Step k takes the nonzero
+    z^k coefficient whose row has the smallest leading index as pivot,
+    clears it from the other rows, whose leading indices stay larger,
+    and multiplies the pivot row by z (leading index + m).  The leading
+    indices stay distinct mod m, so every kernel vector's leading index
+    is one of them plus a multiple of m: column (i, j) depends on the
+    earlier ones exactly when j m + i >= lead[i].  Reduction is delayed
+    as in ``_rank_profile_mod``: each step updates a row at most once.
+    """
     if p is None:
         p = _PRIMES[0]
-    ech, piv_cols = _rank_profile_mod(system.mod(p), p)
-    system._echelons[p] = (system.cols, ech, piv_cols)
+    m, n = len(system.seqs), len(system.cols)
+    if not n:
+        return 0, []
+    if not m or n % m or system.cols != [(c % m, c // m) for c in range(n)]:
+        raise ValueError("kernel_rank_mod_p needs degree-major box columns (i, j), i < %d" % m)
+    res = system._table(p)[:, system._pad:].copy()
+    lead = list(range(m))
+    period = _reduction_period(p)
+    for k in range(system.nrows):
+        col = res[:, k] % p
+        head = col.tolist()
+        piv = min((a for a in range(m) if head[a]), key=lead.__getitem__, default=None)
+        if piv is not None:
+            row = res[piv, k:]
+            row %= p
+            factors = col * pow(head[piv], -1, p) % p
+            factors[piv] = 0
+            res[:, k:] -= factors[:, None] * row
+            row[1:] = row[:-1].copy()  # times z
+            lead[piv] += m
+        if (k + 1) % period == 0:
+            res[:, k + 1:] %= p
+    piv_cols = [c for c in range(n) if c < lead[c % m]]
     return len(piv_cols), piv_cols
 
 
@@ -227,16 +265,7 @@ def _kernel_mod(a: np.ndarray, p: int) -> Tuple[List[int], Optional[List[int]]]:
 
 
 def _kernel_mod_system(system: ShiftSystem, p: int) -> Tuple[List[int], Optional[List[int]]]:
-    """``_kernel_mod`` of the system mod p, read from the leading columns
-    of a wider system's echelon form when one was kept at p: forward
-    elimination treats columns left to right, so the echelon form of a
-    column prefix is the prefix of the echelon form."""
-    n = len(system.cols)
-    got = system._echelons.get(p)
-    if got is not None and got[0][:n] == system.cols:
-        _, ech, piv_full = got
-        piv_cols = piv_full[:bisect_left(piv_full, n)]
-        return piv_cols, _back_substitute(ech, piv_cols, n, p)
+    """``_kernel_mod`` of the system mod p."""
     return _kernel_mod(system.mod(p), p)
 
 

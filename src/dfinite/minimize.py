@@ -18,16 +18,17 @@ elimination, so no rational-function gcd is taken on the way.
 Minimality of the returned operator is heuristic (the search simply finds
 no smaller certified annihilator); the annihilation itself is certified.
 
-The search eliminates once per order: one rank profile mod p of the
-system at the degree cap gives the rank of every smaller degree cell as
-a count of pivot columns, so "no operator of this order and degree <= d"
-is proved for every d at once, and exact kernel vectors are computed
-only at degrees where a kernel survives mod p; at the probe's prime they
-come from the probe's own echelon form.  Each CRT candidate is checked
-exactly once, inside ``kernel_vector_exact``'s prime loop, by applying
-its operator to F over Z: the system's own sequences and columns, on
-every row that F's terms determine (``ShiftSystem.times``), which covers
-every row of the system; a candidate that fails brings in one more prime.
+The search probes once per order: one order basis mod p of the system
+at the degree cap (``kernel_rank_mod_p``) gives the rank of every
+smaller degree cell as a count of pivot columns, so "no operator of this
+order and degree <= d" is proved for every d at once, and exact kernel
+vectors are computed only at degrees where a kernel survives mod p, by
+eliminating that cell alone at each prime.  Each CRT candidate is
+checked exactly once, inside ``kernel_vector_exact``'s prime loop, by
+applying its operator to F over Z: the system's own sequences and
+columns, on every row that F's terms determine (``ShiftSystem.times``),
+which covers every row of the system; a candidate that fails brings in
+one more prime.
 """
 
 from __future__ import annotations
@@ -100,7 +101,7 @@ def _probe_degree(system: ShiftSystem, order: int, d_cap: int) -> List[int]:
     """Degrees d <= d_cap, ascending, whose cell has a nontrivial kernel
     mod p.
 
-    One elimination of the full degree-capped system answers every cell:
+    One order basis of the full degree-capped system answers every cell:
     the columns are degree-major, so the degree-d cell is the prefix of
     (order+1)(d+1) columns with all rows, and its rank mod p is the number
     of pivot columns inside that prefix.  Every degree left out has full

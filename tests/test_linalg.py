@@ -1,10 +1,11 @@
 """Modular linear algebra: rank profiles with delayed reduction against
-the per-pivot one, kernel vectors by back-substitution and from the
-probe's leading columns, structured systems reduced mod p against the
-cell-by-cell oracle, integer-only entries, the one exact check inside
+the per-pivot one, the probe's order-basis pivots against elimination,
+kernel vectors by back-substitution and of every column prefix,
+structured systems reduced mod p against the cell-by-cell oracle,
+integer-only entries, the one exact check inside
 the CRT loop, the fraction-free exact fallback against dense
 Gauss-Jordan over Fraction, a prime dividing the series' denominator,
-rational reconstruction past float range, the guesser's one-elimination
+rational reconstruction past float range, the guesser's one-probe
 proof on the Apery operator, and the fraction-free Q(z) dependence."""
 
 from bisect import bisect_left
@@ -167,26 +168,103 @@ def test_delayed_reduction_on_a_large_rank_deficient_matrix():
         assert (ech == want_ech).all()
 
 
+@st.composite
+def box_systems(draw):
+    """(degree-major box system, p): m sequences, column (i, j) the i-th
+    shifted by j, with zero, repeated and short sequences, sequences
+    planted as combinations of shifts of earlier ones, leading zeros,
+    entries around 10^9, and row counts of 0, up to the column count and
+    past it; p small enough that ranks drop."""
+    m, degree = draw(st.integers(1, 8)), draw(st.integers(0, 4))
+    ncols = m * (degree + 1)
+    nrows = draw(st.one_of(st.just(0), st.integers(1, ncols), st.integers(ncols + 1, ncols + 8)))
+    entries = st.one_of(st.integers(-2 * 10 ** 9, 2 * 10 ** 9), st.integers(-3, 3))
+    seqs = []
+    for _ in range(m):
+        kind = draw(st.sampled_from(["zero", "repeat", "planted", "drawn", "drawn", "drawn"]))
+        length = draw(st.one_of(st.just(nrows), st.integers(0, nrows + 2)))
+        if kind == "zero":
+            seq = [0] * length
+        elif kind == "repeat" and seqs:
+            seq = list(draw(st.sampled_from(seqs)))
+        elif kind == "planted" and seqs:
+            seq = [0] * length
+            terms = st.tuples(st.sampled_from(seqs), st.integers(0, 2), st.sampled_from([1, -1, 2, -3]))
+            for other, shift, c in draw(st.lists(terms, min_size=1, max_size=4)):
+                for r, x in enumerate(other[:max(length - shift, 0)]):
+                    seq[r + shift] += c * x
+        else:
+            zeros = draw(st.integers(0, 3))
+            body = max(length - zeros, 0)
+            seq = [0] * zeros + draw(st.lists(entries, min_size=body, max_size=body))
+        seqs.append(seq)
+    cols = [(i, j) for j in range(degree + 1) for i in range(m)]
+    return ShiftSystem(seqs, cols, nrows), draw(st.sampled_from([2, 5, 7, _PRIMES[0]]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(box_systems(), st.sampled_from([None, 1, 2, 3]))
+def test_order_basis_pivots_match_elimination(case, period):
+    # the probe's order basis finds the pivot columns that elimination of
+    # the whole matrix finds; a short forced period runs the in-loop
+    # reduction at the 26-bit prime too
+    system, p = case
+    want = _rank_profile_mod(system.mod(p), p)[1]
+    if period is None:
+        got = kernel_rank_mod_p(system, p)
+    else:
+        with mock.patch.object(linalg, "_reduction_period", lambda q: period):
+            got = kernel_rank_mod_p(system, p)
+    assert got == (len(want), want)
+
+
+def test_order_basis_on_a_large_planted_system():
+    # 7 sequences of 300 terms, the last two combinations of shifts of the
+    # first five (a kernel of degree 3 and one of degree 12), at a 26-bit
+    # and at the two wide primes: rows take many updates between turns
+    # as pivot
+    rng = np.random.default_rng(1)
+    seqs = [rng.integers(-10 ** 9, 10 ** 9, size=300).tolist() for _ in range(5)]
+    for degree in (3, 12):
+        planted = [0] * 300
+        for _ in range(8):
+            seq, shift, c = seqs[rng.integers(5)], int(rng.integers(degree + 1)), int(rng.integers(1, 4))
+            planted[shift:] = [x + c * y for x, y in zip(planted[shift:], seq)]
+        seqs.append(planted)
+    system = ShiftSystem(seqs, [(i, j) for j in range(41) for i in range(7)], 300)
+    for p in [_PRIMES[0]] + list(_P_WIDE):
+        want = _rank_profile_mod(system.mod(p), p)[1]
+        assert len(want) < len(system.cols)
+        assert kernel_rank_mod_p(system, p) == (len(want), want)
+
+
+def test_probe_needs_a_degree_major_box():
+    seqs = [[1, 2, 3, 4, 5], [0, 1, 0, 2, 7]]
+    box = [(i, j) for j in range(3) for i in range(2)]
+    permuted = [box[1], box[0]] + box[2:]
+    algebraic = _algebraic_system(TruncSeries([QQ(c) for c in [1, 2, 3, 5, 8, 13, 21]]), 2, 2)
+    for system in (ShiftSystem(seqs, permuted, 5), ShiftSystem(seqs, box[:-1], 5), algebraic):
+        with pytest.raises(ValueError):
+            kernel_rank_mod_p(system)
+    assert kernel_rank_mod_p(ShiftSystem(seqs, [], 5)) == (0, [])
+    assert kernel_rank_mod_p(ShiftSystem(seqs, box, 0)) == (0, [])
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.builds(Fraction, st.integers(-3, 3), st.sampled_from([1, 1, 2, 3])),
                 min_size=6, max_size=16),
        st.integers(1, 3), st.integers(0, 3), st.sampled_from([5, 7, _PRIMES[0]]))
-def test_prefix_kernel_from_the_probe_echelon_form(coeffs, order, degree, p):
-    # after the probe on the full system, each prefix's kernel vector at
-    # p is read from its leading columns and equals a fresh elimination
+def test_prefix_kernel_matches_a_fresh_elimination(coeffs, order, degree, p):
+    # after the probe on the full system, each prefix's kernel at p is a
+    # fresh elimination of its own matrix, and its pivots are the probe's
+    # inside the prefix
     system = _guess_system(TruncSeries(coeffs), order, degree)
-    kernel_rank_mod_p(system, p)
-    fresh = {}
+    _, piv = kernel_rank_mod_p(system, p)
+    fresh = _guess_system(TruncSeries(coeffs), order, degree)
     for n in range(len(system.cols) + 1):
-        fresh[n] = _kernel_mod(system.prefix(n).mod(p), p)
-    with mock.patch.object(linalg, "_kernel_mod", side_effect=AssertionError("eliminated again")):
-        for n in range(len(system.cols) + 1):
-            assert _kernel_mod_system(system.prefix(n), p) == fresh[n]
-    # a narrower probe's echelon form answers only its own prefixes
-    narrow = len(system.cols) // 2
-    kernel_rank_mod_p(system.prefix(narrow), p)
-    for n in range(len(system.cols) + 1):
-        assert _kernel_mod_system(system.prefix(n), p) == fresh[n]
+        got = _kernel_mod_system(system.prefix(n), p)
+        assert got == _kernel_mod(fresh.prefix(n).mod(p), p)
+        assert got[0] == piv[:bisect_left(piv, n)]
 
 
 def test_memoized_reduction_matches_per_entry():

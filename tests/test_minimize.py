@@ -46,6 +46,23 @@ def test_guess_apery(apery_op):
     assert guess_annihilator(f, 3, 4) == apery_op
 
 
+# the order-6 operators of the binomial sums (1,4) and (3,2), minimized
+# on 700 terms: one full-rank probe per order below 6, each at the
+# precision budget's degree cap
+_HEAVY_LOG = [(1, 343, "empty kernel"), (2, 228, "empty kernel"), (3, 170, "empty kernel"),
+              (4, 136, "empty kernel"), (5, 113, "empty kernel")]
+
+
+@pytest.mark.parametrize("powers", [[1, 4], [3, 2]])
+def test_heavy_minimization_logs_pinned(powers):
+    f = gen_binomial_sum(powers, 300)
+    op = guess_annihilator(f, max_order=8)
+    assert (op.order, op.degree()) == (6, 19)
+    res = minimal_annihilator(op, f.prefix(12))
+    assert res.status == INPUT_RETURNED and res.operator == op
+    assert res.search_log == _HEAVY_LOG
+
+
 def test_guess_random_series_has_no_operator():
     rng = random.Random(31)
     for _ in range(3):
