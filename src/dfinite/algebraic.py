@@ -1,10 +1,13 @@
 """Guess-and-prove algebraicity certification.
 
 A candidate polynomial P(z, y) with P(z, f) = O(z^sigma) is guessed by
-exact kernel computation on products z^i f^j; it is then certified by
-building the operator annihilating all roots of P, forming the LCLM with
-the input annihilator, and applying the valuation-bound zero test to
-f - g where g is the power-series root of P with g(0) = f(0).  No g is
+exact kernel computation on products z^i f^j, ordered by z-degree
+first, so that each prime's kernel vector comes from the order basis
+the operator guesser uses (``linalg.kernel_vector_exact``); it is then
+certified by building the operator annihilating all roots of P, forming
+the LCLM with the input annihilator, and applying the valuation-bound
+zero test to f - g where g is the power-series root of P with
+g(0) = f(0).  No g is
 computed: when f(0) is a simple root of P(0, y), P(z, f) = (f - g) u
 with u(0) != 0, so f - g = O(z^N) exactly when P(z, f) = O(z^N), which
 the guesser's own integer system checks.  A True answer is a proof that
@@ -132,8 +135,9 @@ def _ydivrem(a: List[List[int]], m: List[List[int]]) -> Tuple[List[List[int]], L
 
 def _algebraic_system(f: TruncSeries, max_dy: int, max_dz: int) -> ShiftSystem:
     """Row m is the z^m coefficient of sum c_ij z^i f^j times D^max_dy,
-    D the least common denominator of f's terms: column (i, j), j outer,
-    is D^(max_dy - j) F^j shifted by i for the integer series F = D f.
+    D the least common denominator of f's terms: column (j, i), i outer,
+    is D^(max_dy - j) F^j shifted by i for the integer series F = D f,
+    so the columns are degree-major as the order basis needs them.
     The scale is one nonzero integer, so the kernel is that over f."""
     n = f.trunc_order
     big, den = cleared(f.coeffs)
@@ -141,15 +145,15 @@ def _algebraic_system(f: TruncSeries, max_dy: int, max_dz: int) -> ShiftSystem:
     for _ in range(max_dy):
         powers.append(_zmul(powers[-1], big)[:n])
     seqs = [[den ** (max_dy - j) * x for x in pw] for j, pw in enumerate(powers)]
-    return ShiftSystem(seqs, [(j, i) for j in range(max_dy + 1) for i in range(max_dz + 1)], n)
+    return ShiftSystem(seqs, [(j, i) for i in range(max_dz + 1) for j in range(max_dy + 1)], n)
 
 
 def _vanishes_on(p: BivarPoly, f: TruncSeries) -> bool:
     """Whether P(z, f) = O(z^n), n the length of f, decided over Z: the
     algebraic guesser's system times P's rows, in its (j, i) column
-    order, is D^deg_y P(z, f) row by row."""
+    order, i outer, is D^deg_y P(z, f) row by row."""
     dz = max(map(len, p.rows)) - 1
-    vec = [r[i] if i < len(r) else 0 for r in p.rows for i in range(dz + 1)]
+    vec = [r[i] if i < len(r) else 0 for i in range(dz + 1) for r in p.rows]
     return not any(_algebraic_system(f, p.deg_y, dz).times(vec))
 
 
@@ -168,7 +172,7 @@ def guess_algebraic(f: TruncSeries, max_dy: int, max_dz: int) -> Optional[BivarP
     vec = kernel_vector_exact(system, system.times)
     if vec is None:
         return None
-    cand = BivarPoly([vec[j * (max_dz + 1):(j + 1) * (max_dz + 1)] for j in range(max_dy + 1)])
+    cand = BivarPoly([vec[j::max_dy + 1] for j in range(max_dy + 1)])
     if cand.is_zero() or cand.deg_y < 1:
         return None
     cand = squarefree_in_y(cand)

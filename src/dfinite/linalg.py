@@ -2,40 +2,40 @@
 
 Guessing systems come as a ``ShiftSystem``: the integer sequences they
 are made of and, per column, which sequence it reads at which shift.
-Modulo a prime each sequence is reduced once and the matrix is gathered
-from the residues with numpy index arrays; no matrix is ever reduced
-cell by cell.  Every entry is an integer, so every prime reduces the
-system; a prime that divides many entries is just an unlucky prime.
+Modulo a prime each sequence is reduced once, and no matrix is ever
+formed.  Every entry is an integer, so every prime reduces the system;
+a prime that divides many entries is just an unlucky prime.
 ``ShiftSystem.times`` is the one exact product of shifted sequences
 with a vector: the guessers' residuals, ``series.apply_op`` and the
 algebraic check P(z, f) = O(z^n) all run on it, over Z.
 
-Strategy: the guesser's probe reads the rank profile of its whole
-degree-capped system from one order basis of the Hermite-Pade problem
-mod a prime below 2^26 (``kernel_rank_mod_p``): m residual rows, one
-step per row of the system, no matrix.  Kernel vectors come from one
-forward elimination modulo each prime with numpy, which gives the rank
-profile and an echelon form.  Both work in int64 with delayed reduction
-(Dumas, Giorgi and Pernet, FFLAS-FFPACK, ACM TOMS 2008): the pivot
-column and row are reduced before use, and the rest only once every
-2^11 or more steps, since each update subtracts less than p^2 < 2^52.
-A trivial kernel modulo any prime proves a trivial kernel over Q, which
-makes "no operator of this shape exists" conclusions rigorous.  When a
-kernel exists, each prime's canonical kernel vector (first free column
-set to 1) comes from back-substitution through the echelon form's
-leading triangle; the vectors are combined by CRT over several primes
-with rational reconstruction.  Each reconstructed candidate gets one
-exact check inside the CRT loop, the caller's residual, which covers
+Strategy: one mod-p engine, an order basis of the Hermite-Pade problem
+(``_order_basis``): m residual rows, one step per row of the system,
+each row optionally carrying its polynomial vector in the same int64
+array.  It needs the columns degree-major, so that a degree box, or any
+column prefix of one, is a box of approximant degrees.  The guesser's
+probe reads the rank profile of its whole degree-capped system from it
+at one prime below 2^26 (``kernel_rank_mod_p``).  A trivial kernel
+modulo any prime proves a trivial kernel over Q, which makes "no
+operator of this shape exists" conclusions rigorous.  When a kernel
+exists, each prime's canonical kernel vector (first free column set to
+1, every later one 0) is the basis row with the smallest leading index
+(``kernel_vector_exact``); the vectors are combined by CRT over several
+primes with rational reconstruction.  Each reconstructed candidate gets
+one exact check inside the CRT loop, the caller's residual, which covers
 every row of the system; a candidate that fails it brings in one more
 prime, and only vectors that pass it are ever returned, so candidate
-generation never affects soundness.
+generation never affects soundness.  Reduction is delayed (Dumas,
+Giorgi and Pernet, FFLAS-FFPACK, ACM TOMS 2008): the pivot column and
+row are reduced before use, and the rest only once every 2^11 or more
+updates, since each update subtracts less than p^2 < 2^52.
 When the primes run out, the exact answer is the first dependence
 among the columns by fraction-free Bareiss elimination over Z
 (``_first_dependence``, which the operator code shares).
 
-The rank of a polynomial matrix over F_p(z) (the p-curvature) uses the
-same elimination at sample points, and small eliminations over Q(z) run
-fraction-free over Z[z].
+The rank of a polynomial matrix over F_p(z) (the p-curvature) is the
+largest rank that the same order basis finds at sample points, and
+small eliminations over Q(z) run fraction-free over Z[z].
 """
 
 from __future__ import annotations
@@ -77,15 +77,17 @@ class ShiftSystem:
     Hermite-Pade system of an operator is the z^n coefficient of
     sum c_ij z^j f^(i), so column (i, j) is f^(i) shifted by j; the
     guessers build it over a multiple of f with integer terms, which has
-    the same kernel.  Reduced mod p, each sequence is reduced once
-    (``_residues``) and the matrix is gathered from the residues by index
-    arithmetic.  Entries must be integers (TypeError otherwise): numpy
-    would silently truncate a rational residue.  The system is also a
-    sequence of its integer rows (``len``, indexing, iteration, which
-    stops at the IndexError past the last row).
+    the same kernel.  Modulo p, each sequence is reduced once
+    (``_residues``), and the order basis (``_order_basis``) that gives
+    both the probe's pivot columns and every prime's kernel vector reads
+    these residues as they are: the matrix is never formed.  Entries must
+    be integers (TypeError otherwise): numpy would silently truncate a
+    rational residue.  The system is also a sequence of its integer rows
+    (``len``, indexing, iteration, which stops at the IndexError past the
+    last row), which the exact fallback reads.
     """
 
-    __slots__ = ("seqs", "cols", "nrows", "_pad", "_residues")
+    __slots__ = ("seqs", "cols", "nrows", "_residues")
 
     def __init__(self, seqs: Sequence[Sequence[int]], cols: Sequence[Tuple[int, int]], nrows: int):
         if not all(isinstance(c, int) for seq in seqs for c in seq):
@@ -93,9 +95,6 @@ class ShiftSystem:
         self.seqs = seqs
         self.cols = list(cols)
         self.nrows = nrows
-        # zeros before each sequence in the residue table: the largest
-        # shift of the whole system, so every prefix reads the same table
-        self._pad = max((k for _, k in self.cols), default=0)
         # p -> residue table; shared with every prefix of the system
         self._residues: Dict[int, np.ndarray] = {}
 
@@ -128,14 +127,6 @@ class ShiftSystem:
                 out[k:end] = [o + v * x for o, x in zip(out[k:end], seq)]
         return out
 
-    def mod(self, p: int) -> np.ndarray:
-        """The matrix mod p."""
-        table = self._table(p)
-        s_idx = np.array([s for s, _ in self.cols], dtype=np.int64)
-        k_idx = np.array([k for _, k in self.cols], dtype=np.int64)
-        start = s_idx * table.shape[1] + self._pad - k_idx
-        return table.ravel()[start[None, :] + np.arange(self.nrows)[:, None]]
-
     def _table(self, p: int) -> np.ndarray:
         table = self._residues.get(p)
         if table is None:
@@ -143,12 +134,11 @@ class ShiftSystem:
         return table
 
     def _reduce(self, p: int) -> np.ndarray:
-        """Row s holds seqs[s][:nrows] mod p after ``_pad`` zeros."""
-        pad = self._pad
-        table = np.zeros((len(self.seqs), pad + self.nrows), dtype=np.int64)
+        """Row s holds seqs[s][:nrows] mod p, then zeros."""
+        table = np.zeros((len(self.seqs), self.nrows), dtype=np.int64)
         for s, seq in enumerate(self.seqs):
             head = seq[:self.nrows]
-            table[s, pad:pad + len(head)] = list(map(p.__rmod__, head))
+            table[s, :len(head)] = list(map(p.__rmod__, head))
         return table
 
 
@@ -158,151 +148,117 @@ def _reduction_period(p: int) -> int:
     p < 2^26, 2 or 1 for primes near 2^31."""
     k = (2 ** 63 - p) // (p - 1) ** 2
     if k < 1:
-        raise ValueError("prime %d too large for int64 elimination" % p)
+        raise ValueError("prime %d too large for int64 residues" % p)
     return k
 
 
-def _rank_profile_mod(a: np.ndarray, p: int) -> Tuple[np.ndarray, List[int]]:
-    """(row echelon form of ``a`` mod p, its pivot columns ascending).
-
-    Forward elimination only: each pivot clears the trailing block below
-    it (up to the pivot row's last nonzero) and nothing above, which is
-    all a rank needs; pivot t sits in row t.  Pivot columns do not depend
-    on the choice of pivot rows, and the number of them below k is the
-    rank mod p of the first k columns.
-
-    Reduction is delayed: the pivot column is reduced before it is
-    searched and the pivot row before it is used, so each update
-    subtracts a product of two residues, less than (p-1)^2.  An entry
-    reduced into [0, p) then stays above -k (p-1)^2 after k updates, and
-    the trailing block is reduced every ``_reduction_period(p)`` pivots,
-    which keeps it inside int64.  The whole matrix is reduced once at the
-    end, so the echelon form returned has entries in [0, p).
-    """
-    m, n = a.shape
-    a = a % p
-    period = _reduction_period(p)
-    piv_cols: List[int] = []
-    r = 0
-    for c in range(n):
-        if r >= m:
-            break
-        col = a[r:, c] % p
-        nz = np.flatnonzero(col)
-        if nz.size == 0:
-            continue
-        k = r + int(nz[0])
-        if k != r:
-            a[[r, k], c:] = a[[k, r], c:]
-            col[[0, k - r]] = col[[k - r, 0]]
-        a[r, c:] %= p
-        end = c + 1 + int(np.flatnonzero(a[r, c:])[-1])  # pivot row is 0 past end
-        if r + 1 < m:
-            factors = col[1:] * pow(int(col[0]), -1, p) % p
-            a[r + 1:, c:end] -= np.outer(factors, a[r, c:end])
-        piv_cols.append(c)
-        r += 1
-        if r % period == 0:
-            a[r:, c + 1:] %= p
-    a %= p
-    return a, piv_cols
-
-
-def kernel_rank_mod_p(system: ShiftSystem, p: Optional[int] = None) -> Tuple[int, List[int]]:
-    """(rank mod p, pivot columns ascending) of a degree-major box, whose
-    column j m + i is (i, j) for m = len(system.seqs) (ValueError for
-    any other layout).  rank mod p <= rank over Q, so a full column rank
-    mod p proves the exact kernel is trivial; the same holds for every
-    column prefix, whose rank mod p is the number of pivot columns
-    inside it.
+def _order_basis(system: ShiftSystem, p: int, width: int) -> Tuple[List[int], Optional[List[int]]]:
+    """(pivot columns ascending, canonical kernel vector of the first
+    ``width`` columns or None) mod p of a degree-major column prefix:
+    column c is (c mod m, c // m) for m = len(system.seqs) (ValueError
+    for any other layout).
 
     A kernel vector is a polynomial vector (P_0, ..., P_{m-1}) with
     sum P_i S_i = O(z^nrows), S_i the i-th sequence, and its last nonzero
-    column j m + i is its leading index (degree j, position i).  One
-    order basis mod p (Beckermann and Labahn, SIAM J. Matrix Anal. Appl.
-    1994) keeps one basis row per position, by residual only: row a
-    starts as S_a with leading index a.  Step k takes the nonzero
-    z^k coefficient whose row has the smallest leading index as pivot,
-    clears it from the other rows, whose leading indices stay larger,
-    and multiplies the pivot row by z (leading index + m).  The leading
-    indices stay distinct mod m, so every kernel vector's leading index
-    is one of them plus a multiple of m: column (i, j) depends on the
-    earlier ones exactly when j m + i >= lead[i].  Reduction is delayed
-    as in ``_rank_profile_mod``: each step updates a row at most once.
+    column j m + i is its leading index (degree j, position i).  The order
+    basis (Beckermann and Labahn, SIAM J. Matrix Anal. Appl. 1994) keeps
+    one row per position: its residual and, in the first ``width``
+    columns, its polynomial vector, side by side in one int64 array.  Row
+    a starts as S_a and the unit vector at column a, with leading index a.
+    Step k takes the nonzero z^k coefficient whose row has the smallest
+    leading index as pivot, clears it from the other rows, whose leading
+    indices stay larger, and multiplies the pivot row by z (leading index
+    + m).  So each row's vector has entry 1 at its leading index and
+    nothing past it, and after the last step every row is a kernel
+    vector.  The leading indices stay distinct mod m, so column (i, j)
+    depends on the earlier ones exactly when j m + i >= lead[i]; the
+    first such column f is the smallest leading index, and its row is
+    the canonical kernel vector (entry f set to 1, every later entry 0).
+
+    A row whose leading index reaches the column count n touches no
+    column of the prefix and never again changes a row of smaller index,
+    so it is dropped: in a narrow cell only kernel rows are left after a
+    few steps per column, and none at all means full column rank, where
+    the basis stops.  Reduction is
+    delayed (Dumas, Giorgi and Pernet, FFLAS-FFPACK, ACM TOMS 2008): the
+    pivot column and row are reduced before use, each update subtracts
+    a product of two residues, and the rest is reduced every
+    ``_reduction_period(p)`` updates.
     """
-    if p is None:
-        p = _PRIMES[0]
-    m, n = len(system.seqs), len(system.cols)
-    if not n:
-        return 0, []
-    if not m or n % m or system.cols != [(c % m, c // m) for c in range(n)]:
-        raise ValueError("kernel_rank_mod_p needs degree-major box columns (i, j), i < %d" % m)
-    res = system._table(p)[:, system._pad:].copy()
-    lead = list(range(m))
+    m, n, nrows = len(system.seqs), len(system.cols), system.nrows
+    if n and (not m or system.cols != [(c % m, c // m) for c in range(n)]):
+        raise ValueError("the order basis needs degree-major columns (i, j), i < %d" % m)
+    pos = list(range(min(m, n)))  # the position of each row left
+    lead = list(pos)
+    basis = np.zeros((len(pos), nrows + width), dtype=np.int64)
+    basis[:, :nrows] = system._table(p)[pos]
+    basis[pos[:width], [nrows + a for a in pos[:width]]] = 1
     period = _reduction_period(p)
-    for k in range(system.nrows):
-        col = res[:, k] % p
+    updates = 0
+    for k in range(nrows):
+        if not lead:
+            break  # full column rank
+        col = basis[:, k] % p
         head = col.tolist()
-        piv = min((a for a in range(m) if head[a]), key=lead.__getitem__, default=None)
-        if piv is not None:
-            row = res[piv, k:]
-            row %= p
+        piv = min((a for a, h in enumerate(head) if h), key=lead.__getitem__, default=None)
+        if piv is None:
+            continue
+        row = basis[piv, k:]
+        row %= p
+        if head.count(0) < len(head) - 1:  # another row has a nonzero
             factors = col * pow(head[piv], -1, p) % p
             factors[piv] = 0
-            res[:, k:] -= factors[:, None] * row
-            row[1:] = row[:-1].copy()  # times z
-            lead[piv] += m
-        if (k + 1) % period == 0:
-            res[:, k + 1:] %= p
-    piv_cols = [c for c in range(n) if c < lead[c % m]]
+            basis[:, k:] -= factors[:, None] * row
+            updates += 1
+        lead[piv] += m
+        if lead[piv] >= n:
+            basis = np.delete(basis, piv, axis=0)
+            del pos[piv], lead[piv]
+        else:  # times z: the residual moves one place, the vector m places
+            res = basis[piv, k:nrows]
+            res[1:] = res[:-1]
+            if width:
+                vec = basis[piv, nrows:]
+                vec[m:] = vec[:-m]
+                vec[:m] = 0
+        if updates == period:
+            basis[:, k + 1:] %= p
+            updates = 0
+    lead_of = dict(zip(pos, lead))  # a dropped row's index is past n
+    piv_cols = [c for c in range(n) if c < lead_of.get(c % m, n)]
+    f = min(lead, default=n)
+    if f >= width:
+        return piv_cols, None
+    return piv_cols, (basis[lead.index(f), nrows:] % p).tolist()
+
+
+def kernel_rank_mod_p(system: ShiftSystem, p: Optional[int] = None) -> Tuple[int, List[int]]:
+    """(rank mod p, pivot columns ascending) of a degree-major column
+    prefix, whose column c is (c mod m, c // m) for m = len(system.seqs)
+    (ValueError for any other layout), read from one order basis that
+    tracks no vectors (``_order_basis``).  rank mod p <= rank over Q, so
+    a full column rank mod p proves the exact kernel is trivial; the
+    same holds for every column prefix, whose rank mod p is the number of
+    pivot columns inside it."""
+    if p is None:
+        p = _PRIMES[0]
+    piv_cols, _ = _order_basis(system, p, 0)
     return len(piv_cols), piv_cols
-
-
-def _kernel_mod(a: np.ndarray, p: int) -> Tuple[List[int], Optional[List[int]]]:
-    """(pivot columns of ``a`` mod p, canonical kernel vector or None)."""
-    ech, piv_cols = _rank_profile_mod(a, p)
-    return piv_cols, _back_substitute(ech, piv_cols, a.shape[1], p)
-
-
-def _kernel_mod_system(system: ShiftSystem, p: int) -> Tuple[List[int], Optional[List[int]]]:
-    """``_kernel_mod`` of the system mod p."""
-    return _kernel_mod(system.mod(p), p)
-
-
-def _back_substitute(ech: np.ndarray, piv_cols: List[int], n: int, p: int) -> Optional[List[int]]:
-    """The canonical kernel vector of the first n columns of an echelon
-    form with those pivot columns, or None when they are independent.
-
-    The vector sets the first free column f to 1 and every other free
-    column to 0.  Columns 0..f-1 are pivots in rows 0..f-1 of the echelon
-    form, so back-substitution through that triangle gives them; pivot
-    columns past f are 0.
-    """
-    f = next((t for t, c in enumerate(piv_cols) if t != c), len(piv_cols))
-    if f == n:
-        return None
-    vec = np.zeros(n, dtype=np.int64)
-    vec[f] = 1
-    rhs = -ech[:f, f] % p
-    for t in range(f - 1, -1, -1):
-        x = int(rhs[t]) * pow(int(ech[t, t]), -1, p) % p
-        if x:
-            vec[t] = x
-            rhs[:t] = (rhs[:t] - ech[:t, t] * x) % p
-    return vec.tolist()
 
 
 def _poly_matrix_rank(mat: List[List[List[int]]], p: int) -> int:
     """Rank over F_p(z) of a nonzero square matrix of polynomials over
     F_p (int lists) via evaluation at several points (exact for at least
     one point as long as p exceeds the degrees involved; we take the max
-    over a spread of sample points)."""
+    over a spread of sample points).  At each point the rank is the pivot
+    count of the order basis of the rows as a degree-0 box."""
     best = 0
+    r = len(mat)
     deg = max((len(c) - 1 for row in mat for c in row if c), default=0)
     for t in range(1, min(p, 2 * deg + 4)):
-        m = np.array([[_zeval_mod(c, t, p) for c in row] for row in mat], dtype=np.int64)
-        best = max(best, len(_rank_profile_mod(m, p)[1]))
-        if best == len(mat):
+        rows = [[_zeval_mod(c, t, p) for c in row] for row in mat]
+        best = max(best, len(_order_basis(ShiftSystem(rows, [(i, 0) for i in range(r)], r), p, 0)[0]))
+        if best == r:
             break
     return max(best, 1)  # all samples may hit roots; the matrix is still nonzero
 
@@ -332,13 +288,11 @@ def kernel_vector_exact(system: ShiftSystem, residual: Callable[[List[int]], Seq
     prime with full column rank is rigorous, since the rank can only
     drop under reduction.
     """
-    if not system.nrows or not system.cols:
-        return None
     piv_ref: Optional[List[int]] = None
     combined: List[int] = []
     modulus = 1
     for p in _PRIMES:
-        piv, vec = _kernel_mod_system(system, p)
+        piv, vec = _order_basis(system, p, len(system.cols))
         if vec is None:
             return None
         if piv_ref is None or (-len(piv), piv) < (-len(piv_ref), piv_ref):

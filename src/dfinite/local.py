@@ -636,8 +636,10 @@ def formal_solutions(
     transcendence scan calls directly on the data it already holds.  All
     indicial roots must be rational; with ``allow_irregular`` the degree
     may drop below the order (the extra "solutions" of an irregular point
-    are simply not constructed).
+    are simply not constructed).  A negative order is an InputError.
     """
+    if order < 0:
+        raise InputError("series order must be nonnegative, not %d" % order)
     if branch is not None:
         branch = branch.monic()
         if (point.kind != SingularPoint.ALGEBRAIC or branch.degree < 1

@@ -22,8 +22,9 @@ The search probes once per order: one order basis mod p of the system
 at the degree cap (``kernel_rank_mod_p``) gives the rank of every
 smaller degree cell as a count of pivot columns, so "no operator of this
 order and degree <= d" is proved for every d at once, and exact kernel
-vectors are computed only at degrees where a kernel survives mod p, by
-eliminating that cell alone at each prime.  Each CRT candidate is
+vectors are computed only at degrees where a kernel survives mod p, from
+the same order basis run on that cell alone at each prime, carrying
+each row's polynomial vector.  Each CRT candidate is
 checked exactly once, inside ``kernel_vector_exact``'s prime loop, by
 applying its operator to F over Z: the system's own sequences and
 columns, on every row that F's terms determine (``ShiftSystem.times``),
@@ -160,6 +161,7 @@ def guess_annihilator(
     the answer is "no operator with (order, degree) inside the searched
     boxes", never a statement about larger shapes.
     """
+    _check_max_degree(max_degree)
     for order in range(1, max_order + 1):
         d_cap = (f.trunc_order - order - GUARD_TERMS) // (order + 1) - 1
         if max_degree is not None:
@@ -170,6 +172,13 @@ def guess_annihilator(
         if got is not None:
             return got[0]
     return None
+
+
+def _check_max_degree(max_degree: Optional[int]) -> None:
+    """A negative degree cap searches nothing: InputError, not a search
+    log that blames the precision budget."""
+    if max_degree is not None and max_degree < 0:
+        raise InputError("max_degree must be nonnegative, not %d" % max_degree)
 
 
 def certify_annihilates(big: DiffOp, cand: DiffOp, f: TruncSeries) -> bool:
@@ -244,6 +253,7 @@ def _minimize(big: DiffOp, init: TruncSeries, opts: MinimizeOptions) -> Minimiza
     """``minimal_annihilator`` without the up-front check: its one unroll
     of init, made even when no term is added, checks init and raises
     InsufficientInitialConditions or InconsistentInitialConditions."""
+    _check_max_degree(opts.max_degree)
     r = big.order
     degree_ceiling = opts.max_degree
     if degree_ceiling is None:

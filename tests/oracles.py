@@ -614,12 +614,12 @@ def _build_rows(f: TruncSeries, order: int, degree: int) -> List[List]:
 
 def _build_algebraic_rows(f: TruncSeries, max_dy: int, max_dz: int) -> List[List]:
     """The algebraic guesser's system cell by cell: row m is the z^m
-    coefficient of sum c_ij z^i f^j, columns (i, j) with j outer."""
+    coefficient of sum c_ij z^i f^j, columns (i, j) with i outer."""
     n = f.trunc_order
     powers = [[QQ(1)] + [Q0] * (n - 1)]
     for _ in range(max_dy):
         powers.append(_series_mul(powers[-1], list(f.coeffs), n))
-    cols = [(i, j) for j in range(max_dy + 1) for i in range(max_dz + 1)]
+    cols = [(i, j) for i in range(max_dz + 1) for j in range(max_dy + 1)]
     return [[powers[j][m - i] if 0 <= m - i < n else Q0 for i, j in cols] for m in range(n)]
 
 

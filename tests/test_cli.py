@@ -147,6 +147,21 @@ def test_cli_guess_alg_negative_degree_is_input_error(capsys, flag):
     assert out["error"] == "input"
 
 
+@pytest.mark.parametrize("command", ["minimize", "test", "grade-bound"])
+def test_cli_negative_max_degree_is_input_error(capsys, command):
+    code, out = _run(capsys, [command, str(ROOT / "bench" / "data" / "apery.json"), "--max-degree", "-1"])
+    assert code == 2
+    assert out["error"] == "input"
+
+
+def test_cli_formal_solutions_negative_order_is_input_error(capsys):
+    code, out = _run(capsys, [
+        "formal-solutions", str(ROOT / "bench" / "data" / "apery.json"),
+        "--point", "0", "--order", "-1", "--logs"])
+    assert code == 2
+    assert out["error"] == "input"
+
+
 def test_cli_grade_bound(capsys, apery_file):
     code, out = _run(capsys, ["grade-bound", apery_file])
     assert code == 0

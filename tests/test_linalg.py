@@ -1,12 +1,13 @@
-"""Modular linear algebra: rank profiles with delayed reduction against
-the per-pivot one, the probe's order-basis pivots against elimination,
-kernel vectors by back-substitution and of every column prefix,
-structured systems reduced mod p against the cell-by-cell oracle,
-integer-only entries, the one exact check inside
-the CRT loop, the fraction-free exact fallback against dense
-Gauss-Jordan over Fraction, a prime dividing the series' denominator,
-rational reconstruction past float range, the guesser's one-probe
-proof on the Apery operator, and the fraction-free Q(z) dependence."""
+"""Modular linear algebra: the order basis's pivot columns and kernel
+vectors, with delayed reduction, against elimination mod p and over Q,
+on dense matrices, degree boxes and column prefixes of any width, the
+p-curvature rank at sample points, the layouts the basis refuses,
+residue tables against the cell-by-cell oracle, integer-only entries,
+the one exact check inside the CRT loop, the fraction-free exact
+fallback against dense Gauss-Jordan over Fraction, a prime dividing the
+series' denominator, rational reconstruction past float range, the
+guesser's one-probe proof on the Apery operator, and the fraction-free
+Q(z) dependence."""
 
 from bisect import bisect_left
 from fractions import Fraction
@@ -29,16 +30,15 @@ from dfinite.linalg import (
     ShiftSystem,
     _PRIMES,
     _first_dependence,
-    _kernel_mod,
-    _kernel_mod_system,
-    _rank_profile_mod,
+    _order_basis,
+    _poly_matrix_rank,
     _rational_reconstruct,
     _reduction_period,
     kernel_rank_mod_p,
     kernel_vector_exact,
 )
 from dfinite.minimize import INPUT_RETURNED, _guess_system, minimal_annihilator
-from dfinite.polys import Poly
+from dfinite.polys import Poly, _zeval_mod
 from dfinite.rationals import Q0, QQ
 from dfinite.series import TruncSeries
 from oracles import (
@@ -55,6 +55,30 @@ from oracles import (
 )
 
 APERY = Path(__file__).resolve().parents[1] / "bench" / "data" / "apery.json"
+
+
+def _gather_mod(system, p):
+    """The system's matrix mod p, read entry by entry from its residue
+    table."""
+    table = system._table(p)
+    rows = [[table[s, r - k] if r >= k else 0 for s, k in system.cols] for r in range(system.nrows)]
+    return np.array(rows, dtype=np.int64).reshape(system.nrows, len(system.cols))
+
+
+def _canonical_mod(a, p):
+    """(pivot columns, canonical kernel vector or None) of a matrix mod p
+    by the oracles: per-pivot elimination and the full RREF."""
+    kernel = _kernel_vector_mod(a.copy(), p)
+    return rank_profile_mod_oracle(a.copy(), p)[1], None if kernel is None else kernel[2]
+
+
+def _basis(system, p, period):
+    """``_order_basis`` of the whole system, tracking every column, with
+    ``_reduction_period`` forced to ``period`` unless that is None."""
+    if period is None:
+        return _order_basis(system, p, len(system.cols))
+    with mock.patch.object(linalg, "_reduction_period", lambda q: period):
+        return _order_basis(system, p, len(system.cols))
 
 
 @st.composite
@@ -90,9 +114,10 @@ def test_pivot_prefix_counts_are_prefix_ranks(rows, p):
 # the first free column comes before later pivots
 @example([[QQ(1), QQ(2), Q0], [QQ(2), QQ(4), QQ(1)]], 7)
 @example([[Q0, QQ(1), QQ(3)], [Q0, QQ(2), QQ(1, 2)]], 5)
-def test_back_substituted_kernel_matches_rref(rows, p):
+def test_order_basis_kernel_matches_rref(rows, p):
+    # a dense matrix is a degree-0 box of its columns
     a = _reduce_matrix_mod(rows, p)
-    piv, vec = _kernel_mod(a, p)
+    piv, vec = _order_basis(dense_system(a.tolist()), p, a.shape[1])
     want = _kernel_vector_mod(a, p)
     assert (vec is None) == (want is None) == (len(piv) == len(rows[0]))
     if want is not None:
@@ -140,32 +165,27 @@ def residue_matrices(draw):
 @settings(max_examples=300, deadline=None)
 @given(residue_matrices(), st.sampled_from([None, 1, 2, 3]))
 def test_delayed_reduction_matches_per_pivot_reduction(case, period):
-    # same pivots and echelon rows, reduced into [0, p); a short forced
-    # period runs the trailing-block reduction at 26-bit primes too
+    # the order basis of the matrix's columns, whose residues take many
+    # updates between reductions, finds the pivots and the kernel vector
+    # of elimination reduced after every pivot; a short forced period
+    # runs the in-loop reduction at 26-bit primes too
     a, p = case
-    want_ech, want_piv = rank_profile_mod_oracle(a.copy(), p)
-    if period is None or period > _reduction_period(p):
-        ech, piv = _rank_profile_mod(a.copy(), p)
-    else:
-        with mock.patch.object(linalg, "_reduction_period", lambda q: period):
-            ech, piv = _rank_profile_mod(a.copy(), p)
-    assert piv == want_piv
-    assert ech.tolist() == want_ech.tolist()
+    if period is not None and period > _reduction_period(p):
+        period = None
+    assert _basis(dense_system(a.tolist()), p, period) == _canonical_mod(a, p)
 
 
 def test_delayed_reduction_on_a_large_rank_deficient_matrix():
     # 120 x 100 of rank 70 at a 26-bit and at the two wide primes: every
-    # entry of the trailing block takes dozens of updates between reductions
+    # basis row takes dozens of updates between reductions
     rng = np.random.default_rng(1)
     for p in [_PRIMES[0]] + list(_P_WIDE):
         left = rng.integers(0, p, size=(120, 70)).astype(object)
         right = rng.integers(0, p, size=(70, 100)).astype(object)
         a = (left.dot(right) % p).astype(np.int64)
-        a[:5] = 0  # the first pivot needs a row swap
-        want_ech, want_piv = rank_profile_mod_oracle(a.copy(), p)
-        ech, piv = _rank_profile_mod(a, p)
-        assert len(piv) == 70 and piv == want_piv
-        assert (ech == want_ech).all()
+        a[:5] = 0  # the first rows have no pivot
+        piv, vec = _basis(dense_system(a.tolist()), p, None)
+        assert len(piv) == 70 and (piv, vec) == _canonical_mod(a, p)
 
 
 @st.composite
@@ -209,13 +229,36 @@ def test_order_basis_pivots_match_elimination(case, period):
     # the whole matrix finds; a short forced period runs the in-loop
     # reduction at the 26-bit prime too
     system, p = case
-    want = _rank_profile_mod(system.mod(p), p)[1]
+    want = rank_profile_mod_oracle(_gather_mod(system, p), p)[1]
     if period is None:
         got = kernel_rank_mod_p(system, p)
     else:
         with mock.patch.object(linalg, "_reduction_period", lambda q: period):
             got = kernel_rank_mod_p(system, p)
     assert got == (len(want), want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(box_systems(), st.sampled_from([None, 1, 2, 3]), st.data())
+def test_order_basis_kernel_vector_matches_oracles(case, period, data):
+    # on a degree-major prefix of any width, whole degrees or not, the
+    # basis row with the smallest leading index is the canonical kernel
+    # vector mod p, and the CRT over such rows gives the one over Q
+    system, p = case
+    n = data.draw(st.integers(0, len(system.cols)))
+    part = system.prefix(n)
+    assert _basis(part, p, period) == _canonical_mod(_gather_mod(part, p), p)
+    if period is None:
+        got = kernel_vector_exact(part, part.times)
+    else:
+        with mock.patch.object(linalg, "_reduction_period", lambda q: period):
+            got = kernel_vector_exact(part, part.times)
+    if not n:
+        assert got is None
+    elif not part.nrows:
+        assert got == [1] + [0] * (n - 1)
+    else:
+        assert got == kernel_vector_oracle([list(row) for row in part])
 
 
 def test_order_basis_on_a_large_planted_system():
@@ -233,21 +276,60 @@ def test_order_basis_on_a_large_planted_system():
         seqs.append(planted)
     system = ShiftSystem(seqs, [(i, j) for j in range(41) for i in range(7)], 300)
     for p in [_PRIMES[0]] + list(_P_WIDE):
-        want = _rank_profile_mod(system.mod(p), p)[1]
-        assert len(want) < len(system.cols)
-        assert kernel_rank_mod_p(system, p) == (len(want), want)
+        want = _canonical_mod(_gather_mod(system, p), p)
+        assert len(want[0]) < len(system.cols)
+        assert kernel_rank_mod_p(system, p) == (len(want[0]), want[0])
+        assert _order_basis(system, p, len(system.cols)) == want
 
 
 def test_probe_needs_a_degree_major_box():
+    # column prefixes of a degree-major box, the algebraic guesser's
+    # system among them, are accepted by both entry points; a permuted
+    # box, a sequence-major one and a box with a column left out are not
     seqs = [[1, 2, 3, 4, 5], [0, 1, 0, 2, 7]]
     box = [(i, j) for j in range(3) for i in range(2)]
     permuted = [box[1], box[0]] + box[2:]
-    algebraic = _algebraic_system(TruncSeries([QQ(c) for c in [1, 2, 3, 5, 8, 13, 21]]), 2, 2)
-    for system in (ShiftSystem(seqs, permuted, 5), ShiftSystem(seqs, box[:-1], 5), algebraic):
+    sequence_major = [(i, j) for i in range(2) for j in range(3)]
+    for cols in (permuted, sequence_major, box[:2] + box[3:]):
+        system = ShiftSystem(seqs, cols, 5)
         with pytest.raises(ValueError):
             kernel_rank_mod_p(system)
+        with pytest.raises(ValueError):
+            kernel_vector_exact(system, system.times)
+    algebraic = _algebraic_system(TruncSeries([QQ(c) for c in [1, 2, 3, 5, 8, 13, 21]]), 2, 2)
+    for system in [algebraic] + [ShiftSystem(seqs, box[:n], 5) for n in range(len(box) + 1)]:
+        rank, _ = kernel_rank_mod_p(system)
+        assert (kernel_vector_exact(system, system.times) is None) == (rank == len(system.cols))
     assert kernel_rank_mod_p(ShiftSystem(seqs, [], 5)) == (0, [])
     assert kernel_rank_mod_p(ShiftSystem(seqs, box, 0)) == (0, [])
+
+
+def test_system_without_rows_has_every_vector_in_its_kernel():
+    # the first unit vector goes through the caller's residual, which
+    # decides alone: no rows, so any further condition it appends
+    system = ShiftSystem([[1, 2, 3], [0, 1, 4]], [(i, j) for j in range(3) for i in range(2)], 0)
+    assert kernel_vector_exact(system, system.times) == [1, 0, 0, 0, 0, 0]
+    assert kernel_vector_exact(system, lambda vec: [vec[0]]) is None
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([2, 3, 5, 7, 11]), st.integers(1, 4), st.data())
+def test_poly_matrix_rank_matches_elimination_at_sample_points(p, r, data):
+    # the largest rank over the sample points, with each point's rank
+    # from per-pivot elimination; rows often repeat or vanish
+    entry = st.lists(st.integers(0, p - 1), max_size=4).map(
+        lambda c: c[:max((i + 1 for i, x in enumerate(c) if x), default=0)])
+    mat = [data.draw(st.lists(entry, min_size=r, max_size=r)) for _ in range(r)]
+    if data.draw(st.booleans()):
+        mat[-1] = list(mat[0])
+    if not any(map(any, mat)):
+        mat[0][0] = [1]
+    deg = max((len(c) - 1 for row in mat for c in row if c), default=0)
+    best = 0
+    for t in range(1, min(p, 2 * deg + 4)):
+        a = np.array([[_zeval_mod(c, t, p) for c in row] for row in mat], dtype=np.int64)
+        best = max(best, len(rank_profile_mod_oracle(a, p)[1]))
+    assert _poly_matrix_rank(mat, p) == max(best, 1)
 
 
 @settings(max_examples=200, deadline=None)
@@ -262,8 +344,8 @@ def test_prefix_kernel_matches_a_fresh_elimination(coeffs, order, degree, p):
     _, piv = kernel_rank_mod_p(system, p)
     fresh = _guess_system(TruncSeries(coeffs), order, degree)
     for n in range(len(system.cols) + 1):
-        got = _kernel_mod_system(system.prefix(n), p)
-        assert got == _kernel_mod(fresh.prefix(n).mod(p), p)
+        got = _order_basis(system.prefix(n), p, n)
+        assert got == _canonical_mod(_gather_mod(fresh.prefix(n), p), p)
         assert got[0] == piv[:bisect_left(piv, n)]
 
 
@@ -325,7 +407,7 @@ def test_gathered_matrix_matches_cell_by_cell_reduction(case, data):
     for ncols in widths:
         part = system if ncols is None else system.prefix(ncols)
         head = rows if ncols is None else [row[:ncols] for row in rows]
-        assert part.mod(p).tolist() == _reduce_matrix_mod(head, p).tolist()
+        assert _gather_mod(part, p).tolist() == _reduce_matrix_mod(head, p).tolist()
 
 
 @settings(max_examples=100, deadline=None)
@@ -414,7 +496,7 @@ def test_shift_system_takes_only_integers():
     big = 2 ** 70 + 3
     system = ShiftSystem([[-1, big]], [(0, 0), (0, 1)], 3)
     assert [row[1] for row in system] == [0, -1, big]
-    assert system.mod(5).tolist() == [[4, 0], [big % 5, 4], [0, big % 5]]
+    assert _gather_mod(system, 5).tolist() == [[4, 0], [big % 5, 4], [0, big % 5]]
 
 
 @st.composite
@@ -457,10 +539,10 @@ def test_prime_dividing_the_denominator_is_an_unlucky_prime():
     want = guess_algebraic(f, 2, 1)
     assert want == BivarPoly([Poly([-7, 4]), Poly(), Poly([7])])
     seen = []
-    real = linalg._kernel_mod_system
+    real = linalg._order_basis
     with mock.patch.object(linalg, "_PRIMES", [7] + _PRIMES), \
-            mock.patch.object(linalg, "_kernel_mod_system",
-                              lambda system, p: seen.append(p) or real(system, p)):
+            mock.patch.object(linalg, "_order_basis",
+                              lambda system, p, width: seen.append(p) or real(system, p, width)):
         got = guess_algebraic(f, 2, 1)
     assert seen[0] == 7 and len(seen) > 1
     assert got.y_coeffs == want.y_coeffs

@@ -17,6 +17,7 @@ from dfinite import (
     lclm,
     minimal_annihilator,
     op_mul,
+    transcendence_test,
     unroll,
 )
 import dfinite.minimize as minimize
@@ -32,6 +33,7 @@ from dfinite.minimize import (
     _vector_to_op,
 )
 from dfinite.rationals import QQ
+from dfinite.transcend import TranscendOptions
 from oracles import cofactor_oracle
 
 
@@ -195,6 +197,19 @@ def test_minimal_annihilator_rejects_bad_init():
         minimal_annihilator(op, TruncSeries([1, 3]))
     with pytest.raises(InputError, match="^invalid initial terms: fewer"):
         minimal_annihilator(DiffOp([Poly(), Poly(), Poly([1])]), TruncSeries([1]))
+
+
+def test_negative_max_degree_is_an_input_error(apery_op, apery_init):
+    # a negative degree cap searches nothing; it used to be logged as an
+    # exhausted precision budget, and written into a T certificate
+    opts = MinimizeOptions(max_degree=-1)
+    with pytest.raises(InputError, match="max_degree"):
+        guess_annihilator(unroll(apery_op, apery_init, 40), 2, max_degree=-1)
+    with pytest.raises(InputError, match="max_degree"):
+        minimal_annihilator(apery_op, apery_init, opts)
+    with pytest.raises(InputError, match="max_degree"):
+        transcendence_test(apery_op, apery_init, TranscendOptions(minimize=opts))
+    assert guess_annihilator(unroll(apery_op, apery_init, 40), 1, max_degree=0) is None
 
 
 def test_wrong_reconstruction_costs_a_prime_not_the_answer(monkeypatch, apery_op, apery_init):
