@@ -3,15 +3,14 @@
 A candidate polynomial P(z, y) with P(z, f) = O(z^sigma) is guessed by
 exact kernel computation on products z^i f^j, ordered by z-degree
 first, so that each prime's kernel vector comes from the order basis
-the operator guesser uses (``linalg.kernel_vector_exact``); it is then
-certified by building the operator annihilating all roots of P, forming
-the LCLM with the input annihilator, and applying the valuation-bound
-zero test to f - g where g is the power-series root of P with
-g(0) = f(0).  No g is
-computed: when f(0) is a simple root of P(0, y), P(z, f) = (f - g) u
-with u(0) != 0, so f - g = O(z^N) exactly when P(z, f) = O(z^N), which
-the guesser's own integer system checks.  A True answer is a proof that
-P(z, f) = 0; exhaustion of the search proves nothing.
+the operator guesser uses (``linalg.kernel_vector_exact``).  It is
+certified as ``minimize`` certifies any annihilator.  Let ann kill P's
+roots and g be the root with g(0) = f(0), a simple root of P(0, y).
+Then P(z, f) = (f - g) u with u(0) != 0, so the guesser's integer
+system decides f - g = O(z^N) without computing g; ann(f) = 0 exactly
+when the right remainder of ann by op kills f (``certify_annihilates``);
+so f - g solves ann, and N above ``indicial_bound(ann)`` forces f = g.
+A True answer is a proof that P(z, f) = 0; exhaustion proves nothing.
 
 A ``BivarPoly`` stores its normal form, primitive integer y-rows over
 Z[z], as ``DiffOp`` stores its rows, and computations over Q(z)[y] run
@@ -28,11 +27,11 @@ from typing import List, Optional, Sequence, Tuple
 
 from .errors import InputError, NotSquarefree, PrecisionTooLow, RootNotSeparable
 from .linalg import ShiftSystem, _first_dependence, kernel_vector_exact
-from .minimize import GUARD_TERMS
-from .ore import DiffOp, _int_rows, lclm
+from .minimize import GUARD_TERMS, certify_annihilates
+from .ore import DiffOp, _int_rows, op_right_divrem
 from .polys import Poly, _primitive_rows, _zadd, _zderiv, _zmul, _zsub, format_poly
-from .rationals import Q0, cleared
-from .series import TruncSeries, indicial_bound, unroll, zero_test
+from .rationals import cleared
+from .series import TruncSeries, indicial_bound, unroll
 
 
 class BivarPoly:
@@ -244,13 +243,13 @@ def _normalized(w: List[List[int]], s: List[int]) -> Tuple[List[List[int]], List
 def certify_root(op: DiffOp, init: TruncSeries, p: BivarPoly) -> bool:
     """Proof that P(z, f) = 0 for the solution f of op pinned by init.
 
-    When f(0) is a simple root of P(0, y), P has exactly one power-series
-    root g with g(0) = f(0), and P(z, f) = (f - g) u with u(0) =
-    P_y(0, f(0)) != 0; so P(z, f) = O(z^N) exactly when f - g = O(z^N),
-    which the algebraic guesser's integer system decides.  f - g solves
-    M = lclm(op, annihilator of P's roots), so once N passes M's
-    valuation bound the zero test of M proves f = g.  A multiple root
-    f(0) raises RootNotSeparable.
+    When f(0) is a simple root of P(0, y), P has one power-series root g
+    with g(0) = f(0), and P(z, f) = (f - g) u with u(0) != 0, so the
+    algebraic guesser's integer system decides f - g = O(z^N).  g solves
+    ann, the annihilator of P's roots; den ann = Q o op + R, so ann(f) =
+    0 exactly when R(f) = 0, which ``certify_annihilates`` proves.  Then
+    f - g solves ann, and N past ann's valuation bound forces f = g.  A
+    multiple root f(0) raises RootNotSeparable.
     """
     return _certified_annihilator(op, init, p) is not None
 
@@ -259,9 +258,7 @@ def _certified_annihilator(op: DiffOp, init: TruncSeries, p: BivarPoly) -> Optio
     """The annihilator of P's roots if ``certify_root`` proves P(z, f) = 0,
     else None."""
     ann = annihilator_of_roots(p)
-    m_op = lclm(op, ann)
-    b0 = indicial_bound(m_op)
-    need = max(b0 + 2, init.trunc_order, op.order + 2) + GUARD_TERMS
+    need = max(indicial_bound(ann) + 2, init.trunc_order, op.order + 2) + GUARD_TERMS
     f = unroll(op, init, need)
     y0 = f.coeffs[0]
     p0 = Poly([r[0] if r else 0 for r in p.rows])
@@ -269,8 +266,9 @@ def _certified_annihilator(op: DiffOp, init: TruncSeries, p: BivarPoly) -> Optio
         raise RootNotSeparable("initial value is a multiple root of P(0, y)")
     if not _vanishes_on(p, f):
         return None
-    # f - g = O(z^need) with need > b0, so the zero test of M decides
-    return ann if zero_test(m_op, TruncSeries([Q0] * need)) else None
+    # f - g = O(z^need) past ann's bound, so ann(f) = 0 forces f = g
+    rem = op_right_divrem(ann, op)[1]
+    return ann if not rem or certify_annihilates(op, DiffOp(rem), f) else None
 
 
 def prove_algebraic(

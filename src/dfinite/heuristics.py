@@ -22,6 +22,10 @@ from .series import TruncSeries
 
 _SMALL_PRIME_BOUND = 100000
 
+# The remainder iteration takes work that grows as p^2, and near 2^64
+# the trial-division primality test alone would take 2^32 steps.
+P_CURVATURE_MAX_PRIME = 2 ** 10
+
 
 def _factor_small(n: int) -> Dict[int, int]:
     """Prime factorization by trial division up to the small-prime bound;
@@ -124,10 +128,13 @@ def p_curvature(op: DiffOp, p: int) -> PCurvatureReport:
     d^p ... d^(p+r-1) over F_p(z).  Primes at most the order, or for which
     the leading coefficient vanishes mod p, are flagged bad and skipped; a
     p that is not prime is an InputError, since the iteration inverts
-    numbers mod p.
+    numbers mod p, and so is a p above ``P_CURVATURE_MAX_PRIME`` = 2^10,
+    checked first.
     """
     if op.is_zero():
         raise InputError("zero operator")
+    if p > P_CURVATURE_MAX_PRIME:
+        raise InputError("p-curvature modulus %d exceeds the ceiling %d" % (p, P_CURVATURE_MAX_PRIME))
     if p < 2 or any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
         raise InputError("p-curvature modulus %d is not prime" % p)
     r = op.order

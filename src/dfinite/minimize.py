@@ -161,7 +161,7 @@ def guess_annihilator(
     the answer is "no operator with (order, degree) inside the searched
     boxes", never a statement about larger shapes.
     """
-    _check_max_degree(max_degree)
+    _check_bounds(max_order=max_order, max_degree=max_degree)
     for order in range(1, max_order + 1):
         d_cap = (f.trunc_order - order - GUARD_TERMS) // (order + 1) - 1
         if max_degree is not None:
@@ -174,11 +174,14 @@ def guess_annihilator(
     return None
 
 
-def _check_max_degree(max_degree: Optional[int]) -> None:
-    """A negative degree cap searches nothing: InputError, not a search
-    log that blames the precision budget."""
-    if max_degree is not None and max_degree < 0:
-        raise InputError("max_degree must be nonnegative, not %d" % max_degree)
+def _check_bounds(**bounds: Optional[int]) -> None:
+    """A negative order, degree or precision bound searches nothing:
+    InputError, not an empty answer or a search log that blames the
+    precision budget.  A budget of 0 or more that fits no box is a
+    computed result, logged as exhausted."""
+    for name, value in bounds.items():
+        if value is not None and value < 0:
+            raise InputError("%s must be nonnegative, not %d" % (name, value))
 
 
 def certify_annihilates(big: DiffOp, cand: DiffOp, f: TruncSeries) -> bool:
@@ -253,7 +256,7 @@ def _minimize(big: DiffOp, init: TruncSeries, opts: MinimizeOptions) -> Minimiza
     """``minimal_annihilator`` without the up-front check: its one unroll
     of init, made even when no term is added, checks init and raises
     InsufficientInitialConditions or InconsistentInitialConditions."""
-    _check_max_degree(opts.max_degree)
+    _check_bounds(max_degree=opts.max_degree, max_precision=opts.max_precision)
     r = big.order
     degree_ceiling = opts.max_degree
     if degree_ceiling is None:

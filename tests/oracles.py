@@ -10,7 +10,9 @@ over Q(z)[y] for the squarefree part in y, and the generic root's
 derivatives in Q(z)[y]/(P) for the annihilator of P's roots; the
 power-series root of P(z, y) by Newton iteration over ``Fraction``, with
 P(z, f) evaluated by Horner over Q, the reference for ``certify_root``'s
-integer check; the recurrence of an
+integer check; ``certify_root`` through the zero test of lclm(op,
+annihilator of P's roots), the reference for its right-division
+certificate; the recurrence of an
 operator from ``Fraction`` falling factorials, with its row check and
 unrolling evaluated over ``Fraction``, the full reduced row echelon form
 mod p for kernel vectors, dense Gauss-Jordan over ``Fraction`` for the
@@ -47,7 +49,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from dfinite import DiffOp, Poly, RecOp, TruncSeries
-from dfinite.algebraic import BivarPoly
+from dfinite.algebraic import BivarPoly, _vanishes_on, annihilator_of_roots
 from dfinite.errors import (
     InconsistentInitialConditions,
     InputError,
@@ -58,11 +60,12 @@ from dfinite.errors import (
 )
 from dfinite.linalg import ShiftSystem
 from dfinite.local import LogSeries, _lam_add, _lam_eval, _lam_trim, _series_valuation
-from dfinite.ore import op_mul_raw
+from dfinite.minimize import GUARD_TERMS
+from dfinite.ore import lclm, op_mul_raw
 from dfinite.polys import _sympy_x, _zclear, format_poly
 from dfinite.quotient import ModRing
 from dfinite.rationals import QQ, Q0, Q1, is_integer
-from dfinite.series import rec_leading_roots
+from dfinite.series import indicial_bound, rec_leading_roots, unroll, zero_test
 
 
 # ---------------------------------------------------------------------------
@@ -322,6 +325,23 @@ def newton_root_oracle(p, init: TruncSeries, n_terms: int) -> Optional[TruncSeri
         if out.coeffs[i] != init.coeffs[i]:
             return None  # the unique continuation disagrees, so P(z, f) != 0
     return out
+
+
+def certify_root_lclm_oracle(op: DiffOp, init: TruncSeries, p) -> bool:
+    """``certify_root`` by way of M = lclm(op, annihilator of P's roots).
+
+    f - g solves M, g the root of P with g(0) = f(0), so once
+    P(z, f) = O(z^N) for N past M's valuation bound, the zero test of M
+    proves f = g.  The same checks in the same order as ``certify_root``,
+    so a multiple root f(0) raises RootNotSeparable here too.
+    """
+    m_op = lclm(op, annihilator_of_roots(p))
+    need = max(indicial_bound(m_op) + 2, init.trunc_order, op.order + 2) + GUARD_TERMS
+    f = unroll(op, init, need)
+    p0 = Poly([r[0] if r else 0 for r in p.rows])
+    if p0(f.coeffs[0]) == 0 and p0.derivative()(f.coeffs[0]) == 0:
+        raise RootNotSeparable("initial value is a multiple root of P(0, y)")
+    return _vanishes_on(p, f) and zero_test(m_op, TruncSeries([Q0] * need))
 
 
 # ---------------------------------------------------------------------------

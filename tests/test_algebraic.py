@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -26,6 +27,7 @@ from dfinite.rationals import QQ
 from oracles import (
     annihilator_of_roots_oracle,
     bivar_evaluate_series,
+    certify_root_lclm_oracle,
     newton_root_oracle,
     squarefree_in_y_oracle,
 )
@@ -389,3 +391,66 @@ def test_certify_root_matches_newton_oracle(case):
     assert certify_root(op, init, p) is want
     if expected is not None:
         assert want is expected
+
+
+@st.composite
+def _reducible_cases(draw):
+    """(op, init, P) with P = P1 P2 squarefree in y: init pins f, P1's
+    root with f(0) = y0 or that root plus c z^k, and op is P1's root
+    annihilator or its lclm with z d - k, of lower order than P's."""
+    y0, dy = draw(_coef), draw(st.integers(1, 2))
+    rows = [draw(st.lists(_coef, min_size=1, max_size=3)) for _ in range(dy + 1)]
+    rows[-1][0] = draw(_coef.filter(bool))
+    rows[0][0] = -sum(r[0] * y0 ** j for j, r in enumerate(rows) if j >= 1)  # P1(0, y0) = 0
+    assume(sum(j * r[0] * y0 ** (j - 1) for j, r in enumerate(rows) if j >= 1) != 0)
+    p1 = BivarPoly([Poly(r) for r in rows])
+    p = _bivar_mul(p1, draw(_bivars(3 - dy, 1)))
+    assume(p1.deg_y == dy and squarefree_in_y(p).deg_y == p.deg_y)
+    ann1 = annihilator_of_roots(p1)
+    assume(ann1.order >= 1)
+    k, perturb = draw(st.integers(1, 3)), draw(st.booleans())
+    op = lclm(ann1, _z_minus(k)) if perturb or draw(st.booleans()) else ann1
+    assume(annihilator_of_roots(p).order > op.order)
+    f = list(newton_root_oracle(p1, TruncSeries([y0]), max(op.order, indicial_bound(op) + 1, k + 1)).coeffs)
+    if perturb:
+        f[k] += draw(_coef.filter(bool))
+    return op, _pinning_prefix(op, f), p
+
+
+@st.composite
+def _approximant_cases(draw):
+    """(op, init, P): f = (1 - a z)^(-b/a) against P = y - q(z), q the
+    sum of f's first k terms.  Past the terms certify_root reads, only
+    its certificate tells f from q, unless f is that polynomial."""
+    a, b = draw(st.integers(1, 3)), draw(st.sampled_from([-2, -1, 1, 2]))
+    op = DiffOp([Poly([-b]), Poly([1, -a])])
+    q = unroll(op, TruncSeries([1]), draw(st.integers(10, 25))).coeffs
+    return op, TruncSeries([1]), BivarPoly([Poly([-c for c in q]), Poly([1])])
+
+
+_EXP_TAYLOR_20 = BivarPoly([Poly([-QQ(1, math.factorial(i)) for i in range(21)]), Poly([1])])
+_SQRT_OP = DiffOp([Poly([2]), Poly([1, -4])])  # kills sqrt(1 - 4z)
+_SQRT_TIMES_LINE = _bivar_mul(BivarPoly([Poly([-1, 4]), Poly(), Poly([1])]),  # (y^2 - 1 + 4z)
+                              BivarPoly([Poly([-3, 1]), Poly([1])]))  # (y + z - 3)
+_SQRT_TIMES_LINES = _bivar_mul(_SQRT_TIMES_LINE, BivarPoly([Poly([-2]), Poly([1])]))  # (y - 2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=st.one_of(_certify_cases().map(lambda c: c[:3]), _reducible_cases(), _approximant_cases()))
+@example(case=(_SQRT_OP, TruncSeries([1]), _SQRT_TIMES_LINE))
+@example(case=(lclm(_SQRT_OP, _z_minus(2)), TruncSeries([1, -2, -2]), _SQRT_TIMES_LINES))  # sqrt(1 - 4z)
+@example(case=(lclm(_SQRT_OP, _z_minus(2)), TruncSeries([1, -2, 5]), _SQRT_TIMES_LINES))  # plus 7 z^2
+@example(case=(DiffOp([Poly([-1]), Poly([1])]), TruncSeries([1]), _EXP_TAYLOR_20))  # exp(z) = O(z^21) off
+def test_certify_root_matches_lclm_route(case):
+    # right division by op against the zero test of lclm(op, ann): the
+    # same answer, or RootNotSeparable on both sides, for drawn P of
+    # y-degree 1 to 3, reducible P whose root annihilator outgrows op included,
+    # and f that agrees with P's root beyond the terms certify_root reads
+    op, init, p = case
+    try:
+        want = certify_root_lclm_oracle(op, init, p)
+    except RootNotSeparable:
+        with pytest.raises(RootNotSeparable):
+            certify_root(op, init, p)
+        return
+    assert certify_root(op, init, p) is want

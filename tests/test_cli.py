@@ -147,11 +147,26 @@ def test_cli_guess_alg_negative_degree_is_input_error(capsys, flag):
     assert out["error"] == "input"
 
 
-@pytest.mark.parametrize("command", ["minimize", "test", "grade-bound"])
-def test_cli_negative_max_degree_is_input_error(capsys, command):
-    code, out = _run(capsys, [command, str(ROOT / "bench" / "data" / "apery.json"), "--max-degree", "-1"])
+@pytest.mark.parametrize("command, bound", [
+    *[pytest.param(c, ["--max-degree", "-1"], id=c) for c in ("minimize", "test", "grade-bound")],
+    *[pytest.param(c, ["--precision", "-5"], id=c + "-precision")
+      for c in ("minimize", "test", "test-gb", "grade-bound")],
+])
+def test_cli_negative_max_degree_is_input_error(capsys, command, bound):
+    # --assume-gb lifts test-gb's own InputError (no globally bounded assertion)
+    extra = ["--assume-gb"] if command == "test-gb" else []
+    code, out = _run(capsys, [command, str(ROOT / "bench" / "data" / "apery.json"), *bound, *extra])
     assert code == 2
     assert out["error"] == "input"
+    assert "max_" in out["message"]
+
+
+def test_cli_zero_precision_is_an_exhausted_budget(capsys):
+    # a budget of 0 or more that fits no box is a computed result
+    code, out = _run(capsys, ["test", str(ROOT / "bench" / "data" / "apery.json"), "--precision", "0"])
+    assert code == 0
+    assert out["certificate"][0]["search_log"] == [
+        [1, -1, "precision budget exhausted"], [2, -1, "precision budget exhausted"]]
 
 
 def test_cli_formal_solutions_negative_order_is_input_error(capsys):
@@ -437,10 +452,11 @@ def test_cli_verify_malformed_report(capsys, apery_file, tmp_path, malform):
     assert out["error"] == "input"
 
 
-@pytest.mark.parametrize("primes", ["9", "4", "1", "5,15", "abc", "5,x"])
+@pytest.mark.parametrize("primes", ["9", "4", "1", "5,15", "abc", "5,x", "4294967311", "1031"])
 def test_cli_pcurv_rejects_non_primes(capsys, apery_file, primes):
     # the elimination inverts numbers mod p: 9 used to report a zero
-    # p-curvature, false evidence of algebraicity
+    # p-curvature, false evidence of algebraicity; primes above the
+    # ceiling 2^10 are refused before any work (4294967311 used to hang)
     code, out = _run(capsys, ["pcurv", apery_file, "--primes", primes])
     assert code == 2
     assert out["error"] == "input"

@@ -210,6 +210,11 @@ def test_negative_max_degree_is_an_input_error(apery_op, apery_init):
     with pytest.raises(InputError, match="max_degree"):
         transcendence_test(apery_op, apery_init, TranscendOptions(minimize=opts))
     assert guess_annihilator(unroll(apery_op, apery_init, 40), 1, max_degree=0) is None
+    # so do a negative order cap and a negative precision budget
+    with pytest.raises(InputError, match="max_order"):
+        guess_annihilator(unroll(apery_op, apery_init, 40), -2)
+    with pytest.raises(InputError, match="max_precision"):
+        minimal_annihilator(apery_op, apery_init, MinimizeOptions(max_precision=-5))
 
 
 def test_wrong_reconstruction_costs_a_prime_not_the_answer(monkeypatch, apery_op, apery_init):
