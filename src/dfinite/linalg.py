@@ -31,7 +31,11 @@ row are reduced before use, and the rest only once every 2^11 or more
 updates, since each update subtracts less than p^2 < 2^52.
 When the primes run out, the exact answer is the first dependence
 among the columns by fraction-free Bareiss elimination over Z
-(``_first_dependence``, which the operator code shares).
+(``_first_dependence``).  The same elimination over Z[z] gives the
+operator cofactor ``ore._cofactor``, on which ``ore.lclm`` and
+``minimize.certify_annihilates`` both run, and the inverse of dP/dy and
+the dependence of the root's derivatives in
+``algebraic.annihilator_of_roots``.
 
 The rank of a polynomial matrix over F_p(z) (the p-curvature) is the
 largest rank that the same order basis finds at sample points, and

@@ -10,8 +10,9 @@ each derivative is reduced once per prime.  ``certify_annihilates``
 upgrades a candidate to a proof: it builds a cofactor A with
 A o M = C o L from the first Q(z)-linear dependence among the
 remainders of d^j o M modulo L, so g = M(f) is a solution of A and the
-valuation bound of ``zero_test`` decides g = 0 exactly.  The
-remainders are kept as numerators over Z[z] above powers of the leading
+valuation bound of ``zero_test`` decides g = 0 exactly.  The cofactor
+is ``ore._cofactor``, the one ``ore.lclm`` multiplies out: its
+remainders are numerators over Z[z] above powers of the leading
 coefficient of L and the dependence comes from fraction-free Bareiss
 elimination, so no rational-function gcd is taken on the way.
 
@@ -39,9 +40,8 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import InputError
-from .linalg import ShiftSystem, _first_dependence, kernel_rank_mod_p, kernel_vector_exact
-from .ore import DiffOp, _remainders
-from .polys import _zmul, _zsub
+from .linalg import ShiftSystem, kernel_rank_mod_p, kernel_vector_exact
+from .ore import DiffOp, _cofactor
 from .rationals import cleared
 from .series import (
     TruncSeries,
@@ -202,36 +202,6 @@ def certify_annihilates(big: DiffOp, cand: DiffOp, f: TruncSeries) -> bool:
     if f.trunc_order < need:
         f = unroll(big, f, need)
     return zero_test(cofactor, apply_op(cand, f))
-
-
-def _cofactor(big: DiffOp, cand: DiffOp) -> DiffOp:
-    """The A of A o cand = C o big, fraction-free over Z[z].
-
-    With l the leading coefficient of big (order r), cand modulo big is
-    cand itself over l^0 when its order is below r, and otherwise has the
-    numerators l cand_i - cand_r big_i over l^1; ``_remainders`` carries
-    on to d^j o cand over l^(j+e).  Row j is scaled by l^j only: the
-    common factor l^e changes no Q(z)-line, hence not the normal form.
-    """
-    r = big.order
-    ops, cs = big.rows, cand.rows
-    lead = ops[-1]
-    if cand.order == r:
-        start = [_zsub(_zmul(lead, cs[i]), _zmul(cs[r], ops[i])) for i in range(r)]
-    else:
-        start = list(cs) + [[] for _ in range(r - len(cs))]
-    rems = _remainders(ops, start, int(cand.order == r))
-
-    def rows():
-        scale = [1]
-        for _ in range(r + 1):
-            yield next(rems), scale
-            scale = _zmul(scale, lead)
-
-    dep = _first_dependence(rows())
-    if dep is None:
-        raise AssertionError("dependence must appear at order <= order(big)")
-    return DiffOp(dep)
 
 
 def minimal_annihilator(

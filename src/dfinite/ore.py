@@ -14,15 +14,18 @@ Q[z]; the routines here and in the other modules read the rows.
 Arithmetic over Q(z) runs fraction-free.  Modulo an operator L with
 leading coefficient l, the remainder of d^k is N_k / l^k with N_k over
 Z[z], and the next numerator needs only products and one derivative
-(``_remainders``).  ``lclm`` and the cofactor of
-``minimize.certify_annihilates`` take the first Q(z)-linear dependence
-among such numerators by Bareiss elimination over Z[z]
-(``linalg._first_dependence``), whose divisions are exact; the only gcds
-are the ones of the final normal form.  ``op_right_divrem`` is a
-pseudo-division over Z[z]: it keeps den * a = Q o b + R, multiplies on
-the left by lc(b) instead of dividing by it, and returns the integer
-numerators and den unreduced; ``right_divides`` reads only whether the
-remainder is empty.
+(``_remainders``).  The cofactor of s modulo L (``_cofactor``), the A
+of least order with A o s = C o L, is the first Q(z)-linear dependence
+among the numerators of d^j o s modulo L, by Bareiss elimination over
+Z[z] (``linalg._first_dependence``), whose divisions are exact; the
+only gcds are the ones of the final normal form.  A o s is the lclm of
+s and L, which ``lclm`` multiplies out with L the operand of higher
+order: one system of dimension order(L), at most order(L) + 1 rows.
+``minimize.certify_annihilates`` runs the zero test of A.
+``op_right_divrem`` is a pseudo-division over Z[z]: it keeps
+den * a = Q o b + R, multiplies on the left by lc(b) instead of
+dividing by it, and returns the integer numerators and den unreduced;
+``right_divides`` reads only whether the remainder is empty.
 
 Recurrence operators act on coefficient sequences; the two sides are
 linked by ``ode_to_rec`` and ``rec_to_ode`` with the convention that a
@@ -200,8 +203,9 @@ def _remainders(ops: List[List[int]], start: List[List[int]], e: int):
 
     L = sum ops[i] d^i over Z[z] with leading coefficient l; R mod L =
     start / l^e, and ``_rem_step`` carries each numerator to the next.
-    ``lclm``, the cofactor of ``minimize.certify_annihilates`` and (on L
-    reduced mod p) ``heuristics.p_curvature`` read their rows from here.
+    ``_cofactor`` (hence ``lclm`` and ``minimize.certify_annihilates``)
+    and, on L reduced mod p, ``heuristics.p_curvature`` read their rows
+    from here.
     """
     dlead = _zderiv(ops[-1])
     num = start
@@ -237,32 +241,51 @@ def _unit_rows(ops: List[List[int]]) -> List[List[int]]:
     return [[1]] + [[] for _ in range(len(ops) - 2)] if len(ops) > 1 else []
 
 
-def lclm(a: DiffOp, b: DiffOp) -> DiffOp:
-    """Least common left multiple: the first Q(z)-linear dependence among
-    the stacked remainders of d^k modulo a and modulo b, k = 0, 1, ...
+def _cofactor(big: DiffOp, cand: DiffOp) -> DiffOp:
+    """The A of minimal order with A o cand = C o big, fraction-free over
+    Z[z]; cand.order <= big.order.
 
-    The remainders modulo a carry denominators l_a^k (``_remainders``);
-    row k is their numerators times l_b^k next to those modulo b times
-    l_a^k, over the common denominator (l_a l_b)^k, and the fraction-free
-    dependence gives the lclm's coefficients directly.
+    With l the leading coefficient of big (order r), cand modulo big is
+    cand itself over l^0 when its order is below r, and otherwise has the
+    numerators l cand_i - cand_r big_i over l^1; ``_remainders`` carries
+    on to d^j o cand over l^(j+e).  Row j is scaled by l^j only: the
+    common factor l^e changes no Q(z)-line, hence not the normal form.
+    The first dependence has the least order, so A o cand is the lclm
+    of big and cand.
     """
-    if a.is_zero() or b.is_zero():
-        raise InputError("lclm of the zero operator")
-    ops_a, ops_b = a.rows, b.rows
-    rem_a = _remainders(ops_a, _unit_rows(ops_a), 0)
-    rem_b = _remainders(ops_b, _unit_rows(ops_b), 0)
+    r = big.order
+    ops, cs = big.rows, cand.rows
+    lead = ops[-1]
+    if cand.order == r:
+        start = [_zsub(_zmul(lead, cs[i]), _zmul(cs[r], ops[i])) for i in range(r)]
+    else:
+        start = list(cs) + [[] for _ in range(r - len(cs))]
+    rems = _remainders(ops, start, int(cand.order == r))
 
     def rows():
-        pow_a, pow_b = [1], [1]
-        for _ in range(a.order + b.order + 1):
-            yield ([_zmul(pow_b, x) for x in next(rem_a)]
-                   + [_zmul(pow_a, x) for x in next(rem_b)], _zmul(pow_a, pow_b))
-            pow_a, pow_b = _zmul(pow_a, ops_a[-1]), _zmul(pow_b, ops_b[-1])
+        scale = [1]
+        for _ in range(r + 1):
+            yield next(rems), scale
+            scale = _zmul(scale, lead)
 
     dep = _first_dependence(rows())
     if dep is None:
-        raise AssertionError("lclm must exist at order <= order(a) + order(b)")
+        raise AssertionError("dependence must appear at order <= order(big)")
     return DiffOp(dep)
+
+
+def lclm(a: DiffOp, b: DiffOp) -> DiffOp:
+    """Least common left multiple A o s, with s the operand of lower order
+    (b when the orders agree) and A its cofactor modulo the other
+    one: every common left multiple is some A' o s with
+    A' o s = 0 modulo the other operand, and ``_cofactor`` finds the A'
+    of least order.  The normal form is unique on each Q(z)-line, so the
+    argument order does not change the result.
+    """
+    if a.is_zero() or b.is_zero():
+        raise InputError("lclm of the zero operator")
+    big, s = (a, b) if a.order >= b.order else (b, a)
+    return DiffOp(op_mul_raw(_cofactor(big, s).rows, s.rows))
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,9 @@ These are the straightforward versions: Euclidean division over
 Euclid on it for the polynomial gcd; ``RatFunc``, a rational function
 over Q reduced by a gcd after every operation, which the package itself
 no longer has, and over
-it elimination over Q(z) for right division, lclm and cofactors, Euclid
-over Q(z)[y] for the squarefree part in y, and the generic root's
-derivatives in Q(z)[y]/(P) for the annihilator of P's roots; the
+it elimination over Q(z) for right division, lclm and cofactors, and the
+generic root's derivatives in Q(z)[y]/(P) for the annihilator of P's
+roots; the squarefree part in y from sympy's gcd over Z[y, z]; the
 power-series root of P(z, y) by Newton iteration over ``Fraction``, with
 P(z, f) evaluated by Horner over Q, the reference for ``certify_root``'s
 integer check; ``certify_root`` through the zero test of lclm(op,
@@ -350,19 +350,21 @@ def certify_root_lclm_oracle(op: DiffOp, init: TruncSeries, p) -> bool:
 
 
 def squarefree_in_y_oracle(p):
-    """Squarefree part of a BivarPoly with respect to y: Euclid over
-    ``RatFunc`` with dP/dy, then P divided by the monic gcd."""
+    """Squarefree part of a BivarPoly with respect to y: P divided by
+    sympy's gcd of P and dP/dy over Z[y, z].  That gcd differs from the
+    one over Q(z)[y] by a factor in Z[z], which the normal form drops."""
     if p.deg_y <= 0:
         return p
-    a = [RatFunc.from_poly(c) for c in p.y_coeffs]
-    b = [RatFunc.from_poly(c) for c in bivar_y_derivative(p)]
-    g = _ratfunc_poly_gcd(a, b)
-    if len(g) <= 1:
-        return p
-    q, r = _ratfunc_poly_divmod(a, g)
-    if any(not x.is_zero() for x in r):
-        raise AssertionError("gcd does not divide")
-    return BivarPoly(_clear_ratfuncs(q)[0])
+    import sympy
+
+    y, z = sympy.symbols("y z")
+    big = sympy.Poly.from_dict({(j, i): c for j, row in enumerate(p.rows) for i, c in enumerate(row) if c},
+                               y, z, domain=sympy.ZZ)
+    q = big.exquo(big.gcd(big.diff(y)))
+    rows = [[0] * (q.degree(z) + 1) for _ in range(q.degree(y) + 1)]
+    for (j, i), c in q.as_dict().items():
+        rows[j][i] = int(c)
+    return BivarPoly(rows)
 
 
 def _ratfunc_poly_divmod(a: List[RatFunc], b: List[RatFunc]):
@@ -380,18 +382,6 @@ def _ratfunc_poly_divmod(a: List[RatFunc], b: List[RatFunc]):
         while r and r[-1].is_zero():
             r.pop()
     return q, r
-
-
-def _ratfunc_poly_gcd(a: List[RatFunc], b: List[RatFunc]) -> List[RatFunc]:
-    a = [x for x in a]
-    b = [x for x in b]
-    while b and any(not x.is_zero() for x in b):
-        _, r = _ratfunc_poly_divmod(a, b)
-        a, b = b, r
-    if a:
-        lead = a[-1]
-        a = [x / lead for x in a]
-    return a
 
 
 def _mul_mod(a: List[RatFunc], b: List[RatFunc], mod: List[RatFunc]) -> List[RatFunc]:

@@ -146,6 +146,28 @@ def test_right_divides_lclm_matches_oracle(a, b):
         assert right_divides(x, m)
 
 
+_ORDER3 = DiffOp([Poly([0, 1]), Poly([1, 1]), Poly([-2]), Poly([1, 0, -1])])
+_ORDER1 = DiffOp([Poly([3, -1]), Poly([1, 2])])
+
+
+@settings(max_examples=40, deadline=None)
+@given(a=_ops(3, 2), b=_ops(3, 2))
+@example(a=_ORDER3, b=_ORDER1)  # order 3 against order 1
+@example(a=DiffOp([Poly([1, 2])]), b=_ORDER2)  # order 0 first
+@example(a=_ORDER2, b=DiffOp([Poly([1, -2, 1])]))  # order 0 second
+@example(a=_ORDER3, b=_ORDER3)  # a == b
+@example(a=op_mul(_ORDER1, _ORDER2), b=_ORDER2)  # b right-divides a
+@example(a=_ORDER2, b=op_mul(_ORDER1, _ORDER2))  # a right-divides b
+@example(a=DiffOp([Poly([QQ(1, 3), QQ(-2, 7)]), Poly([QQ(5, 2)])]),
+         b=DiffOp([Poly([QQ(-1, 2)]), Poly([0, QQ(2, 3)]), Poly([QQ(1, 5), 1])]))  # rational input
+def test_lclm_symmetric_matches_oracle(a, b):
+    # the cofactor is taken modulo the operand of higher order, so the
+    # argument order matters inside lclm but not in its result
+    m = lclm(a, b)
+    assert m == lclm(b, a) == lclm_oracle(a, b)
+    assert right_divides(a, m) and right_divides(b, m)
+
+
 def test_lclm_idempotent():
     a = DiffOp([Poly([1, 3]), Poly([0, 1]), Poly([2])])
     assert lclm(a, a) == a
