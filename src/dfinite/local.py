@@ -5,7 +5,11 @@ A finite point is handled by shifting it to the origin; infinity by the
 substitution z = 1/w.  Points that are algebraic of degree > 1 over Q
 are handled as one cluster through arithmetic in Q[a]/(m(a)); any zero
 divisor encountered on the way splits the modulus and the analysis is
-rerun per branch (see :mod:`dfinite.quotient`).
+rerun per branch (see :mod:`dfinite.quotient`).  The exponent candidates
+are the rational roots of the norm Res_a(P(a, lam), m(a)) of the
+indicial polynomial P.  The norm is multiplicative in the modulus, so a
+branch that the exact check of a candidate splits off reuses the
+cluster's candidates instead of computing its own resultant.
 
 At an algebraic point a the coefficients are re-expanded by Taylor's
 formula: the t^u coefficient of p(t + a) is
@@ -33,7 +37,7 @@ from functools import reduce
 from math import comb, factorial, lcm
 from typing import Dict, List, Optional, Tuple
 
-from .errors import InputError, IrregularPoint
+from .errors import InputError, IrregularPoint, ZeroDivisorSplit
 from .ore import DiffOp
 from .polys import (Poly, _zadd, _zclear, _zderiv, _zexquo, _zgcd, _zmul, _zprem, _zrational_roots,
                     _zresultant, _zshift, _ztrim, format_poly)
@@ -288,13 +292,20 @@ def _indicial_over(op: DiffOp, point: SingularPoint, dom) -> Tuple[List[List], i
     return qs, len(ind) - 1
 
 
-def rational_roots_nf(ind: List, ring: ModRing) -> List[Tuple[object, int]]:
+def rational_roots_nf(ind: List, ring: ModRing,
+                      candidates: Optional[List] = None) -> List[Tuple[object, int]]:
     """Rational roots (with multiplicity) of a lambda-polynomial over the
     quotient ring.  A root that holds on only part of the modulus splits
-    it (``ModRing.split_on``) so the caller can branch."""
+    it (``ModRing.split_on``) so the caller can branch; the split carries
+    the sorted candidates, which the caller passes back as ``candidates``
+    on each branch in place of the branch's own resultant."""
     # candidates: rational roots of Res_a(P(a, lam), m(a)); a root valid on
     # any branch divides it.  P and m are cleared to integers (P with one
     # common factor), which scales the resultant by a nonzero constant.
+    # On a factor g of m that passed this content check, P mod g is the
+    # indicial polynomial there and its norm divides the one over m, so
+    # m's candidates still hold every root; each is checked exactly, and
+    # one that is no root on g evaluates to a unit and splits nothing.
     den = lcm(*(e.den for e in ind))
     p_ints = [_ztrim([x * (den // e.den) for x in e.nums]) for e in ind]
     nonzero = [p for p in p_ints if p]
@@ -303,18 +314,24 @@ def rational_roots_nf(ind: List, ring: ModRing) -> List[Tuple[object, int]]:
     # a common factor of the coordinates is where the whole polynomial
     # vanishes: a sub-branch
     ring.split_on(reduce(_zgcd, nonzero))
-    cand = _zresultant(p_ints, ring.int_modulus)
-    if not cand:
-        raise AssertionError("resultant vanished despite trivial content")
+    if candidates is None:
+        cand = _zresultant(p_ints, ring.int_modulus)
+        if not cand:
+            raise AssertionError("resultant vanished despite trivial content")
+        candidates = sorted(QQ(a, b) for a, b, _ in _zrational_roots(cand))
     out = []
-    for r in sorted(QQ(a, b) for a, b, _ in _zrational_roots(cand)):
+    for r in candidates:
         mult = 0
         rem = list(ind)
         while rem:
             value = _lam_eval(rem, r, ring)
             if not ring.is_zero(value):
                 # r is a root on part of the modulus only, or on none of it
-                ring.split_on(value.nums)
+                try:
+                    ring.split_on(value.nums)
+                except ZeroDivisorSplit as s:
+                    s.candidates = candidates
+                    raise
                 break
             mult += 1
             # synthetic division by (lam - r)
@@ -331,12 +348,13 @@ def rational_roots_nf(ind: List, ring: ModRing) -> List[Tuple[object, int]]:
     return out
 
 
-def _algebraic_branch(op: DiffOp, m: Poly) -> IndicialData:
-    """Indicial data on the branch of an algebraic cluster with modulus m."""
+def _algebraic_branch(op: DiffOp, m: Poly, candidates: Optional[List] = None) -> IndicialData:
+    """Indicial data on the branch of an algebraic cluster with modulus m;
+    ``candidates`` as in :func:`rational_roots_nf`."""
     ring = ModRing(m)
     point = SingularPoint.algebraic(m)
     qs, deg = _indicial_over(op, point, ring)
-    return IndicialData(point, m, qs, deg, rational_roots_nf(qs[0], ring), ring)
+    return IndicialData(point, m, qs, deg, rational_roots_nf(qs[0], ring, candidates), ring)
 
 
 def indicial_branches(op: DiffOp, point: SingularPoint) -> List[IndicialData]:
@@ -348,7 +366,18 @@ def indicial_branches(op: DiffOp, point: SingularPoint) -> List[IndicialData]:
         qs, deg = _indicial_over(op, point, QQ_DOMAIN)
         roots = Poly(qs[0]).rational_roots()
         return [IndicialData(point, None, qs, deg, roots, QQ_DOMAIN)]
-    return [data for _, data in split_cases(point.modulus, lambda m: _algebraic_branch(op, m))]
+    # the candidates of a split taken in the root check, by branch modulus
+    inherited: Dict[Poly, List] = {}
+
+    def branch(m: Poly) -> IndicialData:
+        try:
+            return _algebraic_branch(op, m, inherited.get(m))
+        except ZeroDivisorSplit as s:
+            if s.candidates is not None:
+                inherited[s.factor] = inherited[s.cofactor] = s.candidates
+            raise
+
+    return [data for _, data in split_cases(point.modulus, branch)]
 
 
 def indicial(op: DiffOp, point: SingularPoint) -> IndicialData:
@@ -632,8 +661,9 @@ def formal_solutions(
     ``mode="full"`` builds every solution including logarithmic tails.
     This sets up the indicial data at the point (or at the given branch
     of an algebraic cluster, which must be a nonconstant factor of the
-    point's modulus) and hands it to :func:`_frobenius`, which the
-    transcendence scan calls directly on the data it already holds.  All
+    point's modulus on which the analysis does not split) and hands it to
+    :func:`_frobenius`, which the transcendence scan calls directly on the
+    data it already holds.  All
     indicial roots must be rational; with ``allow_irregular`` the degree
     may drop below the order (the extra "solutions" of an irregular point
     are simply not constructed).  A negative order is an InputError.
@@ -646,7 +676,11 @@ def formal_solutions(
                 or any(_zprem(*_zclear([point.modulus, branch]))[0])):
             raise InputError("branch %s is not a factor of the modulus at %s"
                              % (format_poly(branch), point.label()))
-        data = _algebraic_branch(op, branch)
+        try:
+            data = _algebraic_branch(op, branch)
+        except ZeroDivisorSplit:
+            raise InputError("branch %s splits further at %s; call per branch of indicial_branches"
+                             % (format_poly(branch), point.label())) from None
     elif point.kind != SingularPoint.ALGEBRAIC:
         data = indicial(op, point)
     else:

@@ -2,8 +2,9 @@ import hashlib
 import json
 import math
 import random
-from functools import reduce
+from functools import lru_cache, reduce
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -28,10 +29,11 @@ from dfinite.errors import InputError, IrregularPoint, ZeroDivisorSplit
 from dfinite.fileio import op_from_json
 from dfinite.hypergeom import HypParams, hypergeometric_operator
 import dfinite.local as local_mod
-from dfinite.local import _lam_trim, _local_coeffs, rational_roots_nf, theta_form
-from dfinite.polys import _zclear, _zresultant
+from dfinite.local import _algebraic_branch, _lam_trim, _local_coeffs, rational_roots_nf, theta_form
+from dfinite.polys import _zclear, _zresultant, format_poly
 from dfinite.quotient import QQ_DOMAIN, ModElt
 from dfinite.rationals import QQ
+from dfinite.transcend import _branch_step
 from oracles import (
     FractionModElt,
     FractionModRing,
@@ -247,33 +249,14 @@ def test_rational_roots_nf_matches_q_lambda_oracle(case):
 
 
 # sha256 prefixes of the monic candidates Res_a(P(a, lam), m(a)) of every
-# cluster the local-scan operators meet, in scan order, from the Q[lambda]
-# oracle
+# cluster the local-scan operators meet (whole cluster, then the two
+# branches), from the Q[lambda] oracle
 _LOCAL_SCAN_CANDIDATES = {
     "family_1_3": ["e0d06cbb608866fe", "3d9b56fa984a5ab2", "8179eba4c312447e"],
     "family_3_1": ["e0d06cbb608866fe", "3d9b56fa984a5ab2", "8179eba4c312447e"],
     "family_2_3": ["ec4606bdda35adbf", "020c8519fe5465cc", "e07b120a7e0f01ca"],
     "diagonal_6i": ["9a4d61175e0754ed", "df7c0e8aa0b44742", "36d30ae7fb42b3cf"],
 }
-
-
-def test_local_scan_candidates_pinned(monkeypatch):
-    seen = []
-
-    def recording(p, m):
-        r = _zresultant(p, m)
-        monic = Poly(r).monic()
-        seen.append(hashlib.sha256(",".join(map(str, monic.coeffs)).encode()).hexdigest()[:16])
-        return r
-
-    monkeypatch.setattr(local_mod, "_zresultant", recording)
-    for name, pins in _LOCAL_SCAN_CANDIDATES.items():
-        op = op_from_json(json.loads((BENCH_DATA / (name + ".json")).read_text())["operator"])
-        seen.clear()
-        for pt in singularities(op):
-            indicial_branches(op, pt)
-        assert seen == pins, name
-
 
 # the degree-15 clusters of the family (1,4) and (3,2) minimal operators,
 # which the benchmark leaves out: the sha256 prefixes of their monic
@@ -282,8 +265,23 @@ def test_local_scan_candidates_pinned(monkeypatch):
 _HEAVY_CLUSTER_CANDIDATES = ["1bb29fc6328464b3", "2a6fae004ec0d54d", "42d8e54122b62394"]
 
 
-@pytest.mark.parametrize("powers", [[1, 4], [3, 2]])
-def test_heavy_cluster_branches_pinned(monkeypatch, powers):
+def _local_scan_cluster(name):
+    op = op_from_json(json.loads((BENCH_DATA / (name + ".json")).read_text())["operator"])
+    (cluster,) = [pt for pt in singularities(op) if pt.kind == SingularPoint.ALGEBRAIC]
+    return op, cluster
+
+
+@lru_cache(maxsize=None)
+def _heavy_cluster(powers):
+    op = guess_annihilator(gen_binomial_sum(list(powers), 300), max_order=8)
+    (cluster,) = [pt for pt in singularities(op) if pt.modulus is not None and pt.modulus.degree == 15]
+    return op, cluster
+
+
+def _candidate_hashes(monkeypatch, op, cluster):
+    """(hashes of the candidates ``indicial_branches`` computes on the
+    cluster, hashes of those of each branch it returns built afresh, as
+    ``formal_solutions(branch=...)`` does, branches)."""
     seen = []
 
     def recording(p, m):
@@ -292,13 +290,91 @@ def test_heavy_cluster_branches_pinned(monkeypatch, powers):
         seen.append(hashlib.sha256(",".join(map(str, monic.coeffs)).encode()).hexdigest()[:16])
         return r
 
-    op = guess_annihilator(gen_binomial_sum(powers, 300), max_order=8)
-    (cluster,) = [pt for pt in singularities(op) if pt.modulus is not None and pt.modulus.degree == 15]
     monkeypatch.setattr(local_mod, "_zresultant", recording)
     branches = indicial_branches(op, cluster)
+    whole = list(seen)
+    seen.clear()
+    for b in branches:
+        _algebraic_branch(op, b.branch)
+    return whole, seen, branches
+
+
+def test_local_scan_candidates_pinned(monkeypatch):
+    for name, pins in _LOCAL_SCAN_CANDIDATES.items():
+        whole, fresh, _ = _candidate_hashes(monkeypatch, *_local_scan_cluster(name))
+        assert whole[0] == pins[0], name
+        # split_cases builds the cofactor first; indicial_branches sorts
+        assert sorted(fresh) == sorted(pins[1:]), name
+
+
+@pytest.mark.parametrize("powers", [(1, 4), (3, 2)])
+def test_heavy_cluster_branches_pinned(monkeypatch, powers):
+    whole, fresh, branches = _candidate_hashes(monkeypatch, *_heavy_cluster(powers))
     assert [(b.point.modulus.degree, b.degree, len(b.rational_roots)) for b in branches] == [
         (5, 6, 5), (10, 6, 6)]
-    assert seen == _HEAVY_CLUSTER_CANDIDATES
+    assert whole[0] == _HEAVY_CLUSTER_CANDIDATES[0]
+    assert sorted(fresh) == sorted(_HEAVY_CLUSTER_CANDIDATES[1:])
+
+
+@pytest.mark.parametrize("cluster", sorted(_LOCAL_SCAN_CANDIDATES) + [(1, 4), (3, 2)],
+                         ids=lambda c: c if isinstance(c, str) else "heavy_%d_%d" % c)
+def test_split_branches_inherit_the_cluster_resultant(monkeypatch, cluster):
+    # each of these clusters splits in two at the exact root check; the
+    # branches reuse the cluster's candidates, so one resultant is taken
+    op, pt = _local_scan_cluster(cluster) if isinstance(cluster, str) else _heavy_cluster(cluster)
+    whole, _, branches = _candidate_hashes(monkeypatch, op, pt)
+    assert len(branches) == 2
+    assert len(whole) == 1
+
+
+def _exponent_op(m1, m2, c1, c2):
+    """m d - (c1 m1' m2 + c2 m1 m2'), m = m1 m2: it kills m1^c1 m2^c2, whose
+    exponent is c1 at the roots of m1 and c2 at those of m2."""
+    return DiffOp([(m1.derivative() * m2).scale(-c1) - (m1 * m2.derivative()).scale(c2), m1 * m2])
+
+
+@st.composite
+def _eisenstein(draw):
+    """(a z + b)^d - p, irreducible of degree d >= 2 by Eisenstein."""
+    lin = Poly([draw(st.integers(-3, 3)), draw(st.sampled_from([-2, -1, 1, 2]))])
+    return reduce(lambda x, y: x * y, [lin] * draw(st.integers(2, 3))) - draw(st.sampled_from([2, 3, 5]))
+
+
+_exponents = st.builds(QQ, st.integers(-4, 4).filter(bool), st.integers(1, 3))
+
+
+@st.composite
+def _two_exponent_ops(draw):
+    """(op, splits): an operator of :func:`_exponent_op`, or an lclm of two,
+    and whether its cluster must split at the root check."""
+    def one():
+        m1, m2 = draw(_eisenstein()), draw(_eisenstein())
+        assume(fraction_gcd(m1, m2).degree == 0)
+        c1 = draw(_exponents)
+        return _exponent_op(m1, m2, c1, draw(_exponents.filter(lambda c: c != c1)))
+
+    if draw(st.booleans()):
+        return one(), True
+    return lclm(one(), one()), False
+
+
+@settings(max_examples=25, deadline=None)
+@given(_two_exponent_ops())
+@example((_exponent_op(Poly([-2, 0, 1]), Poly([-3, 0, 1]), QQ(1, 2), QQ(-1)), True))
+def test_inherited_candidates_give_the_fresh_branch(case):
+    op, splits = case
+    for pt in singularities(op):
+        if pt.kind != SingularPoint.ALGEBRAIC:
+            continue
+        with mock.patch.object(local_mod, "_zresultant", wraps=_zresultant) as spy:
+            branches = indicial_branches(op, pt)
+        if splits:
+            assert len(branches) == 2 and spy.call_count == 1
+        for b in branches:
+            fresh = _algebraic_branch(op, b.branch)
+            assert (b.degree, b.rational_roots, b.theta) == (fresh.degree, fresh.rational_roots, fresh.theta)
+            for frobenius in (False, True):
+                assert _branch_step(op, b, frobenius) == _branch_step(op, fresh, frobenius)
 
 
 @st.composite
@@ -471,6 +547,18 @@ def test_formal_solutions_branch_must_divide_the_modulus():
     basis = formal_solutions(op, cluster, 2, mode="flag", branch=factor.scale(QQ(-3)))
     assert basis.branch == factor
     assert basis.point == SingularPoint.algebraic(factor)
+
+
+def test_formal_solutions_branch_that_splits_is_an_input_error():
+    # the whole degree-13 modulus of diagonal 6(i)'s cluster is a factor of
+    # itself, but its analysis splits: the caller must pass each branch
+    op, cluster = _local_scan_cluster("diagonal_6i")
+    assert cluster.modulus.degree == 13
+    with pytest.raises(InputError) as err:
+        formal_solutions(op, cluster, 2, mode="flag", branch=cluster.modulus)
+    assert format_poly(cluster.modulus) in str(err.value)
+    for b in indicial_branches(op, cluster):
+        assert formal_solutions(op, cluster, 2, mode="flag", branch=b.branch).branch == b.branch
 
 
 def test_formal_solutions_irregular_rejected():
