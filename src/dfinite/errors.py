@@ -45,13 +45,9 @@ class ZeroDivisorSplit(DFiniteError):
 
     Exposes a proper factorization ``modulus = p * q``; callers
     restart the computation on each factor (dynamic evaluation).
-    ``candidates`` is set when the split comes from the exact root check
-    of ``local.rational_roots_nf``: the sorted root candidates it was
-    checking, which still contain every root on either factor.
     """
 
     def __init__(self, factor, cofactor):
         super().__init__("zero divisor splits the modulus")
         self.factor = factor
         self.cofactor = cofactor
-        self.candidates = None

@@ -292,6 +292,16 @@ def _indicial_over(op: DiffOp, point: SingularPoint, dom) -> Tuple[List[List], i
     return qs, len(ind) - 1
 
 
+class _CandidateSplit(ZeroDivisorSplit):
+    """A split taken by the exact root check of :func:`rational_roots_nf`,
+    carrying the sorted candidates it was checking: they still hold every
+    root on either factor."""
+
+    def __init__(self, split: ZeroDivisorSplit, candidates: List):
+        super().__init__(split.factor, split.cofactor)
+        self.candidates = candidates
+
+
 def rational_roots_nf(ind: List, ring: ModRing,
                       candidates: Optional[List] = None) -> List[Tuple[object, int]]:
     """Rational roots (with multiplicity) of a lambda-polynomial over the
@@ -330,8 +340,7 @@ def rational_roots_nf(ind: List, ring: ModRing,
                 try:
                     ring.split_on(value.nums)
                 except ZeroDivisorSplit as s:
-                    s.candidates = candidates
-                    raise
+                    raise _CandidateSplit(s, candidates) from None
                 break
             mult += 1
             # synthetic division by (lam - r)
@@ -372,9 +381,8 @@ def indicial_branches(op: DiffOp, point: SingularPoint) -> List[IndicialData]:
     def branch(m: Poly) -> IndicialData:
         try:
             return _algebraic_branch(op, m, inherited.get(m))
-        except ZeroDivisorSplit as s:
-            if s.candidates is not None:
-                inherited[s.factor] = inherited[s.cofactor] = s.candidates
+        except _CandidateSplit as s:
+            inherited[s.factor] = inherited[s.cofactor] = s.candidates
             raise
 
     return [data for _, data in split_cases(point.modulus, branch)]

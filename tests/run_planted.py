@@ -1,19 +1,18 @@
 """A larger seeded run of the planted-truth suite in ``test_planted.py``.
 
-Runs the suite's strategies with a fixed hypothesis seed and far more
+Runs the suite's strategies with hypothesis seed 0 and far more
 examples than tier-1 allows: about 300 algebraic plants (plain and
 lclm'd; the lclm'd ones scan clusters that split at the exact root
 check) and 600 hypergeometric draws, interlacing and not.  pytest does
 not collect this file.  Run it from the repository root:
 
-    PYTHONPATH=src python tests/run_planted.py [--seed N]
+    PYTHONPATH=src python tests/run_planted.py
 
 It prints what it ran and how long it took, and exits 1 on a false
 ``T``, a false certificate from ``prove_algebraic`` or a report that
 ``verify_report`` rejects.
 """
 
-import argparse
 import sys
 import time
 import traceback
@@ -37,11 +36,7 @@ RUNS = [
 ]
 
 
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--seed", type=int, default=0, help="hypothesis seed (default 0)")
-    args = ap.parse_args(argv)
-
+def main() -> int:
     splits = [0]
     branches = transcend.indicial_branches
 
@@ -61,8 +56,8 @@ def main(argv=None) -> int:
             inner(**kw)  # an assume() inside rejects the draw
             checked[0] += 1
 
-        run = seed(args.seed)(settings(max_examples=n, deadline=None, database=None,
-                                       suppress_health_check=list(HealthCheck))(
+        run = seed(0)(settings(max_examples=n, deadline=None, database=None,
+                               suppress_health_check=list(HealthCheck))(
             given(**strategies)(counted)))
         splits[0] = 0
         t0 = time.perf_counter()
