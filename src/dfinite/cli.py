@@ -137,9 +137,9 @@ def _cmd_indicial(args) -> int:
             "rational_roots": [[rat_to_str(r), m] for r, m in data.rational_roots],
             "splits_distinct_rational": data.splits_distinct_rational,
         }
-        try:
+        if data.ring is None:
             entry["indicial"] = [rat_to_str(c) for c in data.as_q_poly().coeffs]
-        except InputError:
+        else:
             entry["indicial_coordinates"] = [
                 [rat_to_str(c) for c in Poly(e.coeffs).coeffs] for e in data.poly
             ]
@@ -183,12 +183,8 @@ def _cmd_pcurv(args) -> int:
     from .heuristics import p_curvature
 
     op, _, _ = load_problem(args.file)
-    try:
-        primes = [int(p) for p in args.primes.split(",") if p.strip()]
-    except ValueError:
-        raise InputError("--primes takes comma-separated integers, not %r" % args.primes) from None
     reports = []
-    for p in primes:
+    for p in _parse_ints(args.primes, "--primes"):
         rep = p_curvature(op, p)
         reports.append({
             "prime": rep.prime,

@@ -21,6 +21,12 @@ points where lambda-polynomials are evaluated -- scale the numerators
 and the denominator; they are never lifted into the ring and multiplied
 as elements.
 
+The analysis runs on the coefficient values themselves: ``Fraction``s at
+rational points and infinity, ``ModElt``s on a cluster branch.  Both
+have ``+ - * /`` and are true when nonzero; the ring itself is needed
+only to split the modulus.  A constant takes its branch's type from a
+value already at hand (``c * 0`` for a zero, one unit per branch).
+
 The series construction follows the classical method of Frobenius.  For
 the exponents in one congruence class mod 1, processed downwards, the
 solution attached to an exponent mu is extracted from the deformation
@@ -41,8 +47,8 @@ from .errors import InputError, IrregularPoint, ZeroDivisorSplit
 from .ore import DiffOp
 from .polys import (Poly, _zadd, _zclear, _zderiv, _zexquo, _zgcd, _zmul, _zprem, _zrational_roots,
                     _zresultant, _zshift, _ztrim, format_poly)
-from .quotient import DomainQQ, ModRing, QQ_DOMAIN, split_cases
-from .rationals import QQ
+from .quotient import ModRing, split_cases
+from .rationals import QQ, Q1
 
 
 # ---------------------------------------------------------------------------
@@ -150,36 +156,31 @@ def transform_infinity(op: DiffOp) -> DiffOp:
 
 
 # ---------------------------------------------------------------------------
-# Lambda-polynomials over a coefficient domain (plain coefficient lists)
+# Lambda-polynomials (plain coefficient lists)
 # ---------------------------------------------------------------------------
 
 
-def _lam_trim(p: List, dom) -> List:
-    while p and dom.is_zero(p[-1]):
+def _lam_trim(p: List) -> List:
+    while p and not p[-1]:
         p.pop()
     return p
 
 
-def _lam_add(a: List, b: List, dom) -> List:
-    out = list(a) + [dom.zero()] * max(0, len(b) - len(a))
-    for i, c in enumerate(b):
-        out[i] = out[i] + c
-    return _lam_trim(out, dom)
+def _lam_add(a: List, b: List) -> List:
+    return _lam_trim([x + y for x, y in zip(a, b)] + a[len(b):] + b[len(a):])
 
 
-def _lam_eval(a: List, x, dom):
-    """Horner evaluation at a rational (which scales domain elements) or
-    at a jet."""
+def _lam_eval(a: List, x):
+    """Horner evaluation of a nonzero lambda-polynomial at a rational
+    (which scales the coefficients) or at a jet."""
     if isinstance(x, Jet):
-        acc = Jet(dom, [dom.zero()] * x.prec)
-        for c in reversed(a):
-            acc = acc * x + Jet.const(dom, c, x.prec)
+        acc = Jet.const(a[-1], x.prec)
+        for c in reversed(a[:-1]):
+            acc = acc * x + Jet.const(c, x.prec)
         return acc
-    if not a:
-        return dom.zero()
-    acc = None
-    for c in reversed(a):
-        acc = c if acc is None else acc * x + c
+    acc = a[-1]
+    for c in reversed(a[:-1]):
+        acc = acc * x + c
     return acc
 
 
@@ -188,36 +189,37 @@ def _lam_eval(a: List, x, dom):
 # ---------------------------------------------------------------------------
 
 
-def _local_coeffs(op: DiffOp, point: SingularPoint, dom):
-    """Operator coefficients recentred at the point, over the domain."""
+def _local_coeffs(op: DiffOp, point: SingularPoint, ring: Optional[ModRing]):
+    """Operator coefficients recentred at the point: ``Fraction``s, or
+    elements of ``ring``, the quotient ring of an algebraic point."""
     if point.kind == SingularPoint.INFINITY:
-        return [[dom.from_rat(QQ(c)) for c in p] for p in transform_infinity(op).rows]
+        return [[QQ(c) for c in p] for p in transform_infinity(op).rows]
     if point.kind == SingularPoint.RATIONAL:
         out = []
         for p in op.rows:
             cs, den = _zshift(p, point.value)
-            out.append([dom.from_rat(QQ(c, den)) for c in cs])
+            out.append([QQ(c, den) for c in cs])
         return out
     # algebraic: the t^u coefficient of p(t + a) is (p^(u)/u!)(a), read off
     # as the remainder of sum_k C(k, u) c_k z^(k-u) by the modulus
-    return [[dom.from_ints([comb(k, u) * p[k] for k in range(u, len(p))], 1) for u in range(len(p))]
+    return [[ring.from_ints([comb(k, u) * p[k] for k in range(u, len(p))], 1) for u in range(len(p))]
             for p in op.rows]
 
 
-def _series_valuation(p: List, dom) -> int:
+def _series_valuation(p: List) -> int:
     """Index of the first nonzero coefficient; -1 for zero (vanishing
     of a quotient-ring element is coordinatewise, no split needed)."""
     for i, c in enumerate(p):
-        if not dom.is_zero(c):
+        if c:
             return i
     return -1
 
 
-def theta_form(coeffs: List[List], dom) -> Tuple[int, List[List]]:
+def theta_form(coeffs: List[List]) -> Tuple[int, List[List]]:
     """(v, [q_0, q_1, ...]) with L(t^u) = t^(u+v) * sum_k q_k(u) t^k."""
     v = None
     for i, a in enumerate(coeffs):
-        val = _series_valuation(a, dom)
+        val = _series_valuation(a)
         if val < 0:
             continue
         s = val - i
@@ -228,10 +230,10 @@ def theta_form(coeffs: List[List], dom) -> Tuple[int, List[List]]:
     falling = [1]  # lam (lam - 1) ... (lam - i + 1) over Z
     for i, a in enumerate(coeffs):
         for u, c in enumerate(a):
-            if dom.is_zero(c):
+            if not c:
                 continue
             k = u - i - v
-            qs[k] = _lam_add(qs.get(k, []), [c * f for f in falling], dom)
+            qs[k] = _lam_add(qs.get(k, []), [c * f for f in falling])
         falling = [lo - i * hi for lo, hi in zip([0] + falling, falling + [0])]
     kmax = max(qs) if qs else 0
     return v, [qs.get(k, []) for k in range(kmax + 1)]
@@ -242,14 +244,14 @@ class IndicialData:
 
     __slots__ = (
         "point", "branch", "poly", "theta", "degree", "rational_roots",
-        "splits_distinct_rational", "dom",
+        "splits_distinct_rational", "ring",
     )
 
-    def __init__(self, point, branch, theta, degree, rational_roots, dom):
+    def __init__(self, point, branch, theta, degree, rational_roots, ring):
         self.point = point
         self.branch = branch  # modulus of the branch for algebraic clusters
         self.theta = theta    # [q_0, q_1, ...] of theta_form, kept for Frobenius
-        self.poly = theta[0]  # lambda-coefficients over dom
+        self.poly = theta[0]  # lambda-coefficients: Fractions, or elements of ring
         self.degree = degree
         self.rational_roots = rational_roots  # [(root, multiplicity)]
         distinct = len(rational_roots)
@@ -257,11 +259,11 @@ class IndicialData:
         self.splits_distinct_rational = (
             distinct == degree and total == degree and all(m == 1 for _, m in rational_roots)
         )
-        self.dom = dom
+        self.ring = ring  # the branch's ModRing; None off clusters
 
     def as_q_poly(self) -> Poly:
         """The indicial polynomial over Q (rational/infinity points only)."""
-        if isinstance(self.dom, DomainQQ):
+        if self.ring is None:
             return Poly(self.poly)
         raise InputError("indicial polynomial lives in a quotient ring")
 
@@ -279,16 +281,17 @@ class IndicialData:
             self.point.label(), self.degree, self.rational_roots)
 
 
-def _indicial_over(op: DiffOp, point: SingularPoint, dom) -> Tuple[List[List], int]:
+def _indicial_over(op: DiffOp, point: SingularPoint,
+                   ring: Optional[ModRing]) -> Tuple[List[List], int]:
     """(theta rows [q_0, q_1, ...] at the point, indicial degree); the
-    indicial polynomial is q_0."""
-    _, qs = theta_form(_local_coeffs(op, point, dom), dom)
+    indicial polynomial is q_0.  ``ring`` as in :func:`_local_coeffs`."""
+    _, qs = theta_form(_local_coeffs(op, point, ring))
     ind = qs[0]
     # a zero-divisor leading coefficient (ind is trimmed, so ind[-1] is
     # nonzero) means the degree differs between branches; force a split
     # before reporting a degree
-    if isinstance(dom, ModRing):
-        dom.split_on(ind[-1].nums)
+    if ring is not None:
+        ring.split_on(ind[-1].nums)
     return qs, len(ind) - 1
 
 
@@ -334,8 +337,8 @@ def rational_roots_nf(ind: List, ring: ModRing,
         mult = 0
         rem = list(ind)
         while rem:
-            value = _lam_eval(rem, r, ring)
-            if not ring.is_zero(value):
+            value = _lam_eval(rem, r)
+            if value:
                 # r is a root on part of the modulus only, or on none of it
                 try:
                     ring.split_on(value.nums)
@@ -344,13 +347,11 @@ def rational_roots_nf(ind: List, ring: ModRing,
                 break
             mult += 1
             # synthetic division by (lam - r)
-            new = []
-            carry = ring.zero()
-            for c in reversed(rem):
-                carry = c + carry * r
-                new.append(carry)
+            new = [rem[-1]]
+            for c in reversed(rem[:-1]):
+                new.append(c + new[-1] * r)
             new.reverse()
-            rem = _lam_trim(new[1:], ring)
+            rem = _lam_trim(new[1:])
         if mult:
             out.append((r, mult))
     out.sort(key=lambda t: t[0])
@@ -372,9 +373,9 @@ def indicial_branches(op: DiffOp, point: SingularPoint) -> List[IndicialData]:
     if op.is_zero():
         raise InputError("zero operator")
     if point.kind != SingularPoint.ALGEBRAIC:
-        qs, deg = _indicial_over(op, point, QQ_DOMAIN)
+        qs, deg = _indicial_over(op, point, None)
         roots = Poly(qs[0]).rational_roots()
-        return [IndicialData(point, None, qs, deg, roots, QQ_DOMAIN)]
+        return [IndicialData(point, None, qs, deg, roots, None)]
     # the candidates of a split taken in the root check, by branch modulus
     inherited: Dict[Poly, List] = {}
 
@@ -402,62 +403,55 @@ def indicial(op: DiffOp, point: SingularPoint) -> IndicialData:
 
 
 class Jet:
-    """Truncated power series in a deformation parameter over a domain."""
+    """Truncated power series in a deformation parameter."""
 
-    __slots__ = ("dom", "coeffs")
+    __slots__ = ("coeffs",)
 
-    def __init__(self, dom, coeffs: List):
-        self.dom = dom
+    def __init__(self, coeffs: List):
         self.coeffs = list(coeffs)
 
     @staticmethod
-    def const(dom, value, prec: int) -> "Jet":
-        return Jet(dom, [value] + [dom.zero()] * (prec - 1))
+    def const(value, prec: int) -> "Jet":
+        return Jet([value] + [value * 0] * (prec - 1))
 
     @staticmethod
-    def eps_power(dom, k: int, prec: int) -> "Jet":
-        cs = [dom.zero()] * prec
+    def eps_power(one, k: int, prec: int) -> "Jet":
+        """eps^k, with ``one`` the unit of the coefficients."""
+        cs = [one * 0] * prec
         if k < prec:
-            cs[k] = dom.one()
-        return Jet(dom, cs)
+            cs[k] = one
+        return Jet(cs)
 
     @property
     def prec(self) -> int:
         return len(self.coeffs)
 
     def __add__(self, other: "Jet") -> "Jet":
-        return Jet(self.dom, [a + b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __sub__(self, other: "Jet") -> "Jet":
-        return Jet(self.dom, [a - b for a, b in zip(self.coeffs, other.coeffs)])
+        return Jet([a + b for a, b in zip(self.coeffs, other.coeffs)])
 
     def __neg__(self) -> "Jet":
-        return Jet(self.dom, [-a for a in self.coeffs])
+        return Jet([-a for a in self.coeffs])
 
-    def __mul__(self, other):
-        if not isinstance(other, Jet):
-            return Jet(self.dom, [a * other for a in self.coeffs])
+    def __mul__(self, other: "Jet") -> "Jet":
         p = self.prec
-        out = [self.dom.zero()] * p
+        out = [self.coeffs[0] * 0] * p
         for i, a in enumerate(self.coeffs):
-            if self.dom.is_zero(a):
+            if not a:
                 continue
             for j in range(p - i):
                 b = other.coeffs[j]
-                if not self.dom.is_zero(b):
+                if b:
                     out[i + j] = out[i + j] + a * b
-        return Jet(self.dom, out)
-
-    __rmul__ = __mul__
+        return Jet(out)
 
     def valuation(self) -> int:
         for i, c in enumerate(self.coeffs):
-            if not self.dom.is_zero(c):
+            if c:
                 return i
         return self.prec
 
     def is_zero(self) -> bool:
-        return self.valuation() >= self.prec
+        return not any(self.coeffs)
 
     def divide(self, other: "Jet") -> "Jet":
         """Laurent-aware division; requires val(self) >= val(other)."""
@@ -467,17 +461,18 @@ class Jet:
         if v and self.valuation() < v:
             raise AssertionError("jet division would need negative powers")
         p = self.prec
-        num = self.coeffs[v:] + [self.dom.zero()] * v
-        den = other.coeffs[v:] + [self.dom.zero()] * v
-        inv0 = self.dom.inv(den[0])
+        zero = self.coeffs[0] * 0
+        num = self.coeffs[v:] + [zero] * v
+        den = other.coeffs[v:] + [zero] * v
+        inv0 = 1 / den[0]
         out = []
         for n in range(p):
             acc = num[n]
             for k in range(1, n + 1):
-                if k < len(den) and not self.dom.is_zero(den[k]) and not self.dom.is_zero(out[n - k]):
+                if den[k] and out[n - k]:
                     acc = acc - den[k] * out[n - k]
             out.append(acc * inv0)
-        return Jet(self.dom, out)
+        return Jet(out)
 
 
 # ---------------------------------------------------------------------------
@@ -486,34 +481,30 @@ class Jet:
 
 
 class LogSeries:
-    """sum_j log(t)^j * t^exponent * (series in t) over a domain.
+    """sum_j log(t)^j * t^exponent * (series in t).
 
     ``layers[j][i]`` is the coefficient of log(t)^j * t^(exponent + i);
     all layers share the truncation length.
     """
 
-    __slots__ = ("dom", "exponent", "layers")
+    __slots__ = ("exponent", "layers")
 
-    def __init__(self, dom, exponent, layers: List[List]):
-        self.dom = dom
+    def __init__(self, exponent, layers: List[List]):
         self.exponent = exponent
         self.layers = layers
 
     def has_logs(self) -> bool:
-        return any(
-            any(not self.dom.is_zero(c) for c in layer)
-            for layer in self.layers[1:]
-        )
+        return any(any(layer) for layer in self.layers[1:])
 
     def is_zero(self) -> bool:
-        return all(all(self.dom.is_zero(c) for c in layer) for layer in self.layers)
+        return not any(any(layer) for layer in self.layers)
 
     def leading(self) -> Tuple[object, int]:
         """(exponent, log power) of the lowest nonzero term."""
         best = None
         for j, layer in enumerate(self.layers):
             for i, c in enumerate(layer):
-                if not self.dom.is_zero(c):
+                if c:
                     if best is None or (i, j) < best:
                         best = (i, j)
                     break
@@ -530,16 +521,15 @@ class LogSeries:
 class FormalSolutionBasis:
     """Local solutions at a point together with the logarithm flag."""
 
-    __slots__ = ("point", "branch", "solutions", "has_logarithms", "obstructions", "dom")
+    __slots__ = ("point", "branch", "solutions", "has_logarithms", "obstructions")
 
-    def __init__(self, point, branch, solutions, has_logarithms, obstructions, dom):
+    def __init__(self, point, branch, solutions, has_logarithms, obstructions):
         self.point = point
         self.branch = branch
         self.solutions = solutions
         self.has_logarithms = has_logarithms
         # [(exponent, resonance index)] where a log was forced
         self.obstructions = obstructions
-        self.dom = dom
 
     def __repr__(self):
         return "FormalSolutionBasis(point=%s, %d solutions, logs=%s)" % (
@@ -558,9 +548,11 @@ def _exponent_classes(roots: List[Tuple[object, int]]) -> List[List[Tuple[object
     return out
 
 
-def _class_flag_mode(qs: List[List], dom, cls: List[Tuple[object, int]], order: int):
+def _class_flag_mode(qs: List[List], one, cls: List[Tuple[object, int]], order: int):
     """Pure-series attempts: resonance with nonzero right-hand side flags a
-    logarithm; a vanishing right-hand side sets that coefficient to zero."""
+    logarithm; a vanishing right-hand side sets that coefficient to zero.
+    ``one`` is the unit of the branch's coefficients."""
+    zero = one * 0
     sols = []
     obstructions = []
     has_logs = any(m > 1 for _, m in cls)
@@ -575,43 +567,38 @@ def _class_flag_mode(qs: List[List], dom, cls: List[Tuple[object, int]], order: 
         top = cls[-1][0]
         needed = int(top - mu) if pos < len(cls) - 1 else 0
         n_steps = max(order, needed) + 1
-        coeffs = [dom.one()]
+        coeffs = [one]
         ok = True
         for m in range(1, n_steps + 1):
-            rhs = dom.zero()
+            rhs = zero
             for k in range(1, min(m, kmax) + 1):
                 if not qs[k]:
                     continue
                 c = coeffs[m - k]
-                if dom.is_zero(c):
+                if not c:
                     continue
-                rhs = rhs + _lam_eval(qs[k], mu + m - k, dom) * c
+                rhs = rhs + _lam_eval(qs[k], mu + m - k) * c
             rhs = -rhs
             if (mu + m) in roots:
-                if dom.is_zero(rhs):
-                    coeffs.append(dom.zero())
+                if not rhs:
+                    coeffs.append(zero)
                 else:
                     has_logs = True
                     obstructions.append((mu, m))
                     ok = False
                     break
             else:
-                den = _lam_eval(qs[0], mu + m, dom)
-                coeffs.append(_dom_div(rhs, den, dom))
+                coeffs.append(rhs / _lam_eval(qs[0], mu + m))
         if ok:
-            sols.append(LogSeries(dom, mu, [coeffs]))
+            sols.append(LogSeries(mu, [coeffs]))
     sols.reverse()
     return sols, has_logs, obstructions
 
 
-def _dom_div(a, b, dom):
-    if dom.is_zero(b):
-        raise ZeroDivisionError("unexpected zero indicial value")
-    return a * dom.inv(b)
-
-
-def _class_full_mode(qs: List[List], dom, cls: List[Tuple[object, int]], order: int):
-    """Deformation construction; emits a full basis including log tails."""
+def _class_full_mode(qs: List[List], one, cls: List[Tuple[object, int]], order: int):
+    """Deformation construction; emits a full basis including log tails.
+    ``one`` as in :func:`_class_flag_mode`."""
+    zero = one * 0
     sols = []
     obstructions = []
     has_logs = False
@@ -623,19 +610,19 @@ def _class_full_mode(qs: List[List], dom, cls: List[Tuple[object, int]], order: 
         prec = 2 * big_t
         top = cls[-1][0]
         n_steps = max(order, int(top - mu) if pos < len(cls) - 1 else 0) + 1
-        c: List[Jet] = [Jet.eps_power(dom, above, prec)]
+        c: List[Jet] = [Jet.eps_power(one, above, prec)]
         for m in range(1, n_steps + 1):
-            num = Jet(dom, [dom.zero()] * prec)
+            num = Jet([zero] * prec)
             for k in range(1, min(m, kmax) + 1):
                 if not qs[k]:
                     continue
                 if c[m - k].is_zero():
                     continue
-                lam = Jet(dom, [dom.from_rat(mu + m - k), dom.one()] + [dom.zero()] * (prec - 2))
-                num = num + _lam_eval(qs[k], lam, dom) * c[m - k]
+                lam = Jet([one * (mu + m - k), one] + [zero] * (prec - 2))
+                num = num + _lam_eval(qs[k], lam) * c[m - k]
             num = -num
-            lam = Jet(dom, [dom.from_rat(mu + m), dom.one()] + [dom.zero()] * (prec - 2))
-            den = _lam_eval(qs[0], lam, dom)
+            lam = Jet([one * (mu + m), one] + [zero] * (prec - 2))
+            den = _lam_eval(qs[0], lam)
             c.append(num.divide(den))
         for l in range(above, big_t):
             layers: List[List] = []
@@ -643,9 +630,9 @@ def _class_full_mode(qs: List[List], dom, cls: List[Tuple[object, int]], order: 
                 inv_fact = QQ(1, factorial(b))
                 layer = [cm.coeffs[l - b] * inv_fact for cm in c]
                 layers.append(layer)
-            while len(layers) > 1 and all(dom.is_zero(x) for x in layers[-1]):
+            while len(layers) > 1 and not any(layers[-1]):
                 layers.pop()
-            sol = LogSeries(dom, mu, layers)
+            sol = LogSeries(mu, layers)
             if sol.has_logs():
                 has_logs = True
                 obstructions.append((mu, -1))
@@ -674,10 +661,13 @@ def formal_solutions(
     data it already holds.  All
     indicial roots must be rational; with ``allow_irregular`` the degree
     may drop below the order (the extra "solutions" of an irregular point
-    are simply not constructed).  A negative order is an InputError.
+    are simply not constructed).  A negative order, or a mode other than
+    these two, is an InputError.
     """
     if order < 0:
         raise InputError("series order must be nonnegative, not %d" % order)
+    if mode not in ("flag", "full"):
+        raise InputError("mode must be 'flag' or 'full', not %r" % (mode,))
     if branch is not None:
         branch = branch.monic()
         if (point.kind != SingularPoint.ALGEBRAIC or branch.degree < 1
@@ -689,20 +679,15 @@ def formal_solutions(
         except ZeroDivisorSplit:
             raise InputError("branch %s splits further at %s; call per branch of indicial_branches"
                              % (format_poly(branch), point.label())) from None
-    elif point.kind != SingularPoint.ALGEBRAIC:
-        data = indicial(op, point)
     else:
-        branches = indicial_branches(op, point)
-        if len(branches) != 1:
-            raise InputError("modulus split; call per branch")
-        data = branches[0]
+        data = indicial(op, point)
     if data.degree < op.order and not allow_irregular:
         raise IrregularPoint(
             "indicial degree %d below order %d at %s"
             % (data.degree, op.order, data.point.label())
         )
     sols, has_logs, obstructions = _frobenius(data, order, mode)
-    return FormalSolutionBasis(data.point, branch, sols, has_logs, obstructions, data.dom)
+    return FormalSolutionBasis(data.point, branch, sols, has_logs, obstructions)
 
 
 def _frobenius(data: IndicialData, order: int, mode: str) -> Tuple[List[LogSeries], bool, List]:
@@ -714,11 +699,12 @@ def _frobenius(data: IndicialData, order: int, mode: str) -> Tuple[List[LogSerie
             "only rational exponents are supported" % data.point.label()
         )
     class_mode = _class_flag_mode if mode == "flag" else _class_full_mode
+    one = Q1 if data.ring is None else data.ring.one()
     solutions: List[LogSeries] = []
     has_logs = False
     obstructions: List[Tuple[object, int]] = []
     for cls in _exponent_classes(data.rational_roots):
-        sols, logs, obs = class_mode(data.theta, data.dom, cls, order)
+        sols, logs, obs = class_mode(data.theta, one, cls, order)
         solutions.extend(sols)
         has_logs = has_logs or logs
         obstructions.extend(obs)

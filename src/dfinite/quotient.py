@@ -10,7 +10,10 @@ product is an integer convolution followed by a pseudo-remainder by M
 (``polys._zprem``), which multiplies the denominator by the part of L
 each reduction step cannot divide out; a sum brings both elements to a
 common denominator; a rational scalar multiplies the numerators and the
-denominator.
+denominator.  Elements mix with ints and ``Fraction``s under ``+ - * /``
+and are true when nonzero, as a ``Fraction`` is, so :mod:`dfinite.local`
+runs one analysis on ``Fraction``s at rational points and on ``ModElt``s
+on a cluster branch.
 
 Full factorization of the modulus is never computed.  Inversion runs an
 extended Euclid over Z[a] on the same ``_zprem`` steps and either
@@ -31,34 +34,7 @@ from typing import Callable, List, Sequence, Tuple
 from .errors import InputError, ZeroDivisorSplit
 from .polys import (Poly, _zclear, _zderiv, _zexquo, _zgcd, _zmul, _zprem, _zprimitive, _zsub,
                     _ztrim, format_poly)
-from .rationals import QQ, Q0, Q1, cleared
-
-
-class DomainQQ:
-    """The rational field with the small domain protocol used by local analysis."""
-
-    def zero(self):
-        return Q0
-
-    def one(self):
-        return Q1
-
-    def from_rat(self, q):
-        return q
-
-    def is_zero(self, x) -> bool:
-        return x == 0
-
-    def inv(self, x):
-        if x == 0:
-            raise ZeroDivisionError("inverting zero")
-        return 1 / x
-
-    def __repr__(self):
-        return "QQ"
-
-
-QQ_DOMAIN = DomainQQ()
+from .rationals import QQ, cleared
 
 
 class ModRing:
@@ -96,9 +72,6 @@ class ModRing:
     def el(self, coeffs: Sequence) -> "ModElt":
         return self.from_ints(*cleared(coeffs))
 
-    def zero(self) -> "ModElt":
-        return ModElt(self, (0,) + self._zeros, 1)
-
     def one(self) -> "ModElt":
         return ModElt(self, (1,) + self._zeros, 1)
 
@@ -107,9 +80,6 @@ class ModRing:
 
     def from_rat(self, q) -> "ModElt":
         return ModElt(self, (q.numerator,) + self._zeros, q.denominator)
-
-    def is_zero(self, x: "ModElt") -> bool:
-        return not any(x.nums)
 
     def inv(self, x: "ModElt") -> "ModElt":
         """Inverse mod m; raises ZeroDivisorSplit on a proper gcd.
@@ -222,6 +192,9 @@ class ModElt:
         o = self._lift(other)
         return self * self.ring.inv(o)
 
+    def __rtruediv__(self, other):
+        return self.ring.inv(self) * other
+
     def __eq__(self, other):
         if isinstance(other, ModElt):
             return self.ring == other.ring and self.nums == other.nums and self.den == other.den
@@ -232,8 +205,8 @@ class ModElt:
     def __hash__(self):
         return hash((self.ring, self.nums, self.den))
 
-    def is_zero(self) -> bool:
-        return not any(self.nums)
+    def __bool__(self) -> bool:
+        return any(self.nums)
 
     def __repr__(self):
         return "ModElt(%s)" % format_poly(Poly(self.coeffs), "a")

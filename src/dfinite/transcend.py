@@ -151,13 +151,10 @@ class TranscendOptions:
 
 
 def _indicial_display(data: IndicialData) -> str:
-    try:
+    if data.ring is None:
         return format_poly(data.monic_q_poly(), "x")
-    except InputError:
-        parts = []
-        for j, e in enumerate(data.poly):
-            parts.append("(%s)*x^%d" % (format_poly(Poly(e.coeffs), "a"), j))
-        return " + ".join(parts)
+    return " + ".join("(%s)*x^%d" % (format_poly(Poly(e.coeffs), "a"), j)
+                      for j, e in enumerate(data.poly))
 
 
 def _integer_differences(roots: List[Tuple[object, int]]) -> List[int]:

@@ -28,8 +28,8 @@ to integers, by one bivariate sympy call over Z[x, lam], and as the
 determinant of the Sylvester matrix, and rational roots from the linear
 factors of sympy's factorization.  Local coefficients at an
 algebraic point come from a Horner Taylor shift over Q[a]/(m), and the
-theta form from falling factorials built over the coefficient domain, both with products of
-quotient-ring elements; the operator at infinity from products of
+theta form from falling factorials built as values of the coefficients'
+type, both with products of quotient-ring elements; the operator at infinity from products of
 operators (``ore.op_mul_raw``).  ``apply_op_oracle`` applies an
 operator term by term over ``Fraction``, the reference for
 ``apply_op``'s one integer product, and ``apply_polys`` applies one
@@ -1062,9 +1062,8 @@ def rational_roots_oracle(poly: Poly) -> List[Tuple[object, int]]:
     return roots
 
 
-def rational_roots_nf_oracle(ind: List, dom) -> List[Tuple[object, int]]:
+def rational_roots_nf_oracle(ind: List, ring: ModRing) -> List[Tuple[object, int]]:
     """``local.rational_roots_nf`` with its candidates taken over Q[lam]."""
-    ring: ModRing = dom
     all_zero = True
     content = None
     for e in ind:
@@ -1086,10 +1085,8 @@ def rational_roots_nf_oracle(ind: List, dom) -> List[Tuple[object, int]]:
         mult = 0
         rem = list(ind)
         while rem:
-            value = _lam_eval(rem, dom.from_rat(r), dom)
-            if dom.is_zero(value):
-                pass
-            else:
+            value = _lam_eval(rem, ring.from_rat(r))
+            if value:
                 gg = fraction_gcd(Poly(value.coeffs), ring.modulus)
                 if gg.degree == 0:
                     break
@@ -1097,12 +1094,12 @@ def rational_roots_nf_oracle(ind: List, dom) -> List[Tuple[object, int]]:
             mult += 1
             # synthetic division by (lam - r)
             new = []
-            carry = dom.zero()
+            carry = ring.from_rat(Q0)
             for c in reversed(rem):
-                carry = c + carry * dom.from_rat(r)
+                carry = c + carry * ring.from_rat(r)
                 new.append(carry)
             new.reverse()
-            rem = _lam_trim(new[1:], dom)
+            rem = _lam_trim(new[1:])
         if mult:
             out.append((r, mult))
     out.sort(key=lambda t: t[0])
@@ -1294,9 +1291,6 @@ class FractionModRing:
         cs = cs + [Q0] * (self.deg - len(cs))
         return FractionModElt(self, tuple(cs[: self.deg]))
 
-    def zero(self) -> "FractionModElt":
-        return self.el([])
-
     def one(self) -> "FractionModElt":
         return self.el([Q1])
 
@@ -1305,9 +1299,6 @@ class FractionModRing:
 
     def from_rat(self, q) -> "FractionModElt":
         return self.el([q])
-
-    def is_zero(self, x: "FractionModElt") -> bool:
-        return all(c == 0 for c in x.coeffs)
 
     def inv(self, x: "FractionModElt") -> "FractionModElt":
         """Inverse mod m; raises ZeroDivisorSplit on a proper gcd."""
@@ -1379,6 +1370,9 @@ class FractionModElt:
     def __hash__(self):
         return hash((self.ring, self.coeffs))
 
+    def __bool__(self) -> bool:
+        return any(self.coeffs)
+
 
 def _half_xgcd(a: Poly, b: Poly) -> Tuple[Poly, Poly]:
     """(g, u) with u*a = g mod b, g = gcd(a, b) up to a scalar."""
@@ -1396,29 +1390,30 @@ def _half_xgcd(a: Poly, b: Poly) -> Tuple[Poly, Poly]:
 # ---------------------------------------------------------------------------
 
 
-def _lam_mul(a: List, b: List, dom) -> List:
+def _lam_mul(a: List, b: List) -> List:
     if not a or not b:
         return []
-    out = [dom.zero()] * (len(a) + len(b) - 1)
+    out = [a[0] * 0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         for j, y in enumerate(b):
             out[i + j] = out[i + j] + x * y
-    return _lam_trim(out, dom)
+    return _lam_trim(out)
 
 
-def _falling_lam(shift, length: int, dom) -> List:
-    """(lam + shift)(lam + shift - 1)...(lam + shift - length + 1)."""
-    acc = [dom.one()]
+def _falling_lam(length: int, one) -> List:
+    """lam (lam - 1) ... (lam - length + 1) with coefficients of the type
+    of ``one``, a unit."""
+    acc = [one]
     for t in range(length):
-        acc = _lam_mul(acc, [dom.from_rat(QQ(shift) - t), dom.one()], dom)
+        acc = _lam_mul(acc, [one * -t, one])
     return acc
 
 
-def _shifted_mul_t_plus(p: List, alpha, dom) -> List:
-    """p(t) * (t + alpha) over the domain."""
+def _shifted_mul_t_plus(p: List, alpha) -> List:
+    """p(t) * (t + alpha) over alpha's ring."""
     if not p:
         return []
-    out = [dom.zero()] * (len(p) + 1)
+    out = [alpha * 0] * (len(p) + 1)
     for i, c in enumerate(p):
         out[i + 1] = out[i + 1] + c
         out[i] = out[i] + c * alpha
@@ -1445,30 +1440,30 @@ def transform_infinity_oracle(op: DiffOp) -> DiffOp:
     return DiffOp(total)
 
 
-def local_coeffs_horner_oracle(op: DiffOp, dom: FractionModRing) -> List[List]:
-    """``local._local_coeffs`` at the algebraic point of ``dom``: each
+def local_coeffs_horner_oracle(op: DiffOp, ring: FractionModRing) -> List[List]:
+    """``local._local_coeffs`` at the algebraic point of ``ring``: each
     coefficient shifted by the residue class of z, by Horner over Q[a]/(m)."""
-    alpha = dom.gen()
+    alpha = ring.gen()
     out = []
     for p in op.coeffs:
         # Horner for p(t + alpha) as a polynomial in t over the quotient ring
         acc: List = []
         for c in reversed(p.coeffs):
-            acc = _shifted_mul_t_plus(acc, alpha, dom)
+            acc = _shifted_mul_t_plus(acc, alpha)
             if not acc:
-                acc = [dom.from_rat(c)]
+                acc = [ring.from_rat(c)]
             else:
-                acc[0] = acc[0] + dom.from_rat(c)
+                acc[0] = acc[0] + ring.from_rat(c)
         out.append(acc)
     return out
 
 
-def theta_form_oracle(coeffs: List[List], dom) -> Tuple[int, List[List]]:
+def theta_form_oracle(coeffs: List[List]) -> Tuple[int, List[List]]:
     """``local.theta_form`` with the falling factorial of every coefficient
-    rebuilt over the domain and multiplied into it as domain elements."""
+    rebuilt with coefficients of its type and multiplied into it as such."""
     v = None
     for i, a in enumerate(coeffs):
-        val = _series_valuation(a, dom)
+        val = _series_valuation(a)
         if val < 0:
             continue
         s = val - i
@@ -1478,11 +1473,11 @@ def theta_form_oracle(coeffs: List[List], dom) -> Tuple[int, List[List]]:
     qs: Dict[int, List] = {}
     for i, a in enumerate(coeffs):
         for u, c in enumerate(a):
-            if dom.is_zero(c):
+            if not c:
                 continue
             k = u - i - v
-            term = [x * c for x in _falling_lam(0, i, dom)]
-            qs[k] = _lam_add(qs.get(k, []), term, dom)
+            term = [x * c for x in _falling_lam(i, c * 0 + 1)]
+            qs[k] = _lam_add(qs.get(k, []), term)
     kmax = max(qs) if qs else 0
     return v, [qs.get(k, []) for k in range(kmax + 1)]
 
@@ -1493,37 +1488,30 @@ def theta_form_oracle(coeffs: List[List], dom) -> Tuple[int, List[List]]:
 
 
 def _log_derivative(s: LogSeries) -> LogSeries:
-    dom = s.dom
-    out = [[dom.zero()] * len(layer) for layer in s.layers]
+    out = [[c * 0 for c in layer] for layer in s.layers]
     for j, layer in enumerate(s.layers):
         for i, c in enumerate(layer):
-            if dom.is_zero(c):
+            if not c:
                 continue
             e = s.exponent + i
             out[j][i] = out[j][i] + c * e
             if j > 0:
                 out[j - 1][i] = out[j - 1][i] + c * j
-    while len(out) > 1 and all(dom.is_zero(c) for c in out[-1]):
+    while len(out) > 1 and not any(out[-1]):
         out.pop()
-    return LogSeries(dom, s.exponent - 1, out)
+    return LogSeries(s.exponent - 1, out)
 
 
 def _log_mul_monomial(s: LogSeries, coeff, power: int) -> LogSeries:
     """Multiply by coeff * t^power (truncation length is preserved)."""
-    dom = s.dom
-    out = [[dom.zero()] * len(layer) for layer in s.layers]
-    for j, layer in enumerate(s.layers):
-        for i, c in enumerate(layer):
-            if not dom.is_zero(c):
-                out[j][i] = c * coeff
-    return LogSeries(dom, s.exponent + power, out)
+    return LogSeries(s.exponent + power, [[c * coeff if c else c for c in layer] for layer in s.layers])
 
 
 def _log_add_all(terms: List[LogSeries]) -> LogSeries:
     terms = [t for t in terms if t.layers]
     if not terms:
         raise InputError("empty sum")
-    dom = terms[0].dom
+    zero = terms[0].layers[0][0] * 0
     base = min(t.exponent for t in terms)
     for t in terms:
         if not is_integer(t.exponent - base):
@@ -1531,27 +1519,28 @@ def _log_add_all(terms: List[LogSeries]) -> LogSeries:
     # valid length: every term must cover the coefficient slot
     length = min(int(t.exponent - base) + len(t.layers[0]) for t in terms)
     nlay = max(len(t.layers) for t in terms)
-    out = [[dom.zero()] * length for _ in range(nlay)]
+    out = [[zero] * length for _ in range(nlay)]
     for t in terms:
         off = int(t.exponent - base)
         for j, layer in enumerate(t.layers):
             for i, c in enumerate(layer):
-                if i + off < length and not dom.is_zero(c):
+                if i + off < length and c:
                     out[j][i + off] = out[j][i + off] + c
-    while len(out) > 1 and all(dom.is_zero(c) for c in out[-1]):
+    while len(out) > 1 and not any(out[-1]):
         out.pop()
-    return LogSeries(dom, base, out)
+    return LogSeries(base, out)
 
 
-def apply_local(coeffs: List[List], dom, series: LogSeries) -> LogSeries:
-    """Apply an operator (local coefficient lists over dom) to a LogSeries."""
+def apply_local(coeffs: List[List], series: LogSeries) -> LogSeries:
+    """Apply an operator (local coefficient lists of ``local._local_coeffs``)
+    to a LogSeries."""
     terms = []
     current = series
     for i, a in enumerate(coeffs):
         if i > 0:
             current = _log_derivative(current)
         for u, c in enumerate(a):
-            if dom.is_zero(c):
+            if not c:
                 continue
             terms.append(_log_mul_monomial(current, c, u))
     return _log_add_all(terms)

@@ -452,11 +452,14 @@ def test_cli_verify_malformed_report(capsys, apery_file, tmp_path, malform):
     assert out["error"] == "input"
 
 
-@pytest.mark.parametrize("primes", ["9", "4", "1", "5,15", "abc", "5,x", "4294967311", "1031"])
+@pytest.mark.parametrize("primes", ["9", "4", "1", "5,15", "abc", "5,x", "4294967311", "1031",
+                                    "", "5,,7"])
 def test_cli_pcurv_rejects_non_primes(capsys, apery_file, primes):
     # the elimination inverts numbers mod p: 9 used to report a zero
     # p-curvature, false evidence of algebraicity; primes above the
-    # ceiling 2^10 are refused before any work (4294967311 used to hang)
+    # ceiling 2^10 are refused before any work (4294967311 used to hang);
+    # an empty list or entry is malformed ("" used to print an empty
+    # report, "5,,7" to drop the gap)
     code, out = _run(capsys, ["pcurv", apery_file, "--primes", primes])
     assert code == 2
     assert out["error"] == "input"

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import random
+from fractions import Fraction
 from functools import lru_cache, reduce
 from pathlib import Path
 from unittest import mock
@@ -31,7 +32,7 @@ from dfinite.hypergeom import HypParams, hypergeometric_operator
 import dfinite.local as local_mod
 from dfinite.local import _algebraic_branch, _lam_trim, _local_coeffs, rational_roots_nf, theta_form
 from dfinite.polys import _zclear, _zresultant, format_poly
-from dfinite.quotient import QQ_DOMAIN, ModElt
+from dfinite.quotient import ModElt
 from dfinite.rationals import QQ
 from dfinite.transcend import _branch_step
 from oracles import (
@@ -174,7 +175,7 @@ def test_rational_roots_nf_examples():
         (QQ(0), 1), (QQ(1, 2), 1), (QQ(1), 1)]
     # lam^2 - a over Q[a]/(a^2-2): no rational roots (roots are +-2^(1/4))
     ring = ModRing(Poly([-2, 0, 1]))
-    lam_poly = [ring.gen() * (-1), ring.zero(), ring.one()]
+    lam_poly = [ring.gen() * (-1), ring.el([0]), ring.one()]
     assert rational_roots_nf(lam_poly, ring) == []
 
 
@@ -211,12 +212,12 @@ def nf_cases(draw):
     f0 = ring.el(factors[0].coeffs)
     ind = draw(st.lists(st.lists(_rats, min_size=1, max_size=4).map(ring.el), min_size=1, max_size=3))
     for r in draw(st.lists(_rats, max_size=2)):
-        ind = _lam_mul(ind, [ring.from_rat(-r), ring.one()], ring)
+        ind = _lam_mul(ind, [ring.from_rat(-r), ring.one()])
     if draw(st.booleans()):
-        ind = _lam_mul(ind, [ring.from_rat(-draw(_rats)) - f0, ring.one()], ring)
+        ind = _lam_mul(ind, [ring.from_rat(-draw(_rats)) - f0, ring.one()])
     if len(factors) > 1 and draw(st.booleans()):
         ind = [c * f0 for c in ind]
-    return _lam_trim(ind, ring), ring
+    return _lam_trim(ind), ring
 
 
 def _nf_outcome(fn, ind, ring):
@@ -235,7 +236,7 @@ _CUBIC = ModRing(Poly([-2, 0, 0, 1]))
 @settings(max_examples=120, deadline=None)
 @given(nf_cases())
 @example(([_CUBIC.el([QQ(3, 2), 1])], _CUBIC))  # no lambda
-@example(([_CUBIC.gen() * (-1), _CUBIC.zero(), _CUBIC.zero(), _CUBIC.one()], _CUBIC))
+@example(([_CUBIC.gen() * (-1), _CUBIC.el([0]), _CUBIC.el([0]), _CUBIC.one()], _CUBIC))
 @example(([_QUARTIC.el([2, 0, -1]), _QUARTIC.one()], _QUARTIC))  # root on a^2 = 2 only
 @example(([_QUARTIC.el([-2, 0, 1]), _QUARTIC.el([0, 0, -2, 0])], _QUARTIC))  # content a^2 - 2
 def test_rational_roots_nf_matches_q_lambda_oracle(case):
@@ -441,13 +442,13 @@ def test_local_coeffs_algebraic_matches_horner_oracle(m, op):
 def test_theta_form_matches_falling_factorial_oracle(where, op):
     assume(not op.is_zero())
     if isinstance(where, Poly):
-        pt, dom = SingularPoint.algebraic(where), ModRing(where)
+        pt, ring = SingularPoint.algebraic(where), ModRing(where)
     elif where == "infinity":
-        pt, dom = SingularPoint.infinity(), QQ_DOMAIN
+        pt, ring = SingularPoint.infinity(), None
     else:
-        pt, dom = SingularPoint.rational(where), QQ_DOMAIN
-    coeffs = _local_coeffs(op, pt, dom)
-    assert _typed(theta_form(coeffs, dom)) == _typed(theta_form_oracle(coeffs, dom))
+        pt, ring = SingularPoint.rational(where), None
+    coeffs = _local_coeffs(op, pt, ring)
+    assert _typed(theta_form(coeffs)) == _typed(theta_form_oracle(coeffs))
 
 
 def test_formal_solutions_log_relaxed(log_op):
@@ -483,9 +484,9 @@ def test_formal_solutions_forced_log(log_at_zero_op):
 
 def test_formal_solutions_annihilate(log_at_zero_op):
     basis = formal_solutions(log_at_zero_op, _pt(0), 5, mode="full")
-    loc = _local_coeffs(log_at_zero_op, _pt(0), QQ_DOMAIN)
+    loc = _local_coeffs(log_at_zero_op, _pt(0), None)
     for sol in basis.solutions:
-        assert apply_local(loc, QQ_DOMAIN, sol).is_zero()
+        assert apply_local(loc, sol).is_zero()
 
 
 def test_formal_solutions_cluster_log(cluster_log_op):
@@ -497,7 +498,7 @@ def test_formal_solutions_cluster_log(cluster_log_op):
     ring = ModRing(Poly([-2, 0, 1]).monic())
     loc = _local_coeffs(cluster_log_op, SingularPoint.algebraic(Poly([-2, 0, 1])), ring)
     for sol in full.solutions:
-        assert apply_local(loc, ring, sol).is_zero()
+        assert apply_local(loc, sol).is_zero()
 
 
 def test_formal_solutions_builds_theta_form_once(monkeypatch, cluster_log_op):
@@ -557,8 +558,44 @@ def test_formal_solutions_branch_that_splits_is_an_input_error():
     with pytest.raises(InputError) as err:
         formal_solutions(op, cluster, 2, mode="flag", branch=cluster.modulus)
     assert format_poly(cluster.modulus) in str(err.value)
+    # nor is there one basis for the cluster without a branch
+    with pytest.raises(InputError):
+        formal_solutions(op, cluster, 2, mode="flag")
     for b in indicial_branches(op, cluster):
         assert formal_solutions(op, cluster, 2, mode="flag", branch=b.branch).branch == b.branch
+
+
+def test_formal_solutions_unknown_mode_is_an_input_error(cluster_log_op):
+    # a typo must not select the costly full construction
+    for mode in ("Flag", "", "logs"):
+        with pytest.raises(InputError):
+            formal_solutions(cluster_log_op, _pt(0), 2, mode=mode)
+
+
+@pytest.mark.parametrize("mode", ["flag", "full"])
+def test_formal_solutions_coefficient_types(cluster_log_op, mode):
+    # Fractions at a rational point and at infinity; elements of the
+    # branch's ring on a whole cluster and on a branch split off by the
+    # exact root check (one resultant for the cluster), zeros included
+    m = Poly([-2, 0, 1])
+    op, cluster = _local_scan_cluster("family_2_3")
+    with mock.patch.object(local_mod, "_zresultant", wraps=_zresultant) as spy:
+        (split_off,) = [b.branch for b in indicial_branches(op, cluster) if b.branch.degree == 4]
+    assert spy.call_count == 1
+    cases = [(cluster_log_op, _pt(0), None, None),
+             (cluster_log_op, SingularPoint.infinity(), None, None),
+             (cluster_log_op, SingularPoint.algebraic(m), None, m),
+             (op, cluster, split_off, split_off)]
+    for op_, point, branch, modulus in cases:
+        basis = formal_solutions(op_, point, 4, mode, branch=branch)
+        entries = [c for s in basis.solutions for layer in s.layers for c in layer]
+        if modulus is None:
+            assert {t[0] for t in _typed(entries)} == {Fraction}
+        else:
+            assert all(type(c) is ModElt for c in entries)
+            assert {t[:2] for t in _typed(entries)} == {("ModElt", modulus)}
+            assert {t for e in _typed(entries) for t, _ in e[2]} == {Fraction}
+        assert any(not c for c in entries), (point, mode)
 
 
 def test_formal_solutions_irregular_rejected():

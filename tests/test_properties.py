@@ -18,7 +18,6 @@ from dfinite import (
 from dfinite.local import SingularPoint, _local_coeffs
 from dfinite.minimize import MinimizeOptions
 from dfinite.ore import op_mul_raw, right_divides
-from dfinite.quotient import QQ_DOMAIN
 from dfinite.rationals import QQ
 from dfinite.transcend import TranscendOptions
 from oracles import (
@@ -119,9 +118,9 @@ def test_frobenius_annihilation_suite():
             basis = formal_solutions(op, SingularPoint.rational(QQ(0)), order + 3, mode="full")
         except Exception:
             continue
-        loc = _local_coeffs(op, SingularPoint.rational(QQ(0)), QQ_DOMAIN)
+        loc = _local_coeffs(op, SingularPoint.rational(QQ(0)), None)
         for sol in basis.solutions:
-            out = apply_local(loc, QQ_DOMAIN, sol)
+            out = apply_local(loc, sol)
             assert out.is_zero(), (done, ks)
         done += 1
 
