@@ -138,7 +138,7 @@ def _parameters(shifts, apart):
     def numerators(d):
         return [n for n in range(1, d) if all((QQ(n, d) - x).denominator > 1 for x in apart)]
 
-    return st.integers(2, 8).filter(numerators).flatmap(
+    return st.sampled_from([d for d in range(2, 9) if numerators(d)]).flatmap(
         lambda d: st.builds(lambda n, s: QQ(n, d) + s, st.sampled_from(numerators(d)), shifts))
 
 
