@@ -64,7 +64,7 @@ def _parse_point(text: str):
 
 
 def _parse_rat_list(text: str) -> List:
-    return [rat_from_str(t) for t in text.split(",") if t.strip()]
+    return [rat_from_str(t) for t in text.split(",")]
 
 
 def _parse_ints(text: str, option: str, count: Optional[int] = None) -> List[int]:

@@ -7,9 +7,12 @@ are handled as one cluster through arithmetic in Q[a]/(m(a)); any zero
 divisor encountered on the way splits the modulus and the analysis is
 rerun per branch (see :mod:`dfinite.quotient`).  The exponent candidates
 are the rational roots of the norm Res_a(P(a, lam), m(a)) of the
-indicial polynomial P.  The norm is multiplicative in the modulus, so a
-branch that the exact check of a candidate splits off reuses the
-cluster's candidates instead of computing its own resultant.
+indicial polynomial P.  The norm is multiplicative in both arguments:
+in P, so the factor h(lam) shared by every power of a (lam (lam - 1)
+... at a typical cluster) comes out as h^deg(m) and only P / h is
+evaluated at points lam; in the modulus, so a branch that the exact
+check of a candidate splits off reuses the cluster's candidates instead
+of computing its own resultant.
 
 At an algebraic point a the coefficients are re-expanded by Taylor's
 formula: the t^u coefficient of p(t + a) is

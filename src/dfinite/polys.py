@@ -15,9 +15,10 @@ one exact division.  Rational roots come from
 squarefree part modulo a small prime, lifted past the rational-root
 bound, rebuilt by rational reconstruction and checked exactly.  The one
 resultant, ``_zresultant``, takes integer inputs and computes
-Res_x(P(x, lam), m(x)) by evaluation and interpolation over Z: sympy's
-univariate resultant at integer points lam, then exact Newton
-interpolation.  That univariate resultant is the one use of sympy; it
+Res_x(P(x, lam), m(x)) over Z: the content h(lam) of P's x-coefficients
+is divided out and comes back as h^deg(m), and the rest is evaluated
+and interpolated, sympy's univariate resultant at integer points lam,
+then exact Newton interpolation.  That univariate resultant is the one use of sympy; it
 is imported there, never at module import.
 """
 
@@ -307,16 +308,23 @@ def _zprimitive(a: List[int]) -> List[int]:
     return a if g == 1 else [x // g for x in a]
 
 
-def _primitive_rows(rows: List[List[int]]) -> List[List[int]]:
-    """Integer coefficient lists divided by their polynomial gcd and their
-    integer content, the leading coefficient of the last one positive:
-    the one normal form of the Q(z)-line through them."""
+def _zcontent(rows: Sequence[List[int]]) -> List[int]:
+    """Primitive gcd of the nonzero integer lists among rows (at least
+    one), with positive leading coefficient."""
     g = None
     for p in rows:
         if p:
             g = _zprimitive(p) if g is None else _zgcd(g, p)
             if len(g) == 1:
                 break
+    return g
+
+
+def _primitive_rows(rows: List[List[int]]) -> List[List[int]]:
+    """Integer coefficient lists divided by their polynomial gcd and their
+    integer content, the leading coefficient of the last one positive:
+    the one normal form of the Q(z)-line through them."""
+    g = _zcontent(rows)
     if len(g) > 1:
         rows = [_zexquo(p, g) for p in rows]
     return _content_free(rows)
@@ -353,22 +361,32 @@ def _zresultant(p: Sequence[Sequence[int]], m: Sequence[int]) -> List[int]:
     coefficient, lowest degree first ([] for zero), where
     P = sum_j p[j](x) lam^j and p[j], m are integer lists in x.
 
-    By evaluation and interpolation (Collins 1971): the Sylvester matrix
-    has deg(m) rows of lam-degree at most deg_lam(P) and constant rows
-    otherwise, so D + 1 values determine R for D = deg(m) * deg_lam(P).
-    R is evaluated at D + 2 integer points lam = 0, 1, 2, ... that skip
-    the roots of lc_x(P)(lam), so every univariate resultant has the same
-    degree pair and sympy gives it the same sign; the spare point checks
-    the interpolant.  ``sympy.resultant`` is looked up at call time, so a
-    wrapper installed on the sympy module sees every call.
+    The content first: with P = sum_i x^i c_i(lam), h the primitive gcd
+    of the nonzero c_i and P' = P / h of the same x-degree, R =
+    h^deg(m) * Res_x(P', m), since the resultant is multiplicative and
+    Res_x(h, m) = h^deg(m) for h free of x.  Then Res_x(P', m) by
+    evaluation and interpolation (Collins 1971): the Sylvester matrix
+    has deg(m) rows of lam-degree at most deg_lam(P') and constant rows
+    otherwise, so D + 1 values determine it for D = deg(m) * deg_lam(P').
+    It is evaluated at D + 2 integer points lam = 0, 1, 2, ... that skip
+    the roots of lc_x(P')(lam), so every univariate resultant has the
+    same degree pair and sympy gives it the same sign; the spare point
+    checks the interpolant.  ``sympy.resultant`` is looked up at call
+    time, so a wrapper installed on the sympy module sees every call.
     """
     import sympy
 
     p = _ztrim([_ztrim(list(pj)) for pj in p])
     if not p:
         return []
-    x = _sympy_x()
+    # the content h(lam) of the x-coefficients, divided out of P
     dx = max(len(pj) for pj in p) - 1
+    cols = [_ztrim([pj[i] if i < len(pj) else 0 for pj in p]) for i in range(dx + 1)]
+    h = _zcontent(cols)
+    if len(h) > 1:
+        cols = [_zexquo(c, h) if c else c for c in cols]
+        p = [[c[j] if j < len(c) else 0 for c in cols] for j in range(max(map(len, cols)))]
+    x = _sympy_x()
     gm = sympy.Poly.from_list(list(reversed(m)), x, domain=sympy.ZZ)
     need = (len(m) - 1) * (len(p) - 1) + 2
     nodes, values = [], []
@@ -403,7 +421,11 @@ def _zresultant(p: Sequence[Sequence[int]], m: Sequence[int]) -> List[int]:
             out[i] -= nodes[k] * out[i + 1]
         out[0] += values[k]
     _ztrim(out)
-    return [-c for c in out] if out and out[-1] < 0 else out
+    if out and out[-1] < 0:
+        out = [-c for c in out]
+    for _ in range(len(m) - 1):
+        out = _zmul(out, h)
+    return out
 
 
 def _zprem(a: Sequence[int], b: Sequence[int]) -> Tuple[List[int], int]:

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -131,6 +132,39 @@ def test_cli_hypergeom(capsys):
     code, out = _run(capsys, ["hypergeom", "--a", "1,1", "--b", "2"])
     assert code == 0
     assert out["verdict"] == "inapplicable"
+
+
+@pytest.mark.parametrize("a, b", [("1/3,,2/3", "1/2"), ("1/3,2/3,", "1/2"), ("1/3,2/3", "1/2,")])
+def test_cli_hypergeom_rejects_empty_entries(capsys, a, b):
+    code, out = _run(capsys, ["hypergeom", "--a", a, "--b", b])
+    assert code == 2
+    assert out["error"] == "input"
+
+
+def test_cli_hypergeom_large_denominator_stops_at_the_first_unit(capsys):
+    # D is about 6e9, but unit 1 already fails to interlace
+    t0 = time.perf_counter()
+    code, out = _run(capsys, ["hypergeom", "--a", "1/1000000007,1/3", "--b", "1/2"])
+    assert time.perf_counter() - t0 < 2
+    assert code == 0
+    assert out["verdict"] == "transcendental-by-interlacing"
+    assert out["reason"] == "interlacing fails at unit 1 mod 6000000042"
+
+
+def test_cli_hypergeom_walk_over_the_unit_bound_is_input_error(capsys, monkeypatch):
+    from dfinite import hypergeom
+
+    # (1 - z)^(-1/11) interlaces at all 10 units mod 11
+    code, out = _run(capsys, ["hypergeom", "--a", "1/11"])
+    assert code == 0
+    assert out["reason"] == "all 10 unit multiples interlace"
+    monkeypatch.setattr(hypergeom, "MAX_UNITS", 10)
+    code, out = _run(capsys, ["hypergeom", "--a", "1/11"])
+    assert code == 0
+    monkeypatch.setattr(hypergeom, "MAX_UNITS", 9)
+    code, out = _run(capsys, ["hypergeom", "--a", "1/11"])
+    assert code == 2
+    assert out["error"] == "input"
 
 
 def test_cli_guess_alg(capsys, sqrt_file):

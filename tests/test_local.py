@@ -328,6 +328,26 @@ def test_split_branches_inherit_the_cluster_resultant(monkeypatch, cluster):
     assert len(whole) == 1
 
 
+def test_cluster_resultant_evaluates_without_the_content(monkeypatch):
+    # diagonal 6(i)'s degree-13 cluster has an indicial polynomial of
+    # lambda-degree 3 with a content of degree 2 in lambda: its norm is
+    # taken at 13 * (3 - 2) + 2 points, not 13 * 3 + 2
+    import sympy
+
+    calls = []
+    true_resultant = sympy.resultant
+
+    def counting(f, g):
+        calls.append(f)
+        return true_resultant(f, g)
+
+    op, cluster = _local_scan_cluster("diagonal_6i")
+    assert cluster.modulus.degree == 13
+    monkeypatch.setattr(sympy, "resultant", counting)
+    assert len(indicial_branches(op, cluster)) == 2
+    assert len(calls) == 15
+
+
 def _exponent_op(m1, m2, c1, c2):
     """m d - (c1 m1' m2 + c2 m1 m2'), m = m1 m2: it kills m1^c1 m2^c2, whose
     exponent is c1 at the roots of m1 and c2 at those of m2."""

@@ -243,6 +243,54 @@ def test_zresultant_is_the_sylvester_determinant(case):
     assert _zresultant(p, m) in _signed(sylvester_resultant_oracle(p, m))
 
 
+def _lam_scaled(p, h):
+    """The coefficient lists of h(lam) * P for P = sum_j p[j](x) lam^j."""
+    out = [[0] * max(map(len, p)) for _ in range(len(p) + len(h) - 1)]
+    for j, pj in enumerate(p):
+        for k, c in enumerate(h):
+            for i, a in enumerate(pj):
+                out[j + k][i] += c * a
+    return out
+
+
+@st.composite
+def content_cases(draw):
+    """(h * P', m) with a planted content h(lam) = c prod (b lam - a) of
+    degree 0..3, every root a/b a non-integer, and m = (x - r) m2 with
+    P'(r, lam) = e (lam - l0), so the resultant vanishes at lam = l0 in
+    0, 1, 2; or P' free of lam, so h is the whole lam-dependence."""
+    h = [draw(st.sampled_from([-3, -1, 1, 2]))]
+    for _ in range(draw(st.integers(0, 3))):
+        b = draw(st.integers(2, 4))
+        a = draw(st.integers(-6, 6).filter(lambda a: a % b))
+        h = _zmul(h, [-a, b])
+    if draw(st.booleans()):
+        m = draw(st.lists(_small, min_size=1, max_size=3)) + [draw(_small.filter(bool))]
+        p = [draw(st.lists(_small, max_size=2)) + [draw(_small.filter(bool))]]
+    else:
+        r, l0, e = draw(_small), draw(st.integers(0, 2)), draw(_small.filter(bool))
+        m = _zmul([-r, 1], draw(st.lists(_small, max_size=2)) + [draw(_small.filter(bool))])
+        k = draw(st.integers(0, 2))
+        # P' = (x - r) A(x, lam) + e (lam - l0), A of x-degree k
+        p = [_zmul([-r, 1], draw(st.lists(_small, min_size=k, max_size=k)) + [draw(_small)])
+             for _ in range(draw(st.integers(1, 3)))] + [[0]]
+        p[0][0] -= e * l0
+        p[1][0] += e
+    return _lam_scaled(p, h), m
+
+
+@settings(max_examples=100, deadline=None)
+@given(content_cases())
+@example(([[0, 0, 2], [0, 0, -1]], [1, 0, 1]))  # P = (2 - lam) x^2, free of lam after h
+@example(([[0, -1], [1, 2], [-2]], [0, -1, 1]))  # (2 lam - 1)(x - lam), Res 0 at lam = 0, 1
+def test_zresultant_divides_out_the_content(case):
+    p, m = case
+    got = _zresultant(p, m)
+    want = bivariate_resultant_oracle(p, m)
+    assert got in _signed(want)
+    assert not got or got[-1] > 0
+
+
 def test_zresultant_checks_the_spare_point(monkeypatch):
     # Res_x(x + lam, x^2 + 1) = lam^2 + 1 from the values at lam = 0..3; a
     # last value off by 3! keeps every divided difference integral, so
