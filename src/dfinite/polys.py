@@ -18,8 +18,8 @@ resultant, ``_zresultant``, takes integer inputs and computes
 Res_x(P(x, lam), m(x)) over Z: the content h(lam) of P's x-coefficients
 is divided out and comes back as h^deg(m), and the rest is evaluated
 and interpolated, sympy's univariate resultant at integer points lam,
-then exact Newton interpolation.  That univariate resultant is the one use of sympy; it
-is imported there, never at module import.
+then exact Newton interpolation.  That univariate resultant is the one
+use of sympy; it is imported there, never at module import.
 """
 
 from __future__ import annotations
@@ -384,7 +384,7 @@ def _zresultant(p: Sequence[Sequence[int]], m: Sequence[int]) -> List[int]:
     cols = [_ztrim([pj[i] if i < len(pj) else 0 for pj in p]) for i in range(dx + 1)]
     h = _zcontent(cols)
     if len(h) > 1:
-        cols = [_zexquo(c, h) if c else c for c in cols]
+        cols = [_zexquo(c, h) for c in cols]
         p = [[c[j] if j < len(c) else 0 for c in cols] for j in range(max(map(len, cols)))]
     x = _sympy_x()
     gm = sympy.Poly.from_list(list(reversed(m)), x, domain=sympy.ZZ)
