@@ -13,13 +13,12 @@ that would pass ``MAX_UNITS`` units without a failure is refused as an
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import zip_longest
 from math import gcd, lcm, prod
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from .errors import InputError
-from .ore import DiffOp, op_mul_raw
-from .polys import _zsub
+from .ore import DiffOp, RecOp, rec_to_ode
+from .polys import Poly
 from .rationals import QQ, Q1, is_integer
 
 ALGEBRAIC = "algebraic"
@@ -107,23 +106,10 @@ def interlacing_criterion(params: HypParams) -> Tuple[str, str]:
 
 def hypergeometric_operator(params: HypParams) -> DiffOp:
     """Annihilator of the hypergeometric series with these parameters:
-    prod_j (theta + b_j - 1) o theta ... minus z * prod_i (theta + a_i),
-    written with polynomial coefficients.  Each factor theta + c is
-    multiplied by the denominator of c to have integer rows, and each side
-    by the other side's product of denominators before they are
-    subtracted, so both carry the same scale."""
-
-    def theta_plus(c) -> List[List[int]]:
-        return [[c.numerator], [0, c.denominator]]
-
-    left = [[], [0, 1]]  # theta = z * d/dz
-    for bj in params.b:
-        left = op_mul_raw(theta_plus(bj - 1), left)
-    right = [[1]]
-    for ai in params.a:
-        right = op_mul_raw(theta_plus(ai), right)
-    right = [[0] + p if p else [] for p in right]  # left-multiply by z
-    scale_l = prod(bj.denominator for bj in params.b)
-    scale_r = prod(ai.denominator for ai in params.a)
-    return DiffOp([_zsub([scale_r * c for c in li], [scale_l * c for c in ri])
-                   for li, ri in zip_longest(left, right, fillvalue=[])])
+    its coefficients satisfy prod_j (n + b_j) a_(n+1) = prod_i (n + a_i) a_n
+    with the implicit b = 1 among the b_j, and ``rec_to_ode`` turns that
+    recurrence into prod_j (theta + b_j - 1) - z prod_i (theta + a_i),
+    theta = z d/dz, in normal form."""
+    upper = prod((Poly([x, 1]) for x in params.a), start=Poly([1]))
+    lower = prod((Poly([x, 1]) for x in params.full_b()), start=Poly([1]))
+    return rec_to_ode(RecOp([-upper, lower]))

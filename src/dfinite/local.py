@@ -25,7 +25,9 @@ and the denominator; they are never lifted into the ring and multiplied
 as elements.
 
 The analysis runs on the coefficient values themselves: ``Fraction``s at
-rational points and infinity, ``ModElt``s on a cluster branch.  Both
+rational points and infinity, ``ModElt``s on a cluster branch, from
+which ``ore.theta_form`` builds the theta rows as it does over Z for
+``ode_to_rec``.  Both
 have ``+ - * /`` and are true when nonzero; the ring itself is needed
 only to split the modulus.  A constant takes its branch's type from a
 value already at hand (``c * 0`` for a zero, one unit per branch).
@@ -47,9 +49,9 @@ from math import comb, factorial, lcm
 from typing import Dict, List, Optional, Tuple
 
 from .errors import InputError, IrregularPoint, ZeroDivisorSplit
-from .ore import DiffOp
-from .polys import (Poly, _zadd, _zclear, _zderiv, _zexquo, _zgcd, _zmul, _zprem, _zrational_roots,
-                    _zresultant, _zshift, _ztrim, format_poly)
+from .ore import DiffOp, theta_form
+from .polys import (Poly, _zadd, _zclear, _zderiv, _zeval, _zexquo, _zgcd, _zmul, _zprem,
+                    _zrational_roots, _zresultant, _zshift, _ztrim, format_poly)
 from .quotient import ModRing, split_cases
 from .rationals import QQ, Q1
 
@@ -159,36 +161,9 @@ def transform_infinity(op: DiffOp) -> DiffOp:
 
 
 # ---------------------------------------------------------------------------
-# Lambda-polynomials (plain coefficient lists)
-# ---------------------------------------------------------------------------
-
-
-def _lam_trim(p: List) -> List:
-    while p and not p[-1]:
-        p.pop()
-    return p
-
-
-def _lam_add(a: List, b: List) -> List:
-    return _lam_trim([x + y for x, y in zip(a, b)] + a[len(b):] + b[len(a):])
-
-
-def _lam_eval(a: List, x):
-    """Horner evaluation of a nonzero lambda-polynomial at a rational
-    (which scales the coefficients) or at a jet."""
-    if isinstance(x, Jet):
-        acc = Jet.const(a[-1], x.prec)
-        for c in reversed(a[:-1]):
-            acc = acc * x + Jet.const(c, x.prec)
-        return acc
-    acc = a[-1]
-    for c in reversed(a[:-1]):
-        acc = acc * x + c
-    return acc
-
-
-# ---------------------------------------------------------------------------
-# Theta form and indicial data
+# Theta form and indicial data.  A lambda-polynomial, a row q_k of
+# ``ore.theta_form``, is a plain list of the branch's values: ``_zeval``
+# evaluates it at a rational and ``_jet_eval`` at a jet.
 # ---------------------------------------------------------------------------
 
 
@@ -207,39 +182,6 @@ def _local_coeffs(op: DiffOp, point: SingularPoint, ring: Optional[ModRing]):
     # as the remainder of sum_k C(k, u) c_k z^(k-u) by the modulus
     return [[ring.from_ints([comb(k, u) * p[k] for k in range(u, len(p))], 1) for u in range(len(p))]
             for p in op.rows]
-
-
-def _series_valuation(p: List) -> int:
-    """Index of the first nonzero coefficient; -1 for zero (vanishing
-    of a quotient-ring element is coordinatewise, no split needed)."""
-    for i, c in enumerate(p):
-        if c:
-            return i
-    return -1
-
-
-def theta_form(coeffs: List[List]) -> Tuple[int, List[List]]:
-    """(v, [q_0, q_1, ...]) with L(t^u) = t^(u+v) * sum_k q_k(u) t^k."""
-    v = None
-    for i, a in enumerate(coeffs):
-        val = _series_valuation(a)
-        if val < 0:
-            continue
-        s = val - i
-        v = s if v is None else min(v, s)
-    if v is None:
-        raise InputError("zero operator")
-    qs: Dict[int, List] = {}
-    falling = [1]  # lam (lam - 1) ... (lam - i + 1) over Z
-    for i, a in enumerate(coeffs):
-        for u, c in enumerate(a):
-            if not c:
-                continue
-            k = u - i - v
-            qs[k] = _lam_add(qs.get(k, []), [c * f for f in falling])
-        falling = [lo - i * hi for lo, hi in zip([0] + falling, falling + [0])]
-    kmax = max(qs) if qs else 0
-    return v, [qs.get(k, []) for k in range(kmax + 1)]
 
 
 class IndicialData:
@@ -338,9 +280,14 @@ def rational_roots_nf(ind: List, ring: ModRing,
     out = []
     for r in candidates:
         mult = 0
-        rem = list(ind)
+        rem = ind
         while rem:
-            value = _lam_eval(rem, r)
+            # one Horner pass: the partial values are the coefficients of
+            # the quotient by (lam - r), the last one is the value at r
+            acc = [rem[-1]]
+            for c in rem[-2::-1]:
+                acc.append(acc[-1] * r + c)
+            value = acc.pop()
             if value:
                 # r is a root on part of the modulus only, or on none of it
                 try:
@@ -349,12 +296,7 @@ def rational_roots_nf(ind: List, ring: ModRing,
                     raise _CandidateSplit(s, candidates) from None
                 break
             mult += 1
-            # synthetic division by (lam - r)
-            new = [rem[-1]]
-            for c in reversed(rem[:-1]):
-                new.append(c + new[-1] * r)
-            new.reverse()
-            rem = _lam_trim(new[1:])
+            rem = acc[::-1]
         if mult:
             out.append((r, mult))
     out.sort(key=lambda t: t[0])
@@ -478,6 +420,14 @@ class Jet:
         return Jet(out)
 
 
+def _jet_eval(a: List, x: Jet) -> Jet:
+    """Horner evaluation of a nonzero lambda-polynomial at a jet."""
+    acc = Jet.const(a[-1], x.prec)
+    for c in a[-2::-1]:
+        acc = acc * x + Jet.const(c, x.prec)
+    return acc
+
+
 # ---------------------------------------------------------------------------
 # Logarithmic generalized series
 # ---------------------------------------------------------------------------
@@ -580,7 +530,7 @@ def _class_flag_mode(qs: List[List], one, cls: List[Tuple[object, int]], order: 
                 c = coeffs[m - k]
                 if not c:
                     continue
-                rhs = rhs + _lam_eval(qs[k], mu + m - k) * c
+                rhs = rhs + _zeval(qs[k], mu + m - k) * c
             rhs = -rhs
             if (mu + m) in roots:
                 if not rhs:
@@ -591,7 +541,7 @@ def _class_flag_mode(qs: List[List], one, cls: List[Tuple[object, int]], order: 
                     ok = False
                     break
             else:
-                coeffs.append(rhs / _lam_eval(qs[0], mu + m))
+                coeffs.append(rhs / _zeval(qs[0], mu + m))
         if ok:
             sols.append(LogSeries(mu, [coeffs]))
     sols.reverse()
@@ -622,10 +572,10 @@ def _class_full_mode(qs: List[List], one, cls: List[Tuple[object, int]], order: 
                 if c[m - k].is_zero():
                     continue
                 lam = Jet([one * (mu + m - k), one] + [zero] * (prec - 2))
-                num = num + _lam_eval(qs[k], lam) * c[m - k]
+                num = num + _jet_eval(qs[k], lam) * c[m - k]
             num = -num
             lam = Jet([one * (mu + m), one] + [zero] * (prec - 2))
-            den = _lam_eval(qs[0], lam)
+            den = _jet_eval(qs[0], lam)
             c.append(num.divide(den))
         for l in range(above, big_t):
             layers: List[List] = []

@@ -30,16 +30,20 @@ dividing by it, and returns the integer numerators and den unreduced;
 Recurrence operators act on coefficient sequences; the two sides are
 linked by ``ode_to_rec`` and ``rec_to_ode`` with the convention that a
 term c * z^j * d^i contributes c * (n+m)(n+m-1)...(n+m-i+1) to the
-shift m = i - j.  A ``RecOp`` stores integer rows of content 1, and
-``ode_to_rec`` builds them over Z from the operator's rows and integer
-falling factorials, so ``series`` evaluates them at integer indices.
+shift m = i - j.  ``ode_to_rec`` reads them off the theta form
+L(t^u) = t^(u+v) sum_k q_k(u) t^k at 0: ``theta_form`` builds the rows
+q_k over any ring's values, the recurrence row of shift -v - k is
+q_k(n - v - k), and ``local`` reads the indicial polynomial q_0 and the
+Frobenius recurrence from the same rows at every singular point.  A
+``RecOp`` stores integer rows of content 1, built over Z, so ``series``
+evaluates them at integer indices.
 """
 
 from __future__ import annotations
 
 import itertools
 from math import comb
-from typing import List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .errors import InputError
 from .linalg import _first_dependence
@@ -50,6 +54,7 @@ from .polys import (
     _zadd,
     _zclear,
     _zderiv,
+    _zeval,
     _zmul,
     _zshift,
     _zsub,
@@ -343,29 +348,41 @@ class RecOp:
         return "RecOp(%s)" % " + ".join(parts) if parts else "RecOp(0)"
 
 
+def theta_form(coeffs: Sequence[Sequence]) -> Tuple[int, List[List]]:
+    """(v, [q_0, q_1, ...]) with L(t^u) = t^(u+v) * sum_k q_k(u) t^k for
+    L = sum_i coeffs[i](t) d^i, over any ring's coefficient values.
+
+    The term c t^s d^i sends t^u to c (u)_i t^(u-i+s), with the falling
+    factorial (u)_i = u (u-1) ... (u-i+1) over Z, so it adds c (lam)_i
+    to the row of t-offset s - i; v is the least offset, and q_0, the
+    indicial polynomial, is nonzero.  ``ode_to_rec`` reads the rows at
+    0 and ``local`` at every singular point.
+    """
+    qs: Dict[int, List] = {}  # by t-offset
+    falling = [1]  # lam (lam - 1) ... (lam - i + 1) over Z
+    for i, a in enumerate(coeffs):
+        for s, c in enumerate(a, -i):
+            if c:
+                qs[s] = _zadd(qs.get(s, []), [c * f for f in falling])
+        falling = [lo - i * hi for lo, hi in zip([0] + falling, falling + [0])]
+    if not qs:
+        raise InputError("zero operator")
+    v = min(qs)
+    return v, [qs.get(s, []) for s in range(v, max(qs) + 1)]
+
+
 def ode_to_rec(op: DiffOp) -> RecOp:
     """Recurrence satisfied by coefficient sequences of solutions of op.
 
-    Runs over Z on the operator's rows.  The row of shift m collects c
-    times the falling factorial (n+m)(n+m-1)...(n+m-i+1) over the terms
-    c z^j d^i with i - j = m; along one m each falling factorial is the
-    previous one times a linear factor.
+    Runs over Z on the theta form at 0: the z^n coefficient of
+    op(sum a_u z^u) is sum_k q_k(n - v - k) a_(n-v-k), so the row of
+    shift m = -v - k is q_k(n + m), one integer Taylor shift.
     """
     if op.is_zero():
         raise InputError("zero operator")
-    ops = op.rows
-    table = {}
-    for m in range(1 - max(map(len, ops)), len(ops)):
-        ff, row = [1], []
-        for i, ci in enumerate(ops):
-            j = i - m
-            if 0 <= j < len(ci) and ci[j]:
-                row = _zadd(row, [ci[j] * x for x in ff])
-            ff = _zmul(ff, [m - i, 1])
-        if row:
-            table[m] = row
-    m_min = min(table)
-    return RecOp([table.get(m, []) for m in range(m_min, max(table) + 1)], -m_min)
+    v, qs = theta_form(op.rows)
+    kmax = len(qs) - 1
+    return RecOp([_zshift(qs[k], -v - k)[0] for k in range(kmax, -1, -1)], v + kmax)
 
 
 _STIRLING2 = [[1]]
@@ -397,7 +414,7 @@ def rec_to_ode(rec: RecOp) -> DiffOp:
     by_shift = list(zip(rec.shifts(), rec.rows))
     damp = [1]
     for t in range(1, m_max + 1):
-        if any(sum(c * (-t) ** k for k, c in enumerate(p)) for m, p in by_shift if m >= t):
+        if any(_zeval(p, -t) for m, p in by_shift if m >= t):
             damp = _zmul(damp, [t, 1])  # (n + t)
     table = {}
     for m, p in by_shift:

@@ -228,6 +228,8 @@ def format_poly(p: Poly, var: str = "z") -> str:
 # Z[z] kernels: integer coefficient lists, lowest degree first, [] for zero.
 # Fraction-free code runs on these without a gcd per operation; they are
 # private so that per-call tracing of the public API leaves them alone.
+# ``_ztrim``, ``_zadd`` and ``_zeval`` take any ring's values (rationals,
+# quotient-ring elements), which ``ore.theta_form`` and ``local`` use.
 # ---------------------------------------------------------------------------
 
 
@@ -252,6 +254,17 @@ def _zadd(a: List[int], b: List[int]) -> List[int]:
     for i, y in enumerate(b):
         out[i] += y
     return _ztrim(out)
+
+
+def _zeval(a: Sequence, x):
+    """a(x) by Horner, for a = [] the integer 0.  It starts from the top
+    coefficient, not from 0, so a quotient-ring value pays no extra
+    addition."""
+    it = reversed(a)
+    acc = next(it, 0)
+    for c in it:
+        acc = acc * x + c
+    return acc
 
 
 def _zsub(a: List[int], b: List[int]) -> List[int]:
@@ -385,19 +398,13 @@ def _zresultant(p: Sequence[Sequence[int]], m: Sequence[int]) -> List[int]:
     h = _zcontent(cols)
     if len(h) > 1:
         cols = [_zexquo(c, h) for c in cols]
-        p = [[c[j] if j < len(c) else 0 for c in cols] for j in range(max(map(len, cols)))]
     x = _sympy_x()
     gm = sympy.Poly.from_list(list(reversed(m)), x, domain=sympy.ZZ)
-    need = (len(m) - 1) * (len(p) - 1) + 2
+    need = (len(m) - 1) * (max(map(len, cols)) - 1) + 2
     nodes, values = [], []
     lam = 0
     while len(nodes) < need:
-        # P(x, lam) by Horner in lam, one x-degree at a time
-        f = [0] * (dx + 1)
-        for pj in reversed(p):
-            f = [c * lam for c in f]
-            for i, c in enumerate(pj):
-                f[i] += c
+        f = [_zeval(c, lam) for c in cols]  # P'(x, lam)
         if f[dx]:
             r = sympy.resultant(sympy.Poly.from_list(f[::-1], x, domain=sympy.ZZ), gm)
             nodes.append(lam)

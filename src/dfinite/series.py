@@ -6,7 +6,7 @@ coefficient of z^n and the series is known modulo z^trunc_order with
 
 A solution of a differential operator is checked and extended through
 the recurrence of ``ore.ode_to_rec``, whose rows are integer coefficient
-lists.  One evaluator (``_row_values``, Horner at an integer index)
+lists.  One evaluator (``polys._zeval``, Horner at an integer index)
 serves both the row check of the initial terms, which runs on the terms
 times the least common denominator (the rows are homogeneous, so the
 scaling changes no verdict), and ``unroll``.  ``apply_op`` runs over
@@ -27,7 +27,7 @@ from .errors import (
 )
 from .linalg import ShiftSystem
 from .ore import DiffOp, RecOp, ode_to_rec
-from .polys import _zrational_roots, _zshift
+from .polys import _zeval, _zrational_roots, _zshift
 from .rationals import QQ, Q0, cleared
 
 
@@ -135,17 +135,6 @@ def indicial_bound(op: DiffOp) -> int:
     return roots[-1] if roots else -1
 
 
-def _row_values(rows: List[List[int]], n: int) -> List[int]:
-    """Each integer coefficient list of rows evaluated at n by Horner."""
-    out = []
-    for p in rows:
-        v = 0
-        for c in reversed(p):
-            v = v * n + c
-        out.append(v)
-    return out
-
-
 def _check_rows(rows: List[List[int]], backshift: int, terms: List[int], upto: int) -> Optional[int]:
     """First index n in [0, upto) where a fully determined row fails, else None.
 
@@ -156,7 +145,8 @@ def _check_rows(rows: List[List[int]], backshift: int, terms: List[int], upto: i
     """
     for n in range(upto):
         total = 0
-        for idx, v in enumerate(_row_values(rows, n), n - backshift):
+        for idx, p in enumerate(rows, n - backshift):
+            v = _zeval(p, n)
             if idx < 0 or not v:
                 continue
             if idx >= len(terms):
@@ -223,7 +213,7 @@ def unroll(op: DiffOp, init: TruncSeries, n_terms: int) -> TruncSeries:
     nums = [c.numerator for c in coeffs]
     dens = [c.denominator for c in coeffs]
     for idx in range(len(coeffs), n_terms):
-        *vals, lead = _row_values(rec.rows, idx - rec.max_shift)
+        *vals, lead = [_zeval(p, idx - rec.max_shift) for p in rec.rows]
         start = idx + low
         if start < 0:  # a_k = 0 for k < 0
             vals, start = vals[-start:], 0

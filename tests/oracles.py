@@ -59,7 +59,7 @@ from dfinite.errors import (
     ZeroDivisorSplit,
 )
 from dfinite.linalg import ShiftSystem
-from dfinite.local import LogSeries, _lam_add, _lam_eval, _lam_trim, _series_valuation
+from dfinite.local import LogSeries
 from dfinite.minimize import GUARD_TERMS
 from dfinite.ore import lclm, op_mul_raw
 from dfinite.polys import _sympy_x, _zclear, format_poly
@@ -1390,6 +1390,32 @@ def _half_xgcd(a: Poly, b: Poly) -> Tuple[Poly, Poly]:
 # ---------------------------------------------------------------------------
 
 
+def _lam_trim(p: List) -> List:
+    while p and not p[-1]:
+        p.pop()
+    return p
+
+
+def _lam_add(a: List, b: List) -> List:
+    return _lam_trim([x + y for x, y in zip(a, b)] + a[len(b):] + b[len(a):])
+
+
+def _lam_eval(a: List, x):
+    """Horner evaluation of a nonzero lambda-polynomial at x."""
+    acc = a[-1]
+    for c in reversed(a[:-1]):
+        acc = acc * x + c
+    return acc
+
+
+def _series_valuation(p: List) -> int:
+    """Index of the first nonzero coefficient; -1 for zero."""
+    for i, c in enumerate(p):
+        if c:
+            return i
+    return -1
+
+
 def _lam_mul(a: List, b: List) -> List:
     if not a or not b:
         return []
@@ -1459,7 +1485,7 @@ def local_coeffs_horner_oracle(op: DiffOp, ring: FractionModRing) -> List[List]:
 
 
 def theta_form_oracle(coeffs: List[List]) -> Tuple[int, List[List]]:
-    """``local.theta_form`` with the falling factorial of every coefficient
+    """``ore.theta_form`` with the falling factorial of every coefficient
     rebuilt with coefficients of its type and multiplied into it as such."""
     v = None
     for i, a in enumerate(coeffs):

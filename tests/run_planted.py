@@ -18,7 +18,6 @@ import time
 import traceback
 
 from hypothesis import HealthCheck, given, seed, settings
-from hypothesis import strategies as st
 
 import dfinite.transcend as transcend
 from dfinite.local import SingularPoint
@@ -32,7 +31,7 @@ RUNS = [
     ("interlacing hypergeometric", planted.test_interlacing_hypergeometric_never_gets_t,
      dict(params=planted._interlacing_params()), 150),
     ("non-interlacing hypergeometric", planted.test_non_interlacing_hypergeometric_gets_no_certificate,
-     dict(k=st.integers(2, 3), data=st.data()), 450),
+     dict(params=planted._applicable_params()), 450),
 ]
 
 

@@ -342,6 +342,40 @@ def test_cli_verify_rejects_tampered(capsys, apery_file, sqrt_file, tmp_path):
     assert out["verified"] is False
 
 
+def test_cli_verify_certified_annihilator_with_unpinned_init(capsys, apery_file, tmp_path):
+    main(["test", apery_file])
+    report = json.loads(capsys.readouterr().out)
+    del report["minimal_operator"]
+    report["certificate"][0].update(operator=[["-1"], ["1"]], order=1, status="certified-annihilator")
+    report_path = tmp_path / "forged.json"
+    report_path.write_text(json.dumps(report))
+    code, out = _run(capsys, ["verify", apery_file, str(report_path)])
+    assert (code, out["verified"]) == (2, False)
+    # two initial terms pin no solution of the order-3 Apery operator
+    short = tmp_path / "short.json"
+    short.write_text(json.dumps(dict(json.loads(Path(apery_file).read_text()), initial_terms=["1", "5"])))
+    code, out = _run(capsys, ["verify", str(short), str(report_path)])
+    assert code == 2
+    assert out["error"] == "input" and "do not pin down a solution" in out["message"]
+
+
+def test_cli_exit_codes_at_infinity_and_without_assertions(capsys, tmp_path):
+    exp_file = tmp_path / "exp.json"
+    exp_file.write_text(json.dumps({"operator": [[-1], [1]], "initial_terms": ["1"]}))
+    # exp(z) is irregular at infinity: a DFiniteError, not an InputError
+    code, out = _run(capsys, ["formal-solutions", str(exp_file), "--point", "inf"])
+    assert (code, out["error"]) == (2, "IrregularPoint")
+    code, out = _run(capsys, ["formal-solutions", str(exp_file), "--point", "inf", "--allow-irregular"])
+    assert (code, out["solutions"]) == (0, [])
+    code, out = _run(capsys, ["indicial", str(exp_file), "--point", "inf"])
+    assert code == 0
+    assert out["branches"] == [{"point": "infinity", "degree": 0, "rational_roots": [],
+                                "splits_distinct_rational": True, "indicial": ["1"]}]
+    code, out = _run(capsys, ["test-gb", str(exp_file)])
+    assert code == 2
+    assert out["error"] == "input" and "globally_bounded" in out["message"]
+
+
 def test_cli_has_no_max_order_option(apery_file):
     # the flag used to be accepted and ignored, so it capped nothing
     with pytest.raises(SystemExit):

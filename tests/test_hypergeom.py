@@ -71,6 +71,18 @@ def test_dihedral_case_cross_checked_by_guessing():
     assert got[0].deg_y == 6  # the function has algebraicity degree 6
 
 
+@pytest.mark.parametrize("a, b, rows", [
+    ((QQ(1, 6), QQ(5, 6)), (QQ(1, 2),), ([5], [-18, 72], [0, -36, 36])),
+    ((QQ(1, 7), QQ(2, 7), QQ(4, 7)), (QQ(3, 7), QQ(5, 4)),
+     ([32], [-735, 3136], [0, -3675, 5488], [0, 0, -1372, 1372])),
+    ((QQ(-2), QQ(3, 5)), (QQ(2),), ([-6], [-10, -2], [0, -5, 5])),
+])
+def test_hypergeometric_operator_rows_pinned(a, b, rows):
+    # normal-form rows of prod_j (theta + b_j - 1) theta - z prod_i (theta + a_i),
+    # recorded from a product of theta factors, not from rec_to_ode
+    assert hypergeometric_operator(HypParams(a, b)).rows == rows
+
+
 def test_pure_power_case():
     # k = 1: (1 - z)^(-p/q) is always algebraic for 0 < p < q <= 12
     for q in range(2, 13):

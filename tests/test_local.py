@@ -30,7 +30,8 @@ from dfinite.errors import InputError, IrregularPoint, ZeroDivisorSplit
 from dfinite.fileio import op_from_json
 from dfinite.hypergeom import HypParams, hypergeometric_operator
 import dfinite.local as local_mod
-from dfinite.local import _algebraic_branch, _lam_trim, _local_coeffs, rational_roots_nf, theta_form
+from dfinite.local import _algebraic_branch, _local_coeffs, rational_roots_nf
+from dfinite.ore import theta_form
 from dfinite.polys import _zclear, _zresultant, format_poly
 from dfinite.quotient import ModElt
 from dfinite.rationals import QQ
@@ -39,6 +40,7 @@ from oracles import (
     FractionModElt,
     FractionModRing,
     _lam_mul,
+    _lam_trim,
     apply_local,
     fraction_gcd,
     local_coeffs_horner_oracle,

@@ -256,6 +256,16 @@ def test_rec_to_ode_trivial():
     assert rec_to_ode(rec) == DiffOp([Poly([-1]), Poly([1])])
 
 
+def test_rec_to_ode_damps_a_boundary_row():
+    # a_(n+1) = a_n: the row at n = -1 would force a_0 = 0 unless damped by
+    # (n + 1); the operator (z - 1) Dz + 1 keeps every c / (1 - z)
+    op = rec_to_ode(RecOp([[-1], [1]]))
+    assert op == DiffOp([Poly([1]), Poly([-1, 1])])
+    from dfinite.series import TruncSeries, apply_op
+
+    assert not any(apply_op(op, TruncSeries([3] * 8)).coeffs)
+
+
 def test_rec_to_ode_central_binomial_squares():
     # (n+1)^2 a_{n+1} - 4 (2n+1)^2 a_n; indicial at 0 must be a double root
     from dfinite.local import SingularPoint, indicial

@@ -142,13 +142,19 @@ def _parameters(shifts, apart):
         lambda d: st.builds(lambda n, s: QQ(n, d) + s, st.sampled_from(numerators(d)), shifts))
 
 
+@st.composite
+def _applicable_params(draw):
+    """k = 2 or 3 upper parameters and k - 1 lower ones, the lower ones
+    apart from the upper ones modulo Z, so the criterion applies."""
+    k = draw(st.integers(2, 3))
+    a = draw(st.lists(_parameters(st.integers(-1, 1), []), min_size=k, max_size=k))
+    b = draw(st.lists(_parameters(st.integers(0, 1), a), min_size=k - 1, max_size=k - 1))
+    return HypParams(a, b)
+
+
 @settings(max_examples=40, deadline=None)
-@given(k=st.integers(2, 3), data=st.data())
-def test_non_interlacing_hypergeometric_gets_no_certificate(k, data):
-    # lower parameters apart from the upper ones modulo Z keep the
-    # criterion applicable, so the assume rejects only interlacing sets
-    a = data.draw(st.lists(_parameters(st.integers(-1, 1), []), min_size=k, max_size=k))
-    b = data.draw(st.lists(_parameters(st.integers(0, 1), a), min_size=k - 1, max_size=k - 1))
-    params = HypParams(a, b)
+@given(params=_applicable_params())
+def test_non_interlacing_hypergeometric_gets_no_certificate(params):
+    # the criterion applies, so the assume rejects only interlacing sets
     assume(interlacing_criterion(params)[0] == TRANSCENDENTAL)
     assert prove_algebraic(*_hypergeometric_problem(params), 4, 4) is None

@@ -316,6 +316,50 @@ def test_verify_rejects_logarithm_step_at_other_branch(valid_reports):
     assert verify_report(op, init, rep) == (False, "logarithm step does not replay")
 
 
+_EXP = (DiffOp([Poly([-1]), Poly([1])]), TruncSeries([1]))
+_CLUSTER = (DiffOp([Poly([1]), Poly(), Poly([4, 0, -4, 0, 1])]), TruncSeries([1, 0]))  # (z^2-2)^2 D^2 + 1
+
+
+@pytest.mark.parametrize("problem, step, tampered", [
+    (_EXP, {"kind": STEP_NOT_FUCHSIAN, "point": {"kind": "infinity"}, "point_label": "infinity",
+            "indicial_degree": 0, "order": 1, "indicial": "1"},
+     {"kind": "rational", "value": "0"}),
+    (_CLUSTER, {"kind": STEP_NONSPLITTING, "point": {"kind": "algebraic", "modulus": ["-2", "0", "1"]},
+                "point_label": "root of z^2 - 2", "indicial": "(1)*x^0 + (-8)*x^1 + (8)*x^2",
+                "distinct_rational_roots": [], "degree": 2},
+     {"kind": "algebraic", "modulus": ["-3", "0", "1"]}),
+])
+def test_verify_replays_deciding_steps_at_infinity_and_at_a_cluster(problem, step, tampered):
+    op, init = problem
+    rep = transcendence_test(op, init).to_json()
+    assert (rep["verdict"], rep["certificate"][-1]) == (VERDICT_T, step)
+    assert verify_report(op, init, rep) == (True, "certificate replays")
+    rep["certificate"][-1]["point"] = tampered
+    name = "not-fuchsian" if step["kind"] == STEP_NOT_FUCHSIAN else "nonsplitting"
+    assert verify_report(op, init, rep) == (False, "%s step does not replay" % name)
+
+
+def _claiming_annihilator(rep, operator):
+    """rep with its first step claiming ``operator`` as a certified
+    annihilator of lower order."""
+    rep = copy.deepcopy(rep)
+    rep.pop("minimal_operator", None)
+    rep["certificate"][0].update(operator=operator, order=len(operator) - 1,
+                                 status="certified-annihilator")
+    return rep
+
+
+def test_verify_replays_the_certified_annihilator(valid_reports):
+    op, init, rep = valid_reports[0]  # Apery, order 3
+    forged = _claiming_annihilator(rep, [["-1"], ["1"]])
+    assert verify_report(op, init, forged) == (
+        False, "reported operator does not annihilate the solution")
+    with pytest.raises(InputError, match="do not pin down a solution"):
+        verify_report(op, TruncSeries([1, 5]), forged)
+    empty = _claiming_annihilator(rep, [["0"], ["0"]])
+    assert verify_report(op, init, empty) == (False, "empty minimal operator")
+
+
 def _forged_pass(rep, points, verdict, confidence):
     """rep with its deciding step replaced by a pass step over points."""
     rep = copy.deepcopy(rep)
