@@ -277,8 +277,15 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if ok else EXIT_INPUT
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error, here and in every subcommand: exit 2
+        self.print_usage(sys.stderr)
+        _emit({"error": "input", "message": message})
+        self.exit(EXIT_INPUT)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="dfinite",
         description="Exact transcendence testing for D-finite power series",
     )

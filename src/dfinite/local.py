@@ -49,7 +49,7 @@ from math import comb, factorial, lcm
 from typing import Dict, List, Optional, Tuple
 
 from .errors import InputError, IrregularPoint, ZeroDivisorSplit
-from .ore import DiffOp, theta_form
+from .ore import DiffOp, _dstep, theta_form
 from .polys import (Poly, _zadd, _zclear, _zderiv, _zeval, _zexquo, _zgcd, _zmul, _zprem,
                     _zrational_roots, _zresultant, _zshift, _ztrim, format_poly)
 from .quotient import ModRing, split_cases
@@ -148,9 +148,7 @@ def transform_infinity(op: DiffOp) -> DiffOp:
     total: List[List[int]] = []
     for i, a in enumerate(op.rows):
         if i > 0:
-            # -w^2 d/dw o sum_j e_j d^j = -w^2 sum_j (e_j' + e_(j-1)) d^j
-            e_i = [[-c for c in _zadd([0, 0] + _zderiv(e), [0, 0] + prev)]
-                   for e, prev in zip(e_i + [[]], [[]] + e_i)]
+            e_i = [[0, 0] + [-c for c in e] if e else [] for e in _dstep(e_i)]  # -w^2 d/dw o e_i
         if not a:
             continue
         weight = [0] * (big_d + 1 - len(a)) + a[::-1]  # w^big_d a(1/w)

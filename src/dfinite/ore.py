@@ -11,9 +11,16 @@ once and takes the primitive part.  ``coeffs``, ``leading`` and
 indexing are read-only ``Poly`` views for display and for callers over
 Q[z]; the routines here and in the other modules read the rows.
 
+Every product with d on the left is one step, ``_dstep``, the rule
+d o a = a d + a' applied to all rows at once: ``op_mul_raw`` sums
+a_i (d^i o b) over one chain of steps, ``op_right_divrem`` builds its
+towers d^k o b with it, ``_rem_step`` reduces d o N modulo L,
+``rec_to_ode`` forms the powers of theta = z d with it, and
+``local.transform_infinity`` the powers of -w^2 d/dw.
+
 Arithmetic over Q(z) runs fraction-free.  Modulo an operator L with
 leading coefficient l, the remainder of d^k is N_k / l^k with N_k over
-Z[z], and the next numerator needs only products and one derivative
+Z[z], and the next numerator needs only products and one ``_dstep``
 (``_remainders``).  The cofactor of s modulo L (``_cofactor``), the A
 of least order with A o s = C o L, is the first Q(z)-linear dependence
 among the numerators of d^j o s modulo L, by Bareiss elimination over
@@ -34,15 +41,16 @@ shift m = i - j.  ``ode_to_rec`` reads them off the theta form
 L(t^u) = t^(u+v) sum_k q_k(u) t^k at 0: ``theta_form`` builds the rows
 q_k over any ring's values, the recurrence row of shift -v - k is
 q_k(n - v - k), and ``local`` reads the indicial polynomial q_0 and the
-Frobenius recurrence from the same rows at every singular point.  A
-``RecOp`` stores integer rows of content 1, built over Z, so ``series``
-evaluates them at integer indices.
+Frobenius recurrence from the same rows at every singular point.
+``rec_to_ode`` goes back as sum_m z^(m_max - m) p_m(theta - m), by
+Horner in theta = z d.  A ``RecOp`` stores integer rows of
+content 1, built over Z, so ``series`` evaluates them at integer
+indices.
 """
 
 from __future__ import annotations
 
 import itertools
-from math import comb
 from typing import Dict, List, Sequence, Tuple
 
 from .errors import InputError
@@ -132,23 +140,26 @@ class DiffOp:
         return max(shifts)
 
 
+def _dstep(rows: Sequence[List[int]]) -> List[List[int]]:
+    """Integer rows of d o R for R = sum rows[i] d^i, by d o a = a d + a':
+    row i is rows[i]' + rows[i-1], and the new top row is rows[-1].  The
+    one left action of d; every product with d on the left runs it."""
+    return [_zadd(_zderiv(r), rows[i - 1] if i else []) for i, r in enumerate(rows)] + [rows[-1]]
+
+
 def op_mul_raw(a: Sequence[List[int]], b: Sequence[List[int]]) -> List[List[int]]:
     """Unnormalized integer rows of the product of the operators with
-    integer rows a and b (apply b first): d^i o b_j is
-    sum_k C(i, k) b_j^(k) d^(i+j-k)."""
+    integer rows a and b (apply b first): sum_i a_i (d^i o b), each
+    d^i o b one ``_dstep`` after the one before."""
     if not a or not b:
         return []
-    derivs = []
-    for bj in b:
-        row = [bj]
-        for _ in range(len(a) - 1):
-            row.append(_zderiv(row[-1]))
-        derivs.append(row)
     out: List[List[int]] = [[] for _ in range(len(a) + len(b) - 1)]
+    tower = list(b)  # d^i o b
     for i, ai in enumerate(a):
-        for j, dj in enumerate(derivs):
-            for k in range(i + 1):
-                out[i + j - k] = _zadd(out[i + j - k], _zmul(ai, [comb(i, k) * c for c in dj[k]]))
+        if i:
+            tower = _dstep(tower)
+        for j, t in enumerate(tower):
+            out[j] = _zadd(out[j], _zmul(ai, t))
     return out
 
 
@@ -181,8 +192,7 @@ def op_right_divrem(a: DiffOp, b: DiffOp) -> Tuple[List[List[int]], List[List[in
     nb, lead = b.order, b.rows[-1]
     towers = [b.rows]  # d^k o b
     for _ in range(a.order - nb):
-        t = towers[-1]
-        towers.append([_zadd(_zderiv(x), t[i - 1] if i else []) for i, x in enumerate(t)] + [t[-1]])
+        towers.append(_dstep(towers[-1]))
     quo: List[List[int]] = [[] for _ in range(a.order - nb + 1)]
     for k in range(a.order - nb, -1, -1):
         c = rem[nb + k]
@@ -222,8 +232,8 @@ def _remainders(ops: List[List[int]], start: List[List[int]], e: int):
 def _rem_step(ops: List[List[int]], dlead: List[int], num: List[List[int]], k: int) -> List[List[int]]:
     """Numerator of d o (num / l^k) modulo L, over l^(k+1).
 
-    With n the order of L and dlead = l', it is
-    N'_i l - k l' N_i + l N_(i-1) - N_(n-1) ops[i],
+    With n the order of L, dlead = l' and D = d o N (``_dstep``), it is
+    l D_i - k l' N_i - D_n ops[i],
     since d^n = -sum_(i<n) (ops[i] / l) d^i modulo L: no division at all.
     An operator of order 0 leaves nothing to reduce.
     """
@@ -231,12 +241,10 @@ def _rem_step(ops: List[List[int]], dlead: List[int], num: List[List[int]], k: i
     if not n:
         return num
     lead = ops[-1]
-    top = num[-1]
+    dnum = _dstep(num)
+    top = dnum[n]
     return [
-        _zsub(
-            _zmul(lead, _zadd(_zderiv(num[i]), num[i - 1] if i else [])),
-            _zadd(_zmul(dlead, [k * c for c in num[i]]), _zmul(top, ops[i])),
-        )
+        _zsub(_zmul(lead, dnum[i]), _zadd(_zmul(dlead, [k * c for c in num[i]]), _zmul(top, ops[i])))
         for i in range(n)
     ]
 
@@ -385,24 +393,11 @@ def ode_to_rec(op: DiffOp) -> RecOp:
     return RecOp([_zshift(qs[k], -v - k)[0] for k in range(kmax, -1, -1)], v + kmax)
 
 
-_STIRLING2 = [[1]]
-
-
-def _stirling2(n: int, k: int) -> int:
-    """Stirling numbers of the second kind (cached table)."""
-    while len(_STIRLING2) <= n:
-        t = len(_STIRLING2)
-        prev = _STIRLING2[-1]
-        row = [0] * (t + 1)
-        for i in range(1, t + 1):
-            row[i] = (prev[i] * i if i < t else 0) + prev[i - 1]
-        _STIRLING2.append(row)
-    return _STIRLING2[n][k] if 0 <= k <= n else 0
-
-
 def rec_to_ode(rec: RecOp) -> DiffOp:
     """Differential operator whose power-series solutions are exactly the
-    generating functions of sequences satisfying rec at every n >= 0.
+    generating functions of sequences satisfying rec at every n >= 0:
+    sum_m z^(m_max - m) p_m(theta - m) with theta = z d, each p_m(theta - m)
+    by Horner in theta, theta o R = z (d o R).
 
     Boundary rows n = -1, ..., -max_shift would impose extra conditions
     on a_0, a_1, ...; any non-vacuous one is damped by an (n + t) factor
@@ -416,16 +411,12 @@ def rec_to_ode(rec: RecOp) -> DiffOp:
     for t in range(1, m_max + 1):
         if any(_zeval(p, -t) for m, p in by_shift if m >= t):
             damp = _zmul(damp, [t, 1])  # (n + t)
-    table = {}
+    rows: List[List[int]] = []
     for m, p in by_shift:
-        q, _ = _zshift(_zmul(p, damp), -m)  # p(theta - m)
-        for t, c in enumerate(q):
-            if c == 0:
-                continue
-            for i in range(t + 1):
-                key = (i, m_max - m + i)
-                table[key] = table.get(key, 0) + c * _stirling2(t, i)
-    rows = [[0] * (max(j for _, j in table) + 1) for _ in range(max(i for i, _ in table) + 1)]
-    for (i, j), c in table.items():
-        rows[i][j] = c
+        q, _ = _zshift(_zmul(p, damp), -m)
+        acc: List[List[int]] = [[]]  # p(theta - m) by Horner in theta
+        for c in reversed(q):
+            acc = [[0] + r if r else [] for r in _dstep(acc)]  # theta o acc = z (d o acc)
+            acc[0] = _zadd(acc[0], [c])
+        rows = [_zadd(x, [0] * (m_max - m) + y) for x, y in itertools.zip_longest(rows, acc, fillvalue=[])]
     return DiffOp(rows)

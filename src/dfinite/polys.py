@@ -158,7 +158,7 @@ class Poly:
         return Poly([a * c for a in self.coeffs])
 
     def derivative(self) -> "Poly":
-        return Poly([self.coeffs[i] * i for i in range(1, len(self.coeffs))])
+        return Poly(_zderiv(self.coeffs))
 
     def __call__(self, point):
         """Horner evaluation; accepts any ring element (Poly included)."""

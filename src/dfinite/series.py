@@ -27,7 +27,7 @@ from .errors import (
 )
 from .linalg import ShiftSystem
 from .ore import DiffOp, RecOp, ode_to_rec
-from .polys import _zeval, _zrational_roots, _zshift
+from .polys import _zderiv, _zeval, _zrational_roots, _zshift
 from .rationals import QQ, Q0, cleared
 
 
@@ -66,7 +66,7 @@ class TruncSeries:
         return TruncSeries(self.coeffs[:n])
 
     def derivative(self) -> "TruncSeries":
-        return TruncSeries([self.coeffs[n] * n for n in range(1, len(self.coeffs))])
+        return TruncSeries(_zderiv(self.coeffs))
 
 
 def is_zero_series(f: TruncSeries) -> bool:
@@ -113,8 +113,7 @@ def _int_derivatives(big: List[int], order: int) -> List[List[int]]:
     """F, F', ..., F^(order) for the integer coefficient list F."""
     derivs = [big]
     for _ in range(order):
-        prev = derivs[-1]
-        derivs.append([prev[k] * k for k in range(1, len(prev))])
+        derivs.append(_zderiv(derivs[-1]))
     return derivs
 
 

@@ -29,8 +29,11 @@ determinant of the Sylvester matrix, and rational roots from the linear
 factors of sympy's factorization.  Local coefficients at an
 algebraic point come from a Horner Taylor shift over Q[a]/(m), and the
 theta form from falling factorials built as values of the coefficients'
-type, both with products of quotient-ring elements; the operator at infinity from products of
-operators (``ore.op_mul_raw``).  ``apply_op_oracle`` applies an
+type, both with products of quotient-ring elements.  Operator products
+come from Leibniz's rule with binomial coefficients, the operator at
+infinity from such products, and the differential operator of a
+recurrence from Stirling numbers, all over ``Poly``, independent of the
+one left action of d in ``ore``.  ``apply_op_oracle`` applies an
 operator term by term over ``Fraction``, the reference for
 ``apply_op``'s one integer product, and ``apply_polys`` applies one
 given as a ``Poly`` list that is not brought to a normal form.
@@ -61,7 +64,7 @@ from dfinite.errors import (
 from dfinite.linalg import ShiftSystem
 from dfinite.local import LogSeries
 from dfinite.minimize import GUARD_TERMS
-from dfinite.ore import lclm, op_mul_raw
+from dfinite.ore import lclm
 from dfinite.polys import _sympy_x, _zclear, format_poly
 from dfinite.quotient import ModRing
 from dfinite.rationals import QQ, Q0, Q1, is_integer
@@ -1446,20 +1449,63 @@ def _shifted_mul_t_plus(p: List, alpha) -> List:
     return out
 
 
+def op_mul_oracle(a: Sequence[Sequence], b: Sequence[Sequence]) -> List[List]:
+    """``ore.op_mul_raw`` by Leibniz's rule over ``Poly``: d^i o b_j is
+    sum_k C(i, k) b_j^(k) d^(i+j-k).  Rows as coefficient lists."""
+    if not a or not b:
+        return []
+    out = [Poly() for _ in range(len(a) + len(b) - 1)]
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            d = Poly(bj)  # b_j^(k)
+            for k in range(i + 1):
+                out[i + j - k] = out[i + j - k] + Poly(ai) * d.scale(math.comb(i, k))
+                d = d.derivative()
+    return [list(p.coeffs) for p in out]
+
+
+def rec_to_ode_oracle(rec: RecOp) -> DiffOp:
+    """``ore.rec_to_ode`` by Stirling numbers of the second kind,
+    theta^t = sum_i S(t, i) z^i d^i, over ``Poly``: the row of shift m
+    damped at the non-vacuous boundary rows n = -t, then p(theta - m)
+    times z^(m_max - m)."""
+    m_max = rec.max_shift
+    by_shift = [(m, Poly(row)) for m, row in zip(rec.shifts(), rec.rows)]
+    damp = Poly([1])
+    for t in range(1, m_max + 1):
+        if any(p(QQ(-t)) != 0 for m, p in by_shift if m >= t):
+            damp = damp * Poly([t, 1])
+    stirling = [[1]]  # stirling[t][i] = S(t, i)
+    table: Dict[Tuple[int, int], object] = {}
+    for m, p in by_shift:
+        q = (p * damp)(Poly([-m, 1]))
+        for t, c in enumerate(q.coeffs):
+            while len(stirling) <= t:
+                prev = stirling[-1] + [0]
+                stirling.append([0] + [i * prev[i] + prev[i - 1] for i in range(1, len(prev))])
+            for i in range(t + 1):
+                key = (i, m_max - m + i)
+                table[key] = table.get(key, 0) + c * stirling[t][i]
+    rows = [[0] * (max(j for _, j in table) + 1) for _ in range(max(i for i, _ in table) + 1)]
+    for (i, j), c in table.items():
+        rows[i][j] = c
+    return DiffOp(rows)
+
+
 def transform_infinity_oracle(op: DiffOp) -> DiffOp:
     """``local.transform_infinity`` by operator products: (-w^2 d/dw)^i
-    and their weights multiplied out with ``op_mul_raw``."""
+    and their weights multiplied out with ``op_mul_oracle``."""
     big_d = op.degree()
     e_i = [[1]]  # coefficients of (-w^2 d/dw)^i, built iteratively
     neg_w2_d = [[], [0, 0, -1]]
     total: List[Poly] = []
     for i, a in enumerate(op.rows):
         if i > 0:
-            e_i = op_mul_raw(neg_w2_d, e_i)
+            e_i = op_mul_oracle(neg_w2_d, e_i)
         if not a:
             continue
         weight = [0] * (big_d + 1 - len(a)) + a[::-1]  # w^big_d a(1/w)
-        for j, p in enumerate(op_mul_raw([weight], e_i)):
+        for j, p in enumerate(op_mul_oracle([weight], e_i)):
             while len(total) <= j:
                 total.append(Poly())
             total[j] = total[j] + Poly(p)

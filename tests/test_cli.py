@@ -236,11 +236,19 @@ def test_cli_gen_apery(capsys):
     ["diagonal", "--powers", "1,1,1", "-n", "3"],
     ["walk", "--steps", "(1,x)", "-n", "3"],
     ["walk", "--steps", "1;2", "-n", "3"],
+    ["diagonal", "--powers", "0,1", "-n", "4"],
+    ["series", "-n", "5"],  # no --file
 ])
 def test_cli_gen_malformed_powers_or_steps(capsys, argv):
     code, out = _run(capsys, ["gen"] + argv)
     assert code == 2
     assert out["error"] == "input"
+
+
+def test_cli_gen_diagonal_powers(capsys):
+    code, out = _run(capsys, ["gen", "diagonal", "--powers", "1,1", "-n", "4"])
+    assert code == 0
+    assert out["coefficients"] == ["1", "3", "13", "63"]
 
 
 def test_cli_gen_series(capsys, apery_file):
@@ -382,6 +390,32 @@ def test_cli_has_no_max_order_option(apery_file):
         cli.build_parser().parse_args(["test", apery_file, "--max-order", "3"])
 
 
+@pytest.mark.parametrize("argv", [
+    ["test"],  # no file
+    ["gen", "apery", "-n", "x"],
+    ["indicial", "f.json"],  # no --point
+    ["hypergeom", "--a", "-1/2"],  # a negative value reads as an option
+])
+def test_cli_usage_error_prints_one_json_object(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    out = json.loads(captured.out)
+    assert out["error"] == "input" and out["message"]
+    assert captured.err.startswith("usage: dfinite")
+
+
+def test_cli_help_and_negative_first_parameter(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: dfinite")
+    code, out = _run(capsys, ["hypergeom", "--a=-1/2"])
+    assert code == 0
+    assert out["reason"] == "all 1 unit multiples interlace"
+
+
 def test_cli_malformed_file(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -405,6 +439,9 @@ _OPERATOR = [[-1], [1, -1]]
     {"operator": [[-1], [1, True]], "initial_terms": ["1"]},
     {"operator": _OPERATOR, "initial_terms": [True]},
     {"operator": _OPERATOR, "initial_terms": ["1"], "denominator": True},
+    {"initial_terms": ["1"]},
+    {"operator": _OPERATOR},
+    {"operator": _OPERATOR, "initial_terms": ["1"], "assertions": [1]},
 ])
 def test_cli_misshapen_problem_file(capsys, tmp_path, problem):
     bad = tmp_path / "bad.json"
@@ -412,6 +449,15 @@ def test_cli_misshapen_problem_file(capsys, tmp_path, problem):
     code, out = _run(capsys, ["test", str(bad)])
     assert code == 2
     assert out["error"] == "input"
+
+
+def test_cli_formal_solutions_irrational_exponents(capsys, tmp_path):
+    # theta^2 - 2 at 0: the exponents +-sqrt(2) are refused
+    path = tmp_path / "irr.json"
+    path.write_text(json.dumps({"operator": [[-2], [0, 1], [0, 0, 1]], "initial_terms": ["1", "0"]}))
+    code, out = _run(capsys, ["formal-solutions", str(path), "--point", "0"])
+    assert code == 2
+    assert "irrational or complex roots" in out["message"]
 
 
 _DEN = [[1, [0, 0]], [-1, [1, 0]], [-1, [0, 1]]]
@@ -477,9 +523,9 @@ def test_cli_test_malformed_rational(capsys, tmp_path, field, text):
     assert out["error"] == "input"
 
 
-# the last two moduli, (4z - 1)^2 and z^2, are not squarefree: the cluster
-# ring would hold nilpotents and a split would report one branch twice
-@pytest.mark.parametrize("point", ["1/0", "x", "1/2/3", "poly:1,1/0", "poly:1,-8,16", "poly:0,0,1"])
+# the moduli (4z - 1)^2 and z^2 are not squarefree: the cluster ring would
+# hold nilpotents and a split would report one branch twice; 5 is constant
+@pytest.mark.parametrize("point", ["1/0", "x", "1/2/3", "poly:1,1/0", "poly:1,-8,16", "poly:0,0,1", "poly:5"])
 def test_cli_indicial_malformed_point(capsys, apery_file, point):
     code, out = _run(capsys, ["indicial", apery_file, "--point", point])
     assert code == 2

@@ -563,6 +563,38 @@ def test_unlucky_first_prime_with_as_many_pivots_is_passed_over():
     assert calls == []
 
 
+def test_later_prime_with_a_worse_pivot_profile_is_skipped():
+    # columns (q, 0), (1, 0), (0, 1) with q the second prime: the first
+    # prime gives pivots [0, 2] as over Q, q gives [1, 2] and is passed
+    # over without joining the CRT
+    q = _PRIMES[1]
+    system = dense_system([[q, 1, 0], [0, 0, 1]])
+    profiles, moduli = [], []
+    real_basis, real_reconstruct = linalg._order_basis, linalg._try_reconstruct
+
+    def basis(system, p, width):
+        out = real_basis(system, p, width)
+        profiles.append(out[0])
+        return out
+
+    with mock.patch.object(linalg, "_order_basis", basis), \
+            mock.patch.object(linalg, "_try_reconstruct",
+                              lambda combined, modulus: moduli.append(modulus) or real_reconstruct(combined, modulus)):
+        got = kernel_vector_exact(system, system.times)
+    assert got == [-1, q, 0]
+    assert profiles[:2] == [[0, 2], [1, 2]]
+    assert len(moduli) == len(profiles) - 1 and all(m % q for m in moduli)
+
+
+def test_exact_fallback_rejected_by_the_residual_gives_none():
+    # no primes: the fraction-free dependence is the only candidate, and a
+    # residual that appends a nonzero turns it down
+    system = dense_system([[1, 2, 0], [3, 6, 1]])
+    with mock.patch.object(linalg, "_PRIMES", []):
+        assert kernel_vector_exact(system, system.times) == [-2, 1, 0]
+        assert kernel_vector_exact(system, lambda vec: system.times(vec) + [QQ(1)]) is None
+
+
 def test_rational_reconstruct_beyond_float_range():
     m = prod(_PRIMES[:40])
     assert m.bit_length() > 1024

@@ -16,7 +16,9 @@ from oracles import (
     divrem_ratfuncs,
     lclm_oracle,
     ode_to_rec_oracle,
+    op_mul_oracle,
     op_right_divrem_oracle,
+    rec_to_ode_oracle,
 )
 
 
@@ -332,3 +334,31 @@ def test_normal_form(cs, g, c):
     assert all(p[-1] for p in op.rows if p) and op.rows[-1][-1] > 0
     assert gcd(*(x for p in op.rows for x in p)) == 1
     assert reduce(_zgcd, [p for p in op.rows if p]) == [1]
+
+
+_rows = st.lists(st.lists(st.integers(-5, 5), max_size=4).filter(lambda r: not r or r[-1]), max_size=4)
+
+
+@settings(max_examples=150, deadline=None)
+@given(a=_rows, b=_rows)
+@example(a=[], b=[[1], [0, 1]])  # an empty operand
+@example(a=[[0, 1], [2]], b=[])
+@example(a=[[3, 0, 1]], b=[[1], [], [0, 0, 3]])  # a of order 0, an empty row in b
+@example(a=[[1], [-1]], b=[[2, 1]])  # b of order 0
+@example(a=[[], [], [1]], b=[[], [0, 0, 1]])  # d^2 o z^2 d, empty rows at the bottom
+def test_op_mul_raw_matches_leibniz(a, b):
+    assert op_mul_raw(a, b) == op_mul_oracle(a, b)
+
+
+_recs = st.builds(RecOp, st.lists(st.lists(st.integers(-4, 4), max_size=4), min_size=1, max_size=4),
+                  st.integers(0, 3)).filter(lambda rec: not rec.is_zero())
+
+
+@settings(max_examples=150, deadline=None)
+@given(rec=_recs)
+@example(rec=RecOp([[-1], [1]]))  # damped at n = -1
+@example(rec=RecOp([[1], [2], [3]]))  # damped at n = -1 and n = -2
+@example(rec=RecOp([[-1], [1, 1]]))  # (n + 1) vanishes at n = -1: nothing to damp
+@example(rec=RecOp([[1, 1], [], [0, 2]], 2))  # no positive shift, an empty row
+def test_rec_to_ode_matches_stirling(rec):
+    assert rec_to_ode(rec) == rec_to_ode_oracle(rec)

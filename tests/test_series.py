@@ -178,6 +178,7 @@ def test_apply_op_derivative():
     d = DiffOp([Poly(), Poly([1])])
     out = apply_op(d, TruncSeries([1, 1, 1]))
     assert list(out.coeffs) == [QQ(1), QQ(2)]
+    assert TruncSeries([1, 1, 1]).derivative() == out
 
 
 def test_apply_op_exponential_identity():
