@@ -50,7 +50,6 @@ from .local import (
     indicial,
     indicial_branches,
     singularities,
-    transform_infinity,
 )
 from .minimize import (
     MinimizationResult,

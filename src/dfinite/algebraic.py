@@ -134,17 +134,17 @@ def _ydivrem(a: List[List[int]], m: List[List[int]]) -> Tuple[List[List[int]], L
 
 def _algebraic_system(f: TruncSeries, max_dy: int, max_dz: int) -> ShiftSystem:
     """Row m is the z^m coefficient of sum c_ij z^i f^j times D^max_dy,
-    D the least common denominator of f's terms: column (j, i), i outer,
-    is D^(max_dy - j) F^j shifted by i for the integer series F = D f,
-    so the columns are degree-major as the order basis needs them.
-    The scale is one nonzero integer, so the kernel is that over f."""
+    D the least common denominator of f's terms: column (j, i), at
+    (max_dy + 1) i + j, is D^(max_dy - j) F^j shifted by i for the
+    integer series F = D f.  The scale is one nonzero integer, so the
+    kernel is that over f."""
     n = f.trunc_order
     big, den = cleared(f.coeffs)
     powers = [[1] + [0] * (n - 1)]
     for _ in range(max_dy):
         powers.append(_zmul(powers[-1], big)[:n])
     seqs = [[den ** (max_dy - j) * x for x in pw] for j, pw in enumerate(powers)]
-    return ShiftSystem(seqs, [(j, i) for i in range(max_dz + 1) for j in range(max_dy + 1)], n)
+    return ShiftSystem(seqs, (max_dy + 1) * (max_dz + 1), n)
 
 
 def _vanishes_on(p: BivarPoly, f: TruncSeries) -> bool:

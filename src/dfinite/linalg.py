@@ -1,9 +1,9 @@
 """Exact kernel computation for large structured integer systems.
 
-Guessing systems come as a ``ShiftSystem``: the integer sequences they
-are made of and, per column, which sequence it reads at which shift.
-Modulo a prime each sequence is reduced once, and no matrix is ever
-formed.  Every entry is an integer, so every prime reduces the system;
+Guessing systems come as a ``ShiftSystem``: the m integer sequences
+they are made of and a column count, column c reading sequence c mod m
+at shift c // m.  Modulo a prime each sequence is reduced once, and no
+matrix is ever formed.  Every entry is an integer, so every prime reduces the system;
 a prime that divides many entries is just an unlucky prime.
 ``ShiftSystem.times`` is the one exact product of shifted sequences
 with a vector: the guessers' residuals, ``series.apply_op`` and the
@@ -12,12 +12,12 @@ algebraic check P(z, f) = O(z^n) all run on it, over Z.
 Strategy: one mod-p engine, an order basis of the Hermite-Pade problem
 (``_order_basis``): m residual rows, one step per row of the system,
 each row optionally carrying its polynomial vector in the same int64
-array.  It needs the columns degree-major, so that a degree box, or any
-column prefix of one, is a box of approximant degrees.  The guesser's
-probe reads the rank profile of its whole degree-capped system from it
-at one prime below 2^26 (``kernel_rank_mod_p``).  A trivial kernel
-modulo any prime proves a trivial kernel over Q, which makes "no
-operator of this shape exists" conclusions rigorous.  When a kernel
+array.  The columns are degree-major by construction, so every system,
+and every column prefix of one, is a box of approximant degrees.  The
+guesser's probe reads the rank profile of its whole degree-capped
+system from it at one prime below 2^26 (``kernel_rank_mod_p``).  A
+trivial kernel modulo any prime proves a trivial kernel over Q, which
+makes "no operator of this shape exists" conclusions rigorous.  When a kernel
 exists, each prime's canonical kernel vector (first free column set to
 1, every later one 0) is the basis row with the smallest leading index
 (``kernel_vector_exact``); the vectors are combined by CRT over several
@@ -73,9 +73,11 @@ _PRIMES = [
 
 
 class ShiftSystem:
-    """A matrix given by its integer sequences: column c is the pair
-    (s_c, k_c), and its entry at row r is seqs[s_c][r - k_c], zero
-    outside the sequence (shifts k_c >= 0).
+    """A matrix given by its integer sequences, laid out as a
+    degree-major box: column c reads sequence c mod m at shift c // m,
+    m = len(seqs), so its entry at row r is seqs[c mod m][r - c // m],
+    zero outside the sequence.  Every column prefix is again such a box,
+    the one layout the order basis accepts.
 
     Guessing systems have this block-Toeplitz shape: row n of the
     Hermite-Pade system of an operator is the z^n coefficient of
@@ -86,18 +88,21 @@ class ShiftSystem:
     both the probe's pivot columns and every prime's kernel vector reads
     these residues as they are: the matrix is never formed.  Entries must
     be integers (TypeError otherwise): numpy would silently truncate a
-    rational residue.  The system is also a sequence of its integer rows
-    (``len``, indexing, iteration, which stops at the IndexError past the
-    last row), which the exact fallback reads.
+    rational residue; a negative column count, or columns without
+    sequences, is a ValueError.  The system is also a sequence of its
+    integer rows (``len``, indexing, iteration, which stops at the
+    IndexError past the last row), which the exact fallback reads.
     """
 
-    __slots__ = ("seqs", "cols", "nrows", "_residues")
+    __slots__ = ("seqs", "ncols", "nrows", "_residues")
 
-    def __init__(self, seqs: Sequence[Sequence[int]], cols: Sequence[Tuple[int, int]], nrows: int):
+    def __init__(self, seqs: Sequence[Sequence[int]], ncols: int, nrows: int):
         if not all(isinstance(c, int) for seq in seqs for c in seq):
             raise TypeError("ShiftSystem entries must be integers")
+        if ncols < 0 or (ncols and not seqs):
+            raise ValueError("%d columns over %d sequences" % (ncols, len(seqs)))
         self.seqs = seqs
-        self.cols = list(cols)
+        self.ncols = ncols
         self.nrows = nrows
         # p -> residue table; shared with every prefix of the system
         self._residues: Dict[int, np.ndarray] = {}
@@ -108,25 +113,27 @@ class ShiftSystem:
     def __getitem__(self, r: int) -> List[int]:
         if not 0 <= r < self.nrows:
             raise IndexError(r)
+        m = len(self.seqs)
         row = []
-        for s, k in self.cols:
-            seq = self.seqs[s]
+        for c in range(self.ncols):
+            seq, k = self.seqs[c % m], c // m
             row.append(seq[r - k] if 0 <= r - k < len(seq) else 0)
         return row
 
     def prefix(self, ncols: int) -> "ShiftSystem":
         """The first ncols columns, sharing the residues."""
         sub = copy.copy(self)
-        sub.cols = self.cols[:ncols]
+        sub.ncols = ncols
         return sub
 
     def times(self, vec: Sequence) -> List:
         """The exact product with a vector: one value per row.  Each
         column adds v times its sequence to rows k.. as one slice."""
         out = [0] * self.nrows
-        for (s, k), v in zip(self.cols, vec):
+        m = len(self.seqs)
+        for c, v in zip(range(self.ncols), vec):
             if v:
-                seq = self.seqs[s]
+                seq, k = self.seqs[c % m], c // m
                 end = min(self.nrows, k + len(seq))
                 out[k:end] = [o + v * x for o, x in zip(out[k:end], seq)]
         return out
@@ -158,9 +165,8 @@ def _reduction_period(p: int) -> int:
 
 def _order_basis(system: ShiftSystem, p: int, width: int) -> Tuple[List[int], Optional[List[int]]]:
     """(pivot columns ascending, canonical kernel vector of the first
-    ``width`` columns or None) mod p of a degree-major column prefix:
-    column c is (c mod m, c // m) for m = len(system.seqs) (ValueError
-    for any other layout).
+    ``width`` columns or None) mod p of a system, whose columns form a
+    degree-major box: column c is (c mod m, c // m), m = len(system.seqs).
 
     A kernel vector is a polynomial vector (P_0, ..., P_{m-1}) with
     sum P_i S_i = O(z^nrows), S_i the i-th sequence, and its last nonzero
@@ -189,9 +195,7 @@ def _order_basis(system: ShiftSystem, p: int, width: int) -> Tuple[List[int], Op
     a product of two residues, and the rest is reduced every
     ``_reduction_period(p)`` updates.
     """
-    m, n, nrows = len(system.seqs), len(system.cols), system.nrows
-    if n and (not m or system.cols != [(c % m, c // m) for c in range(n)]):
-        raise ValueError("the order basis needs degree-major columns (i, j), i < %d" % m)
+    m, n, nrows = len(system.seqs), system.ncols, system.nrows
     pos = list(range(min(m, n)))  # the position of each row left
     lead = list(pos)
     basis = np.zeros((len(pos), nrows + width), dtype=np.int64)
@@ -237,13 +241,11 @@ def _order_basis(system: ShiftSystem, p: int, width: int) -> Tuple[List[int], Op
 
 
 def kernel_rank_mod_p(system: ShiftSystem, p: Optional[int] = None) -> Tuple[int, List[int]]:
-    """(rank mod p, pivot columns ascending) of a degree-major column
-    prefix, whose column c is (c mod m, c // m) for m = len(system.seqs)
-    (ValueError for any other layout), read from one order basis that
-    tracks no vectors (``_order_basis``).  rank mod p <= rank over Q, so
-    a full column rank mod p proves the exact kernel is trivial; the
-    same holds for every column prefix, whose rank mod p is the number of
-    pivot columns inside it."""
+    """(rank mod p, pivot columns ascending) of a system, read from one
+    order basis that tracks no vectors (``_order_basis``).  rank mod p
+    <= rank over Q, so a full column rank mod p proves the exact kernel
+    is trivial; the same holds for every column prefix, whose rank mod p
+    is the number of pivot columns inside it."""
     if p is None:
         p = _PRIMES[0]
     piv_cols, _ = _order_basis(system, p, 0)
@@ -276,7 +278,7 @@ def _poly_matrix_rank(mat: List[List[List[int]]], p: int) -> int:
     deg = max((len(c) - 1 for row in mat for c in row if c), default=0)
     for t in range(1, min(p, 2 * deg + 4)):
         rows = [[_zeval_mod(c, t, p) for c in row] for row in mat]
-        best = max(best, len(_order_basis(ShiftSystem(rows, [(i, 0) for i in range(r)], r), p, 0)[0]))
+        best = max(best, len(_order_basis(ShiftSystem(rows, r, r), p, 0)[0]))
         if best == r:
             break
     return max(best, 1)
@@ -311,7 +313,7 @@ def kernel_vector_exact(system: ShiftSystem, residual: Callable[[List[int]], Seq
     combined: List[int] = []
     modulus = 1
     for p in _PRIMES:
-        piv, vec = _order_basis(system, p, len(system.cols))
+        piv, vec = _order_basis(system, p, system.ncols)
         if vec is None:
             return None
         if piv_ref is None or (-len(piv), piv) < (-len(piv_ref), piv_ref):
@@ -343,7 +345,7 @@ def kernel_vector_exact(system: ShiftSystem, residual: Callable[[List[int]], Seq
     dep = _first_dependence(([[x] if x else [] for x in col], [1]) for col in zip(*system))
     if dep is None:
         return None
-    dep += [[]] * (len(system.cols) - len(dep))
+    dep += [[]] * (system.ncols - len(dep))
     cand = _clear_denominators([d[0] if d else 0 for d in dep])
     if any(residual(cand)):
         return None

@@ -1,8 +1,10 @@
 """Local analysis at singular points: indicial polynomials, rational
 exponents, and Frobenius bases with logarithm detection.
 
-A finite point is handled by shifting it to the origin; infinity by the
-substitution z = 1/w.  Points that are algebraic of degree > 1 over Q
+A finite point is handled by shifting it to the origin.  Infinity needs
+no substitution: z = 1/t sends theta to -theta, so its theta rows are
+the rows at the origin in reverse order, read at -lambda, with one sign
+(``_theta_at_infinity``).  Points that are algebraic of degree > 1 over Q
 are handled as one cluster through arithmetic in Q[a]/(m(a)); any zero
 divisor encountered on the way splits the modulus and the analysis is
 rerun per branch (see :mod:`dfinite.quotient`).  The exponent candidates
@@ -49,8 +51,8 @@ from math import comb, factorial, lcm
 from typing import Dict, List, Optional, Tuple
 
 from .errors import InputError, IrregularPoint, ZeroDivisorSplit
-from .ore import DiffOp, _dstep, theta_form
-from .polys import (Poly, _zadd, _zclear, _zderiv, _zeval, _zexquo, _zgcd, _zmul, _zprem,
+from .ore import DiffOp, theta_form
+from .polys import (Poly, _zclear, _zderiv, _zeval, _zexquo, _zgcd, _zprem,
                     _zrational_roots, _zresultant, _zshift, _ztrim, format_poly)
 from .quotient import ModRing, split_cases
 from .rationals import QQ, Q1
@@ -137,27 +139,6 @@ def singularities(op: DiffOp) -> List[SingularPoint]:
     return points
 
 
-def transform_infinity(op: DiffOp) -> DiffOp:
-    """Operator in w for the substitution z = 1/w, d/dz = -w^2 d/dw.
-
-    Runs over Z on the operator's rows."""
-    if op.is_zero():
-        raise InputError("zero operator")
-    big_d = op.degree()
-    e_i: List[List[int]] = [[1]]  # coefficients of (-w^2 d/dw)^i, by power of d/dw
-    total: List[List[int]] = []
-    for i, a in enumerate(op.rows):
-        if i > 0:
-            e_i = [[0, 0] + [-c for c in e] if e else [] for e in _dstep(e_i)]  # -w^2 d/dw o e_i
-        if not a:
-            continue
-        weight = [0] * (big_d + 1 - len(a)) + a[::-1]  # w^big_d a(1/w)
-        total += [[] for _ in range(len(e_i) - len(total))]
-        for j, e in enumerate(e_i):
-            total[j] = _zadd(total[j], _zmul(weight, e))
-    return DiffOp(total)
-
-
 # ---------------------------------------------------------------------------
 # Theta form and indicial data.  A lambda-polynomial, a row q_k of
 # ``ore.theta_form``, is a plain list of the branch's values: ``_zeval``
@@ -166,10 +147,8 @@ def transform_infinity(op: DiffOp) -> DiffOp:
 
 
 def _local_coeffs(op: DiffOp, point: SingularPoint, ring: Optional[ModRing]):
-    """Operator coefficients recentred at the point: ``Fraction``s, or
-    elements of ``ring``, the quotient ring of an algebraic point."""
-    if point.kind == SingularPoint.INFINITY:
-        return [[QQ(c) for c in p] for p in transform_infinity(op).rows]
+    """Operator coefficients recentred at a finite point: ``Fraction``s,
+    or elements of ``ring``, the quotient ring of an algebraic point."""
     if point.kind == SingularPoint.RATIONAL:
         out = []
         for p in op.rows:
@@ -224,11 +203,30 @@ class IndicialData:
             self.point.label(), self.degree, self.rational_roots)
 
 
+def _theta_at_infinity(op: DiffOp) -> List[List]:
+    """The theta rows at infinity, reflected from the rows q_k at 0.
+
+    For t = 1/z and u = -lam, L(z^u) = z^(u+v) sum_k q_k(u) z^k reads
+    L(t^lam) = t^(lam-v-kmax) sum_j q_(kmax-j)(-lam) t^j, so row j is
+    q_(kmax-j)(-lam).  The normal form of L in t differs from L only by
+    a power of t and by the sign s that makes its leading coefficient,
+    the lowest nonzero coefficient of L's top row times (-1)^order,
+    positive: a common integer or non-monomial factor of its rows would
+    pull back to a common factor of L's rows, which are primitive."""
+    _, qs = theta_form(op.rows)
+    top = op.rows[-1]
+    s = 1 if (-1) ** op.order * next(c for c in top if c) > 0 else -1
+    return [[QQ(s * c if k % 2 == 0 else -s * c) for k, c in enumerate(q)] for q in reversed(qs)]
+
+
 def _indicial_over(op: DiffOp, point: SingularPoint,
                    ring: Optional[ModRing]) -> Tuple[List[List], int]:
     """(theta rows [q_0, q_1, ...] at the point, indicial degree); the
     indicial polynomial is q_0.  ``ring`` as in :func:`_local_coeffs`."""
-    _, qs = theta_form(_local_coeffs(op, point, ring))
+    if point.kind == SingularPoint.INFINITY:
+        qs = _theta_at_infinity(op)
+    else:
+        _, qs = theta_form(_local_coeffs(op, point, ring))
     ind = qs[0]
     # a zero-divisor leading coefficient (ind is trimmed, so ind[-1] is
     # nonzero) means the degree differs between branches; force a split

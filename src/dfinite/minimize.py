@@ -75,27 +75,18 @@ class MinimizationResult:
     minimality: str = HEURISTIC_MINIMAL
 
 
-def _guess_columns(order: int, degree: int) -> List[Tuple[int, int]]:
-    """(i, j) pairs in degree-major order so degree-d cells are prefixes."""
-    return [(i, j) for j in range(degree + 1) for i in range(order + 1)]
-
-
 def _guess_system(f: TruncSeries, order: int, degree: int) -> ShiftSystem:
     """Row n states that the z^n coefficient of M(F) vanishes, for the
     integer series F = D f, D the least common denominator of f's terms:
-    column (i, j) is F^(i) shifted by j.  F has f's annihilators, so the
-    system has the same kernel as the one over f, and its entries are
-    integers."""
+    column (i, j), at (order + 1) j + i, is F^(i) shifted by j.  F has
+    f's annihilators, so the system has the same kernel as the one over
+    f, and its entries are integers."""
     derivs = _int_derivatives(cleared(f.coeffs)[0], order)
-    return ShiftSystem(derivs, _guess_columns(order, degree), f.trunc_order - order)
+    return ShiftSystem(derivs, (order + 1) * (degree + 1), f.trunc_order - order)
 
 
-def _vector_to_op(vec: Sequence, order: int, degree: int) -> DiffOp:
-    cols = _guess_columns(order, degree)
-    coeffs = [[0] * (degree + 1) for _ in range(order + 1)]
-    for (i, j), c in zip(cols, vec):
-        coeffs[i][j] = c
-    return DiffOp(coeffs)
+def _vector_to_op(vec: Sequence, order: int) -> DiffOp:
+    return DiffOp([vec[i::order + 1] for i in range(order + 1)])
 
 
 def _probe_degree(system: ShiftSystem, order: int, d_cap: int) -> List[int]:
@@ -126,9 +117,9 @@ def _search_order(f: TruncSeries, order: int, d_cap: int) -> Optional[Tuple[Diff
     inside its CRT loop.
     """
     system = _guess_system(f, order, d_cap)
-    n = f.trunc_order
+    n, m = f.trunc_order, order + 1
     for d in _probe_degree(system, order, d_cap):
-        cell = system.prefix((order + 1) * (d + 1))
+        cell = system.prefix(m * (d + 1))
 
         def residual(vec: List[int]) -> List[int]:
             # M(F) = D M(f) on the N - s rows that F's N terms determine,
@@ -138,12 +129,12 @@ def _search_order(f: TruncSeries, order: int, d_cap: int) -> Optional[Tuple[Diff
             # g = z^v u, u(0) != 0, so M(f) = g M'(f) has its first
             # nonzero row v rows after M'(f)'s, and is determined on v
             # more rows.
-            s = max((i - j for (i, j), v in zip(cell.cols, vec) if v), default=0)
-            return ShiftSystem(cell.seqs, cell.cols, n - s).times(vec)
+            s = max((c % m - c // m for c, v in enumerate(vec) if v), default=0)
+            return ShiftSystem(cell.seqs, cell.ncols, n - s).times(vec)
 
         vec = kernel_vector_exact(cell, residual)
         if vec is not None:
-            op = _vector_to_op(vec, order, d)
+            op = _vector_to_op(vec, order)
             if op.order > 0:
                 return op, d
         # spurious mod-p kernel: go on to the next candidate degree

@@ -14,9 +14,8 @@ Q[z]; the routines here and in the other modules read the rows.
 Every product with d on the left is one step, ``_dstep``, the rule
 d o a = a d + a' applied to all rows at once: ``op_mul_raw`` sums
 a_i (d^i o b) over one chain of steps, ``op_right_divrem`` builds its
-towers d^k o b with it, ``_rem_step`` reduces d o N modulo L,
-``rec_to_ode`` forms the powers of theta = z d with it, and
-``local.transform_infinity`` the powers of -w^2 d/dw.
+towers d^k o b with it, ``_rem_step`` reduces d o N modulo L, and
+``rec_to_ode`` forms the powers of theta = z d with it.
 
 Arithmetic over Q(z) runs fraction-free.  Modulo an operator L with
 leading coefficient l, the remainder of d^k is N_k / l^k with N_k over
@@ -41,11 +40,11 @@ shift m = i - j.  ``ode_to_rec`` reads them off the theta form
 L(t^u) = t^(u+v) sum_k q_k(u) t^k at 0: ``theta_form`` builds the rows
 q_k over any ring's values, the recurrence row of shift -v - k is
 q_k(n - v - k), and ``local`` reads the indicial polynomial q_0 and the
-Frobenius recurrence from the same rows at every singular point.
-``rec_to_ode`` goes back as sum_m z^(m_max - m) p_m(theta - m), by
-Horner in theta = z d.  A ``RecOp`` stores integer rows of
-content 1, built over Z, so ``series`` evaluates them at integer
-indices.
+Frobenius recurrence from the same rows at every singular point (at
+infinity, the rows at 0 reflected).  ``rec_to_ode`` goes back as
+sum_m z^(m_max - m) p_m(theta - m), by Horner in theta = z d.  A
+``RecOp`` stores integer rows of content 1, built over Z, so ``series``
+evaluates them at integer indices.
 """
 
 from __future__ import annotations
@@ -364,7 +363,8 @@ def theta_form(coeffs: Sequence[Sequence]) -> Tuple[int, List[List]]:
     factorial (u)_i = u (u-1) ... (u-i+1) over Z, so it adds c (lam)_i
     to the row of t-offset s - i; v is the least offset, and q_0, the
     indicial polynomial, is nonzero.  ``ode_to_rec`` reads the rows at
-    0 and ``local`` at every singular point.
+    0, and ``local`` reads them at every finite singular point and,
+    reflected, at infinity.
     """
     qs: Dict[int, List] = {}  # by t-offset
     falling = [1]  # lam (lam - 1) ... (lam - i + 1) over Z

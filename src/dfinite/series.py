@@ -92,8 +92,8 @@ def apply_op(op: DiffOp, f: TruncSeries) -> TruncSeries:
     The result is exact to order trunc_order(f) - s where s is the largest
     shift i - j over the operator's monomials z^j d^i (s <= order).  It
     is computed over Z: op(F) for F = D f, D the least common denominator
-    of f's terms, is one ``ShiftSystem.times`` whose column (i, j) is
-    F^(i) shifted by j, over the operator's nonzero coefficients; then
+    of f's terms, is one ``ShiftSystem.times`` over the operator's box of
+    coefficients, whose column (i, j) is F^(i) shifted by j; then
     op(f) = op(F) / D.
     """
     if op.is_zero():
@@ -104,8 +104,8 @@ def apply_op(op: DiffOp, f: TruncSeries) -> TruncSeries:
         )
     n_out = max(f.trunc_order - max(op.max_shift(), 0), 0)
     big, den = cleared(f.coeffs)
-    cols, vec = zip(*(((i, j), c) for i, row in enumerate(op.rows) for j, c in enumerate(row) if c))
-    out = ShiftSystem(_int_derivatives(big, op.order), cols, n_out).times(vec)
+    vec = [r[j] if j < len(r) else 0 for j in range(op.degree() + 1) for r in op.rows]
+    out = ShiftSystem(_int_derivatives(big, op.order), len(vec), n_out).times(vec)
     return TruncSeries([QQ(x, den) for x in out])
 
 

@@ -30,7 +30,8 @@ from .errors import (
     InsufficientInitialConditions,
 )
 from .fileio import op_to_json
-from .local import IndicialData, SingularPoint, _frobenius, indicial_branches, singularities
+from .local import (IndicialData, SingularPoint, _exponent_classes, _frobenius, indicial_branches,
+                    singularities)
 from .minimize import (
     CERTIFIED_ANNIHILATOR,
     HEURISTIC_MINIMAL,
@@ -43,7 +44,7 @@ from .minimize import (
 )
 from .ore import DiffOp
 from .polys import Poly, format_poly
-from .rationals import QQ, is_integer, rat_to_str
+from .rationals import QQ, rat_to_str
 from .series import TruncSeries, validate_init
 
 VERDICT_T = "T"
@@ -157,17 +158,6 @@ def _indicial_display(data: IndicialData) -> str:
                       for j, e in enumerate(data.poly))
 
 
-def _integer_differences(roots: List[Tuple[object, int]]) -> List[int]:
-    vals = [r for r, _ in roots]
-    out = set()
-    for a in vals:
-        for b in vals:
-            d = a - b
-            if d > 0 and is_integer(d):
-                out.add(int(d))
-    return sorted(out)
-
-
 def _branch_step(op: DiffOp, data: IndicialData, frobenius: bool) -> Optional[CertificateStep]:
     """The step one branch certifies, or None if it passes: a degree drop
     (not Fuchsian), an indicial polynomial without distinct rational
@@ -183,14 +173,18 @@ def _branch_step(op: DiffOp, data: IndicialData, frobenius: bool) -> Optional[Ce
             where, indicial=_indicial_display(data),
             distinct_rational_roots=[[rat_to_str(r), m] for r, m in data.rational_roots],
             degree=data.degree))
-    diffs = _integer_differences(data.rational_roots)
-    if frobenius and diffs:
-        _, has_logs, obstructions = _frobenius(data, max(diffs), "flag")
+    # the roots are simple and distinct: two differ by an integer exactly
+    # when their class mod Z spans more than 0, and the largest difference
+    # is the largest span
+    span = max((int(cls[-1][0] - cls[0][0]) for cls in _exponent_classes(data.rational_roots)),
+               default=0)
+    if frobenius and span:
+        _, has_logs, obstructions = _frobenius(data, span, "flag")
         if has_logs:
             exponent, resonance = obstructions[0]
             return CertificateStep(STEP_LOGARITHM, dict(
                 where, exponent=rat_to_str(exponent), resonance=resonance,
-                order_checked=max(diffs)))
+                order_checked=span))
     return None
 
 

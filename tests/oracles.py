@@ -658,11 +658,10 @@ def _reduce_matrix_mod(rows: List[List], p: int) -> np.ndarray:
 
 
 def dense_system(rows: List[List[int]]) -> ShiftSystem:
-    """Any integer matrix as a ``ShiftSystem``: column c is its own
-    sequence, unshifted."""
+    """Any integer matrix as a ``ShiftSystem``: a box of degree 0, whose
+    column c is its own sequence, unshifted."""
     ncols = len(rows[0]) if rows else 0
-    return ShiftSystem([[row[c] for row in rows] for c in range(ncols)],
-                       [(c, 0) for c in range(ncols)], len(rows))
+    return ShiftSystem([[row[c] for row in rows] for c in range(ncols)], ncols, len(rows))
 
 
 def kernel_vector_oracle(rows: List[List]) -> Optional[List]:
@@ -1493,8 +1492,9 @@ def rec_to_ode_oracle(rec: RecOp) -> DiffOp:
 
 
 def transform_infinity_oracle(op: DiffOp) -> DiffOp:
-    """``local.transform_infinity`` by operator products: (-w^2 d/dw)^i
-    and their weights multiplied out with ``op_mul_oracle``."""
+    """The operator in w for the substitution z = 1/w, d/dz = -w^2 d/dw,
+    by operator products: (-w^2 d/dw)^i and their weights multiplied out
+    with ``op_mul_oracle``."""
     big_d = op.degree()
     e_i = [[1]]  # coefficients of (-w^2 d/dw)^i, built iteratively
     neg_w2_d = [[], [0, 0, -1]]

@@ -253,7 +253,7 @@ def test_criterion_7_p_curvature_suite(sqrt_op, delannoy_op, cbrt_op, apery_op, 
 
 def test_criterion_8_property_suites():
     t0 = time.perf_counter()
-    from tests import test_properties as props
+    import test_properties as props
 
     props.test_divrem_reconstruction_suite()
     props.test_lclm_divisibility_suite()

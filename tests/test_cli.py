@@ -154,17 +154,34 @@ def test_cli_hypergeom_large_denominator_stops_at_the_first_unit(capsys):
 def test_cli_hypergeom_walk_over_the_unit_bound_is_input_error(capsys, monkeypatch):
     from dfinite import hypergeom
 
-    # (1 - z)^(-1/11) interlaces at all 10 units mod 11
-    code, out = _run(capsys, ["hypergeom", "--a", "1/11"])
+    # 2F1(1/4, 3/4; 1/2) interlaces at both units mod 4
+    argv = ["hypergeom", "--a", "1/4,3/4", "--b", "1/2"]
+    code, out = _run(capsys, argv)
     assert code == 0
-    assert out["reason"] == "all 10 unit multiples interlace"
-    monkeypatch.setattr(hypergeom, "MAX_UNITS", 10)
-    code, out = _run(capsys, ["hypergeom", "--a", "1/11"])
+    assert out["reason"] == "all 2 unit multiples interlace"
+    monkeypatch.setattr(hypergeom, "MAX_UNITS", 2)
+    code, out = _run(capsys, argv)
     assert code == 0
-    monkeypatch.setattr(hypergeom, "MAX_UNITS", 9)
-    code, out = _run(capsys, ["hypergeom", "--a", "1/11"])
+    monkeypatch.setattr(hypergeom, "MAX_UNITS", 1)
+    code, out = _run(capsys, argv)
     assert code == 2
     assert out["error"] == "input"
+
+
+def test_cli_hypergeom_one_upper_parameter_walks_no_units(capsys):
+    # (1 - z)^(-a) is algebraic for every non-integer rational a, here
+    # with 1000002 units mod D, past MAX_UNITS
+    t0 = time.perf_counter()
+    code, out = _run(capsys, ["hypergeom", "--a", "1/1000003"])
+    assert time.perf_counter() - t0 < 1
+    assert code == 0
+    assert out["verdict"] == "algebraic-by-interlacing"
+    assert out["reason"] == ("one upper parameter: (1 - z)^(-1/1000003) is algebraic, "
+                             "a root of y^1000003 = (1 - z)^-1")
+    code, out = _run(capsys, ["hypergeom", "--a", "1/11"])
+    assert code == 0
+    assert out["reason"] == ("one upper parameter: (1 - z)^(-1/11) is algebraic, "
+                             "a root of y^11 = (1 - z)^-1")
 
 
 def test_cli_guess_alg(capsys, sqrt_file):
@@ -413,7 +430,8 @@ def test_cli_help_and_negative_first_parameter(capsys):
     assert capsys.readouterr().out.startswith("usage: dfinite")
     code, out = _run(capsys, ["hypergeom", "--a=-1/2"])
     assert code == 0
-    assert out["reason"] == "all 1 unit multiples interlace"
+    assert out["reason"] == ("one upper parameter: (1 - z)^(1/2) is algebraic, "
+                             "a root of y^2 = (1 - z)^1")
 
 
 def test_cli_malformed_file(capsys, tmp_path):

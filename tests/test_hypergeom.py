@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -84,13 +86,17 @@ def test_hypergeometric_operator_rows_pinned(a, b, rows):
 
 
 def test_pure_power_case():
-    # k = 1: (1 - z)^(-p/q) is always algebraic for 0 < p < q <= 12
+    # k = 1: (1 - z)^(-p/q) is always algebraic for 0 < p < q <= 12, the
+    # answer that the walk over every unit mod q, which the criterion
+    # skips for one parameter, would give too
     for q in range(2, 13):
         for p in range(1, q):
             if QQ(p, q).denominator == 1:
                 continue
             verdict, _ = interlacing_criterion(HypParams([QQ(p, q)], []))
             assert verdict == ALGEBRAIC, (p, q)
+            units = [ell for ell in range(1, q) if math.gcd(ell, q) == 1]
+            assert all(interlaces([ell * QQ(p, q)], [ell * QQ(1)]) for ell in units), (p, q)
 
 
 @st.composite

@@ -24,7 +24,6 @@ from dfinite import (
     lclm,
     op_mul,
     singularities,
-    transform_infinity,
 )
 from dfinite.errors import InputError, IrregularPoint, ZeroDivisorSplit
 from dfinite.fileio import op_from_json
@@ -463,14 +462,43 @@ def test_local_coeffs_algebraic_matches_horner_oracle(m, op):
 @example(QQ(0), DiffOp([Poly(), Poly(), Poly(), Poly([0, 0, 0, 1])]))
 def test_theta_form_matches_falling_factorial_oracle(where, op):
     assume(not op.is_zero())
+    if where == "infinity":
+        # the rows at infinity are reflected from the rows at 0, not built
+        # from coefficients at infinity
+        assert _typed(indicial_branches(op, SingularPoint.infinity())[0].theta) == _typed(
+            _theta_at_infinity_oracle(op))
+        return
     if isinstance(where, Poly):
         pt, ring = SingularPoint.algebraic(where), ModRing(where)
-    elif where == "infinity":
-        pt, ring = SingularPoint.infinity(), None
     else:
         pt, ring = SingularPoint.rational(where), None
     coeffs = _local_coeffs(op, pt, ring)
     assert _typed(theta_form(coeffs)) == _typed(theta_form_oracle(coeffs))
+
+
+def _theta_at_infinity_oracle(op):
+    """The theta rows of the operator in w for z = 1/w, multiplied out by
+    operator products and put in normal form, as ``Fraction``s."""
+    rows = transform_infinity_oracle(op).rows
+    return theta_form_oracle([[QQ(c) for c in row] for row in rows])[1]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_ops(4))
+# odd order, top row with a negative lowest coefficient
+@example(DiffOp([Poly([0, 0, 1]), Poly(), Poly([0, QQ(1, 3)]), Poly([QQ(-5, 2), 0, 0, 1])]))
+# even order, top row with a zero constant term and a negative lowest coefficient
+@example(DiffOp([Poly([1]), Poly([0, 1]), Poly([0, 0, -2, 1])]))
+# even order, top row with a positive lowest coefficient
+@example(DiffOp([Poly([0, 3]), Poly([1, 1]), Poly([0, 4, 0, -1])]))
+# order 0
+@example(DiffOp([Poly([0, 0, 3, -1])]))
+def test_theta_rows_at_infinity_match_the_substitution_oracle(op):
+    # sign included: the reflected rows at 0 against the operator in w
+    assume(not op.is_zero())
+    data = indicial_branches(op, SingularPoint.infinity())[0]
+    assert _typed(data.theta) == _typed(_theta_at_infinity_oracle(op))
+    assert data.degree == len(data.theta[0]) - 1
 
 
 def test_formal_solutions_log_relaxed(log_op):
@@ -629,21 +657,11 @@ def test_formal_solutions_irregular_rejected():
         formal_solutions(op, SingularPoint.infinity(), 3)
 
 
-@settings(max_examples=80, deadline=None)
-@given(_ops(4))
-@example(DiffOp([Poly([0, 0, 1]), Poly(), Poly([0, QQ(1, 3)]), Poly([QQ(-5, 2), 0, 0, 1])]))
-def test_transform_infinity_matches_operator_product_oracle(op):
-    assume(not op.is_zero())
-    assert transform_infinity(op) == transform_infinity_oracle(op)
-
-
 def test_transform_infinity_exponents():
     # solutions {1, z}: exponents {0, -1} at infinity
     op = DiffOp([Poly(), Poly(), Poly([1])])
-    w_op = transform_infinity(op)
     data = indicial(op, SingularPoint.infinity())
     assert sorted(r for r, _ in data.rational_roots) == [QQ(-1), QQ(0)]
-    assert w_op.order == 2
 
 
 def test_product_exponent_appears():

@@ -28,7 +28,6 @@ from dfinite.minimize import (
     INPUT_RETURNED,
     MinimizeOptions,
     _cofactor,
-    _guess_columns,
     _guess_system,
     _vector_to_op,
 )
@@ -265,8 +264,8 @@ def test_integer_residual_has_the_zero_pattern_of_apply_op(coeffs, order, degree
     ncols = (order + 1) * (degree + 1)
     vec = data.draw(st.lists(st.integers(-3, 3), min_size=ncols, max_size=ncols))
     got = _search_residual(f, order, degree)(vec)
-    want = apply_op(_vector_to_op(vec, order, degree), f).coeffs
-    v = min((j for (_, j), c in zip(_guess_columns(order, degree), vec) if c), default=0)
+    want = apply_op(_vector_to_op(vec, order), f).coeffs
+    v = min((c // (order + 1) for c, x in enumerate(vec) if x), default=0)
     assert len(got) == len(want) + v
     first = next((n for n, x in enumerate(want) if x), None)
     assert next((n for n, x in enumerate(got) if x), None) == (None if first is None else v + first)
@@ -286,7 +285,7 @@ def test_candidate_zero_on_the_system_but_not_further_is_refused(monkeypatch):
     assert kernel_vector_exact(system, system.times) == vec
     residual = _search_residual(f, 1, 1)
     assert [i for i, x in enumerate(residual(vec)) if x] == [n - 1]
-    assert [i for i, x in enumerate(apply_op(_vector_to_op(vec, 1, 1), f).coeffs) if x] == [n - 1]
+    assert [i for i, x in enumerate(apply_op(_vector_to_op(vec, 1), f).coeffs) if x] == [n - 1]
     # refused after one candidate, with no prime added; the same holds
     # for the candidate z d, whose normal form d shifts apply_op's rows
     calls = []
