@@ -11,14 +11,25 @@ arithmetic, so they compute as few big integers as they can:
 - :func:`gen_binomial_sum` carries each binomial factor as a whole row
   in the summation index from one term to the next, by an exact integer
   ratio in C loops (``map``), instead of recomputing it.
-- :func:`gen_diagonal` first compresses the exponent lattice (when every
-  exponent of a variable is a multiple of g, x^g becomes x), then expands
-  num/den over the smaller box one whole row at a time, in C loops
-  (``map``, ``itertools.accumulate``) rather than cell by cell in Python.
+- :func:`gen_diagonal` divides by den's factors one at a time rather
+  than by their product.  It finds them from the expanded den as
+  contents: den's content as a polynomial in one variable is the gcd
+  over Z of its coefficients, polynomials in the other variables,
+  computed by the heuristic gcd GCDHEU (``_pgcd``), and the split is
+  repeated until no factor splits.  A split is used only if the factors
+  multiply back to den exactly, lie on den's exponent lattice and have
+  constant term 1, so that cells stay integers; otherwise den is one
+  factor.  It then compresses the exponent lattice (when every exponent
+  of a variable is a multiple of g, x^g becomes x) and expands num/den
+  over the smaller box one whole row at a time, in C loops (``map``,
+  ``itertools.accumulate``) rather than cell by cell in Python, each row
+  passing through one stage per factor.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+from functools import reduce
 from itertools import accumulate, chain, product, repeat
 from math import comb, gcd, lcm
 from operator import add, floordiv, mul, sub
@@ -136,7 +147,11 @@ def gen_walk(steps: StepSet, n_terms: int) -> TruncSeries:
 
 
 class MPoly:
-    """Sparse multivariate polynomial: {exponent tuple: rational coefficient}."""
+    """Sparse multivariate polynomial: {exponent tuple: rational coefficient}.
+
+    Exponents are nonnegative ``int``s and coefficients ``int``s or
+    ``Fraction``s; anything else is an :class:`InputError`.
+    """
 
     __slots__ = ("nvars", "terms")
 
@@ -144,10 +159,13 @@ class MPoly:
         self.nvars = nvars
         clean = {}
         for e, c in terms.items():
-            e = tuple(int(x) for x in e)
-            if len(e) != nvars or any(x < 0 for x in e):
+            e = tuple(e)
+            if len(e) != nvars or not all(isinstance(x, int) and x >= 0 for x in e):
                 raise InputError("bad exponent tuple %r" % (e,))
-            c = QQ(c) if isinstance(c, int) else c
+            if isinstance(c, int):
+                c = QQ(c)
+            elif not isinstance(c, Fraction):
+                raise InputError("coefficient %r is not an integer or a Fraction" % (c,))
             if c != 0:
                 clean[e] = clean.get(e, Q0) + c
         self.terms = {e: c for e, c in clean.items() if c != 0}
@@ -176,32 +194,164 @@ class DiagonalSpec:
         self.vars = tuple(vars)
 
 
+# Polynomials as {exponent tuple: coefficient} dicts with no zero
+# coefficient, with integer coefficients for splitting a diagonal's
+# denominator (``_pmul`` also builds ``apery_diagonal_spec``'s rationals).
+
+def _pmul(a: Dict, b: Dict) -> Dict:
+    out: Dict[Tuple[int, ...], object] = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(map(add, ea, eb))
+            out[e] = out.get(e, 0) + ca * cb
+    return {e: c for e, c in out.items() if c}
+
+
+def _pdiv(a: Dict, b: Dict):
+    """a / b when b divides a over Z, else None.  Lexicographic division:
+    a quotient term outside the box deg_i(a) - deg_i(b), or a leading
+    coefficient that b's does not divide, means no exact quotient."""
+    lead = max(b)
+    cap = [max(e[i] for e in a) - max(e[i] for e in b) for i in range(len(lead))]
+    rem, quo = dict(a), {}
+    while rem:
+        top = max(rem)
+        e = tuple(map(sub, top, lead))
+        if any(x < 0 or x > c for x, c in zip(e, cap)) or rem[top] % b[lead]:
+            return None
+        q = quo[e] = rem[top] // b[lead]
+        for t, c in b.items():
+            u = tuple(map(add, e, t))
+            r = rem.get(u, 0) - q * c
+            if r:
+                rem[u] = r
+            else:
+                del rem[u]
+    return quo
+
+
+def _pgcd(polys: List[Dict]):
+    """gcd over Z of nonzero integer polynomials, or None if the heuristic
+    fails six times.  GCDHEU (Char, Geddes and Gonnet, J. Symbolic Comput.
+    1989): with the integer contents taken out, put xi for the last
+    variable that occurs, take the gcd of the images recursively (of the
+    integers once no variable is left), rebuild it from its xi-adic digits
+    in (-xi/2, xi/2] and keep its primitive part if that divides every
+    polynomial; else grow xi and try again."""
+    ints = [gcd(*p.values()) for p in polys]
+    k = len(next(iter(polys[0])))
+    live = [i for i in range(k) if any(e[i] for p in polys for e in p)]
+    if not live:
+        return {(0,) * k: gcd(*ints)}
+    i = live[-1]
+    polys = [{e: c // n for e, c in p.items()} for p, n in zip(polys, ints)]
+    xi = 2 * min(max(map(abs, p.values())) for p in polys) + 2
+    for _ in range(6):
+        images = []
+        for p in polys:
+            img: Dict[Tuple[int, ...], int] = {}
+            for e, c in p.items():
+                u = e[:i] + (0,) + e[i + 1:]
+                img[u] = img.get(u, 0) + c * xi ** e[i]
+            img = {e: c for e, c in img.items() if c}
+            if img:
+                images.append(img)
+        h = _pgcd(images)
+        if h is not None:
+            g: Dict[Tuple[int, ...], int] = {}
+            for e, c in h.items():
+                d = 0
+                while c:
+                    r = c % xi
+                    if 2 * r > xi:
+                        r -= xi
+                    if r:
+                        g[e[:i] + (d,) + e[i + 1:]] = r
+                    c = (c - r) // xi
+                    d += 1
+            n = gcd(*g.values())
+            g = {e: c // n for e, c in g.items()}
+            if all(_pdiv(p, g) is not None for p in polys):
+                n = gcd(*ints)
+                return {e: c * n for e, c in g.items()}
+        xi = xi * 73794 // 27011
+    return None
+
+
+def _content_factors(den: Dict) -> List[Dict]:
+    """The integer polynomial den split into factors by contents.
+
+    The content of a factor as a polynomial in x_i, the gcd over Z of its
+    coefficients (polynomials in the other variables), splits it into
+    that content and the primitive part, until no factor splits.  The
+    split is kept only if (a) the factors multiply back to den, (b) every
+    exponent of variable i in them is a multiple of the gcd of den's
+    exponents of x_i (so compressing the lattice still applies), and (c)
+    each factor has constant term 1; otherwise den is the one factor.
+    """
+    k = len(next(iter(den)))
+    one = (0,) * k
+    factors, todo = [], [den]
+    while todo:
+        p = todo.pop()
+        for i in range(k):
+            coeffs: Dict[int, Dict] = {}
+            for e, c in p.items():
+                coeffs.setdefault(e[i], {})[e[:i] + (0,) + e[i + 1:]] = c
+            g = _pgcd(list(coeffs.values())) if len(coeffs) > 1 else None
+            if g is not None and any(any(e) for e in g):
+                if g.get(one, 0) < 0:
+                    g = {e: -c for e, c in g.items()}
+                todo += [g, _pdiv(p, g)]
+                break
+        else:
+            factors.append(p)
+    lattice = [gcd(*(e[i] for e in den)) for i in range(k)]
+    if (reduce(_pmul, factors) != den or any(f.get(one) != 1 for f in factors)
+            or any(x % gi if gi else x for f in factors for e in f for x, gi in zip(e, lattice))):
+        return [den]
+    return factors
+
+
 def gen_diagonal(spec: DiagonalSpec, n_terms: int) -> TruncSeries:
     """Diagonal coefficients [x1^n ... xk^n] (num/den) for n < n_terms.
 
-    Expands F = num/den by the convolution recurrence
-    F[e] = (num[e] - sum_t den[t] F[e - t]) / den[0] inside a box, in
-    three steps:
+    Expands F = num/den inside a box by dividing by den's factors in
+    turn, F_1 = num/D_1, F_j = F_(j-1)/D_j, each division the convolution
+    recurrence F_j[e] = F_(j-1)[e] - sum_t D_j[t] F_j[e - t] (D_j[0] = 1),
+    in four steps:
 
+    - Split den.  den/den[0] is split into content factors when its
+      coefficients and num's are integers (``_content_factors``: each
+      factor with constant term 1, on den's exponent lattice, multiplying
+      back to den exactly); otherwise, or if it does not split, it is
+      one factor.  Two factors of 3 and 2 terms cost 5 operations a cell
+      where their product may cost 10.  The factor with the most terms
+      is divided first, where the cells are smallest.
     - Compress the lattice.  g_i is the gcd of the exponents of variable i
       over the terms of num and den; substituting x_i^(g_i) -> x_i shrinks
       the box g_i-fold along that axis.  A term with lcm(g) not dividing n
       is 0 and costs nothing; a variable in no term (g_i = 0) leaves only
       n = 0.
     - Order the axes.  The diagonal is symmetric in the variables, so the
-      last axis is the one fewest den terms lie on alone (ties go to the
-      longer axis); the first axis is swept layer by layer, keeping only a
-      window of layers, and the axes between are rows.
-    - Sweep whole rows.  Every axis but the first is flattened, padded so
-      that reads before the start of an axis land on cells that stay zero,
-      so a den term is a constant offset and, unless it lies on the last
-      axis alone, contributes a whole row as one ``map`` over a slice of
-      an earlier layer or row; terms whose coefficients have the same size
-      share one multiplication.  Only the terms on the last axis alone run
-      along the row in order (``accumulate`` when there is one of them).
+      last axis is the one fewest factor terms lie on alone (ties go to
+      the longer axis); the first axis is swept layer by layer, and the
+      axes between are rows.  The layout is shared by all factors.
+    - Sweep whole rows, one stage per factor.  Every axis but the first
+      is flattened, padded so that reads before the start of an axis land
+      on cells that stay zero, so a factor's term is a constant offset
+      and, unless it lies on the last axis alone, contributes a whole row
+      as one ``map`` over a slice of an earlier layer or row of its own
+      stage; terms whose coefficients have the same size share one
+      multiplication.  Only the terms on the last axis alone run along
+      the row in order (``accumulate`` when there is one of them).  Each
+      row goes through the stages in turn: the first starts from num's
+      terms, stage j from the row stage j - 1 has just made, and each
+      stage keeps only the window of layers its own terms read.
 
     The cells are Python integers when den[0] divides every coefficient of
-    num and den, and ``Fraction`` otherwise; both go through this sweep.
+    num and den, and ``Fraction`` otherwise (one stage); both go through
+    this sweep.
     """
     if n_terms < 1:
         raise InputError("need at least one term")
@@ -210,9 +360,15 @@ def gen_diagonal(spec: DiagonalSpec, n_terms: int) -> TruncSeries:
     den = {e: -c / c0 for e, c in spec.den.terms.items() if any(e)}
     num = {e: c / c0 for e, c in spec.num.terms.items()}
     integral = all(c.denominator == 1 for c in chain(den.values(), num.values()))
+    factors = [den]
     if integral:
         den = {e: c.numerator for e, c in den.items()}
         num = {e: c.numerator for e, c in num.items()}
+        one = (0,) * k
+        split = _content_factors({one: 1, **{e: -c for e, c in den.items()}})
+        # later stages hold larger cells, so the longest factor goes first
+        split.sort(key=len, reverse=True)
+        factors = [{e: -c for e, c in f.items() if e != one} for f in split]
     zero = 0 if integral else Q0
 
     g = [gcd(*(e[i] for e in chain(den, num))) for i in range(k)]
@@ -220,7 +376,8 @@ def gen_diagonal(spec: DiagonalSpec, n_terms: int) -> TruncSeries:
     top = (n_terms - 1) // period if period else 0
     # diagonal cell t (the coefficient of n = t*period) sits at t*walk[i] on axis i
     walk = [period // gi if gi else 0 for gi in g]
-    alone = [sum(1 for e in den if not any(e[:i] + e[i + 1:])) for i in range(k)]
+    terms = [e for f in factors for e in f]
+    alone = [sum(1 for e in terms if not any(e[:i] + e[i + 1:])) for i in range(k)]
     last = min(range(k), key=lambda i: (alone[i], -walk[i]))
     axes = [i for i in range(k) if i != last] + [last]
     if k == 1:
@@ -231,11 +388,11 @@ def gen_diagonal(spec: DiagonalSpec, n_terms: int) -> TruncSeries:
 
     walk = [0 if i is None else walk[i] for i in axes]
     ext = [top * w for w in walk]
-    den_sq = [(squeeze(e), c) for e, c in den.items()]
+    factors = [[(squeeze(e), c) for e, c in f.items()] for f in factors]
 
     # flat layout of one layer: axes 1.., each padded past its end
     dims = len(axes)
-    pad = [max((e[i] for e, _ in den_sq), default=0) for i in range(dims)]
+    pad = [max((e[i] for f in factors for e, _ in f), default=0) for i in range(dims)]
     strides = [0] * dims
     size = 1
     for i in range(dims - 1, 0, -1):
@@ -249,20 +406,26 @@ def gen_diagonal(spec: DiagonalSpec, n_terms: int) -> TruncSeries:
 
     rows = [margin + offset((0,) + v + (0,))
             for v in product(*(range(x + 1) for x in ext[1:-1]))]
-    # terms off the last axis, grouped by the size of their coefficient so
-    # that each group costs one multiplication per cell: m * (r1 +- r2 ...),
-    # its first term taken with a plus sign (m is negated if none has one)
-    cross: Dict[object, List[Tuple[int, int, bool]]] = {}
-    for e, c in den_sq:
-        if any(e[:-1]):
-            cross.setdefault(abs(c), []).append((e[0], offset(e), c > 0))
-    groups = []
-    for m, ts in cross.items():
-        ts.sort(key=lambda t: not t[2])
-        if not ts[0][2]:
-            m, ts = -m, [(t0, off, not pos) for t0, off, pos in ts]
-        groups.append((m, ts))
-    along = [(e[-1], c) for e, c in den_sq if not any(e[:-1])]
+    stages = []
+    for f in factors:
+        # terms off the last axis, grouped by the size of their coefficient
+        # so that each group costs one multiplication per cell:
+        # m * (r1 +- r2 ...), its first term taken with a plus sign (m is
+        # negated if none has one)
+        cross: Dict[object, List[Tuple[int, int, bool]]] = {}
+        for e, c in f:
+            if any(e[:-1]):
+                cross.setdefault(abs(c), []).append((e[0], offset(e), c > 0))
+        groups = []
+        for m, ts in cross.items():
+            ts.sort(key=lambda t: not t[2])
+            if not ts[0][2]:
+                m, ts = -m, [(t0, off, not pos) for t0, off, pos in ts]
+            groups.append((m, ts))
+        along = [(e[-1], c) for e, c in f if not any(e[:-1])]
+        window = max((t[0] for ts in cross.values() for t in ts), default=0) + 1
+        layers = [[zero] * (margin + size) for _ in range(window)]  # zero layers before layer 0
+        stages.append((groups, along, layers))
     sources: Dict[Tuple[int, int], List] = {}
     for e, c in num.items():
         e = squeeze(e)
@@ -274,43 +437,48 @@ def gen_diagonal(spec: DiagonalSpec, n_terms: int) -> TruncSeries:
         cell = [t * w for w in walk]
         reads.setdefault(cell[0], []).append((t * period, margin + offset(cell)))
 
-    window = max((t[0] for ts in cross.values() for t in ts), default=0) + 1
-    layers = [[zero] * (margin + size) for _ in range(window)]  # zero layers before layer 0
     out = [zero] * n_terms
     for a in range(ext[0] + 1):
-        cur = [zero] * (margin + size)
-        layers.append(cur)
-        del layers[0]
-        active = [(m, [(layers[-1 - t0], off, pos) for t0, off, pos in ts]) for m, ts in groups]
+        active = []
+        for groups, along, layers in stages:
+            cur = [zero] * (margin + size)
+            layers.append(cur)
+            del layers[0]
+            active.append(([(m, [(layers[-1 - t0], off, pos) for t0, off, pos in ts])
+                            for m, ts in groups], along, cur))
         for base in rows:
             acc = None
-            for m, ts in active:
-                part = None
-                for lay, off, pos in ts:
-                    cells = lay[base - off:base - off + run]
-                    part = cells if part is None else map(add if pos else sub, part, cells)
-                if acc is None:
-                    acc = part if m == 1 else map(m.__mul__, part)
-                elif m == 1:
-                    acc = map(add, acc, part)
-                elif m == -1:
-                    acc = map(sub, acc, part)
-                else:
-                    acc = map(add, acc, map(m.__mul__, part))
-            acc = [zero] * run if acc is None else list(acc)
-            for v, c in sources.get((a, base), ()):
-                acc[v] += c
-            if len(along) == 1:
-                d, c = along[0]
-                step = add if c == 1 else (lambda prev, x: x + c * prev)
-                for r in range(d):
-                    acc[r::d] = accumulate(acc[r::d], step)
-            elif along:
-                for v in range(run):
-                    for d, c in along:
-                        if d <= v:
-                            acc[v] += c * acc[v - d]
-            cur[base:base + run] = acc
+            src = sources.get((a, base), ())
+            for groups, along, cur in active:
+                for m, ts in groups:
+                    part = None
+                    for lay, off, pos in ts:
+                        cells = lay[base - off:base - off + run]
+                        part = cells if part is None else map(add if pos else sub, part, cells)
+                    if acc is None:
+                        acc = part if m == 1 else map(m.__mul__, part)
+                    elif m == 1:
+                        acc = map(add, acc, part)
+                    elif m == -1:
+                        acc = map(sub, acc, part)
+                    else:
+                        acc = map(add, acc, map(m.__mul__, part))
+                acc = [zero] * run if acc is None else list(acc)
+                for v, c in src:
+                    acc[v] += c
+                src = ()
+                if len(along) == 1:
+                    d, c = along[0]
+                    step = add if c == 1 else (lambda prev, x: x + c * prev)
+                    for r in range(d):
+                        acc[r::d] = accumulate(acc[r::d], step)
+                elif along:
+                    for v in range(run):
+                        for d, c in along:
+                            if d <= v:
+                                acc[v] += c * acc[v - d]
+                cur[base:base + run] = acc
+        cur = active[-1][2]
         for n, pos in reads.get(a, ()):
             out[n] = cur[pos]
     return TruncSeries(out)
@@ -326,14 +494,6 @@ def apery_diagonal_spec(p: int, q: int) -> DiagonalSpec:
     k = p + q
 
     # variables 0..p-1 are x_1..x_p, variables p..p+q-1 are y_1..y_q
-    def poly_mul(a: Dict, b: Dict) -> Dict:
-        out: Dict[Tuple[int, ...], object] = {}
-        for ea, ca in a.items():
-            for eb, cb in b.items():
-                e = tuple(x + y for x, y in zip(ea, eb))
-                out[e] = out.get(e, Q0) + ca * cb
-        return {e: c for e, c in out.items() if c != 0}
-
     one = {tuple([0] * k): QQ(1)}
 
     def var(i) -> Dict:
@@ -349,13 +509,13 @@ def apery_diagonal_spec(p: int, q: int) -> DiagonalSpec:
 
     prod_y = one
     for j in range(q):
-        prod_y = poly_mul(prod_y, sub(one, var(p + j)))
+        prod_y = _pmul(prod_y, sub(one, var(p + j)))
     first = sub(prod_y, var(0))
     for i in range(1, p):
-        first = poly_mul(first, sub(one, var(i)))
+        first = _pmul(first, sub(one, var(i)))
     all_vars = one
     for i in range(k):
-        all_vars = poly_mul(all_vars, var(i))
+        all_vars = _pmul(all_vars, var(i))
     den = sub(first, all_vars)
     names = ["x%d" % (i + 1) for i in range(p)] + ["y%d" % (j + 1) for j in range(q)]
     return DiagonalSpec(MPoly(k, one), MPoly(k, den), names)

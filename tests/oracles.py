@@ -22,7 +22,9 @@ a brute-force fraction iteration over F_p(z) for the p-curvature and its
 rank.  They are slow and deliberately independent of the fraction-free
 Z[z] kernels and the forward-only mod-p elimination
 in ``dfinite``.  Diagonals are checked against a cell-by-cell expansion
-of 1/den over the full box, with no lattice compression.  Resultants are
+of 1/den over the full box, with no lattice compression, and the
+content factors of a denominator against sympy's content over
+Z[other variables].  Resultants are
 taken by sympy over Q[lam] from symbolic expressions, with no clearing
 to integers, by one bivariate sympy call over Z[x, lam], and as the
 determinant of the Sylvester matrix, and rational roots from the linear
@@ -982,6 +984,18 @@ def diagonal_bruteforce(spec, n_terms: int) -> List:
                 acc += c * inv[src]
         out.append(acc)
     return out
+
+
+def has_content(poly: Dict[Tuple[int, ...], int], i: int) -> bool:
+    """Whether the integer polynomial {exponents: coefficient}, as a
+    polynomial of positive degree in variable i, has a nonconstant
+    content, by sympy's gcd of its coefficients over Z[other variables]."""
+    import sympy
+
+    gens = sympy.symbols("x0:%d" % len(next(iter(poly))))
+    expr = sum(c * sympy.Mul(*(g ** a for g, a in zip(gens, e))) for e, c in poly.items())
+    p = sympy.Poly(expr, gens[i])
+    return p.degree() > 0 and not p.content().is_number
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import hashlib
 import math
-from math import comb
+from fractions import Fraction
+from math import comb, lcm
 
 import pytest
 from hypothesis import example, given, settings
@@ -18,9 +19,10 @@ from dfinite import (
     gen_walk,
 )
 from dfinite.errors import InputError
+from dfinite.generators import _content_factors, _pgcd, _pmul
 from dfinite.rationals import QQ
 
-from oracles import diagonal_bruteforce
+from oracles import diagonal_bruteforce, has_content
 
 
 def _sha(f):
@@ -268,3 +270,177 @@ def test_diagonal_rational_coefficients():
     )
     f = gen_diagonal(spec, 5)
     assert list(f.coeffs) == [QQ(comb(2 * n, n), 2 ** (2 * n + 1)) for n in range(5)]
+
+
+def test_mpoly_rejects_non_integer_exponents():
+    # int(0.5) is 0: this once became -y, a wrong diagonal with no error
+    with pytest.raises(InputError):
+        MPoly(2, {(0.5, 1): -1})
+    with pytest.raises(InputError):
+        MPoly(2, {(0, 1, 0): 1})
+    with pytest.raises(InputError):
+        MPoly(1, {(-1,): 1})
+
+
+def test_mpoly_rejects_non_rational_coefficients():
+    with pytest.raises(InputError):
+        MPoly(1, {(0,): 1.0})
+    with pytest.raises(InputError):
+        MPoly(1, {(0,): "1"})
+    assert MPoly(1, {(0,): Fraction(1, 2), (1,): 3}).terms == {(0,): QQ(1, 2), (1,): QQ(3)}
+
+
+def test_diagonal_spec_rejects_arity_mismatch():
+    with pytest.raises(InputError):
+        DiagonalSpec(MPoly(2, {(0, 0): 1}), MPoly(1, {(0,): 1}), ["x", "y"])
+
+
+def test_diagonal_rejects_no_terms():
+    with pytest.raises(InputError):
+        gen_diagonal(apery_diagonal_spec(1, 1), 0)
+
+
+def _int_den(spec):
+    return {e: int(c) for e, c in spec.den.terms.items()}
+
+
+def _as_set(factors):
+    return {frozenset(f.items()) for f in factors}
+
+
+B = {(0, 0, 0): 1, (1, 0, 0): -1, (1, 1, 0): -1}
+
+
+@pytest.mark.parametrize("first", [
+    {(0, 0, 0): 1, (1, 0, 0): -5, (0, 1, 1): -7, (0, 0, 2): -13},
+    {(0, 0, 0): 1, (1, 0, 0): -1, (0, 1, 0): -1, (0, 0, 2): -1},
+])
+def test_content_factors_criterion_6(first):
+    den = {e: c for e, c in _criterion_6_den(first).items() if c}
+    assert len(den) - 1 == (10 if first[(1, 0, 0)] == -5 else 8)
+    assert _as_set(_content_factors(den)) == _as_set([first, B])
+
+
+@pytest.mark.parametrize("p,q", [(2, 2), (1, 3)])
+def test_content_factors_apery_does_not_split(p, q):
+    # (1, 3): the gcd of Kronecker images proposes 1 + y1, which does not divide den
+    den = _int_den(apery_diagonal_spec(p, q))
+    assert _content_factors(den) == [den]
+
+
+def test_content_factors_keep_the_lattice():
+    # (1 - z^2)(1 - x) splits into its two contents, not into 1 - z and 1 + z
+    den = _pmul({(0, 0): 1, (0, 2): -1}, {(0, 0): 1, (1, 0): -1})
+    assert _as_set(_content_factors(den)) == _as_set([{(0, 0): 1, (0, 2): -1}, {(0, 0): 1, (1, 0): -1}])
+
+
+def test_content_factors_need_unit_constants():
+    # (2 - x)(2 - y) splits by contents, but a factor with constant 2 would
+    # make the cells fractions, so den stays whole
+    den = _pmul({(0, 0): 2, (1, 0): -1}, {(0, 0): 2, (0, 1): -1})
+    assert _content_factors(den) == [den]
+    # a content of constant term -1 is turned to +1
+    den = _pmul({(0, 0): -1, (1, 0): 1}, {(0, 0): -1, (0, 1): 1})
+    assert _as_set(_content_factors(den)) == _as_set([{(0, 0): 1, (1, 0): -1}, {(0, 0): 1, (0, 1): -1}])
+
+
+def test_pgcd_gives_up():
+    # x and x - b agree at every evaluation point xi the heuristic tries
+    # (4, 10, 27, 73, 199, 543 all divide b), so the image gcd is xi each
+    # time, rebuilt as x, which does not divide x - b
+    b = lcm(4, 10, 27, 73, 199, 543)
+    assert _pgcd([{(1,): 1}, {(1,): 1, (0,): -b}]) is None
+    assert _pgcd([{(1,): 1}, {(1,): 1, (0,): -2 * 3 * 5}]) == {(0,): 1}
+    assert _pgcd([{(1, 1): 6, (0, 0): 4}, {(1, 1): 9, (0, 0): 6}]) == {(1, 1): 3, (0, 0): 2}
+
+
+def _on_lattice_monos(draw, k, scale, coef, max_size, free=None):
+    expo = st.lists(st.integers(0, 2), min_size=k, max_size=k)
+    out = {}
+    for e in draw(st.lists(expo, max_size=max_size)):
+        e = tuple(0 if i == free else a * g for i, (a, g) in enumerate(zip(e, scale)))
+        if any(e):
+            out[e] = draw(coef)
+    return out
+
+
+@st.composite
+def factored_dens(draw, k=None):
+    """An integer den with constant term 1 in 2 or 3 variables, as the
+    product of a factor free of a drawn variable and another factor."""
+    k = k or draw(st.integers(2, 3))
+    free = draw(st.integers(0, k - 1))
+    scale = draw(st.lists(st.sampled_from([1, 2]), min_size=k, max_size=k))
+    coef = st.integers(-3, 3).filter(bool)
+    one = (0,) * k
+    a = _on_lattice_monos(draw, k, scale, coef, 3, free)
+    b = _on_lattice_monos(draw, k, scale, coef, 3)
+    sign = draw(st.sampled_from([1, -1]))
+    a[one], b[one] = sign, sign
+    return a, b, _pmul(a, b)
+
+
+@settings(max_examples=100, deadline=None)
+@given(factored_dens())
+# 1 - z^2 times 1 - x: contents 1 - z^2 and 1 - x
+@example(({(0, 0): 1, (0, 2): -1}, {(0, 0): 1, (1, 0): -1}, {(0, 0): 1, (0, 2): -1, (1, 0): -1, (1, 2): 1}))
+def test_content_factors_split_fully(case):
+    a, b, den = case
+    k = len(next(iter(den)))
+    factors = _content_factors(den)
+    whole = {(0,) * k: 1}
+    for f in factors:
+        whole = _pmul(whole, f)
+    assert whole == den
+    assert all(f[(0,) * k] == 1 for f in factors)
+    # a nonconstant factor free of a variable that the other one has is a content
+    if len(a) > 1 and any(any(e[i] for e in b) and not any(e[i] for e in a) for i in range(k)):
+        assert len(factors) >= 2
+    assert not any(has_content(f, i) for f in factors for i in range(k))
+
+
+@st.composite
+def factored_specs(draw):
+    """num/den with den the product of two factors, one free of a drawn
+    variable; the constant terms are +-1 (so den splits into integer
+    factors) or rational, and num may leave den's lattice."""
+    k = draw(st.integers(2, 3))
+    free = draw(st.integers(0, k - 1))
+    scale = draw(st.lists(st.sampled_from([1, 2]), min_size=k, max_size=k))
+    coef = st.one_of(st.integers(-3, 3), st.fractions(-2, 2, max_denominator=3)).filter(bool)
+    one = (0,) * k
+    a = _on_lattice_monos(draw, k, scale, coef, 3, free)
+    b = _on_lattice_monos(draw, k, scale, coef, 3)
+    a[one] = draw(st.sampled_from([QQ(1), QQ(-1), QQ(3, 2)]))
+    b[one] = draw(st.sampled_from([QQ(1), QQ(-1)]))
+    num = _on_lattice_monos(draw, k, [1] * k if draw(st.booleans()) else scale, coef, 2)
+    num[one] = QQ(1)
+    return _spec(k, num, _pmul(a, b)), draw(st.integers(1, 9 - 2 * k))
+
+
+@settings(max_examples=150, deadline=None)
+@given(factored_specs())
+# the off-lattice pair (1 - z)(1 + z) times 1 - x - y: g_z = 2 is kept
+@example((_spec(3, {(0, 0, 0): 1}, _pmul(_pmul({(0, 0, 0): 1, (0, 0, 1): -1}, {(0, 0, 0): 1, (0, 0, 1): 1}),
+                                         {(0, 0, 0): 1, (1, 0, 0): -1, (0, 1, 0): -1})), 5))
+# a rational constant term: (3/2 - x)(1 - xy) is swept as one factor
+@example((_spec(2, {(0, 0): 1}, _pmul({(0, 0): QQ(3, 2), (1, 0): -1}, {(0, 0): 1, (1, 1): -1})), 5))
+# num terms off den's lattice (odd powers of y against g_y = 2)
+@example((_spec(2, {(0, 0): 1, (1, 1): 2, (0, 3): -1},
+                _pmul({(0, 0): 1, (0, 2): -2}, {(0, 0): 1, (1, 0): -1, (1, 2): 3})), 5))
+# the second stage's terms all come with a minus sign and |coefficient| 1:
+# 1 + xz + xy after 1 - 2x - 3z
+@example((_spec(3, {(0, 0, 0): 1}, _pmul({(0, 0, 0): 1, (1, 0, 0): -2, (0, 0, 1): -3},
+                                         {(0, 0, 0): 1, (1, 0, 1): 1, (1, 1, 0): 1})), 5))
+def test_diagonal_of_product_matches_bruteforce(case):
+    spec, n_terms = case
+    assert list(gen_diagonal(spec, n_terms).coeffs) == diagonal_bruteforce(spec, n_terms)
+
+
+def test_generator_input_errors_and_reprs():
+    for bad in (lambda: gen_binomial_sum([1, -1], 3), lambda: StepSet([]),
+                lambda: gen_walk(TRIDENT_STEPS, 0), lambda: binomial_double_product_spec(-1)):
+        with pytest.raises(InputError):
+            bad()
+    assert repr(MPoly(2, {(0, 0): 1, (1, 0): 2})) == "MPoly(2 vars, 2 terms)"
+    assert repr(StepSet([(0, 1)])) == "StepSet([(0, 1)])"
