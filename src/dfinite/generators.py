@@ -11,19 +11,22 @@ arithmetic, so they compute as few big integers as they can:
 - :func:`gen_binomial_sum` carries each binomial factor as a whole row
   in the summation index from one term to the next, by an exact integer
   ratio in C loops (``map``), instead of recomputing it.
-- :func:`gen_diagonal` divides by den's factors one at a time rather
-  than by their product.  It finds them from the expanded den as
-  contents: den's content as a polynomial in one variable is the gcd
+- :func:`gen_diagonal` first scales a rational spec to integers
+  (x_i -> L x_i, and num times a common denominator), so that every
+  cell of its sweep is a Python integer, and divides the scale out of
+  each diagonal term at the end.  It divides by den's factors one at a
+  time rather than by their product.  It finds them from the expanded
+  den as contents: den's content as a polynomial in one variable is the gcd
   over Z of its coefficients, polynomials in the other variables,
   computed by the heuristic gcd GCDHEU (``_pgcd``), and the split is
   repeated until no factor splits.  A split is used only if the factors
   multiply back to den exactly, lie on den's exponent lattice and have
-  constant term 1, so that cells stay integers; otherwise den is one
-  factor.  It then compresses the exponent lattice (when every exponent
-  of a variable is a multiple of g, x^g becomes x) and expands num/den
-  over the smaller box one whole row at a time, in C loops (``map``,
-  ``itertools.accumulate``) rather than cell by cell in Python, each row
-  passing through one stage per factor.
+  constant term 1; otherwise den is one factor.  It then compresses the
+  exponent lattice (when every exponent of a variable is a multiple of
+  g, x^g becomes x) and expands num/den over the smaller box one whole
+  row at a time, in C loops (``map``, ``itertools.accumulate``) rather
+  than cell by cell in Python, each row passing through one stage per
+  factor.
 """
 
 from __future__ import annotations
@@ -100,12 +103,19 @@ def gen_binomial_sum(powers: Sequence[int], n_terms: int) -> TruncSeries:
 
 
 class StepSet:
-    """Finite nonempty set of integer steps in the plane."""
+    """Finite nonempty set of integer steps in the plane.
+
+    Each step is a pair of ``int``s; anything else is an
+    :class:`InputError`.
+    """
 
     __slots__ = ("steps",)
 
     def __init__(self, steps: Iterable[Tuple[int, int]]):
-        ss = frozenset((int(a), int(b)) for a, b in steps)
+        ss = frozenset((a, b) for a, b in steps)
+        for step in ss:
+            if not all(isinstance(x, int) for x in step):
+                raise InputError("step %r is not a pair of integers" % (step,))
         if not ss:
             raise InputError("empty step set")
         self.steps = ss
@@ -319,15 +329,22 @@ def gen_diagonal(spec: DiagonalSpec, n_terms: int) -> TruncSeries:
     Expands F = num/den inside a box by dividing by den's factors in
     turn, F_1 = num/D_1, F_j = F_(j-1)/D_j, each division the convolution
     recurrence F_j[e] = F_(j-1)[e] - sum_t D_j[t] F_j[e - t] (D_j[0] = 1),
-    in four steps:
+    in five steps:
 
-    - Split den.  den/den[0] is split into content factors when its
-      coefficients and num's are integers (``_content_factors``: each
-      factor with constant term 1, on den's exponent lattice, multiplying
-      back to den exactly); otherwise, or if it does not split, it is
-      one factor.  Two factors of 3 and 2 terms cost 5 operations a cell
-      where their product may cost 10.  The factor with the most terms
-      is divided first, where the cells are smallest.
+    - Scale to integers.  With c0 = den[0] and L the lcm of the
+      denominators of den/c0, x_i -> L x_i turns a term c x^e of den/c0
+      into c L^|e| x^e, an integer since |e| >= 1 off the constant term;
+      num/c0 scaled the same way is made integral by a factor M.  The
+      diagonal of M num(Lx) / (den(Lx)/c0) is M L^(kn) d_n, so each
+      term is divided by M L^(kn) at the end.  An integral spec has
+      L = M = 1.
+    - Split den.  The scaled den is split into content factors
+      (``_content_factors``: each factor with constant term 1, on den's
+      exponent lattice, multiplying back to den exactly); if it does not
+      split, it is one factor.  Two factors of 3 and 2 terms cost 5
+      operations a cell where their product may cost 10.  The factor
+      with the most terms is divided first, where the cells are
+      smallest.
     - Compress the lattice.  g_i is the gcd of the exponents of variable i
       over the terms of num and den; substituting x_i^(g_i) -> x_i shrinks
       the box g_i-fold along that axis.  A term with lcm(g) not dividing n
@@ -348,28 +365,22 @@ def gen_diagonal(spec: DiagonalSpec, n_terms: int) -> TruncSeries:
       row goes through the stages in turn: the first starts from num's
       terms, stage j from the row stage j - 1 has just made, and each
       stage keeps only the window of layers its own terms read.
-
-    The cells are Python integers when den[0] divides every coefficient of
-    num and den, and ``Fraction`` otherwise (one stage); both go through
-    this sweep.
     """
     if n_terms < 1:
         raise InputError("need at least one term")
     k = spec.den.nvars
+    one = (0,) * k
     c0 = spec.den.constant_term()
-    den = {e: -c / c0 for e, c in spec.den.terms.items() if any(e)}
-    num = {e: c / c0 for e, c in spec.num.terms.items()}
-    integral = all(c.denominator == 1 for c in chain(den.values(), num.values()))
-    factors = [den]
-    if integral:
-        den = {e: c.numerator for e, c in den.items()}
-        num = {e: c.numerator for e, c in num.items()}
-        one = (0,) * k
-        split = _content_factors({one: 1, **{e: -c for e, c in den.items()}})
-        # later stages hold larger cells, so the longest factor goes first
-        split.sort(key=len, reverse=True)
-        factors = [{e: -c for e, c in f.items() if e != one} for f in split]
-    zero = 0 if integral else Q0
+    den = {e: c / c0 for e, c in spec.den.terms.items() if e != one}
+    scale = lcm(*(c.denominator for c in den.values()))
+    den = {e: int(c * scale ** sum(e)) for e, c in den.items()}
+    num = {e: c / c0 * scale ** sum(e) for e, c in spec.num.terms.items()}
+    mult = lcm(*(c.denominator for c in num.values()))
+    num = {e: int(c * mult) for e, c in num.items()}
+    split = _content_factors({one: 1, **den})
+    # later stages hold larger cells, so the longest factor goes first
+    split.sort(key=len, reverse=True)
+    factors = [{e: -c for e, c in f.items() if e != one} for f in split]
 
     g = [gcd(*(e[i] for e in chain(den, num))) for i in range(k)]
     period = lcm(*g)
@@ -424,7 +435,7 @@ def gen_diagonal(spec: DiagonalSpec, n_terms: int) -> TruncSeries:
             groups.append((m, ts))
         along = [(e[-1], c) for e, c in f if not any(e[:-1])]
         window = max((t[0] for ts in cross.values() for t in ts), default=0) + 1
-        layers = [[zero] * (margin + size) for _ in range(window)]  # zero layers before layer 0
+        layers = [[0] * (margin + size) for _ in range(window)]  # zero layers before layer 0
         stages.append((groups, along, layers))
     sources: Dict[Tuple[int, int], List] = {}
     for e, c in num.items():
@@ -437,11 +448,11 @@ def gen_diagonal(spec: DiagonalSpec, n_terms: int) -> TruncSeries:
         cell = [t * w for w in walk]
         reads.setdefault(cell[0], []).append((t * period, margin + offset(cell)))
 
-    out = [zero] * n_terms
+    out = [0] * n_terms
     for a in range(ext[0] + 1):
         active = []
         for groups, along, layers in stages:
-            cur = [zero] * (margin + size)
+            cur = [0] * (margin + size)
             layers.append(cur)
             del layers[0]
             active.append(([(m, [(layers[-1 - t0], off, pos) for t0, off, pos in ts])
@@ -463,7 +474,7 @@ def gen_diagonal(spec: DiagonalSpec, n_terms: int) -> TruncSeries:
                         acc = map(sub, acc, part)
                     else:
                         acc = map(add, acc, map(m.__mul__, part))
-                acc = [zero] * run if acc is None else list(acc)
+                acc = [0] * run if acc is None else list(acc)
                 for v, c in src:
                     acc[v] += c
                 src = ()
@@ -481,7 +492,7 @@ def gen_diagonal(spec: DiagonalSpec, n_terms: int) -> TruncSeries:
         cur = active[-1][2]
         for n, pos in reads.get(a, ()):
             out[n] = cur[pos]
-    return TruncSeries(out)
+    return TruncSeries([QQ(c, mult * scale ** (k * n)) for n, c in enumerate(out)])
 
 
 def apery_diagonal_spec(p: int, q: int) -> DiagonalSpec:

@@ -18,9 +18,11 @@ from dfinite import (
     gen_diagonal,
     gen_walk,
 )
+from dfinite import generators
 from dfinite.errors import InputError
 from dfinite.generators import _content_factors, _pgcd, _pmul
 from dfinite.rationals import QQ
+from dfinite.series import TruncSeries
 
 from oracles import diagonal_bruteforce, has_content
 
@@ -131,10 +133,12 @@ def diagonal_specs(draw):
     """num/den in 1 to 4 variables.  Each variable's den exponents are
     scaled by 0 (the variable is absent), 1, 2 or 3, so per-axis gcds above
     1 are common; num exponents are scaled too, or drawn freely so that
-    they can leave the den lattice."""
+    they can leave the den lattice.  Coefficients and den's constant term
+    are integers or fractions whose denominators differ from term to term,
+    so scaling to integers needs an lcm."""
     k = draw(st.integers(1, 4))
     scale = draw(st.lists(st.sampled_from([0, 1, 2, 3]), min_size=k, max_size=k))
-    coef = st.one_of(st.integers(-3, 3), st.fractions(-2, 2, max_denominator=3))
+    coef = st.one_of(st.integers(-3, 3), st.fractions(-2, 2, max_denominator=7))
 
     def monos(on_lattice, max_size):
         expo = st.lists(st.integers(0, 2), min_size=k, max_size=k)
@@ -146,7 +150,7 @@ def diagonal_specs(draw):
         return out
 
     den = {e: c for e, c in monos(True, 4).items() if any(e)}
-    den[(0,) * k] = draw(st.sampled_from([QQ(1), QQ(-1), QQ(2), QQ(-3, 2)]))
+    den[(0,) * k] = draw(st.sampled_from([QQ(1), QQ(-1), QQ(2), QQ(5), QQ(-3, 2), QQ(3, 2), QQ(-2, 5)]))
     num = monos(draw(st.booleans()), 3)
     names = ["x%d" % i for i in range(k)]
     return DiagonalSpec(MPoly(k, num), MPoly(k, den), names), draw(st.integers(1, 7 - k))
@@ -154,6 +158,20 @@ def diagonal_specs(draw):
 
 def _spec(k, num, den):
     return DiagonalSpec(MPoly(k, num), MPoly(k, den), ["x%d" % i for i in range(k)])
+
+
+def _criterion_6_den(first_factor):
+    out = {}
+    for e1, c1 in first_factor.items():
+        for e2, c2 in {(0, 0, 0): 1, (1, 0, 0): -1, (1, 1, 0): -1}.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return out
+
+
+C6I = {(0, 0, 0): 1, (1, 0, 0): -5, (0, 1, 1): -7, (0, 0, 2): -13}
+C6I_HALF = {**C6I, (1, 0, 0): QQ(-5, 2)}
+C6_THREE = {(0, 0, 0): 3, (1, 0, 0): -1, (0, 1, 0): -1, (0, 0, 2): -1}
 
 
 @settings(max_examples=150, deadline=None)
@@ -167,18 +185,16 @@ def _spec(k, num, den):
                 {(0, 0): QQ(-3, 2), (0, 2): 1, (1, 0): QQ(1, 3), (2, 0): 1, (1, 1): 2}), 7))
 # one variable, several terms
 @example((_spec(1, {(0,): 1, (2,): -1}, {(0,): 1, (1,): -1, (3,): 2}), 8))
+# the criterion-6 (i) den with num 1/2, the same with -5x/2, and (3 - x - y - z^2)(1 - x - xy)
+@example((_spec(3, {(0, 0, 0): QQ(1, 2)}, _criterion_6_den(C6I)), 6))
+@example((_spec(3, {(0, 0, 0): 1}, _criterion_6_den(C6I_HALF)), 6))
+@example((_spec(3, {(0, 0, 0): 1}, _criterion_6_den(C6_THREE)), 6))
+# a rational den that splits once scaled: 2 (1 - x/2)(1 - y/3) becomes (1 - 3x)(1 - 2y)
+@example((_spec(2, {(0, 0): 1, (1, 0): QQ(1, 5)},
+                _pmul({(0, 0): 2, (1, 0): -1}, {(0, 0): 1, (0, 1): QQ(-1, 3)})), 7))
 def test_diagonal_matches_bruteforce(case):
     spec, n_terms = case
     assert list(gen_diagonal(spec, n_terms).coeffs) == diagonal_bruteforce(spec, n_terms)
-
-
-def _criterion_6_den(first_factor):
-    out = {}
-    for e1, c1 in first_factor.items():
-        for e2, c2 in {(0, 0, 0): 1, (1, 0, 0): -1, (1, 1, 0): -1}.items():
-            e = tuple(a + b for a, b in zip(e1, e2))
-            out[e] = out.get(e, 0) + c1 * c2
-    return out
 
 
 def test_diagonal_criterion_6_pinned():
@@ -191,6 +207,29 @@ def test_diagonal_criterion_6_pinned():
         {(0, 0, 0): 1, (1, 0, 0): -1, (0, 1, 0): -1, (0, 0, 2): -1})), 190)
     assert _sha(g) == "ffe09c176e1bceda8322da7b156ca1f35d75e81c2c04d8b73b7fd724682e97eb"
     assert all(c == 0 for c in g.coeffs[1::2])
+
+
+def test_diagonal_rational_spec_takes_the_integer_sweep(monkeypatch):
+    # num = 1/2 halves every term of criterion 6 (i); at 120 terms this took
+    # about 30 s while rational specs had a sweep of their own
+    whole = gen_diagonal(_spec(3, {(0, 0, 0): 1}, _criterion_6_den(C6I)), 120)
+    half = gen_diagonal(_spec(3, {(0, 0, 0): QQ(1, 2)}, _criterion_6_den(C6I)), 120)
+    doubled = TruncSeries([2 * c for c in half.coeffs])
+    assert doubled == whole
+    assert _sha(doubled) == "ed7c948ff1e62e0ffb6de438454a0b8a0e535f7553e3b25e1a63c51ed9ef8d06"
+    # a rational den is split too: -5x/2 scales to -5x with x -> 2x
+    seen = []
+
+    def spy(den):
+        seen.append(_content_factors(den))
+        return seen[-1]
+
+    monkeypatch.setattr(generators, "_content_factors", spy)
+    spec = _spec(3, {(0, 0, 0): 1}, _criterion_6_den(C6I_HALF))
+    assert list(gen_diagonal(spec, 6).coeffs) == diagonal_bruteforce(spec, 6)
+    assert len(seen) == 1 and _as_set(seen[0]) == _as_set([
+        {(0, 0, 0): 1, (1, 0, 0): -5, (0, 1, 1): -28, (0, 0, 2): -52},
+        {(0, 0, 0): 1, (1, 0, 0): -2, (1, 1, 0): -4}])
 
 
 @pytest.mark.parametrize("powers,digest", [
@@ -262,7 +301,8 @@ def test_diagonal_rejects_nonunit():
 
 
 def test_diagonal_rational_coefficients():
-    # non-integral constant term exercises the fraction path
+    # the constant term 2 is scaled out: x -> 2x, y -> 2y and num times 2
+    # give 1/(1 - x - y), so each term is C(2n, n) / (2 * 2^(2n))
     spec = DiagonalSpec(
         MPoly(2, {(0, 0): 1}),
         MPoly(2, {(0, 0): QQ(2), (1, 0): -1, (0, 1): -1}),
@@ -435,6 +475,14 @@ def factored_specs(draw):
 def test_diagonal_of_product_matches_bruteforce(case):
     spec, n_terms = case
     assert list(gen_diagonal(spec, n_terms).coeffs) == diagonal_bruteforce(spec, n_terms)
+
+
+def test_stepset_rejects_non_integer_steps():
+    # int() once truncated these: (0.5, 1) became (0, 1) and '1' became 1
+    for steps in ([(0.5, 1), (1.9, 0)], [("1", 1)], [(1, None)], [(0, 1), (Fraction(1), 0)]):
+        with pytest.raises(InputError):
+            StepSet(steps)
+    assert StepSet([(1, -1), (1, -1), (0, 2)]).steps == {(1, -1), (0, 2)}
 
 
 def test_generator_input_errors_and_reprs():
