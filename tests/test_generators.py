@@ -2,6 +2,8 @@ import hashlib
 import math
 from fractions import Fraction
 from math import comb, lcm
+from operator import sub
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -20,7 +22,7 @@ from dfinite import (
 )
 from dfinite import generators
 from dfinite.errors import InputError
-from dfinite.generators import _content_factors, _pgcd, _pmul
+from dfinite.generators import _content_factors, _pgcd, _pmul, _spans
 from dfinite.rationals import QQ
 from dfinite.series import TruncSeries
 
@@ -172,6 +174,7 @@ def _criterion_6_den(first_factor):
 C6I = {(0, 0, 0): 1, (1, 0, 0): -5, (0, 1, 1): -7, (0, 0, 2): -13}
 C6I_HALF = {**C6I, (1, 0, 0): QQ(-5, 2)}
 C6_THREE = {(0, 0, 0): 3, (1, 0, 0): -1, (0, 1, 0): -1, (0, 0, 2): -1}
+C6II = {(0, 0, 0): 1, (1, 0, 0): -1, (0, 1, 0): -1, (0, 0, 2): -1}
 
 
 @settings(max_examples=150, deadline=None)
@@ -472,9 +475,87 @@ def factored_specs(draw):
 # 1 + xz + xy after 1 - 2x - 3z
 @example((_spec(3, {(0, 0, 0): 1}, _pmul({(0, 0, 0): 1, (1, 0, 0): -2, (0, 0, 1): -3},
                                          {(0, 0, 0): 1, (1, 0, 1): 1, (1, 1, 0): 1})), 5))
+# the criterion-6 (ii) shape: the last factor, 1 - x - xy, is free of z, and
+# the first stage fills the whole box
+@example((_spec(3, {(0, 0, 0): 1}, _criterion_6_den(C6II)), 5))
+# the second stage, 1 - y - 2y^2, has two terms on the last axis alone
+@example((_spec(2, {(0, 0): 1}, _pmul({(0, 0): 1, (1, 0): -1, (2, 0): -1, (3, 0): -3},
+                                      {(0, 0): 1, (0, 1): -1, (0, 2): -2})), 5))
+# the num term 3x^2y lies in stage 1's row x^2, left of its span [2, 4]
+@example((_spec(2, {(0, 0): 1, (2, 1): 3}, _pmul({(0, 0): 1, (1, 0): -1, (1, 1): -1},
+                                                 {(0, 0): 1, (1, 0): -2})), 5))
+# one variable with period 2, two variables with period 6, and four variables
+@example((_spec(1, {(0,): 1}, _pmul({(0,): 1, (2,): -2}, {(0,): 1, (2,): 1, (6,): -1})), 13))
+@example((_spec(2, {(0, 0): 1}, _pmul({(0, 0): 1, (2, 0): -1, (0, 3): -1}, {(0, 0): 1, (2, 0): -2})), 13))
+@example((_spec(4, {(0, 0, 0, 0): 1}, _pmul({(0, 0, 0, 0): 1, (1, 0, 0, 0): -1, (0, 1, 1, 0): -1},
+                                            {(0, 0, 0, 0): 1, (0, 0, 1, 0): -1, (0, 0, 0, 1): -1,
+                                             (1, 0, 0, 1): 2})), 4))
 def test_diagonal_of_product_matches_bruteforce(case):
     spec, n_terms = case
     assert list(gen_diagonal(spec, n_terms).coeffs) == diagonal_bruteforce(spec, n_terms)
+
+
+def _spans_call(spec, n_terms):
+    """The arguments and result of the one ``_spans`` call of gen_diagonal."""
+    seen = []
+
+    def spy(stages, ext, reads):
+        seen.append((stages, ext, reads, _spans(stages, ext, reads)))
+        return seen[-1][-1]
+
+    with mock.patch.object(generators, "_spans", spy):
+        gen_diagonal(spec, n_terms)
+    (call,) = seen
+    return call
+
+
+@settings(max_examples=100, deadline=None)
+@given(factored_specs())
+# terms on the last axis alone in the first stage and in the second
+@example((_spec(3, {(0, 0, 0): 1}, _criterion_6_den(C6II)), 7))
+@example((_spec(2, {(0, 0): 1}, _pmul({(0, 0): 1, (1, 0): -1, (2, 0): -1, (3, 0): -3},
+                                      {(0, 0): 1, (0, 1): -1, (0, 2): -2})), 7))
+def test_spans_are_closed_and_nest(case):
+    stages, ext, reads, spans = _spans_call(*case)
+    assert len(spans) == len(stages)
+    for e in reads:
+        lo, hi = spans[-1][e[:-1]]
+        assert lo <= e[-1] <= hi
+    for terms, need in zip(stages, spans):
+        for row, (lo, hi) in need.items():
+            assert all(0 <= x <= m for x, m in zip(row, ext)) and 0 <= lo <= hi <= ext[-1]
+            # the cells of the span with e - t in the box need only cells in the spans
+            for t in terms:
+                src = tuple(map(sub, row, t[:-1]))
+                if min(src) < 0 or hi < t[-1]:
+                    continue
+                a, b = need[src]
+                assert a <= max(lo, t[-1]) - t[-1] and hi - t[-1] <= b
+    for outer, inner in zip(spans, spans[1:]):
+        for row, (lo, hi) in inner.items():
+            a, b = outer[row]
+            assert a <= lo and hi <= b
+
+
+def _stage_cells(spec, n_terms):
+    """The cells each stage of gen_diagonal's sweep fills, stopped before
+    the sweep runs."""
+    class Stop(Exception):
+        pass
+
+    def spy(*args):
+        raise Stop([sum(hi + 1 - lo for lo, hi in need.values()) for need in _spans(*args)])
+
+    with mock.patch.object(generators, "_spans", spy), pytest.raises(Stop) as stop:
+        gen_diagonal(spec, n_terms)
+    return stop.value.args[0]
+
+
+def test_spans_cell_counts_pinned():
+    # a sweep of the whole box fills 120^3 = 1 728 000 cells a stage for
+    # criterion 6 (i) and 189 * 95 * 189 = 3 393 495 for (ii)
+    assert _stage_cells(_spec(3, {(0, 0, 0): 1}, _criterion_6_den(C6I)), 120) == [1432820, 295240]
+    assert _stage_cells(_spec(3, {(0, 0, 0): 1}, _criterion_6_den(C6II)), 190) == [3393495, 576080]
 
 
 def test_stepset_rejects_non_integer_steps():

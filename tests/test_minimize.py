@@ -71,6 +71,12 @@ def test_guess_random_series_has_no_operator():
         assert guess_annihilator(f, 2, 2) is None
 
 
+def test_guess_skips_orders_without_precision():
+    # 8 terms leave every order a negative degree cap, so no order is searched
+    with mock.patch.object(minimize, "_search_order", side_effect=AssertionError):
+        assert guess_annihilator(TruncSeries([1] * 8), 4) is None
+
+
 def test_certify_true_for_self(apery_op, apery_init):
     f = unroll(apery_op, apery_init, 40)
     assert certify_annihilates(apery_op, apery_op, f) is True

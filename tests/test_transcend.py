@@ -316,6 +316,14 @@ def test_verify_rejects_logarithm_step_at_other_branch(valid_reports):
     assert verify_report(op, init, rep) == (False, "logarithm step does not replay")
 
 
+@pytest.mark.parametrize("point", ["x", {"modulus": ["-2", "0", "1"]}, {"kind": "rational"}])
+def test_verify_rejects_malformed_deciding_point(valid_reports, point):
+    # a point that does not parse has no branch to replay: rejected, not raised
+    op, init, rep = copy.deepcopy(valid_reports[0])
+    rep["certificate"][-1]["point"] = point
+    assert verify_report(op, init, rep) == (False, "nonsplitting step does not replay")
+
+
 _EXP = (DiffOp([Poly([-1]), Poly([1])]), TruncSeries([1]))
 _CLUSTER = (DiffOp([Poly([1]), Poly(), Poly([4, 0, -4, 0, 1])]), TruncSeries([1, 0]))  # (z^2-2)^2 D^2 + 1
 
