@@ -28,16 +28,28 @@ arithmetic, so they compute as few big integers as they can:
   than cell by cell in Python, each row passing through one stage per
   factor.  Each stage fills only the span of each row that the diagonal
   reads through it and the later stages (``_spans``).
+
+The sweep itself is ``_sweep.sweep``.  On a large box with 3 or more
+variables and a second CPU, it runs over the lower rows here and over the
+upper rows in a worker process, which this process feeds the band of
+lower rows the upper ones read, one layer at a time.  The worker is
+``_sweep.py`` run as a script by ``python -S -I``: that module imports
+nothing of ``dfinite``, so the worker starts in about 12 ms.  A worker
+made by ``multiprocessing``'s spawn would import ``dfinite``, numpy and
+sympy first (0.15 s), and ``os.fork`` is unsafe here because importing
+numpy starts threads.
 """
 
 from __future__ import annotations
 
+import os
+import sys
 from fractions import Fraction
 from functools import reduce
-from itertools import accumulate, chain, product, repeat
+from itertools import chain, product, repeat
 from math import comb, gcd, lcm
 from operator import add, floordiv, mul, sub
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import InputError
 from .rationals import QQ, Q0
@@ -46,6 +58,13 @@ from .series import TruncSeries
 # ---------------------------------------------------------------------------
 # Binomial sums  sum_k C(n,k)^p0 * C(n+k,k)^p1 * ... * C(n+mk,k)^pm
 # ---------------------------------------------------------------------------
+
+
+def _check_terms(n_terms: int) -> None:
+    if not isinstance(n_terms, int):
+        raise InputError("the number of terms %r is not an integer" % (n_terms,))
+    if n_terms < 1:
+        raise InputError("need at least one term")
 
 
 def _progression(start: int, step: int, count: int) -> Iterable[int]:
@@ -69,12 +88,13 @@ def gen_binomial_sum(powers: Sequence[int], n_terms: int) -> TruncSeries:
     the row of summands is added up by ``sum``.
     """
     p = list(powers)
+    if not all(isinstance(e, int) for e in p):
+        raise InputError("the powers %r are not all integers" % (p,))
     if not p or p[0] < 1:
         raise InputError("powers[0] must be at least 1")
     if any(e < 0 for e in p):
         raise InputError("negative exponents not supported")
-    if n_terms < 1:
-        raise InputError("need at least one term")
+    _check_terms(n_terms)
     rows = {j: [] for j, e in enumerate(p) if e}  # rows[j][k] = C(n + j*k, k)
     by_exp: Dict[int, List[int]] = {}
     for j in rows:
@@ -134,8 +154,7 @@ def gen_walk(steps: StepSet, n_terms: int) -> TruncSeries:
     Dynamic programming over the end positions of the walks of each
     length.  Every walk is counted, so no reachable position is pruned.
     """
-    if n_terms < 1:
-        raise InputError("need at least one term")
+    _check_terms(n_terms)
     state: Dict[Tuple[int, int], int] = {(0, 0): 1}
     counts = [1]
     for _ in range(1, n_terms):
@@ -340,35 +359,87 @@ def _spans(stages: List[List[Tuple[int, ...]]], ext: Sequence[int],
     putting lo at 0.  So a stage's spans hold the next stage's, and every
     cell in them is exact once they are filled.
     """
-    def widen(row: Tuple[int, ...], lo: int, hi: int) -> None:
-        if row in need:
-            a, b = need[row]
-            lo, hi = min(a, lo), max(b, hi)
-        need[row] = (lo, hi)
-
-    need: Dict[Tuple[int, ...], Tuple[int, int]] = {}
+    # flat rows, each axis padded below its start so that r - t stays on the grid
+    box = ext[:-1]
+    pad = [max((t[i] for terms in stages for t in terms), default=0) for i in range(len(box))]
+    strides, size = [0] * len(box), 1
+    for i in range(len(box) - 1, -1, -1):
+        strides[i] = size
+        size *= box[i] + 1 + pad[i]
+    flat = [sum(map(mul, pad, strides))]  # box rows, in the order of ``cells``
+    for x, st in zip(box, strides):
+        flat = [f + i * st for f in flat for i in range(x + 1)]
+    cells = list(product(*(range(x + 1) for x in box)))
+    lo, hi = [ext[-1] + 1] * size, [-1] * size  # hi < 0: no span
     for e in reads:
-        widen(e[:-1], e[-1], e[-1])
+        r = flat[0] + sum(map(mul, e[:-1], strides))
+        lo[r], hi[r] = min(lo[r], e[-1]), max(hi[r], e[-1])
     out = []
     for terms in reversed(stages):
-        need = dict(need)
+        lo, hi = lo[:], hi[:]
         along = any(not any(t[:-1]) for t in terms)
-        cross = [(t[:-1], t[-1]) for t in terms if any(t[:-1])]
-        for row in product(*(range(x, -1, -1) for x in ext[:-1])):
-            span = need.get(row)
-            if span is None:
+        cross = [(sum(map(mul, t[:-1], strides)), t[-1]) for t in terms if any(t[:-1])]
+        for r in reversed(flat):
+            h = hi[r]
+            if h < 0:
                 continue
-            lo, hi = span
-            if along and lo:
-                lo = 0
-                need[row] = (0, hi)
+            v = lo[r]
+            if along and v:
+                v = lo[r] = 0
             for d, s in cross:
-                r = tuple(map(sub, row, d))
-                if hi >= s and min(r) >= 0:
-                    widen(r, max(0, lo - s), hi - s)
-        out.append(need)
+                if h >= s:
+                    q = r - d
+                    w = v - s if v > s else 0
+                    if w < lo[q]:
+                        lo[q] = w
+                    if h - s > hi[q]:
+                        hi[q] = h - s
+        out.append({row: (lo[r], hi[r]) for row, r in zip(cells, flat) if hi[r] >= 0})
     out.reverse()
     return out
+
+
+# A sweep of at most this many cells runs in-process.  The worker takes
+# about 15 ms to start and read its job, and on a 2-CPU machine the split
+# went from slower to faster than one process between 130 000 and 250 000
+# cells (criterion 6 (i) and (ii) at 50 to 85 terms).
+_SPLIT_CELLS = 250_000
+
+
+def _split_at(spans: List[Dict[Tuple[int, ...], Tuple[int, int]]], ext: Sequence[int]) -> Optional[int]:
+    """The axis-1 coordinate from which a worker process sweeps the rows
+    of ``gen_diagonal``'s box, or None to sweep every row here.
+
+    The split needs a row axis to split (3 or more axes), a second usable
+    CPU, an interpreter and ``_sweep.py`` on disk, and more than
+    ``_SPLIT_CELLS`` cells in ``spans``.  It falls at the work median:
+    the lower rows hold at least half of the cells, and the upper rows
+    must hold some.
+    """
+    from . import _sweep
+
+    if len(ext) < 3:
+        return None
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        cpus = os.cpu_count() or 1
+    if cpus < 2 or not (sys.executable and os.path.isfile(sys.executable)
+                        and os.path.isfile(_sweep.__file__)):
+        return None
+    work = [0] * (ext[1] + 1)
+    for need in spans:
+        for row, (lo, hi) in need.items():
+            work[row[1]] += hi + 1 - lo
+    total = sum(work)
+    if total <= _SPLIT_CELLS:
+        return None
+    done = 0
+    for cut, w in enumerate(work, 1):
+        done += w
+        if 2 * done >= total:
+            break
+    return cut if done < total else None
 
 
 def gen_diagonal(spec: DiagonalSpec, n_terms: int) -> TruncSeries:
@@ -377,7 +448,7 @@ def gen_diagonal(spec: DiagonalSpec, n_terms: int) -> TruncSeries:
     Expands F = num/den inside a box by dividing by den's factors in
     turn, F_1 = num/D_1, F_j = F_(j-1)/D_j, each division the convolution
     recurrence F_j[e] = F_(j-1)[e] - sum_t D_j[t] F_j[e - t] (D_j[0] = 1),
-    in six steps:
+    in seven steps:
 
     - Scale to integers.  With c0 = den[0] and L the lcm of the
       denominators of den/c0, x_i -> L x_i turns a term c x^e of den/c0
@@ -423,9 +494,19 @@ def gen_diagonal(spec: DiagonalSpec, n_terms: int) -> TruncSeries:
       inside them; a row with no span is skipped in that stage and every
       later one.  Criterion 6 (i) at 120 terms fills 1 432 820 and
       295 240 of the box's 1 728 000 cells in its two stages.
+    - Split the rows between two processes (``_split_at``,
+      ``_sweep.sweep_pair``).  With 3 or more variables, 2 usable CPUs
+      and more than ``_SPLIT_CELLS`` cells in the spans, the rows are cut
+      on axis 1 at the work median: this process sweeps the lower rows
+      and a worker the upper ones, layer by layer at the same time.  Term
+      offsets are nonnegative, so a row reads only lower rows, and the
+      upper rows read the lower ones only in the band of rows just below
+      the cut, as many as the largest axis-1 offset of a factor term.
+      After each layer this process sends the worker that band, one
+      contiguous slice per stage; the worker sends its diagonal cells
+      back at the end.  Every cell is the same integer either way.
     """
-    if n_terms < 1:
-        raise InputError("need at least one term")
+    _check_terms(n_terms)
     k = spec.den.nvars
     one = (0,) * k
     c0 = spec.den.constant_term()
@@ -492,8 +573,7 @@ def gen_diagonal(spec: DiagonalSpec, n_terms: int) -> TruncSeries:
             groups.append((m, ts))
         along = [(e[-1], c) for e, c in f if not any(e[:-1])]
         window = max((t[0] for ts in cross.values() for t in ts), default=0) + 1
-        layers = [[0] * (margin + size) for _ in range(window)]  # zero layers before layer 0
-        stages.append((groups, along, layers))
+        stages.append((groups, along, window))
     sources: Dict[Tuple[int, int], List] = {}
     for e, c in num.items():
         e = squeeze(e)
@@ -506,60 +586,30 @@ def gen_diagonal(spec: DiagonalSpec, n_terms: int) -> TruncSeries:
     for t, cell in enumerate(diag):
         reads.setdefault(cell[0], []).append((t * period, margin + offset(cell)))
 
+    from . import _sweep  # not imported with the package: only a diagonal needs it
+
+    cut = _split_at(spans, ext)
+    if cut is None:
+        cells = _sweep.sweep(ext[0] + 1, margin + size, stages, rows, spans, sources, reads)
+    else:
+        # rows from axis-1 coordinate ``cut`` on are the worker's; they read
+        # the lower rows only through the band
+        first = margin + cut * strides[1]
+        reach = max((e[1] for f in factors for e, _ in f), default=0)
+        band = (first - min(cut, reach) * strides[1], first) if reach else None
+
+        def part(upper: bool) -> tuple:
+            return (ext[0] + 1, margin + size, stages,
+                    [(mid, base) for mid, base in rows if (base >= first) == upper],
+                    [{row: span for row, span in need.items() if (row[1] >= cut) == upper}
+                     for need in spans],
+                    {key: src for key, src in sources.items() if (key[1] >= first) == upper},
+                    {a: [(n, pos) for n, pos in ns if (pos >= first) == upper] for a, ns in reads.items()})
+
+        cells = _sweep.sweep_pair(part(False), part(True), band)
     out = [0] * n_terms
-    for a in range(ext[0] + 1):
-        active = []
-        for (groups, along, layers), need in zip(stages, spans):
-            cur = [0] * (margin + size)
-            layers.append(cur)
-            del layers[0]
-            active.append(([(m, [(layers[-1 - t0], off, pos) for t0, off, pos in ts])
-                            for m, ts in groups], along, cur, need))
-        for mid, base in rows:
-            row = (a,) + mid
-            acc = None
-            src = sources.get((a, base), ())
-            for groups, along, cur, need in active:
-                span = need.get(row)
-                if span is None:
-                    break  # no later stage reads this row either
-                if acc is not None:
-                    # the previous stage's row, cut to this stage's span
-                    acc = acc[span[0] - lo:span[1] - lo + 1]
-                lo, hi = span
-                for m, ts in groups:
-                    part = None
-                    for lay, off, pos in ts:
-                        cells = lay[base - off + lo:base - off + hi + 1]
-                        part = cells if part is None else map(add if pos else sub, part, cells)
-                    if acc is None:
-                        acc = part if m == 1 else map(m.__mul__, part)
-                    elif m == 1:
-                        acc = map(add, acc, part)
-                    elif m == -1:
-                        acc = map(sub, acc, part)
-                    else:
-                        acc = map(add, acc, map(m.__mul__, part))
-                acc = [0] * (hi + 1 - lo) if acc is None else list(acc)
-                for v, c in src:
-                    if lo <= v <= hi:
-                        acc[v - lo] += c
-                src = ()
-                # a stage with terms on the last axis alone has lo = 0
-                if len(along) == 1:
-                    d, c = along[0]
-                    step = add if c == 1 else (lambda prev, x: x + c * prev)
-                    for r in range(d):
-                        acc[r::d] = accumulate(acc[r::d], step)
-                elif along:
-                    for v in range(hi + 1):
-                        for d, c in along:
-                            if d <= v:
-                                acc[v] += c * acc[v - d]
-                cur[base + lo:base + hi + 1] = acc
-        cur = active[-1][2]
-        for n, pos in reads.get(a, ()):
-            out[n] = cur[pos]
+    for n, c in cells:
+        out[n] = c
     return TruncSeries([QQ(c, mult * scale ** (k * n)) for n, c in enumerate(out)])
 
 

@@ -32,6 +32,20 @@ def _time_limit(pytestconfig):
     faulthandler.cancel_dump_traceback_later()
 
 
+@pytest.fixture(autouse=True)
+def _no_child_left():
+    """Fail a test after which this process still has a child, running
+    or exited and not waited for, such as a sweep worker of
+    ``gen_diagonal`` that outlived its call."""
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return  # no child at all
+    pytest.fail("a child process (%s) outlived the test"
+                % ("still running" if pid == 0 else "pid %d, not waited for" % pid))
+
+
 @pytest.fixture(scope="session")
 def apery_op():
     # (z^4-34z^3+z^2) D^3 + (6z^3-153z^2+3z) D^2 + (7z^2-112z+1) D + (z-5)

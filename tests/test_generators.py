@@ -1,5 +1,9 @@
 import hashlib
 import math
+import os
+import subprocess
+import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from math import comb, lcm
 from operator import sub
@@ -20,7 +24,7 @@ from dfinite import (
     gen_diagonal,
     gen_walk,
 )
-from dfinite import generators
+from dfinite import _sweep, generators
 from dfinite.errors import InputError
 from dfinite.generators import _content_factors, _pgcd, _pmul, _spans
 from dfinite.rationals import QQ
@@ -558,12 +562,110 @@ def test_spans_cell_counts_pinned():
     assert _stage_cells(_spec(3, {(0, 0, 0): 1}, _criterion_6_den(C6II)), 190) == [3393495, 576080]
 
 
+@contextmanager
+def _split(cells):
+    """gen_diagonal with the given ``_SPLIT_CELLS``, on two usable CPUs,
+    counting the workers it starts."""
+    with mock.patch.object(generators, "_SPLIT_CELLS", cells), \
+            mock.patch.object(os, "sched_getaffinity", lambda pid: {0, 1}, create=True), \
+            mock.patch.object(subprocess, "Popen", wraps=subprocess.Popen) as popen:
+        yield popen
+
+
+# the factors have no term off axis 1 (z, after y is made the last axis):
+# the worker's rows read none of the caller's
+EMPTY_BAND = (_spec(3, {(0, 0, 0): 1, (1, 1, 1): 3, (0, 0, 1): 2}, {(0, 0, 0): 1, (1, 1, 0): -1, (2, 0, 0): -2}), 6)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(diagonal_specs(), factored_specs()).filter(lambda case: case[0].den.nvars >= 3))
+@example(EMPTY_BAND)
+# a one-row box: the upper range would be empty, so nothing is split
+@example((_spec(3, {(0, 0, 0): 1}, _criterion_6_den(C6I)), 1))
+# the band is two rows of the first stage (7yz and 13z^2 reach back two rows)
+@example((_spec(3, {(0, 0, 0): 1}, _criterion_6_den(C6I)), 7))
+@example((_spec(3, {(0, 0, 0): 1}, _criterion_6_den(C6II)), 7))
+# the second stage, 1 - y - 2z, reads the band too
+@example((_spec(3, {(0, 0, 0): 1}, _pmul({(0, 0, 0): 1, (1, 0, 0): -1, (0, 1, 0): -1, (0, 0, 1): -1, (1, 1, 1): 2},
+                                         {(0, 0, 0): 1, (0, 1, 0): -1, (0, 0, 1): -2})), 6))
+def test_diagonal_split_matches_in_process(case):
+    spec, n_terms = case
+    with _split(math.inf) as popen:
+        whole = gen_diagonal(spec, n_terms)
+    assert not popen.called
+    with _split(0):
+        assert gen_diagonal(spec, n_terms) == whole
+    assert list(whole.coeffs) == diagonal_bruteforce(spec, n_terms)
+
+
+def test_diagonal_split_starts_one_worker_where_rows_split():
+    for (spec, n_terms), workers in [(EMPTY_BAND, 1), ((_spec(3, {(0, 0, 0): 1}, _criterion_6_den(C6I)), 1), 0),
+                                     ((_spec(3, {(0, 0, 0): 1}, _criterion_6_den(C6II)), 7), 1),
+                                     ((_spec(2, {(0, 0): 1}, {(0, 0): 1, (1, 0): -1, (0, 1): -1}), 9), 0)]:
+        with _split(0) as popen:
+            gen_diagonal(spec, n_terms)
+        assert popen.call_count == workers
+        if workers:
+            assert popen.call_args.args[0] == [sys.executable, "-S", "-I", _sweep.__file__]
+
+
+def test_diagonal_split_pinned():
+    # criterion 6 (i) at 30 terms fills 27 015 cells: split, it gives the
+    # terms a cell-by-cell expansion gives
+    spec = _spec(3, {(0, 0, 0): 1}, _criterion_6_den(C6I))
+    with _split(0) as popen:
+        f = gen_diagonal(spec, 30)
+    assert popen.call_count == 1
+    with _split(math.inf):
+        assert f == gen_diagonal(spec, 30)
+    assert list(f.coeffs[:8]) == diagonal_bruteforce(spec, 8)
+
+
+def test_diagonal_worker_that_exits_raises(monkeypatch):
+    # /bin/false exits at once: the caller's bands or its read of the
+    # result hit a closed pipe, and no series comes back
+    monkeypatch.setattr(sys, "executable", "/bin/false")
+    for n_terms in (7, 30):
+        with _split(0) as popen, pytest.raises(RuntimeError):
+            gen_diagonal(_spec(3, {(0, 0, 0): 1}, _criterion_6_den(C6I)), n_terms)
+        assert popen.call_count == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_diagonal_one_cpu_starts_no_worker(monkeypatch):
+    spec, n_terms = _spec(3, {(0, 0, 0): 1}, _criterion_6_den(C6II)), 7
+    spy = mock.Mock(wraps=subprocess.Popen)
+    monkeypatch.setattr(subprocess, "Popen", spy)
+    monkeypatch.setattr(generators, "_SPLIT_CELLS", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
+    assert list(gen_diagonal(spec, n_terms).coeffs) == diagonal_bruteforce(spec, n_terms)
+    # where the affinity is unknown, the CPU count stands in
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    gen_diagonal(spec, n_terms)
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    gen_diagonal(spec, n_terms)
+    assert not spy.called
+
+
 def test_stepset_rejects_non_integer_steps():
     # int() once truncated these: (0.5, 1) became (0, 1) and '1' became 1
     for steps in ([(0.5, 1), (1.9, 0)], [("1", 1)], [(1, None)], [(0, 1), (Fraction(1), 0)]):
         with pytest.raises(InputError):
             StepSet(steps)
     assert StepSet([(1, -1), (1, -1), (0, 2)]).steps == {(1, -1), (0, 2)}
+
+
+def test_generators_reject_non_integer_counts():
+    # a float once failed inside the sweep, range or Fraction with a TypeError
+    spec = _spec(3, {(0, 0, 0): 1}, _criterion_6_den(C6I))
+    for bad in (lambda: gen_diagonal(spec, 5.0), lambda: gen_diagonal(spec, "5"),
+                lambda: gen_walk(TRIDENT_STEPS, 5.0), lambda: gen_walk(TRIDENT_STEPS, Fraction(5)),
+                lambda: gen_binomial_sum([2, 2], 5.0), lambda: gen_binomial_sum([2.0, 2], 5),
+                lambda: gen_binomial_sum([1, Fraction(1)], 5), lambda: gen_binomial_sum([2, None], 5)):
+        with pytest.raises(InputError):
+            bad()
 
 
 def test_generator_input_errors_and_reprs():
