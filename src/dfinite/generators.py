@@ -27,14 +27,19 @@ arithmetic, so they compute as few big integers as they can:
   row at a time, in C loops (``map``, ``itertools.accumulate``) rather
   than cell by cell in Python, each row passing through one stage per
   factor.  Each stage fills only the span of each row that the diagonal
-  reads through it and the later stages (``_spans``).
+  reads through it and the later stages (``_spans``).  A first factor
+  D_1 = 1 - c x - R with R's exponents linearly independent, over a
+  constant num, is multinomial: its coefficient at x^a X^e is
+  c^a C(a + K_R(e), a) times R's, so it is filled layer by layer by that
+  exact ratio from layer 0 alone, on only the cells the next stage reads.
 
 The sweep itself is ``_sweep.sweep``.  On a large box with 3 or more
 variables and a second CPU, it runs over the lower rows here and over the
 upper rows in a worker process, which this process feeds the band of
 lower rows the upper ones read, one layer at a time.  The worker is
 ``_sweep.py`` run as a script by ``python -S -I``: that module imports
-nothing of ``dfinite``, so the worker starts in about 12 ms.  A worker
+nothing of ``dfinite``, so the worker starts in about 12 ms, and it is
+started before the sweep is set up, so that it starts meanwhile.  A worker
 made by ``multiprocessing``'s spawn would import ``dfinite``, numpy and
 sympy first (0.15 s), and ``os.fork`` is unsafe here because importing
 numpy starts threads.
@@ -47,7 +52,7 @@ import sys
 from fractions import Fraction
 from functools import reduce
 from itertools import chain, product, repeat
-from math import comb, gcd, lcm
+from math import comb, gcd, lcm, prod
 from operator import add, floordiv, mul, sub
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -343,8 +348,54 @@ def _content_factors(den: Dict) -> List[Dict]:
     return factors
 
 
-def _spans(stages: List[List[Tuple[int, ...]]], ext: Sequence[int],
-           reads: Sequence[Tuple[int, ...]]) -> List[Dict[Tuple[int, ...], Tuple[int, int]]]:
+def _unit_weights(vectors: List[Tuple[int, ...]], k: int) -> Optional[List[Fraction]]:
+    """A rational w in Q^k with w . t = 1 for every t in ``vectors``, or
+    None if they are linearly dependent (Gauss-Jordan elimination, free
+    coordinates 0)."""
+    done: List[Tuple[int, List[Fraction]]] = []  # (pivot column, reduced row)
+    for t in vectors:
+        row = [Fraction(x) for x in t] + [Fraction(1)]
+        for col, piv in done:
+            if row[col]:
+                row = [a - row[col] * b for a, b in zip(row, piv)]
+        col = next((i for i in range(k) if row[i]), None)
+        if col is None:
+            return None
+        row = [a / row[col] for a in row]
+        done = [(c, [a - piv[col] * b for a, b in zip(piv, row)]) for c, piv in done]
+        done.append((col, row))
+    w = [Fraction(0)] * k
+    for col, row in done:
+        w[col] = row[-1]
+    return w
+
+
+def _multinomial(factor: Dict[Tuple[int, ...], int], num: Dict[Tuple[int, ...], int],
+                 g: Sequence[int], last: int) -> Optional[Tuple[int, List[Fraction]]]:
+    """(i, w) when num/D, D = 1 - sum of ``factor``'s terms with exponents
+    divided by the lattice ``g``, is ``gen_diagonal``'s multinomial first
+    stage, D = 1 - c x_i - R; else None.
+
+    That needs num a constant, and x_i (i != last) in exactly one term of
+    D, that term being x_i itself; R's exponents t must be linearly
+    independent, and w has w . t = 1 for each, so w . e = K_R(e), R's
+    multiplicity at a cell e of R's lattice.  Whether R is independent
+    does not depend on which such x_i is taken, so the first is.
+    """
+    k = len(g)
+    if list(num) != [(0,) * k]:
+        return None
+    terms = [tuple(x // gi if gi else 0 for x, gi in zip(e, g)) for e in factor]
+    for i in range(k):
+        hits = [e for e in terms if e[i]]
+        if i != last and len(hits) == 1 and sum(hits[0]) == 1:
+            w = _unit_weights([e for e in terms if not e[i]], k)
+            return None if w is None else (i, w)
+    return None
+
+
+def _spans(stages: List[List[Tuple[int, ...]]], ext: Sequence[int], reads: Sequence[Tuple[int, ...]],
+           ratio: bool = False) -> List[Dict[Tuple[int, ...], Tuple[int, int]]]:
     """The cells each stage of ``gen_diagonal``'s sweep fills, as one span
     (lo, hi) on the last axis per row (a cell without its last coordinate).
 
@@ -358,6 +409,12 @@ def _spans(stages: List[List[Tuple[int, ...]]], ext: Sequence[int],
     hi - s), s = t's last coordinate, and a term on the last axis alone
     putting lo at 0.  So a stage's spans hold the next stage's, and every
     cell in them is exact once they are filled.
+
+    With ``ratio``, stage 0 is a multinomial stage: its terms are the unit
+    (1, 0, ..., 0) and R's, and above layer 0 it fills each cell from the
+    cell one layer down alone (``gen_diagonal``), so there a row only
+    widens the same row one layer down to its own span; layer 0's rows
+    are then closed under the terms as above.
     """
     # flat rows, each axis padded below its start so that r - t stays on the grid
     box = ext[:-1]
@@ -375,15 +432,25 @@ def _spans(stages: List[List[Tuple[int, ...]]], ext: Sequence[int],
         r = flat[0] + sum(map(mul, e[:-1], strides))
         lo[r], hi[r] = min(lo[r], e[-1]), max(hi[r], e[-1])
     out = []
-    for terms in reversed(stages):
+    for j in range(len(stages) - 1, -1, -1):
+        terms = stages[j]
         lo, hi = lo[:], hi[:]
         along = any(not any(t[:-1]) for t in terms)
         cross = [(sum(map(mul, t[:-1], strides)), t[-1]) for t in terms if any(t[:-1])]
+        # rows from ``above`` on are a multinomial stage's layers 1..
+        above = (pad[0] + 1) * strides[0] if ratio and not j else size
         for r in reversed(flat):
             h = hi[r]
             if h < 0:
                 continue
             v = lo[r]
+            if r >= above:
+                q = r - strides[0]
+                if v < lo[q]:
+                    lo[q] = v
+                if h > hi[q]:
+                    hi[q] = h
+                continue
             if along and v:
                 v = lo[r] = 0
             for d, s in cross:
@@ -406,26 +473,28 @@ def _spans(stages: List[List[Tuple[int, ...]]], ext: Sequence[int],
 _SPLIT_CELLS = 250_000
 
 
-def _split_at(spans: List[Dict[Tuple[int, ...], Tuple[int, int]]], ext: Sequence[int]) -> Optional[int]:
-    """The axis-1 coordinate from which a worker process sweeps the rows
-    of ``gen_diagonal``'s box, or None to sweep every row here.
-
-    The split needs a row axis to split (3 or more axes), a second usable
-    CPU, an interpreter and ``_sweep.py`` on disk, and more than
-    ``_SPLIT_CELLS`` cells in ``spans``.  It falls at the work median:
-    the lower rows hold at least half of the cells, and the upper rows
-    must hold some.
-    """
+def _can_split() -> bool:
+    """Whether a worker process can sweep rows here: a second usable CPU,
+    an interpreter and ``_sweep.py`` on disk."""
     from . import _sweep
 
-    if len(ext) < 3:
-        return None
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # not on every platform
         cpus = os.cpu_count() or 1
-    if cpus < 2 or not (sys.executable and os.path.isfile(sys.executable)
-                        and os.path.isfile(_sweep.__file__)):
+    return cpus >= 2 and bool(sys.executable) and os.path.isfile(sys.executable) and os.path.isfile(_sweep.__file__)
+
+
+def _split_at(spans: List[Dict[Tuple[int, ...], Tuple[int, int]]], ext: Sequence[int]) -> Optional[int]:
+    """The axis-1 coordinate from which a worker process sweeps the rows
+    of ``gen_diagonal``'s box, or None to sweep every row here.
+
+    The split needs a row axis to split (3 or more axes), ``_can_split``,
+    and more than ``_SPLIT_CELLS`` cells in ``spans``.  It falls at the
+    work median: the lower rows hold at least half of the cells, and the
+    upper rows must hold some.
+    """
+    if len(ext) < 3 or not _can_split():
         return None
     work = [0] * (ext[1] + 1)
     for need in spans:
@@ -448,7 +517,7 @@ def gen_diagonal(spec: DiagonalSpec, n_terms: int) -> TruncSeries:
     Expands F = num/den inside a box by dividing by den's factors in
     turn, F_1 = num/D_1, F_j = F_(j-1)/D_j, each division the convolution
     recurrence F_j[e] = F_(j-1)[e] - sum_t D_j[t] F_j[e - t] (D_j[0] = 1),
-    in seven steps:
+    in eight steps:
 
     - Scale to integers.  With c0 = den[0] and L the lcm of the
       denominators of den/c0, x_i -> L x_i turns a term c x^e of den/c0
@@ -473,6 +542,19 @@ def gen_diagonal(spec: DiagonalSpec, n_terms: int) -> TruncSeries:
       last axis is the one fewest factor terms lie on alone (ties go to
       the longer axis); the first axis is swept layer by layer, and the
       axes between are rows.  The layout is shared by all factors.
+    - Find a multinomial first stage (``_multinomial``).  It needs num a
+      constant, and the compressed first factor D_1 = 1 - c x - R, with x
+      a variable other than the last that lies in one term of D_1, that
+      term being x itself, and R's exponents t linearly independent.
+      Then x is made the first axis.  A cell e of R's lattice is e = sum
+      k_t t for one k, K_R(e) = sum k_t = w . e for a rational w with
+      w . t = 1 for each t (``_unit_weights``), and by the multinomial
+      theorem num/D_1 at x^a X^e is num c^a C(a + K_R(e), a) G_R(e), G_R
+      being 1/(1 - R)'s coefficient; off R's cone it is 0 in every layer.
+      So layer 0 is R's recurrence, and layer a is layer a - 1 times
+      c (q a + q K_R) // (q a), q the lcm of w's denominators: an exact
+      division, whose multiplier is an integer progression along a row.
+      Every other factor and den keeps its recurrence.
     - Sweep whole rows, one stage per factor.  Every axis but the first
       is flattened, padded so that reads before the start of an axis land
       on cells that stay zero, so a factor's term is a constant offset
@@ -483,28 +565,37 @@ def gen_diagonal(spec: DiagonalSpec, n_terms: int) -> TruncSeries:
       the row in order (``accumulate`` when there is one of them).  Each
       row goes through the stages in turn: the first starts from num's
       terms, stage j from the row stage j - 1 has just made, and each
-      stage keeps only the window of layers its own terms read.
+      stage keeps only the window of layers its own terms read (2 for a
+      multinomial stage).
     - Fill only what the diagonal reads.  The last stage is read on the
       diagonal cells, stage j on the cells stage j + 1 fills, and F_j[e]
       needs F_j[e - t] for each term t of D_j.  ``_spans`` closes these
       sets backward, as one span [lo, hi] on the last axis per row and
       stage (lo = 0 when a term lies on the last axis alone), so every
       filled cell is exact and stage j's span is a slice of stage
-      j - 1's.  A stage fills only its spans and adds only the num terms
-      inside them; a row with no span is skipped in that stage and every
-      later one.  Criterion 6 (i) at 120 terms fills 1 432 820 and
-      295 240 of the box's 1 728 000 cells in its two stages.
+      j - 1's.  Above layer 0, a multinomial stage's cell needs only the
+      cell one layer down, so its spans are the next stage's (or the
+      diagonal cells) closed under (1, 0, ..., 0) alone, and then layer
+      0's under R's terms.  A stage fills only its spans and adds only
+      the num terms inside them; a row with no span is skipped in that
+      stage and every later one.  Criterion 6 at 120 terms (i) and 190
+      terms (ii) fills 302 320 and 295 240, and 585 010 and 576 080,
+      cells in its two stages; closed under all of D_1's terms, the first
+      stage filled 1 432 820 and 3 393 495 (the whole box).
     - Split the rows between two processes (``_split_at``,
       ``_sweep.sweep_pair``).  With 3 or more variables, 2 usable CPUs
       and more than ``_SPLIT_CELLS`` cells in the spans, the rows are cut
       on axis 1 at the work median: this process sweeps the lower rows
-      and a worker the upper ones, layer by layer at the same time.  Term
-      offsets are nonnegative, so a row reads only lower rows, and the
-      upper rows read the lower ones only in the band of rows just below
-      the cut, as many as the largest axis-1 offset of a factor term.
-      After each layer this process sends the worker that band, one
-      contiguous slice per stage; the worker sends its diagonal cells
-      back at the end.  Every cell is the same integer either way.
+      and a worker the upper ones, layer by layer at the same time.  The
+      worker is started before den is split, when the box alone holds
+      more than ``_SPLIT_CELLS`` cells, so that it starts while this
+      process sets the sweep up; if the rows then do not split, it gets
+      no job and exits.  Term offsets are nonnegative, so a row reads only
+      lower rows, and the upper rows read the lower ones only in the band
+      of rows just below the cut, as many as the largest axis-1 offset of
+      a factor term.  After each layer this process sends the worker that
+      band, one contiguous slice per stage; the worker sends its diagonal
+      cells back at the end.  Every cell is the same integer either way.
     """
     _check_terms(n_terms)
     k = spec.den.nvars
@@ -516,20 +607,53 @@ def gen_diagonal(spec: DiagonalSpec, n_terms: int) -> TruncSeries:
     num = {e: c / c0 * scale ** sum(e) for e, c in spec.num.terms.items()}
     mult = lcm(*(c.denominator for c in num.values()))
     num = {e: int(c * mult) for e, c in num.items()}
-    split = _content_factors({one: 1, **den})
-    # later stages hold larger cells, so the longest factor goes first
-    split.sort(key=len, reverse=True)
-    factors = [{e: -c for e, c in f.items() if e != one} for f in split]
 
     g = [gcd(*(e[i] for e in chain(den, num))) for i in range(k)]
     period = lcm(*g)
     top = (n_terms - 1) // period if period else 0
     # diagonal cell t (the coefficient of n = t*period) sits at t*walk[i] on axis i
     walk = [period // gi if gi else 0 for gi in g]
+
+    from . import _sweep  # not imported with the package: only a diagonal needs it
+
+    # a box that may split starts its worker now, to start while the set-up runs
+    worker = None
+    if k >= 3 and top and prod(top * w + 1 for w in walk) > _SPLIT_CELLS and _can_split():
+        worker = _sweep.start()
+    try:
+        cells = _diagonal_cells(den, num, g, walk, top, period, worker)
+    finally:
+        if worker is not None:
+            _sweep.stop(worker)
+    out = [0] * n_terms
+    for n, c in cells:
+        out[n] = c
+    return TruncSeries([QQ(c, mult * scale ** (k * n)) for n, c in enumerate(out)])
+
+
+def _diagonal_cells(den: Dict, num: Dict, g: Sequence[int], walk: Sequence[int], top: int, period: int,
+                    worker) -> List[Tuple[int, int]]:
+    """The diagonal terms (n, coefficient) of num/(1 + den) that
+    ``gen_diagonal`` sweeps, from its integer den (without the constant
+    term 1) and num, lattice ``g``, diagonal step ``walk`` and last
+    diagonal cell ``top``; ``worker`` is a worker ``_sweep.start`` has
+    started for a split, or None, and is closed unused if the rows do not
+    split."""
+    from . import _sweep
+
+    k = len(g)
+    one = (0,) * k
+    split = _content_factors({one: 1, **den})
+    # later stages hold larger cells, so the longest factor goes first
+    split.sort(key=len, reverse=True)
+    factors = [{e: -c for e, c in f.items() if e != one} for f in split]
+
     terms = [e for f in factors for e in f]
     alone = [sum(1 for e in terms if not any(e[:i] + e[i + 1:])) for i in range(k)]
     last = min(range(k), key=lambda i: (alone[i], -walk[i]))
-    axes = [i for i in range(k) if i != last] + [last]
+    multi = _multinomial(factors[0], num, g, last)
+    lead = [multi[0]] if multi else []
+    axes = lead + [i for i in range(k) if i != last and i not in lead] + [last]
     if k == 1:
         axes = [None] + axes  # a one-layer first axis
 
@@ -557,6 +681,16 @@ def gen_diagonal(spec: DiagonalSpec, n_terms: int) -> TruncSeries:
             for mid in product(*(range(x + 1) for x in ext[1:-1]))]
     stages = []
     for f in factors:
+        ratio = None
+        if multi and not stages:
+            # a multinomial stage: its terms make layer 0 (where c x reads
+            # zeros), and each later cell is c (a + K) / a times the cell
+            # below it, K = w . (e[1], ...)
+            w = [multi[1][i] for i in axes[1:]]
+            q = lcm(*(x.denominator for x in w))
+            qw = [int(x * q) for x in w]
+            ratio = (dict(f)[(1,) + (0,) * (dims - 1)], q, qw[-1],
+                     {base: sum(map(mul, qw[:-1], mid)) for mid, base in rows})
         # terms off the last axis, grouped by the size of their coefficient
         # so that each group costs one multiplication per cell:
         # m * (r1 +- r2 ...), its first term taken with a plus sign (m is
@@ -573,7 +707,7 @@ def gen_diagonal(spec: DiagonalSpec, n_terms: int) -> TruncSeries:
             groups.append((m, ts))
         along = [(e[-1], c) for e, c in f if not any(e[:-1])]
         window = max((t[0] for ts in cross.values() for t in ts), default=0) + 1
-        stages.append((groups, along, window))
+        stages.append((groups, along, window, ratio))
     sources: Dict[Tuple[int, int], List] = {}
     for e, c in num.items():
         e = squeeze(e)
@@ -581,36 +715,31 @@ def gen_diagonal(spec: DiagonalSpec, n_terms: int) -> TruncSeries:
             row = margin + offset(e[:-1] + (0,))
             sources.setdefault((e[0], row), []).append((e[-1], c))
     diag = [tuple(t * w for w in walk) for t in range(top + 1)]
-    spans = _spans([[e for e, _ in f] for f in factors], ext, diag)
+    spans = _spans([[e for e, _ in f] for f in factors], ext, diag, ratio=bool(multi))
     reads: Dict[int, List[Tuple[int, int]]] = {}
     for t, cell in enumerate(diag):
         reads.setdefault(cell[0], []).append((t * period, margin + offset(cell)))
 
-    from . import _sweep  # not imported with the package: only a diagonal needs it
-
     cut = _split_at(spans, ext)
     if cut is None:
-        cells = _sweep.sweep(ext[0] + 1, margin + size, stages, rows, spans, sources, reads)
-    else:
-        # rows from axis-1 coordinate ``cut`` on are the worker's; they read
-        # the lower rows only through the band
-        first = margin + cut * strides[1]
-        reach = max((e[1] for f in factors for e, _ in f), default=0)
-        band = (first - min(cut, reach) * strides[1], first) if reach else None
+        if worker is not None:
+            worker.stdin.close()  # no job: the worker exits
+        return _sweep.sweep(ext[0] + 1, margin + size, stages, rows, spans, sources, reads)
+    # rows from axis-1 coordinate ``cut`` on are the worker's; they read
+    # the lower rows only through the band
+    first = margin + cut * strides[1]
+    reach = max((e[1] for f in factors for e, _ in f), default=0)
+    band = (first - min(cut, reach) * strides[1], first) if reach else None
 
-        def part(upper: bool) -> tuple:
-            return (ext[0] + 1, margin + size, stages,
-                    [(mid, base) for mid, base in rows if (base >= first) == upper],
-                    [{row: span for row, span in need.items() if (row[1] >= cut) == upper}
-                     for need in spans],
-                    {key: src for key, src in sources.items() if (key[1] >= first) == upper},
-                    {a: [(n, pos) for n, pos in ns if (pos >= first) == upper] for a, ns in reads.items()})
+    def part(upper: bool) -> tuple:
+        return (ext[0] + 1, margin + size, stages,
+                [(mid, base) for mid, base in rows if (base >= first) == upper],
+                [{row: span for row, span in need.items() if (row[1] >= cut) == upper}
+                 for need in spans],
+                {key: src for key, src in sources.items() if (key[1] >= first) == upper},
+                {a: [(n, pos) for n, pos in ns if (pos >= first) == upper] for a, ns in reads.items()})
 
-        cells = _sweep.sweep_pair(part(False), part(True), band)
-    out = [0] * n_terms
-    for n, c in cells:
-        out[n] = c
-    return TruncSeries([QQ(c, mult * scale ** (k * n)) for n, c in enumerate(out)])
+    return _sweep.sweep_pair(part(False), part(True), band, worker or _sweep.start())
 
 
 def apery_diagonal_spec(p: int, q: int) -> DiagonalSpec:

@@ -503,8 +503,8 @@ def _spans_call(spec, n_terms):
     """The arguments and result of the one ``_spans`` call of gen_diagonal."""
     seen = []
 
-    def spy(stages, ext, reads):
-        seen.append((stages, ext, reads, _spans(stages, ext, reads)))
+    def spy(stages, ext, reads, ratio=False):
+        seen.append((stages, ext, reads, ratio, _spans(stages, ext, reads, ratio=ratio)))
         return seen[-1][-1]
 
     with mock.patch.object(generators, "_spans", spy):
@@ -519,15 +519,24 @@ def _spans_call(spec, n_terms):
 @example((_spec(3, {(0, 0, 0): 1}, _criterion_6_den(C6II)), 7))
 @example((_spec(2, {(0, 0): 1}, _pmul({(0, 0): 1, (1, 0): -1, (2, 0): -1, (3, 0): -3},
                                       {(0, 0): 1, (0, 1): -1, (0, 2): -2})), 7))
+# multinomial first stages: the criterion-6 dens, and one factor alone
+@example((_spec(3, {(0, 0, 0): 1}, _criterion_6_den(C6I)), 9))
+@example((_spec(3, {(0, 0, 0): 1}, _criterion_6_den(C6II)), 9))
+@example((_spec(3, {(0, 0, 0): 1}, {(0, 0, 0): 1, (1, 0, 0): -1, (0, 1, 0): -1, (0, 0, 1): -1}), 7))
 def test_spans_are_closed_and_nest(case):
-    stages, ext, reads, spans = _spans_call(*case)
+    stages, ext, reads, ratio, spans = _spans_call(*case)
     assert len(spans) == len(stages)
     for e in reads:
         lo, hi = spans[-1][e[:-1]]
         assert lo <= e[-1] <= hi
-    for terms, need in zip(stages, spans):
+    for j, (terms, need) in enumerate(zip(stages, spans)):
         for row, (lo, hi) in need.items():
             assert all(0 <= x <= m for x, m in zip(row, ext)) and 0 <= lo <= hi <= ext[-1]
+            if ratio and j == 0 and row[0]:
+                # a multinomial stage above layer 0 reads the same row one layer down
+                a, b = need[(row[0] - 1,) + row[1:]]
+                assert a <= lo and hi <= b
+                continue
             # the cells of the span with e - t in the box need only cells in the spans
             for t in terms:
                 src = tuple(map(sub, row, t[:-1]))
@@ -547,8 +556,8 @@ def _stage_cells(spec, n_terms):
     class Stop(Exception):
         pass
 
-    def spy(*args):
-        raise Stop([sum(hi + 1 - lo for lo, hi in need.values()) for need in _spans(*args)])
+    def spy(*args, **kwargs):
+        raise Stop([sum(hi + 1 - lo for lo, hi in need.values()) for need in _spans(*args, **kwargs)])
 
     with mock.patch.object(generators, "_spans", spy), pytest.raises(Stop) as stop:
         gen_diagonal(spec, n_terms)
@@ -557,9 +566,118 @@ def _stage_cells(spec, n_terms):
 
 def test_spans_cell_counts_pinned():
     # a sweep of the whole box fills 120^3 = 1 728 000 cells a stage for
-    # criterion 6 (i) and 189 * 95 * 189 = 3 393 495 for (ii)
-    assert _stage_cells(_spec(3, {(0, 0, 0): 1}, _criterion_6_den(C6I)), 120) == [1432820, 295240]
-    assert _stage_cells(_spec(3, {(0, 0, 0): 1}, _criterion_6_den(C6II)), 190) == [3393495, 576080]
+    # criterion 6 (i) and 189 * 95 * 189 = 3 393 495 for (ii); closed
+    # under every term of the first factor, the first stage filled
+    # 1 432 820 and all 3 393 495, and as a multinomial stage it fills
+    # little more than the second
+    assert _stage_cells(_spec(3, {(0, 0, 0): 1}, _criterion_6_den(C6I)), 120) == [302320, 295240]
+    assert _stage_cells(_spec(3, {(0, 0, 0): 1}, _criterion_6_den(C6II)), 190) == [585010, 576080]
+
+
+def _independent(ts):
+    return len(ts) < 2 or ts[0][0] * ts[1][1] != ts[0][1] * ts[1][0]
+
+
+@st.composite
+def multinomial_specs(draw):
+    """c0 num/den with den = (1 - c x0 - R) D2 in 2 or 3 variables: R's
+    terms are free of x0, linearly independent and together hold every
+    other variable, and D2, free of the last variable, is 1 - a x0 (two
+    variables) or 1 - a x0 - b x0 x1^j (three), so den splits into the two
+    and the first factor is swept first.  Each variable's exponents are
+    scaled by 1 or 2, so the lattice periods are 1 and 2."""
+    k = draw(st.integers(2, 3))
+    scale = draw(st.lists(st.sampled_from([1, 2]), min_size=k, max_size=k))
+    coef = st.integers(-3, 3).filter(bool)
+    rest = st.lists(st.integers(0, 2), min_size=k - 1, max_size=k - 1).filter(any)
+    r = draw(st.lists(rest, min_size=1, max_size=k - 1, unique_by=tuple)
+             .filter(_independent).filter(lambda ts: all(any(t[i] for t in ts) for i in range(k - 1))))
+    c = draw(coef)
+    a = draw(coef.filter(lambda a: a != -c))  # D1 D2 keeps its x0 term
+
+    def mono(e):
+        return tuple(x * g for x, g in zip(e, scale))
+
+    one = (0,) * k
+    x0 = mono((1,) + (0,) * (k - 1))
+    first = {one: 1, x0: -c, **{mono((0, *t)): -draw(coef) for t in r}}
+    second = {one: 1, x0: -a}
+    if k == 3:
+        second[mono((1, draw(st.integers(1, 2)), 0))] = -draw(coef)
+    num = {one: draw(st.sampled_from([QQ(1), QQ(-2), QQ(3, 2)]))}
+    return _spec(k, num, _pmul(first, second)), draw(st.integers(1, 12 if k == 2 else 8))
+
+
+def _diagonal_by_ratio(spec, n_terms):
+    """gen_diagonal's terms, and whether its first stage was multinomial."""
+    seen = []
+
+    def spy(*args, ratio=False):
+        seen.append(ratio)
+        return _spans(*args, ratio=ratio)
+
+    with mock.patch.object(generators, "_spans", spy):
+        terms = list(gen_diagonal(spec, n_terms).coeffs)
+    (ratio,) = seen
+    return terms, ratio
+
+
+def _by_recurrence(spec, n_terms):
+    """gen_diagonal's terms with every stage filled by its recurrence."""
+    with mock.patch.object(generators, "_multinomial", lambda *args: None):
+        return list(gen_diagonal(spec, n_terms).coeffs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(multinomial_specs())
+# the criterion-6 dens; a negative c; R = 7yz + 13z^2 with K_R = (y + z)/2
+@example((_spec(3, {(0, 0, 0): 1}, _criterion_6_den(C6I)), 12))
+@example((_spec(3, {(0, 0, 0): QQ(1, 2)}, _criterion_6_den(C6II)), 13))
+@example((_spec(3, {(0, 0, 0): 1}, _criterion_6_den({**C6I, (1, 0, 0): 3})), 9))
+# a rational den: -5x/2 scales to -5x with x -> 2x
+@example((_spec(3, {(0, 0, 0): 1}, _criterion_6_den(C6I_HALF)), 8))
+# four variables: (1 - 2x - yz - 3w^2)(1 - z - y)
+@example((_spec(4, {(0, 0, 0, 0): 1}, _pmul({(0, 0, 0, 0): 1, (1, 0, 0, 0): -2, (0, 1, 1, 0): -1, (0, 0, 0, 2): -3},
+                                            {(0, 0, 0, 0): 1, (0, 0, 1, 0): -1, (0, 1, 0, 0): -1})), 6))
+def test_multinomial_stage_matches_bruteforce_and_recurrence(case):
+    spec, n_terms = case
+    terms, ratio = _diagonal_by_ratio(spec, n_terms)
+    assert ratio
+    assert terms == diagonal_bruteforce(spec, n_terms)
+    assert terms == _by_recurrence(spec, n_terms)
+
+
+@pytest.mark.parametrize("spec", [
+    # R = y + z + yz is dependent
+    _spec(3, {(0, 0, 0): 1}, _criterion_6_den({(0, 0, 0): 1, (1, 0, 0): -1, (0, 1, 0): -1, (0, 0, 1): -1,
+                                              (0, 1, 1): -1})),
+    # num has a second term
+    _spec(3, {(0, 0, 0): 1, (0, 0, 1): 2}, _criterion_6_den(C6I)),
+    # no variable lies in a single term of den, which does not split
+    apery_diagonal_spec(2, 2),
+])
+def test_multinomial_stage_keeps_the_recurrence_elsewhere(spec):
+    terms, ratio = _diagonal_by_ratio(spec, 6)
+    assert not ratio
+    assert terms == diagonal_bruteforce(spec, 6)
+
+
+def test_multinomial_stage_alone():
+    # 1 - x - y - z is one factor, and its stage is read on the diagonal
+    # cells: [x^n y^n z^n] is (3n)! / n!^3
+    spec = _spec(3, {(0, 0, 0): 1}, {(0, 0, 0): 1, (1, 0, 0): -1, (0, 1, 0): -1, (0, 0, 1): -1})
+    terms, ratio = _diagonal_by_ratio(spec, 40)
+    assert ratio
+    assert terms == [math.factorial(3 * n) // math.factorial(n) ** 3 for n in range(40)]
+    assert terms == _by_recurrence(spec, 40)
+
+
+def test_unit_weights():
+    assert generators._unit_weights([(1, 1), (2, 0)], 2) == [QQ(1, 2), QQ(1, 2)]
+    assert generators._unit_weights([(0, 1, 0), (0, 0, 2)], 3) == [0, 1, QQ(1, 2)]
+    assert generators._unit_weights([], 2) == [0, 0]
+    assert generators._unit_weights([(1, 0), (0, 1), (1, 1)], 2) is None
+    assert generators._unit_weights([(2, 4), (1, 2)], 2) is None
 
 
 @contextmanager
@@ -610,7 +728,7 @@ def test_diagonal_split_starts_one_worker_where_rows_split():
 
 
 def test_diagonal_split_pinned():
-    # criterion 6 (i) at 30 terms fills 27 015 cells: split, it gives the
+    # criterion 6 (i) at 30 terms fills 10 340 cells: split, it gives the
     # terms a cell-by-cell expansion gives
     spec = _spec(3, {(0, 0, 0): 1}, _criterion_6_den(C6I))
     with _split(0) as popen:
@@ -619,6 +737,40 @@ def test_diagonal_split_pinned():
     with _split(math.inf):
         assert f == gen_diagonal(spec, 30)
     assert list(f.coeffs[:8]) == diagonal_bruteforce(spec, 8)
+
+
+def test_sweep_worker_exits_on_an_empty_job():
+    proc = _sweep.start()
+    proc.stdin.close()
+    assert proc.wait(timeout=60) == 0
+    assert proc.stdout.read() == b""
+    _sweep.stop(proc)
+
+
+@pytest.mark.parametrize("num,n_terms,cells,early", [
+    # 7^3 = 343 box cells may split, but the spans hold 186: the worker,
+    # started before den is factored, gets no job
+    ({(0, 0, 0): 1}, 7, 200, True),
+    # 405 box cells may not split, but the two spans hold 500: the worker
+    # starts when the rows split
+    ({(0, 0, 0): 1, (0, 0, 2): 1}, 9, 450, False),
+])
+def test_diagonal_worker_starts_before_the_set_up(monkeypatch, num, n_terms, cells, early):
+    first = C6I if early else C6II
+    spec = _spec(3, num, _criterion_6_den(first))
+    seen = []
+
+    def spy(den):
+        seen.append(popen.call_count)
+        return _content_factors(den)
+
+    monkeypatch.setattr(generators, "_content_factors", spy)
+    with _split(cells) as popen:
+        terms = list(gen_diagonal(spec, n_terms).coeffs)
+    assert seen == [int(early)] and popen.call_count == 1
+    assert terms == diagonal_bruteforce(spec, n_terms)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_diagonal_worker_that_exits_raises(monkeypatch):
