@@ -42,17 +42,28 @@ ring K[eps]/(eps^P); expanding t^eps into powers of eps * log(t) turns
 the eps-coefficients into genuine (possibly logarithmic) solutions.  A
 resonance where division by the indicial value fails with a nonzero
 right-hand side is exactly where a logarithm enters.
+
+Frobenius runs only when the rational roots r, with multiplicities m_r,
+fill the indicial degree, and then q_0 = lc prod_r (lam - r)^(m_r)
+exactly, lc its leading coefficient.  On a cluster branch this holds in
+Q[a]/(g)[lam]: the modulus is squarefree, so the ring is a product of
+number fields; lc is a unit (``_indicial_over`` splits on it otherwise),
+and ``rational_roots_nf`` counted each m_r by exact division by
+(lam - r) on a branch where each value it tested is 0 or a unit, so m_r
+is the multiplicity in every field and the roots fill the degree in
+each.  The pure-series steps that only flag logarithms therefore divide
+by q_0(mu + m) as the one inverse of lc times a rational.
 """
 
 from __future__ import annotations
 
 from functools import reduce
-from math import comb, factorial, lcm
+from math import comb, factorial, lcm, prod
 from typing import Dict, List, Optional, Tuple
 
 from .errors import InputError, IrregularPoint, ZeroDivisorSplit
 from .ore import DiffOp, theta_form
-from .polys import (Poly, _zclear, _zderiv, _zeval, _zexquo, _zgcd, _zprem,
+from .polys import (Poly, _zclear, _zderiv, _zeval, _zexquo, _zgcd, _zmul, _zprem,
                     _zrational_roots, _zresultant, _zshift, _ztrim, format_poly)
 from .quotient import ModRing, split_cases
 from .rationals import QQ, Q1
@@ -141,8 +152,9 @@ def singularities(op: DiffOp) -> List[SingularPoint]:
 
 # ---------------------------------------------------------------------------
 # Theta form and indicial data.  A lambda-polynomial, a row q_k of
-# ``ore.theta_form``, is a plain list of the branch's values: ``_zeval``
-# evaluates it at a rational and ``_jet_eval`` at a jet.
+# ``ore.theta_form``, is a plain list of the branch's values:
+# ``_rows_over_z`` makes it ready for evaluation over Z at rationals, and
+# ``_jet_eval`` evaluates it at a jet.
 # ---------------------------------------------------------------------------
 
 
@@ -497,10 +509,45 @@ def _exponent_classes(roots: List[Tuple[object, int]]) -> List[List[Tuple[object
     return out
 
 
-def _class_flag_mode(qs: List[List], one, cls: List[Tuple[object, int]], order: int):
+def _parts(x, ring: Optional[ModRing]) -> Tuple[Tuple[int, ...], int]:
+    """(integer numerators, denominator) of a value of the branch: one
+    numerator for a rational, one per coordinate for a ring element."""
+    return (x.nums, x.den) if ring is not None else ((x.numerator,), x.denominator)
+
+
+def _rows_over_z(qs: List[List], ring: Optional[ModRing], b: int) -> List:
+    """The theta rows q_1, q_2, ... made ready for evaluation over Z at
+    points p / b: for q_k, (P, d) with q_k(p / b) = sum_i a^i P[i](p) / d,
+    one integer polynomial P[i] per numerator of :func:`_parts`, or None
+    for a zero row.  For q_k of degree n with coefficients N_j / D over
+    one common denominator D, P[i] has coefficients N_j[i] b^(n-j) and
+    d = D b^n."""
+    out = []
+    for q in qs[1:]:
+        if not q:
+            out.append(None)
+            continue
+        parts = [_parts(e, ring) for e in q]
+        den = lcm(*(d for _, d in parts))
+        n = len(q) - 1
+        cols = [[x * (den // d) * b ** (n - j) for x in nums] for j, (nums, d) in enumerate(parts)]
+        out.append(([list(col) for col in zip(*cols)], den * b ** n))
+    return out
+
+
+def _class_flag_mode(data: IndicialData, one, inv_lc, cls: List[Tuple[object, int]], order: int):
     """Pure-series attempts: resonance with nonzero right-hand side flags a
     logarithm; a vanishing right-hand side sets that coefficient to zero.
-    ``one`` is the unit of the branch's coefficients."""
+    ``one`` is the unit of the branch's coefficients.
+
+    The branch's rational roots fill the degree of q_0 and ``inv_lc`` is
+    the inverse of its leading coefficient, so step m divides by
+    q_0(mu + m) = lc prod_r (mu + m - r)^(m_r) as ``inv_lc`` times a
+    rational.  Each row q_k, k >= 1, is evaluated over Z at the step's
+    point (:func:`_rows_over_z`).  A row's value and the division each
+    scale a value of the branch as integer numerators over one
+    denominator, normalized once."""
+    qs, ring = data.theta, data.ring
     zero = one * 0
     sols = []
     obstructions = []
@@ -509,8 +556,22 @@ def _class_flag_mode(qs: List[List], one, cls: List[Tuple[object, int]], order: 
         for r, m in cls:
             if m > 1:
                 obstructions.append((r, 0))
-    roots = {r for r, _ in cls}
+    in_class = {r for r, _ in cls}
     kmax = len(qs) - 1
+    # the points mu + m - k of a class share mu's denominator b
+    b = cls[0][0].denominator
+    rows = _rows_over_z(qs, ring, b)
+    # at X / b, r = u / v: prod_r (X / b - r)^e = prod_r (X v - u b)^e / C,
+    # C = prod_r (b v)^e
+    factors = [(r.denominator, r.numerator * b, e) for r, e in data.rational_roots]
+    scale, scale_den = _parts(inv_lc * -prod((b * v) ** e for v, _, e in factors), ring)
+    # times(nums, den, x): the value with parts (nums, den) times x
+    if ring is None:
+        def times(nums, den, x):
+            return QQ(nums[0] * x.numerator, den * x.denominator)
+    else:
+        def times(nums, den, x):
+            return ring.from_ints(_zmul(nums, x.nums), den * x.den)
     for pos in range(len(cls) - 1, -1, -1):
         mu, mult = cls[pos]
         top = cls[-1][0]
@@ -521,14 +582,16 @@ def _class_flag_mode(qs: List[List], one, cls: List[Tuple[object, int]], order: 
         for m in range(1, n_steps + 1):
             rhs = zero
             for k in range(1, min(m, kmax) + 1):
-                if not qs[k]:
+                row = rows[k - 1]
+                if row is None:
                     continue
                 c = coeffs[m - k]
                 if not c:
                     continue
-                rhs = rhs + _zeval(qs[k], mu + m - k) * c
-            rhs = -rhs
-            if (mu + m) in roots:
+                polys, den = row
+                p = mu.numerator + (m - k) * b
+                rhs = rhs + times([_zeval(P, p) for P in polys], den, c)
+            if mu + m in in_class:
                 if not rhs:
                     coeffs.append(zero)
                 else:
@@ -537,7 +600,11 @@ def _class_flag_mode(qs: List[List], one, cls: List[Tuple[object, int]], order: 
                     ok = False
                     break
             else:
-                coeffs.append(rhs / _zeval(qs[0], mu + m))
+                x = mu.numerator + m * b
+                n = 1
+                for v, ub, e in factors:
+                    n *= (x * v - ub) ** e
+                coeffs.append(times(scale, scale_den * n, rhs))
         if ok:
             sols.append(LogSeries(mu, [coeffs]))
     sols.reverse()
@@ -641,19 +708,29 @@ def formal_solutions(
 
 def _frobenius(data: IndicialData, order: int, mode: str) -> Tuple[List[LogSeries], bool, List]:
     """(solutions, has_logarithms, obstructions) from the theta rows and
-    rational exponents of one branch; ``mode`` as in :func:`formal_solutions`."""
+    rational exponents of one branch; ``mode`` as in :func:`formal_solutions`.
+
+    The rational roots r must fill the indicial degree (an InputError
+    otherwise), so q_0 = lc prod_r (lam - r)^(m_r), over Q at a rational
+    point or infinity and in the branch's ring on a cluster (see the
+    module docstring): flag mode inverts lc once per call and divides each
+    step by it times a rational."""
     if sum(m for _, m in data.rational_roots) < data.degree:
         raise InputError(
             "indicial polynomial at %s has irrational or complex roots; "
             "only rational exponents are supported" % data.point.label()
         )
-    class_mode = _class_flag_mode if mode == "flag" else _class_full_mode
     one = Q1 if data.ring is None else data.ring.one()
+    if mode == "flag":
+        inv_lc = 1 / data.poly[-1]  # the one inversion for every step
     solutions: List[LogSeries] = []
     has_logs = False
     obstructions: List[Tuple[object, int]] = []
     for cls in _exponent_classes(data.rational_roots):
-        sols, logs, obs = class_mode(data.theta, one, cls, order)
+        if mode == "flag":
+            sols, logs, obs = _class_flag_mode(data, one, inv_lc, cls, order)
+        else:
+            sols, logs, obs = _class_full_mode(data.theta, one, cls, order)
         solutions.extend(sols)
         has_logs = has_logs or logs
         obstructions.extend(obs)

@@ -228,8 +228,8 @@ def format_poly(p: Poly, var: str = "z") -> str:
 # Z[z] kernels: integer coefficient lists, lowest degree first, [] for zero.
 # Fraction-free code runs on these without a gcd per operation; they are
 # private so that per-call tracing of the public API leaves them alone.
-# ``_ztrim``, ``_zadd`` and ``_zeval`` take any ring's values (rationals,
-# quotient-ring elements), which ``ore.theta_form`` and ``local`` use.
+# ``_ztrim`` and ``_zadd`` take any ring's values (rationals,
+# quotient-ring elements), which ``ore.theta_form`` uses.
 # ---------------------------------------------------------------------------
 
 
@@ -257,9 +257,7 @@ def _zadd(a: List[int], b: List[int]) -> List[int]:
 
 
 def _zeval(a: Sequence, x):
-    """a(x) by Horner, for a = [] the integer 0.  It starts from the top
-    coefficient, not from 0, so a quotient-ring value pays no extra
-    addition."""
+    """a(x) by Horner, for a = [] the integer 0."""
     it = reversed(a)
     acc = next(it, 0)
     for c in it:

@@ -203,6 +203,9 @@ class ModElt:
         return NotImplemented
 
     def __hash__(self):
+        # a constant equals its rational, so it hashes as one
+        if not any(self.nums[1:]):
+            return hash(QQ(self.nums[0], self.den))
         return hash((self.ring, self.nums, self.den))
 
     def __bool__(self) -> bool:

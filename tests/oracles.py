@@ -1630,3 +1630,40 @@ def apply_local(coeffs: List[List], series: LogSeries) -> LogSeries:
                 continue
             terms.append(_log_mul_monomial(current, c, u))
     return _log_add_all(terms)
+
+
+# ---------------------------------------------------------------------------
+# Frobenius series by per-step division
+# ---------------------------------------------------------------------------
+
+
+def frobenius_flag_oracle(qs: List[List], one, mu, n_terms: int) -> Optional[List]:
+    """The pure series sum_m c_m t^(mu + m), c_0 = 1, to ``n_terms``
+    coefficients, from q_0(mu + m) c_m = -sum_k q_k(mu + m - k) c_(m-k):
+    every row is evaluated by Horner at its point, and each step divides
+    by the value of q_0 there.  ``qs`` holds ``Fraction``s or
+    ``FractionModElt``s, ``one`` the unit of their type.  A resonance,
+    q_0(mu + m) = 0, with a nonzero right-hand side has no pure series
+    (None); with a zero one, c_m = 0."""
+    zero = one * 0
+
+    def horner(q, x):
+        acc = zero
+        for c in reversed(q):
+            acc = acc * x + c
+        return acc
+
+    coeffs = [one]
+    for m in range(1, n_terms):
+        rhs = zero
+        for k in range(1, min(m, len(qs) - 1) + 1):
+            rhs = rhs + horner(qs[k], mu + m - k) * coeffs[m - k]
+        val = horner(qs[0], mu + m)
+        if not val:
+            if rhs:
+                return None
+            coeffs.append(zero)
+            continue
+        inv = one.ring.inv(val) if isinstance(val, FractionModElt) else 1 / val
+        coeffs.append(-rhs * inv)
+    return coeffs

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from contextlib import contextmanager
 from fractions import Fraction
 from math import comb, lcm
@@ -781,6 +782,67 @@ def test_diagonal_worker_that_exits_raises(monkeypatch):
         with _split(0) as popen, pytest.raises(RuntimeError):
             gen_diagonal(_spec(3, {(0, 0, 0): 1}, _criterion_6_den(C6I)), n_terms)
         assert popen.call_count == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _split_job(spec, n_terms):
+    """((lower, upper, band), result) of the one ``sweep_pair`` call of a
+    split ``gen_diagonal``."""
+    calls = []
+    real = _sweep.sweep_pair
+
+    def spy(lower, upper, band, proc):
+        out = real(lower, upper, band, proc)
+        calls.append(((lower, upper, band), out))
+        return out
+
+    with _split(0), mock.patch.object(_sweep, "sweep_pair", spy):
+        gen_diagonal(spec, n_terms)
+    (call,) = calls
+    return call
+
+
+def test_sweep_band_over_a_pipe_in_two_threads():
+    # the worker's end of a split sweep, run in this process: the lower
+    # rows send each layer's band into a pipe, the upper rows read it
+    (lower, upper, band), want = _split_job(_spec(3, {(0, 0, 0): 1}, _criterion_6_den(C6I)), 7)
+    assert band is not None
+    recv, send = os.pipe()
+    got = {}
+
+    def lower_rows():
+        try:
+            got["lower"] = _sweep.sweep(*lower, band=band, send=send)
+        finally:
+            os.close(send)
+
+    thread = threading.Thread(target=lower_rows)
+    thread.start()
+    try:
+        upper_cells = _sweep.sweep(*upper, band=band, recv=recv)
+        # the lower rows have closed their end: a further frame is missing
+        with pytest.raises(EOFError):
+            _sweep._recv(recv)
+    finally:
+        os.close(recv)  # a writer still blocked gets a broken pipe
+        thread.join(timeout=60)
+    assert not thread.is_alive()
+    assert got["lower"] + upper_cells == want
+
+
+def test_sweep_worker_that_replies_then_fails_raises(tmp_path):
+    # the worker sends every cell it owes, then exits with status 3: the
+    # caller must not take the cells as a result
+    (lower, upper, band), _ = _split_job(_spec(3, {(0, 0, 0): 1}, _criterion_6_den(C6I)), 7)
+    script = tmp_path / "worker.py"
+    script.write_text("import runpy, sys\nrunpy.run_path(%r, run_name='__main__')\nsys.exit(3)\n"
+                      % _sweep.__file__)
+    proc = subprocess.Popen([sys.executable, "-S", "-I", str(script)],
+                            stdin=subprocess.PIPE, stdout=subprocess.PIPE)
+    with pytest.raises(RuntimeError, match="status 3"):
+        _sweep.sweep_pair(lower, upper, band, proc)
+    assert proc.returncode == 3 and proc.stdout.closed
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 

@@ -42,6 +42,7 @@ from oracles import (
     _lam_trim,
     apply_local,
     fraction_gcd,
+    frobenius_flag_oracle,
     local_coeffs_horner_oracle,
     poly_divmod,
     poly_exact_div,
@@ -578,6 +579,78 @@ def test_formal_solutions_per_branch_is_frobenius_on_branch_data(cluster_log_op)
                 (s.exponent, s.layers) for s in sols]
             assert (basis.has_logarithms, basis.obstructions) == (has_logs, obstructions)
             assert has_logs == (data.branch == Poly([-2, 0, 1]))
+
+
+def _local_coeffs_at(op, data):
+    """Local coefficients of op at the branch's point; at infinity, those
+    of the operator in w = 1/z at 0."""
+    if data.point.kind == SingularPoint.INFINITY:
+        return _local_coeffs(transform_infinity_oracle(op), _pt(0), None)
+    return _local_coeffs(op, data.point, data.ring)
+
+
+# m^2 d^2 + m m' d + m at the roots of m = z^2 - 2: exponent 0, double
+_DOUBLE_AT_CLUSTER = DiffOp([Poly([-2, 0, 1]), Poly([0, -4, 0, 2]), Poly([4, 0, -4, 0, 1])])
+# 4z^2 d^2 + (z^2 - 4z) d + z + 3: exponents 1/2 and 3/2, q_1 = lam + 1
+_HALVES_AT_ZERO = DiffOp([Poly([3, 1]), Poly([0, -4, 1]), Poly([0, 0, 4])])
+# 2m d^2 + m' d + z - 1 at the roots of m = z^2 - 3: exponents 0 and 1/2
+_HALF_AT_CLUSTER = DiffOp([Poly([-1, 1]), Poly([0, 2]), Poly([-6, 0, 2])])
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.one_of(_rats, st.just("infinity"), moduli()), _ops(4))
+@example(Poly([-2, 0, 1]), _DOUBLE_AT_CLUSTER)
+@example(QQ(0), _HALVES_AT_ZERO)
+@example(Poly([-3, 0, 1]), _HALF_AT_CLUSTER)
+@example(QQ(0), DiffOp([Poly([0, 1]), Poly([0, 1]), Poly([0, 0, 1])]))
+def test_flag_mode_matches_per_step_division(where, op):
+    # flag mode divides each step by q_0 = lc prod (lam - r)^(m_r) through
+    # one inverse of lc; the oracle evaluates q_0 by Horner and divides
+    assume(not op.is_zero())
+    if where == "infinity":
+        point = SingularPoint.infinity()
+    elif isinstance(where, Poly):
+        point = SingularPoint.algebraic(where)
+    else:
+        point = _pt(where)
+    for data in indicial_branches(op, point):
+        if sum(m for _, m in data.rational_roots) < data.degree:
+            continue  # Frobenius does not run
+        sols, has_logs, obstructions = local_mod._frobenius(data, 3, "flag")
+        if data.ring is None:
+            rows, one = data.theta, QQ(1)
+        else:
+            ring = FractionModRing(data.branch)
+            rows, one = [[ring.el(e.coeffs) for e in q] for q in data.theta], ring.one()
+        loc = _local_coeffs_at(op, data)
+        for sol in sols:
+            (coeffs,) = sol.layers
+            assert len(coeffs) >= 5
+            assert _typed(coeffs) == _typed(frobenius_flag_oracle(rows, one, sol.exponent, len(coeffs)))
+            assert apply_local(loc, sol).is_zero()
+        for mu, m in obstructions:
+            if m:
+                assert frobenius_flag_oracle(rows, one, mu, m + 1) is None
+        assert has_logs == bool(obstructions)
+
+
+def test_flag_mode_examples():
+    # the double root divides by m^2 at step m; the halves step at points
+    # with denominator 2 and meet a resonance between 1/2 and 3/2
+    (double,) = indicial_branches(_DOUBLE_AT_CLUSTER, SingularPoint.algebraic(Poly([-2, 0, 1])))
+    assert double.rational_roots == [(QQ(0), 2)]
+    sols, has_logs, obstructions = local_mod._frobenius(double, 3, "flag")
+    assert has_logs and obstructions == [(QQ(0), 0)] and [s.exponent for s in sols] == [QQ(0)]
+    halves = indicial(_HALVES_AT_ZERO, _pt(0))
+    assert halves.rational_roots == [(QQ(1, 2), 1), (QQ(3, 2), 1)]
+    sols, has_logs, obstructions = local_mod._frobenius(halves, 3, "flag")
+    assert has_logs and obstructions == [(QQ(1, 2), 1)] and [s.exponent for s in sols] == [QQ(3, 2)]
+    # c_1 = -q_1(3/2) / q_0(5/2) = -(5/2) / (4 (5/2 - 1/2)(5/2 - 3/2))
+    assert sols[0].layers[0][:2] == [1, QQ(-5, 16)]
+    (half,) = indicial_branches(_HALF_AT_CLUSTER, SingularPoint.algebraic(Poly([-3, 0, 1])))
+    assert half.rational_roots == [(QQ(0), 1), (QQ(1, 2), 1)]
+    sols, has_logs, _ = local_mod._frobenius(half, 3, "flag")
+    assert not has_logs and [s.exponent for s in sols] == [QQ(0), QQ(1, 2)]
 
 
 def test_formal_solutions_branch_must_divide_the_modulus():

@@ -76,6 +76,32 @@ def test_mixed_scalar_arithmetic():
     assert not (a - a) and a
 
 
+def test_constant_elements_hash_as_their_rationals():
+    # equal values hash equally, so a set or dict sees a constant once
+    ring = ModRing(Poly([-2, 0, 1]))
+    half = ring.from_rat(QQ(1, 2))
+    assert ring.one() == 1 and len({ring.one(), 1}) == 1
+    assert half == QQ(1, 2) and len({half, QQ(1, 2)}) == 1
+    assert {QQ(-3): "c"}[ring.el([-3])] == "c" and hash(ring.el([0])) == hash(0)
+    # on another modulus too, the reduced representative decides
+    cubic = ModRing(Poly([-5, 1, 0, 1]))
+    a = cubic.gen()
+    assert hash(a * a * a + a) == hash(5) and len({a * a * a + a, 5, QQ(5)}) == 1
+
+
+def test_division_by_units_and_rationals():
+    ring = ModRing(Poly([-2, 0, 1]))
+    a = ring.gen()
+    assert (a / (a + 1)) * (a + 1) == a and (1 + a) / a == (1 + a) * ring.inv(a)
+    assert a / QQ(2, 3) == a * QQ(3, 2) and a / -2 == a * QQ(-1, 2)
+    # dividing by a zero divisor splits the modulus
+    split = ModRing(Poly([-2, 0, 1]) * Poly([-3, 0, 1]))
+    b = split.gen()
+    with pytest.raises(ZeroDivisorSplit) as exc:
+        b / (b * b - 2)
+    assert {exc.value.factor, exc.value.cofactor} == {Poly([-2, 0, 1]), Poly([-3, 0, 1])}
+
+
 _rats = st.fractions(min_value=-6, max_value=6, max_denominator=6)
 _nonzero_rats = _rats.filter(lambda c: c != 0)
 # a branch of the family (1,3) cluster: cleared, its leading coefficient is 16
